@@ -128,21 +128,12 @@ class RatFun:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(c):
-        return RatFun(Frac(c))
-
-    @staticmethod
     def lam(exp=1):
         return RatFun({(exp, 0): Frac(1)})
 
     @staticmethod
     def z(exp=1):
         return RatFun({(0, exp): Frac(1)})
-
-    @staticmethod
-    def linear(c, c_lam, c_z):
-        """c + c_lam*lam + c_z*z"""
-        return RatFun({(0, 0): Frac(c), (1, 0): Frac(c_lam), (0, 1): Frac(c_z)})
 
     # -- ring structure ----------------------------------------------------
 
@@ -256,10 +247,6 @@ class RatFun:
         if den.is_zero():
             raise SubstitutionPole("denominator vanished under z substitution")
         return num / den
-
-    def lam_shift(self, k):
-        """Multiply by lam**k (k may be negative)."""
-        return self * RatFun.lam(k) if k >= 0 else self / RatFun.lam(-k)
 
 
 def _gcd(a, b):
@@ -666,9 +653,6 @@ class TruncSeries:
         bits = [f"({v!r})*{self.variable}^{k}" for k, v in sorted(self.coeffs.items())]
         return f"TruncSeries({' + '.join(bits)} + O({self.variable}^{self.order + 1}))"
 
-    def truncate(self, order):
-        return TruncSeries(self.variable, min(order, self.order), self.coeffs)
-
     def map_coeffs(self, fn):
         return TruncSeries(self.variable, self.order, {k: fn(v) for k, v in self.coeffs.items()})
 
@@ -715,25 +699,6 @@ def series_root_pow(s, exponent):
             break
         out = out + power * binom
     return out
-
-
-def ring_arith(a, b, op):
-    """Uniform entry point for add/mul/div across all the rings here."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if isinstance(a, TruncSeries) or isinstance(b, TruncSeries):
-            return a / b
-        if isinstance(b, RatFun) and b.is_zero():
-            raise DivisionByNonUnit("division by zero rational function")
-        if isinstance(a, (int, Frac)) and isinstance(b, (int, Frac)):
-            if b == 0:
-                raise DivisionByNonUnit("division by zero")
-            return Frac(a) / Frac(b)
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

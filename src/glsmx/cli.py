@@ -33,7 +33,8 @@ from .algebra import (
     render_ratfun,
     series_root_pow,
 )
-from .errors import BoundsExceeded, ConfigError, GlsmxError, IdentityFailed
+from .errors import ConfigError, GlsmxError, IdentityFailed
+from .graphs import _frac_str
 from .model import (
     GEOMETRIC,
     LG,
@@ -152,10 +153,6 @@ def _load_json(path):
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def _frac_str(value):
-    return str(Frac(value))
 
 
 def _lam_term(coeff, exponent):
@@ -403,17 +400,6 @@ def _cmd_p1(config, trunc):
     return inputs, results, checks
 
 
-def _series_coefficients(model, q_max, epsilon, twisted):
-    if q_max < 0:
-        raise ConfigError(f"series order {q_max} must be non-negative")
-    if q_max > jfun.Q_CAP:
-        raise BoundsExceeded(f"series order {q_max} above cap {jfun.Q_CAP}")
-    return {
-        beta: jfun.unstable_J_coefficient(model, beta, epsilon, twisted)
-        for beta in range(q_max + 1)
-    }
-
-
 def _cmd_ifun(config, trunc):
     model = _model_from_config(config)
     params = _params(config, "ifun")
@@ -421,7 +407,8 @@ def _cmd_ifun(config, trunc):
     twisted = params.get("twisted", False)
     if not isinstance(twisted, bool):
         raise ConfigError("ifun.twisted must be a boolean")
-    values = _series_coefficients(model, q_max, None, twisted)
+    series = jfun.i_function(model, q_max, twisted)
+    values = {beta: series.coefficient(beta) for beta in range(q_max + 1)}
     inputs = {"model": _model_echo(model), "q_max": q_max, "twisted": twisted}
     results = {
         "sectors": {str(b): _frac_str(jfun.j_sector(model, b)) for b in range(q_max + 1)},
@@ -805,19 +792,20 @@ def criterion_graph_census(brute=None):
     return _criterion("graph census", _graph_census_body, brute=brute)
 
 
-def _chain_graph(degrees):
-    # genus-2 anchor followed by a chain of rational tails on the quintic;
-    # multiplicities are solved from the far end inward
-    d = 5
+def _chain_graph(model, degrees):
+    # genus-2 anchor followed by a chain of rational tails; multiplicities
+    # are solved from the far end inward
     k = len(degrees)
     out_side = [None] * k
     in_side = [None] * k
-    out_side[k - 1] = Frac(-degrees[-1] - 1, d) % 1
+    out_side[k - 1] = solve_last_multiplicity(model, 0, degrees[-1], [])
     for i in range(k - 1, 0, -1):
         in_side[i] = (-out_side[i]) % 1
-        out_side[i - 1] = (Frac(-degrees[i - 1], d) - in_side[i]) % 1
+        out_side[i - 1] = solve_last_multiplicity(
+            model, 0, degrees[i - 1], [in_side[i]]
+        )
     in_side[0] = (-out_side[0]) % 1
-    anchor_leg = (Frac(4, d) - in_side[0]) % 1
+    anchor_leg = solve_last_multiplicity(model, 2, 0, [in_side[0]])
     vertices = [gr.Vertex(2, 0, ((1, anchor_leg),))]
     vertices += [gr.Vertex(0, b) for b in degrees]
     edges = tuple(gr.Edge((i, i + 1), (in_side[i], out_side[i])) for i in range(k))
@@ -831,7 +819,7 @@ def _contraction_corpus_body():
     for _ in range(50):
         degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         epsilon = eps_choices[rng.randrange(len(eps_choices))]
-        graph = _chain_graph(degrees)
+        graph = _chain_graph(model, degrees)
         where = f"degrees {degrees} eps {epsilon}"
         _expect(not gr.validate(model, graph), f"corpus graph invalid at {where}")
         record = gr.contract_c(model, graph, epsilon)

@@ -6,6 +6,7 @@ order that organizes the induction over decorated graphs."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 
@@ -16,10 +17,12 @@ from .errors import (
     WrongMultiplicity,
 )
 from .model import (
-    LG,
+    _compat_defect,
+    check_compatibility,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
+    solve_last_multiplicity,
 )
 
 LEVEL_ZERO = "0"
@@ -116,9 +119,10 @@ def vertex_valence(graph, vi):
     return len(half_edges_at(graph, vi)) + len(graph.vertices[vi].legs)
 
 
-def _components(graph):
-    n = len(graph.vertices)
-    parent = list(range(n))
+def _component_count(nodes, links):
+    """Number of connected components of the nodes under the (a, b) links,
+    by union-find; nodes must be iterable twice."""
+    parent = {v: v for v in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -126,11 +130,15 @@ def _components(graph):
             x = parent[x]
         return x
 
-    for e in graph.edges:
-        a, b = find(e.ends[0]), find(e.ends[1])
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(n)})
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in nodes})
+
+
+def _components(graph):
+    return _component_count(range(len(graph.vertices)), (e.ends for e in graph.edges))
 
 
 def first_betti(graph):
@@ -171,12 +179,7 @@ def _vertex_mults(model, graph, vi):
 
 def _vertex_defect(model, graph, vi):
     v = graph.vertices[vi]
-    mults = _vertex_mults(model, graph, vi)
-    total = sum(mults, Frac(0))
-    if model.phase == LG:
-        n = len(mults)
-        return Frac(-v.degree + 2 * v.genus - 2 + n, 1) / model.d - total
-    return Frac(v.degree) - total
+    return _compat_defect(model, v.genus, v.degree, _vertex_mults(model, graph, vi))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +219,8 @@ def classify_vertex(model, graph, vi, epsilon):
     'marked'; None when no consistent role exists."""
     v = graph.vertices[vi]
     he = len(half_edges_at(graph, vi))
-    special = he + len(v.legs)
-    if v.level == LEVEL_ZERO and epsilon is not None:
-        stable = Frac(epsilon) * v.degree + 2 * v.genus - 2 + special > 0
-    else:
-        stable = v.degree > 0 or 2 * v.genus - 2 + special > 0
-    if stable:
+    chamber = epsilon if v.level == LEVEL_ZERO else None
+    if epsilon_stable(v.genus, v.degree, he + len(v.legs), chamber):
         return "stable"
     if v.genus > 0 or v.extra_legs:
         return None
@@ -263,9 +262,11 @@ def validate(model, graph):
     out = []
     is_loc = isinstance(graph, LocGraph)
     nv = len(graph.vertices)
+    ends_ok = True
     for ei, e in enumerate(graph.edges):
         if not all(0 <= x < nv for x in e.ends):
             out.append(f"edge {ei}: endpoint out of range")
+            ends_ok = False
             continue
         if (e.mults[0] + e.mults[1]).denominator != 1:
             out.append(
@@ -303,7 +304,7 @@ def validate(model, graph):
                 out.append("distinguished vertex carries extra legs")
             if vb.degree <= 0:
                 out.append("distinguished vertex needs positive degree")
-    if nv and _components(graph) != 1:
+    if nv and ends_ok and _components(graph) != 1:
         out.append("graph not connected")
     seen_labels = [l for l, _, _ in global_legs(graph)]
     if len(seen_labels) != len(set(seen_labels)):
@@ -313,12 +314,12 @@ def validate(model, graph):
 
 def infinity_stable_graph(model, graph):
     """Vertex-wise stability in the infinity chamber, extra legs counted."""
-    for vi in range(len(graph.vertices)):
-        v = graph.vertices[vi]
-        special = vertex_valence(graph, vi) + v.extra_legs
-        if not (v.degree > 0 or 2 * v.genus - 2 + special > 0):
-            return False
-    return True
+    return all(
+        epsilon_stable(
+            v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None
+        )
+        for vi, v in enumerate(graph.vertices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +389,6 @@ def isomorphic(a, b):
     return canonical_key(a) == canonical_key(b)
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _degree_half_edges(graph):
     """Half-edges whose isotropy orders divide the covering degree.  Plain
     dual graphs: all half-edges (both sides of every edge).  Fixed-locus
@@ -444,7 +438,7 @@ def aut_degree(model, graph):
             vertex_perms += 1
     edge_ways = 1
     for c in base_counts.values():
-        edge_ways *= _factorial(c)
+        edge_ways *= math.factorial(c)
     sym_loops = sum(
         1 for e in graph.edges if e.ends[0] == e.ends[1] and e.mults[0] == e.mults[1]
     )
@@ -590,17 +584,38 @@ def convert_markings_b(model, graph, beta_vec, epsilon):
 _ENUM_BOUNDS = {"g": 2, "n": 4, "beta": 6, "delta": 4}
 
 
-def _compositions(total, parts):
+def _compositions(total, parts, least=0):
+    """Ordered tuples of parts integers, each at least least, summing to
+    total, in lexicographic order."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for head in range(least, total - least * (parts - 1) + 1):
+        for tail in _compositions(total - head, parts - 1, least):
+            yield (head,) + tail
+
+
+def _bipartition(nv, edges):
+    """Sides 0/1 of the vertices of a connected graph with vertex 0 on side
+    0 and every edge joining the two sides; None when an odd cycle makes
+    that impossible."""
+    adj = {i: [] for i in range(nv)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    side = [None] * nv
+    side[0] = 0
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if side[w] is None:
+                side[w] = 1 - side[v]
+                stack.append(w)
+            elif side[w] == side[v]:
+                return None
+    return side
 
 
 def _connected_structures(nv, ne):
@@ -611,19 +626,7 @@ def _connected_structures(nv, ne):
         return
     pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
     for combo in itertools.combinations_with_replacement(pairs, ne):
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in combo:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        if len({find(i) for i in range(nv)}) == 1:
+        if _component_count(range(nv), combo) == 1:
             yield combo
 
 
@@ -649,17 +652,15 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
             if genus_budget < 0:
                 continue
             for structure in _connected_structures(nv, ne):
-                delta_opts = (
-                    [()]
-                    if ne == 0
-                    else [
-                        tuple(c + 1 for c in comp)
-                        for comp in _compositions(delta - ne, ne)
-                    ]
-                )
-                for levels in itertools.product((LEVEL_ZERO, LEVEL_INF), repeat=nv):
-                    if any(levels[a] == levels[b] for a, b in structure):
-                        continue
+                side = _bipartition(nv, structure)
+                if side is None:
+                    continue
+                delta_opts = list(_compositions(delta, ne, 1))
+                # the two level assignments, vertex 0 at level zero first
+                for flip in (0, 1):
+                    levels = tuple(
+                        LEVEL_ZERO if s == flip else LEVEL_INF for s in side
+                    )
                     for deltas in delta_opts:
                         for genera in _compositions(genus_budget, nv):
                             for degrees in _compositions(beta, nv):
@@ -686,53 +687,37 @@ def _emit_candidates(
 ):
     d = model.d
     nv = len(levels)
-    ne = len(structure)
     legs_at = {vi: [] for vi in range(nv)}
     for label in range(1, n + 1):
         legs_at[leg_dist[label - 1]].append(label)
-    for edge_ms in itertools.product(range(d), repeat=ne):
+    for edge_ms in itertools.product(range(d), repeat=len(structure)):
         edges = []
+        he_mults = [[] for _ in range(nv)]
         for (a, b), dd, k in zip(structure, deltas, edge_ms):
-            m0 = Frac(k, d)
+            m0, m_inf = Frac(k, d), Frac(-k % d, d)
             # store the level-zero side first
-            if levels[a] == LEVEL_ZERO:
-                edges.append(Edge((a, b), (m0, frac_bracket(-m0)), dd))
-            else:
-                edges.append(Edge((b, a), (m0, frac_bracket(-m0)), dd))
-        probe = LocGraph(
-            tuple(
-                Vertex(genera[vi], degrees[vi], (), 0, levels[vi]) for vi in range(nv)
-            ),
-            tuple(edges),
-        )
+            zero, inf = (a, b) if levels[a] == LEVEL_ZERO else (b, a)
+            edges.append(Edge((zero, inf), (m0, m_inf), dd))
+            he_mults[zero].append(m0)
+            he_mults[inf].append(m_inf)
         per_vertex = []
-        ok = True
         for vi in range(nv):
             labels = legs_at[vi]
-            defect = _vertex_defect(model, probe, vi)
+            g_v, b_v = genera[vi], degrees[vi]
             if not labels:
-                if defect.denominator != 1:
-                    ok = False
+                if not check_compatibility(model, g_v, b_v, he_mults[vi]):
                     break
                 per_vertex.append([()])
                 continue
             # the legs both shift the point count and add their own
             # multiplicities, so solve for the last one
-            target = defect
-            if model.phase == LG:
-                target += Frac(len(labels), model.d)
             options = []
             for head in itertools.product(range(d), repeat=len(labels) - 1):
                 head_m = [Frac(k, d) for k in head]
-                last = frac_bracket(target - sum(head_m, Frac(0)))
-                if (last * d).denominator != 1:
-                    continue
+                last = solve_last_multiplicity(model, g_v, b_v, he_mults[vi] + head_m)
                 options.append(tuple(zip(labels, head_m + [last])))
-            if not options:
-                ok = False
-                break
             per_vertex.append(options)
-        if not ok:
+        if len(per_vertex) < nv:  # a legless vertex is not integral
             continue
         for leg_choice in itertools.product(*per_vertex):
             vertices = tuple(
@@ -760,20 +745,7 @@ def _contract_chosen(graph, subset, chosen, bullet_extra_legs=0):
     on the replacement vertex are a free decoration, so the caller supplies
     the count to compare against."""
     subset = frozenset(subset)
-    parent = {v: v for v in subset}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ei in chosen:
-        a, b = graph.edges[ei].ends
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(v) for v in subset}) != 1:
+    if _component_count(subset, (graph.edges[ei].ends for ei in chosen)) != 1:
         return None
     h1 = len(chosen) - len(subset) + 1
     genus = h1 + sum(graph.vertices[v].genus for v in subset)
@@ -832,7 +804,6 @@ def minimal_expansions(model, graph):
         raise ConfigError("partial order needs a distinguished vertex")
     vb = graph.v_bullet
     center = graph.vertices[vb]
-    d = model.d
     out = {}
 
     def consider(candidate):
@@ -845,8 +816,8 @@ def minimal_expansions(model, graph):
 
     # trade one unit of genus for a loop
     if center.genus >= 1:
-        for km in range(d):
-            m = Frac(km, d)
+        for km in range(model.d):
+            m = Frac(km, model.d)
             vertices = list(graph.vertices)
             vertices[vb] = Vertex(
                 center.genus - 1, center.degree, center.legs, 0, center.level
@@ -871,40 +842,49 @@ def minimal_expansions(model, graph):
                     leg for i, leg in enumerate(center.legs) if not leg_mask >> i & 1
                 )
                 for slot_mask in range(1 << len(slots)):
+                    stay = [
+                        graph.edges[ei].mults[side]
+                        for si, (ei, side) in enumerate(slots)
+                        if not slot_mask >> si & 1
+                    ]
+                    # the one new-edge multiplicity at vb that makes vb
+                    # integral; the split-off vertex then is too.  Input
+                    # multiplicities off the 1/d grid admit no residue.
+                    m = solve_last_multiplicity(
+                        model, g1, b1, [leg_m for _, leg_m in legs1] + stay
+                    )
+                    if (m * model.d).denominator != 1:
+                        continue
                     for bullet_first in (True, False):
                         bullet_degree = b1 if bullet_first else center.degree - b1
                         if bullet_degree <= 0:
                             continue
-                        for km in range(d):
-                            m = Frac(km, d)
-                            vertices = list(graph.vertices)
-                            vertices[vb] = Vertex(g1, b1, legs1, 0, center.level)
-                            vertices.append(
-                                Vertex(
-                                    center.genus - g1,
-                                    center.degree - b1,
-                                    legs2,
-                                    0,
-                                    center.level,
-                                )
+                        vertices = list(graph.vertices)
+                        vertices[vb] = Vertex(g1, b1, legs1, 0, center.level)
+                        vertices.append(
+                            Vertex(
+                                center.genus - g1,
+                                center.degree - b1,
+                                legs2,
+                                0,
+                                center.level,
                             )
-                            edges = list(graph.edges)
-                            for si, (ei, side) in enumerate(slots):
-                                if slot_mask >> si & 1:
-                                    e = edges[ei]
-                                    ends = list(e.ends)
-                                    ends[side] = new_index
-                                    edges[ei] = Edge(tuple(ends), e.mults, e.delta)
-                            edges.append(
-                                Edge((vb, new_index), (m, frac_bracket(-m)), None)
+                        )
+                        edges = list(graph.edges)
+                        for si, (ei, side) in enumerate(slots):
+                            if slot_mask >> si & 1:
+                                e = edges[ei]
+                                ends = list(e.ends)
+                                ends[side] = new_index
+                                edges[ei] = Edge(tuple(ends), e.mults, e.delta)
+                        edges.append(Edge((vb, new_index), (m, frac_bracket(-m)), None))
+                        consider(
+                            DualGraph(
+                                tuple(vertices),
+                                tuple(edges),
+                                vb if bullet_first else new_index,
                             )
-                            consider(
-                                DualGraph(
-                                    tuple(vertices),
-                                    tuple(edges),
-                                    vb if bullet_first else new_index,
-                                )
-                            )
+                        )
     return list(out.values())
 
 
@@ -984,6 +964,13 @@ def graph_from_obj(obj):
         )
         for e in obj["edges"]
     )
+    nv = len(vertices)
+    for ei, e in enumerate(edges):
+        if not all(0 <= x < nv for x in e.ends):
+            raise ValueError(f"edge {ei} has an endpoint outside vertices 0..{nv - 1}")
     if obj.get("kind") == "loc":
         return LocGraph(vertices, edges)
-    return DualGraph(vertices, edges, obj.get("v_bullet"))
+    bullet = obj.get("v_bullet")
+    if bullet is not None and not 0 <= bullet < nv:
+        raise ValueError(f"v_bullet {bullet} is outside vertices 0..{nv - 1}")
+    return DualGraph(vertices, edges, bullet)

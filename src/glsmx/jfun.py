@@ -38,6 +38,7 @@ from .graphs import LEVEL_INF, LEVEL_ZERO
 from .model import (
     LG,
     GlsmModel,
+    check_off_wall,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
@@ -260,10 +261,6 @@ class JSeries:
     twisted: bool
     series: TruncSeries
 
-    @property
-    def phase(self):
-        return self.model.phase
-
     def coefficient(self, beta):
         return self.series.coeff(beta, state_unit(self.model) * RF_ZERO)
 
@@ -274,14 +271,22 @@ class JSeries:
         return positive_z_part(self.coefficient(beta))
 
 
-def i_function(model, q_max):
-    """Collect the small-chamber coefficients through degree q_max."""
+def _check_q_max(q_max):
     if q_max < 0:
         raise ConfigError(f"series order {q_max} must be non-negative")
     if q_max > Q_CAP:
         raise BoundsExceeded(f"series order {q_max} above cap {Q_CAP}")
-    coeffs = {beta: unstable_J_coefficient(model, beta) for beta in range(q_max + 1)}
-    return JSeries(model, False, TruncSeries("q", q_max, coeffs))
+
+
+def i_function(model, q_max, twisted=False):
+    """Collect the small-chamber coefficients through degree q_max, with the
+    framing twist inserted when twisted."""
+    _check_q_max(q_max)
+    coeffs = {
+        beta: unstable_J_coefficient(model, beta, None, twisted)
+        for beta in range(q_max + 1)
+    }
+    return JSeries(model, twisted, TruncSeries("q", q_max, coeffs))
 
 
 @dataclass(frozen=True)
@@ -320,6 +325,7 @@ def mu_table(model, epsilon, twisted=False):
         raise BoundsExceeded(
             f"chamber of {epsilon} has {beta_max} unstable degrees, cap is {Q_CAP}"
         )
+    check_off_wall(epsilon)
     entries = []
     for beta in range(beta_max + 1):
         value = positive_z_part(unstable_J_coefficient(model, beta, epsilon, twisted))
@@ -434,10 +440,7 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max, strict=True):
     where only one is, and vanish beyond both.  With strict the first
     mismatch raises IdentityFailed; otherwise it is recorded in the report.
     """
-    if q_max < 0:
-        raise ConfigError(f"series order {q_max} must be non-negative")
-    if q_max > Q_CAP:
-        raise BoundsExceeded(f"series order {q_max} above cap {Q_CAP}")
+    _check_q_max(q_max)
     for eps in (epsilon_1, epsilon_2):
         if eps <= 0:
             raise ConfigError(f"stability parameter {eps} must be positive")
@@ -448,6 +451,8 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max, strict=True):
             f"chamber holds {max(bound_1, bound_2)} unstable degrees, "
             f"cap is {Q_CAP}"
         )
+    for eps in (epsilon_1, epsilon_2):
+        check_off_wall(eps)
     checks = []
 
     def record(name, first_failure):

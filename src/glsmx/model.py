@@ -30,6 +30,17 @@ def isotropy_order(d: int, mult) -> int:
     return d // math.gcd(int(k) % d, d)
 
 
+def check_off_wall(epsilon) -> Frac:
+    """epsilon as a Fraction, once it is known to be positive and off every
+    wall (1/epsilon not an integer)."""
+    epsilon = Frac(epsilon)
+    if epsilon <= 0:
+        raise ConfigError("epsilon must be positive")
+    if (1 / epsilon).denominator == 1:
+        raise OnWall(f"epsilon = {epsilon} sits on a wall")
+    return epsilon
+
+
 @dataclass(frozen=True)
 class GlsmModel:
     """One C*-action datum: coordinate fields of positive weights plus N
@@ -54,12 +65,7 @@ class GlsmModel:
         if self.phase not in (LG, GEOMETRIC):
             raise ConfigError(f"unknown phase {self.phase!r}")
         if self.epsilon is not None:
-            eps = Frac(self.epsilon)
-            if eps <= 0:
-                raise ConfigError("epsilon must be positive")
-            if (1 / eps).denominator == 1:
-                raise OnWall(f"epsilon = {eps} sits on a wall")
-            object.__setattr__(self, "epsilon", eps)
+            object.__setattr__(self, "epsilon", check_off_wall(self.epsilon))
 
     @property
     def num_x_fields(self) -> int:
@@ -114,12 +120,10 @@ def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
 
 
 def _compat_defect(model, genus, beta, mults):
-    beta = Frac(beta)
-    total = sum((frac_bracket(m) for m in mults), Frac(0))
-    if model.phase == LG:
-        n = len(mults)
-        return Frac(-beta + 2 * genus - 2 + n, 1) / model.d - total
-    return beta - total
+    """Gauge-bundle degree minus the multiplicities (the marking count is
+    len(mults)).  Callers only test it for integrality or reduce it mod 1,
+    so a multiplicity may be off by an integer."""
+    return line_bundle_degree(model, genus, len(mults), beta) - sum(mults, Frac(0))
 
 
 def graph_multiplicities(model: GlsmModel, beta: int):
@@ -206,11 +210,7 @@ def choose_delta(epsilon) -> Frac:
     """A margin small enough that shifting k*eps - 1 by it never changes
     sign: half the minimal positive gap 1 - k*eps, or 1/2 when every
     positive multiple of eps already exceeds 1."""
-    epsilon = Frac(epsilon)
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    if (1 / epsilon).denominator == 1:
-        raise OnWall(f"epsilon = {epsilon} sits on a wall")
+    epsilon = check_off_wall(epsilon)
     gaps = [1 - k * epsilon for k in range(1, int(1 / epsilon) + 1)]
     if not gaps:
         return Frac(1, 2)

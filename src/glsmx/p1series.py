@@ -34,6 +34,8 @@ from .graphs import (
     Edge,
     LocGraph,
     Vertex,
+    _bipartition,
+    _compositions,
     aut_degree,
     canonical_key,
 )
@@ -138,16 +140,6 @@ def _edge_factor(d: int) -> RatFun:
     return RatFun(Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)) / LAM ** (2 * d)
 
 
-def _compositions(total: int, parts: int, least: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(least, total - least * (parts - 1) + 1):
-        for tail in _compositions(total - head, parts - 1, least):
-            yield (head,) + tail
-
-
 def _prufer_edges(nv: int, seq) -> tuple:
     deg = [1] * nv
     for s in seq:
@@ -169,23 +161,6 @@ def _tree_shapes(nv: int):
         return
     for seq in product(range(nv), repeat=nv - 2):
         yield _prufer_edges(nv, seq)
-
-
-def _bipartition(nv: int, edges) -> list:
-    adj = {i: [] for i in range(nv)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    side = [None] * nv
-    side[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if side[w] is None:
-                side[w] = 1 - side[v]
-                stack.append(w)
-    return side
 
 
 def _fixed_graphs(n: int, delta: int) -> list:

@@ -4,6 +4,11 @@ Everything here is deliberately independent of glsmx.graphs: decorations are
 assigned exhaustively, the defining rules are re-checked with plain integer
 arithmetic, and isomorphism is delegated to networkx.  Only counts are
 compared against the production enumerator.
+
+Representatives are bucketed by an isomorphism invariant (sorted node
+attributes plus sorted edge attributes with their end-node attributes), so
+networkx only compares candidates inside one bucket.  The invariant never
+separates isomorphic graphs, so the counts are those of a full scan.
 """
 
 from __future__ import annotations
@@ -90,7 +95,7 @@ def brute_loc_graphs(d, lg, eps, g, n, beta, delta):
     lg selects the phase rule for the vertex condition; multiplicities are
     handled as integer numerators k of k/d throughout.
     """
-    reps = []
+    buckets = {}
     ne_range = range(1, delta + 1) if delta else (0,)
     for ne in ne_range:
         for nv in range(1, ne + 2):
@@ -113,13 +118,28 @@ def brute_loc_graphs(d, lg, eps, g, n, beta, delta):
                             continue
                         _brute_decorations(
                             d, lg, eps, g - h1, n, beta, delta, nv, shape,
-                            levels, ems, reps,
+                            levels, ems, buckets,
                         )
-    return reps
+    return [rep for bucket in buckets.values() for rep in bucket]
+
+
+def _invariant(G):
+    def attrs(v):
+        a = G.nodes[v]
+        return (a["lev"], a["g"], a["b"], a["legs"])
+
+    nodes = tuple(sorted(attrs(v) for v in G.nodes))
+    edges = tuple(
+        sorted(
+            (e["dd"], e["m0"], e["mi"], tuple(sorted((attrs(u), attrs(v)))))
+            for u, v, e in G.edges(data=True)
+        )
+    )
+    return nodes, edges
 
 
 def _brute_decorations(
-    d, lg, eps, gbudget, n, beta, delta, nv, shape, levels, ems, reps
+    d, lg, eps, gbudget, n, beta, delta, nv, shape, levels, ems, buckets
 ):
     ne = len(shape)
     he_count = [0] * nv
@@ -179,14 +199,15 @@ def _brute_decorations(
                         cand = _as_nx(
                             nv, shape, levels, ems, ds, gs, bs, legv, legms
                         )
+                        bucket = buckets.setdefault(_invariant(cand), [])
                         if not any(
                             nx.is_isomorphic(
                                 cand, r,
                                 node_match=NODE_MATCH, edge_match=EDGE_MATCH,
                             )
-                            for r in reps
+                            for r in bucket
                         ):
-                            reps.append(cand)
+                            bucket.append(cand)
 
 
 def _as_nx(nv, shape, levels, ems, ds, gs, bs, legv, legms):

@@ -20,7 +20,6 @@ from glsmx.algebra import (
     laurent_expand,
     laurent_of_ratfun,
     render_ratfun,
-    ring_arith,
     series_root_pow,
     substitute_z,
 )
@@ -295,13 +294,13 @@ def _ratfuns(draw):
 @given(_ratfuns(), _ratfuns(), _ratfuns())
 @settings(max_examples=100, deadline=None)
 def test_ratfun_ring_axioms(a, b, c):
-    assert ring_arith(a, b, "add") == ring_arith(b, a, "add")
-    assert ring_arith(a, b, "mul") == ring_arith(b, a, "mul")
+    assert a + b == b + a
+    assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     if not b.is_zero():
-        assert ring_arith(a, b, "div") * b == a
+        assert (a / b) * b == a
 
 
 # -- LaurentInLambda --------------------------------------------------------

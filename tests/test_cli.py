@@ -231,3 +231,48 @@ def test_criteria_registry_shape():
         assert callable(fn)
         names.add(fn.__name__)
     assert len(names) == 10
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("jwc", {"epsilon_1": "1/2", "epsilon_2": "2/3", "q_max": 4}),
+        ("mu", {"epsilon": "1/2"}),
+    ],
+)
+def test_on_wall_epsilon_fails(command, block):
+    report = run(command, {"model": QUINTIC_LG, command: block})
+    assert [c["name"] for c in report["checks"]] == ["OnWall"]
+    assert not report_passed(report)
+
+
+def _with(graph, **changes):
+    out = json.loads(json.dumps(graph))
+    out.update(changes)
+    return out
+
+
+_BAD_ENDPOINT = _with(FIG_TOP, edges=[{"ends": [0, 7], "mults": ["4/5", "1/5"]}])
+_BAD_BULLET = _with(FIG_TOP, v_bullet=5)
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [
+        ("aut", {"graph": _BAD_ENDPOINT}),
+        ("order", {"a": _BAD_BULLET, "b": FIG_TOP}),
+        ("order", {"a": FIG_TOP, "b": _BAD_ENDPOINT}),
+    ],
+)
+def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
+    config = {"model": QUINTIC_LG, command: block}
+    report = run(command, config)
+    assert [c["name"] for c in report["checks"]] == ["ConfigError"]
+    assert "outside vertices" in report["checks"][0]["first_failure"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main([command, "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["checks"][0]["status"] == "fail"
+    assert "Traceback" not in captured.err

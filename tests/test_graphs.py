@@ -74,6 +74,25 @@ def test_validate_loc_graph_levels_and_delta():
     assert any("covering degree" in v for v in out)
 
 
+def test_validate_reports_endpoint_out_of_range():
+    g = G.DualGraph(
+        (G.Vertex(1, 0, ((1, Frac(1, 5)),)),),
+        (G.Edge((0, 3), (Frac(0), Frac(0))),),
+    )
+    assert "edge 0: endpoint out of range" in G.validate(QUINTIC, g)
+
+
+def test_graph_from_obj_rejects_out_of_range_indices():
+    obj = G.graph_to_obj(
+        G.DualGraph((G.Vertex(1, 1), G.Vertex(1, 1)), (G.Edge((0, 1)),), 0)
+    )
+    with pytest.raises(ValueError):
+        G.graph_from_obj(dict(obj, edges=[{"ends": [0, 2], "mults": ["0", "0"]}]))
+    with pytest.raises(ValueError):
+        G.graph_from_obj(dict(obj, v_bullet=2))
+    assert G.graph_to_obj(G.graph_from_obj(obj)) == obj
+
+
 def test_validate_disconnected():
     g = G.DualGraph((G.Vertex(1, 0), G.Vertex(2, 0)), ())
     assert any("not connected" in v for v in G.validate(QUINTIC, g))
@@ -607,6 +626,26 @@ def test_minimal_expansions_are_strictly_below():
         assert G.graph_leq(QUINTIC, p, top)
         assert not G.isomorphic(p, top)
         assert not G.graph_leq(QUINTIC, top, p)
+
+
+def test_minimal_expansions_new_edges_stay_on_the_grid():
+    # a valid graph whose edge multiplicities are thirds, off the 1/5 grid:
+    # a split whose distinguished side keeps a third admits no residue k/5
+    a, b = Frac(1, 3), Frac(2, 3)
+    top = G.DualGraph(
+        (
+            G.Vertex(1, 1, ((1, Frac(0)), (2, Frac(1, 15)))),
+            G.Vertex(1, 1, ((3, Frac(8, 15)),)),
+        ),
+        (G.Edge((0, 1), (a, b)),),
+        0,
+    )
+    assert G.validate(QUINTIC, top) == []
+    preds = G.minimal_expansions(QUINTIC, top)
+    assert preds
+    for p in preds:
+        new = p.edges[-1]
+        assert all((m * 5).denominator == 1 for m in new.mults)
 
 
 def test_descending_chains_respect_bound():

@@ -31,6 +31,7 @@ from glsmx.errors import (
     DegreeViolation,
     IdentityFailed,
     InconsistentOrbData,
+    OnWall,
     OutOfUnstableRange,
 )
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO
@@ -294,7 +295,7 @@ def test_coefficients_are_homogeneous(model, twisted):
 def test_i_function_leading_positive_part(model):
     series = i_function(model, 4)
     assert series.positive_part(0) == Z * state_unit(model)
-    assert series.phase == model.phase
+    assert series.model.phase == model.phase
     assert series.twisted is False
 
 
@@ -305,6 +306,16 @@ def test_i_function_collects_unstable_coefficients():
             QUINTIC_LG, beta, None, False
         )
         assert series.sector(beta) == QUINTIC_LG_SECTORS[beta]
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_i_function_twisted_flag(twisted):
+    series = i_function(QUINTIC_LG, 4, twisted)
+    assert series.twisted is twisted
+    for beta in range(5):
+        assert series.coefficient(beta) == unstable_J_coefficient(
+            QUINTIC_LG, beta, None, twisted
+        )
 
 
 def test_i_function_caps():
@@ -527,6 +538,13 @@ def test_jwc_detects_corruption(monkeypatch):
 def test_jwc_caps():
     with pytest.raises(BoundsExceeded):
         jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), jfun.Q_CAP + 1)
+
+
+def test_chamber_entry_points_reject_walls():
+    with pytest.raises(OnWall):
+        mu_table(QUINTIC_LG, Frac(1, 2))
+    with pytest.raises(OnWall):
+        jwc_check(QUINTIC_LG, Frac(2, 3), Frac(1, 3), 4, strict=False)
 
 
 # --- state-space helpers ----------------------------------------------------
