@@ -12,6 +12,7 @@ class whose order is the rank of the relevant state space.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
@@ -48,6 +49,10 @@ from .model import (
 )
 
 Q_CAP = 8
+
+# (model, beta, twisted) keys held by each coefficient cache; the four
+# acceptance models at beta <= Q_CAP, both twists, need 72
+_LADDER_CACHE_SIZE = 256
 
 # placeholder for a smoothing term that stays a cotangent class until the
 # vertex moduli are integrated out
@@ -152,10 +157,12 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
     """Degree-beta coefficient of the J-function inside the unstable range.
 
     epsilon = None selects the asymptotic small chamber where every degree
-    is unstable; otherwise beta must satisfy beta <= 1/epsilon.  The value
-    is assembled from the moving weights of the field bundles on the
-    parameterized component: obstruction weights multiply, section weights
-    divide, weights without a z part are fixed directions and are skipped.
+    is unstable; otherwise epsilon must be positive and off every wall, and
+    beta must satisfy beta <= 1/epsilon.  Inside that range the coefficient
+    does not depend on epsilon (the chamber truncates the I-function), so
+    epsilon only gates the range: after the checks the value comes from a
+    per-process cache keyed by (model, beta, twisted).  Cached values are
+    immutable and shared between callers.
     """
     if beta < 0:
         raise OutOfUnstableRange(f"negative degree {beta}")
@@ -164,6 +171,16 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
             raise ConfigError(f"stability parameter {epsilon} must be positive")
         if beta * Frac(epsilon) > 1:
             raise OutOfUnstableRange(f"degree {beta} is stable for epsilon {epsilon}")
+        check_off_wall(epsilon)
+    return _ladder(model, beta, twisted)
+
+
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _ladder(model, beta, twisted):
+    # The value is assembled from the moving weights of the field bundles on
+    # the parameterized component: obstruction weights multiply, section
+    # weights divide, weights without a z part are fixed directions and are
+    # skipped.
     unit = state_unit(model)
     hyper = state_hyperplane(model)
     z_class = unit * Z
@@ -253,6 +270,18 @@ def positive_z_part(value: CohClass) -> CohClass:
     return CohClass(kept, value.relation, value.r)
 
 
+@functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
+def _ladder_plus(model, beta, twisted):
+    return positive_z_part(_ladder(model, beta, twisted))
+
+
+def _plus_part(model, beta, epsilon, twisted):
+    """positive_z_part of unstable_J_coefficient, computed once per
+    (model, beta, twisted); the public entry still runs every check."""
+    unstable_J_coefficient(model, beta, epsilon, twisted)
+    return _ladder_plus(model, beta, twisted)
+
+
 @dataclass(frozen=True)
 class JSeries:
     """I-function coefficients, indexed by degree in the series variable."""
@@ -328,7 +357,7 @@ def mu_table(model, epsilon, twisted=False):
     check_off_wall(epsilon)
     entries = []
     for beta in range(beta_max + 1):
-        value = positive_z_part(unstable_J_coefficient(model, beta, epsilon, twisted))
+        value = _plus_part(model, beta, epsilon, twisted)
         if beta == 0:
             value = value - state_unit(model) * Z
         entries.append((beta, value))
@@ -439,6 +468,11 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max, strict=True):
     must agree where both are defined, reduce to plain I-coefficient parts
     where only one is, and vanish beyond both.  With strict the first
     mismatch raises IdentityFailed; otherwise it is recorded in the report.
+
+    Both sides of the first family read the same cached coefficient, since
+    epsilon only gates its range, so that family checks the range gates and
+    not the values; the second family reads mu_table through the module, so
+    a corrupted table still fails.
     """
     _check_q_max(q_max)
     for eps in (epsilon_1, epsilon_2):
@@ -471,12 +505,8 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max, strict=True):
         failure = None
         for eps, bound in ((epsilon_1, bound_1), (epsilon_2, bound_2)):
             for beta in range(min(bound, q_max) + 1):
-                chamber = positive_z_part(
-                    unstable_J_coefficient(model, beta, eps, twisted)
-                )
-                target = positive_z_part(
-                    unstable_J_coefficient(model, beta, None, twisted)
-                )
+                chamber = _plus_part(model, beta, eps, twisted)
+                target = _plus_part(model, beta, None, twisted)
                 if chamber != target:
                     failure = f"epsilon={eps} beta={beta}"
                     break
@@ -496,9 +526,7 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max, strict=True):
                     break
             elif in_1 or in_2:
                 one_sided = table_1 if in_1 else table_2
-                target = positive_z_part(
-                    unstable_J_coefficient(model, beta, None, twisted)
-                )
+                target = _plus_part(model, beta, None, twisted)
                 if one_sided.entry(beta) != target:
                     failure = f"beta={beta} one-sided entry is not the plus part"
                     break

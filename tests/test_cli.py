@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glsmx import cli
+from glsmx import cli, jfun
 from glsmx.cli import main, report_passed, run
 
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
@@ -238,12 +244,18 @@ def test_criteria_registry_shape():
     [
         ("jwc", {"epsilon_1": "1/2", "epsilon_2": "2/3", "q_max": 4}),
         ("mu", {"epsilon": "1/2"}),
+        ("edge", {"delta": 2, "beta": 1, "epsilon": "1/2"}),
     ],
 )
-def test_on_wall_epsilon_fails(command, block):
-    report = run(command, {"model": QUINTIC_LG, command: block})
+def test_on_wall_epsilon_fails(command, block, tmp_path, capsys):
+    config = {"model": QUINTIC_LG, command: block}
+    report = run(command, config)
     assert [c["name"] for c in report["checks"]] == ["OnWall"]
     assert not report_passed(report)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(config_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == "OnWall"
 
 
 def _with(graph, **changes):
@@ -276,3 +288,81 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert code == 1
     assert json.loads(captured.out)["checks"][0]["status"] == "fail"
     assert "Traceback" not in captured.err
+
+
+# --- contract sweep over the chamber commands --------------------------------
+
+_CHAMBER_MODELS = [
+    QUINTIC_LG,
+    {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "geometric"},
+    {"weights": [1, 1, 2, 2], "N": 2, "d": 4, "phase": "lg"},
+    {"weights": [1, 1], "N": 2, "d": 2, "phase": "geometric"},
+]
+
+# Mostly valid draws with some invalid ones mixed in.  Epsilons are small
+# rationals, walls (1/k), zero and negatives included; floor(1/eps) stays at
+# most 2 * Q_CAP, so a chamber past the cap is refused cheaply.
+_EPSILONS = st.builds(
+    lambda p, q: f"{p}/{q}",
+    st.sampled_from([2, 3, 2, 3, 1, 0, -1]),
+    st.integers(1, 2 * jfun.Q_CAP),
+)
+_TWIST = st.sampled_from([False, True, False, True, "yes"])
+_Q = st.integers(-1, jfun.Q_CAP + 1)
+_BLOCKS = {
+    "ifun": st.fixed_dictionaries({"q_max": _Q, "twisted": _TWIST}),
+    "mu": st.fixed_dictionaries({"epsilon": _EPSILONS, "twisted": _TWIST}),
+    "edge": st.builds(
+        lambda beta, gap, epsilon, twisted, vertex: {
+            "delta": beta + gap,
+            "beta": beta,
+            "epsilon": epsilon,
+            "twisted": twisted,
+            "unstable_vertex": vertex,
+        },
+        st.sampled_from([0, 1, 2, 3, -1]),
+        st.sampled_from([1, 2, 3, 0]),
+        st.one_of(st.none(), _EPSILONS),
+        _TWIST,
+        st.sampled_from([None, None, "0", "inf", "nowhere"]),
+    ),
+    "jwc": st.fixed_dictionaries(
+        {"epsilon_1": _EPSILONS, "epsilon_2": _EPSILONS, "q_max": _Q}
+    ),
+}
+
+
+def _main_bytes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_BLOCKS)),
+    model=st.sampled_from(_CHAMBER_MODELS),
+    data=st.data(),
+)
+def test_chamber_commands_keep_the_contract(command, model, data):
+    config = {"model": model, command: data.draw(_BLOCKS[command])}
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        out_path = os.path.join(tmp, "report.json")
+        with open(config_path, "w", encoding="utf-8") as handle:
+            json.dump(config, handle)
+        code, out, err = _main_bytes([command, "--config", config_path])
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if err:
+            assert err.startswith("error:")
+        else:
+            report = json.loads(out)
+            assert (code == 0) == report_passed(report)
+        # a warm second run in the same process, written to --out as well
+        again = _main_bytes([command, "--config", config_path, "--out", out_path])
+        assert again == (code, out, err)
+        if out:
+            with open(out_path, encoding="utf-8") as handle:
+                assert handle.read() == out

@@ -250,6 +250,45 @@ def test_unstable_range_enforced():
     assert unstable_J_coefficient(QUINTIC_LG, 2, Frac(2, 5), False) is not None
 
 
+@pytest.mark.parametrize("twisted", [False, True])
+def test_warm_cache_keeps_every_check(twisted):
+    # beta = 2 is unstable for 2/5 and stable for 2/3; 1/2 is a wall
+    warm = unstable_J_coefficient(QUINTIC_GEOM, 2, Frac(2, 5), twisted)
+    assert unstable_J_coefficient(QUINTIC_GEOM, 2, None, twisted) is warm
+    with pytest.raises(OutOfUnstableRange):
+        unstable_J_coefficient(QUINTIC_GEOM, 2, Frac(2, 3), twisted)
+    with pytest.raises(ConfigError):
+        unstable_J_coefficient(QUINTIC_GEOM, 2, Frac(-2, 5), twisted)
+    with pytest.raises(ConfigError):
+        unstable_J_coefficient(QUINTIC_GEOM, 2, 0, twisted)
+    with pytest.raises(OnWall):
+        unstable_J_coefficient(QUINTIC_GEOM, 2, Frac(1, 2), twisted)
+    with pytest.raises(OutOfUnstableRange):
+        unstable_J_coefficient(QUINTIC_GEOM, -1, None, twisted)
+    # the cached plus part behind the mirror-map tables is gated the same way
+    mu_table(QUINTIC_GEOM, Frac(2, 5), twisted)
+    with pytest.raises(OnWall):
+        mu_table(QUINTIC_GEOM, Frac(1, 2), twisted)
+    with pytest.raises(OnWall):
+        edge_contribution(QUINTIC_GEOM, 3, 2, Frac(1, 2), twisted)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize("twisted", [False, True])
+def test_cached_coefficients_equal_cold_recompute(model, twisted):
+    betas = range(jfun.Q_CAP + 1)
+    warm = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
+    warm_plus = mu_table(model, Frac(2, 2 * jfun.Q_CAP + 1), twisted).entries
+    assert all(unstable_J_coefficient(model, b, None, twisted) is warm[b] for b in betas)
+    jfun._ladder.cache_clear()
+    jfun._ladder_plus.cache_clear()
+    cold = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
+    assert all(cold[b] is not warm[b] and cold[b] == warm[b] for b in betas)
+    cold_plus = [positive_z_part(c) for c in cold]
+    cold_plus[0] = cold_plus[0] - state_unit(model) * Z
+    assert [value for _, value in warm_plus] == cold_plus
+
+
 def _expected_degree(model, beta, twisted):
     """Homogeneity degree via Euler-characteristic bookkeeping only."""
     m1 = graph_multiplicities(model, beta)[0]
@@ -545,6 +584,8 @@ def test_chamber_entry_points_reject_walls():
         mu_table(QUINTIC_LG, Frac(1, 2))
     with pytest.raises(OnWall):
         jwc_check(QUINTIC_LG, Frac(2, 3), Frac(1, 3), 4, strict=False)
+    with pytest.raises(OnWall):
+        edge_contribution(QUINTIC_LG, 2, 1, Frac(1, 2), False)
 
 
 # --- state-space helpers ----------------------------------------------------

@@ -1,9 +1,11 @@
-"""Golden digests of enumeration and chain output.
+"""Golden digests of enumeration, chain and chamber output.
 
 Counts alone cannot see a change of representative: the census keeps the
 first graph met per isomorphism class, and descending chains list minimal
 expansions in the order they are generated.  These digests pin the exact
-bytes, so any reordering of candidates shows up here.
+bytes, so any reordering of candidates shows up here.  The chamber reports
+(`ifun`, `mu`, `jwc`, `edge`) are pinned the same way, so a cached
+coefficient that drifted from a fresh one would change their bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from glsmx.cli import run
 from glsmx.model import LG, GlsmModel
 
 CENSUS_MODEL = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg", "epsilon": "2/5"}
+QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
+QUINTIC_GEOM = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "geometric"}
+MIXED_LG = {"weights": [1, 1, 2, 2], "N": 2, "d": 4, "phase": "lg"}
 
 
 def _sha(text):
@@ -63,3 +68,32 @@ def test_descending_chain_bytes():
     assert len(chains) == 190
     text = json.dumps([[gr.graph_to_obj(g) for g in chain] for chain in chains])
     assert _sha(text) == "49c86015672cae3c48f316525ffeba196704ecdd0edb34f3696c8dd718657838"
+
+
+# eps = 2/17 is the geometric-quintic chamber with 8 unstable degrees
+@pytest.mark.parametrize(
+    "command, model, block, digest",
+    [
+        ("ifun", QUINTIC_GEOM, {"q_max": 8, "twisted": True},
+         "c124282aa2077e3464fda083973428444e4f746c2caeca6b6686789572061ac3"),
+        ("ifun", MIXED_LG, {"q_max": 8, "twisted": True},
+         "d09c559b5f0a488cf648081f8cfb51b18c00bba4bb178d8e41e8e92c9b73a192"),
+        ("mu", QUINTIC_GEOM, {"epsilon": "2/17"},
+         "17a96981eb3e57884b47dcdde448c18cb17ffddcbee8c075ff9c3b8c5cbb0577"),
+        ("mu", QUINTIC_GEOM, {"epsilon": "2/17", "twisted": True},
+         "b25a9e6f9c7b813bf3362b19f5f0dd1cd446eab5b1de2c0870b53dda80f31ffd"),
+        ("jwc", QUINTIC_LG, {"epsilon_1": "2/7", "epsilon_2": "2/3", "q_max": 6},
+         "36bd1f1721f84f4342318f82b04b050dd828c4ac5e2322896a59973088e0f0c0"),
+        ("jwc", QUINTIC_GEOM, {"epsilon_1": "2/7", "epsilon_2": "2/3", "q_max": 6},
+         "ac922199a7d1971b8d0e6f06b984eead0736c9ddf3dbe0e9fe8118167c720402"),
+        ("edge", MIXED_LG,
+         {"delta": 3, "beta": 2, "epsilon": "2/5", "twisted": True, "unstable_vertex": "inf"},
+         "120c6633dd78ec6c5ff925b6f6460629e9cf01cacc59bc663e442b9c2664875f"),
+        ("edge", QUINTIC_GEOM,
+         {"delta": 3, "beta": 2, "epsilon": "2/5", "twisted": True, "unstable_vertex": "0"},
+         "dbdfebe8c4d82c8762ae3883845b9af914406fe7c9b78bc6def4dbc55e612398"),
+    ],
+)
+def test_chamber_report_bytes(command, model, block, digest):
+    report = run(command, {"model": model, command: block})
+    assert _sha(json.dumps(report, indent=2)) == digest
