@@ -1,14 +1,17 @@
 """Exact-arithmetic kernel: rational functions in lam and z, nilpotent
-hyperplane classes, truncated power series, and Laurent expansion in lam."""
+hyperplane classes, truncated power series, and Laurent expansion in lam.
+RatFun coefficients are ints; Frac appears only where values are read out."""
 
 from __future__ import annotations
 
 from fractions import Fraction as Frac
+from itertools import chain
+from math import gcd, lcm
 
 from .errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
 
 # ---------------------------------------------------------------------------
-# polynomials in (lam, z) over Frac, keyed by (lam_exp, z_exp)
+# polynomials in (lam, z) over int or Frac, keyed by (lam_exp, z_exp)
 
 
 def _poly_clean(terms):
@@ -18,7 +21,7 @@ def _poly_clean(terms):
 def _poly_add(a, b):
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, Frac(0)) + v
+        s = out.get(k, 0) + v
         if s:
             out[k] = s
         else:
@@ -35,7 +38,7 @@ def _poly_mul(a, b):
     for (i, j), u in a.items():
         for (k, l), v in b.items():
             key = (i + k, j + l)
-            s = out.get(key, Frac(0)) + u * v
+            s = out.get(key, 0) + u * v
             if s:
                 out[key] = s
             else:
@@ -44,7 +47,7 @@ def _poly_mul(a, b):
 
 
 def _poly_pow(a, n):
-    out = {(0, 0): Frac(1)}
+    out = {(0, 0): 1}
     for _ in range(n):
         out = _poly_mul(out, a)
     return out
@@ -79,26 +82,26 @@ def _sympy_cancel(num, den):
 
 
 class RatFun:
-    """Rational function in lam and z over Frac, kept in canonical form:
-    integer coprime numerator/denominator, denominator lead coefficient > 0
-    under graded lex (lam > z)."""
+    """Rational function in lam and z over Q, built from int or Frac
+    coefficients and kept in canonical form: int num/den with joint content
+    1, no common monomial, denominator graded-lex (lam > z) lead > 0."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Frac)):
-            num = {(0, 0): Frac(num)} if num else {}
+            num = {(0, 0): num} if num else {}
         if den is None:
-            den = {(0, 0): Frac(1)}
+            den = {(0, 0): 1}
         elif isinstance(den, (int, Frac)):
-            den = {(0, 0): Frac(den)} if den else {}
+            den = {(0, 0): den} if den else {}
         num = _poly_clean(num)
         den = _poly_clean(den)
         if not den:
             raise DivisionByNonUnit("zero denominator")
         if not num:
             object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", {(0, 0): Frac(1)})
+            object.__setattr__(self, "den", {(0, 0): 1})
             return
         # cancel the common monomial factor
         lo_l = min(min(i for i, _ in num), min(i for i, _ in den))
@@ -108,19 +111,19 @@ class RatFun:
             den = {(i - lo_l, j - lo_z): v for (i, j), v in den.items()}
         if len(den) > 1 and len(num) >= 1 and (len(num) > 1 or max(num) != (0, 0)):
             num, den = _sympy_cancel(num, den)
-        # scale to integer coefficients with joint content 1
+        # clear denominators, then divide by the joint content, signed so the
+        # denominator's lead comes out positive; folded pairwise on purpose
         mult = 1
-        for v in list(num.values()) + list(den.values()):
-            mult = mult * v.denominator // _gcd(mult, v.denominator)
-        ints = [v * mult for v in num.values()] + [v * mult for v in den.values()]
+        for v in chain(num.values(), den.values()):
+            mult = lcm(mult, v.denominator)
         g = 0
-        for v in ints:
-            g = _gcd(g, int(v))
-        scale = Frac(mult, g) if g else Frac(mult)
+        for v in chain(num.values(), den.values()):
+            g = gcd(g, v.numerator * (mult // v.denominator))
         if den[_poly_lead_key(den)] < 0:
-            scale = -scale
-        object.__setattr__(self, "num", {k: v * scale for k, v in num.items()})
-        object.__setattr__(self, "den", {k: v * scale for k, v in den.items()})
+            g = -g
+        for name, poly in (("num", num), ("den", den)):
+            scaled = {k: v.numerator * (mult // v.denominator) // g for k, v in poly.items()}
+            object.__setattr__(self, name, scaled)
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -129,11 +132,11 @@ class RatFun:
 
     @staticmethod
     def lam(exp=1):
-        return RatFun({(exp, 0): Frac(1)})
+        return RatFun({(exp, 0): 1})
 
     @staticmethod
     def z(exp=1):
-        return RatFun({(0, exp): Frac(1)})
+        return RatFun({(0, exp): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -204,15 +207,22 @@ class RatFun:
         return not self.num
 
     def is_poly(self):
-        return self.den == {(0, 0): Frac(1)} or (len(self.den) == 1 and max(self.den) == (0, 0))
+        return len(self.den) == 1 and max(self.den) == (0, 0)
+
+    def laurent_terms(self):
+        """{(lam_exp, z_exp): Frac} of the Laurent polynomial this function
+        is, or None when the denominator is not a monomial."""
+        if len(self.den) != 1:
+            return None
+        ((dl, dz), dc), = self.den.items()
+        return {(i - dl, j - dz): Frac(v, dc) for (i, j), v in self.num.items()}
 
     def as_frac(self):
         """Constant value, or None if lam/z actually occur."""
-        if self.is_zero():
-            return Frac(0)
-        if set(self.num) <= {(0, 0)} and set(self.den) <= {(0, 0)}:
-            return self.num[(0, 0)] / self.den[(0, 0)]
-        return None
+        terms = self.laurent_terms()
+        if terms is None or not terms.keys() <= {(0, 0)}:
+            return None
+        return terms.get((0, 0), Frac(0))
 
     def homogeneous_degree(self):
         """Total degree when num and den are both homogeneous, else None."""
@@ -227,15 +237,12 @@ class RatFun:
     def z_parts(self):
         """Split into {z_exponent: RatFun in lam only}; requires the
         denominator to be a monomial."""
-        if self.is_zero():
-            return {}
-        if len(self.den) != 1:
+        terms = self.laurent_terms()
+        if terms is None:
             raise DivisionByNonUnit("z split needs a monomial denominator")
-        (dl, dz), dc = next(iter(self.den.items()))
         out = {}
-        for (i, j), v in self.num.items():
-            part = out.setdefault(j - dz, {})
-            part[(i - dl, 0)] = part.get((i - dl, 0), Frac(0)) + v / dc
+        for (i, j), v in terms.items():
+            out.setdefault(j, {})[(i, 0)] = v
         return {e: RatFun(p) for e, p in sorted(out.items())}
 
     def subs_z(self, value):
@@ -247,13 +254,6 @@ class RatFun:
         if den.is_zero():
             raise SubstitutionPole("denominator vanished under z substitution")
         return num / den
-
-
-def _gcd(a, b):
-    a, b = abs(int(a)), abs(int(b))
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _as_ratfun(x):
@@ -302,7 +302,7 @@ def render_ratfun(f):
         return out
 
     n = side(f.num)
-    if f.den == {(0, 0): Frac(1)}:
+    if f.den == {(0, 0): 1}:
         return n
     n = f"({n})" if len(f.num) > 1 else n
     d = side(f.den)
@@ -785,8 +785,8 @@ def laurent_of_ratfun(f, window):
     dp = {i: v for (i, _), v in f.den.items()}
     dn, dd = max(np), max(dp)
     # power series division in u = 1/lam
-    a = [np.get(dn - k, Frac(0)) for k in range(window)]
-    b = [dp.get(dd - k, Frac(0)) for k in range(window)]
+    a = [np.get(dn - k, 0) for k in range(window)]
+    b = [Frac(dp.get(dd - k, 0)) for k in range(window)]
     out = []
     for k in range(window):
         acc = a[k]

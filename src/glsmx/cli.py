@@ -69,6 +69,16 @@ def _parse_frac(value, what):
         raise ConfigError(f"{what}: cannot read {value!r} as a rational") from None
 
 
+def _parse_optional_frac(value, what):
+    return None if value is None else _parse_frac(value, what)
+
+
+def _parse_bool(value, what):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be a boolean")
+    return value
+
+
 def _parse_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{what} must be an integer")
@@ -95,9 +105,7 @@ def _model_from_config(config):
     phase = block.get("phase")
     if phase not in (LG, GEOMETRIC):
         raise ConfigError(f"model.phase must be {LG!r} or {GEOMETRIC!r}")
-    epsilon = block.get("epsilon")
-    if epsilon is not None:
-        epsilon = _parse_frac(epsilon, "model.epsilon")
+    epsilon = _parse_optional_frac(block.get("epsilon"), "model.epsilon")
     return GlsmModel(weights, n_aux, d, phase, epsilon)
 
 
@@ -178,14 +186,9 @@ def _lam_string(f):
     denominator is a monomial."""
     if f.is_zero():
         return "0"
-    if len(f.den) == 1:
-        ((dl, dz), dc) = next(iter(f.den.items()))
-        if all(j == dz for (_, j) in f.num):
-            terms = [
-                _lam_term(v / dc, i - dl)
-                for (i, _), v in sorted(f.num.items(), key=lambda kv: -kv[0][0])
-            ]
-            return _join_terms(terms)
+    terms = f.laurent_terms()
+    if terms is not None and all(j == 0 for (_, j) in terms):
+        return _join_terms([_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
     return f"({render_ratfun(f)})"
 
 
@@ -248,12 +251,8 @@ def _cmd_stability(config, trunc):
     if not isinstance(orders, list):
         raise ConfigError("stability.basepoint_orders must be a list")
     orders = tuple(_parse_int(o, "basepoint order") for o in orders)
-    epsilon = params.get("epsilon")
-    if epsilon is not None:
-        epsilon = _parse_frac(epsilon, "stability.epsilon")
-    light_delta = params.get("light_delta")
-    if light_delta is not None:
-        light_delta = _parse_frac(light_delta, "stability.light_delta")
+    epsilon = _parse_optional_frac(params.get("epsilon"), "stability.epsilon")
+    light_delta = _parse_optional_frac(params.get("light_delta"), "stability.light_delta")
     light_markings = _parse_int(params.get("light_markings", 0), "stability.light_markings")
     stable = gr.epsilon_stable(
         genus, degree, special, epsilon, orders, light_delta, light_markings
@@ -274,8 +273,9 @@ def _cmd_contract(config, trunc):
     model = _model_from_config(config)
     params = _params(config, "contract")
     graph = _graph_from_params(params, "graph")
-    epsilon = params.get("epsilon")
-    epsilon = model.epsilon if epsilon is None else _parse_frac(epsilon, "contract.epsilon")
+    epsilon = _parse_optional_frac(params.get("epsilon"), "contract.epsilon")
+    if epsilon is None:
+        epsilon = model.epsilon
     problems = gr.validate(model, graph)
     if problems:
         raise ConfigError(f"input graph is invalid: {problems[0]}")
@@ -404,9 +404,7 @@ def _cmd_ifun(config, trunc):
     model = _model_from_config(config)
     params = _params(config, "ifun")
     q_max = _parse_int(params.get("q_max", trunc["q_max"]), "ifun.q_max")
-    twisted = params.get("twisted", False)
-    if not isinstance(twisted, bool):
-        raise ConfigError("ifun.twisted must be a boolean")
+    twisted = _parse_bool(params.get("twisted", False), "ifun.twisted")
     series = jfun.i_function(model, q_max, twisted)
     values = {beta: series.coefficient(beta) for beta in range(q_max + 1)}
     inputs = {"model": _model_echo(model), "q_max": q_max, "twisted": twisted}
@@ -420,13 +418,12 @@ def _cmd_ifun(config, trunc):
 def _cmd_mu(config, trunc):
     model = _model_from_config(config)
     params = _params(config, "mu")
-    epsilon = params.get("epsilon")
-    epsilon = model.epsilon if epsilon is None else _parse_frac(epsilon, "mu.epsilon")
+    epsilon = _parse_optional_frac(params.get("epsilon"), "mu.epsilon")
+    if epsilon is None:
+        epsilon = model.epsilon
     if epsilon is None:
         raise ConfigError("mu needs an epsilon, in the command block or on the model")
-    twisted = params.get("twisted", False)
-    if not isinstance(twisted, bool):
-        raise ConfigError("mu.twisted must be a boolean")
+    twisted = _parse_bool(params.get("twisted", False), "mu.twisted")
     table = jfun.mu_table(model, epsilon, twisted)
     inputs = {"model": _model_echo(model), "epsilon": str(epsilon), "twisted": twisted}
     results = {
@@ -445,12 +442,8 @@ def _cmd_edge(config, trunc):
     params = _params(config, "edge")
     delta = _parse_int(params.get("delta"), "edge.delta")
     beta = _parse_int(params.get("beta", 0), "edge.beta")
-    epsilon = params.get("epsilon")
-    if epsilon is not None:
-        epsilon = _parse_frac(epsilon, "edge.epsilon")
-    twisted = params.get("twisted", False)
-    if not isinstance(twisted, bool):
-        raise ConfigError("edge.twisted must be a boolean")
+    epsilon = _parse_optional_frac(params.get("epsilon"), "edge.epsilon")
+    twisted = _parse_bool(params.get("twisted", False), "edge.twisted")
     unstable_vertex = params.get("unstable_vertex")
     value = jfun.edge_contribution(model, delta, beta, epsilon, twisted, unstable_vertex)
     inputs = {

@@ -208,6 +208,8 @@ def epsilon_stable(
             return False
         return degree > 0 or 2 * genus - 2 + weight > 0
     epsilon = Frac(epsilon)
+    if epsilon <= 0:
+        raise ConfigError(f"stability parameter {epsilon} must be positive")
     if any(o > 1 / epsilon for o in basepoint_orders):
         return False
     return epsilon * degree + 2 * genus - 2 + weight > 0
@@ -891,21 +893,20 @@ def minimal_expansions(model, graph):
 def descending_chains(model, graph, max_len):
     """All strictly decreasing chains from the given triple through minimal
     expansions, as lists of graphs, capped at max_len entries."""
-    memo = {}
+    return [c for c in _chains_from(model, graph, {}) if len(c) <= max_len]
 
-    def chains_from(g):
-        key = canonical_key(g)
-        if key in memo:
-            return memo[key]
-        memo[key] = [[g]]  # guards against accidental cycles
-        all_chains = [[g]]
-        for p in minimal_expansions(model, g):
-            for sub in chains_from(p):
-                all_chains.append([g] + sub)
-        memo[key] = all_chains
-        return all_chains
 
-    return [c for c in chains_from(graph) if len(c) <= max_len]
+def _chains_from(model, g, memo):
+    key = canonical_key(g)
+    if key in memo:
+        return memo[key]
+    memo[key] = [[g]]  # guards against accidental cycles
+    all_chains = [[g]]
+    for p in minimal_expansions(model, g):
+        for sub in _chains_from(model, p, memo):
+            all_chains.append([g] + sub)
+    memo[key] = all_chains
+    return all_chains
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Frac
 
 from .algebra import (
@@ -23,6 +23,7 @@ from .algebra import (
     RF_ZERO,
     Z,
     CohClass,
+    RatFun,
     TruncSeries,
     substitute_z,
 )
@@ -30,6 +31,7 @@ from .errors import (
     BoundsExceeded,
     ConfigError,
     DegreeViolation,
+    DivisionByNonUnit,
     IdentityFailed,
     InconsistentOrbData,
     OutOfUnstableRange,
@@ -161,8 +163,9 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
     beta must satisfy beta <= 1/epsilon.  Inside that range the coefficient
     does not depend on epsilon (the chamber truncates the I-function), so
     epsilon only gates the range: after the checks the value comes from a
-    per-process cache keyed by (model, beta, twisted).  Cached values are
-    immutable and shared between callers.
+    per-process cache keyed by (model, beta, twisted), where the model's own
+    epsilon is dropped from the key because the coefficient never reads it.
+    Cached values are immutable and shared between callers.
     """
     if beta < 0:
         raise OutOfUnstableRange(f"negative degree {beta}")
@@ -172,7 +175,7 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
         if beta * Frac(epsilon) > 1:
             raise OutOfUnstableRange(f"degree {beta} is stable for epsilon {epsilon}")
         check_off_wall(epsilon)
-    return _ladder(model, beta, twisted)
+    return _ladder(replace(model, epsilon=None), beta, twisted)
 
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
@@ -262,11 +265,10 @@ def positive_z_part(value: CohClass) -> CohClass:
     """Drop every negative z power from each hyperplane coefficient."""
     kept = []
     for f in value.coeffs:
-        part_sum = RF_ZERO
-        for e, part in f.z_parts().items():
-            if e >= 0:
-                part_sum = part_sum + part * Z**e
-        kept.append(part_sum)
+        terms = f.laurent_terms()
+        if terms is None:
+            raise DivisionByNonUnit("z split needs a monomial denominator")
+        kept.append(RatFun({k: v for k, v in terms.items() if k[1] >= 0}))
     return CohClass(kept, value.relation, value.r)
 
 
@@ -279,7 +281,7 @@ def _plus_part(model, beta, epsilon, twisted):
     """positive_z_part of unstable_J_coefficient, computed once per
     (model, beta, twisted); the public entry still runs every check."""
     unstable_J_coefficient(model, beta, epsilon, twisted)
-    return _ladder_plus(model, beta, twisted)
+    return _ladder_plus(replace(model, epsilon=None), beta, twisted)
 
 
 @dataclass(frozen=True)

@@ -404,16 +404,7 @@ class _Tails:
         repeats implements the sum over unordered branches.
         """
         combos = []
-
-        def rec(lo, left, chosen):
-            if len(chosen) >= least:
-                combos.append(tuple(chosen))
-            for b in range(lo, left + 1):
-                chosen.append(b)
-                rec(b, left - b, chosen)
-                chosen.pop()
-
-        rec(1, room, [])
+        _degree_multisets(1, room, least, [], combos)
         for degs in combos:
             sym = Frac(1)
             for d in set(degs):
@@ -422,6 +413,17 @@ class _Tails:
             for d in degs:
                 series = _dict_mul(series, self.plain_tail(level, d, room), room)
             yield degs, sym, series
+
+
+def _degree_multisets(lo, left, least, chosen, out):
+    """Append each nondecreasing extension of chosen (degrees >= lo, sum <= left,
+    at least `least` entries) to out, depth first."""
+    if len(chosen) >= least:
+        out.append(tuple(chosen))
+    for b in range(lo, left + 1):
+        chosen.append(b)
+        _degree_multisets(b, left - b, least, chosen, out)
+        chosen.pop()
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,34 @@ def test_ratfun_ring_axioms(a, b, c):
         assert (a / b) * b == a
 
 
+@given(_ratfuns(), _ratfuns())
+@settings(max_examples=60, deadline=None)
+def test_ratfun_int_coefficients_and_readers(a, b):
+    for f in (a, a * b, a + b, a * Frac(2, 3)):
+        assert all(type(v) is int for v in f.num.values())
+        assert all(type(v) is int for v in f.den.values())
+        value = f.as_frac()
+        assert value is None or type(value) is Frac
+        if value is not None:
+            assert RatFun(value) == f
+        terms = f.laurent_terms()
+        if terms is not None:
+            assert all(type(v) is Frac for v in terms.values())
+            rebuilt = RF_ZERO
+            for (i, j), v in terms.items():
+                rebuilt = rebuilt + v * LAM**i * Z**j
+            assert rebuilt == f
+        assert all(type(c) is Frac for c in laurent_of_ratfun(_lam_only(f), 5).coeffs)
+
+
+def test_laurent_divides_exactly():
+    # 1/(3 lam - 1) = lam^-1/3 + lam^-2/9 + ..., which int true division
+    # would round through a float
+    exp = laurent_of_ratfun(RF_ONE / (3 * LAM - 1), 4)
+    assert exp.coeffs == (Frac(1, 3), Frac(1, 9), Frac(1, 27), Frac(1, 81))
+    assert RatFun(Frac(2, 6)).as_frac() == Frac(1, 3)
+
+
 # -- LaurentInLambda --------------------------------------------------------
 
 
@@ -331,19 +359,20 @@ def test_laurent_product_matches_ratfun_product():
     assert laurent_of_ratfun(f, 8) * laurent_of_ratfun(g, 8) == prod
 
 
+def _lam_only(f):
+    num = {(i, 0): v for (i, j), v in f.num.items()}
+    den = {(i, 0): v for (i, j), v in f.den.items()}
+    if not any(v for v in num.values()):
+        num = {(0, 0): Frac(1)}
+    if not any(v for v in den.values()):
+        den = {(0, 0): Frac(1)}
+    return RatFun(num, den)
+
+
 @given(_ratfuns(), _ratfuns())
 @settings(max_examples=40, deadline=None)
 def test_laurent_product_property(a, b):
-    def lam_only(f):
-        num = {(i, 0): v for (i, j), v in f.num.items()}
-        den = {(i, 0): v for (i, j), v in f.den.items()}
-        if not any(v for v in num.values()):
-            num = {(0, 0): Frac(1)}
-        if not any(v for v in den.values()):
-            den = {(0, 0): Frac(1)}
-        return RatFun(num, den)
-
-    fa, fb = lam_only(a), lam_only(b)
+    fa, fb = _lam_only(a), _lam_only(b)
     w = 7
     lhs = laurent_of_ratfun(fa, w + 4) * laurent_of_ratfun(fb, w + 4)
     rhs = laurent_of_ratfun(fa * fb, w + 4)

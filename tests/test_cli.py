@@ -1,19 +1,22 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsmx import cli, jfun
+from glsmx import cli, jfun, p1series
 from glsmx.cli import main, report_passed, run
 
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
+QUINTIC_GEOM = dict(QUINTIC_LG, phase="geometric")
 
 FIG_TOP = {
     "kind": "dual",
@@ -230,6 +233,56 @@ def test_p1_report_values():
     assert report["results"]["pairings"]["hyperplane.hyperplane"] == "1"
 
 
+def test_p1_report_leaves_no_cycles():
+    # the side-branch recursion of the tail sums is freed by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        report = run("p1", {"p1": {"y_order": 3}})
+        assert report_passed(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_SMALL_CONFIGS = {
+    "sectors": {"model": QUINTIC_LG},
+    "stability": {"stability": {"genus": 1, "degree": "2/5", "special_points": 1,
+                                "basepoint_orders": [1], "epsilon": "2/5"}},
+    "contract": {
+        "model": dict(QUINTIC_LG, epsilon="2/5"),
+        "contract": {"graph": {
+            "kind": "dual",
+            "vertices": [
+                {"genus": 0, "degree": 1, "legs": []},
+                {"genus": 1, "degree": 1, "legs": [[1, "4/5"]]},
+            ],
+            "edges": [{"ends": [0, 1], "mults": ["3/5", "2/5"]}],
+        }},
+    },
+    "graphs": {"model": dict(QUINTIC_LG, epsilon="2/5"),
+               "graphs": {"genus": 0, "markings": 1, "degree": 0, "edge_degree": 1}},
+    "aut": {"model": QUINTIC_LG, "aut": {"graph": FIG_TOP}},
+    "order": {"model": QUINTIC_LG, "order": {"a": FIG_SPLIT, "b": FIG_TOP}},
+    "p1": {"p1": {"y_order": 2, "z_order": 2}},
+    "ifun": {"model": QUINTIC_GEOM, "ifun": {"q_max": 3, "twisted": True}},
+    "mu": {"model": QUINTIC_GEOM, "mu": {"epsilon": "2/7", "twisted": True}},
+    "edge": {"model": QUINTIC_LG, "edge": {"delta": 2, "beta": 1, "epsilon": "2/5"}},
+    "jwc": {"model": QUINTIC_GEOM, "jwc": {"epsilon_1": "2/7", "epsilon_2": "2/3", "q_max": 4}},
+}
+
+
+def test_subcommands_run_without_sympy(monkeypatch):
+    # sympy is a test extra; no subcommand may need it (verify is covered by
+    # the acceptance tests and takes minutes)
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    jfun._ladder.cache_clear()
+    jfun._ladder_plus.cache_clear()
+    for command in sorted(set(cli._HANDLERS) - {"verify"}):
+        report = run(command, _SMALL_CONFIGS[command])
+        assert report_passed(report), (command, report["checks"])
+
+
 def test_criteria_registry_shape():
     assert len(cli.CRITERIA) == 10
     names = set()
@@ -256,6 +309,18 @@ def test_on_wall_epsilon_fails(command, block, tmp_path, capsys):
     config_path.write_text(json.dumps(config))
     assert main([command, "--config", str(config_path)]) == 1
     assert json.loads(capsys.readouterr().out)["checks"][0]["name"] == "OnWall"
+
+
+@pytest.mark.parametrize("epsilon", ["0", "-1/2"])
+def test_nonpositive_stability_epsilon_fails(epsilon, tmp_path, capsys):
+    config = {"stability": {"genus": 0, "degree": 1, "special_points": 1,
+                            "basepoint_orders": [1], "epsilon": epsilon}}
+    report = run("stability", config)
+    assert [c["name"] for c in report["checks"]] == ["ConfigError"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["stability", "--config", str(config_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _with(graph, **changes):
@@ -294,7 +359,7 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
 
 _CHAMBER_MODELS = [
     QUINTIC_LG,
-    {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "geometric"},
+    QUINTIC_GEOM,
     {"weights": [1, 1, 2, 2], "N": 2, "d": 4, "phase": "lg"},
     {"weights": [1, 1], "N": 2, "d": 2, "phase": "geometric"},
 ]
@@ -328,6 +393,27 @@ _BLOCKS = {
     ),
     "jwc": st.fixed_dictionaries(
         {"epsilon_1": _EPSILONS, "epsilon_2": _EPSILONS, "q_max": _Q}
+    ),
+    # y stays at most 3 (a y=3 report takes about half a second); negative and
+    # above-cap orders are refused before any series work
+    "p1": st.fixed_dictionaries(
+        {
+            "y_order": st.sampled_from([0, 1, 2, 3, -1, p1series.Y_ORDER_CAP + 1]),
+            "z_order": st.sampled_from([0, 2, 4, -1, p1series.Z_ORDER_CAP + 1]),
+            "delta": st.sampled_from([1, 2, 3, 0, -1, "1"]),
+        }
+    ),
+    "sectors": st.just({}),
+    "stability": st.fixed_dictionaries(
+        {
+            "genus": st.sampled_from([0, 1, 2, -1, "1"]),
+            "degree": st.sampled_from([0, 1, "2/5", "-1", "x", None]),
+            "special_points": st.integers(-1, 4),
+            "basepoint_orders": st.sampled_from([[], [1], [1, 3], [0, 2], "1", ["a"]]),
+            "epsilon": st.one_of(st.none(), _EPSILONS),
+            "light_delta": st.sampled_from([None, "1/2", "1/3", "0", "x"]),
+            "light_markings": st.sampled_from([0, 1, 2, -1]),
+        }
     ),
 }
 

@@ -3,6 +3,7 @@ stability, tail contraction, marking conversion, enumeration against a
 brute-force oracle, automorphism factors, and the partial order."""
 
 from fractions import Fraction as Frac
+import gc
 import json
 
 import pytest
@@ -123,6 +124,13 @@ def test_stability_small_epsilon_tail():
 def test_stability_high_genus():
     for eps in (None, Frac(1, 3), 2, Frac(7, 2)):
         assert G.epsilon_stable(2, 0, 0, eps) is True
+
+
+def test_stability_nonpositive_epsilon_rejected():
+    # 1/epsilon is taken against the basepoint orders, so zero used to divide
+    for eps in (0, Frac(-1, 2)):
+        with pytest.raises(ConfigError):
+            G.epsilon_stable(0, 1, 1, eps, basepoint_orders=(1,))
 
 
 def test_stability_infinity_chamber():
@@ -659,6 +667,18 @@ def test_descending_chains_respect_bound():
         for a, b in zip(c[1:], c[:-1]):
             assert G.graph_leq(QUINTIC, a, b)
             assert not G.isomorphic(a, b)
+
+
+def test_descending_chains_leave_no_cycles():
+    # the chain memo is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        chains = G.descending_chains(QUINTIC, _small_top(), 12)
+        assert chains
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_chain_length_tracks_deepest_graph():

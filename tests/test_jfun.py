@@ -4,6 +4,7 @@ worked out by hand on the quintic models."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction as Frac
 
 import pytest
@@ -287,6 +288,17 @@ def test_cached_coefficients_equal_cold_recompute(model, twisted):
     cold_plus = [positive_z_part(c) for c in cold]
     cold_plus[0] = cold_plus[0] - state_unit(model) * Z
     assert [value for _, value in warm_plus] == cold_plus
+
+
+def test_coefficient_cache_ignores_model_epsilon():
+    # the coefficient never reads the model's own epsilon, so models that
+    # differ only there share cache entries
+    jfun._ladder.cache_clear()
+    jfun._ladder_plus.cache_clear()
+    for eps in (None, Frac(2, 7), Frac(2, 5)):
+        mu_table(replace(QUINTIC_GEOM, epsilon=eps), Frac(2, 7))
+    assert jfun._ladder.cache_info().misses == 4
+    assert jfun._ladder_plus.cache_info().misses == 4
 
 
 def _expected_degree(model, beta, twisted):
