@@ -112,7 +112,8 @@ class RatFun:
         if len(den) > 1 and len(num) >= 1 and (len(num) > 1 or max(num) != (0, 0)):
             num, den = _sympy_cancel(num, den)
         # clear denominators, then divide by the joint content, signed so the
-        # denominator's lead comes out positive; folded pairwise on purpose
+        # denominator's lead comes out positive; folded pairwise because
+        # gcd(*values) would build a tuple of every size on each call
         mult = 1
         for v in chain(num.values(), den.values()):
             mult = lcm(mult, v.denominator)

@@ -313,6 +313,7 @@ def test_on_wall_epsilon_fails(command, block, tmp_path, capsys):
 
 @pytest.mark.parametrize("epsilon", ["0", "-1/2"])
 def test_nonpositive_stability_epsilon_fails(epsilon, tmp_path, capsys):
+    # epsilon_stable compares basepoint orders with 1/epsilon
     config = {"stability": {"genus": 0, "degree": 1, "special_points": 1,
                             "basepoint_orders": [1], "epsilon": epsilon}}
     report = run("stability", config)

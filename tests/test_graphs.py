@@ -126,13 +126,6 @@ def test_stability_high_genus():
         assert G.epsilon_stable(2, 0, 0, eps) is True
 
 
-def test_stability_nonpositive_epsilon_rejected():
-    # 1/epsilon is taken against the basepoint orders, so zero used to divide
-    for eps in (0, Frac(-1, 2)):
-        with pytest.raises(ConfigError):
-            G.epsilon_stable(0, 1, 1, eps, basepoint_orders=(1,))
-
-
 def test_stability_infinity_chamber():
     assert G.epsilon_stable(0, 1, 1, None) is True
     assert G.epsilon_stable(0, 0, 2, None) is False
