@@ -1,11 +1,13 @@
-"""Exact-arithmetic kernel: rational functions in lam and z, nilpotent
-hyperplane classes, truncated power series, and Laurent expansion in lam.
-RatFun coefficients are ints; Frac appears only where values are read out."""
+"""Exact-arithmetic kernel: Laurent polynomials in lam and z, nilpotent
+hyperplane classes and truncated power series.  Every weight the
+localization divides by is a single torus character, so a RatFun is an
+element of Q[lam^+-1, z^+-1]: dividing by anything but a nonzero monomial
+raises DivisionByNonUnit.  RatFun coefficients are ints; Frac appears only
+where values are read out."""
 
 from __future__ import annotations
 
 from fractions import Fraction as Frac
-from itertools import chain
 from math import gcd, lcm
 
 from .errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
@@ -53,38 +55,11 @@ def _poly_pow(a, n):
     return out
 
 
-def _poly_lead_key(a):
-    # graded lex with lam > z
-    return max(a, key=lambda k: (k[0] + k[1], k[0]))
-
-
-def _poly_total_degrees(a):
-    return {i + j for (i, j) in a}
-
-
-def _sympy_cancel(num, den):
-    # only hit when the denominator is not a monomial; rare in practice
-    import sympy
-
-    lam, z = sympy.symbols("lam z")
-
-    def to_sympy(p):
-        return sympy.Add(*[sympy.Rational(v) * lam**i * z**j for (i, j), v in p.items()])
-
-    def from_sympy(e):
-        p = sympy.Poly(sympy.expand(e), lam, z)
-        return {(int(i), int(j)): Frac(str(c)) for (i, j), c in zip(p.monoms(), p.coeffs())}
-
-    g = sympy.gcd(to_sympy(num), to_sympy(den))
-    if g == 1:
-        return num, den
-    return from_sympy(sympy.cancel(to_sympy(num) / g)), from_sympy(sympy.cancel(to_sympy(den) / g))
-
-
 class RatFun:
-    """Rational function in lam and z over Q, built from int or Frac
-    coefficients and kept in canonical form: int num/den with joint content
-    1, no common monomial, denominator graded-lex (lam > z) lead > 0."""
+    """Laurent polynomial in lam and z over Q, stored as num / den with den
+    a single monomial.  Built from int or Frac coefficients and kept in
+    canonical form: int num/den with joint content 1, no common monomial,
+    den coefficient > 0."""
 
     __slots__ = ("num", "den")
 
@@ -95,36 +70,38 @@ class RatFun:
             den = {(0, 0): 1}
         elif isinstance(den, (int, Frac)):
             den = {(0, 0): den} if den else {}
-        num = _poly_clean(num)
         den = _poly_clean(den)
-        if not den:
-            raise DivisionByNonUnit("zero denominator")
+        if len(den) != 1:
+            raise DivisionByNonUnit(
+                "zero denominator" if not den else "denominator is not a monomial"
+            )
+        num = _poly_clean(num)
         if not num:
             object.__setattr__(self, "num", {})
             object.__setattr__(self, "den", {(0, 0): 1})
             return
+        ((dl, dz), dc), = den.items()
         # cancel the common monomial factor
-        lo_l = min(min(i for i, _ in num), min(i for i, _ in den))
-        lo_z = min(min(j for _, j in num), min(j for _, j in den))
-        if lo_l or lo_z:
-            num = {(i - lo_l, j - lo_z): v for (i, j), v in num.items()}
-            den = {(i - lo_l, j - lo_z): v for (i, j), v in den.items()}
-        if len(den) > 1 and len(num) >= 1 and (len(num) > 1 or max(num) != (0, 0)):
-            num, den = _sympy_cancel(num, den)
+        lo_l = min(dl, min(i for i, _ in num))
+        lo_z = min(dz, min(j for _, j in num))
         # clear denominators, then divide by the joint content, signed so the
-        # denominator's lead comes out positive; folded pairwise because
+        # denominator comes out positive; folded pairwise because
         # gcd(*values) would build a tuple of every size on each call
-        mult = 1
-        for v in chain(num.values(), den.values()):
+        mult = dc.denominator
+        for v in num.values():
             mult = lcm(mult, v.denominator)
-        g = 0
-        for v in chain(num.values(), den.values()):
+        g = dc.numerator * (mult // dc.denominator)
+        for v in num.values():
             g = gcd(g, v.numerator * (mult // v.denominator))
-        if den[_poly_lead_key(den)] < 0:
+        if dc < 0:
             g = -g
-        for name, poly in (("num", num), ("den", den)):
-            scaled = {k: v.numerator * (mult // v.denominator) // g for k, v in poly.items()}
-            object.__setattr__(self, name, scaled)
+        object.__setattr__(self, "num", {
+            (i - lo_l, j - lo_z): v.numerator * (mult // v.denominator) // g
+            for (i, j), v in num.items()
+        })
+        object.__setattr__(self, "den", {
+            (dl - lo_l, dz - lo_z): dc.numerator * (mult // dc.denominator) // g
+        })
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -207,42 +184,27 @@ class RatFun:
     def is_zero(self):
         return not self.num
 
-    def is_poly(self):
-        return len(self.den) == 1 and max(self.den) == (0, 0)
-
     def laurent_terms(self):
-        """{(lam_exp, z_exp): Frac} of the Laurent polynomial this function
-        is, or None when the denominator is not a monomial."""
-        if len(self.den) != 1:
-            return None
+        """{(lam_exp, z_exp): Frac} of the Laurent polynomial this is."""
         ((dl, dz), dc), = self.den.items()
         return {(i - dl, j - dz): Frac(v, dc) for (i, j), v in self.num.items()}
 
     def as_frac(self):
         """Constant value, or None if lam/z actually occur."""
         terms = self.laurent_terms()
-        if terms is None or not terms.keys() <= {(0, 0)}:
+        if not terms.keys() <= {(0, 0)}:
             return None
         return terms.get((0, 0), Frac(0))
 
     def homogeneous_degree(self):
-        """Total degree when num and den are both homogeneous, else None."""
-        if self.is_zero():
-            return None
-        dn = _poly_total_degrees(self.num)
-        dd = _poly_total_degrees(self.den)
-        if len(dn) == 1 and len(dd) == 1:
-            return dn.pop() - dd.pop()
-        return None
+        """Total degree when every term has the same one, else None."""
+        degrees = {i + j for (i, j) in self.laurent_terms()}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def z_parts(self):
-        """Split into {z_exponent: RatFun in lam only}; requires the
-        denominator to be a monomial."""
-        terms = self.laurent_terms()
-        if terms is None:
-            raise DivisionByNonUnit("z split needs a monomial denominator")
+        """Split into {z_exponent: RatFun in lam only}."""
         out = {}
-        for (i, j), v in terms.items():
+        for (i, j), v in self.laurent_terms().items():
             out.setdefault(j, {})[(i, 0)] = v
         return {e: RatFun(p) for e, p in sorted(out.items())}
 
@@ -306,9 +268,7 @@ def render_ratfun(f):
     if f.den == {(0, 0): 1}:
         return n
     n = f"({n})" if len(f.num) > 1 else n
-    d = side(f.den)
-    d = f"({d})" if len(f.den) > 1 else d
-    return f"{n}/{d}"
+    return f"{n}/{side(f.den)}"
 
 
 # ---------------------------------------------------------------------------
@@ -699,111 +659,4 @@ def series_root_pow(s, exponent):
         if not power.coeffs:
             break
         out = out + power * binom
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Laurent expansion around lam = infinity
-
-
-class LaurentInLambda:
-    """Finite window of a Laurent expansion in lam around lam = infinity:
-    coefficients of lam^min_exponent, lam^(min_exponent - 1), ... descending."""
-
-    __slots__ = ("min_exponent", "coeffs", "window")
-
-    def __init__(self, min_exponent, coeffs, window):
-        coeffs = [Frac(c) for c in coeffs]
-        # leading stored coefficient nonzero unless the series is zero
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            min_exponent -= 1
-        if not coeffs:
-            min_exponent = 0
-        object.__setattr__(self, "min_exponent", min_exponent)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:window]))
-        object.__setattr__(self, "window", window)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentInLambda is immutable")
-
-    def coeff(self, exponent):
-        i = self.min_exponent - exponent
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Frac(0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentInLambda):
-            return NotImplemented
-        n = min(self.window, other.window)
-        lo_s = self.min_exponent - n + 1
-        lo_o = other.min_exponent - n + 1
-        lo = max(lo_s, lo_o)
-        hi = max(self.min_exponent, other.min_exponent)
-        return all(self.coeff(e) == other.coeff(e) for e in range(lo, hi + 1))
-
-    def __hash__(self):
-        return hash((self.min_exponent, self.coeffs))
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentInLambda):
-            return LaurentInLambda(
-                self.min_exponent, [c * Frac(other) for c in self.coeffs], self.window
-            )
-        if self.is_zero() or other.is_zero():
-            return LaurentInLambda(0, [], min(self.window, other.window))
-        window = min(self.window, other.window)
-        top = self.min_exponent + other.min_exponent
-        out = [Frac(0)] * window
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                if i + j < window:
-                    out[i + j] += a * b
-        return LaurentInLambda(top, out, window)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if self.is_zero():
-            return "LaurentInLambda(0)"
-        bits = [
-            f"{c}*lam^{self.min_exponent - i}" for i, c in enumerate(self.coeffs) if c != 0
-        ]
-        return "LaurentInLambda(" + " + ".join(bits) + " + ...)"
-
-
-def laurent_of_ratfun(f, window):
-    """Expand a RatFun in lam alone around lam = infinity."""
-    if f.is_zero():
-        return LaurentInLambda(0, [], window)
-    if any(j for (_, j) in f.num) or any(j for (_, j) in f.den):
-        raise ValueError("laurent expansion is for functions of lam alone")
-    np = {i: v for (i, _), v in f.num.items()}
-    dp = {i: v for (i, _), v in f.den.items()}
-    dn, dd = max(np), max(dp)
-    # power series division in u = 1/lam
-    a = [np.get(dn - k, 0) for k in range(window)]
-    b = [Frac(dp.get(dd - k, 0)) for k in range(window)]
-    out = []
-    for k in range(window):
-        acc = a[k]
-        for i in range(k):
-            acc -= out[i] * b[k - i]
-        out.append(acc / b[0])
-    return LaurentInLambda(dn - dd, out, window)
-
-
-def laurent_expand(series, window=8):
-    """Per-degree Laurent expansion of a TruncSeries whose coefficients are
-    RatFun in lam alone; returns {degree: LaurentInLambda}."""
-    out = {}
-    for k in range(series.order + 1):
-        c = series.coeff(k, RF_ZERO)
-        if isinstance(c, (int, Frac)):
-            c = RatFun(c)
-        out[k] = laurent_of_ratfun(c, window)
     return out

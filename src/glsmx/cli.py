@@ -145,7 +145,7 @@ def _graph_from_params(params, key):
         raise ConfigError(f"command needs a {key!r} object or '{key}_file' path")
     try:
         return gr.graph_from_obj(inline)
-    except (KeyError, TypeError, ValueError, IndexError) as err:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as err:
         raise ConfigError(f"cannot read {key!r}: {err}") from None
 
 
@@ -182,12 +182,11 @@ def _join_terms(terms):
 
 
 def _lam_string(f):
-    """Exact rendering of a RatFun in lam alone, as a Laurent sum when the
-    denominator is a monomial."""
+    """Exact rendering of a RatFun in lam alone as a Laurent sum."""
     if f.is_zero():
         return "0"
     terms = f.laurent_terms()
-    if terms is not None and all(j == 0 for (_, j) in terms):
+    if all(j == 0 for (_, j) in terms):
         return _join_terms([_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
     return f"({render_ratfun(f)})"
 
@@ -1043,16 +1042,23 @@ def main(argv=None):
                 block["y_max"] = args.y_order
             if args.q_order is not None:
                 block["q_max"] = args.q_order
+        out_path = config.get("out")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ConfigError("'out' must be a path string")
+        out_path = args.out or out_path
         report = run(args.command, config)
     except GlsmxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)
-    out_path = args.out or config.get("out")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            print(f"error: cannot write {out_path!r}: {err.strerror or err}", file=sys.stderr)
+            return 1
     return 0 if report_passed(report) else 1
 
 

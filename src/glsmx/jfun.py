@@ -31,7 +31,6 @@ from .errors import (
     BoundsExceeded,
     ConfigError,
     DegreeViolation,
-    DivisionByNonUnit,
     IdentityFailed,
     InconsistentOrbData,
     OutOfUnstableRange,
@@ -265,10 +264,7 @@ def positive_z_part(value: CohClass) -> CohClass:
     """Drop every negative z power from each hyperplane coefficient."""
     kept = []
     for f in value.coeffs:
-        terms = f.laurent_terms()
-        if terms is None:
-            raise DivisionByNonUnit("z split needs a monomial denominator")
-        kept.append(RatFun({k: v for k, v in terms.items() if k[1] >= 0}))
+        kept.append(RatFun({k: v for k, v in f.laurent_terms().items() if k[1] >= 0}))
     return CohClass(kept, value.relation, value.r)
 
 

@@ -14,11 +14,8 @@ from glsmx.algebra import (
     RF_ZERO,
     Z,
     CohClass,
-    LaurentInLambda,
     RatFun,
     TruncSeries,
-    laurent_expand,
-    laurent_of_ratfun,
     render_ratfun,
     series_root_pow,
     substitute_z,
@@ -51,18 +48,29 @@ def test_ratfun_den_sign_normalized():
 
 
 def test_ratfun_arith():
-    one_over = RF_ONE / (LAM + Z)
-    assert one_over * (LAM + Z) == RF_ONE
+    one_over = RF_ONE / (LAM * Z)
+    assert one_over * (LAM * Z) == RF_ONE
     assert (LAM - Z) * (LAM + Z) == LAM**2 - Z**2
     assert LAM / LAM == RF_ONE
     assert (2 * LAM + 3) - (LAM + 3) == LAM
+    assert (LAM**2 - Z**2) / LAM == LAM - Z**2 * LAM**-1
 
 
 def test_ratfun_nonmonomial_cancel():
-    # (lam^2 - z^2) / (lam + z) == lam - z, exercises the gcd path
-    f = (LAM**2 - Z**2) / (LAM + Z)
-    assert f == LAM - Z
-    assert f.is_poly()
+    # lam + z is not a unit of Q[lam^+-1, z^+-1]: the quotient is refused
+    # even where it would cancel to a polynomial, and even for a zero numerator
+    with pytest.raises(DivisionByNonUnit):
+        (LAM**2 - Z**2) / (LAM + Z)
+    with pytest.raises(DivisionByNonUnit):
+        RF_ZERO / (LAM + 1)
+    with pytest.raises(DivisionByNonUnit):
+        (LAM + Z) ** -1
+    with pytest.raises(DivisionByNonUnit):
+        RatFun({}, {(1, 0): 1, (0, 0): 1})
+    with pytest.raises(DivisionByNonUnit):
+        (RF_ONE / Z).subs_z(LAM + 1)
+    with pytest.raises(DivisionByNonUnit):
+        CohClass([LAM + 1, RF_ONE], PROJLINE).inverse()
 
 
 def test_ratfun_div_zero():
@@ -79,18 +87,19 @@ def test_ratfun_z_parts():
 
 
 def test_ratfun_subs_z_scalar():
-    f = RF_ONE / (LAM - Z)
-    assert f.subs_z(RatFun(0)) == RF_ONE / LAM
-    assert f.subs_z(LAM / 2) == 2 / LAM
+    f = (LAM + Z) / Z
+    assert f.subs_z(LAM / 2) == RatFun(3)
+    assert f.subs_z(2 / LAM) == (LAM**2 + 2) / 2
     with pytest.raises(SubstitutionPole):
-        f.subs_z(LAM)
+        f.subs_z(RatFun(0))
 
 
 def test_ratfun_homogeneous_degree():
     assert (LAM * Z).homogeneous_degree() == 2
-    assert (RF_ONE / (LAM + Z)).homogeneous_degree() == -1
+    assert (RF_ONE / (LAM * Z)).homogeneous_degree() == -2
     assert (LAM + RF_ONE).homogeneous_degree() is None
     assert ((LAM**2 - Z**2) / LAM).homogeneous_degree() == 1
+    assert RF_ZERO.homogeneous_degree() is None
 
 
 def test_render_deterministic():
@@ -276,31 +285,62 @@ def test_root_pow_half_squares_back(s):
     assert r * r == s
 
 
-_poly_terms = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-5, 5).map(Frac),
-    min_size=1,
-    max_size=3,
+_coeffs = st.builds(Frac, st.integers(-5, 5), st.integers(1, 3))
+_exponents = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_nonzero = st.builds(
+    lambda p, q: Frac(p, q), st.integers(-5, 5).filter(bool), st.integers(1, 3)
 )
 
 
 @st.composite
+def _monomials(draw):
+    return RatFun({draw(_exponents): draw(_nonzero)})
+
+
+@st.composite
 def _ratfuns(draw):
-    num = draw(_poly_terms)
-    den = draw(_poly_terms.filter(lambda p: any(v for v in p.values())))
+    num = draw(st.dictionaries(_exponents, _coeffs, min_size=1, max_size=3))
+    den = {draw(st.tuples(st.integers(0, 2), st.integers(0, 2))): draw(_nonzero)}
     return RatFun(num, den)
 
 
-@given(_ratfuns(), _ratfuns(), _ratfuns())
+@given(_ratfuns(), _ratfuns(), _ratfuns(), _monomials())
 @settings(max_examples=100, deadline=None)
-def test_ratfun_ring_axioms(a, b, c):
+def test_ratfun_ring_axioms(a, b, c, m):
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    if not b.is_zero():
+    assert a - a == RF_ZERO
+    assert (a / m) * m == a
+    if len(b.num) == 1:
         assert (a / b) * b == a
+
+
+@given(_ratfuns(), _ratfuns(), _monomials(), st.integers(-3, 3))
+@settings(max_examples=60, deadline=None)
+def test_ratfun_results_have_one_den_term(a, b, m, n):
+    results = [a + b, a - b, -a, a * b, a / m, m**n, a ** abs(n)]
+    results += [a + 1, 2 - a, a * Frac(2, 3), a / 3, 3 / m]
+    for f in results:
+        assert len(f.den) == 1
+        ((_, coeff),) = f.den.items()
+        assert coeff > 0
+
+
+@given(_ratfuns(), st.dictionaries(_exponents, _nonzero, min_size=2, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_division_by_non_monomial_raises(a, terms):
+    multi = RatFun(terms)
+    with pytest.raises(DivisionByNonUnit):
+        a / multi
+    with pytest.raises(DivisionByNonUnit):
+        multi**-1
+    with pytest.raises(DivisionByNonUnit):
+        RatFun(a.num, terms)
+    with pytest.raises(DivisionByNonUnit):
+        RatFun({}, terms)
 
 
 @given(_ratfuns(), _ratfuns())
@@ -314,83 +354,28 @@ def test_ratfun_int_coefficients_and_readers(a, b):
         if value is not None:
             assert RatFun(value) == f
         terms = f.laurent_terms()
-        if terms is not None:
-            assert all(type(v) is Frac for v in terms.values())
-            rebuilt = RF_ZERO
-            for (i, j), v in terms.items():
-                rebuilt = rebuilt + v * LAM**i * Z**j
-            assert rebuilt == f
-        assert all(type(c) is Frac for c in laurent_of_ratfun(_lam_only(f), 5).coeffs)
+        assert all(type(v) is Frac for v in terms.values())
+        rebuilt = RF_ZERO
+        for (i, j), v in terms.items():
+            rebuilt = rebuilt + v * LAM**i * Z**j
+        assert rebuilt == f
 
 
 def test_laurent_divides_exactly():
-    # 1/(3 lam - 1) = lam^-1/3 + lam^-2/9 + ..., which int true division
-    # would round through a float
-    exp = laurent_of_ratfun(RF_ONE / (3 * LAM - 1), 4)
-    assert exp.coeffs == (Frac(1, 3), Frac(1, 9), Frac(1, 27), Frac(1, 81))
+    # the int form of (lam + z/2) / (3 lam^2 z) is read out through Frac,
+    # which int true division would round through a float
+    f = (LAM + Z / 2) / (3 * LAM**2 * Z)
+    assert f.laurent_terms() == {(-1, -1): Frac(1, 3), (-2, 0): Frac(1, 6)}
+    assert all(type(v) is Frac for v in f.laurent_terms().values())
     assert RatFun(Frac(2, 6)).as_frac() == Frac(1, 3)
-
-
-# -- LaurentInLambda --------------------------------------------------------
-
-
-def test_laurent_simple_pole():
-    # frozen: 1/(lam - 1) = lam^-1 + lam^-2 + lam^-3 + ...
-    f = RF_ONE / (LAM - 1)
-    exp = laurent_of_ratfun(f, 5)
-    assert exp.min_exponent == -1
-    assert list(exp.coeffs) == [Frac(1)] * 5
-
-
-def test_laurent_polynomial_part():
-    # frozen: lam^2/(lam + 1) = lam - 1 + lam^-1 - lam^-2 + ...
-    f = LAM**2 / (LAM + 1)
-    exp = laurent_of_ratfun(f, 6)
-    assert exp.coeff(1) == 1
-    assert exp.coeff(0) == -1
-    assert exp.coeff(-1) == 1
-    assert exp.coeff(-2) == -1
-
-
-def test_laurent_product_matches_ratfun_product():
-    f = (LAM + 2) / (LAM - 1)
-    g = LAM / (LAM + 1)
-    prod = laurent_of_ratfun(f * g, 6)
-    assert laurent_of_ratfun(f, 8) * laurent_of_ratfun(g, 8) == prod
-
-
-def _lam_only(f):
-    num = {(i, 0): v for (i, j), v in f.num.items()}
-    den = {(i, 0): v for (i, j), v in f.den.items()}
-    if not any(v for v in num.values()):
-        num = {(0, 0): Frac(1)}
-    if not any(v for v in den.values()):
-        den = {(0, 0): Frac(1)}
-    return RatFun(num, den)
 
 
 @given(_ratfuns(), _ratfuns())
 @settings(max_examples=40, deadline=None)
 def test_laurent_product_property(a, b):
-    fa, fb = _lam_only(a), _lam_only(b)
-    w = 7
-    lhs = laurent_of_ratfun(fa, w + 4) * laurent_of_ratfun(fb, w + 4)
-    rhs = laurent_of_ratfun(fa * fb, w + 4)
-    hi = max(lhs.min_exponent, rhs.min_exponent)
-    for e in range(hi - w, hi + 1):
-        assert lhs.coeff(e) == rhs.coeff(e)
-
-
-def test_laurent_expand_series():
-    y = TruncSeries.variable_series("y", 2, one=RF_ONE)
-    s = TruncSeries.constant("y", 2, RF_ONE / (LAM - 1)) + y * (RF_ONE / LAM)
-    table = laurent_expand(s, window=4)
-    assert table[0].coeff(-1) == 1 and table[0].coeff(-2) == 1
-    assert table[1].coeff(-1) == 1 and table[1].coeff(-2) == 0
-    assert table[2].is_zero()
-
-
-def test_laurent_window_equality_ignores_tail():
-    a = LaurentInLambda(-1, [1, 1, 1, 1], 4)
-    b = LaurentInLambda(-1, [1, 1, 1, 1, 1, 1], 6)
-    assert a == b
+    # the product's Laurent terms are the convolution of the factors' terms
+    conv = {}
+    for (i, j), u in a.laurent_terms().items():
+        for (k, l), v in b.laurent_terms().items():
+            conv[(i + k, j + l)] = conv.get((i + k, j + l), 0) + u * v
+    assert (a * b).laurent_terms() == {key: v for key, v in conv.items() if v}

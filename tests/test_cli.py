@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import io
 import json
 import os
+import pathlib
 import sys
 import tempfile
 
@@ -283,6 +285,42 @@ def test_subcommands_run_without_sympy(monkeypatch):
         assert report_passed(report), (command, report["checks"])
 
 
+def test_package_imports_only_the_standard_library():
+    package = pathlib.Path(cli.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+@pytest.mark.parametrize("bad", ["config_type", "config_path", "flag_path"])
+def test_main_bad_out_exits_one(bad, tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "report.json")
+    config = {"model": QUINTIC_LG}
+    argv = ["sectors", "--config", str(tmp_path / "config.json")]
+    if bad == "config_type":
+        config["out"] = ["x"]
+        expected = "error: 'out' must be a path string"
+    else:
+        if bad == "config_path":
+            config["out"] = missing
+        else:
+            argv += ["--out", missing]
+        expected = f"error: cannot write {missing!r}: "
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(expected)
+    assert "Traceback" not in captured.err
+
+
 def test_criteria_registry_shape():
     assert len(cli.CRITERIA) == 10
     names = set()
@@ -332,6 +370,14 @@ def _with(graph, **changes):
 
 _BAD_ENDPOINT = _with(FIG_TOP, edges=[{"ends": [0, 7], "mults": ["4/5", "1/5"]}])
 _BAD_BULLET = _with(FIG_TOP, v_bullet=5)
+_ZERO_DEN_LEG = _with(
+    FIG_TOP,
+    vertices=[
+        {"genus": 1, "degree": 0, "legs": [[1, "1/0"]]},
+        {"genus": 2, "degree": 2, "legs": []},
+    ],
+)
+_ZERO_DEN_MULT = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["4/5", "1/0"]}])
 
 
 @pytest.mark.parametrize(
@@ -340,13 +386,19 @@ _BAD_BULLET = _with(FIG_TOP, v_bullet=5)
         ("aut", {"graph": _BAD_ENDPOINT}),
         ("order", {"a": _BAD_BULLET, "b": FIG_TOP}),
         ("order", {"a": FIG_TOP, "b": _BAD_ENDPOINT}),
+        ("aut", {"graph": _ZERO_DEN_LEG}),
+        ("order", {"a": FIG_TOP, "b": _ZERO_DEN_MULT}),
+        ("contract", {"graph": _ZERO_DEN_MULT, "epsilon": "2/5"}),
+        ("contract", {"graph": _ZERO_DEN_LEG, "epsilon": "2/5"}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     config = {"model": QUINTIC_LG, command: block}
     report = run(command, config)
     assert [c["name"] for c in report["checks"]] == ["ConfigError"]
-    assert "outside vertices" in report["checks"][0]["first_failure"]
+    failure = report["checks"][0]["first_failure"]
+    assert failure.startswith("cannot read ")
+    assert ("Fraction(1, 0)" if "1/0" in json.dumps(block) else "outside vertices") in failure
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     code = main([command, "--config", str(config_path)])
@@ -356,7 +408,7 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-# --- contract sweep over the chamber commands --------------------------------
+# --- contract sweep over the subcommands but graphs and verify --------------
 
 _CHAMBER_MODELS = [
     QUINTIC_LG,
@@ -366,16 +418,30 @@ _CHAMBER_MODELS = [
 ]
 
 # Mostly valid draws with some invalid ones mixed in.  Epsilons are small
-# rationals, walls (1/k), zero and negatives included; floor(1/eps) stays at
-# most 2 * Q_CAP, so a chamber past the cap is refused cheaply.
-_EPSILONS = st.builds(
-    lambda p, q: f"{p}/{q}",
-    st.sampled_from([2, 3, 2, 3, 1, 0, -1]),
-    st.integers(1, 2 * jfun.Q_CAP),
+# rationals, walls (1/k), zero, negatives and zero denominators included;
+# floor(1/eps) stays at most 2 * Q_CAP, so a chamber past the cap is refused
+# cheaply.
+_EPSILONS = st.one_of(
+    st.builds(
+        lambda p, q: f"{p}/{q}",
+        st.sampled_from([2, 3, 2, 3, 1, 0, -1]),
+        st.integers(1, 2 * jfun.Q_CAP),
+    ),
+    st.sampled_from(["1/0", "0/0", "-2/0"]),
 )
 _TWIST = st.sampled_from([False, True, False, True, "yes"])
 _Q = st.integers(-1, jfun.Q_CAP + 1)
+# valid figure graphs, out-of-range indices and zero-denominator multiplicities
+_GRAPHS = st.sampled_from(
+    [FIG_TOP, FIG_SPLIT, FIG_TOP, FIG_SPLIT, _BAD_ENDPOINT, _BAD_BULLET, _ZERO_DEN_LEG,
+     _ZERO_DEN_MULT, _with(FIG_TOP, v_bullet="0"), "graph"]
+)
 _BLOCKS = {
+    "aut": st.fixed_dictionaries({"graph": _GRAPHS}),
+    "order": st.fixed_dictionaries({"a": _GRAPHS, "b": _GRAPHS}),
+    "contract": st.fixed_dictionaries(
+        {"graph": _GRAPHS, "epsilon": st.one_of(st.none(), _EPSILONS)}
+    ),
     "ifun": st.fixed_dictionaries({"q_max": _Q, "twisted": _TWIST}),
     "mu": st.fixed_dictionaries({"epsilon": _EPSILONS, "twisted": _TWIST}),
     "edge": st.builds(
@@ -426,12 +492,9 @@ def _main_bytes(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    command=st.sampled_from(sorted(_BLOCKS)),
-    model=st.sampled_from(_CHAMBER_MODELS),
-    data=st.data(),
-)
+@pytest.mark.parametrize("command", sorted(_BLOCKS))
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(_CHAMBER_MODELS), data=st.data())
 def test_chamber_commands_keep_the_contract(command, model, data):
     config = {"model": model, command: data.draw(_BLOCKS[command])}
     with tempfile.TemporaryDirectory() as tmp:
