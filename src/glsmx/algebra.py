@@ -1,9 +1,10 @@
 """Exact-arithmetic kernel: Laurent polynomials in lam and z, nilpotent
 hyperplane classes and truncated power series.  Every weight the
 localization divides by is a single torus character, so a RatFun is an
-element of Q[lam^+-1, z^+-1]: dividing by anything but a nonzero monomial
-raises DivisionByNonUnit.  RatFun coefficients are ints; Frac appears only
-where values are read out."""
+element of Q[lam^+-1, z^+-1], stored as one dict of Laurent terms with int
+coefficients over one positive int: dividing by anything but a nonzero
+monomial raises DivisionByNonUnit.  Frac appears only where values are
+read out."""
 
 from __future__ import annotations
 
@@ -13,11 +14,7 @@ from math import gcd, lcm
 from .errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
 
 # ---------------------------------------------------------------------------
-# polynomials in (lam, z) over int or Frac, keyed by (lam_exp, z_exp)
-
-
-def _poly_clean(terms):
-    return {k: v for k, v in terms.items() if v != 0}
+# Laurent polynomials in (lam, z) over int, keyed by (lam_exp, z_exp)
 
 
 def _poly_add(a, b):
@@ -31,8 +28,8 @@ def _poly_add(a, b):
     return out
 
 
-def _poly_neg(a):
-    return {k: -v for k, v in a.items()}
+def _poly_scale(a, c):
+    return a if c == 1 else {k: v * c for k, v in a.items()}
 
 
 def _poly_mul(a, b):
@@ -48,59 +45,42 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_pow(a, n):
-    out = {(0, 0): 1}
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
 class RatFun:
-    """Laurent polynomial in lam and z over Q, stored as num / den with den
-    a single monomial.  Built from int or Frac coefficients and kept in
-    canonical form: int num/den with joint content 1, no common monomial,
-    den coefficient > 0."""
+    """Laurent polynomial in lam and z over Q.  num maps (lam_exp, z_exp),
+    exponents of either sign, to nonzero ints; den is {(0, 0): c} with c a
+    positive int coprime to the content of num, and {(0, 0): 1} for zero.
+    Built from int or Frac coefficients over an int or Frac denominator."""
 
+    # num and den keep the dict shapes of a fraction of polynomials because
+    # perfbench/exact.py and perfbench/tracing.py read them as such
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=1):
         if isinstance(num, (int, Frac)):
-            num = {(0, 0): num} if num else {}
-        if den is None:
-            den = {(0, 0): 1}
-        elif isinstance(den, (int, Frac)):
-            den = {(0, 0): den} if den else {}
-        den = _poly_clean(den)
-        if len(den) != 1:
-            raise DivisionByNonUnit(
-                "zero denominator" if not den else "denominator is not a monomial"
-            )
-        num = _poly_clean(num)
+            num = {(0, 0): num}
+        if not den:
+            raise DivisionByNonUnit("zero denominator")
+        num = {k: v for k, v in num.items() if v}
         if not num:
             object.__setattr__(self, "num", {})
             object.__setattr__(self, "den", {(0, 0): 1})
             return
-        ((dl, dz), dc), = den.items()
-        # cancel the common monomial factor
-        lo_l = min(dl, min(i for i, _ in num))
-        lo_z = min(dz, min(j for _, j in num))
         # clear denominators, then divide by the joint content, signed so the
         # denominator comes out positive; folded pairwise because
         # gcd(*values) would build a tuple of every size on each call
-        mult = dc.denominator
+        mult = den.denominator
         for v in num.values():
             mult = lcm(mult, v.denominator)
-        g = dc.numerator * (mult // dc.denominator)
+        g = den.numerator * (mult // den.denominator)
         for v in num.values():
             g = gcd(g, v.numerator * (mult // v.denominator))
-        if dc < 0:
+        if den < 0:
             g = -g
         object.__setattr__(self, "num", {
-            (i - lo_l, j - lo_z): v.numerator * (mult // v.denominator) // g
-            for (i, j), v in num.items()
+            k: v.numerator * (mult // v.denominator) // g for k, v in num.items()
         })
         object.__setattr__(self, "den", {
-            (dl - lo_l, dz - lo_z): dc.numerator * (mult // dc.denominator) // g
+            (0, 0): den.numerator * (mult // den.denominator) // g
         })
 
     def __setattr__(self, *a):
@@ -122,17 +102,14 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RatFun(_poly_add(self.num, other.num), self.den)
-        return RatFun(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den),
-        )
+        a, b = self.den[(0, 0)], other.den[(0, 0)]
+        m = lcm(a, b)
+        return RatFun(_poly_add(_poly_scale(self.num, m // a), _poly_scale(other.num, m // b)), m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(_poly_neg(self.num), self.den)
+        return RatFun({k: -v for k, v in self.num.items()}, self.den[(0, 0)])
 
     def __sub__(self, other):
         other = _as_ratfun(other)
@@ -147,7 +124,7 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
+        return RatFun(_poly_mul(self.num, other.num), self.den[(0, 0)] * other.den[(0, 0)])
 
     __rmul__ = __mul__
 
@@ -155,17 +132,28 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise DivisionByNonUnit("division by zero rational function")
-        return RatFun(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
+        if len(other.num) != 1:
+            raise DivisionByNonUnit(
+                "division by zero rational function" if other.is_zero()
+                else "divisor is not a monomial"
+            )
+        ((dl, dz), v), = other.num.items()
+        c = other.den[(0, 0)]
+        return RatFun(
+            {(i - dl, j - dz): u * c for (i, j), u in self.num.items()},
+            self.den[(0, 0)] * v,
+        )
 
     def __rtruediv__(self, other):
         return _as_ratfun(other) / self
 
     def __pow__(self, n):
         if n < 0:
-            return RatFun(1) / self ** (-n)
-        return RatFun(_poly_pow(self.num, n), _poly_pow(self.den, n))
+            return RF_ONE / self ** (-n)
+        num = {(0, 0): 1}
+        for _ in range(n):
+            num = _poly_mul(num, self.num)
+        return RatFun(num, self.den[(0, 0)] ** n)
 
     def __eq__(self, other):
         other = _as_ratfun(other)
@@ -186,37 +174,45 @@ class RatFun:
 
     def laurent_terms(self):
         """{(lam_exp, z_exp): Frac} of the Laurent polynomial this is."""
-        ((dl, dz), dc), = self.den.items()
-        return {(i - dl, j - dz): Frac(v, dc) for (i, j), v in self.num.items()}
+        c = self.den[(0, 0)]
+        return {k: Frac(v, c) for k, v in self.num.items()}
 
     def as_frac(self):
         """Constant value, or None if lam/z actually occur."""
-        terms = self.laurent_terms()
-        if not terms.keys() <= {(0, 0)}:
+        if not self.num.keys() <= {(0, 0)}:
             return None
-        return terms.get((0, 0), Frac(0))
+        return Frac(self.num.get((0, 0), 0), self.den[(0, 0)])
 
     def homogeneous_degree(self):
         """Total degree when every term has the same one, else None."""
-        degrees = {i + j for (i, j) in self.laurent_terms()}
+        degrees = {i + j for (i, j) in self.num}
         return degrees.pop() if len(degrees) == 1 else None
 
     def z_parts(self):
         """Split into {z_exponent: RatFun in lam only}."""
         out = {}
-        for (i, j), v in self.laurent_terms().items():
+        for (i, j), v in self.num.items():
             out.setdefault(j, {})[(i, 0)] = v
-        return {e: RatFun(p) for e, p in sorted(out.items())}
+        c = self.den[(0, 0)]
+        return {e: RatFun(p, c) for e, p in sorted(out.items())}
 
     def subs_z(self, value):
-        """Substitute z := value (a RatFun in lam or a CohClass)."""
+        """Substitute z := value, a RatFun in lam or a CohClass; the result
+        has the value's type.  A negative power of z at a value that
+        vanishes (zero, or a class with zero constant term) raises
+        SubstitutionPole; at any other non-unit, DivisionByNonUnit."""
         if isinstance(value, CohClass):
-            return _subs_z_coh(self, value)
-        num = _eval_z(self.num, value)
-        den = _eval_z(self.den, value)
-        if den.is_zero():
-            raise SubstitutionPole("denominator vanished under z substitution")
-        return num / den
+            vanishes = value.coeffs[0].is_zero()
+            out = CohClass([], value.relation, value.r)
+        else:
+            value = _as_ratfun(value)
+            vanishes = value.is_zero()
+            out = RF_ZERO
+        for j, part in self.z_parts().items():
+            if j < 0 and vanishes:
+                raise SubstitutionPole("negative power of z at a vanishing value")
+            out = out + part * value**j
+        return out
 
 
 def _as_ratfun(x):
@@ -227,14 +223,6 @@ def _as_ratfun(x):
     return NotImplemented
 
 
-def _eval_z(poly, value):
-    value = _as_ratfun(value)
-    out = RatFun(0)
-    for (i, j), v in poly.items():
-        out = out + RatFun({(i, 0): v}) * value**j
-    return out
-
-
 RF_ZERO = RatFun(0)
 RF_ONE = RatFun(1)
 LAM = RatFun.lam()
@@ -242,7 +230,9 @@ Z = RatFun.z()
 
 
 def render_ratfun(f):
-    """Deterministic human/JSON rendering, graded lex descending."""
+    """Deterministic human/JSON rendering, graded lex descending: negative
+    exponents are shifted into one monomial denominator, so (lam + z)/lam*z
+    rather than lam^-1 + z^-1."""
 
     def side(poly):
         if not poly:
@@ -264,11 +254,14 @@ def render_ratfun(f):
             out += " - " + b[1:] if b.startswith("-") else " + " + b
         return out
 
-    n = side(f.num)
-    if f.den == {(0, 0): 1}:
+    c = f.den[(0, 0)]
+    sl = max([0] + [-i for i, _ in f.num])
+    sz = max([0] + [-j for _, j in f.num])
+    n = side({(i + sl, j + sz): v for (i, j), v in f.num.items()})
+    if (sl, sz, c) == (0, 0, 1):
         return n
     n = f"({n})" if len(f.num) > 1 else n
-    return f"{n}/{side(f.den)}"
+    return f"{n}/{side({(sl, sz): c})}"
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +440,6 @@ class CohClass:
         if self.relation != PROJLINE:
             raise ValueError("integration is a projline operation")
         return self.coeffs[1]
-
-
-def _subs_z_coh(f, value):
-    num = _eval_z_coh(f.num, value)
-    den = _eval_z_coh(f.den, value)
-    try:
-        return num * den.inverse()
-    except DivisionByNonUnit as exc:
-        raise SubstitutionPole("denominator not invertible under z substitution") from exc
-
-
-def _eval_z_coh(poly, value):
-    out = CohClass([RF_ZERO], value.relation, value.r)
-    for (i, j), v in poly.items():
-        term = CohClass([RatFun({(i, 0): v})], value.relation, value.r)
-        out = out + term * value**j
-    return out
 
 
 def substitute_z(expr, value):

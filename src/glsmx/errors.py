@@ -16,7 +16,7 @@ class BadConstantTerm(GlsmxError):
 
 
 class SubstitutionPole(GlsmxError):
-    """A denominator vanished identically under substitution."""
+    """A negative power of z met a vanishing value under substitution."""
 
 
 class NonIntegralChi(GlsmxError):

@@ -946,24 +946,33 @@ def graph_to_obj(graph):
     return obj
 
 
+def _read_mult(text, where):
+    try:
+        return Frac(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{where} multiplicity {text!r} has a zero denominator") from None
+
+
 def graph_from_obj(obj):
     vertices = tuple(
         Vertex(
             int(v["genus"]),
             int(v["degree"]),
-            tuple((int(l), Frac(m)) for l, m in v.get("legs", [])),
+            tuple(
+                (int(l), _read_mult(m, f"vertex {vi} leg {l}")) for l, m in v.get("legs", [])
+            ),
             int(v.get("extra_legs", 0)),
             v.get("level"),
         )
-        for v in obj["vertices"]
+        for vi, v in enumerate(obj["vertices"])
     )
     edges = tuple(
         Edge(
             tuple(e["ends"]),
-            (Frac(e["mults"][0]), Frac(e["mults"][1])),
+            tuple(_read_mult(e["mults"][s], f"edge {ei} side {s}") for s in (0, 1)),
             e.get("delta"),
         )
-        for e in obj["edges"]
+        for ei, e in enumerate(obj["edges"])
     )
     nv = len(vertices)
     for ei, e in enumerate(edges):

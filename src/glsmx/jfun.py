@@ -294,9 +294,6 @@ class JSeries:
     def sector(self, beta):
         return j_sector(self.model, beta)
 
-    def positive_part(self, beta):
-        return positive_z_part(self.coefficient(beta))
-
 
 def _check_q_max(q_max):
     if q_max < 0:

@@ -68,10 +68,6 @@ class GlsmModel:
             object.__setattr__(self, "epsilon", check_off_wall(self.epsilon))
 
     @property
-    def num_x_fields(self) -> int:
-        return len(self.weights)
-
-    @property
     def unit_sector_mult(self) -> Frac:
         """Multiplicity carried by a forgettable marking."""
         return Frac(1, self.d) if self.phase == LG else Frac(0)

@@ -441,10 +441,6 @@ class TreeSeries:
     def coeff(self, k: int) -> RatFun:
         return self.series.coeff(k, RF_ZERO)
 
-    def at_z(self, value) -> TruncSeries:
-        """Collapse z, leaving a plain series in the degree variable."""
-        return self.series.map_coeffs(lambda c: c.subs_z(value))
-
 
 def _check_orders(y_order: int, z_order: int) -> None:
     if y_order < 0 or z_order < 0:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as Frac
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,11 @@ from glsmx.errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
 
 
 def test_ratfun_canonical_cancel():
-    # lam*z / lam^2 == z / lam
-    f = RatFun({(1, 1): Frac(1)}, {(2, 0): Frac(1)})
-    g = RatFun({(0, 1): Frac(1)}, {(1, 0): Frac(1)})
+    # lam*z / lam^2 == z / lam, stored as the one term lam^-1 z
+    f = RatFun({(1, 1): Frac(1)}) / RatFun({(2, 0): Frac(1)})
+    g = RatFun({(0, 1): Frac(1)}) / RatFun({(1, 0): Frac(1)})
     assert f == g
+    assert f.num == {(-1, 1): 1} and f.den == {(0, 0): 1}
 
 
 def test_ratfun_integer_clearing():
@@ -41,10 +43,22 @@ def test_ratfun_integer_clearing():
     assert all(v.denominator == 1 for v in f.den.values())
 
 
+def _assert_canonical(f):
+    # one positive int denominator, coprime to the content of the terms
+    assert f.den.keys() == {(0, 0)}
+    c = f.den[(0, 0)]
+    assert c > 0
+    content = 0
+    for v in f.num.values():
+        content = gcd(content, v)
+    assert gcd(c, content) == 1
+
+
 def test_ratfun_den_sign_normalized():
-    f = RatFun({(0, 0): Frac(1)}, {(1, 0): Frac(-1)})
-    assert f.den[(1, 0)] > 0
-    assert f.num[(0, 0)] < 0
+    f = RatFun({(0, 0): Frac(2)}) / RatFun({(1, 0): Frac(-6)})
+    _assert_canonical(f)
+    assert f.num == {(-1, 0): -1}
+    assert f.den == {(0, 0): 3}
 
 
 def test_ratfun_arith():
@@ -66,9 +80,10 @@ def test_ratfun_nonmonomial_cancel():
     with pytest.raises(DivisionByNonUnit):
         (LAM + Z) ** -1
     with pytest.raises(DivisionByNonUnit):
-        RatFun({}, {(1, 0): 1, (0, 0): 1})
-    with pytest.raises(DivisionByNonUnit):
         (RF_ONE / Z).subs_z(LAM + 1)
+    # the same non-unit as the constant term of a class: not a pole either
+    with pytest.raises(DivisionByNonUnit):
+        substitute_z(RF_ONE / Z, CohClass([LAM + 1], NILPOTENT, r=2))
     with pytest.raises(DivisionByNonUnit):
         CohClass([LAM + 1, RF_ONE], PROJLINE).inverse()
 
@@ -301,7 +316,7 @@ def _monomials(draw):
 def _ratfuns(draw):
     num = draw(st.dictionaries(_exponents, _coeffs, min_size=1, max_size=3))
     den = {draw(st.tuples(st.integers(0, 2), st.integers(0, 2))): draw(_nonzero)}
-    return RatFun(num, den)
+    return RatFun(num) / RatFun(den)
 
 
 @given(_ratfuns(), _ratfuns(), _ratfuns(), _monomials())
@@ -324,9 +339,7 @@ def test_ratfun_results_have_one_den_term(a, b, m, n):
     results = [a + b, a - b, -a, a * b, a / m, m**n, a ** abs(n)]
     results += [a + 1, 2 - a, a * Frac(2, 3), a / 3, 3 / m]
     for f in results:
-        assert len(f.den) == 1
-        ((_, coeff),) = f.den.items()
-        assert coeff > 0
+        _assert_canonical(f)
 
 
 @given(_ratfuns(), st.dictionaries(_exponents, _nonzero, min_size=2, max_size=3))
@@ -337,10 +350,6 @@ def test_division_by_non_monomial_raises(a, terms):
         a / multi
     with pytest.raises(DivisionByNonUnit):
         multi**-1
-    with pytest.raises(DivisionByNonUnit):
-        RatFun(a.num, terms)
-    with pytest.raises(DivisionByNonUnit):
-        RatFun({}, terms)
 
 
 @given(_ratfuns(), _ratfuns())
@@ -370,12 +379,21 @@ def test_laurent_divides_exactly():
     assert RatFun(Frac(2, 6)).as_frac() == Frac(1, 3)
 
 
-@given(_ratfuns(), _ratfuns())
+@given(_ratfuns(), _ratfuns(), _monomials())
 @settings(max_examples=40, deadline=None)
-def test_laurent_product_property(a, b):
-    # the product's Laurent terms are the convolution of the factors' terms
+def test_laurent_product_property(a, b, m):
+    # sums, products and monomial quotients act on the Laurent terms as
+    # termwise sums, convolutions and exponent shifts of plain Frac dicts
+    ta, tb = a.laurent_terms(), b.laurent_terms()
+    total = dict(ta)
+    for key, v in tb.items():
+        total[key] = total.get(key, 0) + v
+    assert (a + b).laurent_terms() == {key: v for key, v in total.items() if v}
     conv = {}
-    for (i, j), u in a.laurent_terms().items():
-        for (k, l), v in b.laurent_terms().items():
+    for (i, j), u in ta.items():
+        for (k, l), v in tb.items():
             conv[(i + k, j + l)] = conv.get((i + k, j + l), 0) + u * v
     assert (a * b).laurent_terms() == {key: v for key, v in conv.items() if v}
+    (((ml, mz), mv),) = m.laurent_terms().items()
+    shifted = {(i - ml, j - mz): v / mv for (i, j), v in ta.items()}
+    assert (a / m).laurent_terms() == shifted

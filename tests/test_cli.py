@@ -4,6 +4,7 @@ import ast
 import contextlib
 import gc
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from glsmx import cli, jfun, p1series
 from glsmx.cli import main, report_passed, run
+from glsmx.graphs import _ENUM_BOUNDS
 
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
 QUINTIC_GEOM = dict(QUINTIC_LG, phase="geometric")
@@ -398,7 +400,12 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert [c["name"] for c in report["checks"]] == ["ConfigError"]
     failure = report["checks"][0]["first_failure"]
     assert failure.startswith("cannot read ")
-    assert ("Fraction(1, 0)" if "1/0" in json.dumps(block) else "outside vertices") in failure
+    if _ZERO_DEN_LEG in block.values():
+        assert "vertex 0 leg 1 multiplicity '1/0' has a zero denominator" in failure
+    elif _ZERO_DEN_MULT in block.values():
+        assert "edge 0 side 1 multiplicity '1/0' has a zero denominator" in failure
+    else:
+        assert "outside vertices" in failure
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     code = main([command, "--config", str(config_path)])
@@ -408,7 +415,7 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-# --- contract sweep over the subcommands but graphs and verify --------------
+# --- contract sweep over the subcommands, verify with one malformed config --
 
 _CHAMBER_MODELS = [
     QUINTIC_LG,
@@ -436,6 +443,26 @@ _GRAPHS = st.sampled_from(
     [FIG_TOP, FIG_SPLIT, FIG_TOP, FIG_SPLIT, _BAD_ENDPOINT, _BAD_BULLET, _ZERO_DEN_LEG,
      _ZERO_DEN_MULT, _with(FIG_TOP, v_bullet="0"), "graph"]
 )
+_GRAPH_FIELDS = ("genus", "markings", "degree", "edge_degree")
+_GRAPH_CAPS = dict(zip(_GRAPH_FIELDS, ("g", "n", "beta", "delta")))
+# (genus, markings, degree, edge degree) up to (1, 2, 1, 2): every size with
+# edge degree at most 1, and the edge degree 2 sizes that enumerate within
+# 60 ms on the quintic; (1, 2, 1, 2) alone takes about 2 s
+_GRAPH_SIZES = list(itertools.product((0, 1), (0, 1, 2), (0, 1), (0, 1))) + [
+    (0, 0, 1, 2),
+    (1, 0, 0, 2),
+    (0, 1, 0, 2),
+    (1, 0, 1, 2),
+]
+
+
+def _graph_block(sizes, field, bad):
+    block = dict(zip(_GRAPH_FIELDS, sizes))
+    if field is not None:
+        block[field] = _ENUM_BOUNDS[_GRAPH_CAPS[field]] + 1 if bad == "cap" else bad
+    return block
+
+
 _BLOCKS = {
     "aut": st.fixed_dictionaries({"graph": _GRAPHS}),
     "order": st.fixed_dictionaries({"a": _GRAPHS, "b": _GRAPHS}),
@@ -470,6 +497,14 @@ _BLOCKS = {
             "delta": st.sampled_from([1, 2, 3, 0, -1, "1"]),
         }
     ),
+    # half the draws spoil one size with an above-cap, negative or string
+    # value, each refused before any enumeration
+    "graphs": st.builds(
+        _graph_block,
+        st.sampled_from(_GRAPH_SIZES),
+        st.sampled_from([None] * 4 + list(_GRAPH_FIELDS)),
+        st.sampled_from(["cap", -1, "1"]),
+    ),
     "sectors": st.just({}),
     "stability": st.fixed_dictionaries(
         {
@@ -496,7 +531,17 @@ def _main_bytes(argv):
 @settings(max_examples=40, deadline=None)
 @given(model=st.sampled_from(_CHAMBER_MODELS), data=st.data())
 def test_chamber_commands_keep_the_contract(command, model, data):
-    config = {"model": model, command: data.draw(_BLOCKS[command])}
+    _assert_contract(command, {"model": model, command: data.draw(_BLOCKS[command])})
+
+
+def test_verify_with_malformed_truncations_keeps_the_contract():
+    # the truncations block is read before any criterion runs
+    config = {"model": QUINTIC_LG, "truncations": {"q_max": -1}}
+    assert [c["name"] for c in run("verify", config)["checks"]] == ["ConfigError"]
+    _assert_contract("verify", config)
+
+
+def _assert_contract(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         out_path = os.path.join(tmp, "report.json")
