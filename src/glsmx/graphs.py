@@ -18,7 +18,7 @@ from .errors import (
 )
 from .model import (
     _compat_defect,
-    check_compatibility,
+    compat_residue,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
@@ -220,26 +220,38 @@ def classify_vertex(model, graph, vi, epsilon):
     profiles 'ram' (plain ramification point), 'basepoint', 'node',
     'marked'; None when no consistent role exists."""
     v = graph.vertices[vi]
-    he = len(half_edges_at(graph, vi))
-    chamber = epsilon if v.level == LEVEL_ZERO else None
-    if epsilon_stable(v.genus, v.degree, he + len(v.legs), chamber):
+    return _vertex_role(
+        v.genus,
+        v.degree,
+        v.level,
+        len(half_edges_at(graph, vi)),
+        len(v.legs),
+        v.extra_legs,
+        epsilon,
+    )
+
+
+def _vertex_role(genus, degree, level, he, legs, extra_legs, epsilon):
+    """classify_vertex on the counts alone: a role depends only on these."""
+    chamber = epsilon if level == LEVEL_ZERO else None
+    if epsilon_stable(genus, degree, he + legs, chamber):
         return "stable"
-    if v.genus > 0 or v.extra_legs:
+    if genus > 0 or extra_legs:
         return None
-    if he == 1 and not v.legs and v.degree == 0:
+    if he == 1 and not legs and degree == 0:
         return "ram"
     if (
         he == 1
-        and not v.legs
-        and v.degree > 0
-        and v.level == LEVEL_ZERO
+        and not legs
+        and degree > 0
+        and level == LEVEL_ZERO
         and epsilon is not None
-        and Frac(epsilon) * v.degree <= 1
+        and Frac(epsilon) * degree <= 1
     ):
         return "basepoint"
-    if he == 2 and not v.legs and v.degree == 0:
+    if he == 2 and not legs and degree == 0:
         return "node"
-    if he == 1 and len(v.legs) == 1 and v.degree == 0:
+    if he == 1 and legs == 1 and degree == 0:
         return "marked"
     return None
 
@@ -312,6 +324,15 @@ def validate(model, graph):
     if len(seen_labels) != len(set(seen_labels)):
         out.append("duplicate marking labels")
     return out
+
+
+def _vertex_ok(model, graph, vi):
+    """Integral multiplicity defect and infinity-chamber stability at vi,
+    extra legs counted."""
+    v = graph.vertices[vi]
+    return _vertex_defect(model, graph, vi).denominator == 1 and epsilon_stable(
+        v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None
+    )
 
 
 def infinity_stable_graph(model, graph):
@@ -644,8 +665,8 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
         raise BoundsExceeded("enumeration caps: g<=2, n<=4, beta<=6, delta<=4")
     if min(g, n, beta, delta) < 0:
         raise ConfigError("negative input")
-    epsilon = model.epsilon
     found = {}
+    rejected = set()
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -677,64 +698,94 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
                                         genera,
                                         degrees,
                                         leg_dist,
-                                        n,
-                                        epsilon,
                                         found,
+                                        rejected,
                                     )
     return [found[k] for k in sorted(found)]
 
 
 def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, n, epsilon, found
+    model, structure, levels, deltas, genera, degrees, leg_dist, found, rejected
 ):
+    """Add every valid graph on one decorated structure to found, by
+    canonical key.  Multiplicities stay residues k of k/d until a residue
+    tuple is compatible at every vertex; keys that fail validate go to
+    rejected, so each isomorphism class is validated once."""
     d = model.d
     nv = len(levels)
-    legs_at = {vi: [] for vi in range(nv)}
-    for label in range(1, n + 1):
-        legs_at[leg_dist[label - 1]].append(label)
-    for edge_ms in itertools.product(range(d), repeat=len(structure)):
-        edges = []
-        he_mults = [[] for _ in range(nv)]
-        for (a, b), dd, k in zip(structure, deltas, edge_ms):
-            m0, m_inf = Frac(k, d), Frac(-k % d, d)
-            # store the level-zero side first
-            zero, inf = (a, b) if levels[a] == LEVEL_ZERO else (b, a)
-            edges.append(Edge((zero, inf), (m0, m_inf), dd))
-            he_mults[zero].append(m0)
-            he_mults[inf].append(m_inf)
+    legs_at = [[] for _ in range(nv)]
+    for label, vi in enumerate(leg_dist, start=1):
+        legs_at[vi].append(label)
+    # each edge stores its level-zero side first: +k there, -k at infinity
+    oriented = [(a, b) if levels[a] == LEVEL_ZERO else (b, a) for a, b in structure]
+    he = [0] * nv
+    for a, b in structure:
+        he[a] += 1
+        he[b] += 1
+    # a role depends on the counts alone, so one test covers every residue
+    if any(
+        _vertex_role(
+            genera[vi],
+            degrees[vi],
+            levels[vi],
+            he[vi],
+            len(legs_at[vi]),
+            0,
+            model.epsilon,
+        )
+        is None
+        for vi in range(nv)
+    ):
+        return
+    targets = [
+        compat_residue(model, genera[vi], he[vi] + len(legs_at[vi]), degrees[vi])
+        for vi in range(nv)
+    ]
+    for edge_ks in itertools.product(range(d), repeat=len(oriented)):
+        free = list(targets)
+        for (zero, inf), k in zip(oriented, edge_ks):
+            free[zero] -= k
+            free[inf] += k
         per_vertex = []
         for vi in range(nv):
             labels = legs_at[vi]
-            g_v, b_v = genera[vi], degrees[vi]
             if not labels:
-                if not check_compatibility(model, g_v, b_v, he_mults[vi]):
+                if free[vi] % d:
                     break
                 per_vertex.append([()])
                 continue
             # the legs both shift the point count and add their own
-            # multiplicities, so solve for the last one
-            options = []
-            for head in itertools.product(range(d), repeat=len(labels) - 1):
-                head_m = [Frac(k, d) for k in head]
-                last = solve_last_multiplicity(model, g_v, b_v, he_mults[vi] + head_m)
-                options.append(tuple(zip(labels, head_m + [last])))
-            per_vertex.append(options)
-        if len(per_vertex) < nv:  # a legless vertex is not integral
-            continue
-        for leg_choice in itertools.product(*per_vertex):
-            vertices = tuple(
-                Vertex(genera[vi], degrees[vi], leg_choice[vi], 0, levels[vi])
-                for vi in range(nv)
+            # residues, so the last one takes what the others leave
+            per_vertex.append(
+                [
+                    head + ((free[vi] - sum(head)) % d,)
+                    for head in itertools.product(range(d), repeat=len(labels) - 1)
+                ]
             )
-            graph = LocGraph(vertices, tuple(edges))
-            if any(
-                classify_vertex(model, graph, vi, epsilon) is None
-                for vi in range(nv)
-            ):
-                continue
-            if validate(model, graph):
-                continue
-            found.setdefault(canonical_key(graph), graph)
+        else:  # every legless vertex met its congruence
+            edges = tuple(
+                Edge(ends, (Frac(k, d), Frac(-k % d, d)), dd)
+                for ends, dd, k in zip(oriented, deltas, edge_ks)
+            )
+            for leg_ks in itertools.product(*per_vertex):
+                vertices = tuple(
+                    Vertex(
+                        genera[vi],
+                        degrees[vi],
+                        tuple((l, Frac(k, d)) for l, k in zip(labels, ks)),
+                        0,
+                        levels[vi],
+                    )
+                    for vi, (labels, ks) in enumerate(zip(legs_at, leg_ks))
+                )
+                graph = LocGraph(vertices, edges)
+                key = canonical_key(graph)
+                if key in found or key in rejected:
+                    continue
+                if validate(model, graph):
+                    rejected.add(key)
+                else:
+                    found[key] = graph
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +858,15 @@ def minimal_expansions(model, graph):
     vb = graph.v_bullet
     center = graph.vertices[vb]
     out = {}
+    # a step changes only vb and the vertex it splits off; every other
+    # vertex keeps its half-edges, so it is tested once here
+    others = [vi for vi in range(len(graph.vertices)) if vi != vb]
+    if not all(_vertex_ok(model, graph, vi) for vi in others):
+        return []
 
-    def consider(candidate):
-        for i in range(len(candidate.vertices)):
-            if _vertex_defect(model, candidate, i).denominator != 1:
-                return
-        if not infinity_stable_graph(model, candidate):
-            return
-        out.setdefault(canonical_key(candidate), candidate)
+    def consider(candidate, touched):
+        if all(_vertex_ok(model, candidate, vi) for vi in touched):
+            out.setdefault(canonical_key(candidate), candidate)
 
     # trade one unit of genus for a loop
     if center.genus >= 1:
@@ -825,7 +877,7 @@ def minimal_expansions(model, graph):
                 center.genus - 1, center.degree, center.legs, 0, center.level
             )
             loop = Edge((vb, vb), (m, frac_bracket(-m)), None)
-            consider(DualGraph(tuple(vertices), graph.edges + (loop,), vb))
+            consider(DualGraph(tuple(vertices), graph.edges + (loop,), vb), (vb,))
     # split the distinguished vertex in two
     slots = [
         (ei, side)
@@ -885,7 +937,8 @@ def minimal_expansions(model, graph):
                                 tuple(vertices),
                                 tuple(edges),
                                 vb if bullet_first else new_index,
-                            )
+                            ),
+                            (vb, new_index),
                         )
     return list(out.values())
 

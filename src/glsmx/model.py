@@ -115,6 +115,15 @@ def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
     return frac_bracket(defect)
 
 
+def compat_residue(model: GlsmModel, genus: int, n: int, beta) -> int:
+    """d times the gauge-bundle degree, reduced mod d: multiplicities k_i/d
+    at n markings are compatible iff the k_i sum to it mod d."""
+    k = line_bundle_degree(model, genus, n, beta) * model.d
+    if k.denominator != 1:
+        raise ConfigError(f"degree {beta} has no residue mod {model.d}")
+    return int(k) % model.d
+
+
 def _compat_defect(model, genus, beta, mults):
     """Gauge-bundle degree minus the multiplicities (the marking count is
     len(mults)).  Callers only test it for integrality or reduce it mod 1,

@@ -23,6 +23,9 @@ QUINTIC = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
 QUINTIC_25 = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 5))
 QUINTIC_23 = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 3))
 QUINTIC_GEO_25 = GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC, Frac(2, 5))
+MIXED_27 = GlsmModel((1, 1, 2, 2), 2, 4, LG, Frac(2, 7))
+MIXED = GlsmModel((1, 1, 2, 2), 2, 4, LG)
+GEO_11 = GlsmModel((1, 1), 2, 2, GEOMETRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +382,16 @@ def test_enumerate_remark_basepoint_bound():
         (QUINTIC_23, True, 0, 0, 2, 1),
         (QUINTIC_GEO_25, False, 0, 1, 0, 1),
         (QUINTIC_GEO_25, False, 0, 0, 2, 2),
+        # d = 4 and d = 2, in a finite and in the infinity chamber
+        (MIXED_27, True, 0, 2, 1, 1),
+        (MIXED_27, True, 0, 0, 2, 2),
+        (MIXED_27, True, 0, 1, 1, 2),
+        (MIXED, True, 0, 2, 1, 1),
+        (MIXED, True, 0, 0, 2, 2),
+        (MIXED, True, 0, 1, 1, 2),
+        (GEO_11, False, 0, 2, 1, 1),
+        (GEO_11, False, 0, 0, 2, 2),
+        (GEO_11, False, 0, 1, 1, 2),
     ],
 )
 def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):

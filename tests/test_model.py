@@ -14,6 +14,7 @@ from glsmx.model import (
     OrbiBundleData,
     check_compatibility,
     choose_delta,
+    compat_residue,
     euler_char,
     frac_bracket,
     graph_multiplicities,
@@ -145,6 +146,36 @@ def test_solve_last_actually_solves(g, beta, ks):
         mults = tuple(Frac(k, 5) for k in ks)
         last = solve_last_multiplicity(m, g, beta, mults)
         assert check_compatibility(m, g, beta, mults + (last,))
+
+
+RESIDUE_MODELS = (
+    GlsmModel((1, 1, 1, 1, 1), 1, 5, LG),
+    GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC),
+    GlsmModel((1, 1, 2, 2), 2, 4, LG),
+    GlsmModel((1, 1), 2, 2, GEOMETRIC),
+)
+
+
+@given(
+    st.sampled_from(RESIDUE_MODELS),
+    st.integers(0, 2),
+    st.integers(0, 6),
+    st.lists(st.integers(-6, 12), max_size=4),
+)
+def test_compat_residue_matches_fraction_path(model, g, beta, ks):
+    # numerators are drawn outside 0..d-1 too: only k mod d may matter
+    d = model.d
+    mults = tuple(Frac(k, d) for k in ks)
+    target = compat_residue(model, g, len(ks), beta)
+    assert 0 <= target < d
+    assert ((sum(ks) - target) % d == 0) == check_compatibility(model, g, beta, mults)
+    last = (compat_residue(model, g, len(ks) + 1, beta) - sum(ks)) % d
+    assert last == d * solve_last_multiplicity(model, g, beta, mults)
+
+
+def test_compat_residue_needs_a_residue():
+    with pytest.raises(ConfigError):
+        compat_residue(quintic_geom(), 0, 1, Frac(7, 5) + Frac(1, 25))
 
 
 # -- graph multiplicities -----------------------------------------------------

@@ -24,6 +24,7 @@ CENSUS_MODEL = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg", "epsi
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
 QUINTIC_GEOM = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "geometric"}
 MIXED_LG = {"weights": [1, 1, 2, 2], "N": 2, "d": 4, "phase": "lg"}
+GEOM_11 = {"weights": [1, 1], "N": 2, "d": 2, "phase": "geometric"}
 
 
 def _sha(text):
@@ -39,9 +40,13 @@ def _sha(text):
     ],
 )
 def test_graphs_report_bytes(key, digest):
+    assert _sha(_graphs_report(CENSUS_MODEL, key)) == digest
+
+
+def _graphs_report(model, key):
     genus, markings, degree, edge_degree = key
     config = {
-        "model": CENSUS_MODEL,
+        "model": model,
         "graphs": {
             "genus": genus,
             "markings": markings,
@@ -49,7 +54,36 @@ def test_graphs_report_bytes(key, digest):
             "edge_degree": edge_degree,
         },
     }
-    assert _sha(json.dumps(run("graphs", config), indent=2)) == digest
+    return json.dumps(run("graphs", config), indent=2)
+
+
+# the geometric phase (residue target 0), d = 4 and d = 2, and the infinity
+# chamber, where a level-zero vertex may not be a basepoint
+@pytest.mark.parametrize(
+    "model, key, digest",
+    [
+        (dict(QUINTIC_GEOM, epsilon="2/5"), (0, 1, 1, 2),
+         "359d82e7cd2125ebc787f3c6e2985eb63fa1af00b18e6b65dee2afeb3cb2a712"),
+        (dict(QUINTIC_GEOM, epsilon="2/5"), (1, 1, 1, 2),
+         "5bdb1c01b7f47d213fa5433435fb1d898b748d3b33d647bad98bf4720dea0128"),
+        (dict(QUINTIC_GEOM, epsilon="2/5"), (0, 2, 0, 2),
+         "9e16adf06288f6223482074949042621a81ce66223ac8a6f10df742c515c8b64"),
+        (dict(MIXED_LG, epsilon="2/7"), (0, 2, 1, 1),
+         "6c6692a7460a6100a45f6864a547d49eecab9bc042ac249abe184a143ea1804f"),
+        (dict(MIXED_LG, epsilon="2/7"), (1, 1, 1, 2),
+         "d65b8d23867c12d348ced15094c82106d6cce70d2feda6a8755f89e1f278469e"),
+        (dict(MIXED_LG, epsilon="2/7"), (0, 1, 2, 2),
+         "e9e7c047a8a083edee152f5e0fa41677cc93c18228adda06cff4e0fe18052030"),
+        (GEOM_11, (0, 2, 1, 1),
+         "361da0673e1e1ef19430f54d8eacaed827cb8dd6da3e75a53183537379145c02"),
+        (GEOM_11, (1, 1, 1, 2),
+         "205e60331297318bfa54b947694ba0867a64993964a0c1f991c1204950280607"),
+        (GEOM_11, (0, 0, 2, 2),
+         "68461cb836ea1044bbb809d0d1895d5f20e0e78e01f5ea5ae9e1a1e7ed275829"),
+    ],
+)
+def test_graphs_report_bytes_other_phases(model, key, digest):
+    assert _sha(_graphs_report(model, key)) == digest
 
 
 def test_descending_chain_bytes():
