@@ -28,6 +28,7 @@ from glsmx.algebra import (
 )
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
+    _fixed_graphs,
     comb_dressing,
     comb_three_point,
     hyperplane_class,
@@ -44,7 +45,7 @@ from glsmx.p1series import (
     tree_series_eps,
     unit_class,
 )
-from glsmx.graphs import LEVEL_INF, LEVEL_ZERO
+from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, canonical_key
 
 ONE = unit_class()
 HYP = hyperplane_class()
@@ -158,6 +159,34 @@ def test_dimension_matched_descendants_are_constant():
 
 
 # ---------------------------------------------------------------------------
+# fixed loci of maps to the line, up to isomorphism
+
+# classes of n-pointed, covering-degree-delta fixed trees
+POINT_CLASS_COUNTS = {
+    (0, 1): 1,
+    (0, 2): 3,
+    (1, 1): 2,
+    (1, 2): 6,
+    (2, 1): 4,
+    (2, 2): 14,
+    (3, 0): 2,
+    (3, 1): 8,
+    (3, 2): 36,
+    (3, 3): 156,
+    (4, 0): 2,
+    (4, 1): 16,
+    (4, 2): 98,
+}
+
+
+@pytest.mark.parametrize("n,delta", sorted(POINT_CLASS_COUNTS))
+def test_fixed_locus_class_counts(n, delta):
+    graphs = _fixed_graphs(n, delta)
+    assert len(graphs) == POINT_CLASS_COUNTS[(n, delta)]
+    assert len({canonical_key(g) for g in graphs}) == len(graphs)
+
+
+# ---------------------------------------------------------------------------
 # fixed-graph sums against the labeled-tree oracle
 
 ORACLE_CASES = [
@@ -176,6 +205,8 @@ ORACLE_CASES = [
     (3, 2, (("hyp", 0), ("hyp", 0), ("hyp", 0))),
     (1, 3, (("hyp", 2),)),
     (4, 1, (("one", 0), ("one", 0), ("hyp", 1), ("inf_pt", 0))),
+    (5, 1, (("hyp", 0), ("hyp", 0), ("hyp", 1), ("inf_pt", 1), ("one", 0))),
+    (5, 2, (("hyp", 1), ("hyp", 0), ("inf_pt", 1), ("one", 0), ("hyp", 2))),
 ]
 
 
