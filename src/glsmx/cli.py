@@ -463,7 +463,7 @@ def _cmd_jwc(config, trunc):
     epsilon_1 = _parse_frac(params.get("epsilon_1"), "jwc.epsilon_1")
     epsilon_2 = _parse_frac(params.get("epsilon_2"), "jwc.epsilon_2")
     q_max = _parse_int(params.get("q_max", trunc["q_max"]), "jwc.q_max")
-    out = jfun.jwc_check(model, epsilon_1, epsilon_2, q_max, strict=False)
+    out = jfun.jwc_check(model, epsilon_1, epsilon_2, q_max)
     inputs = {
         "model": _model_echo(model),
         "epsilon_1": str(epsilon_1),

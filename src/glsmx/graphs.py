@@ -326,23 +326,17 @@ def validate(model, graph):
     return out
 
 
-def _vertex_ok(model, graph, vi):
-    """Integral multiplicity defect and infinity-chamber stability at vi,
-    extra legs counted."""
+def _infinity_stable(graph, vi):
+    """Stability of vertex vi in the infinity chamber, extra legs counted."""
     v = graph.vertices[vi]
-    return _vertex_defect(model, graph, vi).denominator == 1 and epsilon_stable(
+    return epsilon_stable(
         v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None
     )
 
 
 def infinity_stable_graph(model, graph):
     """Vertex-wise stability in the infinity chamber, extra legs counted."""
-    return all(
-        epsilon_stable(
-            v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None
-        )
-        for vi, v in enumerate(graph.vertices)
-    )
+    return all(_infinity_stable(graph, vi) for vi in range(len(graph.vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +659,12 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
         raise BoundsExceeded("enumeration caps: g<=2, n<=4, beta<=6, delta<=4")
     if min(g, n, beta, delta) < 0:
         raise ConfigError("negative input")
+    return _enumerate_loc_graphs(model, g, n, beta, delta)
+
+
+def _enumerate_loc_graphs(model, g, n, beta, delta):
+    """enumerate_loc_graphs without its caps, for a caller that checks its
+    own."""
     found = {}
     rejected = set()
     ne_options = range(1, delta + 1) if delta else (0,)
@@ -858,14 +858,19 @@ def minimal_expansions(model, graph):
     vb = graph.v_bullet
     center = graph.vertices[vb]
     out = {}
-    # a step changes only vb and the vertex it splits off; every other
-    # vertex keeps its half-edges, so it is tested once here
-    others = [vi for vi in range(len(graph.vertices)) if vi != vb]
-    if not all(_vertex_ok(model, graph, vi) for vi in others):
+    nv = len(graph.vertices)
+    # no step changes whether a defect is integral: the two sides of a new
+    # edge or loop sum to an integer, and the halves of vb split its genus,
+    # degree and markings, so their defects add up to vb's mod 1.  So every
+    # defect is tested once here, and the stability of every vertex a step
+    # leaves alone; per candidate only the touched vertices' stability
+    if any(_vertex_defect(model, graph, vi).denominator != 1 for vi in range(nv)):
+        return []
+    if not all(_infinity_stable(graph, vi) for vi in range(nv) if vi != vb):
         return []
 
     def consider(candidate, touched):
-        if all(_vertex_ok(model, candidate, vi) for vi in touched):
+        if all(_infinity_stable(candidate, vi) for vi in touched):
             out.setdefault(canonical_key(candidate), candidate)
 
     # trade one unit of genus for a loop

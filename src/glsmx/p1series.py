@@ -11,9 +11,9 @@ lives.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from itertools import product
 from math import factorial, prod
 
 from .algebra import (
@@ -31,13 +31,10 @@ from .errors import BoundsExceeded, ConfigError, IdentityFailed
 from .graphs import (
     LEVEL_INF,
     LEVEL_ZERO,
-    Edge,
     LocGraph,
-    Vertex,
-    _bipartition,
     _compositions,
+    _enumerate_loc_graphs,
     aut_degree,
-    canonical_key,
 )
 from .model import GEOMETRIC, GlsmModel
 
@@ -46,8 +43,10 @@ DELTA_CAP = 3
 Y_ORDER_CAP = 12
 Z_ORDER_CAP = 16
 
-# bookkeeping target for aut_degree: one field of weight one, so every
-# isotropy order is 1 and only the automorphism count matters
+# the census model whose genus-zero, degree-zero fixed loci are the fixed
+# loci of maps to the line: one field of weight one and d = 1, so every
+# multiplicity is 0, every isotropy order is 1, and aut_degree counts only
+# automorphisms
 _POINT_MODEL = GlsmModel((1,), 1, 1, GEOMETRIC)
 
 
@@ -140,71 +139,12 @@ def _edge_factor(d: int) -> RatFun:
     return RatFun(Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)) / LAM ** (2 * d)
 
 
-def _prufer_edges(nv: int, seq) -> tuple:
-    deg = [1] * nv
-    for s in seq:
-        deg[s] += 1
-    edges = []
-    for s in seq:
-        leaf = next(i for i in range(nv) if deg[i] == 1)
-        edges.append((min(leaf, s), max(leaf, s)))
-        deg[leaf] -= 1
-        deg[s] -= 1
-    a, b = (i for i in range(nv) if deg[i] == 1)
-    edges.append((a, b))
-    return tuple(edges)
-
-
-def _tree_shapes(nv: int):
-    if nv == 2:
-        yield ((0, 1),)
-        return
-    for seq in product(range(nv), repeat=nv - 2):
-        yield _prufer_edges(nv, seq)
-
-
-def _fixed_graphs(n: int, delta: int) -> list:
-    """Fixed-locus trees for n-pointed degree-delta maps, up to isomorphism."""
-    seen = {}
-
-    def keep(vertices, edges):
-        g = LocGraph(tuple(vertices), tuple(edges))
-        key = canonical_key(g)
-        if key not in seen:
-            seen[key] = g
-
-    if delta == 0:
-        legs = tuple((i + 1, Frac(0)) for i in range(n))
-        for level in (LEVEL_ZERO, LEVEL_INF):
-            keep([Vertex(0, 0, legs, 0, level)], [])
-        return list(seen.values())
-    for nv in range(2, delta + 2):
-        for shape in _tree_shapes(nv):
-            side = _bipartition(nv, shape)
-            for flip in (0, 1):
-                levels = [LEVEL_ZERO if s ^ flip == 0 else LEVEL_INF for s in side]
-                for degs in _compositions(delta, len(shape), 1):
-                    edges = [
-                        Edge(ends, (Frac(0), Frac(0)), d)
-                        for ends, d in zip(shape, degs)
-                    ]
-                    for marks in product(range(nv), repeat=n):
-                        vertices = [
-                            Vertex(
-                                0,
-                                0,
-                                tuple(
-                                    (i + 1, Frac(0))
-                                    for i in range(n)
-                                    if marks[i] == v
-                                ),
-                                0,
-                                levels[v],
-                            )
-                            for v in range(nv)
-                        ]
-                        keep(vertices, edges)
-    return list(seen.values())
+@functools.lru_cache(maxsize=None)
+def _fixed_graphs(n: int, delta: int) -> tuple:
+    """Fixed-locus trees for n-pointed degree-delta maps, up to isomorphism:
+    the census of the point model at genus zero and degree zero.  The caps
+    on n and delta bound the cache."""
+    return tuple(_enumerate_loc_graphs(_POINT_MODEL, 0, n, 0, delta))
 
 
 def _vertex_weight(graph: LocGraph, vi: int, insertions) -> RatFun:

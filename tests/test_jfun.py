@@ -30,7 +30,6 @@ from glsmx.errors import (
     BoundsExceeded,
     ConfigError,
     DegreeViolation,
-    IdentityFailed,
     InconsistentOrbData,
     OnWall,
     OutOfUnstableRange,
@@ -579,9 +578,7 @@ def test_jwc_detects_corruption(monkeypatch):
         return table
 
     monkeypatch.setattr(jfun, "mu_table", crooked)
-    with pytest.raises(IdentityFailed):
-        jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), 3)
-    report = jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), 3, strict=False)
+    report = jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), 3)
     assert report["passed"] is False
     assert any(c["status"] == "fail" and c["first_failure"] for c in report["checks"])
 
@@ -595,7 +592,7 @@ def test_chamber_entry_points_reject_walls():
     with pytest.raises(OnWall):
         mu_table(QUINTIC_LG, Frac(1, 2))
     with pytest.raises(OnWall):
-        jwc_check(QUINTIC_LG, Frac(2, 3), Frac(1, 3), 4, strict=False)
+        jwc_check(QUINTIC_LG, Frac(2, 3), Frac(1, 3), 4)
     with pytest.raises(OnWall):
         edge_contribution(QUINTIC_LG, 2, 1, Frac(1, 2), False)
 
