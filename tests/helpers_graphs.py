@@ -230,3 +230,42 @@ def _as_nx(nv, shape, levels, ems, ds, gs, bs, legv, legms):
             m0, mi = kb, ka
         G.add_edge(a, b, dd=dd, m0=m0, mi=mi)
     return G
+
+
+def brute_aut_count(verts, edges, bullet=None):
+    """Automorphisms of a decorated multigraph, counted by brute force.
+
+    verts is a list of hashable vertex decorations; edges is a list of
+    (a, b, m_a, m_b, delta) with m_a the multiplicity on a's side.  An
+    automorphism is a vertex permutation that keeps every decoration and the
+    distinguished vertex, together with a bijection of half-edges that keeps
+    edges, their multiplicities and degrees; a loop with equal sides can be
+    turned over.  Every vertex permutation is tried, and every edge bijection
+    is counted by backtracking, so nothing here shares code with the
+    production canonical form.
+    """
+    nv = len(verts)
+    total = 0
+    for perm in itertools.permutations(range(nv)):
+        if any(verts[perm[v]] != verts[v] for v in range(nv)):
+            continue
+        if bullet is not None and perm[bullet] != bullet:
+            continue
+        total += _edge_bijections(perm, edges, 0, frozenset())
+    return total
+
+
+def _edge_bijections(perm, edges, i, used):
+    if i == len(edges):
+        return 1
+    a, b, ma, mb, dd = edges[i]
+    image = (perm[a], perm[b], ma, mb, dd)
+    count = 0
+    for j, (c, e, mc, me, dj) in enumerate(edges):
+        if j in used:
+            continue
+        # the edge may land on edge j either way round
+        ways = ((c, e, mc, me, dj) == image) + ((e, c, me, mc, dj) == image)
+        if ways:
+            count += ways * _edge_bijections(perm, edges, i + 1, used | {j})
+    return count

@@ -9,7 +9,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers_graphs import brute_loc_graphs
+from helpers_graphs import brute_aut_count, brute_loc_graphs
 from glsmx import graphs as G
 from glsmx.errors import (
     BoundsExceeded,
@@ -516,6 +516,182 @@ def test_isomorphic_under_relabeling():
     assert G.isomorphic(a, b)
     assert G.canonical_key(a) == G.canonical_key(b)
     assert G.aut_degree(QUINTIC, a) == G.aut_degree(QUINTIC, b)
+
+
+# property checks of the canonical key and the automorphism count on random
+# small graphs: loops and parallel edges included, multiplicities on the
+# 1/10 grid so halves and fifths mix
+_D10 = GlsmModel((1,), 1, 10, LG)
+_GRID = [Frac(0), Frac(1, 2), Frac(1, 5), Frac(3, 10), Frac(4, 5)]
+
+
+@st.composite
+def _random_graph(draw, loc):
+    nv = draw(st.integers(1, 4))
+    levels = [
+        draw(st.sampled_from([G.LEVEL_ZERO, G.LEVEL_INF])) if loc else None
+        for _ in range(nv)
+    ]
+    legs = [[] for _ in range(nv)]
+    for label in range(1, draw(st.integers(0, 3)) + 1):
+        legs[draw(st.integers(0, nv - 1))].append((label, draw(st.sampled_from(_GRID))))
+    vertices = tuple(
+        G.Vertex(
+            draw(st.integers(0, 1)),
+            draw(st.integers(0, 1)),
+            tuple(legs[vi]),
+            0 if loc else draw(st.integers(0, 1)),
+            levels[vi],
+        )
+        for vi in range(nv)
+    )
+    # fixed-locus edges join the two levels; dual graphs may have loops
+    pairs = [
+        (a, b)
+        for a in range(nv)
+        for b in range(a if not loc else a + 1, nv)
+        if not loc or levels[a] != levels[b]
+    ]
+    edges = ()
+    if pairs:
+        edges = tuple(
+            G.Edge(
+                draw(st.sampled_from(pairs)),
+                (draw(st.sampled_from(_GRID)), draw(st.sampled_from(_GRID))),
+                draw(st.integers(1, 2)) if loc else None,
+            )
+            for _ in range(draw(st.integers(0, 5)))
+        )
+    if loc:
+        return G.LocGraph(vertices, edges)
+    bullet = draw(st.one_of(st.none(), st.integers(0, nv - 1)))
+    return G.DualGraph(vertices, edges, bullet)
+
+
+@st.composite
+def _relabelled(draw, graph):
+    """The graph with its vertices permuted, its edges reordered and some
+    edges turned over."""
+    nv, ne = len(graph.vertices), len(graph.edges)
+    perm = draw(st.permutations(range(nv)))  # old vertex i becomes perm[i]
+    vertices = [None] * nv
+    for old, new in enumerate(perm):
+        vertices[new] = graph.vertices[old]
+    edges = []
+    for ei in draw(st.permutations(range(ne))):
+        e = graph.edges[ei]
+        ends, mults = (perm[e.ends[0]], perm[e.ends[1]]), e.mults
+        if draw(st.booleans()):
+            ends, mults = ends[::-1], mults[::-1]
+        edges.append(G.Edge(ends, mults, e.delta))
+    if isinstance(graph, G.LocGraph):
+        return G.LocGraph(tuple(vertices), tuple(edges))
+    bullet = None if graph.v_bullet is None else perm[graph.v_bullet]
+    return G.DualGraph(tuple(vertices), tuple(edges), bullet)
+
+
+def _factor_is_invariant(graph):
+    # aut_degree counts one half-edge at a pointlike two-valent vertex of a
+    # fixed-locus graph; which one depends on labels unless both sides carry
+    # the same isotropy, as they do on every valid graph
+    if isinstance(graph, G.DualGraph):
+        return True
+    for vi, v in enumerate(graph.vertices):
+        he = G.half_edges_at(graph, vi)
+        if v.genus == 0 and v.degree == 0 and not v.legs and len(he) == 2:
+            sides = [graph.edges[ei].mults[s] for ei, s in he]
+            if isotropy_order(10, sides[0]) != isotropy_order(10, sides[1]):
+                return False
+    return True
+
+
+def _brute_aut(graph):
+    verts = [(v.genus, v.degree, tuple(sorted(v.legs)), v.extra_legs, v.level)
+             for v in graph.vertices]
+    edges = [(e.ends[0], e.ends[1], e.mults[0], e.mults[1], e.delta)
+             for e in graph.edges]
+    return brute_aut_count(verts, edges, getattr(graph, "v_bullet", None))
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_key_and_aut_invariant_under_relabelling(data, loc):
+    graph = data.draw(_random_graph(loc))
+    other = data.draw(_relabelled(graph))
+    assert G.canonical_key(other) == G.canonical_key(graph)
+    assert G.isomorphic(other, graph)
+    aut, factor = G.aut_degree(_D10, graph)
+    aut2, factor2 = G.aut_degree(_D10, other)
+    assert aut2 == aut
+    if _factor_is_invariant(graph):
+        assert factor2 == factor
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_aut_count_matches_brute_force(data, loc):
+    graph = data.draw(_random_graph(loc))
+    assert G.aut_degree(_D10, graph)[0] == _brute_aut(graph)
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_changing_one_multiplicity_changes_the_key(data, loc):
+    # the multiset of (label, multiplicity) legs and of edge-side
+    # multiplicities is an isomorphism invariant, so no relabelling can undo
+    # the change
+    graph = data.draw(_random_graph(loc))
+    slots = [("leg", vi, i) for vi, v in enumerate(graph.vertices) for i in range(len(v.legs))]
+    slots += [("edge", ei, s) for ei in range(len(graph.edges)) for s in (0, 1)]
+    if not slots:
+        return
+    kind, where, which = data.draw(st.sampled_from(slots))
+    vertices, edges = list(graph.vertices), list(graph.edges)
+    if kind == "leg":
+        v = vertices[where]
+        label, old = v.legs[which]
+        new = data.draw(st.sampled_from([m for m in _GRID if m != old]))
+        legs = list(v.legs)
+        legs[which] = (label, new)
+        vertices[where] = G.Vertex(v.genus, v.degree, tuple(legs), v.extra_legs, v.level)
+    else:
+        e = edges[where]
+        new = data.draw(st.sampled_from([m for m in _GRID if m != e.mults[which]]))
+        mults = list(e.mults)
+        mults[which] = new
+        edges[where] = G.Edge(e.ends, tuple(mults), e.delta)
+    changed = type(graph)(tuple(vertices), tuple(edges), *(
+        () if isinstance(graph, G.LocGraph) else (graph.v_bullet,)
+    ))
+    assert G.canonical_key(changed) != G.canonical_key(graph)
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=100)
+def test_half_and_fifth_edges_never_share_a_key(data, loc):
+    # every other multiplicity is zero, so the two graphs differ only in
+    # the denominator of one edge side
+    graph = data.draw(_random_graph(loc))
+    if not graph.edges:
+        return
+    vertices = tuple(
+        G.Vertex(v.genus, v.degree, tuple((l, Frac(0)) for l, _ in v.legs),
+                 v.extra_legs, v.level)
+        for v in graph.vertices
+    )
+    ei = data.draw(st.integers(0, len(graph.edges) - 1))
+    side = data.draw(st.integers(0, 1))
+    keys = []
+    for m in (Frac(1, 2), Frac(data.draw(st.integers(1, 4)), 5)):
+        edges = [G.Edge(e.ends, (Frac(0), Frac(0)), e.delta) for e in graph.edges]
+        mults = [Frac(0), Frac(0)]
+        mults[side] = m
+        edges[ei] = G.Edge(edges[ei].ends, tuple(mults), edges[ei].delta)
+        if isinstance(graph, G.LocGraph):
+            keys.append(G.canonical_key(G.LocGraph(vertices, tuple(edges))))
+        else:
+            keys.append(G.canonical_key(G.DualGraph(vertices, tuple(edges), graph.v_bullet)))
+    assert keys[0] != keys[1]
 
 
 # ---------------------------------------------------------------------------
