@@ -527,24 +527,29 @@ _GRID = [Frac(0), Frac(1, 2), Frac(1, 5), Frac(3, 10), Frac(4, 5)]
 
 @st.composite
 def _random_graph(draw, loc):
+    # decorations and multiplicities come from small pools, so vertices and
+    # edges often look alike and automorphisms are common
     nv = draw(st.integers(1, 4))
+    shapes = draw(
+        st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 0 if loc else 1)),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    pool = draw(st.lists(st.sampled_from(_GRID), min_size=1, max_size=3))
     levels = [
         draw(st.sampled_from([G.LEVEL_ZERO, G.LEVEL_INF])) if loc else None
         for _ in range(nv)
     ]
     legs = [[] for _ in range(nv)]
-    for label in range(1, draw(st.integers(0, 3)) + 1):
-        legs[draw(st.integers(0, nv - 1))].append((label, draw(st.sampled_from(_GRID))))
-    vertices = tuple(
-        G.Vertex(
-            draw(st.integers(0, 1)),
-            draw(st.integers(0, 1)),
-            tuple(legs[vi]),
-            0 if loc else draw(st.integers(0, 1)),
-            levels[vi],
-        )
-        for vi in range(nv)
-    )
+    for label in range(1, draw(st.integers(0, 2)) + 1):
+        legs[draw(st.integers(0, nv - 1))].append((label, draw(st.sampled_from(pool))))
+    vertices = []
+    for vi in range(nv):
+        genus, degree, extra = draw(st.sampled_from(shapes))
+        vertices.append(G.Vertex(genus, degree, tuple(legs[vi]), extra, levels[vi]))
+    vertices = tuple(vertices)
     # fixed-locus edges join the two levels; dual graphs may have loops
     pairs = [
         (a, b)
@@ -557,7 +562,7 @@ def _random_graph(draw, loc):
         edges = tuple(
             G.Edge(
                 draw(st.sampled_from(pairs)),
-                (draw(st.sampled_from(_GRID)), draw(st.sampled_from(_GRID))),
+                (draw(st.sampled_from(pool)), draw(st.sampled_from(pool))),
                 draw(st.integers(1, 2)) if loc else None,
             )
             for _ in range(draw(st.integers(0, 5)))
