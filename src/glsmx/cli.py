@@ -343,6 +343,11 @@ def _cmd_order(config, trunc):
     params = _params(config, "order")
     a = _graph_from_params(params, "a")
     b = _graph_from_params(params, "b")
+    for key, graph in (("a", a), ("b", b)):
+        if isinstance(graph, gr.LocGraph):
+            raise ConfigError(
+                f"cannot read {key!r}: a fixed-locus graph has no distinguished vertex"
+            )
     inputs = {
         "model": _model_echo(model),
         "a": gr.graph_to_obj(a),

@@ -22,7 +22,6 @@ from .model import (
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    solve_last_multiplicity,
 )
 
 LEVEL_ZERO = "0"
@@ -343,59 +342,90 @@ def infinity_stable_graph(model, graph):
 # canonical form, isomorphism, automorphisms
 
 
-def _base_key(v):
-    return (
-        v.genus,
-        v.degree,
-        v.extra_legs,
-        v.level or "",
-        tuple(sorted(v.legs)),
-    )
+# One canonical form on plain int tuples.  A vertex is (genus, degree,
+# extra_legs, level, legs) with the legs as sorted (label, k) pairs; an edge
+# is (a, b, k_a, k_b, delta) with k_a on a's side and delta 0 for none.  A
+# multiplicity m enters as k = m * scale for one scale per graph, so no
+# Fraction is hashed or compared while vertex orders are searched.
 
 
-def _vertex_class_key(graph, vi):
-    inc = sorted(
-        (
-            graph.edges[ei].delta or 0,
-            graph.edges[ei].mults[side],
-            graph.edges[ei].mults[1 - side],
-            _base_key(graph.vertices[graph.edges[ei].ends[1 - side]]),
-        )
-        for ei, side in half_edges_at(graph, vi)
-    )
-    return (_base_key(graph.vertices[vi]), tuple(inc))
-
-
-def _class_orders(graph):
-    """Vertex orderings compatible with isomorphism-invariant classes; any
-    isomorphism permutes vertices only within a class."""
-    keys = [_vertex_class_key(graph, vi) for vi in range(len(graph.vertices))]
+def _least_form(verts, edges, bullet=None):
+    """Least serialization of an int-tuple graph over the vertex orders
+    that keep isomorphism-invariant classes together, and the number of
+    orders that reach it.  An isomorphism permutes vertices only within a
+    class, so the least form is a total invariant, and the orders reaching
+    it are a coset of the automorphism group."""
+    incidences = [[] for _ in verts]
+    for a, b, ka, kb, dd in edges:
+        incidences[a].append((dd, ka, kb, verts[b]))
+        incidences[b].append((dd, kb, ka, verts[a]))
     groups = {}
-    for vi, k in enumerate(keys):
-        groups.setdefault(k, []).append(vi)
+    for vi, (v, inc) in enumerate(zip(verts, incidences)):
+        inc.sort()
+        groups.setdefault((v, tuple(inc)), []).append(vi)
     blocks = [groups[k] for k in sorted(groups)]
+    pos = [0] * len(verts)
+    best, ties = None, 0
     for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        yield tuple(itertools.chain.from_iterable(choice))
+        order = tuple(itertools.chain.from_iterable(choice))
+        for new, old in enumerate(order):
+            pos[old] = new
+        serial = []
+        for a, b, ka, kb, dd in edges:
+            sa, sb = (pos[a], ka), (pos[b], kb)
+            if sb < sa:
+                sa, sb = sb, sa
+            serial.append((sa[0], sb[0], dd, sa[1], sb[1]))
+        serial.sort()
+        form = (
+            tuple(verts[o] for o in order),
+            tuple(serial),
+            -1 if bullet is None else pos[bullet],
+        )
+        if best is None or form < best:
+            best, ties = form, 1
+        elif form == best:
+            ties += 1
+    return best, ties
 
 
-def _edge_key(e, pos):
-    a, b = e.ends
-    pa, pb = (pos[a], e.mults[0]), (pos[b], e.mults[1])
-    lo, hi = sorted([pa, pb])
-    return (lo[0], hi[0], e.delta or 0, lo[1], hi[1])
+def _scaled(m, scale):
+    return m.numerator * (scale // m.denominator)
 
 
-def _serialized(graph, order):
-    pos = {old: new for new, old in enumerate(order)}
-    verts = tuple(_base_key(graph.vertices[o]) for o in order)
-    edges = tuple(sorted(_edge_key(e, pos) for e in graph.edges))
-    bullet = getattr(graph, "v_bullet", None)
-    return (verts, edges, -1 if bullet is None else pos[bullet])
+def _scale(graph):
+    """The lcm of the denominators of a graph's multiplicities."""
+    return math.lcm(
+        *(m.denominator for v in graph.vertices for _, m in v.legs),
+        *(m.denominator for e in graph.edges for m in e.mults),
+    )
+
+
+def _int_form(graph, scale):
+    """(verts, edges) of a graph in the int form at the given scale."""
+    verts = [
+        (
+            v.genus,
+            v.degree,
+            v.extra_legs,
+            v.level or "",
+            tuple(sorted((label, _scaled(m, scale)) for label, m in v.legs)),
+        )
+        for v in graph.vertices
+    ]
+    edges = [
+        (*e.ends, _scaled(e.mults[0], scale), _scaled(e.mults[1], scale), e.delta or 0)
+        for e in graph.edges
+    ]
+    return verts, edges
 
 
 def canonical_key(graph):
-    """Total isomorphism invariant (brute force within vertex classes)."""
-    return min(_serialized(graph, order) for order in _class_orders(graph))
+    """Total isomorphism invariant: the least int form, with its scale so
+    that multiplicities 1/2 and 1/5 never share a key."""
+    scale = _scale(graph)
+    verts, edges = _int_form(graph, scale)
+    return scale, _least_form(verts, edges, getattr(graph, "v_bullet", None))[0]
 
 
 def isomorphic(a, b):
@@ -438,27 +468,16 @@ def aut_degree(model, graph):
     generic curve."""
     if len(graph.vertices) > 12:
         raise BoundsExceeded("automorphism search capped at 12 vertices")
-    id_pos = {i: i for i in range(len(graph.vertices))}
-    base_counts = {}
-    for e in graph.edges:
-        k = _edge_key(e, id_pos)
-        base_counts[k] = base_counts.get(k, 0) + 1
-    # orderings achieving the canonical serialization are exactly the coset
-    # of the automorphism group inside the class-preserving orderings
-    best = None
-    vertex_perms = 0
-    for order in _class_orders(graph):
-        s = _serialized(graph, order)
-        if best is None or s < best:
-            best, vertex_perms = s, 1
-        elif s == best:
-            vertex_perms += 1
-    edge_ways = 1
-    for c in base_counts.values():
-        edge_ways *= math.factorial(c)
-    sym_loops = sum(
-        1 for e in graph.edges if e.ends[0] == e.ends[1] and e.mults[0] == e.mults[1]
-    )
+    verts, edges = _int_form(graph, _scale(graph))
+    _, vertex_perms = _least_form(verts, edges, getattr(graph, "v_bullet", None))
+    # each vertex automorphism extends to the permutations of identical
+    # edges and the turning over of loops with equal sides
+    alike = {}
+    for a, b, ka, kb, dd in edges:
+        k = (min((a, ka), (b, kb)), max((a, ka), (b, kb)), dd)
+        alike[k] = alike.get(k, 0) + 1
+    edge_ways = math.prod(math.factorial(c) for c in alike.values())
+    sym_loops = sum(1 for a, b, ka, kb, _ in edges if a == b and ka == kb)
     aut = vertex_perms * edge_ways * 2**sym_loops
     factor = Frac(aut)
     for ei, side in _degree_half_edges(graph):
@@ -707,10 +726,12 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
 def _emit_candidates(
     model, structure, levels, deltas, genera, degrees, leg_dist, found, rejected
 ):
-    """Add every valid graph on one decorated structure to found, by
-    canonical key.  Multiplicities stay residues k of k/d until a residue
-    tuple is compatible at every vertex; keys that fail validate go to
-    rejected, so each isomorphism class is validated once."""
+    """Add every valid graph on one decorated structure to found, by its
+    least int form at scale d.  Multiplicities stay residues k of k/d; a
+    residue tuple compatible at every vertex is keyed as ints, and the
+    graph is built and validated only for a key not seen before.  Keys that
+    fail validate go to rejected, so each isomorphism class is validated
+    once."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -741,6 +762,7 @@ def _emit_candidates(
         compat_residue(model, genera[vi], he[vi] + len(legs_at[vi]), degrees[vi])
         for vi in range(nv)
     ]
+    bases = [(genera[vi], degrees[vi], 0, levels[vi]) for vi in range(nv)]
     for edge_ks in itertools.product(range(d), repeat=len(oriented)):
         free = list(targets)
         for (zero, inf), k in zip(oriented, edge_ks):
@@ -763,25 +785,30 @@ def _emit_candidates(
                 ]
             )
         else:  # every legless vertex met its congruence
-            edges = tuple(
-                Edge(ends, (Frac(k, d), Frac(-k % d, d)), dd)
-                for ends, dd, k in zip(oriented, deltas, edge_ks)
-            )
+            # key in ints at scale d: k -> k/d keeps order, so the keys
+            # sort as the Fraction multiplicities would
+            int_edges = [
+                (zero, inf, k, -k % d, dd)
+                for (zero, inf), dd, k in zip(oriented, deltas, edge_ks)
+            ]
             for leg_ks in itertools.product(*per_vertex):
-                vertices = tuple(
-                    Vertex(
-                        genera[vi],
-                        degrees[vi],
-                        tuple((l, Frac(k, d)) for l, k in zip(labels, ks)),
-                        0,
-                        levels[vi],
-                    )
-                    for vi, (labels, ks) in enumerate(zip(legs_at, leg_ks))
-                )
-                graph = LocGraph(vertices, edges)
-                key = canonical_key(graph)
+                verts = [
+                    base + (tuple(zip(labels, ks)),)
+                    for base, labels, ks in zip(bases, legs_at, leg_ks)
+                ]
+                key = _least_form(verts, int_edges)[0]
                 if key in found or key in rejected:
                     continue
+                graph = LocGraph(
+                    tuple(
+                        Vertex(g, b, tuple((l, Frac(k, d)) for l, k in legs), 0, lev)
+                        for g, b, _, lev, legs in verts
+                    ),
+                    tuple(
+                        Edge((zero, inf), (Frac(kz, d), Frac(ki, d)), dd)
+                        for zero, inf, kz, ki, dd in int_edges
+                    ),
+                )
                 if validate(model, graph):
                     rejected.add(key)
                 else:
@@ -857,7 +884,6 @@ def minimal_expansions(model, graph):
         raise ConfigError("partial order needs a distinguished vertex")
     vb = graph.v_bullet
     center = graph.vertices[vb]
-    out = {}
     nv = len(graph.vertices)
     # no step changes whether a defect is integral: the two sides of a new
     # edge or loop sum to an integer, and the halves of vb split its genus,
@@ -868,84 +894,100 @@ def minimal_expansions(model, graph):
         return []
     if not all(_infinity_stable(graph, vi) for vi in range(nv) if vi != vb):
         return []
-
-    def consider(candidate, touched):
-        if all(_infinity_stable(candidate, vi) for vi in touched):
-            out.setdefault(canonical_key(candidate), candidate)
-
-    # trade one unit of genus for a loop
-    if center.genus >= 1:
-        for km in range(model.d):
-            m = Frac(km, model.d)
-            vertices = list(graph.vertices)
-            vertices[vb] = Vertex(
-                center.genus - 1, center.degree, center.legs, 0, center.level
-            )
-            loop = Edge((vb, vb), (m, frac_bracket(-m)), None)
-            consider(DualGraph(tuple(vertices), graph.edges + (loop,), vb), (vb,))
-    # split the distinguished vertex in two
+    # candidates are keyed in the int form, at one scale that holds the 1/d
+    # grid and every input multiplicity; a DualGraph is built only for a key
+    # not seen before.  The touched vertices drop their extra legs.
+    d = model.d
+    scale = math.lcm(d, _scale(graph))
+    step = scale // d
+    verts, edges = _int_form(graph, scale)
+    level = verts[vb][3]
+    leg_ks = [_scaled(m, scale) for _, m in center.legs]
     slots = [
         (ei, side)
         for ei, e in enumerate(graph.edges)
         for side in (0, 1)
         if e.ends[side] == vb
     ]
-    new_index = len(graph.vertices)
+    out = {}
+
+    # trade one unit of genus for a loop
+    g0, n0 = center.genus - 1, len(center.legs) + len(slots) + 2
+    if g0 >= 0 and epsilon_stable(g0, center.degree, n0, None):
+        loop_verts = list(verts)
+        loop_verts[vb] = (g0, center.degree, 0, level, verts[vb][4])
+        for km in range(d):
+            k = km * step
+            key = _least_form(loop_verts, edges + [(vb, vb, k, -k % scale, 0)], vb)[0]
+            if key in out:
+                continue
+            m = Frac(km, d)
+            vertices = list(graph.vertices)
+            vertices[vb] = Vertex(g0, center.degree, center.legs, 0, center.level)
+            loop = Edge((vb, vb), (m, frac_bracket(-m)), None)
+            out[key] = DualGraph(tuple(vertices), graph.edges + (loop,), vb)
+    # split the distinguished vertex in two
+    new_index = nv
+    n_legs = len(center.legs)
     for g1 in range(center.genus + 1):
         for b1 in range(center.degree + 1):
-            for leg_mask in range(1 << len(center.legs)):
-                legs1 = tuple(
-                    leg for i, leg in enumerate(center.legs) if leg_mask >> i & 1
-                )
-                legs2 = tuple(
-                    leg for i, leg in enumerate(center.legs) if not leg_mask >> i & 1
-                )
+            g2, b2 = center.genus - g1, center.degree - b1
+            for leg_mask in range(1 << n_legs):
+                ones = [i for i in range(n_legs) if leg_mask >> i & 1]
+                twos = [i for i in range(n_legs) if not leg_mask >> i & 1]
                 for slot_mask in range(1 << len(slots)):
-                    stay = [
-                        graph.edges[ei].mults[side]
-                        for si, (ei, side) in enumerate(slots)
-                        if not slot_mask >> si & 1
-                    ]
-                    # the one new-edge multiplicity at vb that makes vb
-                    # integral; the split-off vertex then is too.  Input
-                    # multiplicities off the 1/d grid admit no residue.
-                    m = solve_last_multiplicity(
-                        model, g1, b1, [leg_m for _, leg_m in legs1] + stay
-                    )
-                    if (m * model.d).denominator != 1:
+                    moved = [s for si, s in enumerate(slots) if slot_mask >> si & 1]
+                    # special points of the two halves, new edge included
+                    n1 = len(ones) + len(slots) - len(moved) + 1
+                    n2 = len(twos) + len(moved) + 1
+                    if not (
+                        epsilon_stable(g1, b1, n1, None)
+                        and epsilon_stable(g2, b2, n2, None)
+                    ):
                         continue
-                    for bullet_first in (True, False):
-                        bullet_degree = b1 if bullet_first else center.degree - b1
+                    # the one new-edge residue at vb that makes vb integral;
+                    # the split-off vertex then is too.  Input multiplicities
+                    # off the 1/d grid admit no residue.
+                    k = step * compat_residue(model, g1, n1, b1)
+                    k -= sum(leg_ks[i] for i in ones)
+                    k -= sum(
+                        edges[ei][2 + s] for ei, s in slots if (ei, s) not in moved
+                    )
+                    k %= scale
+                    if k % step:
+                        continue
+                    split_verts = list(verts)
+                    split_verts[vb] = (g1, b1, 0, level, _picked(center, leg_ks, ones))
+                    split_verts.append((g2, b2, 0, level, _picked(center, leg_ks, twos)))
+                    split_edges = list(edges)
+                    for ei, side in moved:
+                        e = list(split_edges[ei])
+                        e[side] = new_index
+                        split_edges[ei] = tuple(e)
+                    split_edges.append((vb, new_index, k, -k % scale, 0))
+                    for bullet, bullet_degree in ((vb, b1), (new_index, b2)):
                         if bullet_degree <= 0:
                             continue
+                        key = _least_form(split_verts, split_edges, bullet)[0]
+                        if key in out:
+                            continue
                         vertices = list(graph.vertices)
+                        legs1 = tuple(center.legs[i] for i in ones)
+                        legs2 = tuple(center.legs[i] for i in twos)
                         vertices[vb] = Vertex(g1, b1, legs1, 0, center.level)
-                        vertices.append(
-                            Vertex(
-                                center.genus - g1,
-                                center.degree - b1,
-                                legs2,
-                                0,
-                                center.level,
-                            )
-                        )
-                        edges = list(graph.edges)
-                        for si, (ei, side) in enumerate(slots):
-                            if slot_mask >> si & 1:
-                                e = edges[ei]
-                                ends = list(e.ends)
-                                ends[side] = new_index
-                                edges[ei] = Edge(tuple(ends), e.mults, e.delta)
-                        edges.append(Edge((vb, new_index), (m, frac_bracket(-m)), None))
-                        consider(
-                            DualGraph(
-                                tuple(vertices),
-                                tuple(edges),
-                                vb if bullet_first else new_index,
-                            ),
-                            (vb, new_index),
-                        )
+                        vertices.append(Vertex(g2, b2, legs2, 0, center.level))
+                        m = Frac(k, scale)
+                        new_edges = tuple(
+                            e if se[:2] == e.ends else Edge(se[:2], e.mults, e.delta)
+                            for e, se in zip(graph.edges, split_edges)
+                        ) + (Edge((vb, new_index), (m, frac_bracket(-m)), None),)
+                        out[key] = DualGraph(tuple(vertices), new_edges, bullet)
     return list(out.values())
+
+
+def _picked(center, leg_ks, picked):
+    """The int legs of the picked legs of a vertex, sorted."""
+    return tuple(sorted((center.legs[i][0], leg_ks[i]) for i in picked))
 
 
 def descending_chains(model, graph, max_len):
@@ -1011,6 +1053,20 @@ def _read_mult(text, where):
         raise ValueError(f"{where} multiplicity {text!r} has a zero denominator") from None
 
 
+def _read_delta(value, where):
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{where} covering degree {value!r} is not an integer or null")
+
+
+def _read_level(value, where):
+    if value in (None, LEVEL_ZERO, LEVEL_INF):
+        return value
+    raise ValueError(
+        f"{where} level {value!r} is not null, {LEVEL_ZERO!r} or {LEVEL_INF!r}"
+    )
+
+
 def graph_from_obj(obj):
     vertices = tuple(
         Vertex(
@@ -1020,7 +1076,7 @@ def graph_from_obj(obj):
                 (int(l), _read_mult(m, f"vertex {vi} leg {l}")) for l, m in v.get("legs", [])
             ),
             int(v.get("extra_legs", 0)),
-            v.get("level"),
+            _read_level(v.get("level"), f"vertex {vi}"),
         )
         for vi, v in enumerate(obj["vertices"])
     )
@@ -1028,7 +1084,7 @@ def graph_from_obj(obj):
         Edge(
             tuple(e["ends"]),
             tuple(_read_mult(e["mults"][s], f"edge {ei} side {s}") for s in (0, 1)),
-            e.get("delta"),
+            _read_delta(e.get("delta"), f"edge {ei}"),
         )
         for ei, e in enumerate(obj["edges"])
     )

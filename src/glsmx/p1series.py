@@ -141,10 +141,13 @@ def _edge_factor(d: int) -> RatFun:
 
 @functools.lru_cache(maxsize=None)
 def _fixed_graphs(n: int, delta: int) -> tuple:
-    """Fixed-locus trees for n-pointed degree-delta maps, up to isomorphism:
-    the census of the point model at genus zero and degree zero.  The caps
-    on n and delta bound the cache."""
-    return tuple(_enumerate_loc_graphs(_POINT_MODEL, 0, n, 0, delta))
+    """Fixed-locus trees for n-pointed degree-delta maps, up to isomorphism,
+    each with its automorphism order: the census of the point model at
+    genus zero and degree zero.  The caps on n and delta bound the cache."""
+    return tuple(
+        (graph, aut_degree(_POINT_MODEL, graph)[0])
+        for graph in _enumerate_loc_graphs(_POINT_MODEL, 0, n, 0, delta)
+    )
 
 
 def _vertex_weight(graph: LocGraph, vi: int, insertions) -> RatFun:
@@ -209,8 +212,7 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     if delta == 0 and n < 3:
         raise ConfigError("degree zero needs at least three markings")
     total = RF_ZERO
-    for graph in _fixed_graphs(n, delta):
-        aut, _ = aut_degree(_POINT_MODEL, graph)
+    for graph, aut in _fixed_graphs(n, delta):
         weight = RF_ONE
         for e in graph.edges:
             weight = weight * _edge_factor(e.delta) / RatFun(e.delta)

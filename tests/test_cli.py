@@ -380,6 +380,39 @@ _ZERO_DEN_LEG = _with(
     ],
 )
 _ZERO_DEN_MULT = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["4/5", "1/0"]}])
+# a fixed-locus graph has no distinguished vertex, so it is no operand of
+# the partial order
+_LOC = {
+    "kind": "loc",
+    "vertices": [
+        {"genus": 1, "degree": 0, "legs": [], "extra_legs": 0, "level": "0"},
+        {"genus": 1, "degree": 1, "legs": [], "extra_legs": 0, "level": "inf"},
+    ],
+    "edges": [{"ends": [0, 1], "mults": ["1/5", "4/5"], "delta": 1}],
+}
+_STR_DELTA = _with(
+    _LOC,
+    edges=[
+        {"ends": [0, 1], "mults": ["0", "0"], "delta": 1},
+        {"ends": [0, 1], "mults": ["0", "0"], "delta": "2"},
+    ],
+)
+_LIST_DELTA = _with(_LOC, edges=[{"ends": [0, 1], "mults": ["0", "0"], "delta": [2]}])
+_INT_LEVEL = _with(
+    _LOC,
+    vertices=[
+        {"genus": 1, "degree": 0, "legs": [], "extra_legs": 0, "level": 0},
+        {"genus": 1, "degree": 1, "legs": [], "extra_legs": 0, "level": "inf"},
+    ],
+)
+_FAILURE_TEXT = [
+    (_ZERO_DEN_LEG, "vertex 0 leg 1 multiplicity '1/0' has a zero denominator"),
+    (_ZERO_DEN_MULT, "edge 0 side 1 multiplicity '1/0' has a zero denominator"),
+    (_LOC, "a fixed-locus graph has no distinguished vertex"),
+    (_STR_DELTA, "edge 1 covering degree '2' is not an integer or null"),
+    (_LIST_DELTA, "edge 0 covering degree [2] is not an integer or null"),
+    (_INT_LEVEL, "vertex 0 level 0 is not null, '0' or 'inf'"),
+]
 
 
 @pytest.mark.parametrize(
@@ -392,6 +425,11 @@ _ZERO_DEN_MULT = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["4/5", "1/0"]}
         ("order", {"a": FIG_TOP, "b": _ZERO_DEN_MULT}),
         ("contract", {"graph": _ZERO_DEN_MULT, "epsilon": "2/5"}),
         ("contract", {"graph": _ZERO_DEN_LEG, "epsilon": "2/5"}),
+        ("order", {"a": _LOC, "b": FIG_TOP}),
+        ("order", {"a": FIG_TOP, "b": _LOC}),
+        ("aut", {"graph": _STR_DELTA}),
+        ("aut", {"graph": _LIST_DELTA}),
+        ("aut", {"graph": _INT_LEVEL}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
@@ -400,12 +438,15 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert [c["name"] for c in report["checks"]] == ["ConfigError"]
     failure = report["checks"][0]["first_failure"]
     assert failure.startswith("cannot read ")
-    if _ZERO_DEN_LEG in block.values():
-        assert "vertex 0 leg 1 multiplicity '1/0' has a zero denominator" in failure
-    elif _ZERO_DEN_MULT in block.values():
-        assert "edge 0 side 1 multiplicity '1/0' has a zero denominator" in failure
-    else:
-        assert "outside vertices" in failure
+    expected = next(
+        (text for bad, text in _FAILURE_TEXT if bad in block.values()),
+        "outside vertices",
+    )
+    assert expected in failure
+    if command == "order":
+        # the message names the operand it could not take
+        bad_key = next(k for k, v in block.items() if v is not FIG_TOP)
+        assert failure.startswith(f"cannot read {bad_key!r}")
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     code = main([command, "--config", str(config_path)])
