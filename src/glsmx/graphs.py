@@ -342,11 +342,12 @@ def infinity_stable_graph(model, graph):
 # canonical form, isomorphism, automorphisms
 
 
-# One canonical form on plain int tuples.  A vertex is (genus, degree,
-# extra_legs, level, legs) with the legs as sorted (label, k) pairs; an edge
-# is (a, b, k_a, k_b, delta) with k_a on a's side and delta 0 for none.  A
-# multiplicity m enters as k = m * scale for one scale per graph, so no
-# Fraction is hashed or compared while vertex orders are searched.
+# One canonical form on plain tuples of ints (and the level string).  A
+# vertex is (genus, degree, extra_legs, level, legs) with the legs as sorted
+# (label, k) pairs; an edge is (a, b, k_a, k_b, delta) with k_a on a's side
+# and delta 0 for none.  A multiplicity m enters as k = m * scale for one
+# scale per graph, so no Fraction is hashed or compared while vertex orders
+# are searched.
 
 
 def _least_form(verts, edges, bullet=None):
