@@ -86,6 +86,22 @@ def test_graphs_report_bytes_other_phases(model, key, digest):
     assert _sha(_graphs_report(model, key)) == digest
 
 
+# at epsilon 2/7 a basepoint may have degree up to 3, and its edge must cover
+# more than that: at edge degree 3 every degree-3 basepoint is pruned, at 4
+# one is kept
+@pytest.mark.parametrize(
+    "key, digest",
+    [
+        ((0, 0, 3, 3), "6fa1be8b7f2301990a8ec89077365d121a88533625fe31e1b069455675dd84cd"),
+        ((0, 1, 3, 3), "9159ff0539378cc582543565aed10e365bf5d7b73734b10abf72b6e7538fc931"),
+        ((0, 2, 3, 2), "59e3de5c4e171b950dff500c00eceda420a229d10d9ccd86699a62c29d96c20f"),
+        ((0, 0, 3, 4), "95336241a5e46701fe39e5ad97592c940d74f76dbcd9bb3da1cf9f8c4cfd9417"),
+    ],
+)
+def test_graphs_report_bytes_deep_basepoints(key, digest):
+    assert _sha(_graphs_report(dict(QUINTIC_LG, epsilon="2/7"), key)) == digest
+
+
 def test_descending_chain_bytes():
     # a partial-order criterion top whose distinguished vertex has genus 1,
     # so both the loop and the split expansions occur
