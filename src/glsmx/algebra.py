@@ -229,6 +229,14 @@ LAM = RatFun.lam()
 Z = RatFun.z()
 
 
+def join_terms(terms):
+    """Rendered terms joined by sign: a leading minus becomes " - "."""
+    out = terms[0]
+    for term in terms[1:]:
+        out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
+
+
 def render_ratfun(f):
     """Deterministic human/JSON rendering, graded lex descending: negative
     exponents are shifted into one monomial denominator, so (lam + z)/lam*z
@@ -249,10 +257,7 @@ def render_ratfun(f):
                 bits.append(f"{lead}{mono}")
             else:
                 bits.append(str(v))
-        out = bits[0]
-        for b in bits[1:]:
-            out += " - " + b[1:] if b.startswith("-") else " + " + b
-        return out
+        return join_terms(bits)
 
     c = f.den[(0, 0)]
     sl = max([0] + [-i for i, _ in f.num])

@@ -686,7 +686,6 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
     """enumerate_loc_graphs without its caps, for a caller that checks its
     own."""
     found = {}
-    rejected = set()
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -719,20 +718,20 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
                                         degrees,
                                         leg_dist,
                                         found,
-                                        rejected,
                                     )
     return [found[k] for k in sorted(found)]
 
 
 def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, found, rejected
+    model, structure, levels, deltas, genera, degrees, leg_dist, found
 ):
     """Add every valid graph on one decorated structure to found, by its
     least int form at scale d.  Multiplicities stay residues k of k/d; a
     residue tuple compatible at every vertex is keyed as ints, and the
-    graph is built and validated only for a key not seen before.  Keys that
-    fail validate go to rejected, so each isomorphism class is validated
-    once."""
+    graph is built only for a key not seen before.  Every rule of validate
+    holds by construction but two, which depend on the structure alone and
+    are decided before the residues: each vertex has a role, and each edge
+    covers more than the basepoint order at its level-zero end."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -745,7 +744,7 @@ def _emit_candidates(
         he[a] += 1
         he[b] += 1
     # a role depends on the counts alone, so one test covers every residue
-    if any(
+    roles = [
         _vertex_role(
             genera[vi],
             degrees[vi],
@@ -755,8 +754,14 @@ def _emit_candidates(
             0,
             model.epsilon,
         )
-        is None
         for vi in range(nv)
+    ]
+    if None in roles:
+        return
+    # a basepoint sits at level zero, so only that end of an edge can be one
+    if any(
+        roles[zero] == "basepoint" and degrees[zero] >= dd
+        for (zero, _), dd in zip(oriented, deltas)
     ):
         return
     targets = [
@@ -798,9 +803,9 @@ def _emit_candidates(
                     for base, labels, ks in zip(bases, legs_at, leg_ks)
                 ]
                 key = _least_form(verts, int_edges)[0]
-                if key in found or key in rejected:
+                if key in found:
                     continue
-                graph = LocGraph(
+                found[key] = LocGraph(
                     tuple(
                         Vertex(g, b, tuple((l, Frac(k, d)) for l, k in legs), 0, lev)
                         for g, b, _, lev, legs in verts
@@ -810,10 +815,6 @@ def _emit_candidates(
                         for zero, inf, kz, ki, dd in int_edges
                     ),
                 )
-                if validate(model, graph):
-                    rejected.add(key)
-                else:
-                    found[key] = graph
 
 
 # ---------------------------------------------------------------------------

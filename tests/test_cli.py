@@ -137,6 +137,58 @@ def test_graphs_round_trip_through_json():
         assert again == obj
 
 
+# a degree-1 basepoint on an edge of covering degree 1: the edge must cover
+# more than the basepoint order, so validate rejects it at epsilon 2/5
+_SHORT_BASEPOINT_EDGE = {
+    "kind": "loc",
+    "vertices": [
+        {"genus": 0, "degree": 1, "legs": [], "extra_legs": 0, "level": "0"},
+        {"genus": 1, "degree": 1, "legs": [[1, "4/5"]], "extra_legs": 0, "level": "inf"},
+    ],
+    "edges": [{"ends": [0, 1], "mults": ["3/5", "2/5"], "delta": 1}],
+}
+
+
+def test_graphs_report_fails_on_an_invalid_census_graph(monkeypatch, tmp_path, capsys):
+    import glsmx.graphs as gr
+
+    census = gr.enumerate_loc_graphs
+    bad = gr.graph_from_obj(_SHORT_BASEPOINT_EDGE)
+    monkeypatch.setattr(gr, "enumerate_loc_graphs", lambda *args: census(*args) + [bad])
+    config = {
+        "model": dict(QUINTIC_LG, epsilon="2/5"),
+        "graphs": {"genus": 0, "markings": 1, "degree": 0, "edge_degree": 1},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["graphs", "--config", str(config_path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks == [
+        {
+            "name": "all_valid",
+            "status": "fail",
+            "first_failure": "edge 0: covering degree 1 not above basepoint order 1",
+        }
+    ]
+
+
+def test_graph_census_criterion_fails_on_an_invalid_census_graph(monkeypatch):
+    import glsmx.graphs as gr
+
+    census = gr.enumerate_loc_graphs
+    bad = gr.graph_from_obj(_SHORT_BASEPOINT_EDGE)
+
+    def swapped(*args):
+        # keep the count, so only validate can catch the swap
+        out = census(*args)
+        return [bad] + out[1:] if out else out
+
+    monkeypatch.setattr(gr, "enumerate_loc_graphs", swapped)
+    result = cli.criterion_graph_census()
+    assert result["status"] == "fail"
+    assert result["first_failure"].startswith("IdentityFailed: invalid graph emitted at")
+
+
 def test_contract_degree_conserved(tmp_path):
     graph = {
         "kind": "dual",
@@ -390,6 +442,16 @@ _LOC = {
     ],
     "edges": [{"ends": [0, 1], "mults": ["1/5", "4/5"], "delta": 1}],
 }
+# a census graph (quintic LG, epsilon 2/5, g=1, n=1, beta=2, delta=2) whose
+# level-zero basepoint is a tail that contract would take away
+_LOC_TAIL = {
+    "kind": "loc",
+    "vertices": [
+        {"genus": 0, "degree": 1, "legs": [], "extra_legs": 0, "level": "0"},
+        {"genus": 1, "degree": 1, "legs": [[1, "4/5"]], "extra_legs": 0, "level": "inf"},
+    ],
+    "edges": [{"ends": [0, 1], "mults": ["3/5", "2/5"], "delta": 2}],
+}
 _STR_DELTA = _with(
     _LOC,
     edges=[
@@ -409,6 +471,7 @@ _FAILURE_TEXT = [
     (_ZERO_DEN_LEG, "vertex 0 leg 1 multiplicity '1/0' has a zero denominator"),
     (_ZERO_DEN_MULT, "edge 0 side 1 multiplicity '1/0' has a zero denominator"),
     (_LOC, "a fixed-locus graph has no distinguished vertex"),
+    (_LOC_TAIL, "a fixed-locus graph has no distinguished vertex"),
     (_STR_DELTA, "edge 1 covering degree '2' is not an integer or null"),
     (_LIST_DELTA, "edge 0 covering degree [2] is not an integer or null"),
     (_INT_LEVEL, "vertex 0 level 0 is not null, '0' or 'inf'"),
@@ -430,6 +493,7 @@ _FAILURE_TEXT = [
         ("aut", {"graph": _STR_DELTA}),
         ("aut", {"graph": _LIST_DELTA}),
         ("aut", {"graph": _INT_LEVEL}),
+        ("contract", {"graph": _LOC_TAIL, "epsilon": "2/5"}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):

@@ -401,6 +401,21 @@ def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):
     assert len(out) == len(oracle)
 
 
+@pytest.mark.parametrize(
+    "key", [(0, 0, 3, 2), (0, 1, 2, 2), (0, 2, 2, 2), (1, 1, 2, 2), (1, 2, 2, 1)]
+)
+def test_enumerate_never_runs_validate(monkeypatch, key):
+    # on these keys the basepoint rule prunes structures; the census decides
+    # it on its own, so validate stays an independent check of its output
+    from glsmx.cli import _CENSUS
+
+    def refuse(model, graph):
+        raise AssertionError("the census called validate")
+
+    monkeypatch.setattr(G, "validate", refuse)
+    assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) == _CENSUS[key]
+
+
 def test_enumerate_bounds_and_errors():
     with pytest.raises(BoundsExceeded):
         G.enumerate_loc_graphs(QUINTIC_25, 3, 0, 0, 0)
