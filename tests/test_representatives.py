@@ -4,8 +4,9 @@ Counts alone cannot see a change of representative: the census keeps the
 first graph met per isomorphism class, and descending chains list minimal
 expansions in the order they are generated.  These digests pin the exact
 bytes, so any reordering of candidates shows up here.  The chamber reports
-(`ifun`, `mu`, `jwc`, `edge`) are pinned the same way, so a cached
-coefficient that drifted from a fresh one would change their bytes.
+(`ifun`, `mu`, `jwc`, `edge`) and the `p1` reports are pinned the same way,
+so a cached coefficient that drifted from a fresh one would change their
+bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from fractions import Fraction as Frac
 import pytest
 
 from glsmx import graphs as gr
+from glsmx import p1series as p1
+from glsmx.algebra import LAM, RatFun
 from glsmx.cli import run
 from glsmx.model import LG, GlsmModel
 
@@ -147,3 +150,34 @@ def test_descending_chain_bytes():
 def test_chamber_report_bytes(command, model, block, digest):
     report = run(command, {"model": model, command: block})
     assert _sha(json.dumps(report, indent=2)) == digest
+
+
+@pytest.mark.parametrize(
+    "y_order, delta, digest",
+    [
+        (3, 1, "e0ee94a690336a806f9cb6ee05f8d28d7cfbc8aad6d3909ca605fe7a2e380503"),
+        (3, 2, "6d07f07af008e4e4af2d351aadea9e51ff06432861690272a57a329115c1ce42"),
+        (5, 1, "235f9aab7303db74774c5678305fa1dcdb51c580232994860d42d9eb22ea70ff"),
+        (5, 2, "0f4b491cae55c5ad43f6a0a7e2af3e5506f9a81b4d804dd2e85b742a6f3792c2"),
+    ],
+)
+def test_p1_report_bytes(y_order, delta, digest):
+    report = run("p1", {"p1": {"y_order": y_order, "delta": delta}})
+    assert _sha(json.dumps(report, indent=2)) == digest
+
+
+def _lam_dependent_class():
+    # (2 - 3 lam) + (1/2 + 5/lam) H: restrictions with several lam powers
+    return p1.unit_class() * (RatFun(2) - RatFun(3) * LAM) + p1.hyperplane_class() * (
+        RatFun(Frac(1, 2)) + RatFun(5) / LAM
+    )
+
+
+def test_tail_series_bytes_on_a_lam_dependent_class():
+    alpha = _lam_dependent_class()
+    assert _sha(repr(p1.tree_series_S(alpha, 4, 5))) == (
+        "3c5546689b2c00ce9fb2ee8a49f08d5781f687039bcdf515bc5a8559f2f918ef"
+    )
+    assert _sha(repr(p1.stilde_at_zero(alpha, 4))) == (
+        "6984d614dc6579fbb861d5673825cb60533d0e0d1129e28e80f4201d0bfa8dd9"
+    )
