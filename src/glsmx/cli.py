@@ -365,6 +365,18 @@ def _cmd_p1(config, trunc):
     y_order = _parse_int(params.get("y_order", trunc["y_max"]), "p1.y_order")
     z_order = _parse_int(params.get("z_order", trunc["z_cap"]), "p1.z_order")
     delta = _parse_int(params.get("delta", 1), "p1.delta")
+    # refuse bad orders, then a bad degree, before any tail work; the y
+    # order alone first, so its error wins over the z order's
+    p1._check_orders(y_order, 0)
+    p1._check_orders(y_order, z_order)
+    pairings = {
+        "point_zero.point_infinity": _lam_string(
+            p1.p1_graph_sum(2, delta, [(p1.point_class_zero(), 0), (p1.point_class_infinity(), 0)])
+        ),
+        "hyperplane.hyperplane": _lam_string(
+            p1.p1_graph_sum(2, delta, [(p1.hyperplane_class(), 0), (p1.hyperplane_class(), 0)])
+        ),
+    }
     unit_tail = p1.stilde_at_zero(p1.unit_class(), y_order)
     hyper_tail = p1.stilde_at_zero(p1.hyperplane_class(), y_order)
     checks = []
@@ -383,14 +395,6 @@ def _cmd_p1(config, trunc):
             "y^0 part of the unmarked series is nonzero",
         )
     )
-    pairings = {
-        "point_zero.point_infinity": _lam_string(
-            p1.p1_graph_sum(2, delta, [(p1.point_class_zero(), 0), (p1.point_class_infinity(), 0)])
-        ),
-        "hyperplane.hyperplane": _lam_string(
-            p1.p1_graph_sum(2, delta, [(p1.hyperplane_class(), 0), (p1.hyperplane_class(), 0)])
-        ),
-    }
     inputs = {"y_order": y_order, "z_order": z_order, "delta": delta}
     results = {
         "tail_unit": {f"y^{k}": _lam_string(unit_tail.coeff(k, RF_ZERO)) for k in range(y_order + 1)},
@@ -543,7 +547,8 @@ def _criterion(name, body, **kwargs):
 
 
 def _tail_closed_forms_body():
-    y_order = 3
+    # the order criterion 2 reaches, so both share one rewritten basis
+    y_order = 6
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM**2})
     unit_tail = p1.stilde_at_zero(p1.unit_class(), y_order)
     _expect(

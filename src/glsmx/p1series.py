@@ -241,51 +241,71 @@ def _dict_mul(a: dict, b: dict, cap: int) -> dict:
     return out
 
 
-class _Tails:
-    """Memoized localization sums for the trees hanging off a component.
+@functools.lru_cache(maxsize=None)
+def _plain_tail(level: str, a: int, budget: int) -> dict:
+    """Unmarked tail whose first edge leaves `level` with degree a, within a
+    covering-degree budget for the whole tail: a {total degree: weight}
+    table that includes the first edge's own degree.  Budgets shrink
+    strictly along the recursion, which grounds it; no insertion enters, so
+    one table serves every call.  The caps bound the budget."""
+    if a > budget:
+        return {}
+    far = _flip(level)
+    t = _tangent(far)
+    head = _edge_factor(a) / RatFun(a)
+    # bare far end of the tail
+    out = {a: head * (t / RatFun(a))}
+    room = budget - a
+    for b in range(1, room + 1):
+        # straight through a two-edge point
+        joint = head * Frac(a * b, a + b)
+        for deg, val in _plain_tail(far, b, room).items():
+            _bump(out, a + deg, joint * val)
+    for degs, sym, series in _bundles(far, room, 2):
+        s = len(degs)
+        front = (
+            head
+            * RatFun(a * prod(degs) * (a + sum(degs)) ** (s - 2))
+            * t ** (1 - s)
+            * sym
+        )
+        for deg, val in series.items():
+            _bump(out, a + deg, front * val)
+    return out
 
-    A tail is keyed by the level its first edge leaves, the degree of that
-    edge, and the covering-degree budget left for the whole tail.  Budgets
-    shrink strictly along the recursion, which grounds the mutual recursion
-    between the two levels.  Values are {total degree: weight} tables and
-    include the first edge's own degree.
+
+@functools.lru_cache(maxsize=None)
+def _bundles(level: str, room: int, least: int) -> tuple:
+    """Multisets of at least `least` unmarked side branches leaving `level`,
+    keyed by first-edge degree, as (degrees, symmetry division, product
+    series) triples; the division by repeats implements the sum over
+    unordered branches."""
+    combos = []
+    _degree_multisets(1, room, least, [], combos)
+    out = []
+    for degs in combos:
+        sym = Frac(1)
+        for d in set(degs):
+            sym /= factorial(degs.count(d))
+        series = {0: RF_ONE}
+        for d in degs:
+            series = _dict_mul(series, _plain_tail(level, d, room), room)
+        out.append((degs, sym, series))
+    return tuple(out)
+
+
+class _Tails:
+    """Memoized localization sums for the trees that carry the marking.
+
+    A marked tail is keyed like a plain one (`_plain_tail`) and differs
+    only by the insertion's restriction at the fixed point the marking
+    sits at, which enters each term exactly once: the tables are linear in
+    the insertion.
     """
 
-    def __init__(self, alpha: CohClass | None = None):
+    def __init__(self, alpha: CohClass):
         self.alpha = alpha
-        self._plain: dict = {}
         self._marked: dict = {}
-
-    def plain_tail(self, level: str, a: int, budget: int) -> dict:
-        if a > budget:
-            return {}
-        key = (level, a, budget)
-        got = self._plain.get(key)
-        if got is not None:
-            return got
-        far = _flip(level)
-        t = _tangent(far)
-        head = _edge_factor(a) / RatFun(a)
-        # bare far end of the tail
-        out = {a: head * (t / RatFun(a))}
-        room = budget - a
-        for b in range(1, room + 1):
-            # straight through a two-edge point
-            joint = head * Frac(a * b, a + b)
-            for deg, val in self.plain_tail(far, b, room).items():
-                _bump(out, a + deg, joint * val)
-        for degs, sym, series in self._bundles(far, room, 2):
-            s = len(degs)
-            front = (
-                head
-                * RatFun(a * prod(degs) * (a + sum(degs)) ** (s - 2))
-                * t ** (1 - s)
-                * sym
-            )
-            for deg, val in series.items():
-                _bump(out, a + deg, front * val)
-        self._plain[key] = out
-        return out
 
     def marked_tail(self, level: str, a: int, budget: int) -> dict:
         if a > budget:
@@ -307,7 +327,7 @@ class _Tails:
             joint = head * Frac(a * b, a + b)
             for deg, val in self.marked_tail(far, b, room).items():
                 _bump(out, a + deg, joint * val)
-        for degs, sym, series in self._bundles(far, room, 1):
+        for degs, sym, series in _bundles(far, room, 1):
             # marking on the component where the side branches meet
             s = len(degs)
             front = (
@@ -324,7 +344,7 @@ class _Tails:
             down = self.marked_tail(far, b0, room)
             if not down:
                 continue
-            for degs, sym, series in self._bundles(far, room - b0, 1):
+            for degs, sym, series in _bundles(far, room - b0, 1):
                 s = len(degs)
                 front = (
                     head
@@ -338,23 +358,6 @@ class _Tails:
                             _bump(out, a + d1 + d2, front * v1 * v2)
         self._marked[key] = out
         return out
-
-    def _bundles(self, level: str, room: int, least: int):
-        """Multisets of unmarked side branches, keyed by first-edge degree.
-
-        Yields (degrees, symmetry division, product series); the division by
-        repeats implements the sum over unordered branches.
-        """
-        combos = []
-        _degree_multisets(1, room, least, [], combos)
-        for degs in combos:
-            sym = Frac(1)
-            for d in set(degs):
-                sym /= factorial(degs.count(d))
-            series = {0: RF_ONE}
-            for d in degs:
-                series = _dict_mul(series, self.plain_tail(level, d, room), room)
-            yield degs, sym, series
 
 
 def _degree_multisets(lo, left, least, chosen, out):
@@ -401,34 +404,63 @@ def _smoothing(a: int, z_order: int) -> RatFun:
     return out
 
 
+def _tail_series(constant: RatFun, tables, y_order: int, z_order: int) -> TruncSeries:
+    # the empty tail contributes the constant; every other tail enters
+    # through the smoothing of its first node against the cotangent variable
+    coeffs = {0: constant}
+    for a, table in enumerate(tables, 1):
+        front = LAM * _smoothing(a, z_order)
+        for deg, val in table.items():
+            _bump(coeffs, deg, front * val)
+    return TruncSeries("y", y_order, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _marked_tables(y_order: int) -> tuple:
+    """(restriction at zero, marked tail tables at the zero fixed point by
+    first-edge degree) for the zero and the infinity idempotent."""
+    out = []
+    for idem in (idempotent_zero(), idempotent_infinity()):
+        tails = _Tails(idem)
+        tables = [tails.marked_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
+        out.append((idem.restrict_zero(), tables))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _marked_basis(y_order: int, z_order: int) -> tuple:
+    """Marked tail series of the zero and the infinity idempotent."""
+    return tuple(
+        _tail_series(constant, tables, y_order, z_order)
+        for constant, tables in _marked_tables(y_order)
+    )
+
+
 def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
     """One-marking tail series at the zero fixed point.
 
     The empty tail contributes the bare restriction of the insertion; every
     other tail enters through the smoothing of its first node against the
-    cotangent variable.
+    cotangent variable.  The series is linear in the insertion, so it is
+    read off the series of the two idempotents.
     """
     _check_orders(y_order, z_order)
     _check_insertion(alpha)
-    tails = _Tails(alpha)
-    coeffs = {0: alpha.restrict_zero()}
-    for a in range(1, y_order + 1):
-        front = LAM * _smoothing(a, z_order)
-        for deg, val in tails.marked_tail(LEVEL_ZERO, a, y_order).items():
-            _bump(coeffs, deg, front * val)
-    return TreeSeries(TruncSeries("y", y_order, coeffs), z_order)
+    zero, inf = _marked_basis(y_order, z_order)
+    series = zero * alpha.restrict_zero() + inf * alpha.restrict_infinity()
+    return TreeSeries(series, z_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _unmarked_series(y_order: int, z_order: int) -> TreeSeries:
+    tables = [_plain_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
+    return TreeSeries(_tail_series(RF_ZERO, tables, y_order, z_order), z_order)
 
 
 def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
     """Unmarked tail series at the zero fixed point; starts at first order."""
     _check_orders(y_order, z_order)
-    tails = _Tails()
-    coeffs = {}
-    for a in range(1, y_order + 1):
-        front = LAM * _smoothing(a, z_order)
-        for deg, val in tails.plain_tail(LEVEL_ZERO, a, y_order).items():
-            _bump(coeffs, deg, front * val)
-    return TreeSeries(TruncSeries("y", y_order, coeffs), z_order)
+    return _unmarked_series(y_order, z_order)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +505,11 @@ def _comb_collect(factors: dict, eps_hat: dict, y_order: int) -> TruncSeries:
     return TruncSeries("y", y_order, {k: v / LAM for k, v in coeffs.items()})
 
 
+@functools.lru_cache(maxsize=None)
+def _unmarked_hat(y_order: int) -> dict:
+    return _hat(_unmarked_series(y_order, y_order))
+
+
 def comb_three_point(
     alpha1: CohClass, alpha2: CohClass, alpha3: CohClass, y_order: int
 ) -> TruncSeries:
@@ -484,15 +521,35 @@ def comb_three_point(
     for alpha in (alpha1, alpha2, alpha3):
         h = _hat(tree_series_S(alpha, y_order, y_order))
         fac = h if fac is None else _hat_mul(fac, h, y_order)
-    eps_hat = _hat(tree_series_eps(y_order, y_order))
-    return _comb_collect(fac, eps_hat, y_order)
+    return _comb_collect(fac, _unmarked_hat(y_order), y_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _dressing(y_order: int) -> TruncSeries:
+    return _comb_collect({0: {0: RF_ONE}}, _unmarked_hat(y_order), y_order)
 
 
 def comb_dressing(y_order: int) -> TruncSeries:
     """The unmarked-tail dressing alone, with no marked tails attached."""
     _check_orders(y_order, 0)
-    eps_hat = _hat(tree_series_eps(y_order, y_order))
-    return _comb_collect({0: {0: RF_ONE}}, eps_hat, y_order)
+    return _dressing(y_order)
+
+
+@functools.lru_cache(maxsize=None)
+def _rewrite_basis(y_order: int) -> tuple:
+    """Rewritten values of the zero and the infinity idempotent, then the
+    dressing and the square of the cube-root base that divide a three-point
+    sum with two unit insertions into a rewritten value."""
+    one = unit_class()
+    zero, inf = (
+        comb_three_point(idem, one, one, y_order)
+        for idem in (idempotent_zero(), idempotent_infinity())
+    )
+    dressing = _dressing(y_order)
+    # the unit is the sum of the idempotents, and the sum is linear in it
+    base = series_root_pow((zero + inf) / dressing, Frac(1, 3))
+    norm = base * base
+    return zero / dressing / norm, inf / dressing / norm, dressing, norm
 
 
 def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
@@ -501,16 +558,19 @@ def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
 
     Extracted from three-point sums: the unit value is the cube root of the
     normalized triple-unit sum, and general insertions divide off two unit
-    factors.  Linear in the insertion.
+    factors.  Linear in the insertion, so it is read off the values of the
+    two idempotents.
     """
     _check_orders(y_order, 0)
     _check_insertion(alpha)
-    one = unit_class()
-    dressing = comb_dressing(y_order)
-    base = series_root_pow(
-        comb_three_point(one, one, one, y_order) / dressing, Frac(1, 3)
-    )
-    return comb_three_point(alpha, one, one, y_order) / dressing / (base * base)
+    zero, inf, dressing, norm = _rewrite_basis(y_order)
+    at_zero, at_inf = alpha.restrict_zero(), alpha.restrict_infinity()
+    if not at_zero.z_parts().keys() <= {0} or not at_inf.z_parts().keys() <= {0}:
+        # a z in the insertion moves the cotangent transform, so the
+        # value is linear only over coefficients free of z
+        one = unit_class()
+        return comb_three_point(alpha, one, one, y_order) / dressing / norm
+    return zero * at_zero + inf * at_inf
 
 
 def irr_ratio_check(y_order: int) -> dict:
@@ -521,9 +581,8 @@ def irr_ratio_check(y_order: int) -> dict:
     forced lam powers; raises IdentityFailed on the first mismatch.
     """
     _check_orders(y_order, 0)
-    ratio = stilde_at_zero(idempotent_infinity(), y_order) / stilde_at_zero(
-        idempotent_zero(), y_order
-    )
+    zero, inf, _, _ = _rewrite_basis(y_order)
+    ratio = inf / zero
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM ** 2})
     root = series_root_pow(disc, Frac(1, 2))
     one = TruncSeries("y", y_order, {0: RF_ONE})

@@ -1,0 +1,35 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from glsmx import jfun, p1series
+
+# the process-wide series caches: the jfun coefficient ladders and the p1
+# tail tables, series and rewritten values shared across orders and calls
+_CACHES = (
+    jfun._ladder,
+    jfun._ladder_plus,
+    p1series._plain_tail,
+    p1series._bundles,
+    p1series._marked_tables,
+    p1series._marked_basis,
+    p1series._unmarked_series,
+    p1series._unmarked_hat,
+    p1series._dressing,
+    p1series._rewrite_basis,
+)
+
+
+def _clear_caches():
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the series caches before the test and again after it, so a
+    test that patches a factor hands none of its values to the next one.
+    Yields the clearing function, for a second cold start inside a test."""
+    _clear_caches()
+    yield _clear_caches
+    _clear_caches()

@@ -301,6 +301,53 @@ def test_p1_report_leaves_no_cycles():
         gc.enable()
 
 
+def test_p1_report_bytes_do_not_depend_on_warm_caches(cold_caches):
+    config = {"p1": {"y_order": 4, "z_order": 5, "delta": 2}}
+    cold = json.dumps(run("p1", config), indent=2)
+    cold_caches()
+    # a higher order first fills the tail tables the order-4 report reads
+    run("p1", {"p1": {"y_order": 5, "delta": 1}})
+    assert json.dumps(run("p1", config), indent=2) == cold
+
+
+@pytest.mark.parametrize(
+    "block, name, message",
+    [
+        ({"y_order": 12, "delta": 0}, "ConfigError", "degree zero needs at least three markings"),
+        ({"y_order": 12, "delta": 4}, "BoundsExceeded", "desk-scale bounds are n <= 5, delta <= 3"),
+        # the y order is checked before the z order, and both before delta
+        ({"y_order": 13, "z_order": -1, "delta": 0}, "BoundsExceeded",
+         "truncation caps are y <= 12, z <= 16"),
+        ({"y_order": 3, "z_order": -1, "delta": 0}, "ConfigError",
+         "truncation orders must be non-negative"),
+        ({"y_order": 3, "z_order": 17, "delta": 9}, "BoundsExceeded",
+         "truncation caps are y <= 12, z <= 16"),
+    ],
+)
+def test_p1_report_checks_its_inputs_before_tail_work(monkeypatch, block, name, message):
+    def refuse(*args):
+        raise AssertionError("tail work before the inputs were checked")
+
+    monkeypatch.setattr(p1series, "stilde_at_zero", refuse)
+    monkeypatch.setattr(p1series, "irr_ratio_check", refuse)
+    report = run("p1", {"p1": block})
+    assert report["checks"] == [{"name": name, "status": "fail", "first_failure": message}]
+
+
+def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold_caches):
+    # a doubled degree-5 cover factor first changes the tails at y^5, which
+    # only a check at order 5 or above can see
+    edge_factor = p1series._edge_factor
+    monkeypatch.setattr(
+        p1series, "_edge_factor", lambda d: edge_factor(d) * 2 if d == 5 else edge_factor(d)
+    )
+    result = cli.criterion_tail_closed_forms()
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: unit tail is not the -1/4 power of the discriminant series"
+    )
+
+
 _SMALL_CONFIGS = {
     "sectors": {"model": QUINTIC_LG},
     "stability": {"stability": {"genus": 1, "degree": "2/5", "special_points": 1,
@@ -328,12 +375,10 @@ _SMALL_CONFIGS = {
 }
 
 
-def test_subcommands_run_without_sympy(monkeypatch):
+def test_subcommands_run_without_sympy(monkeypatch, cold_caches):
     # sympy is a test extra; no subcommand may need it (verify is covered by
     # the acceptance tests and takes minutes)
     monkeypatch.setitem(sys.modules, "sympy", None)
-    jfun._ladder.cache_clear()
-    jfun._ladder_plus.cache_clear()
     for command in sorted(set(cli._HANDLERS) - {"verify"}):
         report = run(command, _SMALL_CONFIGS[command])
         assert report_passed(report), (command, report["checks"])

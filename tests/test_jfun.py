@@ -275,13 +275,12 @@ def test_warm_cache_keeps_every_check(twisted):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("twisted", [False, True])
-def test_cached_coefficients_equal_cold_recompute(model, twisted):
+def test_cached_coefficients_equal_cold_recompute(model, twisted, cold_caches):
     betas = range(jfun.Q_CAP + 1)
     warm = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
     warm_plus = mu_table(model, Frac(2, 2 * jfun.Q_CAP + 1), twisted).entries
     assert all(unstable_J_coefficient(model, b, None, twisted) is warm[b] for b in betas)
-    jfun._ladder.cache_clear()
-    jfun._ladder_plus.cache_clear()
+    cold_caches()
     cold = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
     assert all(cold[b] is not warm[b] and cold[b] == warm[b] for b in betas)
     cold_plus = [positive_z_part(c) for c in cold]
@@ -289,11 +288,9 @@ def test_cached_coefficients_equal_cold_recompute(model, twisted):
     assert [value for _, value in warm_plus] == cold_plus
 
 
-def test_coefficient_cache_ignores_model_epsilon():
+def test_coefficient_cache_ignores_model_epsilon(cold_caches):
     # the coefficient never reads the model's own epsilon, so models that
     # differ only there share cache entries
-    jfun._ladder.cache_clear()
-    jfun._ladder_plus.cache_clear()
     for eps in (None, Frac(2, 7), Frac(2, 5)):
         mu_table(replace(QUINTIC_GEOM, epsilon=eps), Frac(2, 7))
     assert jfun._ladder.cache_info().misses == 4

@@ -28,6 +28,7 @@ from glsmx.algebra import (
 )
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
+    _Tails,
     _fixed_graphs,
     comb_dressing,
     comb_three_point,
@@ -409,13 +410,72 @@ def test_hyperplane_value_product_form():
     assert stilde_at_zero(HYP, 4) == want
 
 
+# Laurent polynomials in lam with small rational coefficients
+_LAM_COEFF = st.lists(
+    st.tuples(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    ),
+    max_size=3,
+).map(lambda terms: RatFun({(e, 0): Frac(n, d) for e, n, d in terms}))
+
+
 @settings(max_examples=8, deadline=None)
-@given(st.integers(min_value=-3, max_value=3), st.integers(min_value=-3, max_value=3))
+@given(_LAM_COEFF, _LAM_COEFF)
 def test_rewritten_value_is_linear(a, b):
     alpha = ONE * a + HYP * b
     got = stilde_at_zero(alpha, 2)
-    want = stilde_at_zero(ONE, 2) * RatFun(a) + stilde_at_zero(HYP, 2) * RatFun(b)
+    want = stilde_at_zero(ONE, 2) * a + stilde_at_zero(HYP, 2) * b
     assert got == want
+
+
+def _binomial(p, k):
+    out = Frac(1)
+    for i in range(k):
+        out = out * (p - i) / (i + 1)
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(_LAM_COEFF, _LAM_COEFF, st.integers(min_value=0, max_value=6))
+def test_rewritten_value_matches_closed_form(c0, c1, y_order):
+    # c0 disc^(-1/4) + c1 (lam/2)(disc^(-1/4) + disc^(1/4)), disc = 1 + 4y/lam^2,
+    # expanded here by the binomial series on Fractions
+    coeffs = {}
+    for k in range(y_order + 1):
+        scale = RatFun(4**k) / LAM ** (2 * k)
+        minus, plus = _binomial(Frac(-1, 4), k), _binomial(Frac(1, 4), k)
+        coeffs[k] = c0 * scale * minus + c1 * LAM * scale * ((minus + plus) / 2)
+    want = TruncSeries("y", y_order, coeffs)
+    assert stilde_at_zero(ONE * c0 + HYP * c1, y_order) == want
+
+
+def _direct_tail_series(alpha, y_order, z_order):
+    # the tail sums run on the insertion itself, not on the idempotents
+    tails = _Tails(alpha)
+    coeffs = {0: alpha.restrict_zero()}
+    for a in range(1, y_order + 1):
+        smoothing = RF_ZERO
+        for k in range(z_order + 1):
+            smoothing = smoothing + RatFun(Frac(a) ** (k + 1)) * Z**k / LAM ** (k + 1)
+        for deg, val in tails.marked_tail(LEVEL_ZERO, a, y_order).items():
+            coeffs[deg] = coeffs.get(deg, RF_ZERO) + LAM * smoothing * val
+    return TruncSeries("y", y_order, coeffs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    _LAM_COEFF,
+    _LAM_COEFF,
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=5),
+)
+def test_tail_series_matches_direct_tail_sums(c0, c1, y_order, z_order):
+    alpha = ONE * c0 + HYP * c1
+    got = tree_series_S(alpha, y_order, z_order)
+    assert got.z_order == z_order
+    assert got.series == _direct_tail_series(alpha, y_order, z_order)
 
 
 def test_stilde_cap():
