@@ -451,6 +451,17 @@ def test_rewritten_value_matches_closed_form(c0, c1, y_order):
     assert stilde_at_zero(ONE * c0 + HYP * c1, y_order) == want
 
 
+def test_rewritten_value_of_a_z_dependent_insertion():
+    # z in a restriction shifts the cotangent transform, so such a value is
+    # not the combination of the idempotent values; it is the three-point
+    # sum with two units, normalised as the definition says
+    alpha = ONE * (Z + RatFun(2)) + HYP * (RatFun(Frac(1, 3)) / LAM + Z * Z)
+    dressing = comb_dressing(3)
+    base = series_root_pow(comb_three_point(ONE, ONE, ONE, 3) / dressing, Frac(1, 3))
+    want = comb_three_point(alpha, ONE, ONE, 3) / dressing / (base * base)
+    assert stilde_at_zero(alpha, 3) == want
+
+
 def _direct_tail_series(alpha, y_order, z_order):
     # the tail sums run on the insertion itself, not on the idempotents
     tails = _Tails(alpha)
