@@ -4,15 +4,16 @@ Counts alone cannot see a change of representative: the census keeps the
 first graph met per isomorphism class, and descending chains list minimal
 expansions in the order they are generated.  These digests pin the exact
 bytes, so any reordering of candidates shows up here.  The chamber reports
-(`ifun`, `mu`, `jwc`, `edge`) and the `p1` reports are pinned the same way,
-so a cached coefficient that drifted from a fresh one would change their
-bytes.
+(`ifun`, `mu`, `jwc`, `edge`), the `p1` reports and the fixed-locus graph
+sums are pinned the same way, so a cached coefficient that drifted from a
+fresh one would change their bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction as Frac
 
 import pytest
@@ -181,3 +182,56 @@ def test_tail_series_bytes_on_a_lam_dependent_class():
     assert _sha(repr(p1.stilde_at_zero(alpha, 4))) == (
         "6984d614dc6579fbb861d5673825cb60533d0e0d1129e28e80f4201d0bfa8dd9"
     )
+
+
+def _seeded_class(rng):
+    # unit and hyperplane coefficients with lam powers -1..2, so the
+    # restrictions at both fixed points carry several lam powers
+    def coeff():
+        return sum(
+            (RatFun(Frac(rng.randint(-5, 5), rng.randint(1, 4))) * LAM ** e for e in range(-1, 3)),
+            RatFun(0),
+        )
+
+    return p1.unit_class() * coeff() + p1.hyperplane_class() * coeff()
+
+
+def _seeded_insertions(n, delta):
+    # one marking carries a cotangent power high enough that the sum
+    # reaches the dimension 2 delta + n - 2 and is nonzero
+    rng = random.Random(1000 * n + delta)
+    insertions = [(_seeded_class(rng), 0) for _ in range(n)]
+    if n:
+        i = rng.randrange(n)
+        insertions[i] = (insertions[i][0], rng.randint(max(1, 2 * delta - 2), 2 * delta))
+    return insertions
+
+
+# unmarked covers of degree above one integrate to zero
+_ZERO_SUM = "c1e515f7b8fdff549e0940c65a15ff9b6e6deb1bb02736c2c6542f6b37505470"
+
+
+@pytest.mark.parametrize(
+    "n, delta, digest",
+    [
+        (0, 1, "a82f00d5c15d880b65080a4e238ed924d89da2a9c42a5e48962d39686c576fd5"),
+        (0, 2, _ZERO_SUM),
+        (0, 3, _ZERO_SUM),
+        (1, 1, "7be50e4814819fedb4bdf7073c54c70b96fe8382d899a719fc9ce6cd820e00d2"),
+        (1, 2, "328cc427bdf626a283be45f68661f34b90a566349034377492086899d6f8f352"),
+        (1, 3, "ddf5472dc33ba417889197c1e20fb72a6a63d1d6844fa134d2d4db3c54fe8065"),
+        (2, 1, "ac335a2303293b5638924f8b9b51d29d3809a075243387dd42955430192cf7a8"),
+        (2, 2, "6603c289cbb16ce2126e47017a490d86881e4e0752e9f67893fef1901e732854"),
+        (2, 3, "bcfa8a27b36e6431534e3f529e947cf412fb979f07d5500533e1f94a4f3e93ec"),
+        (3, 1, "a6770cec7c7ea45bd8d2e9351aacc566efe4829c9760699601c2e3fbf19c9cdc"),
+        (3, 2, "7b37f3162ef8ed6f6365cf2b05dbe239773afe29bbd17456d950bec76b8fc8dd"),
+        (3, 3, "3ebd5b1be387758d9588b626a821a81289a3c748b296e0b0621869b40d080ce2"),
+        (4, 1, "2601a01a71da81625aa89d52bb727a2f1c6e9f33d20421e2da0d349c669caf09"),
+        (4, 2, "99130bfde7ad45678e63cf9a74fa2416a80ee0969b86f03921598c422e00978d"),
+        (4, 3, "75f03ba19602c24531abeff972082c3a33948fdd0b3e1cc1fbfd9eefab98b506"),
+        (5, 1, "157eae2e19f2608d1795e5101289beffbea2bcc25f4d2e3556864ef23e9f7803"),
+        (5, 2, "e081b8c382057997b4d0bf6987f9e921242994c3465a309300f6a36bca208959"),
+    ],
+)
+def test_graph_sum_bytes_on_lam_dependent_insertions(n, delta, digest):
+    assert _sha(repr(p1.p1_graph_sum(n, delta, _seeded_insertions(n, delta)))) == digest
