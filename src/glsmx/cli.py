@@ -40,6 +40,7 @@ from .model import (
     GEOMETRIC,
     LG,
     GlsmModel,
+    check_off_wall,
     choose_delta,
     graph_multiplicities,
     isotropy_order,
@@ -72,6 +73,12 @@ def _parse_frac(value, what):
 
 def _parse_optional_frac(value, what):
     return None if value is None else _parse_frac(value, what)
+
+
+def _parse_optional_epsilon(value, what):
+    # None is the infinity chamber; any other value must sit off every wall
+    value = _parse_optional_frac(value, what)
+    return None if value is None else check_off_wall(value)
 
 
 def _parse_bool(value, what):
@@ -254,7 +261,7 @@ def _cmd_stability(config, trunc):
     if not isinstance(orders, list):
         raise ConfigError("stability.basepoint_orders must be a list")
     orders = tuple(_parse_int(o, "basepoint order") for o in orders)
-    epsilon = _parse_optional_frac(params.get("epsilon"), "stability.epsilon")
+    epsilon = _parse_optional_epsilon(params.get("epsilon"), "stability.epsilon")
     light_delta = _parse_optional_frac(params.get("light_delta"), "stability.light_delta")
     light_markings = _parse_int(params.get("light_markings", 0), "stability.light_markings")
     stable = gr.epsilon_stable(
@@ -276,7 +283,7 @@ def _cmd_contract(config, trunc):
     model = _model_from_config(config)
     params = _params(config, "contract")
     graph = _dual_graph_from_params(params, "graph")
-    epsilon = _parse_optional_frac(params.get("epsilon"), "contract.epsilon")
+    epsilon = _parse_optional_epsilon(params.get("epsilon"), "contract.epsilon")
     if epsilon is None:
         epsilon = model.epsilon
     problems = gr.validate(model, graph)

@@ -686,6 +686,8 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
     """enumerate_loc_graphs without its caps, for a caller that checks its
     own."""
     found = {}
+    # (genus, degree, level, half-edges, legs) -> (role, residue target)
+    profiles = {}
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -718,12 +720,13 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
                                         degrees,
                                         leg_dist,
                                         found,
+                                        profiles,
                                     )
     return [found[k] for k in sorted(found)]
 
 
 def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, found
+    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles
 ):
     """Add every valid graph on one decorated structure to found, by its
     least int form at scale d.  Multiplicities stay residues k of k/d; a
@@ -731,7 +734,9 @@ def _emit_candidates(
     graph is built only for a key not seen before.  Every rule of validate
     holds by construction but two, which depend on the structure alone and
     are decided before the residues: each vertex has a role, and each edge
-    covers more than the basepoint order at its level-zero end."""
+    covers more than the basepoint order at its level-zero end.  A vertex's
+    role and residue target depend on its counts alone, so profiles keeps
+    them for the whole enumeration."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -744,18 +749,18 @@ def _emit_candidates(
         he[a] += 1
         he[b] += 1
     # a role depends on the counts alone, so one test covers every residue
-    roles = [
-        _vertex_role(
-            genera[vi],
-            degrees[vi],
-            levels[vi],
-            he[vi],
-            len(legs_at[vi]),
-            0,
-            model.epsilon,
-        )
-        for vi in range(nv)
-    ]
+    roles = []
+    targets = []
+    for vi in range(nv):
+        key = (genera[vi], degrees[vi], levels[vi], he[vi], len(legs_at[vi]))
+        got = profiles.get(key)
+        if got is None:
+            got = profiles[key] = (
+                _vertex_role(*key, 0, model.epsilon),
+                compat_residue(model, key[0], key[3] + key[4], key[1]),
+            )
+        roles.append(got[0])
+        targets.append(got[1])
     if None in roles:
         return
     # a basepoint sits at level zero, so only that end of an edge can be one
@@ -764,10 +769,6 @@ def _emit_candidates(
         for (zero, _), dd in zip(oriented, deltas)
     ):
         return
-    targets = [
-        compat_residue(model, genera[vi], he[vi] + len(legs_at[vi]), degrees[vi])
-        for vi in range(nv)
-    ]
     bases = [(genera[vi], degrees[vi], 0, levels[vi]) for vi in range(nv)]
     for edge_ks in itertools.product(range(d), repeat=len(oriented)):
         free = list(targets)

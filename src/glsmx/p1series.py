@@ -123,20 +123,22 @@ def psi_integral_genus0(exponents) -> Frac:
         raise ConfigError("cotangent exponents must be non-negative")
     if sum(exps) != n - 3:
         return Frac(0)
-    out = Frac(factorial(n - 3))
-    for a in exps:
-        out /= factorial(a)
-    return out
+    return Frac(factorial(n - 3), prod(factorial(a) for a in exps))
 
 
 # ---------------------------------------------------------------------------
 # fixed-graph sums for maps to the line
 
 
+def _edge_coefficient(d: int) -> Frac:
+    # _edge_factor(d) over lam^(-2d)
+    return Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)
+
+
 def _edge_factor(d: int) -> RatFun:
     # reciprocal Euler class of the moving part along a degree-d cover of the
     # line joining the two fixed points
-    return RatFun(Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)) / LAM ** (2 * d)
+    return RatFun(_edge_coefficient(d)) / LAM ** (2 * d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,48 +152,53 @@ def _fixed_graphs(n: int, delta: int) -> tuple:
     )
 
 
-def _vertex_weight(graph: LocGraph, vi: int, insertions) -> RatFun:
-    v = graph.vertices[vi]
-    t = _tangent(v.level)
-    flag_degrees = []
-    for e in graph.edges:
-        for end in e.ends:
-            if end == vi:
-                flag_degrees.append(e.delta)
-    marks = [insertions[label - 1] for label, _ in v.legs]
-    values = [restrict_at(alpha, v.level) for alpha, _ in marks]
-    exps = [k for _, k in marks]
-    m = len(flag_degrees) + len(marks)
-    if m >= 3:
-        # contracted component: one tangent weight per node against one for
-        # the component itself, cotangent integral expanded flag by flag
-        budget = m - 3 - sum(exps)
-        acc = RF_ZERO
-        if budget >= 0:
-            omegas = [t / RatFun(d) for d in flag_degrees]
-            for bs in _compositions(budget, len(omegas), 0):
-                term = RatFun(psi_integral_genus0(tuple(bs) + tuple(exps)))
-                for om, b in zip(omegas, bs):
-                    term = term / om ** (b + 1)
-                acc = acc + term
-        out = acc * t ** (len(flag_degrees) - 1)
-        for val in values:
-            out = out * val
-        return out
-    if len(flag_degrees) == 2:
-        om1 = t / RatFun(flag_degrees[0])
-        om2 = t / RatFun(flag_degrees[1])
-        return t / (om1 + om2)
-    if len(flag_degrees) == 1 and len(marks) == 1:
-        om = t / RatFun(flag_degrees[0])
-        return values[0] * (-om) ** exps[0]
-    return t / RatFun(flag_degrees[0])
+def _graph_weight(graph: LocGraph, aut: int, exps) -> tuple | None:
+    """A fixed graph's weight over its automorphisms, less the insertions, as
+    (rational, lam exponent, fixed point of each marking); None when a
+    cotangent integral is empty.  Each vertex has tangent weight t = sign*lam
+    and each flag of degree d the weight omega = t/d, so every factor is a
+    rational multiple of a lam power."""
+    coeff = prod((_edge_coefficient(e.delta) / e.delta for e in graph.edges), start=Frac(1, aut))
+    lam_exp = -2 * sum(e.delta for e in graph.edges)
+    flags = [[e.delta for e in graph.edges if vi in e.ends] for vi in range(len(graph.vertices))]
+    levels = [None] * len(exps)
+    for v, degs in zip(graph.vertices, flags):
+        sign = 1 if v.level == LEVEL_ZERO else -1
+        ks = tuple(exps[label - 1] for label, _ in v.legs)
+        for label, _ in v.legs:
+            levels[label - 1] = v.level
+        f = len(degs)
+        if f + len(ks) >= 3:
+            # contracted component: sum of psi integrals over prod omega^(b+1)
+            # (each term lam^-(budget+f)), times t^(f-1) for its nodes
+            budget = f + len(ks) - 3 - sum(ks)
+            if budget < 0:
+                return None
+            acc = 0
+            for bs in _compositions(budget, f, 0):
+                term = psi_integral_genus0(bs + ks)
+                for d, b in zip(degs, bs):
+                    term *= (sign * d) ** (b + 1)
+                acc += term
+            coeff *= acc * sign ** (f + 1)
+            lam_exp -= budget + 1
+        elif f == 2:  # t/(omega1 + omega2)
+            coeff *= Frac(degs[0] * degs[1], degs[0] + degs[1])
+        elif ks:  # (-omega)^k at a marked leaf
+            coeff *= Frac(-sign, degs[0]) ** ks[0]
+            lam_exp += ks[0]
+        else:  # t/d at a bare leaf
+            coeff *= Frac(sign, degs[0])
+            lam_exp += 1
+    return coeff, lam_exp, tuple(levels)
 
 
 def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     """Equivariant descendant integral over genus-zero n-pointed stable maps
     of degree delta to the line, summed over fixed-locus trees with
-    automorphism division via aut_degree.
+    automorphism division via aut_degree.  Graph weights add up in one
+    Laurent polynomial in lam per placement of the markings on the fixed
+    points; the insertions' restrictions enter once per placement.
 
     insertions: one (class, cotangent exponent) pair per marking.
     """
@@ -202,25 +209,24 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     pairs = list(insertions)
     if len(pairs) != n:
         raise ConfigError("need exactly one insertion per marking")
-    checked = []
     for alpha, k in pairs:
         _check_insertion(alpha)
-        k = int(k)
-        if k < 0:
+        if int(k) < 0:
             raise ConfigError("cotangent exponents must be non-negative")
-        checked.append((alpha, k))
     if delta == 0 and n < 3:
         raise ConfigError("degree zero needs at least three markings")
-    total = RF_ZERO
+    exps = [int(k) for _, k in pairs]
+    at = [{lv: restrict_at(alpha, lv) for lv in (LEVEL_ZERO, LEVEL_INF)} for alpha, _ in pairs]
+    placements = {}
     for graph, aut in _fixed_graphs(n, delta):
-        weight = RF_ONE
-        for e in graph.edges:
-            weight = weight * _edge_factor(e.delta) / RatFun(e.delta)
-        for vi in range(len(graph.vertices)):
-            weight = weight * _vertex_weight(graph, vi, checked)
-            if weight.is_zero():
-                break
-        total = total + weight / RatFun(aut)
+        weight = _graph_weight(graph, aut, exps)
+        if weight is not None:
+            coeff, lam_exp, levels = weight
+            poly = placements.setdefault(levels, {})
+            poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
+    total = RF_ZERO
+    for levels, poly in placements.items():
+        total = total + prod((table[lv] for table, lv in zip(at, levels)), start=RatFun(poly))
     return total
 
 
@@ -379,10 +385,6 @@ class TreeSeries:
     series: TruncSeries
     z_order: int
 
-    @property
-    def y_order(self) -> int:
-        return self.series.order
-
     def coeff(self, k: int) -> RatFun:
         return self.series.coeff(k, RF_ZERO)
 
@@ -391,9 +393,7 @@ def _check_orders(y_order: int, z_order: int) -> None:
     if y_order < 0 or z_order < 0:
         raise ConfigError("truncation orders must be non-negative")
     if y_order > Y_ORDER_CAP or z_order > Z_ORDER_CAP:
-        raise BoundsExceeded(
-            f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}"
-        )
+        raise BoundsExceeded(f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}")
 
 
 def _smoothing(a: int, z_order: int) -> RatFun:

@@ -348,6 +348,19 @@ def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
     )
 
 
+def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(monkeypatch):
+    # the graph sums take every component's cotangent integral from
+    # psi_integral_genus0, so doubling it on four-pointed components breaks
+    # the string relation at its first base
+    psi = p1series.psi_integral_genus0
+    monkeypatch.setattr(
+        p1series, "psi_integral_genus0", lambda exps: psi(exps) * (2 if len(exps) == 4 else 1)
+    )
+    result = cli.criterion_pairing_relations()
+    assert result["status"] == "fail"
+    assert result["first_failure"] == "IdentityFailed: string relation fails at n=2 delta=1"
+
+
 _SMALL_CONFIGS = {
     "sectors": {"model": QUINTIC_LG},
     "stability": {"stability": {"genus": 1, "degree": "2/5", "special_points": 1,
@@ -435,6 +448,11 @@ def test_criteria_registry_shape():
         ("jwc", {"epsilon_1": "1/2", "epsilon_2": "2/3", "q_max": 4}),
         ("mu", {"epsilon": "1/2"}),
         ("edge", {"delta": 2, "beta": 1, "epsilon": "1/2"}),
+        ("stability", {"genus": 0, "degree": 1, "special_points": 1, "epsilon": "1/2"}),
+        ("stability", {"genus": 1, "degree": "2/5", "special_points": 1,
+                       "basepoint_orders": [1], "epsilon": "1"}),
+        ("contract", {"graph": _SMALL_CONFIGS["contract"]["contract"]["graph"],
+                      "epsilon": "1/3"}),
     ],
 )
 def test_on_wall_epsilon_fails(command, block, tmp_path, capsys):

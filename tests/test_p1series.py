@@ -53,14 +53,18 @@ HYP = hyperplane_class()
 P0 = point_class_zero()
 PINF = point_class_infinity()
 
+# 2 - lam + (3 + 1/lam) H: restrictions that are not monomials in lam
+MIX = ONE * (RatFun(2) - LAM) + HYP * (RatFun(3) + RF_ONE / LAM)
+
 # sympy restrictions (at zero, at infinity) matching the classes above
 SYM = {
     "one": (sympy.Integer(1), sympy.Integer(1)),
     "hyp": (SLAM, sympy.Integer(0)),
     "zero_pt": (SLAM, sympy.Integer(0)),
     "inf_pt": (sympy.Integer(0), -SLAM),
+    "mix": (3 + 2 * SLAM, 2 - SLAM),
 }
-CLS = {"one": ONE, "hyp": HYP, "zero_pt": P0, "inf_pt": PINF}
+CLS = {"one": ONE, "hyp": HYP, "zero_pt": P0, "inf_pt": PINF, "mix": MIX}
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +181,7 @@ POINT_CLASS_COUNTS = {
     (4, 0): 2,
     (4, 1): 16,
     (4, 2): 98,
+    (4, 3): 536,
 }
 
 
@@ -208,6 +213,9 @@ ORACLE_CASES = [
     (4, 1, (("one", 0), ("one", 0), ("hyp", 1), ("inf_pt", 0))),
     (5, 1, (("hyp", 0), ("hyp", 0), ("hyp", 1), ("inf_pt", 1), ("one", 0))),
     (5, 2, (("hyp", 1), ("hyp", 0), ("inf_pt", 1), ("one", 0), ("hyp", 2))),
+    (3, 3, (("mix", 2), ("hyp", 1), ("hyp", 1))),
+    (4, 2, (("mix", 1), ("hyp", 1), ("hyp", 0), ("inf_pt", 1))),
+    (4, 3, (("mix", 1), ("hyp", 1), ("mix", 1), ("inf_pt", 1))),
 ]
 
 
