@@ -152,12 +152,11 @@ def _fixed_graphs(n: int, delta: int) -> tuple:
     )
 
 
-def _graph_weight(graph: LocGraph, aut: int, exps) -> tuple | None:
+def _graph_weight(graph: LocGraph, aut: int, exps) -> tuple:
     """A fixed graph's weight over its automorphisms, less the insertions, as
-    (rational, lam exponent, fixed point of each marking); None when a
-    cotangent integral is empty.  Each vertex has tangent weight t = sign*lam
-    and each flag of degree d the weight omega = t/d, so every factor is a
-    rational multiple of a lam power."""
+    (rational, lam exponent, fixed point of each marking).  Each vertex has
+    tangent weight t = sign*lam and each flag of degree d the weight
+    omega = t/d, so every factor is a rational multiple of a lam power."""
     coeff = prod((_edge_coefficient(e.delta) / e.delta for e in graph.edges), start=Frac(1, aut))
     lam_exp = -2 * sum(e.delta for e in graph.edges)
     flags = [[e.delta for e in graph.edges if vi in e.ends] for vi in range(len(graph.vertices))]
@@ -170,16 +169,16 @@ def _graph_weight(graph: LocGraph, aut: int, exps) -> tuple | None:
         f = len(degs)
         if f + len(ks) >= 3:
             # contracted component: sum of psi integrals over prod omega^(b+1)
-            # (each term lam^-(budget+f)), times t^(f-1) for its nodes
+            # (each term lam^-(budget+f)), times t^(f-1) for its nodes; the
+            # sum is empty when the exponents overfill the dimension
             budget = f + len(ks) - 3 - sum(ks)
-            if budget < 0:
-                return None
             acc = 0
             for bs in _compositions(budget, f, 0):
                 term = psi_integral_genus0(bs + ks)
                 for d, b in zip(degs, bs):
                     term *= (sign * d) ** (b + 1)
                 acc += term
+            # sign^(f+1) is sign^(f-1), and stays an int when f = 0
             coeff *= acc * sign ** (f + 1)
             lam_exp -= budget + 1
         elif f == 2:  # t/(omega1 + omega2)
@@ -219,11 +218,9 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     at = [{lv: restrict_at(alpha, lv) for lv in (LEVEL_ZERO, LEVEL_INF)} for alpha, _ in pairs]
     placements = {}
     for graph, aut in _fixed_graphs(n, delta):
-        weight = _graph_weight(graph, aut, exps)
-        if weight is not None:
-            coeff, lam_exp, levels = weight
-            poly = placements.setdefault(levels, {})
-            poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
+        coeff, lam_exp, levels = _graph_weight(graph, aut, exps)
+        poly = placements.setdefault(levels, {})
+        poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
     total = RF_ZERO
     for levels, poly in placements.items():
         total = total + prod((table[lv] for table, lv in zip(at, levels)), start=RatFun(poly))
@@ -393,7 +390,9 @@ def _check_orders(y_order: int, z_order: int) -> None:
     if y_order < 0 or z_order < 0:
         raise ConfigError("truncation orders must be non-negative")
     if y_order > Y_ORDER_CAP or z_order > Z_ORDER_CAP:
-        raise BoundsExceeded(f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}")
+        raise BoundsExceeded(
+            f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}"
+        )
 
 
 def _smoothing(a: int, z_order: int) -> RatFun:
