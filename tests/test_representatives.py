@@ -6,7 +6,10 @@ expansions in the order they are generated.  These digests pin the exact
 bytes, so any reordering of candidates shows up here.  The chamber reports
 (`ifun`, `mu`, `jwc`, `edge`), the `p1` reports and the fixed-locus graph
 sums are pinned the same way, so a cached coefficient that drifted from a
-fresh one would change their bytes.
+fresh one would change their bytes.  The unstable J-coefficients and edge
+factors themselves are pinned by repr over every degree and option the
+chamber commands reach, so a change of how they are evaluated must keep
+them byte for byte.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ from fractions import Fraction as Frac
 import pytest
 
 from glsmx import graphs as gr
+from glsmx import jfun
 from glsmx import p1series as p1
 from glsmx.algebra import LAM, RatFun
 from glsmx.cli import run
-from glsmx.model import LG, GlsmModel
+from glsmx.model import GEOMETRIC, LG, GlsmModel
 
 CENSUS_MODEL = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg", "epsilon": "2/5"}
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
@@ -151,6 +155,66 @@ def test_descending_chain_bytes():
 def test_chamber_report_bytes(command, model, block, digest):
     report = run(command, {"model": model, command: block})
     assert _sha(json.dumps(report, indent=2)) == digest
+
+
+# every (weights, N, d) the chamber workload and the genus-zero anchors use,
+# in both phases; one digest covers beta <= Q_CAP and both twists
+@pytest.mark.parametrize(
+    "weights, n_aux, d, phase, digest",
+    [
+        ((1, 1, 1, 1, 1), 1, 5, LG,
+         "db3b10b1f20d4b37b6f42214bd85b6aedeb30f6d301472b69269c2ede2d424fa"),
+        ((1, 1, 1, 1, 1), 1, 5, GEOMETRIC,
+         "6537d41217861a823ac5b0372a464cff78dc4d54ec08d988145ad772a0640a72"),
+        ((1, 1, 2, 2), 2, 4, LG,
+         "bb940ab49718b2a0743aa9cf1f9c9f236ddf210dd1ed467f023d49d2e439897b"),
+        ((1, 1, 2, 2), 2, 4, GEOMETRIC,
+         "de7a8b4357cb926633a94ec5a87ba70b0b527a85c8b90b433f8e81b7afb34237"),
+        ((1, 1), 2, 2, LG,
+         "8e70c74bf733d32fd8c046ff3244f4b9e24098ba89b3966501f7b513c4b71f54"),
+        ((1, 1), 2, 2, GEOMETRIC,
+         "6ceafd870a509b557f78cd1c9a9b0a30ad61968886f5715382bdafccbe9e1c6f"),
+        ((1, 1, 1, 1, 2), 1, 6, LG,
+         "87d76e0e1f544aa3c6a5a175e9e6ee2af96038e8889e7a4cbf691c298d3766fa"),
+        ((1, 1, 1, 1, 2), 1, 6, GEOMETRIC,
+         "356418c0e2c6285a8a84f8ef63eb4c44606abcbbba484902b9e69fa230ca9c76"),
+        ((1, 1, 1, 1, 1, 1), 2, 3, LG,
+         "b406d1f44929298ebf4cff9581d3dd211f128a9f45d3a5ae36b7416e35a70947"),
+        ((1, 1, 1, 1, 1, 1), 2, 3, GEOMETRIC,
+         "4878b2fa94eab8d111bb321ded3a4fdcb4c82581fd998d1cb51e5c34efea40f9"),
+    ],
+)
+def test_unstable_coefficient_bytes(weights, n_aux, d, phase, digest):
+    model = GlsmModel(weights, n_aux, d, phase)
+    text = "\n".join(
+        repr(jfun.unstable_J_coefficient(model, beta, None, twisted))
+        for beta in range(jfun.Q_CAP + 1)
+        for twisted in (False, True)
+    )
+    assert _sha(text) == digest
+
+
+# the four chamber models; one digest covers delta <= 5, beta < delta, both
+# twists and every unstable-vertex option
+@pytest.mark.parametrize(
+    "model, digest",
+    [
+        (QUINTIC_LG, "ebdba49708a9de8bac25d9d5cc5fd5af2c2e3ba1c38870636d6beeb69a307339"),
+        (QUINTIC_GEOM, "ccf76cd62317ab555980e45deb33941f22faccb991e53d5f3f52df63c843905d"),
+        (MIXED_LG, "2bd88672f10c584a409b883995be16101960d8140fa1d36e8d1d9a3fbdf5dc39"),
+        (GEOM_11, "b7e46b5a9cf9db39e2258e0b8e0821a79a07d4aa4007ec56fc7a067c51155dca"),
+    ],
+)
+def test_edge_factor_bytes(model, digest):
+    model = GlsmModel(model["weights"], model["N"], model["d"], model["phase"])
+    text = "\n".join(
+        repr(jfun.edge_contribution(model, delta, beta, None, twisted, vertex))
+        for delta in range(1, 6)
+        for beta in range(delta)
+        for twisted in (False, True)
+        for vertex in (None, gr.LEVEL_ZERO, gr.LEVEL_INF)
+    )
+    assert _sha(text) == digest
 
 
 @pytest.mark.parametrize(
