@@ -595,9 +595,12 @@ def criterion_unmarked_positivity():
     return _criterion("unmarked series positivity", _unmarked_positivity_body)
 
 
-_DUAL_ROUTE_CASES = (
-    (GlsmModel((1, 1, 1, 1, 1), 1, 5, LG), 6),
-    (GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC), 3),
+# the four chamber models; criteria 4 and 5 run on each
+_NORMALIZATION_MODELS = (
+    GlsmModel((1, 1, 1, 1, 1), 1, 5, LG),
+    GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC),
+    GlsmModel((1, 1, 2, 2), 2, 4, LG),
+    GlsmModel((1, 1), 2, 2, GEOMETRIC),
 )
 
 
@@ -634,15 +637,16 @@ def _closed_route_value(model, beta, twisted):
 
 
 def _dual_route_body():
-    for model, beta_top in _DUAL_ROUTE_CASES:
-        for beta in range(beta_top + 1):
+    # every key the chamber commands serve on these models
+    for model in _NORMALIZATION_MODELS:
+        for beta in range(jfun.Q_CAP + 1):
             for twisted in (False, True):
                 ladder = jfun.unstable_J_coefficient(model, beta, None, twisted)
                 closed = _closed_route_value(model, beta, twisted)
                 _expect(
                     (ladder - closed).is_zero(),
-                    f"routes disagree at phase {model.phase} beta {beta} "
-                    f"twisted {twisted}",
+                    f"routes disagree at phase {model.phase} weights "
+                    f"{model.weights} beta {beta} twisted {twisted}",
                 )
 
 
@@ -650,12 +654,6 @@ def criterion_dual_route():
     return _criterion("dual route coefficients", _dual_route_body)
 
 
-_NORMALIZATION_MODELS = (
-    GlsmModel((1, 1, 1, 1, 1), 1, 5, LG),
-    GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC),
-    GlsmModel((1, 1, 2, 2), 2, 4, LG),
-    GlsmModel((1, 1), 2, 2, GEOMETRIC),
-)
 _NORMALIZATION_EPS = (Frac(2, 3), Frac(2, 5), Frac(2, 7))
 
 
@@ -940,17 +938,19 @@ def _partial_order_body():
         for chain in chains:
             # each descent appends exactly one edge (a split of the
             # distinguished vertex, or one unit of its genus traded for a
-            # loop), so the deepest graph in the chain bounds its length
+            # loop), so the deepest graph in the chain bounds its length;
+            # the messages name the top graph, so they are built on failure
             bottom = chain[-1]
             bound = len(bottom.edges) + sum(v.genus for v in bottom.vertices) + 2
-            _expect(
-                len(chain) == len(bottom.edges) - len(graph.edges) + 1,
-                f"descent step did not append one edge below {gr.graph_to_obj(graph)}",
-            )
-            _expect(
-                len(chain) <= bound,
-                f"chain of {len(chain)} entries exceeds {bound} below {gr.graph_to_obj(graph)}",
-            )
+            if len(chain) != len(bottom.edges) - len(graph.edges) + 1:
+                raise IdentityFailed(
+                    f"descent step did not append one edge below {gr.graph_to_obj(graph)}"
+                )
+            if len(chain) > bound:
+                raise IdentityFailed(
+                    f"chain of {len(chain)} entries exceeds {bound} below "
+                    f"{gr.graph_to_obj(graph)}"
+                )
         for above, below in zip(longest, longest[1:]):
             _expect(not gr.validate(model, below), "chain entry fails validation")
             _expect(gr.graph_leq(model, below, above), "chain step not certified by graph_leq")

@@ -25,7 +25,6 @@ from .algebra import (
     CohClass,
     RatFun,
     TruncSeries,
-    substitute_z,
 )
 from .errors import (
     BoundsExceeded,
@@ -91,7 +90,7 @@ def bundle_weights(rational_degree, age0, age_inf, tangent_weight, fiber_weight_
     exponent-k section monomial at the zero point carries weight
     fiber_weight_0 - k * tangent_weight for k = 0..D, and the obstruction
     weights continue the same ladder through the window between D and zero.
-    Weights may be RatFun or CohClass valued.
+    Weights may be Frac, RatFun or CohClass valued.
     """
     age0 = _checked_age(age0)
     age_inf = _checked_age(age_inf)
@@ -124,29 +123,25 @@ def state_hyperplane(model: GlsmModel) -> CohClass:
     return CohClass.hyperplane(NILPOTENT, state_rank(model))
 
 
+def _level_sign(level) -> int:
+    if level == LEVEL_ZERO:
+        return 1
+    if level == LEVEL_INF:
+        return -1
+    raise ConfigError(f"unknown level {level!r}")
+
+
 def lambda_level(model: GlsmModel, level) -> CohClass:
     """Equivariant normal weight of a graph level: lam - H at zero and its
     negative at infinity."""
-    at_zero = state_unit(model) * LAM - state_hyperplane(model)
-    if level == LEVEL_ZERO:
-        return at_zero
-    if level == LEVEL_INF:
-        return -at_zero
-    raise ConfigError(f"unknown level {level!r}")
+    sign = _level_sign(level)
+    return (state_unit(model) * LAM - state_hyperplane(model)) * sign
 
 
 def j_sector(model: GlsmModel, beta: int) -> Frac:
     """Sector receiving the degree-beta coefficient: the multiplicity on the
     basepoint side of the parameterized component."""
     return graph_multiplicities(model, beta)[1]
-
-
-def _moving(weight) -> bool:
-    # a weight with no z part points along the fixed locus and is dropped
-    # from normal-direction Euler products
-    if isinstance(weight, CohClass):
-        return any(_moving(c) for c in weight.coeffs)
-    return any(e != 0 and not part.is_zero() for e, part in weight.z_parts().items())
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +151,20 @@ def _moving(weight) -> bool:
 def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
     """Degree-beta coefficient of the J-function inside the unstable range.
 
-    epsilon = None selects the asymptotic small chamber where every degree
-    is unstable; otherwise epsilon must be positive and off every wall, and
-    beta must satisfy beta <= 1/epsilon.  Inside that range the coefficient
-    does not depend on epsilon (the chamber truncates the I-function), so
-    epsilon only gates the range: after the checks the value comes from a
-    per-process cache keyed by (model, beta, twisted), where the model's own
-    epsilon is dropped from the key because the coefficient never reads it.
-    Cached values are immutable and shared between callers.
+    beta may be at most Q_CAP.  epsilon = None selects the asymptotic small
+    chamber where every degree is unstable; otherwise epsilon must be
+    positive and off every wall, and beta must satisfy beta <= 1/epsilon.
+    Inside that range the coefficient does not depend on epsilon (the
+    chamber truncates the I-function), so epsilon only gates the range:
+    after the checks the value comes from a per-process cache keyed by
+    (model, beta, twisted), where the model's own epsilon is dropped from
+    the key because the coefficient never reads it.  Cached values are
+    immutable and shared between callers.
     """
     if beta < 0:
         raise OutOfUnstableRange(f"negative degree {beta}")
+    if beta > Q_CAP:
+        raise BoundsExceeded(f"degree {beta} above cap {Q_CAP}")
     if epsilon is not None:
         if epsilon <= 0:
             raise ConfigError(f"stability parameter {epsilon} must be positive")
@@ -178,64 +176,68 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def _ladder(model, beta, twisted):
-    # The value is assembled from the moving weights of the field bundles on
-    # the parameterized component: obstruction weights multiply, section
-    # weights divide, weights without a z part are fixed directions and are
-    # skipped.
-    unit = state_unit(model)
-    hyper = state_hyperplane(model)
-    z_class = unit * Z
-    if model.phase == LG and not make_sector(model, j_sector(model, beta)).narrow:
-        # broad sectors carry no state, so their coefficients vanish
-        return unit * RF_ZERO
-    marked_mult = graph_multiplicities(model, beta)[0]
-    deg_l = line_bundle_degree(model, 0, 1, beta)
-    deg_p = p_bundle_degree(model, 0, 1, beta)
-    numerator = unit
-    denominator = unit
-    for w in model.weights:
-        if model.phase == LG:
-            age_inf = frac_bracket(w * marked_mult)
-            fiber_inf = hyper * Frac(-w, model.d)
-        else:
-            age_inf = Frac(0)
-            fiber_inf = hyper * w
-        table = bundle_weights(
-            w * deg_l,
-            Frac(0),
-            age_inf,
-            z_class,
-            fiber_inf + Frac(w * deg_l) * z_class,
-        )
-        for weight in table.h0_weights:
-            if _moving(weight):
-                denominator = denominator * weight
-        for weight in table.h1_weights:
-            if _moving(weight):
-                numerator = numerator * weight
-    if model.phase == LG:
-        p_age_inf = frac_bracket(-model.d * marked_mult)
-        p_fiber_inf = hyper
-    else:
-        p_age_inf = Frac(0)
-        p_fiber_inf = hyper * (-model.d)
-    table = bundle_weights(
-        deg_p, Frac(0), p_age_inf, z_class, p_fiber_inf + Frac(deg_p) * z_class
-    )
-    for weight in table.h0_weights:
-        if _moving(weight):
-            denominator = denominator * weight**model.N
-    for weight in table.h1_weights:
-        if _moving(weight):
-            numerator = numerator * weight**model.N
-    value = z_class * numerator / denominator
-    if model.phase == LG:
-        # gerbe normalization: stabilizer order of the marked point over the
-        # full orbifold structure group
-        value = value * Frac(isotropy_order(model.d, marked_mult), model.d)
+    value = _untwisted_ladder(model, beta)
     if twisted:
         value = value * _twist_factor(model, beta)
     return value
+
+
+def _untwisted_ladder(model, beta):
+    # The value is assembled from the moving weights of the field bundles on
+    # the parameterized component: obstruction weights multiply, section
+    # weights divide.  Each weight is a*z + c*H with c fixed per field, and
+    # it moves exactly when a != 0.  Writing it as a*z*(1 + (c/a)*u) with
+    # u = H/z, the value is scale * z^e * p(u), where the a's and the weight
+    # count give scale and e, and p is the product of the (1 + (c/a)*u)
+    # truncated at u^r, so H^j carries scale * p_j * z^(e - j).
+    r = state_rank(model)
+    if model.phase == LG and not make_sector(model, j_sector(model, beta)).narrow:
+        # broad sectors carry no state, so their coefficients vanish
+        return state_unit(model) * RF_ZERO
+    marked_mult = graph_multiplicities(model, beta)[0]
+    deg_l = line_bundle_degree(model, 0, 1, beta)
+    deg_p = p_bundle_degree(model, 0, 1, beta)
+    # (rational degree, age at infinity, H-coefficient c, multiplicity) of
+    # each field bundle; the auxiliary one counts N times
+    if model.phase == LG:
+        fields = [
+            (w * deg_l, frac_bracket(w * marked_mult), Frac(-w, model.d), 1)
+            for w in model.weights
+        ]
+        fields.append((deg_p, frac_bracket(-model.d * marked_mult), Frac(1), model.N))
+    else:
+        fields = [(w * deg_l, Frac(0), Frac(w), 1) for w in model.weights]
+        fields.append((deg_p, Frac(0), Frac(-model.d), model.N))
+    scale = Frac(1)
+    e = 1
+    p = [Frac(1)] + [Frac(0)] * (r - 1)
+    for degree, age_inf, c, mult in fields:
+        # with tangent 1 and fiber equal to the degree, each table entry is
+        # the z-coefficient a of its weight
+        table = bundle_weights(degree, Frac(0), age_inf, 1, Frac(degree))
+        for a in table.h1_weights:
+            if a:
+                x = c / a
+                for _ in range(mult):
+                    scale *= a
+                    e += 1
+                    for j in range(r - 1, 0, -1):
+                        p[j] += x * p[j - 1]
+        for a in table.h0_weights:
+            if a:
+                x = c / a
+                for _ in range(mult):
+                    scale /= a
+                    e -= 1
+                    for j in range(1, r):
+                        p[j] -= x * p[j - 1]
+    if model.phase == LG:
+        # gerbe normalization: stabilizer order of the marked point over the
+        # full orbifold structure group
+        scale *= Frac(isotropy_order(model.d, marked_mult), model.d)
+    return CohClass(
+        [RatFun({(0, e - j): scale * p[j]}) for j in range(r)], NILPOTENT, r
+    )
 
 
 def _twist_factor(model, beta):
@@ -380,7 +382,8 @@ def edge_contribution(
     deformations; the twist enters exactly once, through the framing
     obstruction evaluated at the same tangent weight.  Passing a level as
     unstable_vertex multiplies in the normal weight of a valence-one vertex
-    there over the cover's automorphism order.
+    there over the cover's automorphism order.  The coefficient's own gates
+    apply, so beta_e is at most Q_CAP and unstable for epsilon.
     """
     if delta_e < 1:
         raise ConfigError(f"cover degree {delta_e} must be at least 1")
@@ -389,19 +392,34 @@ def edge_contribution(
             f"cover degree {delta_e} must exceed basepoint degree {beta_e}"
         )
     coefficient = unstable_J_coefficient(model, beta_e, epsilon)
-    tangent = lambda_level(model, LEVEL_ZERO) * Frac(1, delta_e)
-    value = substitute_z(coefficient / Z, tangent)
-    value = value * Frac(1, isotropy_order(model.d, j_sector(model, beta_e)))
+    # Every factor is a rational times a power of the tangent weight
+    # t = (lam - H)/delta_e: the coefficient over z at z = t, the twist
+    # (delta_e - b)*t for b < beta_e, the moving cover sections
+    # -b^2 t^2 for b <= delta_e, and the normal weight +-t of the vertex.
+    factor = Frac(1, isotropy_order(model.d, j_sector(model, beta_e)))
+    shift = -1 - 2 * delta_e
+    for b in range(1, delta_e + 1):
+        factor /= -b * b
     if twisted:
         for b in range(beta_e):
-            value = value * (delta_e * tangent - b * tangent)
-    cover_sections = state_unit(model)
-    for b in range(1, delta_e + 1):
-        cover_sections = cover_sections * (b * tangent) * (-b * tangent)
-    value = value / cover_sections
+            factor *= delta_e - b
+        shift += beta_e
     if unstable_vertex is not None:
-        value = value * (lambda_level(model, unstable_vertex) * Frac(1, delta_e))
-    return value
+        factor *= _level_sign(unstable_vertex)
+        shift += 1
+    # a term c*lam^l*z^n*H^j becomes c*lam^l*t^m*H^j with m = n + shift, and
+    # t^m = delta_e^-m lam^m sum_i C(m, i) (-H/lam)^i, cut at H^r
+    r = state_rank(model)
+    out = [{} for _ in range(r)]
+    for j, f in enumerate(coefficient.coeffs):
+        for (l, n), c in f.laurent_terms().items():
+            m = n + shift
+            term = c * factor / Frac(delta_e) ** m
+            for i in range(r - j):
+                key = (l + m - i, 0)
+                out[j + i][key] = out[j + i].get(key, 0) + term
+                term = -term * (m - i) / (i + 1)
+    return CohClass([RatFun(terms) for terms in out], NILPOTENT, r)
 
 
 @dataclass(frozen=True, repr=False)

@@ -91,6 +91,30 @@ def closed_j_coefficient(weights, n_aux, d, phase, beta, twisted):
     return nilpotent_expand(expr, r)
 
 
+def closed_edge_factor(weights, n_aux, d, phase, delta, beta, twisted, vertex):
+    """Edge factor of a delta-fold cover with basepoint degree beta, built on
+    the closed coefficient: the untwisted coefficient over z evaluated at the
+    tangent weight t = (lam - H)/delta, over the isotropy order of the
+    basepoint sector, times the twist (delta - b)*t for b < beta, over the
+    moving cover sections -b^2 t^2 for b <= delta, times t (vertex "0") or
+    -t (vertex "inf"), expanded with H^r = 0."""
+    r = n_aux if phase == "lg" else len(weights)
+    t = (SLAM - SH) / delta
+    expr = (closed_j_coefficient(weights, n_aux, d, phase, beta, False) / SZ).subs(SZ, t)
+    if phase == "lg":
+        expr /= d // math.gcd((beta + 1) % d, d)
+    if twisted:
+        for b in range(beta):
+            expr *= (delta - b) * t
+    for b in range(1, delta + 1):
+        expr /= -(b**2) * t**2
+    if vertex == "0":
+        expr *= t
+    elif vertex == "inf":
+        expr *= -t
+    return nilpotent_expand(expr, r)
+
+
 def cech_table(rational_degree, age0, age_inf, t, w0):
     """H^0 / H^1 weights of a line bundle on a football P^1, read off the
     Laurent-exponent window of the two-chart Cech complex: global sections

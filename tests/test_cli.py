@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from glsmx import cli, jfun, p1series
 from glsmx.cli import main, report_passed, run
 from glsmx.graphs import _ENUM_BOUNDS
+from glsmx.model import LG, GlsmModel
 
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
 QUINTIC_GEOM = dict(QUINTIC_LG, phase="geometric")
@@ -266,6 +267,17 @@ def test_main_failing_check_exits_one(tmp_path, capsys):
     assert report["checks"][0]["name"] == "OnWall"
 
 
+def test_edge_above_the_degree_cap_fails(tmp_path, capsys):
+    config = {"model": QUINTIC_LG, "edge": {"delta": 10, "beta": jfun.Q_CAP + 1}}
+    report = run("edge", config)
+    assert [c["name"] for c in report["checks"]] == ["BoundsExceeded"]
+    assert not report_passed(report)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["edge", "--config", str(config_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "fail"
+
+
 def test_main_bad_config_goes_to_stderr(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text("{not json")
@@ -359,6 +371,45 @@ def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(mon
     result = cli.criterion_pairing_relations()
     assert result["status"] == "fail"
     assert result["first_failure"] == "IdentityFailed: string relation fails at n=2 delta=1"
+
+
+def test_dual_route_criterion_fails_on_a_doubled_coefficient(monkeypatch):
+    # the closed route covers every degree of every chamber model, so a
+    # doubled mixed-weight coefficient at degree 6 is caught
+    ladder = jfun._ladder
+    mixed = GlsmModel((1, 1, 2, 2), 2, 4, LG)
+    assert not ladder(mixed, 6, False).is_zero()
+
+    def doubled(model, beta, twisted):
+        value = ladder(model, beta, twisted)
+        return value * 2 if (model, beta, twisted) == (mixed, 6, False) else value
+
+    monkeypatch.setattr(jfun, "_ladder", doubled)
+    result = cli.criterion_dual_route()
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: routes disagree at phase lg weights (1, 1, 2, 2) beta 6 "
+        "twisted False"
+    )
+
+
+def test_partial_order_criterion_names_the_top_of_a_bad_chain(monkeypatch):
+    # a chain that repeats its top appends no edge; the message names the
+    # top graph exactly as graph_to_obj writes it
+    tops = []
+
+    def repeated(model, graph, cap):
+        tops.append(graph)
+        return [[graph, graph]]
+
+    monkeypatch.setattr(cli.gr, "descending_chains", repeated)
+    result = cli.criterion_partial_order()
+    assert result["status"] == "fail"
+    assert len(tops) == 1
+    assert result["first_failure"] == (
+        "IdentityFailed: descent step did not append one edge below "
+        f"{cli.gr.graph_to_obj(tops[0])}"
+    )
 
 
 _SMALL_CONFIGS = {

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers_jfun import (
     cech_table,
+    closed_edge_factor,
     closed_j_coefficient,
     coh_to_sympy,
     lam_coefficient,
@@ -485,6 +486,20 @@ def test_edge_oracle_mixed_lg():
     assert_same(value, sympy.expand(expected))
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: f"{m.phase}{m.weights}")
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
+def test_edge_against_closed_form(model, delta):
+    for beta in range(delta):
+        for twisted in (False, True):
+            for vertex in (None, LEVEL_ZERO, LEVEL_INF):
+                value = edge_contribution(model, delta, beta, None, twisted, vertex)
+                expected = closed_edge_factor(
+                    model.weights, model.N, model.d, model.phase,
+                    delta, beta, twisted, vertex,
+                )
+                assert_same(value, expected)
+
+
 def test_edge_unstable_vertex_factor():
     base = edge_contribution(QUINTIC_LG, 2, 0, EPS_WIDE, False)
     dressed = edge_contribution(
@@ -583,6 +598,17 @@ def test_jwc_detects_corruption(monkeypatch):
 def test_jwc_caps():
     with pytest.raises(BoundsExceeded):
         jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), jfun.Q_CAP + 1)
+
+
+def test_coefficient_and_edge_cap_the_degree():
+    # the same cap as the series, table and comparison entry points
+    beta = jfun.Q_CAP + 1
+    for twisted in (False, True):
+        with pytest.raises(BoundsExceeded):
+            unstable_J_coefficient(QUINTIC_GEOM, beta, None, twisted)
+        with pytest.raises(BoundsExceeded):
+            edge_contribution(QUINTIC_GEOM, beta + 1, beta, None, twisted)
+    assert not unstable_J_coefficient(QUINTIC_GEOM, jfun.Q_CAP).is_zero()
 
 
 def test_chamber_entry_points_reject_walls():
