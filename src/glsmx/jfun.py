@@ -176,13 +176,6 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def _ladder(model, beta, twisted):
-    value = _untwisted_ladder(model, beta)
-    if twisted:
-        value = value * _twist_factor(model, beta)
-    return value
-
-
-def _untwisted_ladder(model, beta):
     # The value is assembled from the moving weights of the field bundles on
     # the parameterized component: obstruction weights multiply, section
     # weights divide.  Each weight is a*z + c*H with c fixed per field, and
@@ -235,9 +228,12 @@ def _untwisted_ladder(model, beta):
         # gerbe normalization: stabilizer order of the marked point over the
         # full orbifold structure group
         scale *= Frac(isotropy_order(model.d, marked_mult), model.d)
-    return CohClass(
+    value = CohClass(
         [RatFun({(0, e - j): scale * p[j]}) for j in range(r)], NILPOTENT, r
     )
+    if twisted:
+        value = value * _twist_factor(model, beta)
+    return value
 
 
 def _twist_factor(model, beta):
