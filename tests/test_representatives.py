@@ -9,7 +9,9 @@ sums are pinned the same way, so a cached coefficient that drifted from a
 fresh one would change their bytes.  The unstable J-coefficients and edge
 factors themselves are pinned by repr over every degree and option the
 chamber commands reach, so a change of how they are evaluated must keep
-them byte for byte.
+them byte for byte.  The tail series and the ratio-check coefficients are
+pinned by repr from cold caches, so a rewrite of the tail recursion must
+reproduce them exactly.
 """
 
 from __future__ import annotations
@@ -245,6 +247,47 @@ def test_tail_series_bytes_on_a_lam_dependent_class():
     )
     assert _sha(repr(p1.stilde_at_zero(alpha, 4))) == (
         "6984d614dc6579fbb861d5673825cb60533d0e0d1129e28e80f4201d0bfa8dd9"
+    )
+
+
+# 2 - lam + (3 + 1/lam) H, the MIX class of test_p1series
+_TAIL_CLASSES = {
+    "unit": p1.unit_class,
+    "hyperplane": p1.hyperplane_class,
+    "point_at_infinity": p1.point_class_infinity,
+    "mix": lambda: p1.unit_class() * (RatFun(2) - LAM)
+    + p1.hyperplane_class() * (RatFun(3) + RatFun(1) / LAM),
+}
+
+
+def _tail_orders():
+    return [(y, z) for y in range(9) for z in sorted({0, y})]
+
+
+def test_unmarked_tail_series_bytes(cold_caches):
+    text = "\n".join(repr(p1.tree_series_eps(y, z)) for y, z in _tail_orders())
+    assert _sha(text) == "f27bef92ddefc9901924d2481e8495975f450e92f7a3212dc70a029180e39181"
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("unit", "37fdf9b1e2f9787c25634a647316fb71f55bf1b6b17cf9892b4669e535db4c35"),
+        ("hyperplane", "7be4ae0eb60a24d5c2b284476efa38f830f3a35f876160917edab8ae8691d665"),
+        ("point_at_infinity", "d5cea49fcfe318a6af1a15f8ffa0ed13ce83e19407757a4fcfc1cb15f26e0bfc"),
+        ("mix", "a135c960c33d49155b35be6aa2d50c6fa64175ae814c6a6aec7982783f07219a"),
+    ],
+)
+def test_marked_tail_series_bytes(name, digest, cold_caches):
+    alpha = _TAIL_CLASSES[name]()
+    text = "\n".join(repr(p1.tree_series_S(alpha, y, z)) for y, z in _tail_orders())
+    assert _sha(text) == digest
+
+
+def test_ratio_check_coefficient_bytes(cold_caches):
+    coefficients = p1.irr_ratio_check(8)["coefficients"]
+    assert _sha(repr(coefficients)) == (
+        "0f9429a707ae091d440bb49912f04a2589e9be5ea02871902fe3c27d4d9e165f"
     )
 
 
