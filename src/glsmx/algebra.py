@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as Frac
 from math import gcd, lcm
 
-from .errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
+from .errors import BadConstantTerm, DivisionByNonUnit
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in (lam, z) over int, keyed by (lam_exp, z_exp)
@@ -195,24 +195,6 @@ class RatFun:
             out.setdefault(j, {})[(i, 0)] = v
         c = self.den[(0, 0)]
         return {e: RatFun(p, c) for e, p in sorted(out.items())}
-
-    def subs_z(self, value):
-        """Substitute z := value, a RatFun in lam or a CohClass; the result
-        has the value's type.  A negative power of z at a value that
-        vanishes (zero, or a class with zero constant term) raises
-        SubstitutionPole; at any other non-unit, DivisionByNonUnit."""
-        if isinstance(value, CohClass):
-            vanishes = value.coeffs[0].is_zero()
-            out = CohClass([], value.relation, value.r)
-        else:
-            value = _as_ratfun(value)
-            vanishes = value.is_zero()
-            out = RF_ZERO
-        for j, part in self.z_parts().items():
-            if j < 0 and vanishes:
-                raise SubstitutionPole("negative power of z at a vanishing value")
-            out = out + part * value**j
-        return out
 
 
 def _as_ratfun(x):
@@ -447,21 +429,6 @@ class CohClass:
         return self.coeffs[1]
 
 
-def substitute_z(expr, value):
-    """Substitute z := value into a RatFun or CohClass expression.  When the
-    value is a CohClass the result is CohClass-valued, relation-reduced."""
-    if isinstance(expr, CohClass):
-        if isinstance(value, CohClass):
-            out = CohClass([RF_ZERO], value.relation, value.r)
-            h = CohClass.hyperplane(value.relation, value.r)
-            for i, c in enumerate(expr.coeffs):
-                if not c.is_zero():
-                    out = out + c.subs_z(value) * h**i
-            return out
-        return CohClass([c.subs_z(value) for c in expr.coeffs], expr.relation, expr.r)
-    return _as_ratfun(expr).subs_z(value)
-
-
 # ---------------------------------------------------------------------------
 # truncated power series in one variable over an arbitrary coefficient ring
 
@@ -594,9 +561,6 @@ class TruncSeries:
             return f"TruncSeries({self.variable!r}, O({self.variable}^{self.order + 1}), 0)"
         bits = [f"({v!r})*{self.variable}^{k}" for k, v in sorted(self.coeffs.items())]
         return f"TruncSeries({' + '.join(bits)} + O({self.variable}^{self.order + 1}))"
-
-    def map_coeffs(self, fn):
-        return TruncSeries(self.variable, self.order, {k: fn(v) for k, v in self.coeffs.items()})
 
 
 def _merge(a, b):

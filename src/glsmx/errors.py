@@ -15,10 +15,6 @@ class BadConstantTerm(GlsmxError):
     """Series operation requiring constant term 1 got something else."""
 
 
-class SubstitutionPole(GlsmxError):
-    """A negative power of z met a vanishing value under substitution."""
-
-
 class NonIntegralChi(GlsmxError):
     """Orbifold bundle data whose coarse degree bookkeeping is inconsistent."""
 

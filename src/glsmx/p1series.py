@@ -244,47 +244,64 @@ def _dict_mul(a: dict, b: dict, cap: int) -> dict:
     return out
 
 
+def _far_weight(t: RatFun, flags, f: int) -> RatFun:
+    """Weight of the far vertex of a tail's first edge, at tangent weight t,
+    whose edges have degrees `flags` (the first edge's degree a, then the
+    first-edge degrees d_i of the branches) and which holds f special points:
+    its edges, plus one when the marking sits on it.  The cotangent
+    integrals sum to a*prod(d_i)*(a+sum(d_i))^(f-3)*t^(2-f), which is also
+    t/a at a bare leaf, ab/(a+b) at a two-edge point and 1 at a marked leaf."""
+    return RatFun(prod(flags) * Frac(sum(flags)) ** (f - 3)) * t ** (2 - f)
+
+
 @functools.lru_cache(maxsize=None)
-def _plain_tail(level: str, a: int, budget: int) -> dict:
-    """Unmarked tail whose first edge leaves `level` with degree a, within a
+def _tail(level: str, a: int, budget: int, at=None) -> dict:
+    """Tail whose first edge leaves `level` with degree a, within a
     covering-degree budget for the whole tail: a {total degree: weight}
-    table that includes the first edge's own degree.  Budgets shrink
-    strictly along the recursion, which grounds it; no insertion enters, so
-    one table serves every call.  The caps bound the budget."""
+    table that includes the first edge's own degree.  `at` is None for an
+    unmarked tail and otherwise the insertion's restrictions at (zero,
+    infinity), which enter each term exactly once, so the marked tables are
+    linear in them.  Budgets shrink strictly along the recursion, which
+    grounds it.  The caps bound the budget, and `at` is only ever None or
+    one of the two idempotents' pairs, so they bound the cache too."""
     if a > budget:
         return {}
     far = _flip(level)
     t = _tangent(far)
     head = _edge_factor(a) / RatFun(a)
-    # bare far end of the tail
-    out = {a: head * (t / RatFun(a))}
     room = budget - a
-    for b in range(1, room + 1):
-        # straight through a two-edge point
-        joint = head * Frac(a * b, a + b)
-        for deg, val in _plain_tail(far, b, room).items():
-            _bump(out, a + deg, joint * val)
-    for degs, sym, series in _bundles(far, room, 2):
-        s = len(degs)
-        front = (
-            head
-            * RatFun(a * prod(degs) * (a + sum(degs)) ** (s - 2))
-            * t ** (1 - s)
-            * sym
-        )
+    out = {}
+    # the marking, if any, on the far vertex, among unmarked side branches
+    if at is None:
+        on_far, marks = head, 0
+    else:
+        on_far, marks = head * (at[0] if far == LEVEL_ZERO else at[1]), 1
+    for degs, sym, series in _bundles(far, room):
+        front = on_far * _far_weight(t, (a,) + degs, len(degs) + 1 + marks) * sym
         for deg, val in series.items():
             _bump(out, a + deg, front * val)
+    if at is None:
+        return out
+    for b in range(1, room + 1):
+        # the marking beyond the far vertex, down a distinguished branch
+        down = _tail(far, b, room, at)
+        for degs, sym, series in _bundles(far, room - b):
+            front = head * _far_weight(t, (a, b) + degs, len(degs) + 2) * sym
+            for d1, v1 in down.items():
+                for d2, v2 in series.items():
+                    if d1 + d2 <= room:
+                        _bump(out, a + d1 + d2, front * v1 * v2)
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _bundles(level: str, room: int, least: int) -> tuple:
-    """Multisets of at least `least` unmarked side branches leaving `level`,
-    keyed by first-edge degree, as (degrees, symmetry division, product
-    series) triples; the division by repeats implements the sum over
-    unordered branches."""
+def _bundles(level: str, room: int) -> tuple:
+    """Multisets of unmarked side branches leaving `level`, the empty one
+    included, keyed by first-edge degree, as (degrees, symmetry division,
+    product series) triples; the division by repeats implements the sum
+    over unordered branches."""
     combos = []
-    _degree_multisets(1, room, least, [], combos)
+    _degree_multisets(1, room, [], combos)
     out = []
     for degs in combos:
         sym = Frac(1)
@@ -292,85 +309,18 @@ def _bundles(level: str, room: int, least: int) -> tuple:
             sym /= factorial(degs.count(d))
         series = {0: RF_ONE}
         for d in degs:
-            series = _dict_mul(series, _plain_tail(level, d, room), room)
+            series = _dict_mul(series, _tail(level, d, room), room)
         out.append((degs, sym, series))
     return tuple(out)
 
 
-class _Tails:
-    """Memoized localization sums for the trees that carry the marking.
-
-    A marked tail is keyed like a plain one (`_plain_tail`) and differs
-    only by the insertion's restriction at the fixed point the marking
-    sits at, which enters each term exactly once: the tables are linear in
-    the insertion.
-    """
-
-    def __init__(self, alpha: CohClass):
-        self.alpha = alpha
-        self._marked: dict = {}
-
-    def marked_tail(self, level: str, a: int, budget: int) -> dict:
-        if a > budget:
-            return {}
-        key = (level, a, budget)
-        got = self._marked.get(key)
-        if got is not None:
-            return got
-        far = _flip(level)
-        t = _tangent(far)
-        head = _edge_factor(a) / RatFun(a)
-        at_far = restrict_at(self.alpha, far)
-        # marking sits at the far end of the edge
-        out = {}
-        _bump(out, a, head * at_far)
-        room = budget - a
-        for b in range(1, room + 1):
-            # marking further down, through a two-edge point
-            joint = head * Frac(a * b, a + b)
-            for deg, val in self.marked_tail(far, b, room).items():
-                _bump(out, a + deg, joint * val)
-        for degs, sym, series in _bundles(far, room, 1):
-            # marking on the component where the side branches meet
-            s = len(degs)
-            front = (
-                head
-                * at_far
-                * RatFun(a * prod(degs) * (a + sum(degs)) ** (s - 1))
-                * t ** (-s)
-                * sym
-            )
-            for deg, val in series.items():
-                _bump(out, a + deg, front * val)
-        for b0 in range(1, room):
-            # marking beyond the component, down a distinguished branch
-            down = self.marked_tail(far, b0, room)
-            if not down:
-                continue
-            for degs, sym, series in _bundles(far, room - b0, 1):
-                s = len(degs)
-                front = (
-                    head
-                    * RatFun(a * b0 * prod(degs) * (a + b0 + sum(degs)) ** (s - 1))
-                    * t ** (-s)
-                    * sym
-                )
-                for d1, v1 in down.items():
-                    for d2, v2 in series.items():
-                        if d1 + d2 <= room:
-                            _bump(out, a + d1 + d2, front * v1 * v2)
-        self._marked[key] = out
-        return out
-
-
-def _degree_multisets(lo, left, least, chosen, out):
-    """Append each nondecreasing extension of chosen (degrees >= lo, sum <= left,
-    at least `least` entries) to out, depth first."""
-    if len(chosen) >= least:
-        out.append(tuple(chosen))
+def _degree_multisets(lo, left, chosen, out):
+    """Append chosen and each nondecreasing extension of it (degrees >= lo,
+    sum <= left) to out, depth first."""
+    out.append(tuple(chosen))
     for b in range(lo, left + 1):
         chosen.append(b)
-        _degree_multisets(b, left - b, least, chosen, out)
+        _degree_multisets(b, left - b, chosen, out)
         chosen.pop()
 
 
@@ -415,24 +365,14 @@ def _tail_series(constant: RatFun, tables, y_order: int, z_order: int) -> TruncS
 
 
 @functools.lru_cache(maxsize=None)
-def _marked_tables(y_order: int) -> tuple:
-    """(restriction at zero, marked tail tables at the zero fixed point by
-    first-edge degree) for the zero and the infinity idempotent."""
-    out = []
-    for idem in (idempotent_zero(), idempotent_infinity()):
-        tails = _Tails(idem)
-        tables = [tails.marked_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
-        out.append((idem.restrict_zero(), tables))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
 def _marked_basis(y_order: int, z_order: int) -> tuple:
     """Marked tail series of the zero and the infinity idempotent."""
-    return tuple(
-        _tail_series(constant, tables, y_order, z_order)
-        for constant, tables in _marked_tables(y_order)
-    )
+    out = []
+    for idem in (idempotent_zero(), idempotent_infinity()):
+        at = (idem.restrict_zero(), idem.restrict_infinity())
+        tables = [_tail(LEVEL_ZERO, a, y_order, at) for a in range(1, y_order + 1)]
+        out.append(_tail_series(at[0], tables, y_order, z_order))
+    return tuple(out)
 
 
 def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
@@ -452,7 +392,7 @@ def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
 
 @functools.lru_cache(maxsize=None)
 def _unmarked_series(y_order: int, z_order: int) -> TreeSeries:
-    tables = [_plain_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
+    tables = [_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
     return TreeSeries(_tail_series(RF_ZERO, tables, y_order, z_order), z_order)
 
 

@@ -9,9 +9,8 @@ from glsmx import jfun, p1series
 _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
-    p1series._plain_tail,
+    p1series._tail,
     p1series._bundles,
-    p1series._marked_tables,
     p1series._marked_basis,
     p1series._unmarked_series,
     p1series._unmarked_hat,

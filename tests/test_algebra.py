@@ -19,9 +19,8 @@ from glsmx.algebra import (
     TruncSeries,
     render_ratfun,
     series_root_pow,
-    substitute_z,
 )
-from glsmx.errors import BadConstantTerm, DivisionByNonUnit, SubstitutionPole
+from glsmx.errors import BadConstantTerm, DivisionByNonUnit
 
 
 # -- RatFun basics ----------------------------------------------------------
@@ -80,11 +79,6 @@ def test_ratfun_nonmonomial_cancel():
     with pytest.raises(DivisionByNonUnit):
         (LAM + Z) ** -1
     with pytest.raises(DivisionByNonUnit):
-        (RF_ONE / Z).subs_z(LAM + 1)
-    # the same non-unit as the constant term of a class: not a pole either
-    with pytest.raises(DivisionByNonUnit):
-        substitute_z(RF_ONE / Z, CohClass([LAM + 1], NILPOTENT, r=2))
-    with pytest.raises(DivisionByNonUnit):
         CohClass([LAM + 1, RF_ONE], PROJLINE).inverse()
 
 
@@ -99,14 +93,6 @@ def test_ratfun_z_parts():
     assert parts[2] == RF_ONE
     assert parts[1] == 2 / LAM
     assert parts[0] == RatFun(-3)
-
-
-def test_ratfun_subs_z_scalar():
-    f = (LAM + Z) / Z
-    assert f.subs_z(LAM / 2) == RatFun(3)
-    assert f.subs_z(2 / LAM) == (LAM**2 + 2) / 2
-    with pytest.raises(SubstitutionPole):
-        f.subs_z(RatFun(0))
 
 
 def test_ratfun_homogeneous_degree():
@@ -198,20 +184,6 @@ def test_projline_inverse():
         (h - lam_c).inverse()  # vanishes at zero fixed point
     with pytest.raises(DivisionByNonUnit):
         h.inverse()  # vanishes at infinity
-
-
-def test_substitute_z_into_cohclass_value():
-    # frozen: 1/z at z := lam - H (r=2) gives (lam + H)/lam^2
-    f = RF_ONE / Z
-    lam_c = CohClass([LAM], NILPOTENT, r=2)
-    h = CohClass.hyperplane(NILPOTENT, r=2)
-    got = substitute_z(f, lam_c - h)
-    assert got == CohClass([RF_ONE / LAM, RF_ONE / LAM**2], NILPOTENT, r=2)
-
-
-def test_substitute_z_pole():
-    with pytest.raises(SubstitutionPole):
-        substitute_z(RF_ONE / Z, CohClass.hyperplane(NILPOTENT, r=2))
 
 
 # -- TruncSeries ------------------------------------------------------------

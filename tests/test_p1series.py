@@ -4,16 +4,19 @@ tail series, the rewrite at a three-pointed component, and the square-root
 ratio identity."""
 
 from fractions import Fraction as Frac
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import _CACHES
 from helpers_p1 import (
     LAM as SLAM,
     brute_p1,
     psi_int_recursive,
     ratfun_to_sympy,
+    vertex_weight,
 )
 from glsmx.algebra import (
     LAM,
@@ -26,10 +29,12 @@ from glsmx.algebra import (
     TruncSeries,
     series_root_pow,
 )
+from glsmx import jfun, p1series
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
-    _Tails,
+    _far_weight,
     _fixed_graphs,
+    _tail,
     comb_dressing,
     comb_three_point,
     hyperplane_class,
@@ -307,6 +312,24 @@ def test_divisor_equation(n, delta, ins):
 # tail series
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("marked", [False, True])
+def test_far_weight_matches_vertex_oracle(sign, marked):
+    # the incoming edge of degree a and side branches of degrees <= 3, with
+    # the marking (restriction r, no cotangent power) on the vertex or not
+    r = sympy.Symbol("r")
+    t = sign * SLAM
+    marks = [(r, 0)] if marked else []
+    # a vertex with the marking has at least the incoming edge besides it
+    for f in range(1 + marked, 7):
+        for a in (1, 2, 3):
+            for degs in combinations_with_replacement((1, 2, 3), f - 1 - marked):
+                flags = (a,) + degs
+                got = ratfun_to_sympy(_far_weight(sign * LAM, flags, f)) * (r if marked else 1)
+                want = vertex_weight(t, [t / d for d in flags], marks)
+                assert sympy.cancel(got - want) == 0, (f, flags)
+
+
 def test_marked_series_constant_term():
     assert tree_series_S(ONE, 2, 2).coeff(0) == RF_ONE
     assert tree_series_S(HYP, 2, 2).coeff(0) == LAM
@@ -341,8 +364,7 @@ def test_marked_series_hyperplane_first_order_vanishes():
 
 
 def test_unmarked_series_at_cotangent_zero():
-    collapsed = tree_series_eps(2, 4).series.map_coeffs(lambda c: c.subs_z(RF_ZERO))
-    assert collapsed.coeff(1, RF_ZERO) == RF_ONE / LAM
+    assert tree_series_eps(2, 4).coeff(1).z_parts()[0] == RF_ONE / LAM
 
 
 def test_tail_series_coefficients_polynomial_in_z():
@@ -472,13 +494,13 @@ def test_rewritten_value_of_a_z_dependent_insertion():
 
 def _direct_tail_series(alpha, y_order, z_order):
     # the tail sums run on the insertion itself, not on the idempotents
-    tails = _Tails(alpha)
+    at = (alpha.restrict_zero(), alpha.restrict_infinity())
     coeffs = {0: alpha.restrict_zero()}
     for a in range(1, y_order + 1):
         smoothing = RF_ZERO
         for k in range(z_order + 1):
             smoothing = smoothing + RatFun(Frac(a) ** (k + 1)) * Z**k / LAM ** (k + 1)
-        for deg, val in tails.marked_tail(LEVEL_ZERO, a, y_order).items():
+        for deg, val in _tail(LEVEL_ZERO, a, y_order, at).items():
             coeffs[deg] = coeffs.get(deg, RF_ZERO) + LAM * smoothing * val
     return TruncSeries("y", y_order, coeffs)
 
@@ -522,3 +544,21 @@ def test_ratio_multiples_against_sympy_expansion():
     for k in range(1, 5):
         c = expansion.coeff(u, k)
         assert rep["lambda_multiples"][k] == Frac(int(sympy.numer(c)), int(sympy.denom(c)))
+
+
+# ---------------------------------------------------------------------------
+# the series caches
+
+# _fixed_graphs holds the point model's fixed-locus census, and no test
+# patches anything it is built from, so the cold-cache fixture may leave it
+_UNCLEARED = {p1series._fixed_graphs}
+
+
+def test_every_series_cache_is_cleared_by_the_fixture():
+    found = {
+        value
+        for module in (jfun, p1series)
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+    }
+    assert found - _UNCLEARED == set(_CACHES)
