@@ -130,6 +130,43 @@ def test_descending_chain_bytes():
     assert _sha(text) == "49c86015672cae3c48f316525ffeba196704ecdd0edb34f3696c8dd718657838"
 
 
+def test_descending_chain_bytes_on_two_genus_one_vertices():
+    # the benchmark's first chain top at edge multiplicity 2/5 and leg 1/5:
+    # both vertices have genus 1 and degree 1, the largest chain search
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
+    top = gr.DualGraph(
+        (
+            gr.Vertex(1, 1, ((1, Frac(1, 5)), (2, Frac(4, 5)))),
+            gr.Vertex(1, 1, ((3, Frac(3, 5)),)),
+        ),
+        (gr.Edge((0, 1), (Frac(2, 5), Frac(3, 5))),),
+        0,
+    )
+    chains = gr.descending_chains(model, top, 16)
+    assert len(chains) == 2214
+    assert _sha(repr(chains)) == (
+        "137ec336a47fa0cab719e1d3ebedaa51a1bd6a2a5bb8b83595f838e922b8dcfc"
+    )
+
+
+# the point model's census at genus 0 and degree 0 is the p1 fixed-locus
+# trees; one digest covers n <= 5 markings at one covering degree
+@pytest.mark.parametrize(
+    "delta, digest",
+    [
+        (0, "ec41e550377870e004deffc76bc911de55bb1247552e54c0f30c81a0d89c1bbb"),
+        (1, "aef7787d4fab0174cce23a52f587cae0b22d1fbda5d65d3aa234dd2ed1a46d65"),
+        (2, "4133956a6b64d56151b349c24fcd7fa84b406713c083ca139c388ff5873fea14"),
+        (3, "fd2ee639102d1785db7908bce28678dcb62aa109d560377584aca5753981c6a1"),
+    ],
+)
+def test_point_model_census_bytes(delta, digest):
+    text = "\n".join(
+        repr(gr._enumerate_loc_graphs(p1._POINT_MODEL, 0, n, 0, delta)) for n in range(6)
+    )
+    assert _sha(text) == digest
+
+
 # eps = 2/17 is the geometric-quintic chamber with 8 unstable degrees
 @pytest.mark.parametrize(
     "command, model, block, digest",
