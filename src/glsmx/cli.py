@@ -177,6 +177,8 @@ def _load_json(path):
         raise ConfigError(f"{path!r} is not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path!r} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ConfigError(f"{path!r} nests too deeply to read as JSON") from None
 
 
 # ---------------------------------------------------------------------------

@@ -199,19 +199,23 @@ def epsilon_stable(
     light_delta instead of 1.  epsilon None means the infinity chamber."""
     if light_markings and light_delta is None:
         raise ConfigError("light markings need a light_delta weight")
-    weight = Frac(special_points)
+    weight = special_points
     if light_markings:
         weight += light_markings * (Frac(light_delta) - 1)
     if epsilon is None:
         if any(o > 0 for o in basepoint_orders):
             return False
         return degree > 0 or 2 * genus - 2 + weight > 0
-    epsilon = Frac(epsilon)
-    if epsilon <= 0:
+    if type(epsilon) is not Frac:
+        epsilon = Frac(epsilon)
+    # cross-multiplied by epsilon = p/q, so the weight stays an int unless
+    # light markings make it a Fraction
+    p, q = epsilon.numerator, epsilon.denominator
+    if p <= 0:
         raise ConfigError(f"stability parameter {epsilon} must be positive")
-    if any(o > 1 / epsilon for o in basepoint_orders):
+    if any(o * p > q for o in basepoint_orders):
         return False
-    return epsilon * degree + 2 * genus - 2 + weight > 0
+    return p * degree + (2 * genus - 2 + weight) * q > 0
 
 
 def classify_vertex(model, graph, vi, epsilon):
@@ -325,17 +329,12 @@ def validate(model, graph):
     return out
 
 
-def _infinity_stable(graph, vi):
-    """Stability of vertex vi in the infinity chamber, extra legs counted."""
-    v = graph.vertices[vi]
-    return epsilon_stable(
-        v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None
-    )
-
-
 def infinity_stable_graph(model, graph):
     """Vertex-wise stability in the infinity chamber, extra legs counted."""
-    return all(_infinity_stable(graph, vi) for vi in range(len(graph.vertices)))
+    return all(
+        epsilon_stable(v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None)
+        for vi, v in enumerate(graph.vertices)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +687,7 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
     found = {}
     # (genus, degree, level, half-edges, legs) -> (role, residue target)
     profiles = {}
+    fracs = [Frac(k, model.d) for k in range(model.d)]
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -700,8 +700,12 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
                 if side is None:
                     continue
                 delta_opts = list(_compositions(delta, ne, 1))
-                # the two level assignments, vertex 0 at level zero first
-                for flip in (0, 1):
+                # the two level assignments, vertex 0 at level zero first.
+                # When an automorphism exchanges the two sides, the second
+                # only repeats, decoration for decoration, classes the first
+                # has already found.
+                flips = (0,) if _sides_swap(structure, side) else (0, 1)
+                for flip in flips:
                     levels = tuple(
                         LEVEL_ZERO if s == flip else LEVEL_INF for s in side
                     )
@@ -721,12 +725,24 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
                                         leg_dist,
                                         found,
                                         profiles,
+                                        fracs,
                                     )
     return [found[k] for k in sorted(found)]
 
 
+def _sides_swap(structure, side):
+    """Whether an automorphism of the structure exchanges the two sides of
+    its bipartition: the structure with each vertex marked by its side is
+    then isomorphic to the one marked by the other side."""
+    edges = [(a, b, 0, 0, 0) for a, b in structure]
+    return (
+        _least_form([(s,) for s in side], edges)[0]
+        == _least_form([(1 - s,) for s in side], edges)[0]
+    )
+
+
 def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles
+    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles, fracs
 ):
     """Add every valid graph on one decorated structure to found, by its
     least int form at scale d.  Multiplicities stay residues k of k/d; a
@@ -736,7 +752,7 @@ def _emit_candidates(
     are decided before the residues: each vertex has a role, and each edge
     covers more than the basepoint order at its level-zero end.  A vertex's
     role and residue target depend on its counts alone, so profiles keeps
-    them for the whole enumeration."""
+    them for the whole enumeration.  fracs holds the multiplicities k/d."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -808,11 +824,11 @@ def _emit_candidates(
                     continue
                 found[key] = LocGraph(
                     tuple(
-                        Vertex(g, b, tuple((l, Frac(k, d)) for l, k in legs), 0, lev)
+                        Vertex(g, b, tuple((l, fracs[k]) for l, k in legs), 0, lev)
                         for g, b, _, lev, legs in verts
                     ),
                     tuple(
-                        Edge((zero, inf), (Frac(kz, d), Frac(ki, d)), dd)
+                        Edge((zero, inf), (fracs[kz], fracs[ki]), dd)
                         for zero, inf, kz, ki, dd in int_edges
                     ),
                 )
@@ -888,15 +904,6 @@ def minimal_expansions(model, graph):
     vb = graph.v_bullet
     center = graph.vertices[vb]
     nv = len(graph.vertices)
-    # no step changes whether a defect is integral: the two sides of a new
-    # edge or loop sum to an integer, and the halves of vb split its genus,
-    # degree and markings, so their defects add up to vb's mod 1.  So every
-    # defect is tested once here, and the stability of every vertex a step
-    # leaves alone; per candidate only the touched vertices' stability
-    if any(_vertex_defect(model, graph, vi).denominator != 1 for vi in range(nv)):
-        return []
-    if not all(_infinity_stable(graph, vi) for vi in range(nv) if vi != vb):
-        return []
     # candidates are keyed in the int form, at one scale that holds the 1/d
     # grid and every input multiplicity; a DualGraph is built only for a key
     # not seen before.  The touched vertices drop their extra legs.
@@ -904,6 +911,27 @@ def minimal_expansions(model, graph):
     scale = math.lcm(d, _scale(graph))
     step = scale // d
     verts, edges = _int_form(graph, scale)
+    # no step changes whether a defect is integral: the two sides of a new
+    # edge or loop sum to an integer, and the halves of vb split its genus,
+    # degree and markings, so their defects add up to vb's mod 1.  So every
+    # defect is tested once here, and the stability of every vertex a step
+    # leaves alone; per candidate only the touched vertices' stability.
+    # Both run on the int form: a defect is integral iff the scaled
+    # multiplicities sum to step times the residue mod scale, and each
+    # extra leg carries the phase unit.
+    unit = _scaled(model.unit_sector_mult, scale)
+    points = [len(v[4]) + v[2] for v in verts]
+    ks = [sum(k for _, k in v[4]) + v[2] * unit for v in verts]
+    for a, b, ka, kb, _ in edges:
+        points[a] += 1
+        points[b] += 1
+        ks[a] += ka
+        ks[b] += kb
+    for vi, (genus, degree, *_) in enumerate(verts):
+        if (ks[vi] - step * compat_residue(model, genus, points[vi], degree)) % scale:
+            return []
+        if vi != vb and degree <= 0 and 2 * genus - 2 + points[vi] <= 0:
+            return []
     level = verts[vb][3]
     leg_ks = [_scaled(m, scale) for _, m in center.legs]
     slots = [

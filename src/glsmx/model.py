@@ -17,6 +17,8 @@ GEOMETRIC = "geometric"
 
 def frac_bracket(a) -> Frac:
     """Unique representative of a mod 1 in [0, 1)."""
+    if type(a) is Frac and 0 <= a.numerator < a.denominator:
+        return a
     a = Frac(a)
     return a - math.floor(a)
 
@@ -118,6 +120,9 @@ def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
 def compat_residue(model: GlsmModel, genus: int, n: int, beta) -> int:
     """d times the gauge-bundle degree, reduced mod d: multiplicities k_i/d
     at n markings are compatible iff the k_i sum to it mod d."""
+    if type(beta) is int:
+        # d * (2g - 2 + n - beta) / d in the LG phase, d * beta otherwise
+        return (2 * genus - 2 + n - beta) % model.d if model.phase == LG else 0
     k = line_bundle_degree(model, genus, n, beta) * model.d
     if k.denominator != 1:
         raise ConfigError(f"degree {beta} has no residue mod {model.d}")

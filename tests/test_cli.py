@@ -298,6 +298,36 @@ def test_main_non_utf8_config_goes_to_stderr(tmp_path, capsys):
     assert "is not UTF-8 text" in captured.err
 
 
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_main_deeply_nested_config_goes_to_stderr(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(_DEEP_JSON)
+    code = main(["sectors", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "nests too deeply" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_deeply_nested_graph_file_fails_cleanly(tmp_path, capsys):
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_text(_DEEP_JSON)
+    config = {"model": QUINTIC_LG, "aut": {"graph_file": str(graph_path)}}
+    report = run("aut", config)
+    assert [c["name"] for c in report["checks"]] == ["ConfigError"]
+    assert "nests too deeply" in report["checks"][0]["first_failure"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    code = main(["aut", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["checks"][0]["status"] == "fail"
+    assert "Traceback" not in captured.err
+
+
 def test_non_utf8_graph_file_fails_cleanly(tmp_path, capsys):
     graph_path = tmp_path / "graph.json"
     graph_path.write_bytes(b"\xff{}")

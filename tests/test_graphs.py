@@ -147,6 +147,48 @@ def test_stability_light_marking():
         G.epsilon_stable(0, 0, 2, Frac(2, 3), light_markings=1)
 
 
+def _stable_reference(genus, degree, special, epsilon, orders, light_delta, light):
+    # the rule on Fractions: every basepoint order at most 1/epsilon, and
+    # epsilon * degree + 2g - 2 + weight positive
+    weight = Frac(special)
+    if light:
+        weight += light * (Frac(light_delta) - 1)
+    if epsilon is None:
+        return not any(o > 0 for o in orders) and (degree > 0 or 2 * genus - 2 + weight > 0)
+    epsilon = Frac(epsilon)
+    if any(o > 1 / epsilon for o in orders):
+        return False
+    return epsilon * degree + 2 * genus - 2 + weight > 0
+
+
+_POSITIVE = st.fractions(min_value=Frac(1, 12), max_value=4, max_denominator=12)
+
+
+@given(
+    st.integers(0, 3),
+    st.one_of(st.integers(0, 5), st.fractions(min_value=0, max_value=5, max_denominator=6)),
+    st.integers(0, 5),
+    st.one_of(st.none(), _POSITIVE, _POSITIVE.map(str), st.integers(1, 3)),
+    st.lists(st.integers(0, 12), max_size=3),
+    _POSITIVE,
+    st.integers(0, 3),
+)
+@settings(max_examples=300)
+def test_stability_matches_fraction_reference(
+    genus, degree, special, epsilon, orders, light_delta, light
+):
+    got = G.epsilon_stable(genus, degree, special, epsilon, tuple(orders), light_delta, light)
+    assert got == _stable_reference(
+        genus, degree, special, epsilon, orders, light_delta, light
+    )
+
+
+@pytest.mark.parametrize("epsilon", [0, Frac(-1, 3), "-2/5"])
+def test_stability_refuses_a_non_positive_parameter(epsilon):
+    with pytest.raises(ConfigError, match="must be positive"):
+        G.epsilon_stable(1, 1, 1, epsilon)
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
@@ -399,6 +441,37 @@ def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):
     _check_outputs(model, out, g, n, beta, delta)
     oracle = brute_loc_graphs(model.d, lg, model.epsilon, g, n, beta, delta)
     assert len(out) == len(oracle)
+
+
+@pytest.mark.parametrize(
+    "edges, swaps",
+    [
+        (((0, 1),), True),
+        (((0, 1), (0, 1)), True),
+        (((0, 1), (1, 2)), False),
+        (((0, 1), (1, 2), (2, 3)), True),
+        (((0, 1), (0, 2), (0, 3)), False),
+        (((0, 1), (1, 2), (2, 3), (0, 3)), True),
+        # sides of two, but the doubled end edge pins each side
+        (((0, 1), (0, 1), (1, 2), (2, 3)), False),
+    ],
+    ids=["edge", "double-edge", "3-path", "4-path", "star", "4-cycle", "pinned-4-path"],
+)
+def test_sides_swap_table(edges, swaps):
+    nv = 1 + max(max(e) for e in edges)
+    side = G._bipartition(nv, edges)
+    assert G._sides_swap(edges, side) is swaps
+
+
+def test_a_lone_vertex_keeps_both_levels(monkeypatch):
+    # a single vertex has no second side, so its level-infinity assignment
+    # is no repeat; skipping it on every structure loses classes
+    assert G._sides_swap((), [0]) is False
+    key = (1, 1, 0, 0)
+    oracle = brute_loc_graphs(QUINTIC_25.d, True, QUINTIC_25.epsilon, *key)
+    assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) == len(oracle)
+    monkeypatch.setattr(G, "_sides_swap", lambda structure, side: True)
+    assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) < len(oracle)
 
 
 @pytest.mark.parametrize(
@@ -856,6 +929,107 @@ def test_minimal_expansions_new_edges_stay_on_the_grid():
     for p in preds:
         new = p.edges[-1]
         assert all((m * 5).denominator == 1 for m in new.mults)
+
+
+def _defect_reference(model, graph, vi):
+    # gauge-bundle degree minus every multiplicity at the vertex, on
+    # Fractions: legs, both sides of a loop, and 1/d per extra leg in LG
+    v = graph.vertices[vi]
+    mults = [m for _, m in v.legs]
+    for e in graph.edges:
+        mults += [m for end, m in zip(e.ends, e.mults) if end == vi]
+    mults += [Frac(1, model.d) if model.phase == LG else Frac(0)] * v.extra_legs
+    n = len(mults)
+    if model.phase == LG:
+        degree = Frac(2 * v.genus - 2 + n - v.degree, model.d)
+    else:
+        degree = Frac(v.degree)
+    return degree - sum(mults)
+
+
+def _points_reference(graph, vi):
+    v = graph.vertices[vi]
+    half_edges = sum((a == vi) + (b == vi) for a, b in (e.ends for e in graph.edges))
+    return len(v.legs) + half_edges + v.extra_legs
+
+
+@st.composite
+def _expansion_input(draw):
+    """A dual graph whose distinguished vertex has genus and degree at least
+    one, so a loop expansion exists whenever no early exit fires.  Other
+    vertices carry extra legs and loops, and multiplicities lie on a grid
+    up to three times finer than 1/d.  Most vertices have a last leg whose
+    multiplicity makes their defect integral."""
+    model = draw(st.sampled_from([QUINTIC, MIXED, QUINTIC_GEO_25]))
+    scale = model.d * draw(st.sampled_from([1, 2, 3]))
+
+    def mult():
+        return Frac(draw(st.integers(0, scale - 1)), scale)
+
+    nv = draw(st.sampled_from([1, 2, 3, 3]))
+    vb = draw(st.integers(0, nv - 1))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    ends += [(v, v) for v in draw(st.lists(st.integers(0, nv - 1), max_size=2))]
+    if nv > 1 and draw(st.booleans()):
+        ends.append((0, nv - 1))
+    edges = tuple(G.Edge(e, (m, -m)) for e, m in ((e, mult()) for e in ends))
+    small = st.sampled_from([0, 0, 0, 1])
+    vertices = []
+    solved = []
+    for vi in range(nv):
+        if vi == vb:
+            genus, degree, extra = draw(st.integers(1, 2)), draw(st.integers(1, 2)), 0
+        else:
+            genus, degree, extra = draw(small), draw(small), draw(small) + draw(small)
+        solve = draw(st.integers(0, 4)) > 0
+        legs = tuple(
+            (len(vertices) * 3 + i + 1, mult())
+            for i in range(int(solve) + draw(small))
+        )
+        vertices.append(G.Vertex(genus, degree, legs, extra))
+        solved.append(solve)
+    for vi, v in enumerate(vertices):
+        if solved[vi]:
+            # with the last leg at 0, the defect is what that leg must carry
+            start = v.legs[:-1] + ((v.legs[-1][0], 0),)
+            vertices[vi] = G.Vertex(v.genus, v.degree, start, v.extra_legs)
+            probe = G.DualGraph(tuple(vertices), edges, vb)
+            last = _defect_reference(model, probe, vi)
+            vertices[vi] = G.Vertex(v.genus, v.degree, v.legs[:-1] + ((v.legs[-1][0], last),), v.extra_legs)
+    return model, G.DualGraph(tuple(vertices), edges, vb)
+
+
+@given(_expansion_input())
+@settings(deadline=None, max_examples=300)
+def test_minimal_expansions_exit_early_exactly_on_the_fraction_rules(drawn):
+    model, graph = drawn
+    vb = graph.v_bullet
+    blocked = any(
+        _defect_reference(model, graph, vi).denominator != 1
+        for vi in range(len(graph.vertices))
+    ) or any(
+        v.degree <= 0 and 2 * v.genus - 2 + _points_reference(graph, vi) <= 0
+        for vi, v in enumerate(graph.vertices)
+        if vi != vb
+    )
+    assert (G.minimal_expansions(model, graph) == []) is blocked
+
+
+def test_descending_chains_expand_through_the_module_function(monkeypatch):
+    # the chain search looks minimal_expansions up on the module, once per
+    # graph it memoises, so a wrapper there (as a tracer installs) sees
+    # every expansion
+    real = G.minimal_expansions
+    seen = []
+
+    def counting(model, graph):
+        seen.append(graph)
+        return real(model, graph)
+
+    monkeypatch.setattr(G, "minimal_expansions", counting)
+    chains = G.descending_chains(QUINTIC, _small_top(), 12)
+    assert len(chains) > 1
+    assert len(seen) == len({G.canonical_key(g) for chain in chains for g in chain})
 
 
 def test_descending_chains_respect_bound():

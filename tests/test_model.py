@@ -74,6 +74,27 @@ def test_frac_bracket_is_mod_one(a):
     assert (a - b).denominator == 1
 
 
+@given(
+    st.one_of(
+        st.integers(-40, 40),
+        st.fractions(min_value=-9, max_value=9, max_denominator=60),
+        st.fractions(min_value=-9, max_value=9, max_denominator=60).map(str),
+    )
+)
+def test_frac_bracket_matches_floor_reference(a):
+    # ints, strings, negative values and values of 1 or more all come back
+    # as a Fraction equal to a - floor(a)
+    exact = Frac(a)
+    b = frac_bracket(a)
+    assert type(b) is Frac
+    assert b == exact - (exact.numerator // exact.denominator)
+
+
+@given(st.integers(1, 59).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Frac(p, q))))
+def test_frac_bracket_keeps_a_reduced_fraction(a):
+    assert frac_bracket(a) is a
+
+
 # -- sectors ------------------------------------------------------------------
 
 
@@ -168,6 +189,9 @@ def test_compat_residue_matches_fraction_path(model, g, beta, ks):
     mults = tuple(Frac(k, d) for k in ks)
     target = compat_residue(model, g, len(ks), beta)
     assert 0 <= target < d
+    # an int degree takes the int path; the same degree as a Fraction the
+    # Fraction one
+    assert compat_residue(model, g, len(ks), Frac(beta)) == target
     assert ((sum(ks) - target) % d == 0) == check_compatibility(model, g, beta, mults)
     last = (compat_residue(model, g, len(ks) + 1, beta) - sum(ks)) % d
     assert last == d * solve_last_multiplicity(model, g, beta, mults)
