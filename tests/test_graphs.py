@@ -972,7 +972,7 @@ def _expansion_input(draw):
     ends += [(v, v) for v in draw(st.lists(st.integers(0, nv - 1), max_size=2))]
     if nv > 1 and draw(st.booleans()):
         ends.append((0, nv - 1))
-    edges = tuple(G.Edge(e, (m, -m)) for e, m in ((e, mult()) for e in ends))
+    edges = tuple(G.Edge(e, (m, -m)) for e, m in zip(ends, [mult() for _ in ends]))
     small = st.sampled_from([0, 0, 0, 1])
     vertices = []
     solved = []
@@ -991,11 +991,10 @@ def _expansion_input(draw):
     for vi, v in enumerate(vertices):
         if solved[vi]:
             # with the last leg at 0, the defect is what that leg must carry
-            start = v.legs[:-1] + ((v.legs[-1][0], 0),)
-            vertices[vi] = G.Vertex(v.genus, v.degree, start, v.extra_legs)
-            probe = G.DualGraph(tuple(vertices), edges, vb)
-            last = _defect_reference(model, probe, vi)
-            vertices[vi] = G.Vertex(v.genus, v.degree, v.legs[:-1] + ((v.legs[-1][0], last),), v.extra_legs)
+            label = v.legs[-1][0]
+            vertices[vi] = G.Vertex(v.genus, v.degree, v.legs[:-1] + ((label, 0),), v.extra_legs)
+            last = _defect_reference(model, G.DualGraph(tuple(vertices), edges, vb), vi)
+            vertices[vi] = G.Vertex(v.genus, v.degree, v.legs[:-1] + ((label, last),), v.extra_legs)
     return model, G.DualGraph(tuple(vertices), edges, vb)
 
 
