@@ -86,16 +86,6 @@ class RatFun:
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def lam(exp=1):
-        return RatFun({(exp, 0): 1})
-
-    @staticmethod
-    def z(exp=1):
-        return RatFun({(0, exp): 1})
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
@@ -207,8 +197,8 @@ def _as_ratfun(x):
 
 RF_ZERO = RatFun(0)
 RF_ONE = RatFun(1)
-LAM = RatFun.lam()
-Z = RatFun.z()
+LAM = RatFun({(1, 0): 1})
+Z = RatFun({(0, 1): 1})
 
 
 def join_terms(terms):
@@ -422,39 +412,14 @@ class CohClass:
             raise ValueError("restriction is a projline operation")
         return self.coeffs[0]
 
-    def integrate_p1(self):
-        """Equivariant pushforward to a point for projline classes."""
-        if self.relation != PROJLINE:
-            raise ValueError("integration is a projline operation")
-        return self.coeffs[1]
-
 
 # ---------------------------------------------------------------------------
-# truncated power series in one variable over an arbitrary coefficient ring
-
-
-def _ring_is_zero(x):
-    if isinstance(x, (int, Frac)):
-        return x == 0
-    return x.is_zero()
-
-
-def _ring_inv(x):
-    if isinstance(x, int):
-        x = Frac(x)
-    if isinstance(x, Frac):
-        if x == 0:
-            raise DivisionByNonUnit("division by zero")
-        return 1 / x
-    if isinstance(x, RatFun):
-        return RF_ONE / x
-    if isinstance(x, CohClass):
-        return x.inverse()
-    raise DivisionByNonUnit(f"no inverse for {type(x).__name__}")
+# truncated power series in one variable over RatFun
 
 
 class TruncSeries:
-    """Power series in one formal variable, truncated above `order`."""
+    """Power series in one formal variable with RatFun coefficients,
+    truncated above `order`."""
 
     __slots__ = ("variable", "order", "coeffs")
 
@@ -463,7 +428,7 @@ class TruncSeries:
             raise ValueError("order must be non-negative")
         cleaned = {}
         for k, v in (coeffs or {}).items():
-            if 0 <= k <= order and not _ring_is_zero(v):
+            if 0 <= k <= order and not v.is_zero():
                 cleaned[k] = v
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "order", order)
@@ -472,15 +437,7 @@ class TruncSeries:
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
 
-    @staticmethod
-    def variable_series(variable, order, one=Frac(1)):
-        return TruncSeries(variable, order, {1: one})
-
-    @staticmethod
-    def constant(variable, order, value):
-        return TruncSeries(variable, order, {0: value})
-
-    def coeff(self, k, default=Frac(0)):
+    def coeff(self, k, default=RF_ZERO):
         return self.coeffs.get(k, default)
 
     def _check(self, other):
@@ -491,23 +448,14 @@ class TruncSeries:
         return min(self.order, other.order)
 
     def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return TruncSeries(self.variable, self.order, _merge(self.coeffs, {0: other}))
         self._check(other)
         return TruncSeries(self.variable, self._order_with(other), _merge(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return TruncSeries(self.variable, self.order, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            return self + (-other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
@@ -527,16 +475,14 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, TruncSeries):
-            return self * _ring_inv(other)
         self._check(other)
         c0 = other.coeff(0)
-        if _ring_is_zero(c0):
+        if c0.is_zero():
             raise DivisionByNonUnit("series with zero constant term")
-        inv0 = _ring_inv(c0)
+        inv0 = RF_ONE / c0
         order = self._order_with(other)
         # u = 1 - other/c0 is nilpotent to the truncation order
-        u = TruncSeries(self.variable, order, {0: _one_like(c0)}) - other * inv0
+        u = TruncSeries(self.variable, order, {0: RF_ONE}) - other * inv0
         out = self
         acc = self
         for _ in range(order):
@@ -570,33 +516,16 @@ def _merge(a, b):
     return out
 
 
-def _one_like(x):
-    if isinstance(x, (int, Frac)):
-        return Frac(1)
-    if isinstance(x, RatFun):
-        return RF_ONE
-    if isinstance(x, CohClass):
-        return CohClass.unit(x.relation, x.r)
-    raise TypeError(f"no unit for {type(x).__name__}")
-
-
-def _is_one(x):
-    if isinstance(x, (int, Frac)):
-        return x == 1
-    return x == _one_like(x)
-
-
 def series_root_pow(s, exponent):
     """s**exponent for rational exponent, by exact binomial expansion.
     Requires constant term exactly 1."""
     exponent = Frac(exponent)
-    c0 = s.coeff(0)
-    if _ring_is_zero(c0) or not _is_one(c0):
+    if s.coeff(0) != RF_ONE:
         raise BadConstantTerm("series_root_pow needs constant term 1")
-    one = _one_like(c0)
-    u = s - TruncSeries(s.variable, s.order, {0: one})
-    out = TruncSeries(s.variable, s.order, {0: one})
-    power = TruncSeries(s.variable, s.order, {0: one})
+    one = TruncSeries(s.variable, s.order, {0: RF_ONE})
+    u = s - one
+    out = one
+    power = one
     binom = Frac(1)
     for k in range(1, s.order + 1):
         binom *= Frac(exponent - (k - 1), k)

@@ -408,9 +408,9 @@ def _cmd_p1(config, trunc):
     )
     inputs = {"y_order": y_order, "z_order": z_order, "delta": delta}
     results = {
-        "tail_unit": {f"y^{k}": _lam_string(unit_tail.coeff(k, RF_ZERO)) for k in range(y_order + 1)},
+        "tail_unit": {f"y^{k}": _lam_string(unit_tail.coeff(k)) for k in range(y_order + 1)},
         "tail_hyperplane": {
-            f"y^{k}": _lam_string(hyper_tail.coeff(k, RF_ZERO)) for k in range(y_order + 1)
+            f"y^{k}": _lam_string(hyper_tail.coeff(k)) for k in range(y_order + 1)
         },
         "ratio_lambda_multiples": multiples,
         "pairings": pairings,
@@ -423,8 +423,7 @@ def _cmd_ifun(config, trunc):
     params = _params(config, "ifun")
     q_max = _parse_int(params.get("q_max", trunc["q_max"]), "ifun.q_max")
     twisted = _parse_bool(params.get("twisted", False), "ifun.twisted")
-    series = jfun.i_function(model, q_max, twisted)
-    values = {beta: series.coefficient(beta) for beta in range(q_max + 1)}
+    values = jfun.i_function(model, q_max, twisted)
     inputs = {"model": _model_echo(model), "q_max": q_max, "twisted": twisted}
     results = {
         "sectors": {str(b): _frac_str(jfun.j_sector(model, b)) for b in range(q_max + 1)},
@@ -446,7 +445,7 @@ def _cmd_mu(config, trunc):
     inputs = {"model": _model_echo(model), "epsilon": str(epsilon), "twisted": twisted}
     results = {
         "beta_max": table.beta_max,
-        "sectors": {str(b): _frac_str(table.sector(b)) for b in table.betas()},
+        "sectors": {str(b): _frac_str(jfun.j_sector(model, b)) for b in table.betas()},
         "coefficients": _coefficient_table(dict(table.entries)),
     }
     checks = [

@@ -15,10 +15,6 @@ class BadConstantTerm(GlsmxError):
     """Series operation requiring constant term 1 got something else."""
 
 
-class NonIntegralChi(GlsmxError):
-    """Orbifold bundle data whose coarse degree bookkeeping is inconsistent."""
-
-
 class OnWall(GlsmxError):
     """Stability parameter sits on a wall (some k*epsilon = 1)."""
 

@@ -1,7 +1,7 @@
 """Decorated dual graphs and torus-fixed-locus graphs: validation,
-stability predicates, tail contraction and marking conversion, fixed-graph
-enumeration, automorphism and covering-degree factors, and the partial
-order that organizes the induction over decorated graphs."""
+stability predicates, tail contraction, fixed-graph enumeration,
+automorphism and covering-degree factors, and the partial order that
+organizes the induction over decorated graphs."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .errors import (
     BoundsExceeded,
     ConfigError,
     NotInfinityStable,
-    WrongMultiplicity,
 )
 from .model import (
     _compat_defect,
@@ -152,10 +151,6 @@ def total_degree(graph):
     return sum(v.degree for v in graph.vertices)
 
 
-def total_edge_degree(graph):
-    return sum(e.delta or 0 for e in graph.edges)
-
-
 def global_legs(graph):
     """All legs in label order as (label, mult, vertex index)."""
     out = []
@@ -164,21 +159,6 @@ def global_legs(graph):
             out.append((label, m, vi))
     out.sort()
     return out
-
-
-def _vertex_mults(model, graph, vi):
-    """Every multiplicity incident to the vertex: legs, half-edges, and the
-    phase unit for each extra leg."""
-    v = graph.vertices[vi]
-    out = [m for _, m in v.legs]
-    out += [graph.edges[ei].mults[side] for ei, side in half_edges_at(graph, vi)]
-    out += [model.unit_sector_mult] * v.extra_legs
-    return out
-
-
-def _vertex_defect(model, graph, vi):
-    v = graph.vertices[vi]
-    return _compat_defect(model, v.genus, v.degree, _vertex_mults(model, graph, vi))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +260,19 @@ def validate(model, graph):
     is_loc = isinstance(graph, LocGraph)
     nv = len(graph.vertices)
     ends_ok = True
+    # every multiplicity at each vertex: its legs, the phase unit for each
+    # extra leg, and its side of each edge (both sides of a loop)
+    mults = [
+        [m for _, m in v.legs] + [model.unit_sector_mult] * v.extra_legs
+        for v in graph.vertices
+    ]
     for ei, e in enumerate(graph.edges):
         if not all(0 <= x < nv for x in e.ends):
             out.append(f"edge {ei}: endpoint out of range")
             ends_ok = False
             continue
+        for end, m in zip(e.ends, e.mults):
+            mults[end].append(m)
         if (e.mults[0] + e.mults[1]).denominator != 1:
             out.append(
                 f"edge {ei}: multiplicities {e.mults[0]} + {e.mults[1]} not integral"
@@ -309,7 +297,7 @@ def validate(model, graph):
         if v.genus < 0 or v.degree < 0 or v.extra_legs < 0:
             out.append(f"vertex {vi}: negative decoration")
             continue
-        defect = _vertex_defect(model, graph, vi)
+        defect = _compat_defect(model, v.genus, v.degree, mults[vi])
         if defect.denominator != 1:
             out.append(f"vertex {vi}: multiplicity defect {defect} not integral")
     if not is_loc and graph.v_bullet is not None:
@@ -567,50 +555,6 @@ def is_contraction_fixpoint(model, record, epsilon):
     records = tuple((b.host, b.order, b.mult) for b in record.basepoints)
     _, _, changed = contraction_pass(model, record.graph, records, epsilon)
     return not changed
-
-
-def convert_markings_b(model, graph, beta_vec, epsilon):
-    """Convert the last k markings into basepoints of the given orders, then
-    contract until stable for the chamber."""
-    beta_vec = tuple(int(b) for b in beta_vec)
-    if not beta_vec:
-        return ContractionRecord(graph, ())
-    legs = global_legs(graph)
-    if len(beta_vec) > len(legs):
-        raise ConfigError("more orders than markings")
-    tail = legs[len(legs) - len(beta_vec):]
-    records = []
-    for (label, m, vi), order in zip(tail, beta_vec):
-        twist, expected = graph_multiplicities(model, order)
-        if m != expected:
-            raise WrongMultiplicity(
-                f"marking {label} has multiplicity {m}, conversion of order "
-                f"{order} needs {expected}"
-            )
-        records.append((vi, order, frac_bracket(m + twist)))
-    drop = {label for label, _, _ in tail}
-    stripped = DualGraph(
-        tuple(
-            Vertex(
-                v.genus,
-                v.degree,
-                tuple((l, m) for l, m in v.legs if l not in drop),
-                v.extra_legs,
-                v.level,
-            )
-            for v in graph.vertices
-        ),
-        graph.edges,
-        graph.v_bullet,
-    )
-    out_graph, out_records = _contract_to_fixpoint(
-        model, stripped, tuple(records), epsilon
-    )
-    basepoints = tuple(
-        Basepoint(h, o, m)
-        for h, o, m in sorted(out_records, key=lambda r: (r[0], r[1]))
-    )
-    return ContractionRecord(out_graph, basepoints)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,10 +1028,17 @@ def _read_mult(text, where):
         raise ValueError(f"{where} multiplicity {text!r} has a zero denominator") from None
 
 
-def _read_delta(value, where):
-    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+def _read_int(value, what, nullable=False):
+    """An int field as given: bool, float and str are refused, not cast."""
+    if (nullable and value is None) or (isinstance(value, int) and not isinstance(value, bool)):
         return value
-    raise ValueError(f"{where} covering degree {value!r} is not an integer or null")
+    raise ValueError(f"{what} {value!r} is not an integer" + (" or null" if nullable else ""))
+
+
+def _read_ends(value, where):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{where} ends {value!r} are not a pair of vertex indices")
+    return tuple(_read_int(x, f"{where} end") for x in value)
 
 
 def _read_level(value, where):
@@ -1101,21 +1052,25 @@ def _read_level(value, where):
 def graph_from_obj(obj):
     vertices = tuple(
         Vertex(
-            int(v["genus"]),
-            int(v["degree"]),
+            _read_int(v["genus"], f"vertex {vi} genus"),
+            _read_int(v["degree"], f"vertex {vi} degree"),
             tuple(
-                (int(l), _read_mult(m, f"vertex {vi} leg {l}")) for l, m in v.get("legs", [])
+                (
+                    _read_int(l, f"vertex {vi} leg label"),
+                    _read_mult(m, f"vertex {vi} leg {l}"),
+                )
+                for l, m in v.get("legs", [])
             ),
-            int(v.get("extra_legs", 0)),
+            _read_int(v.get("extra_legs", 0), f"vertex {vi} extra_legs"),
             _read_level(v.get("level"), f"vertex {vi}"),
         )
         for vi, v in enumerate(obj["vertices"])
     )
     edges = tuple(
         Edge(
-            tuple(e["ends"]),
+            _read_ends(e["ends"], f"edge {ei}"),
             tuple(_read_mult(e["mults"][s], f"edge {ei} side {s}") for s in (0, 1)),
-            _read_delta(e.get("delta"), f"edge {ei}"),
+            _read_int(e.get("delta"), f"edge {ei} covering degree", nullable=True),
         )
         for ei, e in enumerate(obj["edges"])
     )
@@ -1125,7 +1080,7 @@ def graph_from_obj(obj):
             raise ValueError(f"edge {ei} has an endpoint outside vertices 0..{nv - 1}")
     if obj.get("kind") == "loc":
         return LocGraph(vertices, edges)
-    bullet = obj.get("v_bullet")
+    bullet = _read_int(obj.get("v_bullet"), "v_bullet", nullable=True)
     if bullet is not None and not 0 <= bullet < nv:
         raise ValueError(f"v_bullet {bullet} is outside vertices 0..{nv - 1}")
     return DualGraph(vertices, edges, bullet)

@@ -24,7 +24,6 @@ from .algebra import (
     Z,
     CohClass,
     RatFun,
-    TruncSeries,
 )
 from .errors import (
     BoundsExceeded,
@@ -68,10 +67,6 @@ class WeightTable:
 
     h0_weights: tuple
     h1_weights: tuple
-
-    @property
-    def euler_char(self):
-        return len(self.h0_weights) - len(self.h1_weights)
 
 
 def _checked_age(age):
@@ -277,21 +272,6 @@ def _plus_part(model, beta, epsilon, twisted):
     return _ladder_plus(replace(model, epsilon=None), beta, twisted)
 
 
-@dataclass(frozen=True)
-class JSeries:
-    """I-function coefficients, indexed by degree in the series variable."""
-
-    model: GlsmModel
-    twisted: bool
-    series: TruncSeries
-
-    def coefficient(self, beta):
-        return self.series.coeff(beta, state_unit(self.model) * RF_ZERO)
-
-    def sector(self, beta):
-        return j_sector(self.model, beta)
-
-
 def _check_q_max(q_max):
     if q_max < 0:
         raise ConfigError(f"series order {q_max} must be non-negative")
@@ -300,14 +280,13 @@ def _check_q_max(q_max):
 
 
 def i_function(model, q_max, twisted=False):
-    """Collect the small-chamber coefficients through degree q_max, with the
-    framing twist inserted when twisted."""
+    """The small-chamber coefficients through degree q_max, as {beta:
+    CohClass}, with the framing twist inserted when twisted."""
     _check_q_max(q_max)
-    coeffs = {
+    return {
         beta: unstable_J_coefficient(model, beta, None, twisted)
         for beta in range(q_max + 1)
     }
-    return JSeries(model, twisted, TruncSeries("q", q_max, coeffs))
 
 
 @dataclass(frozen=True)
@@ -332,9 +311,6 @@ class MuTable:
             if b == beta:
                 return value
         return state_unit(self.model) * RF_ZERO
-
-    def sector(self, beta):
-        return j_sector(self.model, beta)
 
 
 def _chamber_bound(epsilon):

@@ -1,7 +1,7 @@
 """GLSM input datum and the sector / multiplicity arithmetic attached to it:
-sector classification, compatibility of marked-point multiplicities, orbifold
-Euler characteristics, virtual-dimension bookkeeping, and the stability-gap
-margin used by the light-marking device."""
+sector classification, compatibility of marked-point multiplicities, the
+degrees of the gauge and auxiliary bundles, and the stability-gap margin
+used by the light-marking device."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 
-from .errors import ConfigError, NonIntegralChi, OnWall
+from .errors import ConfigError, OnWall
 
 LG = "lg"
 GEOMETRIC = "geometric"
@@ -104,12 +104,6 @@ def list_sectors(model: GlsmModel) -> list:
     return [make_sector(model, Frac(k, model.d)) for k in range(model.d)]
 
 
-def check_compatibility(model: GlsmModel, genus: int, beta, mults) -> bool:
-    """Whether a multiplicity tuple is realized by an actual line bundle of
-    the given degree: the defect must be an integer."""
-    return _compat_defect(model, genus, beta, mults).denominator == 1
-
-
 def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
     """The unique multiplicity in [0,1) whose appending makes the tuple
     compatible (the marking count includes the appended one)."""
@@ -117,16 +111,11 @@ def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
     return frac_bracket(defect)
 
 
-def compat_residue(model: GlsmModel, genus: int, n: int, beta) -> int:
+def compat_residue(model: GlsmModel, genus: int, n: int, beta: int) -> int:
     """d times the gauge-bundle degree, reduced mod d: multiplicities k_i/d
     at n markings are compatible iff the k_i sum to it mod d."""
-    if type(beta) is int:
-        # d * (2g - 2 + n - beta) / d in the LG phase, d * beta otherwise
-        return (2 * genus - 2 + n - beta) % model.d if model.phase == LG else 0
-    k = line_bundle_degree(model, genus, n, beta) * model.d
-    if k.denominator != 1:
-        raise ConfigError(f"degree {beta} has no residue mod {model.d}")
-    return int(k) % model.d
+    # d * (2g - 2 + n - beta) / d in the LG phase, d * beta otherwise
+    return (2 * genus - 2 + n - beta) % model.d if model.phase == LG else 0
 
 
 def _compat_defect(model, genus, beta, mults):
@@ -151,35 +140,6 @@ def graph_multiplicities(model: GlsmModel, beta: int):
     return marked, basepoint
 
 
-@dataclass(frozen=True)
-class OrbiBundleData:
-    """A line bundle on an orbifold curve, reduced to the numbers that enter
-    Euler-characteristic bookkeeping: genus, rational degree, and the ages
-    at the orbifold points."""
-
-    genus: int
-    rational_degree: Frac
-    ages: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "rational_degree", Frac(self.rational_degree))
-        object.__setattr__(
-            self, "ages", tuple(frac_bracket(a) for a in self.ages)
-        )
-
-    @property
-    def coarse_degree(self) -> Frac:
-        return self.rational_degree - sum(self.ages, Frac(0))
-
-
-def euler_char(data: OrbiBundleData) -> int:
-    """chi of the coarse pushforward: 1 - g + (rational degree - sum of ages)."""
-    coarse = data.coarse_degree
-    if coarse.denominator != 1:
-        raise NonIntegralChi(f"coarse degree {coarse} is not an integer")
-    return 1 - data.genus + int(coarse)
-
-
 def line_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
     """Rational degree of the gauge bundle for the given discrete data."""
     beta = Frac(beta)
@@ -194,26 +154,6 @@ def p_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
     if model.phase == LG:
         return Frac(beta)
     return -model.d * Frac(beta) + 2 * genus - 2 + n
-
-
-def virtual_dimension(model: GlsmModel, genus: int, mults, beta) -> int:
-    """Expected dimension: base-stack dimension 4g-4+n plus the Euler
-    characteristics of the coordinate-field and auxiliary-field bundles.
-    Only differences between components are convention-free."""
-    mults = tuple(frac_bracket(m) for m in mults)
-    n = len(mults)
-    deg_l = line_bundle_degree(model, genus, n, beta)
-    total = 4 * genus - 4 + n
-    for w in model.weights:
-        # w-th power, twisted down by the full marking divisor
-        data = OrbiBundleData(
-            genus, w * deg_l - n, tuple(frac_bracket(w * m) for m in mults)
-        )
-        total += euler_char(data)
-    deg_p = p_bundle_degree(model, genus, n, beta)
-    p_ages = tuple(frac_bracket(-model.d * m) for m in mults)
-    total += model.N * euler_char(OrbiBundleData(genus, deg_p, p_ages))
-    return total
 
 
 def choose_delta(epsilon) -> Frac:

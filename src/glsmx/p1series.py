@@ -333,7 +333,7 @@ class TreeSeries:
     z_order: int
 
     def coeff(self, k: int) -> RatFun:
-        return self.series.coeff(k, RF_ZERO)
+        return self.series.coeff(k)
 
 
 def _check_orders(y_order: int, z_order: int) -> None:
@@ -465,13 +465,8 @@ def comb_three_point(
 
 @functools.lru_cache(maxsize=None)
 def _dressing(y_order: int) -> TruncSeries:
-    return _comb_collect({0: {0: RF_ONE}}, _unmarked_hat(y_order), y_order)
-
-
-def comb_dressing(y_order: int) -> TruncSeries:
     """The unmarked-tail dressing alone, with no marked tails attached."""
-    _check_orders(y_order, 0)
-    return _dressing(y_order)
+    return _comb_collect({0: {0: RF_ONE}}, _unmarked_hat(y_order), y_order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -529,8 +524,8 @@ def irr_ratio_check(y_order: int) -> dict:
     coefficients = {}
     multiples = {}
     for k in range(y_order + 1):
-        got = ratio.coeff(k, RF_ZERO)
-        want = target.coeff(k, RF_ZERO)
+        got = ratio.coeff(k)
+        want = target.coeff(k)
         if got != want:
             raise IdentityFailed(f"ratio mismatch at order {k}: {got!r} vs {want!r}")
         coefficients[k] = got

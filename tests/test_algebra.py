@@ -166,13 +166,14 @@ def test_projline_restrictions():
 
 
 def test_projline_integration():
+    # the pushforward to a point is the H coefficient: 1 for H, 0 for 1
     h = CohClass.hyperplane(PROJLINE)
-    assert h.integrate_p1() == RF_ONE
-    assert CohClass.unit(PROJLINE).integrate_p1() == RF_ZERO
+    assert h.coeffs[1] == RF_ONE
+    assert CohClass.unit(PROJLINE).coeffs[1] == RF_ZERO
     # localization identity: integral = sum of restrictions / euler factors
     x = CohClass([LAM**2, 3 * LAM], PROJLINE)
     local = x.restrict_zero() / LAM + x.restrict_infinity() / (-LAM)
-    assert x.integrate_p1() == local
+    assert x.coeffs[1] == local
 
 
 def test_projline_inverse():
@@ -189,38 +190,43 @@ def test_projline_inverse():
 # -- TruncSeries ------------------------------------------------------------
 
 
+def _y(order):
+    return TruncSeries("y", order, {1: RF_ONE})
+
+
+def _const(order, value=RF_ONE):
+    return TruncSeries("y", order, {0: value})
+
+
 def test_series_product_truncates():
-    y = TruncSeries.variable_series("y", 3)
-    s = (1 + y) * (1 + y)
-    assert s.coeff(0) == 1 and s.coeff(1) == 2 and s.coeff(2) == 1
+    y = _y(3)
+    s = (_const(3) + y) * (_const(3) + y)
+    assert s.coeff(0) == RF_ONE and s.coeff(1) == RatFun(2) and s.coeff(2) == RF_ONE
     assert (y * y * y * y).coeffs == {}
 
 
 def test_series_geometric_inverse():
     # frozen: 1/(1 - y) = 1 + y + y^2 + y^3
-    y = TruncSeries.variable_series("y", 3)
-    one = TruncSeries.constant("y", 3, Frac(1))
-    inv = one / (one - y)
-    assert inv.coeffs == {0: Frac(1), 1: Frac(1), 2: Frac(1), 3: Frac(1)}
+    one = _const(3)
+    inv = one / (one - _y(3))
+    assert inv.coeffs == {0: RF_ONE, 1: RF_ONE, 2: RF_ONE, 3: RF_ONE}
 
 
 def test_series_div_requires_unit():
-    y = TruncSeries.variable_series("y", 3)
+    y = _y(3)
     with pytest.raises(DivisionByNonUnit):
         y / y  # constant term zero even though the quotient exists
 
 
 def test_series_ratfun_coefficients():
-    y = TruncSeries.variable_series("y", 2, one=RF_ONE)
-    s = TruncSeries.constant("y", 2, RF_ONE) + y * (4 / LAM**2)
+    s = _const(2) + _y(2) * (4 / LAM**2)
     t = s / s
-    assert t.coeff(0) == RF_ONE and t.coeff(1, RF_ZERO) == RF_ZERO
+    assert t.coeff(0) == RF_ONE and t.coeff(1) == RF_ZERO
 
 
 def test_series_root_pow_quarter():
     # frozen: (1 + 4y/lam^2)^(-1/4) = 1 - y/lam^2 + (5/2) y^2/lam^4 - (15/2) y^3/lam^6
-    y = TruncSeries.variable_series("y", 3, one=RF_ONE)
-    phi = TruncSeries.constant("y", 3, RF_ONE) + y * (4 / LAM**2)
+    phi = _const(3) + _y(3) * (4 / LAM**2)
     s = series_root_pow(phi, Frac(-1, 4))
     assert s.coeff(0) == RF_ONE
     assert s.coeff(1) == -1 / LAM**2
@@ -230,8 +236,7 @@ def test_series_root_pow_quarter():
 
 def test_series_root_pow_sqrt():
     # frozen: (1 + 4y/lam^2)^(1/2) = 1 + 2y/lam^2 - 2y^2/lam^4 + 4y^3/lam^6
-    y = TruncSeries.variable_series("y", 3, one=RF_ONE)
-    phi = TruncSeries.constant("y", 3, RF_ONE) + y * (4 / LAM**2)
+    phi = _const(3) + _y(3) * (4 / LAM**2)
     s = series_root_pow(phi, Frac(1, 2))
     assert s.coeff(1) == 2 / LAM**2
     assert s.coeff(2) == -2 / LAM**4
@@ -239,21 +244,21 @@ def test_series_root_pow_sqrt():
 
 
 def test_series_root_pow_needs_unit_constant():
-    y = TruncSeries.variable_series("y", 2)
     with pytest.raises(BadConstantTerm):
-        series_root_pow(y, Frac(1, 2))
-    two = TruncSeries.constant("y", 2, Frac(2))
+        series_root_pow(_y(2), Frac(1, 2))
     with pytest.raises(BadConstantTerm):
-        series_root_pow(two, Frac(1, 2))
+        series_root_pow(_const(2, RatFun(2)), Frac(1, 2))
 
 
 @st.composite
 def _frac_series(draw, order=4):
+    # constant coefficients, so the series arithmetic is checked on the
+    # rationals alone
     coeffs = {
-        k: Frac(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        k: RatFun(Frac(draw(st.integers(-6, 6)), draw(st.integers(1, 4))))
         for k in range(order + 1)
     }
-    coeffs[0] = Frac(1)
+    coeffs[0] = RF_ONE
     return TruncSeries("y", order, coeffs)
 
 
@@ -261,8 +266,7 @@ def _frac_series(draw, order=4):
 @settings(max_examples=40, deadline=None)
 def test_root_pow_inverse_pair(s, a):
     prod = series_root_pow(s, a) * series_root_pow(s, -a)
-    one = TruncSeries.constant("y", s.order, Frac(1))
-    assert prod == one
+    assert prod == _const(s.order)
 
 
 @given(_frac_series())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
 import gc
 import io
@@ -468,6 +469,32 @@ def test_partial_order_criterion_names_the_top_of_a_bad_chain(monkeypatch):
     )
 
 
+def test_contraction_corpus_criterion_fails_when_a_basepoint_loses_its_order(monkeypatch):
+    # each contracted tail must reappear as a basepoint of its degree; a
+    # pass that records order 0 instead breaks degree conservation
+    contraction_pass = cli.gr.contraction_pass
+
+    def dropped(model, graph, records, epsilon):
+        graph, records, changed = contraction_pass(model, graph, records, epsilon)
+        if changed:
+            host, _, mult = records[-1]
+            records = records[:-1] + ((host, 0, mult),)
+        return graph, records, changed
+
+    monkeypatch.setattr(cli.gr, "contraction_pass", dropped)
+    result = cli.criterion_contraction_corpus()
+    assert result["status"] == "fail"
+    assert result["first_failure"].startswith("IdentityFailed: degree not conserved at ")
+
+
+def test_stability_margin_criterion_fails_on_a_margin_of_one(monkeypatch):
+    # a shift as large as 1 carries k*epsilon - 1 across zero for some k
+    monkeypatch.setattr(cli, "choose_delta", lambda epsilon: 1)
+    result = cli.criterion_stability_margin()
+    assert result["status"] == "fail"
+    assert result["first_failure"].startswith("IdentityFailed: shift 1 flips the sign of ")
+
+
 _SMALL_CONFIGS = {
     "sectors": {"model": QUINTIC_LG},
     "stability": {"stability": {"genus": 1, "degree": "2/5", "special_points": 1,
@@ -516,6 +543,71 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+# Public names that nothing in the package or the benchmark uses yet, each
+# kept for the ROADMAP item that will; a kept class keeps its methods.
+_KEPT_UNUSED = {
+    "homogeneous_degree": "ROADMAP 4: checks the re-homogenised lam-free tails",
+    "node_contribution": "ROADMAP 6: localization route for chamber invariants",
+    "NodeSmoothing": "ROADMAP 6: localization route for chamber invariants",
+    "PSI": "ROADMAP 6: localization route for chamber invariants",
+}
+
+
+def _public_definitions(tree):
+    """(name, node, class name or None) of a module's public top-level
+    functions and classes and of the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node, None
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item, node.name
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+            yield sub.name
+
+
+def test_no_public_surface_only_tests_use():
+    # every public function, class and method of the package must be named
+    # somewhere in the package or the benchmark outside its own definition
+    root = pathlib.Path(cli.__file__).parents[2]
+    package = sorted((root / "src" / "glsmx").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
+    for path in sorted((root / "perfbench").glob("*.py")):
+        trees[path] = ast.parse(path.read_text(encoding="utf-8"))
+    references = collections.Counter()
+    for tree in trees.values():
+        references.update(_referenced_names(tree))
+    definitions = [d for path in package for d in _public_definitions(trees[path])]
+    inside = collections.Counter()
+    for name, node, _ in definitions:
+        inside[name] += sum(1 for ref in _referenced_names(node) if ref == name)
+    unused = sorted(
+        name
+        for name, _, owner in definitions
+        if references[name] == inside[name]
+        and name not in _KEPT_UNUSED
+        and owner not in _KEPT_UNUSED
+    )
+    assert unused == []
+    # an entry outlives its name only by mistake
+    defined = {name for name, _, _ in definitions}
+    for path in package:
+        for node in trees[path].body:
+            if isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert set(_KEPT_UNUSED) <= defined
 
 
 @pytest.mark.parametrize("bad", ["config_type", "config_path", "flag_path"])
@@ -637,6 +729,7 @@ _INT_LEVEL = _with(
         {"genus": 1, "degree": 1, "legs": [], "extra_legs": 0, "level": "inf"},
     ],
 )
+_THREE_ENDS = _with(FIG_TOP, edges=[{"ends": [0, 1, 1], "mults": ["4/5", "1/5"]}])
 _FAILURE_TEXT = [
     (_ZERO_DEN_LEG, "vertex 0 leg 1 multiplicity '1/0' has a zero denominator"),
     (_ZERO_DEN_MULT, "edge 0 side 1 multiplicity '1/0' has a zero denominator"),
@@ -645,6 +738,7 @@ _FAILURE_TEXT = [
     (_STR_DELTA, "edge 1 covering degree '2' is not an integer or null"),
     (_LIST_DELTA, "edge 0 covering degree [2] is not an integer or null"),
     (_INT_LEVEL, "vertex 0 level 0 is not null, '0' or 'inf'"),
+    (_THREE_ENDS, "edge 0 ends [0, 1, 1] are not a pair of vertex indices"),
 ]
 
 
@@ -664,6 +758,7 @@ _FAILURE_TEXT = [
         ("aut", {"graph": _LIST_DELTA}),
         ("aut", {"graph": _INT_LEVEL}),
         ("contract", {"graph": _LOC_TAIL, "epsilon": "2/5"}),
+        ("aut", {"graph": _THREE_ENDS}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
@@ -688,6 +783,65 @@ def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
     assert code == 1
     assert json.loads(captured.out)["checks"][0]["status"] == "fail"
     assert "Traceback" not in captured.err
+
+
+def _set_int_field(field, value):
+    graph = _with(FIG_TOP)
+    if field == "genus":
+        graph["vertices"][1]["genus"] = value
+    elif field == "degree":
+        graph["vertices"][1]["degree"] = value
+    elif field == "extra_legs":
+        graph["vertices"][0]["extra_legs"] = value
+    elif field == "leg label":
+        graph["vertices"][0]["legs"][0][0] = value
+    elif field == "end":
+        graph["edges"][0]["ends"][1] = value
+    else:
+        graph["v_bullet"] = value
+    return graph
+
+
+@pytest.mark.parametrize(
+    "field, what",
+    [
+        ("genus", "vertex 1 genus"),
+        ("degree", "vertex 1 degree"),
+        ("extra_legs", "vertex 0 extra_legs"),
+        ("leg label", "vertex 0 leg label"),
+        ("end", "edge 0 end"),
+        ("v_bullet", "v_bullet"),
+    ],
+)
+def test_graph_int_field_is_not_cast(field, what, tmp_path, capsys):
+    # int() would read 1.5 as 1 and true or "1" as 1, and the report would
+    # describe another graph
+    for bad in (True, 1.5, "1"):
+        config = {"model": QUINTIC_LG, "aut": {"graph": _set_int_field(field, bad)}}
+        report = run("aut", config)
+        assert [c["name"] for c in report["checks"]] == ["ConfigError"], (field, bad)
+        assert report["checks"][0]["first_failure"].startswith(
+            f"cannot read 'graph': {what} {bad!r} is not an integer"
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["aut", "--config", str(config_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_order_refuses_a_fractional_degree():
+    # read with int(), a degree of 3/2 made the two graphs isomorphic
+    marked, bullet = FIG_TOP["vertices"]
+    a = _with(FIG_TOP, vertices=[marked, dict(bullet, degree=1.5)])
+    b = _with(FIG_TOP, vertices=[marked, dict(bullet, degree=1)])
+    report = run("order", {"model": QUINTIC_LG, "order": {"a": a, "b": b}})
+    assert report["checks"] == [
+        {
+            "name": "ConfigError",
+            "status": "fail",
+            "first_failure": "cannot read 'a': vertex 1 degree 1.5 is not an integer",
+        }
+    ]
 
 
 # --- contract sweep over the subcommands, verify with one malformed config --

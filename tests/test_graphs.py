@@ -1,6 +1,6 @@
 """Tests for decorated dual graphs and fixed-locus graphs: validation,
-stability, tail contraction, marking conversion, enumeration against a
-brute-force oracle, automorphism factors, and the partial order."""
+stability, tail contraction, enumeration against a brute-force oracle,
+automorphism factors, and the partial order."""
 
 from fractions import Fraction as Frac
 import gc
@@ -15,7 +15,6 @@ from glsmx.errors import (
     BoundsExceeded,
     ConfigError,
     NotInfinityStable,
-    WrongMultiplicity,
 )
 from glsmx.model import GEOMETRIC, LG, GlsmModel, isotropy_order
 
@@ -262,58 +261,6 @@ def test_contract_accepts_clean_record():
     assert again.basepoints == (G.Basepoint(0, 1, Frac(0)),)
 
 
-# ---------------------------------------------------------------------------
-# marking conversion
-
-
-def test_convert_marking_on_stable_vertex():
-    g = G.DualGraph((G.Vertex(2, 0, ((1, Frac(3, 5)),)),), ())
-    assert G.validate(QUINTIC, g) == []
-    rec = G.convert_markings_b(QUINTIC, g, [2], Frac(1, 4))
-    assert rec.graph.vertices == (G.Vertex(2, 0),)
-    assert rec.basepoints == (G.Basepoint(0, 2, Frac(0)),)
-
-
-def test_convert_marking_cascades():
-    main = G.Vertex(2, 0)
-    carrier = G.Vertex(0, 0, ((1, Frac(3, 5)),))
-    edge = G.Edge((0, 1), (Frac(3, 5), Frac(2, 5)))
-    g = G.DualGraph((main, carrier), (edge,))
-    assert G.validate(QUINTIC, g) == []
-    rec = G.convert_markings_b(QUINTIC, g, [2], Frac(1, 4))
-    assert len(rec.graph.vertices) == 1
-    assert rec.basepoints == (G.Basepoint(0, 2, Frac(0)),)
-
-
-def test_convert_no_markings_is_identity():
-    g = _tail_on_anchor()
-    rec = G.convert_markings_b(QUINTIC, g, [], Frac(1, 4))
-    assert rec.graph == g
-    assert rec.basepoints == ()
-
-
-def test_convert_rejects_wrong_multiplicity():
-    g = G.DualGraph((G.Vertex(2, 0, ((1, Frac(2, 5)),)),), ())
-    with pytest.raises(WrongMultiplicity):
-        G.convert_markings_b(QUINTIC, g, [2], Frac(1, 4))
-
-
-def test_convert_rejects_too_many_orders():
-    g = G.DualGraph((G.Vertex(2, 0, ((1, Frac(3, 5)),)),), ())
-    with pytest.raises(ConfigError):
-        G.convert_markings_b(QUINTIC, g, [2, 1], Frac(1, 4))
-
-
-def test_convert_takes_last_legs_by_label():
-    # two markings; only the higher label is converted
-    v = G.Vertex(2, 0, ((1, Frac(1, 5)), (2, Frac(3, 5))))
-    g = G.DualGraph((v,), ())
-    assert G.validate(QUINTIC, g) == []
-    rec = G.convert_markings_b(QUINTIC, g, [2], Frac(1, 4))
-    assert rec.graph.vertices[0].legs == ((1, Frac(1, 5)),)
-    assert rec.basepoints == (G.Basepoint(0, 2, Frac(0)),)
-
-
 @given(
     degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     eps=st.sampled_from([None, Frac(1, 4), Frac(2, 5), Frac(2, 3), Frac(3, 2)]),
@@ -371,7 +318,7 @@ def _check_outputs(model, out, g, n, beta, delta):
         assert G.total_genus(lam) == g
         assert len(G.global_legs(lam)) == n
         assert G.total_degree(lam) == beta
-        assert G.total_edge_degree(lam) == delta
+        assert sum(e.delta for e in lam.edges) == delta
         for e in lam.edges:
             assert (e.mults[0] + e.mults[1]).denominator == 1
             assert isotropy_order(model.d, e.mults[0]) == isotropy_order(

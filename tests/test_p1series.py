@@ -32,10 +32,10 @@ from glsmx.algebra import (
 from glsmx import jfun, p1series
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
+    _dressing,
     _far_weight,
     _fixed_graphs,
     _tail,
-    comb_dressing,
     comb_three_point,
     hyperplane_class,
     idempotent_infinity,
@@ -394,7 +394,7 @@ def test_three_point_sum_first_order():
 
 
 def test_dressing_first_order():
-    got = comb_dressing(2)
+    got = _dressing(2)
     assert got.coeff(1, RF_ZERO) == RF_ONE / LAM ** 3
     assert got.coeff(0, RF_ZERO) == RF_ONE / LAM
 
@@ -486,7 +486,7 @@ def test_rewritten_value_of_a_z_dependent_insertion():
     # not the combination of the idempotent values; it is the three-point
     # sum with two units, normalised as the definition says
     alpha = ONE * (Z + RatFun(2)) + HYP * (RatFun(Frac(1, 3)) / LAM + Z * Z)
-    dressing = comb_dressing(3)
+    dressing = _dressing(3)
     base = series_root_pow(comb_three_point(ONE, ONE, ONE, 3) / dressing, Frac(1, 3))
     want = comb_three_point(alpha, ONE, ONE, 3) / dressing / (base * base)
     assert stilde_at_zero(alpha, 3) == want
