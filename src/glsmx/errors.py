@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all glsmx modules."""
+"""Exception hierarchy shared by all glsmx modules, and the record that
+reports one named check."""
 
 from __future__ import annotations
 
@@ -49,3 +50,13 @@ class IdentityFailed(GlsmxError):
 
 class ConfigError(GlsmxError):
     """Malformed configuration input."""
+
+
+def check_record(name, ok, first_failure=None):
+    """A report's entry for one named check: it passes when ok, and
+    otherwise names its first failure ("failed" when none is given)."""
+    return {
+        "name": name,
+        "status": "pass" if ok else "fail",
+        "first_failure": None if ok else (first_failure or "failed"),
+    }

@@ -1021,11 +1021,15 @@ def graph_to_obj(graph):
     return obj
 
 
-def _read_mult(text, where):
+def _read_mult(value, where):
+    """A multiplicity as an int or a 'p/q' string; bool, float and the rest
+    are refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{where} multiplicity {value!r} is not an integer or a 'p/q' string")
     try:
-        return Frac(text)
+        return Frac(value)
     except ZeroDivisionError:
-        raise ValueError(f"{where} multiplicity {text!r} has a zero denominator") from None
+        raise ValueError(f"{where} multiplicity {value!r} has a zero denominator") from None
 
 
 def _read_int(value, what, nullable=False):

@@ -32,6 +32,7 @@ from .errors import (
     InconsistentOrbData,
     OutOfUnstableRange,
     WrongMultiplicity,
+    check_record,
 )
 from .graphs import LEVEL_INF, LEVEL_ZERO
 from .model import (
@@ -289,30 +290,6 @@ def i_function(model, q_max, twisted=False):
     }
 
 
-@dataclass(frozen=True)
-class MuTable:
-    """Mirror-map table of one chamber: degree-by-degree non-negative parts
-    of -z + J, one entry per unstable degree."""
-
-    model: GlsmModel
-    epsilon: Frac
-    twisted: bool
-    entries: tuple
-
-    @property
-    def beta_max(self):
-        return self.entries[-1][0]
-
-    def betas(self):
-        return [beta for beta, _ in self.entries]
-
-    def entry(self, beta):
-        for b, value in self.entries:
-            if b == beta:
-                return value
-        return state_unit(self.model) * RF_ZERO
-
-
 def _chamber_bound(epsilon):
     """Largest unstable degree floor(1/epsilon) of the chamber containing
     epsilon, once epsilon is positive, within Q_CAP and off every wall."""
@@ -328,15 +305,15 @@ def _chamber_bound(epsilon):
 
 
 def mu_table(model, epsilon, twisted=False):
-    """Tabulate the mirror-map entries of the chamber containing epsilon."""
-    beta_max = _chamber_bound(epsilon)
-    entries = []
-    for beta in range(beta_max + 1):
-        value = _plus_part(model, beta, epsilon, twisted)
-        if beta == 0:
-            value = value - state_unit(model) * Z
-        entries.append((beta, value))
-    return MuTable(model, Frac(epsilon), twisted, tuple(entries))
+    """Mirror-map table of the chamber containing epsilon, as {beta:
+    CohClass} for beta = 0..floor(1/epsilon): the degree-by-degree
+    non-negative parts of -z + J, one entry per unstable degree."""
+    table = {
+        beta: _plus_part(model, beta, epsilon, twisted)
+        for beta in range(_chamber_bound(epsilon) + 1)
+    }
+    table[0] = table[0] - state_unit(model) * Z
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +433,9 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max):
     Two families of checks, each run untwisted and twisted: the non-negative
     part of every chamber coefficient must match the corresponding
     I-coefficient truncation, and the mirror-map tables of the two chambers
-    must agree where both are defined, reduce to plain I-coefficient parts
-    where only one is, and vanish beyond both.  Each check's first mismatch
-    is recorded in the report, whose "passed" is false if any check failed.
+    must agree where both are defined and reduce to plain I-coefficient
+    parts where only one is.  Each check's first mismatch is recorded in
+    the report, whose "passed" is false if any check failed.
 
     Both sides of the first family read the same cached coefficient, since
     epsilon only gates its range, so that family checks the range gates and
@@ -469,15 +446,6 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max):
     bound_1 = _chamber_bound(epsilon_1)
     bound_2 = _chamber_bound(epsilon_2)
     checks = []
-
-    def record(name, first_failure):
-        entry = {
-            "name": name,
-            "status": "pass" if first_failure is None else "fail",
-            "first_failure": first_failure,
-        }
-        checks.append(entry)
-
     for twisted in (False, True):
         flavor = "twisted" if twisted else "untwisted"
 
@@ -491,7 +459,7 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max):
                     break
             if failure is not None:
                 break
-        record(f"plus_part_vs_i_{flavor}", failure)
+        checks.append(check_record(f"plus_part_vs_i_{flavor}", failure is None, failure))
 
         table_1 = mu_table(model, epsilon_1, twisted)
         table_2 = mu_table(model, epsilon_2, twisted)
@@ -500,20 +468,16 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max):
             in_1 = beta <= bound_1
             in_2 = beta <= bound_2
             if in_1 and in_2:
-                if table_1.entry(beta) != table_2.entry(beta):
+                if table_1[beta] != table_2[beta]:
                     failure = f"beta={beta} differs between chambers"
                     break
             elif in_1 or in_2:
                 one_sided = table_1 if in_1 else table_2
                 target = _plus_part(model, beta, None, twisted)
-                if one_sided.entry(beta) != target:
+                if one_sided[beta] != target:
                     failure = f"beta={beta} one-sided entry is not the plus part"
                     break
-            else:
-                if not (table_1.entry(beta).is_zero() and table_2.entry(beta).is_zero()):
-                    failure = f"beta={beta} nonzero beyond both chambers"
-                    break
-        record(f"mu_wall_crossing_{flavor}", failure)
+        checks.append(check_record(f"mu_wall_crossing_{flavor}", failure is None, failure))
 
     low, high = sorted((bound_1, bound_2))
     return {

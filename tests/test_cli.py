@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glsmx import cli, jfun, p1series
+from glsmx import cli, criteria, jfun, p1series
 from glsmx.cli import main, report_passed, run
 from glsmx.graphs import _ENUM_BOUNDS
 from glsmx.model import LG, GlsmModel
@@ -174,6 +174,11 @@ def test_graphs_report_fails_on_an_invalid_census_graph(monkeypatch, tmp_path, c
     ]
 
 
+def _run_criterion(name):
+    """Run the verify criterion that reports under name."""
+    return criteria.run_criterion(name, dict(criteria.CRITERIA)[name])
+
+
 def test_graph_census_criterion_fails_on_an_invalid_census_graph(monkeypatch):
     import glsmx.graphs as gr
 
@@ -186,7 +191,7 @@ def test_graph_census_criterion_fails_on_an_invalid_census_graph(monkeypatch):
         return [bad] + out[1:] if out else out
 
     monkeypatch.setattr(gr, "enumerate_loc_graphs", swapped)
-    result = cli.criterion_graph_census()
+    result = _run_criterion("graph census")
     assert result["status"] == "fail"
     assert result["first_failure"].startswith("IdentityFailed: invalid graph emitted at")
 
@@ -410,7 +415,7 @@ def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
     monkeypatch.setattr(
         p1series, "_edge_factor", lambda d: edge_factor(d) * 2 if d == 5 else edge_factor(d)
     )
-    result = cli.criterion_tail_closed_forms()
+    result = _run_criterion("tail closed forms")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: unit tail is not the -1/4 power of the discriminant series"
@@ -425,7 +430,7 @@ def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(mon
     monkeypatch.setattr(
         p1series, "psi_integral_genus0", lambda exps: psi(exps) * (2 if len(exps) == 4 else 1)
     )
-    result = cli.criterion_pairing_relations()
+    result = _run_criterion("pairings and relations")
     assert result["status"] == "fail"
     assert result["first_failure"] == "IdentityFailed: string relation fails at n=2 delta=1"
 
@@ -442,7 +447,7 @@ def test_dual_route_criterion_fails_on_a_doubled_coefficient(monkeypatch):
         return value * 2 if (model, beta, twisted) == (mixed, 6, False) else value
 
     monkeypatch.setattr(jfun, "_ladder", doubled)
-    result = cli.criterion_dual_route()
+    result = _run_criterion("dual route coefficients")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: routes disagree at phase lg weights (1, 1, 2, 2) beta 6 "
@@ -459,20 +464,20 @@ def test_partial_order_criterion_names_the_top_of_a_bad_chain(monkeypatch):
         tops.append(graph)
         return [[graph, graph]]
 
-    monkeypatch.setattr(cli.gr, "descending_chains", repeated)
-    result = cli.criterion_partial_order()
+    monkeypatch.setattr(criteria.gr, "descending_chains", repeated)
+    result = _run_criterion("partial order chains")
     assert result["status"] == "fail"
     assert len(tops) == 1
     assert result["first_failure"] == (
         "IdentityFailed: descent step did not append one edge below "
-        f"{cli.gr.graph_to_obj(tops[0])}"
+        f"{criteria.gr.graph_to_obj(tops[0])}"
     )
 
 
 def test_contraction_corpus_criterion_fails_when_a_basepoint_loses_its_order(monkeypatch):
     # each contracted tail must reappear as a basepoint of its degree; a
     # pass that records order 0 instead breaks degree conservation
-    contraction_pass = cli.gr.contraction_pass
+    contraction_pass = criteria.gr.contraction_pass
 
     def dropped(model, graph, records, epsilon):
         graph, records, changed = contraction_pass(model, graph, records, epsilon)
@@ -481,16 +486,16 @@ def test_contraction_corpus_criterion_fails_when_a_basepoint_loses_its_order(mon
             records = records[:-1] + ((host, 0, mult),)
         return graph, records, changed
 
-    monkeypatch.setattr(cli.gr, "contraction_pass", dropped)
-    result = cli.criterion_contraction_corpus()
+    monkeypatch.setattr(criteria.gr, "contraction_pass", dropped)
+    result = _run_criterion("contraction corpus")
     assert result["status"] == "fail"
     assert result["first_failure"].startswith("IdentityFailed: degree not conserved at ")
 
 
 def test_stability_margin_criterion_fails_on_a_margin_of_one(monkeypatch):
     # a shift as large as 1 carries k*epsilon - 1 across zero for some k
-    monkeypatch.setattr(cli, "choose_delta", lambda epsilon: 1)
-    result = cli.criterion_stability_margin()
+    monkeypatch.setattr(criteria, "choose_delta", lambda epsilon: 1)
+    result = _run_criterion("stability margin scan")
     assert result["status"] == "fail"
     assert result["first_failure"].startswith("IdentityFailed: shift 1 flips the sign of ")
 
@@ -567,42 +572,81 @@ def _public_definitions(tree):
                     yield item.name, item, node.name
 
 
-def _referenced_names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.asname or sub.name
-            yield sub.name
+def _module_names(tree):
+    """Names a file binds to modules: its module imports (``import json``,
+    ``from . import graphs as gr``), and the names it assigns from a
+    subscript, as the benchmark does from its table of glsmx modules
+    (``gr = self.m["graphs"]``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and not node.module):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _uses(node, owners, modules, chain=()):
+    """(kind, name, chain) of each name read under node.  Kind "attr" is an
+    attribute read (x.name); kind "name" is a bare name, an import or an
+    attribute read on a module (gr.name, self.m["graphs"].name).  chain
+    holds the keys of the public definitions that enclose the read."""
+    if id(node) in owners:
+        chain += (owners[id(node)],)
+    if isinstance(node, ast.Name):
+        yield "name", node.id, chain
+    elif isinstance(node, ast.alias):
+        yield "name", node.asname or node.name, chain
+        yield "name", node.name, chain
+    elif isinstance(node, ast.Attribute):
+        yield "attr", node.attr, chain
+        value = node.value
+        if isinstance(value, ast.Subscript) or (
+            isinstance(value, ast.Name) and value.id in modules
+        ):
+            yield "name", node.attr, chain
+    for child in ast.iter_child_nodes(node):
+        yield from _uses(child, owners, modules, chain)
 
 
 def test_no_public_surface_only_tests_use():
-    # every public function, class and method of the package must be named
-    # somewhere in the package or the benchmark outside its own definition
+    # every public function, class and method of the package must be used
+    # somewhere in the package or the benchmark outside its own definition:
+    # a method through an attribute read, a function or class through a
+    # bare name, an import or a read on a module.  A use inside an unused
+    # definition does not count, so the scan repeats until no further name
+    # drops out; the allow-list counts as used.
     root = pathlib.Path(cli.__file__).parents[2]
     package = sorted((root / "src" / "glsmx").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
     for path in sorted((root / "perfbench").glob("*.py")):
         trees[path] = ast.parse(path.read_text(encoding="utf-8"))
-    references = collections.Counter()
+    owners = {}  # id(definition node) -> (module, class name or None, name)
+    for path in package:
+        for name, node, owner in _public_definitions(trees[path]):
+            owners[id(node)] = (path.stem, owner, name)
+    chains = collections.defaultdict(list)
     for tree in trees.values():
-        references.update(_referenced_names(tree))
-    definitions = [d for path in package for d in _public_definitions(trees[path])]
-    inside = collections.Counter()
-    for name, node, _ in definitions:
-        inside[name] += sum(1 for ref in _referenced_names(node) if ref == name)
-    unused = sorted(
-        name
-        for name, _, owner in definitions
-        if references[name] == inside[name]
-        and name not in _KEPT_UNUSED
-        and owner not in _KEPT_UNUSED
-    )
-    assert unused == []
+        for kind, name, chain in _uses(tree, owners, _module_names(tree)):
+            chains[kind, name].append(chain)
+    unused = set()
+    while True:
+        dropped = {
+            key
+            for key in owners.values()
+            if key not in unused
+            and not {key[1], key[2]} & set(_KEPT_UNUSED)
+            and not any(
+                key not in chain and not unused.intersection(chain)
+                for chain in chains["attr" if key[1] else "name", key[2]]
+            )
+        }
+        if not dropped:
+            break
+        unused |= dropped
+    assert unused == set()
     # an entry outlives its name only by mistake
-    defined = {name for name, _, _ in definitions}
+    defined = {key[2] for key in owners.values()}
     for path in package:
         for node in trees[path].body:
             if isinstance(node, ast.Assign):
@@ -633,12 +677,22 @@ def test_main_bad_out_exits_one(bad, tmp_path, capsys):
 
 
 def test_criteria_registry_shape():
-    assert len(cli.CRITERIA) == 10
-    names = set()
-    for fn in cli.CRITERIA:
-        assert callable(fn)
-        names.add(fn.__name__)
-    assert len(names) == 10
+    # the names and their order fix the check list that verify prints
+    assert [name for name, _ in criteria.CRITERIA] == [
+        "tail closed forms",
+        "square root ratio",
+        "unmarked series positivity",
+        "dual route coefficients",
+        "leading term normalization",
+        "pairings and relations",
+        "graph census",
+        "contraction corpus",
+        "partial order chains",
+        "stability margin scan",
+    ]
+    bodies = [body for _, body in criteria.CRITERIA]
+    assert all(callable(body) for body in bodies)
+    assert len(set(bodies)) == 10
 
 
 @pytest.mark.parametrize(
@@ -823,6 +877,36 @@ def test_graph_int_field_is_not_cast(field, what, tmp_path, capsys):
         assert report["checks"][0]["first_failure"].startswith(
             f"cannot read 'graph': {what} {bad!r} is not an integer"
         )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["aut", "--config", str(config_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, what",
+    [("leg", "vertex 0 leg 1 multiplicity"), ("edge", "edge 0 side 1 multiplicity")],
+)
+def test_graph_multiplicity_is_not_cast(field, what, tmp_path, capsys):
+    # Fraction() would read 0.6 as 5404319552844595/9007199254740992 and
+    # true as 1, that is 0, and the report would describe another graph
+    for bad in (0.6, True, [1]):
+        graph = _with(FIG_TOP)
+        if field == "leg":
+            graph["vertices"][0]["legs"][0][1] = bad
+        else:
+            graph["edges"][0]["mults"][1] = bad
+        config = {"model": QUINTIC_LG, "aut": {"graph": graph}}
+        report = run("aut", config)
+        assert report["checks"] == [
+            {
+                "name": "ConfigError",
+                "status": "fail",
+                "first_failure": (
+                    f"cannot read 'graph': {what} {bad!r} is not an integer or a 'p/q' string"
+                ),
+            }
+        ], (field, bad)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         assert main(["aut", "--config", str(config_path)]) == 1

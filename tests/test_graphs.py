@@ -427,7 +427,7 @@ def test_a_lone_vertex_keeps_both_levels(monkeypatch):
 def test_enumerate_never_runs_validate(monkeypatch, key):
     # on these keys the basepoint rule prunes structures; the census decides
     # it on its own, so validate stays an independent check of its output
-    from glsmx.cli import _CENSUS
+    from glsmx.criteria import _CENSUS
 
     def refuse(model, graph):
         raise AssertionError("the census called validate")

@@ -279,14 +279,14 @@ def test_warm_cache_keeps_every_check(twisted):
 def test_cached_coefficients_equal_cold_recompute(model, twisted, cold_caches):
     betas = range(jfun.Q_CAP + 1)
     warm = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
-    warm_plus = mu_table(model, Frac(2, 2 * jfun.Q_CAP + 1), twisted).entries
+    warm_plus = mu_table(model, Frac(2, 2 * jfun.Q_CAP + 1), twisted)
     assert all(unstable_J_coefficient(model, b, None, twisted) is warm[b] for b in betas)
     cold_caches()
     cold = [unstable_J_coefficient(model, b, None, twisted) for b in betas]
     assert all(cold[b] is not warm[b] and cold[b] == warm[b] for b in betas)
     cold_plus = [positive_z_part(c) for c in cold]
     cold_plus[0] = cold_plus[0] - state_unit(model) * Z
-    assert [value for _, value in warm_plus] == cold_plus
+    assert list(warm_plus.values()) == cold_plus
 
 
 def test_coefficient_cache_ignores_model_epsilon(cold_caches):
@@ -375,26 +375,26 @@ def test_i_function_caps():
 @pytest.mark.parametrize("twisted", [False, True])
 def test_mu_zero_vanishes(model, twisted):
     table = mu_table(model, Frac(2, 5), twisted)
-    assert table.entry(0).is_zero()
+    assert table[0].is_zero()
 
 
 def test_mu_quintic_lg_untwisted():
     table = mu_table(QUINTIC_LG, Frac(2, 5), False)
-    assert table.beta_max == 2
-    assert table.entry(1) == state_unit(QUINTIC_LG)
-    assert table.entry(2).is_zero()
-    assert table.entry(3).is_zero()  # beyond the unstable range
-    assert 3 not in table.betas()
+    assert max(table) == 2
+    assert table[1] == state_unit(QUINTIC_LG)
+    assert table[2].is_zero()
+    assert 3 not in table  # beyond the unstable range
+    assert list(table) == [0, 1, 2]
     assert j_sector(QUINTIC_LG, 1) == Frac(2, 5)
 
 
 def test_mu_quintic_lg_twisted():
     table = mu_table(QUINTIC_LG, Frac(2, 7), True)
-    assert table.beta_max == 3
+    assert max(table) == 3
     unit = state_unit(QUINTIC_LG)
-    assert table.entry(1) == LAM * unit
-    assert table.entry(2) == LAM * Frac(-1, 2) * unit
-    assert table.entry(3) == LAM * Frac(1, 3) * unit
+    assert table[1] == LAM * unit
+    assert table[2] == LAM * Frac(-1, 2) * unit
+    assert table[3] == LAM * Frac(1, 3) * unit
 
 
 def test_mu_bounds():
@@ -410,7 +410,7 @@ def test_mu_matches_oracle_plus_part(model, twisted):
     table = mu_table(model, Frac(2, 5), twisted)
     for beta in (1, 2):
         expected = z_plus_part(oracle(model, beta, twisted))
-        diff = sympy.cancel(sympy.together(coh_to_sympy(table.entry(beta)) - expected))
+        diff = sympy.cancel(sympy.together(coh_to_sympy(table[beta]) - expected))
         assert diff == 0, (model.phase, beta, twisted)
 
 
@@ -420,8 +420,8 @@ def test_mu_top_lambda_recovers_untwisted(model):
     twisted = mu_table(model, eps, True)
     plain = mu_table(model, eps, False)
     for beta in range(1, 4):
-        top = lam_coefficient(coh_to_sympy(twisted.entry(beta)), beta)
-        diff = sympy.cancel(sympy.together(top - coh_to_sympy(plain.entry(beta))))
+        top = lam_coefficient(coh_to_sympy(twisted[beta]), beta)
+        diff = sympy.cancel(sympy.together(top - coh_to_sympy(plain[beta])))
         assert diff == 0, (model.phase, beta)
 
 
@@ -580,11 +580,7 @@ def test_jwc_detects_corruption(monkeypatch):
     def crooked(model, epsilon, twisted=False):
         table = real(model, epsilon, twisted)
         if epsilon == Frac(2, 5) and not twisted:
-            entries = tuple(
-                (b, c + state_unit(model) if b == 1 else c)
-                for b, c in table.entries
-            )
-            return jfun.MuTable(table.model, table.epsilon, table.twisted, entries)
+            return {b: c + state_unit(model) if b == 1 else c for b, c in table.items()}
         return table
 
     monkeypatch.setattr(jfun, "mu_table", crooked)
