@@ -106,6 +106,8 @@ def test_graphs_report_bytes_other_phases(model, key, digest):
         ((0, 1, 3, 3), "9159ff0539378cc582543565aed10e365bf5d7b73734b10abf72b6e7538fc931"),
         ((0, 2, 3, 2), "59e3de5c4e171b950dff500c00eceda420a229d10d9ccd86699a62c29d96c20f"),
         ((0, 0, 3, 4), "95336241a5e46701fe39e5ad97592c940d74f76dbcd9bb3da1cf9f8c4cfd9417"),
+        ((0, 1, 3, 4), "ede1055cc1221f7fee93ab9323052084da88032da7ebff9be88070e14e486870"),
+        ((0, 2, 3, 3), "4e538bfcc74a0c331255a58af61dd24628957cd15c7ab5a52df0f4c11f5161f8"),
     ],
 )
 def test_graphs_report_bytes_deep_basepoints(key, digest):
