@@ -9,6 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from typing import NamedTuple
 
 from .errors import (
     BoundsExceeded,
@@ -610,6 +611,18 @@ def _connected_structures(nv, ne):
             yield combo
 
 
+def _bipartite_structures(nv, ne):
+    """The connected structures with a bipartition, in the order
+    _connected_structures yields them, and the sides of each."""
+    structures, sides = [], []
+    for structure in _connected_structures(nv, ne):
+        side = _bipartition(nv, structure)
+        if side is not None:
+            structures.append(structure)
+            sides.append(side)
+    return structures, sides
+
+
 def enumerate_loc_graphs(model, g, n, beta, delta):
     """All valid fixed-locus graphs with the given total genus, marking
     count, degree, and total covering degree, up to isomorphism."""
@@ -627,7 +640,17 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
 
 def _enumerate_loc_graphs(model, g, n, beta, delta):
     """enumerate_loc_graphs without its caps, for a caller that checks its
-    own."""
+    own.
+
+    The loops run lexicographically over the prefix (structure, flip,
+    deltas, genera, degrees, leg_dist) and then over the residues, and the
+    first graph met of each class is kept.  A vertex permutation maps the
+    candidates of a labelled prefix one to one onto those of its image,
+    with the same validity and keys, so a prefix that some permutation maps
+    to an earlier one only repeats classes already met, and is skipped.
+    The first candidate met of a class is never skipped: its image would
+    have come earlier still.  So the keys, and the first representative of
+    each, are those of the full labelled loop."""
     found = {}
     # (genus, degree, level, half-edges, legs) -> (role, residue target)
     profiles = {}
@@ -639,50 +662,121 @@ def _enumerate_loc_graphs(model, g, n, beta, delta):
             genus_budget = g - h1
             if genus_budget < 0:
                 continue
-            for structure in _connected_structures(nv, ne):
-                side = _bipartition(nv, structure)
-                if side is None:
-                    continue
-                delta_opts = list(_compositions(delta, ne, 1))
-                # the two level assignments, vertex 0 at level zero first.
-                # When an automorphism exchanges the two sides, the second
-                # only repeats, decoration for decoration, classes the first
-                # has already found.
-                flips = (0,) if _sides_swap(structure, side) else (0, 1)
-                for flip in flips:
+            structures, sides = _bipartite_structures(nv, ne)
+            index = {s: i for i, s in enumerate(structures)}
+            perms = list(itertools.permutations(range(nv)))[1:]
+            delta_opts = list(_compositions(delta, ne, 1))
+            for si, structure in enumerate(structures):
+                relabels = [_relabel(p, structure, si, index, sides) for p in perms]
+                # vertex 0 at level zero first, then at level infinity
+                for flip in (0, 1):
+                    kept = _fixers(relabels, (si, flip), _moved_structure)
+                    if kept is None:
+                        continue
                     levels = tuple(
-                        LEVEL_ZERO if s == flip else LEVEL_INF for s in side
+                        LEVEL_ZERO if s == flip else LEVEL_INF for s in sides[si]
                     )
-                    for deltas in delta_opts:
-                        for genera in _compositions(genus_budget, nv):
-                            for degrees in _compositions(beta, nv):
-                                for leg_dist in itertools.product(
-                                    range(nv), repeat=n
-                                ):
-                                    _emit_candidates(
-                                        model,
-                                        structure,
-                                        levels,
-                                        deltas,
-                                        genera,
-                                        degrees,
-                                        leg_dist,
-                                        found,
-                                        profiles,
-                                        fracs,
-                                    )
+                    for deltas, genera, degrees, leg_dist in _least_prefixes(
+                        kept, delta_opts, genus_budget, beta, nv, n
+                    ):
+                        _emit_candidates(
+                            model,
+                            structure,
+                            levels,
+                            deltas,
+                            genera,
+                            degrees,
+                            leg_dist,
+                            found,
+                            profiles,
+                            fracs,
+                        )
     return [found[k] for k in sorted(found)]
 
 
-def _sides_swap(structure, side):
-    """Whether an automorphism of the structure exchanges the two sides of
-    its bipartition: the structure with each vertex marked by its side is
-    then isomorphic to the one marked by the other side."""
-    edges = [(a, b, 0, 0, 0) for a, b in structure]
-    return (
-        _least_form([(s,) for s in side], edges)[0]
-        == _least_form([(1 - s,) for s in side], edges)[0]
-    )
+class _Relabel(NamedTuple):
+    """A permutation perm of a structure's vertices, old to new: the index
+    of the image structure, the side of vertex 0's image there, and the
+    inverse.  For a permutation that keeps the structure, runs lists the
+    old edges it maps onto each run of parallel edges; otherwise None."""
+
+    target: int
+    side0: int
+    perm: tuple
+    inverse: tuple
+    runs: tuple | None
+
+
+def _relabel(perm, structure, si, index, sides):
+    moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
+    target = index[tuple(sorted(moved))]
+    inverse = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inverse[new] = old
+    runs = None
+    if target == si:
+        runs = tuple(
+            tuple(i for i, pair in enumerate(moved) if pair == run)
+            for run in sorted(set(structure))
+        )
+    return _Relabel(target, sides[target][perm[0]], perm, tuple(inverse), runs)
+
+
+def _moved_structure(relabel, here):
+    # the image of (structure, flip): vertex 0 of the image sits on the
+    # image's side 0, so the flip changes when vertex 0 changes sides
+    return relabel.target, relabel.side0 ^ here[1]
+
+
+def _moved_deltas(relabel, deltas):
+    # parallel edges are interchangeable, so their deltas are sorted
+    out = []
+    for run in relabel.runs:
+        out += sorted(deltas[i] for i in run)
+    return tuple(out)
+
+
+def _moved_vertexwise(relabel, values):
+    return tuple(values[old] for old in relabel.inverse)
+
+
+def _moved_legs(relabel, leg_dist):
+    return tuple(relabel.perm[vi] for vi in leg_dist)
+
+
+def _fixers(relabels, value, moved):
+    """The relabellings that map value to itself, or None when one maps it
+    to an earlier value."""
+    kept = []
+    for relabel in relabels:
+        image = moved(relabel, value)
+        if image < value:
+            return None
+        if image == value:
+            kept.append(relabel)
+    return kept
+
+
+def _least_prefixes(kept, delta_opts, genus_budget, beta, nv, n):
+    """The (deltas, genera, degrees, leg_dist) prefixes of one (structure,
+    flip), in loop order, that no relabelling keeping the (structure,
+    flip) maps to an earlier prefix.  Prefixes compare lexicographically,
+    so each level keeps only the relabellings that fix the levels above."""
+    for deltas in delta_opts:
+        by_deltas = _fixers(kept, deltas, _moved_deltas)
+        if by_deltas is None:
+            continue
+        for genera in _compositions(genus_budget, nv):
+            by_genera = _fixers(by_deltas, genera, _moved_vertexwise)
+            if by_genera is None:
+                continue
+            for degrees in _compositions(beta, nv):
+                by_degrees = _fixers(by_genera, degrees, _moved_vertexwise)
+                if by_degrees is None:
+                    continue
+                for leg_dist in itertools.product(range(nv), repeat=n):
+                    if _fixers(by_degrees, leg_dist, _moved_legs) is not None:
+                        yield deltas, genera, degrees, leg_dist
 
 
 def _emit_candidates(

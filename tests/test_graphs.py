@@ -4,6 +4,7 @@ automorphism factors, and the partial order."""
 
 from fractions import Fraction as Frac
 import gc
+import itertools
 import json
 
 import pytest
@@ -405,20 +406,116 @@ def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):
     ids=["edge", "double-edge", "3-path", "4-path", "star", "4-cycle", "pinned-4-path"],
 )
 def test_sides_swap_table(edges, swaps):
+    # among the relabellings that keep a structure, one maps its second
+    # level assignment onto the first exactly when it exchanges the sides
     nv = 1 + max(max(e) for e in edges)
-    side = G._bipartition(nv, edges)
-    assert G._sides_swap(edges, side) is swaps
+    edges = tuple(sorted(edges))
+    structures, sides = G._bipartite_structures(nv, len(edges))
+    index = {s: i for i, s in enumerate(structures)}
+    si = index[edges]
+    keeping = [
+        relabel
+        for relabel in (
+            G._relabel(p, edges, si, index, sides)
+            for p in itertools.permutations(range(nv))
+        )
+        if relabel.target == si
+    ]
+    assert G._fixers(keeping, (si, 0), G._moved_structure) is not None
+    assert (G._fixers(keeping, (si, 1), G._moved_structure) is None) is swaps
 
 
 def test_a_lone_vertex_keeps_both_levels(monkeypatch):
-    # a single vertex has no second side, so its level-infinity assignment
-    # is no repeat; skipping it on every structure loses classes
-    assert G._sides_swap((), [0]) is False
+    # a single vertex has no relabelling, so its level-infinity assignment
+    # is no repeat; skipping every second level assignment loses classes
     key = (1, 1, 0, 0)
     oracle = brute_loc_graphs(QUINTIC_25.d, True, QUINTIC_25.epsilon, *key)
     assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) == len(oracle)
-    monkeypatch.setattr(G, "_sides_swap", lambda structure, side: True)
+    fixers = G._fixers
+
+    def skip_second_level(relabels, value, moved):
+        if moved is G._moved_structure and value[1] == 1:
+            return None
+        return fixers(relabels, value, moved)
+
+    monkeypatch.setattr(G, "_fixers", skip_second_level)
     assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) < len(oracle)
+
+
+def _labelled_loop(model, g, n, beta, delta):
+    """The census with no pruning: every labelled structure, both level
+    assignments and every prefix, in the enumerator's loop order."""
+    found, profiles = {}, {}
+    fracs = [Frac(k, model.d) for k in range(model.d)]
+    for ne in range(1, delta + 1) if delta else (0,):
+        for nv in range(max(1, ne + 1 - g), ne + 2):
+            genus_budget = g - (ne - nv + 1)
+            if genus_budget < 0:
+                continue
+            for structure in G._connected_structures(nv, ne):
+                side = G._bipartition(nv, structure)
+                if side is None:
+                    continue
+                for flip in (0, 1):
+                    levels = tuple(
+                        G.LEVEL_ZERO if s == flip else G.LEVEL_INF for s in side
+                    )
+                    for deltas, genera, degrees, leg_dist in itertools.product(
+                        G._compositions(delta, ne, 1),
+                        G._compositions(genus_budget, nv),
+                        G._compositions(beta, nv),
+                        itertools.product(range(nv), repeat=n),
+                    ):
+                        G._emit_candidates(
+                            model,
+                            structure,
+                            levels,
+                            deltas,
+                            genera,
+                            degrees,
+                            leg_dist,
+                            found,
+                            profiles,
+                            fracs,
+                        )
+    return [found[k] for k in sorted(found)]
+
+
+_SMALL_KEYS = [
+    (g, n, beta, delta)
+    for g in (0, 1)
+    for n in (0, 1, 2)
+    for beta in (0, 1, 2)
+    for delta in (0, 1, 2)
+] + [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        QUINTIC_25,
+        GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 7)),
+        QUINTIC_GEO_25,
+        MIXED_27,
+        GEO_11,
+    ],
+    ids=["quintic-lg-2/5", "quintic-lg-2/7", "quintic-geo-2/5", "1122-lg-2/7", "11-geo"],
+)
+def test_enumerate_equals_the_labelled_loop(model):
+    # skipping relabelled prefixes keeps every class and its first
+    # representative, labels and order included
+    for key in _SMALL_KEYS:
+        assert G._enumerate_loc_graphs(model, *key) == _labelled_loop(model, *key), key
+
+
+def test_point_model_census_equals_the_labelled_loop():
+    from glsmx.p1series import _POINT_MODEL
+
+    for n in range(5):
+        for delta in range(4):
+            key = (0, n, 0, delta)
+            got = G._enumerate_loc_graphs(_POINT_MODEL, *key)
+            assert got == _labelled_loop(_POINT_MODEL, *key), key
 
 
 @pytest.mark.parametrize(
