@@ -68,6 +68,13 @@ def _parse_int(value, what):
     return value
 
 
+def _parse_count(value, what):
+    value = _parse_int(value, what)
+    if value < 0:
+        raise ConfigError(f"{what} must be non-negative")
+    return value
+
+
 def _params(config, command):
     block = config.get(command, {})
     if not isinstance(block, dict):
@@ -106,15 +113,11 @@ def _truncations(config):
     block = config.get("truncations", {})
     if not isinstance(block, dict):
         raise ConfigError("'truncations' section must be an object")
-    out = {
-        "q_max": _parse_int(block.get("q_max", DEFAULT_Q_MAX), "truncations.q_max"),
-        "y_max": _parse_int(block.get("y_max", DEFAULT_Y_MAX), "truncations.y_max"),
-        "z_cap": _parse_int(block.get("z_cap", DEFAULT_Z_CAP), "truncations.z_cap"),
+    return {
+        "q_max": _parse_count(block.get("q_max", DEFAULT_Q_MAX), "truncations.q_max"),
+        "y_max": _parse_count(block.get("y_max", DEFAULT_Y_MAX), "truncations.y_max"),
+        "z_cap": _parse_count(block.get("z_cap", DEFAULT_Z_CAP), "truncations.z_cap"),
     }
-    for key, value in out.items():
-        if value < 0:
-            raise ConfigError(f"truncations.{key} must be non-negative")
-    return out
 
 
 def _graph_from_params(params, key):
@@ -181,21 +184,17 @@ def _lam_string(f):
     return f"({render_ratfun(f)})"
 
 
-def _coh_cells(value):
-    """CohClass -> sorted [(z exponent, H exponent, lam string)] cells."""
-    cells = []
-    for h, part in enumerate(value.coeffs):
-        for z_exp, lam_part in part.z_parts().items():
-            cells.append((z_exp, h, _lam_string(lam_part)))
-    return sorted(cells)
-
-
 def _coefficient_table(values):
-    """{beta: CohClass} -> flat {"beta,zpower,Hpower": lam string}."""
+    """{beta: CohClass} -> flat {"beta,zpower,Hpower": lam string}, ordered
+    by beta, then z power, then H power."""
     table = {}
     for beta in sorted(values):
-        for z_exp, h, text in _coh_cells(values[beta]):
-            table[f"{beta},{z_exp},{h}"] = text
+        cells = {}
+        for h, part in enumerate(values[beta].coeffs):
+            for (i, j), v in sorted(part.laurent_terms().items(), reverse=True):
+                cells.setdefault((j, h), []).append(_lam_term(v, i))
+        for (j, h), terms in sorted(cells.items()):
+            table[f"{beta},{j},{h}"] = join_terms(terms)
     return table
 
 
@@ -225,16 +224,21 @@ def _cmd_sectors(config, trunc):
 
 def _cmd_stability(config, trunc):
     params = _params(config, "stability")
-    genus = _parse_int(params.get("genus"), "stability.genus")
+    genus = _parse_count(params.get("genus"), "stability.genus")
     degree = _parse_frac(params.get("degree", 0), "stability.degree")
-    special = _parse_int(params.get("special_points", 0), "stability.special_points")
+    if degree < 0:
+        raise ConfigError("stability.degree must be non-negative")
+    special = _parse_count(params.get("special_points", 0), "stability.special_points")
     orders = params.get("basepoint_orders", [])
     if not isinstance(orders, list):
         raise ConfigError("stability.basepoint_orders must be a list")
-    orders = tuple(_parse_int(o, "basepoint order") for o in orders)
+    orders = tuple(_parse_count(o, "basepoint order") for o in orders)
     epsilon = _parse_optional_epsilon(params.get("epsilon"), "stability.epsilon")
     light_delta = _parse_optional_frac(params.get("light_delta"), "stability.light_delta")
-    light_markings = _parse_int(params.get("light_markings", 0), "stability.light_markings")
+    light_markings = _parse_count(params.get("light_markings", 0), "stability.light_markings")
+    # light markings are special points that weigh light_delta instead of 1
+    if light_markings > special:
+        raise ConfigError("stability.light_markings exceeds stability.special_points")
     stable = gr.epsilon_stable(
         genus, degree, special, epsilon, orders, light_delta, light_markings
     )

@@ -73,8 +73,11 @@ def _root_ratio_body():
 
 
 def _unmarked_positivity_body():
-    constant = p1.tree_series_eps(6, 12).coeff(0)
-    _expect(constant.is_zero(), "unmarked series has a y^0 part")
+    series = p1.tree_series_eps(6, 12)
+    _expect(series.coeff(0).is_zero(), "unmarked series has a y^0 part")
+    # the lone degree-one edge (-1/lam^2) to a bare leaf (-lam), times lam/(lam - z)
+    one_edge = sum((Z**k / LAM ** (k + 1) for k in range(13)), RF_ZERO)
+    _expect(series.coeff(1) == one_edge, "unmarked y^1 part is not the one-edge tail")
 
 
 # the four chamber models; criteria 4 and 5 run on each

@@ -224,29 +224,19 @@ def _ladder(model, beta, twisted):
         # gerbe normalization: stabilizer order of the marked point over the
         # full orbifold structure group
         scale *= Frac(isotropy_order(model.d, marked_mult), model.d)
-    value = CohClass(
-        [RatFun({(0, e - j): scale * p[j]}) for j in range(r)], NILPOTENT, r
-    )
-    if twisted:
-        value = value * _twist_factor(model, beta)
-    return value
-
-
-def _twist_factor(model, beta):
-    # Euler class of the framing-twisted obstruction of the distinguished
-    # line, inserted once; no moving filter here since the prefactor and the
-    # degree-zero section are both honest normal directions
-    at_zero = lambda_level(model, LEVEL_ZERO)
-    z_class = state_unit(model) * Z
-    table = bundle_weights(
-        -beta, Frac(0), Frac(0), z_class, at_zero - beta * z_class
-    )
-    value = at_zero
-    for weight in table.h1_weights:
-        value = value * weight
-    for weight in table.h0_weights:
-        value = value / weight
-    return value
+    rows = [{(0, e - j): scale * p[j]} for j in range(r)]
+    for b in range(beta if twisted else 0):
+        # the framing twist, the Euler class of the twisted obstruction of the
+        # distinguished line: c*lam^l*z^n*H^j times (lam - b*z - H), cut at H^r
+        out = [{} for _ in range(r)]
+        for j, row in enumerate(rows):
+            for (l, n), c in row.items():
+                out[j][l + 1, n] = out[j].get((l + 1, n), 0) + c
+                out[j][l, n + 1] = out[j].get((l, n + 1), 0) - b * c
+                if j + 1 < r:
+                    out[j + 1][l, n] = out[j + 1].get((l, n), 0) - c
+        rows = out
+    return CohClass([RatFun(row) for row in rows], NILPOTENT, r)
 
 
 # ---------------------------------------------------------------------------

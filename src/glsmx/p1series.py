@@ -21,7 +21,6 @@ from .algebra import (
     PROJLINE,
     RF_ONE,
     RF_ZERO,
-    Z,
     CohClass,
     RatFun,
     TruncSeries,
@@ -346,11 +345,9 @@ def _check_orders(y_order: int, z_order: int) -> None:
 
 
 def _smoothing(a: int, z_order: int) -> RatFun:
-    # expansion in z of the reciprocal node-smoothing factor lam/a - z
-    out = RF_ZERO
-    for k in range(z_order + 1):
-        out = out + RatFun(Frac(a) ** (k + 1)) * Z ** k / LAM ** (k + 1)
-    return out
+    # lam times the expansion in z of the reciprocal node-smoothing factor
+    # lam/a - z: the sum of a^(k+1) z^k / lam^k for k up to z_order
+    return RatFun({(-k, k): a ** (k + 1) for k in range(z_order + 1)})
 
 
 def _tail_series(constant: RatFun, tables, y_order: int, z_order: int) -> TruncSeries:
@@ -358,7 +355,7 @@ def _tail_series(constant: RatFun, tables, y_order: int, z_order: int) -> TruncS
     # through the smoothing of its first node against the cotangent variable
     coeffs = {0: constant}
     for a, table in enumerate(tables, 1):
-        front = LAM * _smoothing(a, z_order)
+        front = _smoothing(a, z_order)
         for deg, val in table.items():
             _bump(coeffs, deg, front * val)
     return TruncSeries("y", y_order, coeffs)

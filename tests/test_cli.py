@@ -422,6 +422,36 @@ def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
     )
 
 
+def test_square_root_ratio_criterion_fails_on_a_corrupted_tail(monkeypatch, cold_caches):
+    # a doubled degree-2 cover factor moves the ratio first at y^2
+    edge_factor = p1series._edge_factor
+    monkeypatch.setattr(
+        p1series, "_edge_factor", lambda d: edge_factor(d) * 2 if d == 2 else edge_factor(d)
+    )
+    result = _run_criterion("square root ratio")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: ratio mismatch at order 2: RatFun(6/lam^4) vs RatFun(2/lam^4)"
+    )
+
+
+def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, cold_caches):
+    # doubling the far vertex of every tail whose first edge has degree one
+    # doubles the lone one-edge tail at y^1; the y^0 part stays zero
+    far_weight = p1series._far_weight
+    monkeypatch.setattr(
+        p1series,
+        "_far_weight",
+        lambda t, flags, f: far_weight(t, flags, f) * (2 if flags[0] == 1 else 1),
+    )
+    assert p1series.tree_series_eps(6, 12).coeff(0).is_zero()
+    result = _run_criterion("unmarked series positivity")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: unmarked y^1 part is not the one-edge tail"
+    )
+
+
 def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(monkeypatch):
     # the graph sums take every component's cotangent integral from
     # psi_integral_genus0, so doubling it on four-pointed components breaks
@@ -726,6 +756,35 @@ def test_nonpositive_stability_epsilon_fails(epsilon, tmp_path, capsys):
                             "basepoint_orders": [1], "epsilon": epsilon}}
     report = run("stability", config)
     assert [c["name"] for c in report["checks"]] == ["ConfigError"]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["stability", "--config", str(config_path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_STABLE_BLOCK = {"genus": 1, "degree": "2/5", "special_points": 2, "basepoint_orders": [1],
+                 "epsilon": "2/5", "light_delta": "1/2", "light_markings": 1}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"genus": -3, "degree": 0, "special_points": 9, "basepoint_orders": [],
+          "light_markings": 0}, "stability.genus must be non-negative"),
+        ({"degree": -2}, "stability.degree must be non-negative"),
+        ({"special_points": -4, "light_markings": 0},
+         "stability.special_points must be non-negative"),
+        ({"light_markings": -3}, "stability.light_markings must be non-negative"),
+        ({"basepoint_orders": [-1]}, "basepoint order must be non-negative"),
+        ({"light_markings": 3}, "stability.light_markings exceeds stability.special_points"),
+    ],
+)
+def test_negative_stability_inputs_fail(changes, message, tmp_path, capsys):
+    # the unchanged block is a stable component, so only the refusal fails it
+    assert run("stability", {"stability": _STABLE_BLOCK})["results"] == {"stable": True}
+    config = {"stability": dict(_STABLE_BLOCK, **changes)}
+    report = run("stability", config)
+    assert report["checks"] == [{"name": "ConfigError", "status": "fail", "first_failure": message}]
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     assert main(["stability", "--config", str(config_path)]) == 1
