@@ -60,28 +60,39 @@ class RatFun:
             num = {(0, 0): num}
         if not den:
             raise DivisionByNonUnit("zero denominator")
+        # clear denominators, folded pairwise because lcm(*values) would
+        # build a tuple of every size on each call; the sign moves to num
         num = {k: v for k, v in num.items() if v}
-        if not num:
-            object.__setattr__(self, "num", {})
-            object.__setattr__(self, "den", {(0, 0): 1})
-            return
-        # clear denominators, then divide by the joint content, signed so the
-        # denominator comes out positive; folded pairwise because
-        # gcd(*values) would build a tuple of every size on each call
         mult = den.denominator
         for v in num.values():
             mult = lcm(mult, v.denominator)
-        g = den.numerator * (mult // den.denominator)
-        for v in num.values():
-            g = gcd(g, v.numerator * (mult // v.denominator))
         if den < 0:
-            g = -g
-        object.__setattr__(self, "num", {
-            k: v.numerator * (mult // v.denominator) // g for k, v in num.items()
-        })
-        object.__setattr__(self, "den", {
-            (0, 0): den.numerator * (mult // den.denominator) // g
-        })
+            mult = -mult
+        out = RatFun._reduced(
+            {k: v.numerator * (mult // v.denominator) for k, v in num.items()},
+            den.numerator * (mult // den.denominator),
+        )
+        object.__setattr__(self, "num", out.num)
+        object.__setattr__(self, "den", out.den)
+
+    @staticmethod
+    def _reduced(num, den):
+        """The RatFun num/den, for num a dict of nonzero ints and den a
+        positive int: both divided by their joint content.  Every
+        construction ends here, so the normal form has one code path."""
+        g = den
+        if g != 1:
+            for v in num.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:
+                num = {k: v // g for k, v in num.items()}
+                den //= g
+        out = object.__new__(RatFun)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", {(0, 0): den})
+        return out
 
     def __setattr__(self, *a):
         raise AttributeError("RatFun is immutable")
@@ -94,12 +105,14 @@ class RatFun:
             return NotImplemented
         a, b = self.den[(0, 0)], other.den[(0, 0)]
         m = lcm(a, b)
-        return RatFun(_poly_add(_poly_scale(self.num, m // a), _poly_scale(other.num, m // b)), m)
+        return RatFun._reduced(
+            _poly_add(_poly_scale(self.num, m // a), _poly_scale(other.num, m // b)), m
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun({k: -v for k, v in self.num.items()}, self.den[(0, 0)])
+        return RatFun._reduced({k: -v for k, v in self.num.items()}, self.den[(0, 0)])
 
     def __sub__(self, other):
         other = _as_ratfun(other)
@@ -114,7 +127,9 @@ class RatFun:
         other = _as_ratfun(other)
         if other is NotImplemented:
             return NotImplemented
-        return RatFun(_poly_mul(self.num, other.num), self.den[(0, 0)] * other.den[(0, 0)])
+        return RatFun._reduced(
+            _poly_mul(self.num, other.num), self.den[(0, 0)] * other.den[(0, 0)]
+        )
 
     __rmul__ = __mul__
 
@@ -128,10 +143,11 @@ class RatFun:
                 else "divisor is not a monomial"
             )
         ((dl, dz), v), = other.num.items()
-        c = other.den[(0, 0)]
-        return RatFun(
+        # the divisor's sign moves to the numerator
+        c = other.den[(0, 0)] if v > 0 else -other.den[(0, 0)]
+        return RatFun._reduced(
             {(i - dl, j - dz): u * c for (i, j), u in self.num.items()},
-            self.den[(0, 0)] * v,
+            self.den[(0, 0)] * abs(v),
         )
 
     def __rtruediv__(self, other):
@@ -143,7 +159,7 @@ class RatFun:
         num = {(0, 0): 1}
         for _ in range(n):
             num = _poly_mul(num, self.num)
-        return RatFun(num, self.den[(0, 0)] ** n)
+        return RatFun._reduced(num, self.den[(0, 0)] ** n)
 
     def __eq__(self, other):
         other = _as_ratfun(other)
@@ -184,7 +200,7 @@ class RatFun:
         for (i, j), v in self.num.items():
             out.setdefault(j, {})[(i, 0)] = v
         c = self.den[(0, 0)]
-        return {e: RatFun(p, c) for e, p in sorted(out.items())}
+        return {e: RatFun._reduced(p, c) for e, p in sorted(out.items())}
 
 
 def _as_ratfun(x):

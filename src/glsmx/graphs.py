@@ -640,7 +640,15 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
 
 def _enumerate_loc_graphs(model, g, n, beta, delta):
     """enumerate_loc_graphs without its caps, for a caller that checks its
-    own.
+    own."""
+    return [graph for graph, _ in _census(model, g, n, beta, delta)]
+
+
+def _census(model, g, n, beta, delta):
+    """The graphs of _enumerate_loc_graphs, each paired with the number of
+    vertex orders that reach its least form: the vertex part of its
+    automorphism count, and all of it when the graph has no parallel edges
+    (a bipartite census has no loops).
 
     The loops run lexicographically over the prefix (structure, flip,
     deltas, genera, degrees, leg_dist) and then over the residues, and the
@@ -783,9 +791,10 @@ def _emit_candidates(
     model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles, fracs
 ):
     """Add every valid graph on one decorated structure to found, by its
-    least int form at scale d.  Multiplicities stay residues k of k/d; a
-    residue tuple compatible at every vertex is keyed as ints, and the
-    graph is built only for a key not seen before.  Every rule of validate
+    least int form at scale d, paired with the number of vertex orders
+    that reach that form.  Multiplicities stay residues k of k/d; a residue
+    tuple compatible at every vertex is keyed as ints, and the graph is
+    built only for a key not seen before.  Every rule of validate
     holds by construction but two, which depend on the structure alone and
     are decided before the residues: each vertex has a role, and each edge
     covers more than the basepoint order at its level-zero end.  A vertex's
@@ -857,7 +866,7 @@ def _emit_candidates(
                     base + (tuple(zip(labels, ks)),)
                     for base, labels, ks in zip(bases, legs_at, leg_ks)
                 ]
-                key = _least_form(verts, int_edges)[0]
+                key, ties = _least_form(verts, int_edges)
                 if key in found:
                     continue
                 found[key] = LocGraph(
@@ -869,7 +878,7 @@ def _emit_candidates(
                         Edge((zero, inf), (fracs[kz], fracs[ki]), dd)
                         for zero, inf, kz, ki, dd in int_edges
                     ),
-                )
+                ), ties
 
 
 # ---------------------------------------------------------------------------

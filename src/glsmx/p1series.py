@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from math import factorial, prod
+from typing import NamedTuple
 
 from .algebra import (
     LAM,
@@ -27,14 +28,7 @@ from .algebra import (
     series_root_pow,
 )
 from .errors import BoundsExceeded, ConfigError, IdentityFailed
-from .graphs import (
-    LEVEL_INF,
-    LEVEL_ZERO,
-    LocGraph,
-    _compositions,
-    _enumerate_loc_graphs,
-    aut_degree,
-)
+from .graphs import LEVEL_INF, LEVEL_ZERO, LocGraph, _census, _compositions
 from .model import GEOMETRIC, GlsmModel
 
 N_CAP = 5
@@ -44,8 +38,7 @@ Z_ORDER_CAP = 16
 
 # the census model whose genus-zero, degree-zero fixed loci are the fixed
 # loci of maps to the line: one field of weight one and d = 1, so every
-# multiplicity is 0, every isotropy order is 1, and aut_degree counts only
-# automorphisms
+# multiplicity is 0 and every isotropy order is 1
 _POINT_MODEL = GlsmModel((1,), 1, 1, GEOMETRIC)
 
 
@@ -140,63 +133,88 @@ def _edge_factor(d: int) -> RatFun:
     return RatFun(_edge_coefficient(d)) / LAM ** (2 * d)
 
 
+def _vertex_factor(sign: int, degs: tuple, ks: tuple) -> tuple:
+    """Weight of one vertex of a fixed graph, less the insertions, as
+    (rational, lam exponent): tangent weight t = sign*lam, one flag of
+    weight omega = t/d for each degree d in degs, and one marking for each
+    cotangent exponent in ks.  Every factor is a rational multiple of a lam
+    power."""
+    f = len(degs)
+    if f + len(ks) >= 3:
+        # contracted component: sum of psi integrals over prod omega^(b+1)
+        # (each term lam^-(budget+f)), times t^(f-1) for its nodes; the
+        # sum is empty when the exponents overfill the dimension
+        budget = f + len(ks) - 3 - sum(ks)
+        acc = 0
+        for bs in _compositions(budget, f, 0):
+            term = psi_integral_genus0(bs + ks)
+            for d, b in zip(degs, bs):
+                term *= (sign * d) ** (b + 1)
+            acc += term
+        # sign^(f+1) is sign^(f-1), and stays an int when f = 0
+        return acc * sign ** (f + 1), -budget - 1
+    if f == 2:  # t/(omega1 + omega2)
+        return Frac(degs[0] * degs[1], degs[0] + degs[1]), 0
+    if ks:  # (-omega)^k at a marked leaf
+        return Frac(-sign, degs[0]) ** ks[0], ks[0]
+    return Frac(sign, degs[0]), 1  # t/d at a bare leaf
+
+
+class _Tree(NamedTuple):
+    """One fixed-locus tree in a weight table: the part of its weight that
+    no insertion changes, as coeff times lam^lam_exp (its edges over their
+    degrees, 1/|Aut| and every unmarked vertex), the fixed point of each
+    marking, and the profile index of each marked vertex."""
+
+    graph: LocGraph
+    coeff: Frac
+    lam_exp: int
+    levels: tuple
+    marked: tuple
+
+
 @functools.lru_cache(maxsize=None)
 def _fixed_graphs(n: int, delta: int) -> tuple:
-    """Fixed-locus trees for n-pointed degree-delta maps, up to isomorphism,
-    each with its automorphism order: the census of the point model at
-    genus zero and degree zero.  The caps on n and delta bound the cache."""
-    return tuple(
-        (graph, aut_degree(_POINT_MODEL, graph)[0])
-        for graph in _enumerate_loc_graphs(_POINT_MODEL, 0, n, 0, delta)
-    )
-
-
-def _graph_weight(graph: LocGraph, aut: int, exps) -> tuple:
-    """A fixed graph's weight over its automorphisms, less the insertions, as
-    (rational, lam exponent, fixed point of each marking).  Each vertex has
-    tangent weight t = sign*lam and each flag of degree d the weight
-    omega = t/d, so every factor is a rational multiple of a lam power."""
-    coeff = prod((_edge_coefficient(e.delta) / e.delta for e in graph.edges), start=Frac(1, aut))
-    lam_exp = -2 * sum(e.delta for e in graph.edges)
-    flags = [[e.delta for e in graph.edges if vi in e.ends] for vi in range(len(graph.vertices))]
-    levels = [None] * len(exps)
-    for v, degs in zip(graph.vertices, flags):
-        sign = 1 if v.level == LEVEL_ZERO else -1
-        ks = tuple(exps[label - 1] for label, _ in v.legs)
-        for label, _ in v.legs:
-            levels[label - 1] = v.level
-        f = len(degs)
-        if f + len(ks) >= 3:
-            # contracted component: sum of psi integrals over prod omega^(b+1)
-            # (each term lam^-(budget+f)), times t^(f-1) for its nodes; the
-            # sum is empty when the exponents overfill the dimension
-            budget = f + len(ks) - 3 - sum(ks)
-            acc = 0
-            for bs in _compositions(budget, f, 0):
-                term = psi_integral_genus0(bs + ks)
-                for d, b in zip(degs, bs):
-                    term *= (sign * d) ** (b + 1)
-                acc += term
-            # sign^(f+1) is sign^(f-1), and stays an int when f = 0
-            coeff *= acc * sign ** (f + 1)
-            lam_exp -= budget + 1
-        elif f == 2:  # t/(omega1 + omega2)
-            coeff *= Frac(degs[0] * degs[1], degs[0] + degs[1])
-        elif ks:  # (-omega)^k at a marked leaf
-            coeff *= Frac(-sign, degs[0]) ** ks[0]
-            lam_exp += ks[0]
-        else:  # t/d at a bare leaf
-            coeff *= Frac(sign, degs[0])
-            lam_exp += 1
-    return coeff, lam_exp, tuple(levels)
+    """Weight table of the fixed-locus trees for n-pointed degree-delta
+    maps, up to isomorphism: the census of the point model at genus zero
+    and degree zero.  Returns (profiles, trees): the distinct marked-vertex
+    profiles (sign, sorted flag degrees, leg labels), whose factors are all
+    that the cotangent exponents change, and one _Tree per tree.  The
+    census is bipartite, and at genus zero its graphs are trees, so they
+    have no loops or parallel edges and its tie count is |Aut|.  The caps
+    on n and delta bound the cache."""
+    profiles = {}
+    trees = []
+    for graph, aut in _census(_POINT_MODEL, 0, n, 0, delta):
+        coeff, lam_exp = Frac(1, aut), 0
+        for e in graph.edges:
+            coeff *= _edge_coefficient(e.delta) / e.delta
+            lam_exp -= 2 * e.delta
+        levels = [None] * n
+        marked = []
+        for vi, v in enumerate(graph.vertices):
+            sign = 1 if v.level == LEVEL_ZERO else -1
+            degs = tuple(sorted(e.delta for e in graph.edges if vi in e.ends))
+            if v.legs:
+                labels = tuple(label for label, _ in v.legs)
+                for label in labels:
+                    levels[label - 1] = v.level
+                marked.append(profiles.setdefault((sign, degs, labels), len(profiles)))
+            else:
+                c, k = _vertex_factor(sign, degs, ())
+                coeff *= c
+                lam_exp += k
+        trees.append(_Tree(graph, coeff, lam_exp, tuple(levels), tuple(marked)))
+    return tuple(profiles), tuple(trees)
 
 
 def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     """Equivariant descendant integral over genus-zero n-pointed stable maps
     of degree delta to the line, summed over fixed-locus trees with
-    automorphism division via aut_degree.  Graph weights add up in one
-    Laurent polynomial in lam per placement of the markings on the fixed
-    points; the insertions' restrictions enter once per placement.
+    automorphism division.  Each marked-vertex profile of the weight table
+    is evaluated once for the cotangent exponents, and graph weights add up
+    in one Laurent polynomial in lam per placement of the markings on the
+    fixed points; the insertions' restrictions enter once per placement.
 
     insertions: one (class, cotangent exponent) pair per marking.
     """
@@ -215,11 +233,23 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
         raise ConfigError("degree zero needs at least three markings")
     exps = [int(k) for _, k in pairs]
     at = [{lv: restrict_at(alpha, lv) for lv in (LEVEL_ZERO, LEVEL_INF)} for alpha, _ in pairs]
+    profiles, trees = _fixed_graphs(n, delta)
+    factors = [
+        _vertex_factor(sign, degs, tuple(exps[label - 1] for label in labels))
+        for sign, degs, labels in profiles
+    ]
     placements = {}
-    for graph, aut in _fixed_graphs(n, delta):
-        coeff, lam_exp, levels = _graph_weight(graph, aut, exps)
-        poly = placements.setdefault(levels, {})
-        poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
+    for tree in trees:
+        coeff, lam_exp = tree.coeff, tree.lam_exp
+        for i in tree.marked:
+            c, k = factors[i]
+            if not c:
+                break
+            coeff *= c
+            lam_exp += k
+        else:
+            poly = placements.setdefault(tree.levels, {})
+            poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
     total = RF_ZERO
     for levels, poly in placements.items():
         total = total + prod((table[lv] for table, lv in zip(at, levels)), start=RatFun(poly))

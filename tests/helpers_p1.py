@@ -5,7 +5,10 @@ trees (decoded from full Pruefer sequences) and divide by the factorial of
 the vertex count instead of canonicalizing up to isomorphism, the engine is
 sympy instead of the package's rational-function kernel, and the cotangent
 integrals on a component come from the string-equation recursion rather
-than a closed form.
+than a closed form.  The per-tree walk at the end shares more with the
+package: it sums over the census of glsmx.graphs with aut_degree's
+automorphism counts, on the package's kernel, but walks every tree afresh
+for each request instead of reading the weight table of glsmx.p1series.
 """
 
 from fractions import Fraction as Frac
@@ -13,6 +16,10 @@ from itertools import product
 from math import factorial
 
 import sympy
+
+from glsmx.algebra import RF_ZERO, RatFun
+from glsmx.graphs import LEVEL_ZERO, _enumerate_loc_graphs, aut_degree
+from glsmx.model import GEOMETRIC, GlsmModel
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
@@ -176,3 +183,69 @@ def ratfun_to_sympy(f):
         return tot
 
     return side(f.num) / side(f.den)
+
+
+# ---------------------------------------------------------------------------
+# the per-tree walk: the package's census, walked afresh for every request
+
+# one field of weight one and d = 1: the point model whose genus-zero,
+# degree-zero fixed loci are the fixed loci of maps to the line
+POINT_MODEL = GlsmModel((1,), 1, 1, GEOMETRIC)
+
+
+def walk_weight(graph, aut, exps):
+    """A fixed graph's weight over its automorphisms, less the insertions, as
+    (rational, lam exponent, fixed point of each marking), walked edge by
+    edge and vertex by vertex.  Each vertex has tangent weight t = sign*lam
+    and each flag of degree d the weight omega = t/d."""
+    coeff = Frac(1, aut)
+    lam_exp = 0
+    for e in graph.edges:
+        d = e.delta
+        coeff *= Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2 * d)
+        lam_exp -= 2 * d
+    levels = [None] * len(exps)
+    for vi, v in enumerate(graph.vertices):
+        sign = 1 if v.level == LEVEL_ZERO else -1
+        degs = [e.delta for e in graph.edges if vi in e.ends]
+        ks = tuple(exps[label - 1] for label, _ in v.legs)
+        for label, _ in v.legs:
+            levels[label - 1] = v.level
+        f = len(degs)
+        if f + len(ks) >= 3:
+            # sum of cotangent integrals over prod omega^(b+1), times t^(f-1)
+            budget = f + len(ks) - 3 - sum(ks)
+            acc = Frac(0)
+            for bs in weak_compositions(budget, f):
+                term = psi_int_recursive(bs + ks)
+                for d, b in zip(degs, bs):
+                    term *= (sign * d) ** (b + 1)
+                acc += term
+            coeff *= acc * sign ** (f + 1)
+            lam_exp -= budget + 1
+        elif f == 2:  # t/(omega1 + omega2)
+            coeff *= Frac(degs[0] * degs[1], degs[0] + degs[1])
+        elif ks:  # (-omega)^k at a marked leaf
+            coeff *= Frac(-sign, degs[0]) ** ks[0]
+            lam_exp += ks[0]
+        else:  # t/d at a bare leaf
+            coeff *= Frac(sign, degs[0])
+            lam_exp += 1
+    return coeff, lam_exp, tuple(levels)
+
+
+def walk_graph_sum(n, delta, insertions):
+    """The fixed-graph sum with every tree of the package's census walked
+    for this request alone, divided by aut_degree's automorphism count;
+    insertions are (class on the line, cotangent exponent) pairs."""
+    exps = [k for _, k in insertions]
+    total = RF_ZERO
+    for graph in _enumerate_loc_graphs(POINT_MODEL, 0, n, 0, delta):
+        coeff, lam_exp, levels = walk_weight(graph, aut_degree(POINT_MODEL, graph)[0], exps)
+        value = RatFun({(lam_exp, 0): coeff})
+        for (alpha, _), level in zip(insertions, levels):
+            value = value * (
+                alpha.restrict_zero() if level == LEVEL_ZERO else alpha.restrict_infinity()
+            )
+        total = total + value
+    return total

@@ -318,6 +318,21 @@ def test_ratfun_results_have_one_den_term(a, b, m, n):
         _assert_canonical(f)
 
 
+@given(
+    st.dictionaries(_exponents, st.integers(-60, 60).filter(bool), max_size=4),
+    st.integers(1, 60),
+)
+@settings(max_examples=100, deadline=None)
+def test_reduced_is_the_constructor_normal_form(num, den):
+    # the ring operations build through _reduced, the constructor through
+    # Fraction clearing first: both must store the same dicts
+    got = RatFun._reduced(dict(num), den)
+    want = RatFun(num, den)
+    assert got.num == want.num
+    assert got.den == want.den
+    _assert_canonical(got)
+
+
 @given(_ratfuns(), st.dictionaries(_exponents, _nonzero, min_size=2, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_division_by_non_monomial_raises(a, terms):

@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsmx import cli, criteria, jfun, p1series
+from glsmx.algebra import Z
 from glsmx.cli import main, report_passed, run
 from glsmx.graphs import _ENUM_BOUNDS
 from glsmx.model import LG, GlsmModel
 
 QUINTIC_LG = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg"}
 QUINTIC_GEOM = dict(QUINTIC_LG, phase="geometric")
+LG_MODEL = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
 
 FIG_TOP = {
     "kind": "dual",
@@ -449,6 +451,61 @@ def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, co
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: unmarked y^1 part is not the one-edge tail"
+    )
+
+
+def test_leading_terms_criterion_fails_on_a_doubled_leading_term(monkeypatch):
+    # a degree-0 coefficient whose positive-z part is 2z, not z
+    coefficient = jfun.unstable_J_coefficient
+
+    def doubled(model, beta, epsilon=None, twisted=False):
+        value = coefficient(model, beta, epsilon, twisted)
+        return value + jfun.state_unit(model) * Z if beta == 0 else value
+
+    monkeypatch.setattr(jfun, "unstable_J_coefficient", doubled)
+    assert jfun.positive_z_part(doubled(LG_MODEL, 0)) == jfun.state_unit(LG_MODEL) * (2 * Z)
+    result = _run_criterion("leading term normalization")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: leading term is not z at lg weights (1, 1, 1, 1, 1) eps 2/3"
+    )
+
+
+def test_leading_terms_criterion_fails_on_a_nonzero_mu_0(monkeypatch):
+    # the leading terms stay z, but the table keeps a constant at degree 0
+    table = jfun.mu_table
+
+    def kept(model, epsilon, twisted=False):
+        out = table(model, epsilon, twisted)
+        out[0] = out[0] + jfun.state_unit(model)
+        return out
+
+    monkeypatch.setattr(jfun, "mu_table", kept)
+    result = _run_criterion("leading term normalization")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: mu_0 is nonzero at lg weights (1, 1, 1, 1, 1) eps 2/3"
+    )
+
+
+def test_pairing_relations_criterion_fails_on_a_doubled_edge_weight(monkeypatch):
+    # the weight table keeps each tree's edge factors, so it is cleared
+    # before and after the patch; the string and divisor relations hold for
+    # any edge weights, and only the pairings at delta 1 see degree-1 edges
+    edge_coefficient = p1series._edge_coefficient
+    p1series._fixed_graphs.cache_clear()
+    monkeypatch.setattr(
+        p1series,
+        "_edge_coefficient",
+        lambda d: edge_coefficient(d) * (2 if d == 1 else 1),
+    )
+    try:
+        result = _run_criterion("pairings and relations")
+    finally:
+        p1series._fixed_graphs.cache_clear()
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: two opposite point classes must pair to 1 at delta 1"
     )
 
 

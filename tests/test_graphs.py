@@ -478,7 +478,7 @@ def _labelled_loop(model, g, n, beta, delta):
                             profiles,
                             fracs,
                         )
-    return [found[k] for k in sorted(found)]
+    return [found[k][0] for k in sorted(found)]
 
 
 _SMALL_KEYS = [

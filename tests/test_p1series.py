@@ -3,8 +3,10 @@ cotangent integrals, the fixed-graph sum against a labeled-tree oracle, the
 tail series, the rewrite at a three-pointed component, and the square-root
 ratio identity."""
 
+import random
 from fractions import Fraction as Frac
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 import sympy
@@ -17,6 +19,7 @@ from helpers_p1 import (
     psi_int_recursive,
     ratfun_to_sympy,
     vertex_weight,
+    walk_graph_sum,
 )
 from glsmx.algebra import (
     LAM,
@@ -51,7 +54,7 @@ from glsmx.p1series import (
     tree_series_eps,
     unit_class,
 )
-from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, canonical_key
+from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree, canonical_key
 
 ONE = unit_class()
 HYP = hyperplane_class()
@@ -192,9 +195,27 @@ POINT_CLASS_COUNTS = {
 
 @pytest.mark.parametrize("n,delta", sorted(POINT_CLASS_COUNTS))
 def test_fixed_locus_class_counts(n, delta):
-    graphs = [graph for graph, _ in _fixed_graphs(n, delta)]
+    graphs = [tree.graph for tree in _fixed_graphs(n, delta)[1]]
     assert len(graphs) == POINT_CLASS_COUNTS[(n, delta)]
     assert len({canonical_key(g) for g in graphs}) == len(graphs)
+
+
+CAPPED_SHAPES = [
+    (n, delta)
+    for n in range(p1series.N_CAP + 1)
+    for delta in range(p1series.DELTA_CAP + 1)
+    if delta or n >= 3
+]
+
+
+@pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
+def test_census_ties_are_the_automorphism_order(n, delta):
+    # the weight table divides by the census tie count, which is |Aut| only
+    # because the point model's trees have no parallel edges
+    census = _census(p1series._POINT_MODEL, 0, n, 0, delta)
+    assert census
+    for graph, ties in census:
+        assert ties == aut_degree(p1series._POINT_MODEL, graph)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +254,16 @@ def test_graph_sum_matches_labeled_tree_oracle(n, delta, spec_ins):
     main = p1_graph_sum(n, delta, [(CLS[c], k) for c, k in spec_ins])
     oracle = brute_p1(n, delta, [SYM[c] + (k,) for c, k in spec_ins])
     assert sympy.cancel(ratfun_to_sympy(main) - oracle) == 0
+
+
+@pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
+def test_graph_sum_matches_the_per_tree_walk(n, delta):
+    # the weight table against every tree walked afresh, at every shape the
+    # caps admit; sums that cancel to zero count too
+    rng = random.Random(f"walk:{n}:{delta}")
+    for _ in range(4):
+        ins = [(CLS[rng.choice(sorted(CLS))], rng.randint(0, 2)) for _ in range(n)]
+        assert p1_graph_sum(n, delta, ins) == walk_graph_sum(n, delta, ins)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +567,14 @@ def test_ratio_report():
     assert rep["lambda_multiples"] == {1: Frac(-1), 2: Frac(2), 3: Frac(-5)}
 
 
+def test_ratio_multiples_are_signed_catalan_numbers():
+    # (1 - sqrt(1 + 4u))/(1 + sqrt(1 + 4u)) = sum_k (-1)^k C_k u^k, with
+    # C_k = binom(2k, k)/(k + 1) the Catalan numbers
+    multiples = irr_ratio_check(8)["lambda_multiples"]
+    for k in range(1, 9):
+        assert multiples[k] == (-1) ** k * comb(2 * k, k) // (k + 1)
+
+
 def test_ratio_multiples_against_sympy_expansion():
     u = sympy.Symbol("u")
     expr = (1 - sympy.sqrt(1 + 4 * u)) / (1 + sympy.sqrt(1 + 4 * u))
@@ -549,8 +588,9 @@ def test_ratio_multiples_against_sympy_expansion():
 # ---------------------------------------------------------------------------
 # the series caches
 
-# _fixed_graphs holds the point model's fixed-locus census, and no test
-# patches anything it is built from, so the cold-cache fixture may leave it
+# _fixed_graphs holds the point model's fixed-locus census and its weight
+# table; the one test that patches a factor the table is built from clears
+# it itself before and after, so the cold-cache fixture may leave it
 _UNCLEARED = {p1series._fixed_graphs}
 
 
