@@ -17,11 +17,11 @@ from .errors import (
     NotInfinityStable,
 )
 from .model import (
-    _compat_defect,
     compat_residue,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
+    line_bundle_degree,
 )
 
 LEVEL_ZERO = "0"
@@ -152,16 +152,6 @@ def total_degree(graph):
     return sum(v.degree for v in graph.vertices)
 
 
-def global_legs(graph):
-    """All legs in label order as (label, mult, vertex index)."""
-    out = []
-    for vi, v in enumerate(graph.vertices):
-        for label, m in v.legs:
-            out.append((label, m, vi))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stability
 
@@ -199,24 +189,11 @@ def epsilon_stable(
     return p * degree + (2 * genus - 2 + weight) * q > 0
 
 
-def classify_vertex(model, graph, vi, epsilon):
-    """Role of a fixed-locus graph vertex: 'stable', or one of the pointlike
-    profiles 'ram' (plain ramification point), 'basepoint', 'node',
-    'marked'; None when no consistent role exists."""
-    v = graph.vertices[vi]
-    return _vertex_role(
-        v.genus,
-        v.degree,
-        v.level,
-        len(half_edges_at(graph, vi)),
-        len(v.legs),
-        v.extra_legs,
-        epsilon,
-    )
-
-
 def _vertex_role(genus, degree, level, he, legs, extra_legs, epsilon):
-    """classify_vertex on the counts alone: a role depends only on these."""
+    """Role of a fixed-locus graph vertex from its counts (he half-edges,
+    legs labeled legs): 'stable', or one of the pointlike profiles 'ram'
+    (plain ramification point), 'basepoint', 'node', 'marked'; None when no
+    consistent role exists."""
     chamber = epsilon if level == LEVEL_ZERO else None
     if epsilon_stable(genus, degree, he + legs, chamber):
         return "stable"
@@ -240,41 +217,56 @@ def _vertex_role(genus, degree, level, he, legs, extra_legs, epsilon):
     return None
 
 
-def basepoint_order_on_edge(model, graph, ei):
-    """Basepoint order carried by an edge of a fixed-locus graph: the degree
-    of an unstable valence-one level-zero end, zero otherwise."""
-    e = graph.edges[ei]
-    for side in (0, 1):
-        vi = e.ends[side]
-        if classify_vertex(model, graph, vi, model.epsilon) == "basepoint":
-            return graph.vertices[vi].degree
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # validation
 
 
 def validate(model, graph):
-    """All invariant violations as human-readable strings; empty iff valid."""
+    """All invariant violations as human-readable strings; empty iff valid.
+
+    Multiplicities are summed as ints at one scale that holds the 1/d grid
+    and every multiplicity of the graph.  A vertex is compatible iff its sum
+    meets the scaled gauge-bundle degree mod the scale: the defining rule,
+    not the census's residue rule, so this check stays independent of it."""
     out = []
     is_loc = isinstance(graph, LocGraph)
-    nv = len(graph.vertices)
-    ends_ok = True
-    # every multiplicity at each vertex: its legs, the phase unit for each
-    # extra leg, and its side of each edge (both sides of a loop)
-    mults = [
-        [m for _, m in v.legs] + [model.unit_sector_mult] * v.extra_legs
-        for v in graph.vertices
-    ]
-    for ei, e in enumerate(graph.edges):
-        if not all(0 <= x < nv for x in e.ends):
+    vertices = graph.vertices
+    nv = len(vertices)
+    scale = math.lcm(model.d, _scale(graph))
+    unit = _scaled(model.unit_sector_mult, scale)
+    # per vertex: the scaled multiplicities and the special points of its
+    # legs, its extra legs (the phase unit each) and its sides of the edges
+    # with both ends in range (both sides of a loop); he counts the
+    # half-edges of every edge, as the vertex roles see them
+    ks = [sum(_scaled(m, scale) for _, m in v.legs) + unit * v.extra_legs for v in vertices]
+    points = [len(v.legs) + v.extra_legs for v in vertices]
+    he = [0] * nv
+    edge_ks = []  # per edge its scaled sides, None with an end out of range
+    for e in graph.edges:
+        sides = (_scaled(e.mults[0], scale), _scaled(e.mults[1], scale))
+        for end in e.ends:
+            if 0 <= end < nv:
+                he[end] += 1
+            else:
+                sides = None
+        if sides is not None:
+            for end, k in zip(e.ends, sides):
+                ks[end] += k
+                points[end] += 1
+        edge_ks.append(sides)
+    roles = None
+    if is_loc:
+        roles = [
+            _vertex_role(
+                v.genus, v.degree, v.level, he[vi], len(v.legs), v.extra_legs, model.epsilon
+            )
+            for vi, v in enumerate(vertices)
+        ]
+    for ei, (e, sides) in enumerate(zip(graph.edges, edge_ks)):
+        if sides is None:
             out.append(f"edge {ei}: endpoint out of range")
-            ends_ok = False
             continue
-        for end, m in zip(e.ends, e.mults):
-            mults[end].append(m)
-        if (e.mults[0] + e.mults[1]).denominator != 1:
+        if sum(sides) % scale:
             out.append(
                 f"edge {ei}: multiplicities {e.mults[0]} + {e.mults[1]} not integral"
             )
@@ -282,38 +274,40 @@ def validate(model, graph):
             if e.delta is None or e.delta < 1:
                 out.append(f"edge {ei}: covering degree must be at least 1")
             a, b = e.ends
-            if graph.vertices[a].level == graph.vertices[b].level:
-                out.append(f"edge {ei}: both ends at level {graph.vertices[a].level}")
+            if vertices[a].level == vertices[b].level:
+                out.append(f"edge {ei}: both ends at level {vertices[a].level}")
             elif e.delta is not None:
-                bp = basepoint_order_on_edge(model, graph, ei)
+                # the basepoint order an edge carries: the degree of an
+                # unstable valence-one level-zero end
+                bp = next((vertices[vi].degree for vi in e.ends if roles[vi] == "basepoint"), 0)
                 if bp and e.delta <= bp:
                     out.append(
                         f"edge {ei}: covering degree {e.delta} not above "
                         f"basepoint order {bp}"
                     )
-    for vi in range(nv):
-        v = graph.vertices[vi]
+    for vi, v in enumerate(vertices):
         if is_loc and v.level not in (LEVEL_ZERO, LEVEL_INF):
             out.append(f"vertex {vi}: missing level")
         if v.genus < 0 or v.degree < 0 or v.extra_legs < 0:
             out.append(f"vertex {vi}: negative decoration")
             continue
-        defect = _compat_defect(model, v.genus, v.degree, mults[vi])
-        if defect.denominator != 1:
-            out.append(f"vertex {vi}: multiplicity defect {defect} not integral")
+        degree = line_bundle_degree(model, v.genus, points[vi], v.degree)
+        gap = _scaled(degree, scale) - ks[vi]
+        if gap % scale:
+            out.append(f"vertex {vi}: multiplicity defect {Frac(gap, scale)} not integral")
     if not is_loc and graph.v_bullet is not None:
         if not 0 <= graph.v_bullet < nv:
             out.append("distinguished vertex out of range")
         else:
-            vb = graph.vertices[graph.v_bullet]
+            vb = vertices[graph.v_bullet]
             if vb.extra_legs:
                 out.append("distinguished vertex carries extra legs")
             if vb.degree <= 0:
                 out.append("distinguished vertex needs positive degree")
-    if nv and ends_ok and _components(graph) != 1:
+    if nv and None not in edge_ks and _components(graph) != 1:
         out.append("graph not connected")
-    seen_labels = [l for l, _, _ in global_legs(graph)]
-    if len(seen_labels) != len(set(seen_labels)):
+    labels = [label for v in vertices for label, _ in v.legs]
+    if len(labels) != len(set(labels)):
         out.append("duplicate marking labels")
     return out
 
@@ -945,7 +939,12 @@ def minimal_expansions(model, graph):
     """All triples strictly below the given one that differ by one edge:
     either the distinguished vertex splits in two joined by a new edge, or
     it trades one unit of genus for a loop.  Every strictly descending
-    chain refines into such steps, so these generate the order downward."""
+    chain refines into such steps, so these generate the order downward.
+
+    Returned as a dict from each triple's least int form at the scale
+    lcm(d, _scale(graph)) to the triple.  A step keeps every multiplicity
+    and adds only ones on the 1/d grid, so that scale is the same for every
+    triple below, and the keys of a whole descent compare as one form."""
     if graph.v_bullet is None:
         raise ConfigError("partial order needs a distinguished vertex")
     vb = graph.v_bullet
@@ -976,9 +975,9 @@ def minimal_expansions(model, graph):
         ks[b] += kb
     for vi, (genus, degree, *_) in enumerate(verts):
         if (ks[vi] - step * compat_residue(model, genus, points[vi], degree)) % scale:
-            return []
+            return {}
         if vi != vb and degree <= 0 and 2 * genus - 2 + points[vi] <= 0:
-            return []
+            return {}
     level = verts[vb][3]
     leg_ks = [_scaled(m, scale) for _, m in center.legs]
     slots = [
@@ -1060,7 +1059,7 @@ def minimal_expansions(model, graph):
                             for e, se in zip(graph.edges, split_edges)
                         ) + (Edge((vb, new_index), (m, frac_bracket(-m)), None),)
                         out[key] = DualGraph(tuple(vertices), new_edges, bullet)
-    return list(out.values())
+    return out
 
 
 def _picked(center, leg_ks, picked):
@@ -1071,17 +1070,21 @@ def _picked(center, leg_ks, picked):
 def descending_chains(model, graph, max_len):
     """All strictly decreasing chains from the given triple through minimal
     expansions, as lists of graphs, capped at max_len entries."""
-    return [c for c in _chains_from(model, graph, {}) if len(c) <= max_len]
+    key = _least_form(
+        *_int_form(graph, math.lcm(model.d, _scale(graph))), graph.v_bullet
+    )[0]
+    return [c for c in _chains_from(model, graph, key, {}) if len(c) <= max_len]
 
 
-def _chains_from(model, g, memo):
-    key = canonical_key(g)
+def _chains_from(model, g, key, memo):
+    """The chains from g, memoised on the least forms that
+    minimal_expansions keys its triples by."""
     if key in memo:
         return memo[key]
     memo[key] = [[g]]  # guards against accidental cycles
     all_chains = [[g]]
-    for p in minimal_expansions(model, g):
-        for sub in _chains_from(model, p, memo):
+    for p_key, p in minimal_expansions(model, g).items():
+        for sub in _chains_from(model, p, p_key, memo):
             all_chains.append([g] + sub)
     memo[key] = all_chains
     return all_chains
@@ -1092,7 +1095,7 @@ def _chains_from(model, g, memo):
 
 
 def _frac_str(m):
-    return str(Frac(m))
+    return str(m if isinstance(m, Frac) else Frac(m))
 
 
 def vertex_to_obj(v):

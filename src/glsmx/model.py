@@ -142,10 +142,9 @@ def graph_multiplicities(model: GlsmModel, beta: int):
 
 def line_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
     """Rational degree of the gauge bundle for the given discrete data."""
-    beta = Frac(beta)
     if model.phase == LG:
-        return Frac(2 * genus - 2 + n - beta, 1) / model.d
-    return beta
+        return Frac(2 * genus - 2 + n - beta, model.d)
+    return Frac(beta)
 
 
 def p_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:

@@ -181,6 +181,38 @@ def _run_criterion(name):
     return criteria.run_criterion(name, dict(criteria.CRITERIA)[name])
 
 
+def test_census_checks_do_not_share_the_census_residue_rule(monkeypatch):
+    # validate tests each vertex against the gauge-bundle degree itself, so
+    # a census built on a residue rule shifted by one fails the graphs
+    # report, every graph it emits fails validate, and criterion 7 fails
+    import re
+
+    import glsmx.graphs as gr
+
+    rule = gr.compat_residue
+    monkeypatch.setattr(
+        gr, "compat_residue", lambda model, g, n, b: (rule(model, g, n, b) + 1) % model.d
+    )
+    config = {
+        "model": dict(QUINTIC_LG, epsilon="2/5"),
+        "graphs": {"genus": 0, "markings": 1, "degree": 0, "edge_degree": 1},
+    }
+    report = run("graphs", config)
+    assert report["results"]["count"] > 0
+    [check] = report["checks"]
+    assert check["name"] == "all_valid" and check["status"] == "fail"
+    assert re.fullmatch(r"vertex \d+: multiplicity defect -?\d+/5 not integral", check["first_failure"])
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, "2/5")
+    emitted = 0
+    for key in criteria._CENSUS:
+        if key[3] == 1:
+            for lam in gr.enumerate_loc_graphs(model, *key):
+                emitted += 1
+                assert any("multiplicity defect" in m for m in gr.validate(model, lam)), key
+    assert emitted > 100
+    assert _run_criterion("graph census")["status"] == "fail"
+
+
 def test_graph_census_criterion_fails_on_an_invalid_census_graph(monkeypatch):
     import glsmx.graphs as gr
 

@@ -3,9 +3,11 @@ stability, tail contraction, enumeration against a brute-force oracle,
 automorphism factors, and the partial order."""
 
 from fractions import Fraction as Frac
+import functools
 import gc
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,17 +34,56 @@ GEO_11 = GlsmModel((1, 1), 2, 2, GEOMETRIC)
 # validation
 
 
+# the graphs of the validate tests below, one valid and the rest each
+# breaking one rule, with the model each is checked under
+_VALIDATE_CASES = {
+    "single vertex with leg": (
+        QUINTIC,
+        G.DualGraph((G.Vertex(1, 0, ((1, Frac(1, 5)),)),), ()),
+    ),
+    "edge condition": (
+        QUINTIC,
+        G.DualGraph(
+            (G.Vertex(1, 0), G.Vertex(1, 0)),
+            (G.Edge((0, 1), (Frac(1, 5), Frac(3, 5))),),
+        ),
+    ),
+    "vertex defect": (
+        QUINTIC,
+        G.DualGraph((G.Vertex(1, 0, ((1, Frac(2, 5)),)),), ()),
+    ),
+    # both ends at the same level, and a missing covering degree
+    "levels and delta": (
+        QUINTIC_25,
+        G.LocGraph(
+            (
+                G.Vertex(1, 0, (), 0, G.LEVEL_ZERO),
+                G.Vertex(1, 0, (), 0, G.LEVEL_ZERO),
+            ),
+            (G.Edge((0, 1), (Frac(0), Frac(0))),),
+        ),
+    ),
+    "endpoint out of range": (
+        QUINTIC,
+        G.DualGraph(
+            (G.Vertex(1, 0, ((1, Frac(1, 5)),)),),
+            (G.Edge((0, 3), (Frac(0), Frac(0))),),
+        ),
+    ),
+    "disconnected": (QUINTIC, G.DualGraph((G.Vertex(1, 0), G.Vertex(2, 0)), ())),
+    "duplicate labels": (
+        QUINTIC,
+        G.DualGraph((G.Vertex(2, 0, ((1, Frac(0)), (1, Frac(0)))),), ()),
+    ),
+}
+
+
 def test_validate_single_vertex_with_leg():
-    g = G.DualGraph((G.Vertex(1, 0, ((1, Frac(1, 5)),)),), ())
-    assert G.validate(QUINTIC, g) == []
+    assert G.validate(*_VALIDATE_CASES["single vertex with leg"]) == []
 
 
 def test_validate_edge_condition_violation():
-    g = G.DualGraph(
-        (G.Vertex(1, 0), G.Vertex(1, 0)),
-        (G.Edge((0, 1), (Frac(1, 5), Frac(3, 5))),),
-    )
-    out = G.validate(QUINTIC, g)
+    out = G.validate(*_VALIDATE_CASES["edge condition"])
     assert any("not integral" in v and "edge 0" in v for v in out)
 
 
@@ -59,31 +100,19 @@ def test_extra_edge_adds_to_total_genus():
 
 
 def test_validate_catches_vertex_defect():
-    g = G.DualGraph((G.Vertex(1, 0, ((1, Frac(2, 5)),)),), ())
-    out = G.validate(QUINTIC, g)
+    out = G.validate(*_VALIDATE_CASES["vertex defect"])
     assert any("defect" in v for v in out)
 
 
 def test_validate_loc_graph_levels_and_delta():
-    # both ends at the same level, and a missing covering degree
-    bad = G.LocGraph(
-        (
-            G.Vertex(1, 0, (), 0, G.LEVEL_ZERO),
-            G.Vertex(1, 0, (), 0, G.LEVEL_ZERO),
-        ),
-        (G.Edge((0, 1), (Frac(0), Frac(0))),),
-    )
-    out = G.validate(QUINTIC_25, bad)
+    out = G.validate(*_VALIDATE_CASES["levels and delta"])
     assert any("both ends at level" in v for v in out)
     assert any("covering degree" in v for v in out)
 
 
 def test_validate_reports_endpoint_out_of_range():
-    g = G.DualGraph(
-        (G.Vertex(1, 0, ((1, Frac(1, 5)),)),),
-        (G.Edge((0, 3), (Frac(0), Frac(0))),),
-    )
-    assert "edge 0: endpoint out of range" in G.validate(QUINTIC, g)
+    out = G.validate(*_VALIDATE_CASES["endpoint out of range"])
+    assert "edge 0: endpoint out of range" in out
 
 
 def test_graph_from_obj_rejects_out_of_range_indices():
@@ -98,15 +127,259 @@ def test_graph_from_obj_rejects_out_of_range_indices():
 
 
 def test_validate_disconnected():
-    g = G.DualGraph((G.Vertex(1, 0), G.Vertex(2, 0)), ())
-    assert any("not connected" in v for v in G.validate(QUINTIC, g))
+    out = G.validate(*_VALIDATE_CASES["disconnected"])
+    assert any("not connected" in v for v in out)
 
 
 def test_validate_duplicate_labels():
-    g = G.DualGraph(
-        (G.Vertex(2, 0, ((1, Frac(0)), (1, Frac(0)))),), ()
+    out = G.validate(*_VALIDATE_CASES["duplicate labels"])
+    assert any("duplicate" in v for v in out)
+
+
+def _defect_reference(model, graph, vi):
+    # gauge-bundle degree minus every multiplicity at the vertex, on
+    # Fractions: legs, 1/d per extra leg in LG, and its sides of the edges
+    # with both ends in range (both sides of a loop)
+    v = graph.vertices[vi]
+    nv = len(graph.vertices)
+    mults = [m for _, m in v.legs]
+    mults += [Frac(1, model.d) if model.phase == LG else Frac(0)] * v.extra_legs
+    for e in graph.edges:
+        if all(0 <= x < nv for x in e.ends):
+            mults += [m for end, m in zip(e.ends, e.mults) if end == vi]
+    n = len(mults)
+    if model.phase == LG:
+        degree = Frac(2 * v.genus - 2 + n - v.degree, model.d)
+    else:
+        degree = Frac(v.degree)
+    return degree - sum(mults)
+
+
+def _validate_reference(model, graph):
+    """validate on Fractions: a vertex's defect is _defect_reference, and
+    an edge's basepoint order is read off the roles of its ends, with the
+    half-edges counted by half_edges_at."""
+    out = []
+    is_loc = isinstance(graph, G.LocGraph)
+    nv = len(graph.vertices)
+    ends_ok = True
+
+    def basepoint_order(e):
+        for vi in e.ends:
+            v = graph.vertices[vi]
+            he = len(G.half_edges_at(graph, vi))
+            role = G._vertex_role(
+                v.genus, v.degree, v.level, he, len(v.legs), v.extra_legs, model.epsilon
+            )
+            if role == "basepoint":
+                return v.degree
+        return 0
+
+    for ei, e in enumerate(graph.edges):
+        if not all(0 <= x < nv for x in e.ends):
+            out.append(f"edge {ei}: endpoint out of range")
+            ends_ok = False
+            continue
+        if (e.mults[0] + e.mults[1]).denominator != 1:
+            out.append(f"edge {ei}: multiplicities {e.mults[0]} + {e.mults[1]} not integral")
+        if is_loc:
+            if e.delta is None or e.delta < 1:
+                out.append(f"edge {ei}: covering degree must be at least 1")
+            a, b = e.ends
+            if graph.vertices[a].level == graph.vertices[b].level:
+                out.append(f"edge {ei}: both ends at level {graph.vertices[a].level}")
+            elif e.delta is not None:
+                bp = basepoint_order(e)
+                if bp and e.delta <= bp:
+                    out.append(
+                        f"edge {ei}: covering degree {e.delta} not above basepoint order {bp}"
+                    )
+    for vi, v in enumerate(graph.vertices):
+        if is_loc and v.level not in (G.LEVEL_ZERO, G.LEVEL_INF):
+            out.append(f"vertex {vi}: missing level")
+        if v.genus < 0 or v.degree < 0 or v.extra_legs < 0:
+            out.append(f"vertex {vi}: negative decoration")
+            continue
+        defect = _defect_reference(model, graph, vi)
+        if defect.denominator != 1:
+            out.append(f"vertex {vi}: multiplicity defect {defect} not integral")
+    if not is_loc and graph.v_bullet is not None:
+        if not 0 <= graph.v_bullet < nv:
+            out.append("distinguished vertex out of range")
+        else:
+            vb = graph.vertices[graph.v_bullet]
+            if vb.extra_legs:
+                out.append("distinguished vertex carries extra legs")
+            if vb.degree <= 0:
+                out.append("distinguished vertex needs positive degree")
+    if nv and ends_ok and G._components(graph) != 1:
+        out.append("graph not connected")
+    labels = sorted(label for v in graph.vertices for label, _ in v.legs)
+    if len(labels) != len(set(labels)):
+        out.append("duplicate marking labels")
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_VALIDATE_CASES))
+def test_validate_matches_the_fraction_reference_on_the_cases(case):
+    model, graph = _VALIDATE_CASES[case]
+    assert G.validate(model, graph) == _validate_reference(model, graph)
+
+
+@st.composite
+def _validate_input(draw):
+    """A model and a small graph, valid or not: multiplicities on the 1/d
+    grid or off it (thirds and tenths), extra legs, loops, repeated labels,
+    negative decorations, levels (missing ones too), covering degrees and
+    basepoints, out-of-range ends and distinguished vertices.  Some legs
+    are solved so that their vertex's defect is integral."""
+    model = draw(
+        st.sampled_from([QUINTIC, QUINTIC_25, QUINTIC_23, QUINTIC_GEO_25, MIXED_27, GEO_11])
     )
-    assert any("duplicate" in v for v in G.validate(QUINTIC, g))
+    loc = draw(st.booleans())
+    pool = [Frac(k, model.d) for k in range(model.d)] + [Frac(1, 3), Frac(2, 3), Frac(1, 10)]
+    small = st.sampled_from([0, 0, 0, 1, 2])
+    # a broken decoration or a missing level in about one draw of eight
+    genera = st.sampled_from([0, 0, 0, 1, 1, 1, 2, -1])
+    degrees = st.sampled_from([0, 0, 1, 1, 1, 2, 3, -1])
+    extras = st.sampled_from([0, 0, 0, 0, 0, 1, 2, -1])
+    levels = [G.LEVEL_ZERO] * 4 + [G.LEVEL_INF] * 3 + [None] if loc else [None]
+    nv = draw(st.sampled_from([1, 2, 2, 3, 3, 4, 4, 0]))
+    vertices = []
+    for vi in range(nv):
+        legs = tuple(
+            (draw(st.integers(1, 4)), draw(st.sampled_from(pool))) for _ in range(draw(small))
+        )
+        vertices.append(
+            G.Vertex(
+                draw(genera), draw(degrees), legs, draw(extras), draw(st.sampled_from(levels))
+            )
+        )
+    # ends across the levels first, any pair in range next, and out of
+    # range in a few draws; the sides of most edges sum to an integer
+    pairs = [(a, b) for a in range(nv) for b in range(nv)]
+    across = [(a, b) for a, b in pairs if vertices[a].level != vertices[b].level]
+    ends = st.sampled_from(across * 6 + pairs * 2 + [(-1, 0), (0, nv)])
+    edges = []
+    for _ in range(draw(st.integers(0, 4))):
+        m = draw(st.sampled_from(pool))
+        other = draw(st.sampled_from([-m, -m, -m, *pool]))
+        delta = draw(st.sampled_from([1, 1, 1, 2, 2, 3, None, 0])) if loc else None
+        edges.append(G.Edge(draw(ends), (m, other), delta))
+    edges = tuple(edges)
+
+    def build(vertices):
+        if loc:
+            return G.LocGraph(tuple(vertices), edges)
+        return G.DualGraph(tuple(vertices), edges, bullet)
+
+    bullet = draw(st.one_of(st.none(), st.integers(0, nv), st.integers(-1, nv)))
+    for vi, v in enumerate(vertices):
+        if v.legs and draw(st.integers(0, 3)):
+            # with the last leg at 0, the defect is what that leg must carry
+            label = v.legs[-1][0]
+            legs = v.legs[:-1] + ((label, 0),)
+            vertices[vi] = G.Vertex(v.genus, v.degree, legs, v.extra_legs, v.level)
+            last = _defect_reference(model, build(vertices), vi)
+            legs = v.legs[:-1] + ((label, last),)
+            vertices[vi] = G.Vertex(v.genus, v.degree, legs, v.extra_legs, v.level)
+    return model, build(vertices)
+
+
+@functools.cache
+def _census_sample():
+    """(model, graph) pairs of valid fixed-locus graphs, basepoints of
+    degree 1 to 3 among them."""
+    quintic_27 = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 7))
+    keys = [
+        (QUINTIC_25, (0, 1, 2, 2)),
+        (QUINTIC_25, (1, 1, 1, 1)),
+        (quintic_27, (0, 0, 3, 2)),
+        (quintic_27, (0, 1, 2, 3)),
+        (QUINTIC_GEO_25, (0, 1, 2, 2)),
+        (MIXED_27, (0, 1, 1, 2)),
+    ]
+    return [(model, lam) for model, key in keys for lam in G.enumerate_loc_graphs(model, *key)]
+
+
+@st.composite
+def _mutated_census_graph(draw):
+    """A census graph, valid, or with one decoration changed: a covering
+    degree, a multiplicity (on the grid or off it), an extra leg or a
+    level."""
+    model, graph = draw(st.sampled_from(_census_sample()))
+    vertices, edges = list(graph.vertices), list(graph.edges)
+    change = draw(st.sampled_from(["none", "delta", "mult", "leg", "extra", "level"]))
+    pool = [Frac(k, model.d) for k in range(model.d)] + [Frac(1, 3), Frac(1, 10)]
+    if change in ("delta", "mult"):
+        ei = draw(st.integers(0, len(edges) - 1))
+        e = edges[ei]
+        if change == "delta":
+            edges[ei] = G.Edge(e.ends, e.mults, draw(st.sampled_from([1, 2, 0, None])))
+        else:
+            side = draw(st.integers(0, 1))
+            mults = list(e.mults)
+            mults[side] = draw(st.sampled_from(pool))
+            edges[ei] = G.Edge(e.ends, tuple(mults), e.delta)
+    elif change != "none":
+        vi = draw(st.integers(0, len(vertices) - 1))
+        v = vertices[vi]
+        legs, extra, level = v.legs, v.extra_legs, v.level
+        if change == "leg":
+            legs = legs + ((len(vertices) + 5, draw(st.sampled_from(pool))),)
+        elif change == "extra":
+            extra += 1
+        else:
+            level = draw(st.sampled_from([None, G.LEVEL_ZERO, G.LEVEL_INF]))
+        vertices[vi] = G.Vertex(v.genus, v.degree, legs, extra, level)
+    return model, G.LocGraph(tuple(vertices), tuple(edges))
+
+
+def test_validate_matches_the_fraction_reference_on_census_graphs():
+    # every census graph of the sample with each covering degree in turn
+    # set low, so basepoints meet edges that do not cover them
+    messages = set()
+    for model, lam in _census_sample():
+        for ei, e in enumerate(lam.edges):
+            # the census stores the level-zero side first; turned over, a
+            # basepoint sits on the second side
+            for ends, mults in ((e.ends, e.mults), (e.ends[::-1], e.mults[::-1])):
+                for delta in (None, 0, 1, 2, 3):
+                    edges = lam.edges[:ei] + (G.Edge(ends, mults, delta),) + lam.edges[ei + 1:]
+                    graph = G.LocGraph(lam.vertices, edges)
+                    out = G.validate(model, graph)
+                    assert out == _validate_reference(model, graph)
+                    messages.update((ends == e.ends, m) for m in out)
+    for first in (True, False):
+        assert (first, "edge 0: covering degree 1 not above basepoint order 1") in messages
+        assert (first, "edge 0: covering degree 2 not above basepoint order 2") in messages
+
+
+def test_validate_counts_the_half_edges_of_an_edge_out_of_range():
+    # vertex 0 would be a degree-1 basepoint on edge 0, but the edge with an
+    # end out of range gives it a second half-edge, so it has no role and
+    # edge 0 carries no basepoint order
+    model = QUINTIC_25
+    vertices = (
+        G.Vertex(0, 1, (), 0, G.LEVEL_ZERO),
+        G.Vertex(1, 0, ((1, Frac(0)),), 0, G.LEVEL_INF),
+    )
+    edge = G.Edge((0, 1), (Frac(3, 5), Frac(2, 5)), 1)
+    alone = G.LocGraph(vertices, (edge,))
+    assert G.validate(model, alone) == [
+        "edge 0: covering degree 1 not above basepoint order 1"
+    ]
+    graph = G.LocGraph(vertices, (edge, G.Edge((0, 2), (Frac(0), Frac(0)), 1)))
+    out = G.validate(model, graph)
+    assert out == ["edge 1: endpoint out of range"]
+    assert out == _validate_reference(model, graph)
+
+
+@given(st.one_of(_validate_input(), _mutated_census_graph()))
+@settings(deadline=None, max_examples=400)
+def test_validate_matches_the_fraction_reference(drawn):
+    model, graph = drawn
+    assert G.validate(model, graph) == _validate_reference(model, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +590,7 @@ def _check_outputs(model, out, g, n, beta, delta):
     for lam in out:
         assert G.validate(model, lam) == []
         assert G.total_genus(lam) == g
-        assert len(G.global_legs(lam)) == n
+        assert sorted(label for v in lam.vertices for label, _ in v.legs) == list(range(1, n + 1))
         assert G.total_degree(lam) == beta
         assert sum(e.delta for e in lam.edges) == delta
         for e in lam.edges:
@@ -333,8 +606,9 @@ def test_enumerate_single_marking_two_graphs():
     _check_outputs(QUINTIC_25, out, 0, 1, 0, 1)
     carrier_levels = set()
     for lam in out:
-        (label, mult, vi) = G.global_legs(lam)[0]
-        carrier_levels.add(lam.vertices[vi].level)
+        [carrier] = [v for v in lam.vertices if v.legs]
+        [(label, mult)] = carrier.legs
+        carrier_levels.add(carrier.level)
         assert mult == Frac(4, 5)
     assert carrier_levels == {G.LEVEL_ZERO, G.LEVEL_INF}
 
@@ -351,8 +625,11 @@ def test_enumerate_remark_basepoint_bound():
     out = G.enumerate_loc_graphs(QUINTIC_25, 0, 1, 2, 1)
     _check_outputs(QUINTIC_25, out, 0, 1, 2, 1)
     for lam in out:
-        for vi in range(len(lam.vertices)):
-            role = G.classify_vertex(QUINTIC_25, lam, vi, Frac(2, 5))
+        for vi, v in enumerate(lam.vertices):
+            he = len(G.half_edges_at(lam, vi))
+            role = G._vertex_role(
+                v.genus, v.degree, v.level, he, len(v.legs), v.extra_legs, Frac(2, 5)
+            )
             assert role is not None
             # no edge may carry a basepoint order at or above its covering
             # degree, which at delta=1 rules basepoints out entirely
@@ -945,7 +1222,7 @@ def _small_top():
 def test_minimal_expansions_are_strictly_below():
     top = _small_top()
     assert G.validate(QUINTIC, top) == []
-    preds = G.minimal_expansions(QUINTIC, top)
+    preds = list(G.minimal_expansions(QUINTIC, top).values())
     assert preds
     for p in preds:
         assert G.validate(QUINTIC, p) == []
@@ -968,27 +1245,11 @@ def test_minimal_expansions_new_edges_stay_on_the_grid():
         0,
     )
     assert G.validate(QUINTIC, top) == []
-    preds = G.minimal_expansions(QUINTIC, top)
+    preds = list(G.minimal_expansions(QUINTIC, top).values())
     assert preds
     for p in preds:
         new = p.edges[-1]
         assert all((m * 5).denominator == 1 for m in new.mults)
-
-
-def _defect_reference(model, graph, vi):
-    # gauge-bundle degree minus every multiplicity at the vertex, on
-    # Fractions: legs, both sides of a loop, and 1/d per extra leg in LG
-    v = graph.vertices[vi]
-    mults = [m for _, m in v.legs]
-    for e in graph.edges:
-        mults += [m for end, m in zip(e.ends, e.mults) if end == vi]
-    mults += [Frac(1, model.d) if model.phase == LG else Frac(0)] * v.extra_legs
-    n = len(mults)
-    if model.phase == LG:
-        degree = Frac(2 * v.genus - 2 + n - v.degree, model.d)
-    else:
-        degree = Frac(v.degree)
-    return degree - sum(mults)
 
 
 def _points_reference(graph, vi):
@@ -1055,7 +1316,22 @@ def test_minimal_expansions_exit_early_exactly_on_the_fraction_rules(drawn):
         for vi, v in enumerate(graph.vertices)
         if vi != vb
     )
-    assert (G.minimal_expansions(model, graph) == []) is blocked
+    assert (G.minimal_expansions(model, graph) == {}) is blocked
+
+
+@given(_expansion_input())
+@settings(deadline=None, max_examples=100)
+def test_minimal_expansions_key_each_triple_by_its_least_form(drawn):
+    # a step keeps every multiplicity and adds only ones on the 1/d grid, so
+    # the input's scale holds every triple below it, and each key is the
+    # least form of its triple at that scale: one key per class
+    model, graph = drawn
+    scale = math.lcm(model.d, G._scale(graph))
+    below = G.minimal_expansions(model, graph)
+    for key, p in below.items():
+        assert math.lcm(model.d, G._scale(p)) == scale
+        assert key == G._least_form(*G._int_form(p, scale), p.v_bullet)[0]
+    assert len({G.canonical_key(p) for p in below.values()}) == len(below)
 
 
 def test_descending_chains_expand_through_the_module_function(monkeypatch):
@@ -1125,9 +1401,9 @@ def test_chain_length_tracks_deepest_graph():
 
 def test_partial_order_transitive_on_samples():
     top = _small_top()
-    sample = [top] + G.minimal_expansions(QUINTIC, top)[:4]
+    sample = [top] + list(G.minimal_expansions(QUINTIC, top).values())[:4]
     for mid in list(sample[1:3]):
-        sample += G.minimal_expansions(QUINTIC, mid)[:2]
+        sample += list(G.minimal_expansions(QUINTIC, mid).values())[:2]
     for a in sample:
         for b in sample:
             if G.graph_leq(QUINTIC, a, b) and G.graph_leq(QUINTIC, b, a):
