@@ -254,14 +254,10 @@ def validate(model, graph):
                 ks[end] += k
                 points[end] += 1
         edge_ks.append(sides)
-    roles = None
-    if is_loc:
-        roles = [
-            _vertex_role(
-                v.genus, v.degree, v.level, he[vi], len(v.legs), v.extra_legs, model.epsilon
-            )
-            for vi, v in enumerate(vertices)
-        ]
+    roles = [
+        _vertex_role(v.genus, v.degree, v.level, n, len(v.legs), v.extra_legs, model.epsilon)
+        for v, n in zip(vertices, he)
+    ] if is_loc else None
     for ei, (e, sides) in enumerate(zip(graph.edges, edge_ks)):
         if sides is None:
             out.append(f"edge {ei}: endpoint out of range")
@@ -940,11 +936,9 @@ def minimal_expansions(model, graph):
     either the distinguished vertex splits in two joined by a new edge, or
     it trades one unit of genus for a loop.  Every strictly descending
     chain refines into such steps, so these generate the order downward.
-
-    Returned as a dict from each triple's least int form at the scale
-    lcm(d, _scale(graph)) to the triple.  A step keeps every multiplicity
-    and adds only ones on the 1/d grid, so that scale is the same for every
-    triple below, and the keys of a whole descent compare as one form."""
+    Returned as {least int form at scale lcm(d, _scale(graph)): triple}; a
+    step keeps every multiplicity and adds only ones on the 1/d grid, so
+    that scale holds for every triple below."""
     if graph.v_bullet is None:
         raise ConfigError("partial order needs a distinguished vertex")
     vb = graph.v_bullet
@@ -1070,15 +1064,13 @@ def _picked(center, leg_ks, picked):
 def descending_chains(model, graph, max_len):
     """All strictly decreasing chains from the given triple through minimal
     expansions, as lists of graphs, capped at max_len entries."""
-    key = _least_form(
-        *_int_form(graph, math.lcm(model.d, _scale(graph))), graph.v_bullet
-    )[0]
+    scale = math.lcm(model.d, _scale(graph))
+    key = _least_form(*_int_form(graph, scale), graph.v_bullet)[0]
     return [c for c in _chains_from(model, graph, key, {}) if len(c) <= max_len]
 
 
 def _chains_from(model, g, key, memo):
-    """The chains from g, memoised on the least forms that
-    minimal_expansions keys its triples by."""
+    """The chains from g, memoised on the keys of minimal_expansions."""
     if key in memo:
         return memo[key]
     memo[key] = [[g]]  # guards against accidental cycles
