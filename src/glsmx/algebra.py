@@ -189,11 +189,6 @@ class RatFun:
             return None
         return Frac(self.num.get((0, 0), 0), self.den[(0, 0)])
 
-    def homogeneous_degree(self):
-        """Total degree when every term has the same one, else None."""
-        degrees = {i + j for (i, j) in self.num}
-        return degrees.pop() if len(degrees) == 1 else None
-
     def z_parts(self):
         """Split into {z_exponent: RatFun in lam only}."""
         out = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Frac
+from math import comb, factorial
 
 from . import graphs as gr
 from . import jfun
@@ -47,9 +48,12 @@ def run_criterion(name, body, **kwargs):
     return check_record(name, True)
 
 
+# the order criteria 1 and 2 reach, so both share one rewritten basis
+_TAIL_ORDER = 12
+
+
 def _tail_closed_forms_body():
-    # the order criterion 2 reaches, so both share one rewritten basis
-    y_order = 6
+    y_order = _TAIL_ORDER
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM**2})
     unit_tail = p1.stilde_at_zero(p1.unit_class(), y_order)
     _expect(
@@ -67,9 +71,13 @@ def _tail_closed_forms_body():
 
 
 def _root_ratio_body():
-    report = p1.irr_ratio_check(6)
-    for k in range(1, 7):
-        _expect(report["lambda_multiples"][k] != 0, f"order {k} multiple vanishes")
+    report = p1.irr_ratio_check(_TAIL_ORDER)
+    # (1 - sqrt(1 + 4u))/(1 + sqrt(1 + 4u)) = sum_k (-1)^k C_k u^k, with C_k
+    # the Catalan numbers
+    for k in range(1, _TAIL_ORDER + 1):
+        catalan = (-1) ** k * comb(2 * k, k) // (k + 1)
+        got = report["lambda_multiples"][k]
+        _expect(got == catalan, f"order {k} multiple is {got}, not {catalan}")
 
 
 def _unmarked_positivity_body():
@@ -183,6 +191,17 @@ def _pairing_relations_body():
                 contact[i] = (hyp * alpha, k - 1)
                 rhs = rhs + p1.p1_graph_sum(n, delta, contact)
         _expect(lhs == rhs, f"divisor relation fails at n={n} delta={delta}")
+    # the relations hold for any edge weights; the one-point descendants of
+    # the J-function of the line (Givental 1996) pin every edge degree
+    for d in range(1, p1.DELTA_CAP + 1):
+        square = factorial(d) ** 2
+        got = p1.p1_graph_sum(1, d, [(p1.point_class_zero(), 2 * d - 2)])
+        want = RatFun(Frac(1, square))
+        _expect(got == want, f"<tau_{2 * d - 2}(pt)> at degree {d} is {got!r}, not {want!r}")
+        harmonic = sum(Frac(1, k) for k in range(1, d + 1))
+        got = p1.p1_graph_sum(1, d, [(one, 2 * d - 1)])
+        want = RatFun(-2 * harmonic / square)
+        _expect(got == want, f"<tau_{2 * d - 1}(1)> at degree {d} is {got!r}, not {want!r}")
 
 
 # Counts frozen from the brute-force partition enumeration in the test

@@ -87,11 +87,6 @@ def _check_insertion(alpha) -> None:
         raise ConfigError("insertions must be classes on the projective line")
 
 
-def _tangent(level: str) -> RatFun:
-    # weight of the torus on the tangent line at the fixed point
-    return LAM if level == LEVEL_ZERO else -LAM
-
-
 def _flip(level: str) -> str:
     return LEVEL_INF if level == LEVEL_ZERO else LEVEL_ZERO
 
@@ -123,14 +118,9 @@ def psi_integral_genus0(exponents) -> Frac:
 
 
 def _edge_coefficient(d: int) -> Frac:
-    # _edge_factor(d) over lam^(-2d)
+    # the reciprocal Euler class of the moving part along a degree-d cover
+    # of the line joining the two fixed points, over lam^(-2d)
     return Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)
-
-
-def _edge_factor(d: int) -> RatFun:
-    # reciprocal Euler class of the moving part along a degree-d cover of the
-    # line joining the two fixed points
-    return RatFun(_edge_coefficient(d)) / LAM ** (2 * d)
 
 
 def _vertex_factor(sign: int, degs: tuple, ks: tuple) -> tuple:
@@ -259,98 +249,90 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # ---------------------------------------------------------------------------
 # tail series at the zero fixed point
 
-
-def _bump(table: dict, key, value) -> None:
-    table[key] = table.get(key, RF_ZERO) + value
-
-
-def _dict_mul(a: dict, b: dict, cap: int) -> dict:
-    out = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            if i + j <= cap:
-                _bump(out, i + j, u * v)
-    return out
+# A tail hangs off a fixed point by its first edge.  Every factor of its
+# weight is a rational multiple of a power of lam, and the power is fixed by
+# the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
+# tail that carries the marking and 0 otherwise.  So the tails, their
+# cotangent transforms and the three-point sums all run on Fractions, and
+# the lam powers come back once, where a cached series is first built.
 
 
-def _far_weight(t: RatFun, flags, f: int) -> RatFun:
-    """Weight of the far vertex of a tail's first edge, at tangent weight t,
-    whose edges have degrees `flags` (the first edge's degree a, then the
-    first-edge degrees d_i of the branches) and which holds f special points:
-    its edges, plus one when the marking sits on it.  The cotangent
-    integrals sum to a*prod(d_i)*(a+sum(d_i))^(f-3)*t^(2-f), which is also
-    t/a at a bare leaf, ab/(a+b) at a two-edge point and 1 at a marked leaf."""
-    return RatFun(prod(flags) * Frac(sum(flags)) ** (f - 3)) * t ** (2 - f)
+def _far_weight(sign: int, a: int, rest: int, f: int) -> Frac:
+    """Weight over lam^(2-f) of the far vertex of a tail's first edge, of
+    tangent weight t = sign*lam, less the first-edge degrees d_i of the
+    branches there, which the branches carry.  The first edge has degree a,
+    the d_i (the branch that carries the marking among them) sum to rest,
+    and the vertex holds f special points: its edges, plus one when the
+    marking sits on it.  The cotangent integrals sum to
+    a*prod(d_i)*(a+rest)^(f-3)*t^(2-f), which is also t/a at a bare leaf,
+    ab/(a+b) at a two-edge point and 1 at a marked leaf."""
+    return sign**f * a * Frac(a + rest) ** (f - 3)
 
 
 @functools.lru_cache(maxsize=None)
-def _tail(level: str, a: int, budget: int, at=None) -> dict:
-    """Tail whose first edge leaves `level` with degree a, within a
-    covering-degree budget for the whole tail: a {total degree: weight}
-    table that includes the first edge's own degree.  `at` is None for an
-    unmarked tail and otherwise the insertion's restrictions at (zero,
-    infinity), which enter each term exactly once, so the marked tables are
-    linear in them.  Budgets shrink strictly along the recursion, which
-    grounds it.  The caps bound the budget, and `at` is only ever None or
-    one of the two idempotents' pairs, so they bound the cache too."""
-    if a > budget:
-        return {}
+def _tail(level: str, a: int, degree: int, mark=None) -> Frac:
+    """Coefficient at lam^(1 - marks - 2*degree) of the tails of total
+    degree `degree` whose first edge leaves `level` with degree a.  `mark`
+    is None for an unmarked tail and otherwise the insertion's restrictions
+    at (zero, infinity) as Fractions, which enter each term exactly once;
+    `src` passes only the idempotents' (1, 0) and (0, 1).  Degrees shrink
+    strictly along the recursion, which grounds it, and the caps bound the
+    cache."""
+    room = degree - a
+    if room < 0:
+        return Frac(0)
     far = _flip(level)
-    t = _tangent(far)
-    head = _edge_factor(a) / RatFun(a)
-    room = budget - a
-    out = {}
+    sign = 1 if far == LEVEL_ZERO else -1
+    points = 0 if mark is None else 1
     # the marking, if any, on the far vertex, among unmarked side branches
-    if at is None:
-        on_far, marks = head, 0
-    else:
-        on_far, marks = head * (at[0] if far == LEVEL_ZERO else at[1]), 1
-    for degs, sym, series in _bundles(far, room):
-        front = on_far * _far_weight(t, (a,) + degs, len(degs) + 1 + marks) * sym
-        for deg, val in series.items():
-            _bump(out, a + deg, front * val)
-    if at is None:
-        return out
-    for b in range(1, room + 1):
-        # the marking beyond the far vertex, down a distinguished branch
-        down = _tail(far, b, room, at)
-        for degs, sym, series in _bundles(far, room - b):
-            front = head * _far_weight(t, (a, b) + degs, len(degs) + 2) * sym
-            for d1, v1 in down.items():
-                for d2, v2 in series.items():
-                    if d1 + d2 <= room:
-                        _bump(out, a + d1 + d2, front * v1 * v2)
-    return out
+    on_far = 1 if mark is None else mark[0] if far == LEVEL_ZERO else mark[1]
+    total = Frac(0)
+    if on_far:
+        total += on_far * _far_vertex(far, a, 0, points, room)
+    if mark is not None:
+        # the marking beyond the far vertex, down a distinguished branch of
+        # first-edge degree b and total degree e
+        for e in range(1, room + 1):
+            for b in range(1, e + 1):
+                down = _tail(far, b, e, mark)
+                if down:
+                    total += b * down * _far_vertex(far, a, b, 1, room - e)
+    return total * _edge_coefficient(a) / a
 
 
 @functools.lru_cache(maxsize=None)
-def _bundles(level: str, room: int) -> tuple:
-    """Multisets of unmarked side branches leaving `level`, the empty one
-    included, keyed by first-edge degree, as (degrees, symmetry division,
-    product series) triples; the division by repeats implements the sum
-    over unordered branches."""
-    combos = []
-    _degree_multisets(1, room, [], combos)
-    out = []
-    for degs in combos:
-        sym = Frac(1)
-        for d in set(degs):
-            sym /= factorial(degs.count(d))
-        series = {0: RF_ONE}
-        for d in degs:
-            series = _dict_mul(series, _tail(level, d, room), room)
-        out.append((degs, sym, series))
-    return tuple(out)
+def _far_vertex(level: str, a: int, rest: int, points: int, degree: int) -> Frac:
+    """The far vertex at `level` of a first edge of degree a, summed over
+    the sets of unmarked side branches there of total degree `degree`.  It
+    holds `points` more special points, the marking or the first edge of
+    the branch that carries it, and rest is that edge's degree (0 when the
+    marking sits on the vertex or is absent)."""
+    sign = 1 if level == LEVEL_ZERO else -1
+    total = Frac(0)
+    for s in range(degree + 1):
+        for m in range(min(s, 1), s + 1):
+            side = _branches(level, m, s, degree)
+            if side:
+                total += _far_weight(sign, a, rest + s, m + 1 + points) * side
+    return total
 
 
-def _degree_multisets(lo, left, chosen, out):
-    """Append chosen and each nondecreasing extension of it (degrees >= lo,
-    sum <= left) to out, depth first."""
-    out.append(tuple(chosen))
-    for b in range(lo, left + 1):
-        chosen.append(b)
-        _degree_multisets(b, left - b, chosen, out)
-        chosen.pop()
+@functools.lru_cache(maxsize=None)
+def _branches(level: str, m: int, s: int, degree: int) -> Frac:
+    """Sets of m unmarked side branches leaving `level` whose first-edge
+    degrees sum to s and whose total degrees sum to `degree`, summed: each
+    weighs the product over its branches of the first-edge degree times the
+    tail coefficient, at lam^(m - 2*degree) in all.  Summing ordered tuples
+    and dividing by m! implements the sum over unordered sets."""
+    if m == 0:
+        return Frac(s == 0 and degree == 0)
+    total = Frac(0)
+    for d in range(1, s - m + 2):
+        for e in range(d, degree - (s - d) + 1):
+            rest = _branches(level, m - 1, s - d, degree - e)
+            if rest:
+                total += d * _tail(level, d, e) * rest
+    return total / m
 
 
 @dataclass(frozen=True)
@@ -374,32 +356,47 @@ def _check_orders(y_order: int, z_order: int) -> None:
         )
 
 
-def _smoothing(a: int, z_order: int) -> RatFun:
-    # lam times the expansion in z of the reciprocal node-smoothing factor
-    # lam/a - z: the sum of a^(k+1) z^k / lam^k for k up to z_order
-    return RatFun({(-k, k): a ** (k + 1) for k in range(z_order + 1)})
+# the restrictions (at zero, at infinity) of the zero and the infinity
+# idempotent, (1, 0) and (0, 1): the only markings the tail caches see
+_IDEMPOTENTS = tuple(
+    (idem.restrict_zero().as_frac(), idem.restrict_infinity().as_frac())
+    for idem in (idempotent_zero(), idempotent_infinity())
+)
 
 
-def _tail_series(constant: RatFun, tables, y_order: int, z_order: int) -> TruncSeries:
-    # the empty tail contributes the constant; every other tail enters
-    # through the smoothing of its first node against the cotangent variable
-    coeffs = {0: constant}
-    for a, table in enumerate(tables, 1):
-        front = _smoothing(a, z_order)
-        for deg, val in table.items():
-            _bump(coeffs, deg, front * val)
-    return TruncSeries("y", y_order, coeffs)
+@functools.lru_cache(maxsize=None)
+def _smoothed(mark, degree: int, k: int) -> Frac:
+    """Coefficient at y^degree z^k of a tail series, at lam^(1 - marks -
+    2*degree - k): every tail of that degree enters through the smoothing
+    of its first node against the cotangent variable, whose z expansion
+    times lam is sum_k a^(k+1) z^k / lam^k."""
+    return sum(a ** (k + 1) * _tail(LEVEL_ZERO, a, degree, mark) for a in range(1, degree + 1))
+
+
+def _tail_table(mark, y_order: int, z_order: int) -> dict:
+    """A tail series on Fractions, {degree: {z power: coefficient}}; the
+    empty tail contributes the restriction at zero."""
+    table = {0: {0: Frac(mark[0])}} if mark and mark[0] else {}
+    for degree in range(1, y_order + 1):
+        row = {k: _smoothed(mark, degree, k) for k in range(z_order + 1)}
+        table[degree] = {k: c for k, c in row.items() if c}
+    return table
+
+
+def _table_series(table: dict, marks: int, y_order: int) -> TruncSeries:
+    # the lam powers come back here, once per cached series
+    return TruncSeries("y", y_order, {
+        degree: RatFun({(1 - marks - 2 * degree - k, k): c for k, c in row.items()})
+        for degree, row in table.items()
+    })
 
 
 @functools.lru_cache(maxsize=None)
 def _marked_basis(y_order: int, z_order: int) -> tuple:
     """Marked tail series of the zero and the infinity idempotent."""
-    out = []
-    for idem in (idempotent_zero(), idempotent_infinity()):
-        at = (idem.restrict_zero(), idem.restrict_infinity())
-        tables = [_tail(LEVEL_ZERO, a, y_order, at) for a in range(1, y_order + 1)]
-        out.append(_tail_series(at[0], tables, y_order, z_order))
-    return tuple(out)
+    return tuple(
+        _table_series(_tail_table(mark, y_order, z_order), 1, y_order) for mark in _IDEMPOTENTS
+    )
 
 
 def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
@@ -419,8 +416,7 @@ def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
 
 @functools.lru_cache(maxsize=None)
 def _unmarked_series(y_order: int, z_order: int) -> TreeSeries:
-    tables = [_tail(LEVEL_ZERO, a, y_order) for a in range(1, y_order + 1)]
-    return TreeSeries(_tail_series(RF_ZERO, tables, y_order, z_order), z_order)
+    return TreeSeries(_table_series(_tail_table(None, y_order, z_order), 0, y_order), z_order)
 
 
 def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
@@ -432,15 +428,22 @@ def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # rewrite against pulled-back cotangent classes
 
+# The tables below hold Fractions on the lam-free path and RatFuns in lam on
+# the path of a z-dependent insertion; the same code serves both.
 
-def _hat(ts: TreeSeries) -> dict:
-    """Factorial transform over the cotangent variable: z^k maps to t^k/k!,
-    giving {t power: {degree: weight}}."""
+
+def _bump(table: dict, key, value) -> None:
+    table[key] = table[key] + value if key in table else value
+
+
+def _hat(table: dict) -> dict:
+    """Factorial transform over the cotangent variable of a series given as
+    {degree: {z power: weight}}: z^k maps to t^k/k!, giving {t power:
+    {degree: weight}}."""
     out = {}
-    for ydeg, c in ts.series.coeffs.items():
-        for k, part in c.z_parts().items():
-            slot = out.setdefault(k, {})
-            _bump(slot, ydeg, part * Frac(1, factorial(k)))
+    for ydeg, row in table.items():
+        for k, part in row.items():
+            out.setdefault(k, {})[ydeg] = part * Frac(1, factorial(k))
     return out
 
 
@@ -458,9 +461,10 @@ def _hat_mul(a: dict, b: dict, cap: int) -> dict:
     return out
 
 
-def _comb_collect(factors: dict, eps_hat: dict, y_order: int) -> TruncSeries:
+def _comb_collect(factors: dict, eps_hat: dict, y_order: int) -> dict:
     # sum over the number of unmarked tails l, reading off the t^l slot; the
-    # transform turns the cotangent pairing into this diagonal extraction
+    # transform turns the cotangent pairing into this diagonal extraction.
+    # The result still lacks the component's 1/lam.
     cur = factors
     coeffs = {}
     for l in range(y_order + 1):
@@ -468,12 +472,21 @@ def _comb_collect(factors: dict, eps_hat: dict, y_order: int) -> TruncSeries:
             _bump(coeffs, ydeg, v)
         if l < y_order:
             cur = _hat_mul(cur, eps_hat, y_order)
-    return TruncSeries("y", y_order, {k: v / LAM for k, v in coeffs.items()})
+    return coeffs
 
 
 @functools.lru_cache(maxsize=None)
 def _unmarked_hat(y_order: int) -> dict:
-    return _hat(_unmarked_series(y_order, y_order))
+    """Transform of the unmarked series on Fractions; the weight at t^k y^D
+    stands at lam^(1 - 2D - k)."""
+    return _hat(_tail_table(None, y_order, y_order))
+
+
+def _comb_series(values: dict, y_order: int) -> TruncSeries:
+    # a three-point sum from Fractions: its y^D value stands at lam^(-2D-1)
+    return TruncSeries(
+        "y", y_order, {d: RatFun({(-2 * d - 1, 0): c}) for d, c in values.items()}
+    )
 
 
 def comb_three_point(
@@ -485,29 +498,65 @@ def comb_three_point(
     _check_orders(y_order, 0)
     fac = None
     for alpha in (alpha1, alpha2, alpha3):
-        h = _hat(tree_series_S(alpha, y_order, y_order))
+        series = tree_series_S(alpha, y_order, y_order).series
+        h = _hat({d: c.z_parts() for d, c in series.coeffs.items()})
         fac = h if fac is None else _hat_mul(fac, h, y_order)
-    return _comb_collect(fac, _unmarked_hat(y_order), y_order)
+    eps_hat = {
+        k: {d: RatFun({(1 - 2 * d - k, 0): c}) for d, c in row.items()}
+        for k, row in _unmarked_hat(y_order).items()
+    }
+    coeffs = _comb_collect(fac, eps_hat, y_order)
+    return TruncSeries("y", y_order, {d: v / LAM for d, v in coeffs.items()})
 
 
-@functools.lru_cache(maxsize=None)
 def _dressing(y_order: int) -> TruncSeries:
     """The unmarked-tail dressing alone, with no marked tails attached."""
-    return _comb_collect({0: {0: RF_ONE}}, _unmarked_hat(y_order), y_order)
+    return _comb_series(_comb_collect({0: {0: Frac(1)}}, _unmarked_hat(y_order), y_order), y_order)
 
 
-@functools.lru_cache(maxsize=None)
+def _grown(build):
+    """Memoise build(y_order), a tuple of series whose coefficients do not
+    depend on the order they were built at: below an order already built,
+    the value is that one's series truncated, so rising orders build and
+    falling orders only truncate."""
+    built = {}
+
+    @functools.wraps(build)
+    def cached(y_order: int) -> tuple:
+        if y_order not in built:
+            top = max(built, default=-1)
+            built[y_order] = (
+                tuple(TruncSeries("y", y_order, s.coeffs) for s in built[top])
+                if top > y_order
+                else build(y_order)
+            )
+        return built[y_order]
+
+    cached.cache_clear = built.clear
+    return cached
+
+
+@_grown
 def _rewrite_basis(y_order: int) -> tuple:
     """Rewritten values of the zero and the infinity idempotent, then the
     dressing and the square of the cube-root base that divide a three-point
     sum with two unit insertions into a rewritten value."""
-    one = unit_class()
+    hats = [_hat(_tail_table(mark, y_order, y_order)) for mark in _IDEMPOTENTS]
+    # the unit is the sum of the idempotents, and the transform is linear
+    unit = {}
+    for h in hats:
+        for k, row in h.items():
+            slot = unit.setdefault(k, {})
+            for d, v in row.items():
+                _bump(slot, d, v)
+    pair = _hat_mul(unit, unit, y_order)
+    eps_hat = _unmarked_hat(y_order)
     zero, inf = (
-        comb_three_point(idem, one, one, y_order)
-        for idem in (idempotent_zero(), idempotent_infinity())
+        _comb_series(_comb_collect(_hat_mul(h, pair, y_order), eps_hat, y_order), y_order)
+        for h in hats
     )
     dressing = _dressing(y_order)
-    # the unit is the sum of the idempotents, and the sum is linear in it
+    # the three-point sum is linear in its first insertion
     base = series_root_pow((zero + inf) / dressing, Frac(1, 3))
     norm = base * base
     return zero / dressing / norm, inf / dressing / norm, dressing, norm

@@ -5,16 +5,18 @@ import pytest
 from glsmx import jfun, p1series
 
 # the process-wide series caches: the jfun coefficient ladders and the p1
-# tail tables, series and rewritten values shared across orders and calls
+# tail coefficients, series and rewritten values shared across orders and
+# calls
 _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
     p1series._tail,
-    p1series._bundles,
+    p1series._far_vertex,
+    p1series._branches,
+    p1series._smoothed,
     p1series._marked_basis,
     p1series._unmarked_series,
     p1series._unmarked_hat,
-    p1series._dressing,
     p1series._rewrite_basis,
 )
 
@@ -32,3 +34,10 @@ def cold_caches():
     _clear_caches()
     yield _clear_caches
     _clear_caches()
+
+
+def homogeneous_degree(f):
+    """Total degree in (lam, z) of a RatFun whose terms all have the same
+    one, else None."""
+    degrees = {i + j for (i, j) in f.num}
+    return degrees.pop() if len(degrees) == 1 else None

@@ -9,16 +9,20 @@ than a closed form.  The per-tree walk at the end shares more with the
 package: it sums over the census of glsmx.graphs with aut_degree's
 automorphism counts, on the package's kernel, but walks every tree afresh
 for each request instead of reading the weight table of glsmx.p1series.
+The tail recursion at the very end is also on the package's kernel: it
+keeps every lam power and is keyed by degree budgets, where glsmx.p1series
+drops the lam powers and keys its tails by exact degree.
 """
 
+import functools
 from fractions import Fraction as Frac
 from itertools import product
-from math import factorial
+from math import factorial, prod
 
 import sympy
 
-from glsmx.algebra import RF_ZERO, RatFun
-from glsmx.graphs import LEVEL_ZERO, _enumerate_loc_graphs, aut_degree
+from glsmx.algebra import LAM as RF_LAM, RF_ONE, RF_ZERO, RatFun
+from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _enumerate_loc_graphs, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
 
 LAM = sympy.Symbol("lam")
@@ -249,3 +253,87 @@ def walk_graph_sum(n, delta, insertions):
             )
         total = total + value
     return total
+
+
+# ---------------------------------------------------------------------------
+# tails on the kernel, keyed by degree budgets
+
+
+def _bump(table, key, value):
+    table[key] = table.get(key, RF_ZERO) + value
+
+
+def _far_vertex(t, flags, f):
+    # a*prod(d_i)*(a + sum d_i)^(f-3)*t^(2-f): the far vertex of a first edge
+    # of degree a = flags[0], with branches of first-edge degrees flags[1:]
+    # and f special points
+    return RatFun(prod(flags) * Frac(sum(flags)) ** (f - 3)) * t ** (2 - f)
+
+
+@functools.lru_cache(maxsize=None)
+def budget_tail(level, a, budget, at=None):
+    """{total degree: weight} of the tails whose first edge leaves `level`
+    with degree a, within a covering-degree budget for the whole tail, each
+    weight a RatFun with its lam power.  `at` is None for an unmarked tail
+    and otherwise the insertion's restrictions (at zero, at infinity), which
+    enter each term exactly once."""
+    if a > budget:
+        return {}
+    far = LEVEL_INF if level == LEVEL_ZERO else LEVEL_ZERO
+    t = RF_LAM if far == LEVEL_ZERO else -RF_LAM
+    head = RatFun(Frac((-1) ** a * a ** (2 * a), factorial(a) ** 2 * a)) / RF_LAM ** (2 * a)
+    room = budget - a
+    out = {}
+    # the marking, if any, on the far vertex, among unmarked side branches
+    if at is None:
+        on_far, marks = head, 0
+    else:
+        on_far, marks = head * (at[0] if far == LEVEL_ZERO else at[1]), 1
+    for degs, sym, series in _budget_bundles(far, room):
+        front = on_far * _far_vertex(t, (a,) + degs, len(degs) + 1 + marks) * sym
+        for deg, val in series.items():
+            _bump(out, a + deg, front * val)
+    if at is None:
+        return out
+    for b in range(1, room + 1):
+        # the marking beyond the far vertex, down a distinguished branch
+        down = budget_tail(far, b, room, at)
+        for degs, sym, series in _budget_bundles(far, room - b):
+            front = head * _far_vertex(t, (a, b) + degs, len(degs) + 2) * sym
+            for d1, v1 in down.items():
+                for d2, v2 in series.items():
+                    if d1 + d2 <= room:
+                        _bump(out, a + d1 + d2, front * v1 * v2)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _budget_bundles(level, room):
+    """Multisets of unmarked side branches leaving `level`, the empty one
+    included, as (first-edge degrees, symmetry division, product series)."""
+    combos = []
+    _degree_multisets(1, room, [], combos)
+    out = []
+    for degs in combos:
+        sym = Frac(1)
+        for d in set(degs):
+            sym /= factorial(degs.count(d))
+        series = {0: RF_ONE}
+        for d in degs:
+            factor = budget_tail(level, d, room)
+            nxt = {}
+            for i, u in series.items():
+                for j, v in factor.items():
+                    if i + j <= room:
+                        _bump(nxt, i + j, u * v)
+            series = nxt
+        out.append((degs, sym, series))
+    return tuple(out)
+
+
+def _degree_multisets(lo, left, chosen, out):
+    out.append(tuple(chosen))
+    for b in range(lo, left + 1):
+        chosen.append(b)
+        _degree_multisets(b, left - b, chosen, out)
+        chosen.pop()

@@ -95,14 +95,6 @@ def test_ratfun_z_parts():
     assert parts[0] == RatFun(-3)
 
 
-def test_ratfun_homogeneous_degree():
-    assert (LAM * Z).homogeneous_degree() == 2
-    assert (RF_ONE / (LAM * Z)).homogeneous_degree() == -2
-    assert (LAM + RF_ONE).homogeneous_degree() is None
-    assert ((LAM**2 - Z**2) / LAM).homogeneous_degree() == 1
-    assert RF_ZERO.homogeneous_degree() is None
-
-
 def test_render_deterministic():
     f = (LAM + Z) / (LAM * Z)
     assert render_ratfun(f) == "(lam + z)/lam*z"

@@ -442,14 +442,27 @@ def test_p1_report_checks_its_inputs_before_tail_work(monkeypatch, block, name, 
     assert report["checks"] == [{"name": name, "status": "fail", "first_failure": message}]
 
 
+def _run_with_doubled_edge(monkeypatch, degree, name):
+    """Run a criterion with the edge coefficient of one degree doubled.  The
+    weight tables of the graph sums read the same coefficient, so they are
+    cleared before and after the patch."""
+    edge_coefficient = p1series._edge_coefficient
+    p1series._fixed_graphs.cache_clear()
+    monkeypatch.setattr(
+        p1series,
+        "_edge_coefficient",
+        lambda d: edge_coefficient(d) * (2 if d == degree else 1),
+    )
+    try:
+        return _run_criterion(name)
+    finally:
+        p1series._fixed_graphs.cache_clear()
+
+
 def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold_caches):
     # a doubled degree-5 cover factor first changes the tails at y^5, which
     # only a check at order 5 or above can see
-    edge_factor = p1series._edge_factor
-    monkeypatch.setattr(
-        p1series, "_edge_factor", lambda d: edge_factor(d) * 2 if d == 5 else edge_factor(d)
-    )
-    result = _run_criterion("tail closed forms")
+    result = _run_with_doubled_edge(monkeypatch, 5, "tail closed forms")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: unit tail is not the -1/4 power of the discriminant series"
@@ -458,11 +471,7 @@ def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
 
 def test_square_root_ratio_criterion_fails_on_a_corrupted_tail(monkeypatch, cold_caches):
     # a doubled degree-2 cover factor moves the ratio first at y^2
-    edge_factor = p1series._edge_factor
-    monkeypatch.setattr(
-        p1series, "_edge_factor", lambda d: edge_factor(d) * 2 if d == 2 else edge_factor(d)
-    )
-    result = _run_criterion("square root ratio")
+    result = _run_with_doubled_edge(monkeypatch, 2, "square root ratio")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: ratio mismatch at order 2: RatFun(6/lam^4) vs RatFun(2/lam^4)"
@@ -476,7 +485,7 @@ def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, co
     monkeypatch.setattr(
         p1series,
         "_far_weight",
-        lambda t, flags, f: far_weight(t, flags, f) * (2 if flags[0] == 1 else 1),
+        lambda sign, a, rest, f: far_weight(sign, a, rest, f) * (2 if a == 1 else 1),
     )
     assert p1series.tree_series_eps(6, 12).coeff(0).is_zero()
     result = _run_criterion("unmarked series positivity")
@@ -521,24 +530,29 @@ def test_leading_terms_criterion_fails_on_a_nonzero_mu_0(monkeypatch):
 
 
 def test_pairing_relations_criterion_fails_on_a_doubled_edge_weight(monkeypatch):
-    # the weight table keeps each tree's edge factors, so it is cleared
-    # before and after the patch; the string and divisor relations hold for
-    # any edge weights, and only the pairings at delta 1 see degree-1 edges
-    edge_coefficient = p1series._edge_coefficient
-    p1series._fixed_graphs.cache_clear()
-    monkeypatch.setattr(
-        p1series,
-        "_edge_coefficient",
-        lambda d: edge_coefficient(d) * (2 if d == 1 else 1),
-    )
-    try:
-        result = _run_criterion("pairings and relations")
-    finally:
-        p1series._fixed_graphs.cache_clear()
+    # the string and divisor relations hold for any edge weights, and the
+    # pairings at delta 1 see degree-1 edges first
+    result = _run_with_doubled_edge(monkeypatch, 1, "pairings and relations")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: two opposite point classes must pair to 1 at delta 1"
     )
+
+
+@pytest.mark.parametrize(
+    "degree, message",
+    [
+        # 1/4 at degree 2 becomes 0 (and 1/36 at degree 3 becomes -13/18)
+        (2, "<tau_2(pt)> at degree 2 is RatFun(0), not RatFun(1/4)"),
+        (3, "<tau_4(pt)> at degree 3 is RatFun(1/18), not RatFun(1/36)"),
+    ],
+)
+def test_pairing_relations_criterion_pins_every_edge_degree(monkeypatch, degree, message):
+    # the one-point descendants of the line's J-function see the edge
+    # weights above degree 1 that the relations cannot
+    result = _run_with_doubled_edge(monkeypatch, degree, "pairings and relations")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == f"IdentityFailed: {message}"
 
 
 def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(monkeypatch):
@@ -672,7 +686,6 @@ def test_package_imports_only_the_standard_library():
 # Public names that nothing in the package or the benchmark uses yet, each
 # kept for the ROADMAP item that will; a kept class keeps its methods.
 _KEPT_UNUSED = {
-    "homogeneous_degree": "ROADMAP 4: checks the re-homogenised lam-free tails",
     "node_contribution": "ROADMAP 6: localization route for chamber invariants",
     "NodeSmoothing": "ROADMAP 6: localization route for chamber invariants",
     "PSI": "ROADMAP 6: localization route for chamber invariants",

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import homogeneous_degree
 from helpers_jfun import (
     cech_table,
     closed_edge_factor,
@@ -63,7 +64,7 @@ from glsmx.model import (
     line_bundle_degree,
     p_bundle_degree,
 )
-from glsmx.p1series import _edge_factor
+from glsmx.p1series import _edge_coefficient
 
 QUINTIC_LG = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
 QUINTIC_GEOM = GlsmModel((1, 1, 1, 1, 1), 1, 5, GEOMETRIC)
@@ -328,7 +329,7 @@ def test_coefficients_are_homogeneous(model, twisted):
         for k, f in enumerate(value.coeffs):
             if f.is_zero():
                 continue
-            d = f.homogeneous_degree()
+            d = homogeneous_degree(f)
             assert d is not None, (model.phase, beta, k)
             degrees.add(d + k)
         if value.is_zero():
@@ -445,7 +446,7 @@ def test_edge_unit_quintic_lg():
 @pytest.mark.parametrize("delta", [1, 2, 3])
 def test_edge_matches_p1_module_on_point_target(delta):
     value = edge_contribution(POINT_GEOM, delta, 0, EPS_WIDE, False)
-    assert value.coeffs[0] == _edge_factor(delta)
+    assert value.coeffs[0] == RatFun(_edge_coefficient(delta)) / LAM ** (2 * delta)
     assert all(c.is_zero() for c in value.coeffs[1:])
 
 

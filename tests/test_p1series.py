@@ -6,16 +6,17 @@ ratio identity."""
 import random
 from fractions import Fraction as Frac
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, prod
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from conftest import _CACHES
+from conftest import _CACHES, homogeneous_degree
 from helpers_p1 import (
     LAM as SLAM,
     brute_p1,
+    budget_tail,
     psi_int_recursive,
     ratfun_to_sympy,
     vertex_weight,
@@ -35,9 +36,11 @@ from glsmx.algebra import (
 from glsmx import jfun, p1series
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
+    Z_ORDER_CAP,
     _dressing,
     _far_weight,
     _fixed_graphs,
+    _rewrite_basis,
     _tail,
     comb_three_point,
     hyperplane_class,
@@ -347,7 +350,9 @@ def test_divisor_equation(n, delta, ins):
 @pytest.mark.parametrize("marked", [False, True])
 def test_far_weight_matches_vertex_oracle(sign, marked):
     # the incoming edge of degree a and side branches of degrees <= 3, with
-    # the marking (restriction r, no cotangent power) on the vertex or not
+    # the marking (restriction r, no cotangent power) on the vertex or not;
+    # the branches carry their own first-edge degrees, and the weight
+    # stands at lam^(2-f)
     r = sympy.Symbol("r")
     t = sign * SLAM
     marks = [(r, 0)] if marked else []
@@ -355,10 +360,24 @@ def test_far_weight_matches_vertex_oracle(sign, marked):
     for f in range(1 + marked, 7):
         for a in (1, 2, 3):
             for degs in combinations_with_replacement((1, 2, 3), f - 1 - marked):
-                flags = (a,) + degs
-                got = ratfun_to_sympy(_far_weight(sign * LAM, flags, f)) * (r if marked else 1)
-                want = vertex_weight(t, [t / d for d in flags], marks)
-                assert sympy.cancel(got - want) == 0, (f, flags)
+                c = _far_weight(sign, a, sum(degs), f) * prod(degs)
+                got = sympy.Rational(c.numerator, c.denominator) * SLAM ** (2 - f)
+                want = vertex_weight(t, [t / d for d in (a,) + degs], marks)
+                assert sympy.cancel(got * (r if marked else 1) - want) == 0, (f, a, degs)
+
+
+@pytest.mark.parametrize("level", [LEVEL_ZERO, LEVEL_INF])
+@pytest.mark.parametrize("mark", [None, (1, 0), (0, 1)])
+def test_tail_coefficients_match_the_budget_recursion(level, mark, cold_caches):
+    # each degree-keyed coefficient, back at its lam power, against the
+    # budget-keyed tables on the kernel, at every degree up to 8
+    at = None if mark is None else (RatFun(mark[0]), RatFun(mark[1]))
+    marks = 0 if mark is None else 1
+    for a in range(1, 9):
+        table = budget_tail(level, a, 8, at)
+        for degree in range(1, 9):
+            got = RatFun({(1 - marks - 2 * degree, 0): _tail(level, a, degree, mark)})
+            assert got == table.get(degree, RF_ZERO), (a, degree)
 
 
 def test_marked_series_constant_term():
@@ -524,14 +543,15 @@ def test_rewritten_value_of_a_z_dependent_insertion():
 
 
 def _direct_tail_series(alpha, y_order, z_order):
-    # the tail sums run on the insertion itself, not on the idempotents
+    # the budget-keyed tail sums run on the insertion itself, not on the
+    # idempotents
     at = (alpha.restrict_zero(), alpha.restrict_infinity())
     coeffs = {0: alpha.restrict_zero()}
     for a in range(1, y_order + 1):
         smoothing = RF_ZERO
         for k in range(z_order + 1):
             smoothing = smoothing + RatFun(Frac(a) ** (k + 1)) * Z**k / LAM ** (k + 1)
-        for deg, val in _tail(LEVEL_ZERO, a, y_order, at).items():
+        for deg, val in budget_tail(LEVEL_ZERO, a, y_order, at).items():
             coeffs[deg] = coeffs.get(deg, RF_ZERO) + LAM * smoothing * val
     return TruncSeries("y", y_order, coeffs)
 
@@ -570,9 +590,10 @@ def test_ratio_report():
 def test_ratio_multiples_are_signed_catalan_numbers():
     # (1 - sqrt(1 + 4u))/(1 + sqrt(1 + 4u)) = sum_k (-1)^k C_k u^k, with
     # C_k = binom(2k, k)/(k + 1) the Catalan numbers
-    multiples = irr_ratio_check(8)["lambda_multiples"]
-    for k in range(1, 9):
+    multiples = irr_ratio_check(12)["lambda_multiples"]
+    for k in range(1, 13):
         assert multiples[k] == (-1) ** k * comb(2 * k, k) // (k + 1)
+    assert (multiples[11], multiples[12]) == (-58786, 208012)
 
 
 def test_ratio_multiples_against_sympy_expansion():
@@ -583,6 +604,61 @@ def test_ratio_multiples_against_sympy_expansion():
     for k in range(1, 5):
         c = expansion.coeff(u, k)
         assert rep["lambda_multiples"][k] == Frac(int(sympy.numer(c)), int(sympy.denom(c)))
+
+
+# ---------------------------------------------------------------------------
+# lam powers and orders
+
+
+def _assert_homogeneous(series, lead):
+    # lam^(lead - 2k) at y^k, so every term of the coefficient has total
+    # degree lead - 2k in (lam, z); zero coefficients are not stored
+    assert series.coeffs
+    for k, c in series.coeffs.items():
+        assert homogeneous_degree(c) == lead - 2 * k, k
+
+
+def test_every_emitted_coefficient_is_homogeneous(cold_caches):
+    # the lam-free kernel puts back lam^(1 - marks - 2D - k) at z^k y^D, so
+    # every coefficient it emits is homogeneous in (lam, z) through y = 12
+    y = p1series.Y_ORDER_CAP
+    for alpha in (idempotent_zero(), idempotent_infinity(), ONE):
+        _assert_homogeneous(tree_series_S(alpha, y, Z_ORDER_CAP).series, 0)
+    _assert_homogeneous(tree_series_eps(y, Z_ORDER_CAP).series, 1)
+    zero, inf, dressing, norm = _rewrite_basis(y)
+    for series in (zero, inf, norm, stilde_at_zero(ONE, y)):
+        _assert_homogeneous(series, 0)
+    _assert_homogeneous(dressing, -1)
+    _assert_homogeneous(stilde_at_zero(HYP, y), 1)
+
+
+def test_lower_orders_add_no_tail_coefficients(cold_caches):
+    # every tail coefficient is keyed by its exact degree, so once order 6
+    # is built the lower orders read it: no cache misses, counted
+    def misses():
+        caches = (p1series._tail, p1series._far_vertex, p1series._branches, p1series._smoothed)
+        return [f.cache_info().misses for f in caches]
+
+    def serve(y):
+        irr_ratio_check(y)
+        stilde_at_zero(HYP, y)
+        tree_series_S(MIX, y, y)
+        tree_series_eps(y, y)
+
+    serve(6)
+    built = misses()
+    for y in range(2, 6):
+        serve(y)
+    assert misses() == built
+
+
+def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
+    # rising orders each build; a falling order truncates the highest built
+    rising = {y: _rewrite_basis(y) for y in range(2, 7)}
+    cold_caches()
+    _rewrite_basis(6)
+    for y in range(2, 6):
+        assert _rewrite_basis(y) == rising[y]
 
 
 # ---------------------------------------------------------------------------
