@@ -167,7 +167,13 @@ def unstable_J_coefficient(model, beta, epsilon=None, twisted=False):
         if beta * Frac(epsilon) > 1:
             raise OutOfUnstableRange(f"degree {beta} is stable for epsilon {epsilon}")
         check_off_wall(epsilon)
-    return _ladder(replace(model, epsilon=None), beta, twisted)
+    return _ladder(_without_epsilon(model), beta, twisted)
+
+
+def _without_epsilon(model):
+    # the coefficient caches key on the model less its epsilon; most callers
+    # pass a model that has none, and need no copy
+    return model if model.epsilon is None else replace(model, epsilon=None)
 
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
@@ -260,7 +266,7 @@ def _plus_part(model, beta, epsilon, twisted):
     """positive_z_part of unstable_J_coefficient, computed once per
     (model, beta, twisted); the public entry still runs every check."""
     unstable_J_coefficient(model, beta, epsilon, twisted)
-    return _ladder_plus(replace(model, epsilon=None), beta, twisted)
+    return _ladder_plus(_without_epsilon(model), beta, twisted)
 
 
 def _check_q_max(q_max):

@@ -12,10 +12,10 @@ lives.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from math import factorial, prod
-from typing import NamedTuple
 
 from .algebra import (
     LAM,
@@ -28,7 +28,7 @@ from .algebra import (
     series_root_pow,
 )
 from .errors import BoundsExceeded, ConfigError, IdentityFailed
-from .graphs import LEVEL_INF, LEVEL_ZERO, LocGraph, _census, _compositions
+from .graphs import LEVEL_INF, LEVEL_ZERO, _census
 from .model import GEOMETRIC, GlsmModel
 
 N_CAP = 5
@@ -131,18 +131,18 @@ def _vertex_factor(sign: int, degs: tuple, ks: tuple) -> tuple:
     power."""
     f = len(degs)
     if f + len(ks) >= 3:
-        # contracted component: sum of psi integrals over prod omega^(b+1)
-        # (each term lam^-(budget+f)), times t^(f-1) for its nodes; the
-        # sum is empty when the exponents overfill the dimension
+        # contracted component: the psi integrals over prod omega^(b+1),
+        # summed over the compositions b of the budget, are by the
+        # multinomial theorem one integral times prod(t d_j) (t sum d_j)^budget
+        # over lam^(budget+f); times t^(f-1) for its nodes.  Nothing is left
+        # when the exponents overfill the dimension
         budget = f + len(ks) - 3 - sum(ks)
-        acc = 0
-        for bs in _compositions(budget, f, 0):
-            term = psi_integral_genus0(bs + ks)
-            for d, b in zip(degs, bs):
-                term *= (sign * d) ** (b + 1)
-            acc += term
+        if budget < 0:
+            return 0, -budget - 1
+        exps = ks + (budget,) + (0,) * (f - 1) if f else ks
+        value = psi_integral_genus0(exps) * prod(sign * d for d in degs)
         # sign^(f+1) is sign^(f-1), and stays an int when f = 0
-        return acc * sign ** (f + 1), -budget - 1
+        return value * (sign * sum(degs)) ** budget * sign ** (f + 1), -budget - 1
     if f == 2:  # t/(omega1 + omega2)
         return Frac(degs[0] * degs[1], degs[0] + degs[1]), 0
     if ks:  # (-omega)^k at a marked leaf
@@ -150,61 +150,86 @@ def _vertex_factor(sign: int, degs: tuple, ks: tuple) -> tuple:
     return Frac(sign, degs[0]), 1  # t/d at a bare leaf
 
 
-class _Tree(NamedTuple):
-    """One fixed-locus tree in a weight table: the part of its weight that
-    no insertion changes, as coeff times lam^lam_exp (its edges over their
-    degrees, 1/|Aut| and every unmarked vertex), the fixed point of each
-    marking, and the profile index of each marked vertex."""
-
-    graph: LocGraph
-    coeff: Frac
-    lam_exp: int
-    levels: tuple
-    marked: tuple
-
-
 @functools.lru_cache(maxsize=None)
-def _fixed_graphs(n: int, delta: int) -> tuple:
-    """Weight table of the fixed-locus trees for n-pointed degree-delta
-    maps, up to isomorphism: the census of the point model at genus zero
-    and degree zero.  Returns (profiles, trees): the distinct marked-vertex
-    profiles (sign, sorted flag degrees, leg labels), whose factors are all
-    that the cotangent exponents change, and one _Tree per tree.  The
+def _unmarked_trees(delta: int) -> tuple:
+    """The fixed-locus trees of degree-delta maps with no markings, up to
+    isomorphism: the census of the point model at genus zero and degree
+    zero, and at delta = 0 the one-vertex trees at the two fixed points.
+    Each is (coefficient, lam exponent, vertices): the weight that no
+    request changes, its edges over their degrees times 1/|Aut|, and one
+    (sign, sorted flag degrees) per vertex of tangent weight sign*lam.  The
     census is bipartite, and at genus zero its graphs are trees, so they
-    have no loops or parallel edges and its tie count is |Aut|.  The caps
-    on n and delta bound the cache."""
-    profiles = {}
+    have no loops or parallel edges and its tie count is |Aut|.  DELTA_CAP
+    bounds the cache."""
+    if not delta:
+        return (Frac(1), 0, ((1, ()),)), (Frac(1), 0, ((-1, ()),))
     trees = []
-    for graph, aut in _census(_POINT_MODEL, 0, n, 0, delta):
+    for graph, aut in _census(_POINT_MODEL, 0, 0, 0, delta):
         coeff, lam_exp = Frac(1, aut), 0
         for e in graph.edges:
             coeff *= _edge_coefficient(e.delta) / e.delta
             lam_exp -= 2 * e.delta
-        levels = [None] * n
-        marked = []
-        for vi, v in enumerate(graph.vertices):
-            sign = 1 if v.level == LEVEL_ZERO else -1
-            degs = tuple(sorted(e.delta for e in graph.edges if vi in e.ends))
-            if v.legs:
-                labels = tuple(label for label, _ in v.legs)
-                for label in labels:
-                    levels[label - 1] = v.level
-                marked.append(profiles.setdefault((sign, degs, labels), len(profiles)))
+        vertices = tuple(
+            (
+                1 if v.level == LEVEL_ZERO else -1,
+                tuple(sorted(e.delta for e in graph.edges if vi in e.ends)),
+            )
+            for vi, v in enumerate(graph.vertices)
+        )
+        trees.append((coeff, lam_exp, vertices))
+    return tuple(trees)
+
+
+# (n, delta, sorted cotangent exponents) keys held by the placement cache;
+# the exponents have no cap, so the cache needs a bound
+_PLACEMENT_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_PLACEMENT_CACHE_SIZE)
+def _placements(n: int, delta: int, exps: tuple) -> tuple:
+    """The fixed-graph sum of n markings with cotangent exponents exps
+    (sorted), less the insertions: one (fixed point of each marking, RatFun)
+    pair per placement of the markings on the two fixed points.
+
+    The markings are labelled, so every map from them to the vertices of an
+    unmarked tree T is a fixed locus, and Aut T permutes these maps with the
+    marked trees as orbits, each stabilised by its own automorphisms.  So
+    the sum over marked trees with 1/|Aut| is the sum over unmarked trees
+    and all their marking maps with 1/|Aut T|.  A vertex factor depends only
+    on the vertex and the exponents placed on it, and is evaluated once per
+    table."""
+    factors = {}
+    polys = {}
+    for coeff, lam_exp, vertices in _unmarked_trees(delta):
+        levels = [LEVEL_ZERO if sign == 1 else LEVEL_INF for sign, _ in vertices]
+        for where in itertools.product(range(len(vertices)), repeat=n):
+            placed = [() for _ in vertices]
+            for vi, k in zip(where, exps):
+                placed[vi] += (k,)
+            c, lam = coeff, lam_exp
+            for (sign, degs), ks in zip(vertices, placed):
+                key = sign, degs, ks
+                if key not in factors:
+                    factors[key] = _vertex_factor(sign, degs, ks)
+                value, k = factors[key]
+                if not value:
+                    break
+                c *= value
+                lam += k
             else:
-                c, k = _vertex_factor(sign, degs, ())
-                coeff *= c
-                lam_exp += k
-        trees.append(_Tree(graph, coeff, lam_exp, tuple(levels), tuple(marked)))
-    return tuple(profiles), tuple(trees)
+                poly = polys.setdefault(tuple(levels[vi] for vi in where), {})
+                poly[lam, 0] = poly.get((lam, 0), 0) + c
+    values = ((placement, RatFun(poly)) for placement, poly in polys.items())
+    return tuple((placement, value) for placement, value in values if not value.is_zero())
 
 
 def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     """Equivariant descendant integral over genus-zero n-pointed stable maps
     of degree delta to the line, summed over fixed-locus trees with
-    automorphism division.  Each marked-vertex profile of the weight table
-    is evaluated once for the cotangent exponents, and graph weights add up
-    in one Laurent polynomial in lam per placement of the markings on the
-    fixed points; the insertions' restrictions enter once per placement.
+    automorphism division.  The sum is symmetric in the markings, so the
+    insertions are put in order of their cotangent exponents, and the
+    placement table of those exponents is read from the cache; the
+    insertions' restrictions enter once per placement.
 
     insertions: one (class, cotangent exponent) pair per marking.
     """
@@ -221,28 +246,11 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
             raise ConfigError("cotangent exponents must be non-negative")
     if delta == 0 and n < 3:
         raise ConfigError("degree zero needs at least three markings")
-    exps = [int(k) for _, k in pairs]
+    pairs.sort(key=lambda pair: int(pair[1]))
     at = [{lv: restrict_at(alpha, lv) for lv in (LEVEL_ZERO, LEVEL_INF)} for alpha, _ in pairs]
-    profiles, trees = _fixed_graphs(n, delta)
-    factors = [
-        _vertex_factor(sign, degs, tuple(exps[label - 1] for label in labels))
-        for sign, degs, labels in profiles
-    ]
-    placements = {}
-    for tree in trees:
-        coeff, lam_exp = tree.coeff, tree.lam_exp
-        for i in tree.marked:
-            c, k = factors[i]
-            if not c:
-                break
-            coeff *= c
-            lam_exp += k
-        else:
-            poly = placements.setdefault(tree.levels, {})
-            poly[lam_exp, 0] = poly.get((lam_exp, 0), 0) + coeff
     total = RF_ZERO
-    for levels, poly in placements.items():
-        total = total + prod((table[lv] for table, lv in zip(at, levels)), start=RatFun(poly))
+    for levels, value in _placements(n, delta, tuple(int(k) for _, k in pairs)):
+        total = total + prod((table[lv] for table, lv in zip(at, levels)), start=value)
     return total
 
 

@@ -4,12 +4,14 @@ import pytest
 
 from glsmx import jfun, p1series
 
-# the process-wide series caches: the jfun coefficient ladders and the p1
-# tail coefficients, series and rewritten values shared across orders and
-# calls
+# the process-wide series caches: the jfun coefficient ladders, the p1
+# unmarked trees and placement tables of the graph sums, and the p1 tail
+# coefficients, series and rewritten values shared across orders and calls
 _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
+    p1series._unmarked_trees,
+    p1series._placements,
     p1series._tail,
     p1series._far_vertex,
     p1series._branches,

@@ -444,19 +444,15 @@ def test_p1_report_checks_its_inputs_before_tail_work(monkeypatch, block, name, 
 
 def _run_with_doubled_edge(monkeypatch, degree, name):
     """Run a criterion with the edge coefficient of one degree doubled.  The
-    weight tables of the graph sums read the same coefficient, so they are
-    cleared before and after the patch."""
+    tails and the unmarked trees of the graph sums read it, so callers run
+    on cold caches."""
     edge_coefficient = p1series._edge_coefficient
-    p1series._fixed_graphs.cache_clear()
     monkeypatch.setattr(
         p1series,
         "_edge_coefficient",
         lambda d: edge_coefficient(d) * (2 if d == degree else 1),
     )
-    try:
-        return _run_criterion(name)
-    finally:
-        p1series._fixed_graphs.cache_clear()
+    return _run_criterion(name)
 
 
 def test_tail_closed_forms_criterion_fails_on_a_corrupted_tail(monkeypatch, cold_caches):
@@ -529,7 +525,7 @@ def test_leading_terms_criterion_fails_on_a_nonzero_mu_0(monkeypatch):
     )
 
 
-def test_pairing_relations_criterion_fails_on_a_doubled_edge_weight(monkeypatch):
+def test_pairing_relations_criterion_fails_on_a_doubled_edge_weight(monkeypatch, cold_caches):
     # the string and divisor relations hold for any edge weights, and the
     # pairings at delta 1 see degree-1 edges first
     result = _run_with_doubled_edge(monkeypatch, 1, "pairings and relations")
@@ -547,7 +543,9 @@ def test_pairing_relations_criterion_fails_on_a_doubled_edge_weight(monkeypatch)
         (3, "<tau_4(pt)> at degree 3 is RatFun(1/18), not RatFun(1/36)"),
     ],
 )
-def test_pairing_relations_criterion_pins_every_edge_degree(monkeypatch, degree, message):
+def test_pairing_relations_criterion_pins_every_edge_degree(
+    monkeypatch, cold_caches, degree, message
+):
     # the one-point descendants of the line's J-function see the edge
     # weights above degree 1 that the relations cannot
     result = _run_with_doubled_edge(monkeypatch, degree, "pairings and relations")
@@ -555,7 +553,9 @@ def test_pairing_relations_criterion_pins_every_edge_degree(monkeypatch, degree,
     assert result["first_failure"] == f"IdentityFailed: {message}"
 
 
-def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(monkeypatch):
+def test_pairing_relations_criterion_fails_on_a_corrupted_cotangent_integral(
+    monkeypatch, cold_caches
+):
     # the graph sums take every component's cotangent integral from
     # psi_integral_genus0, so doubling it on four-pointed components breaks
     # the string relation at its first base

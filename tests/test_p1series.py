@@ -5,7 +5,7 @@ ratio identity."""
 
 import random
 from fractions import Fraction as Frac
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, prod
 
 import pytest
@@ -21,6 +21,7 @@ from helpers_p1 import (
     ratfun_to_sympy,
     vertex_weight,
     walk_graph_sum,
+    weak_compositions,
 )
 from glsmx.algebra import (
     LAM,
@@ -39,9 +40,9 @@ from glsmx.p1series import (
     Z_ORDER_CAP,
     _dressing,
     _far_weight,
-    _fixed_graphs,
     _rewrite_basis,
     _tail,
+    _vertex_factor,
     comb_three_point,
     hyperplane_class,
     idempotent_infinity,
@@ -198,7 +199,7 @@ POINT_CLASS_COUNTS = {
 
 @pytest.mark.parametrize("n,delta", sorted(POINT_CLASS_COUNTS))
 def test_fixed_locus_class_counts(n, delta):
-    graphs = [tree.graph for tree in _fixed_graphs(n, delta)[1]]
+    graphs = [graph for graph, _ in _census(p1series._POINT_MODEL, 0, n, 0, delta)]
     assert len(graphs) == POINT_CLASS_COUNTS[(n, delta)]
     assert len({canonical_key(g) for g in graphs}) == len(graphs)
 
@@ -219,6 +220,41 @@ def test_census_ties_are_the_automorphism_order(n, delta):
     assert census
     for graph, ties in census:
         assert ties == aut_degree(p1series._POINT_MODEL, graph)[0]
+
+
+@pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
+def test_marked_trees_are_the_marking_maps_of_unmarked_trees(n, delta):
+    # orbit counting, which the graph sums rest on: Aut T permutes the maps
+    # from the labelled markings to the vertices of an unmarked tree T, with
+    # the marked trees as orbits, so sum 1/|Aut| over the marked trees is
+    # sum |V(T)|^n/|Aut T| over the unmarked ones; at degree zero those are
+    # the one-vertex trees at the two fixed points
+    marked = sum(Frac(1, ties) for _, ties in _census(p1series._POINT_MODEL, 0, n, 0, delta))
+    unmarked = _census(p1series._POINT_MODEL, 0, 0, 0, delta)
+    maps = sum(Frac(len(graph.vertices) ** n, ties) for graph, ties in unmarked) if delta else 2
+    assert marked == maps
+    if (n, delta) == (5, 3):
+        assert marked == Frac(5650, 3)
+
+
+def test_vertex_factor_is_the_composition_sum():
+    # the closed factor of a contracted component against its cotangent
+    # integrals summed over the compositions of the budget, one term per
+    # composition, with the recursive integrals of the oracle
+    for sign, f, nk in product((1, -1), range(4), range(5)):
+        if f + nk < 3:
+            continue
+        for degs, ks in product(
+            combinations_with_replacement((1, 2, 3), f), product(range(4), repeat=nk)
+        ):
+            budget = f + nk - 3 - sum(ks)
+            want = Frac(0)
+            for bs in weak_compositions(budget, f) if budget >= 0 else ():
+                term = psi_int_recursive(bs + ks)
+                for d, b in zip(degs, bs):
+                    term *= (sign * d) ** (b + 1)
+                want += term
+            assert _vertex_factor(sign, degs, ks) == (want * sign ** (f + 1), -budget - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +700,6 @@ def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
 # ---------------------------------------------------------------------------
 # the series caches
 
-# _fixed_graphs holds the point model's fixed-locus census and its weight
-# table; the one test that patches a factor the table is built from clears
-# it itself before and after, so the cold-cache fixture may leave it
-_UNCLEARED = {p1series._fixed_graphs}
-
-
 def test_every_series_cache_is_cleared_by_the_fixture():
     found = {
         value
@@ -677,4 +707,4 @@ def test_every_series_cache_is_cleared_by_the_fixture():
         for value in vars(module).values()
         if hasattr(value, "cache_clear") and value.__module__ == module.__name__
     }
-    assert found - _UNCLEARED == set(_CACHES)
+    assert found == set(_CACHES)
