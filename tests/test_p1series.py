@@ -249,7 +249,7 @@ def test_vertex_factor_is_the_composition_sum():
         ):
             budget = f + nk - 3 - sum(ks)
             want = Frac(0)
-            for bs in weak_compositions(budget, f) if budget >= 0 else ():
+            for bs in weak_compositions(budget, f):
                 term = psi_int_recursive(bs + ks)
                 for d, b in zip(degs, bs):
                     term *= (sign * d) ** (b + 1)
@@ -297,12 +297,22 @@ def test_graph_sum_matches_labeled_tree_oracle(n, delta, spec_ins):
 
 @pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
 def test_graph_sum_matches_the_per_tree_walk(n, delta):
-    # the weight table against every tree walked afresh, at every shape the
-    # caps admit; sums that cancel to zero count too
+    # the placement tables against every tree walked afresh, at every shape
+    # the caps admit; sums that cancel to zero count too
     rng = random.Random(f"walk:{n}:{delta}")
     for _ in range(4):
         ins = [(CLS[rng.choice(sorted(CLS))], rng.randint(0, 2)) for _ in range(n)]
         assert p1_graph_sum(n, delta, ins) == walk_graph_sum(n, delta, ins)
+
+
+def test_graph_sums_share_the_table_of_their_sorted_exponents(cold_caches):
+    # the sum is symmetric in the markings, so every order of the same
+    # cotangent exponents reads one placement table
+    classes = [HYP, PINF, MIX]
+    for exps in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):
+        ins = list(zip(classes, exps))
+        assert p1_graph_sum(3, 2, ins) == walk_graph_sum(3, 2, ins)
+    assert p1series._placements.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------
