@@ -4,9 +4,9 @@ line.
 Four layers, all over exact rationals: descendant integrals on the moduli of
 pointed rational curves, fixed-graph sums for maps to the line, the marked
 and unmarked tail series rooted at the zero fixed point, and the rewrite of
-the marked tail against pulled-back cotangent classes, which is where the
-square-root ratio identity between the two normalized fixed-point values
-lives.
+the marked tail against pulled-back cotangent classes, read as its cotangent
+transform at the Lagrange root of the unmarked one.  The square-root ratio
+identity between the two normalized fixed-point values lives there.
 """
 
 from __future__ import annotations
@@ -261,8 +261,8 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # weight is a rational multiple of a power of lam, and the power is fixed by
 # the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
 # tail that carries the marking and 0 otherwise.  So the tails, their
-# cotangent transforms and the three-point sums all run on Fractions, and
-# the lam powers come back once, where a cached series is first built.
+# cotangent transforms and the Lagrange root all run on Fractions, and the
+# lam powers come back once, where a cached series is first built.
 
 
 def _far_weight(sign: int, a: int, rest: int, f: int) -> Frac:
@@ -436,8 +436,17 @@ def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
 # ---------------------------------------------------------------------------
 # rewrite against pulled-back cotangent classes
 
-# The tables below hold Fractions on the lam-free path and RatFuns in lam on
-# the path of a z-dependent insertion; the same code serves both.
+# The rewritten value of an insertion is a three-point sum, its marked tail
+# and two unit tails meeting one contracted component at the zero fixed
+# point, dressed by any number of unmarked tails; divided by the dressing
+# alone and by the square of the unit's value.  The factorial transform over
+# the cotangent variable turns the sum into sum_l [t^l] F(t) E(t)^l, with F
+# the product of the three marked transforms and E the unmarked one, and the
+# Lagrange-Good formula sums that to F(tau)/(1 - E'(tau)) at the root
+# tau = E(tau).  So the dressing is 1/(1 - E'(tau)), the unit factors are
+# u(tau)^2, and the rewritten value is the marked transform at tau.  The
+# tables below hold Fractions on the lam-free path and RatFuns in lam on the
+# path of a z-dependent insertion; the same code serves both.
 
 
 def _bump(table: dict, key, value) -> None:
@@ -455,71 +464,47 @@ def _hat(table: dict) -> dict:
     return out
 
 
-def _hat_mul(a: dict, b: dict, cap: int) -> dict:
+def _times(a: dict, b: dict, y_order: int) -> dict:
+    # product of two {degree: weight} series, truncated above y_order
     out = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            if ta + tb > cap:
-                continue
-            slot = out.setdefault(ta + tb, {})
-            for ya, u in ca.items():
-                for yb, v in cb.items():
-                    if ya + yb <= cap:
-                        _bump(slot, ya + yb, u * v)
+    for d, u in a.items():
+        for e, v in b.items():
+            if d + e <= y_order:
+                _bump(out, d + e, u * v)
     return out
 
 
-def _comb_collect(factors: dict, eps_hat: dict, y_order: int) -> dict:
-    # sum over the number of unmarked tails l, reading off the t^l slot; the
-    # transform turns the cotangent pairing into this diagonal extraction.
-    # The result still lacks the component's 1/lam.
-    cur = factors
-    coeffs = {}
-    for l in range(y_order + 1):
-        for ydeg, v in cur.get(l, {}).items():
-            _bump(coeffs, ydeg, v)
-        if l < y_order:
-            cur = _hat_mul(cur, eps_hat, y_order)
-    return coeffs
+def _at_root(hat: dict, powers, y_order: int) -> dict:
+    """A transform {t power: {degree: weight}} evaluated at the root, from
+    the root's powers, as {degree: weight}.  tau^k starts at y^k, so a t
+    power above y_order adds nothing and is skipped."""
+    out = {}
+    for k, row in hat.items():
+        if k <= y_order:
+            for d, v in _times(row, powers[k], y_order).items():
+                _bump(out, d, v)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
-def _unmarked_hat(y_order: int) -> dict:
-    """Transform of the unmarked series on Fractions; the weight at t^k y^D
-    stands at lam^(1 - 2D - k)."""
-    return _hat(_tail_table(None, y_order, y_order))
+def _root_powers(y_order: int) -> tuple:
+    """The powers tau^0, ..., tau^y_order of the root tau = E(tau) of the
+    unmarked transform E, each {degree: Fraction}; E's weight at t^k y^D
+    stands at lam^(1 - 2D - k), so tau^k at y^D stands at lam^(k - 2D).  E
+    has no y^0 part, so each round of the fixed-point iteration fixes one
+    more order, and y_order rounds fix them all."""
+    eps = _hat(_tail_table(None, y_order, y_order))
 
+    def powers(tau: dict) -> tuple:
+        out = [{0: Frac(1)}]
+        for _ in range(y_order):
+            out.append(_times(out[-1], tau, y_order))
+        return tuple(out)
 
-def _comb_series(values: dict, y_order: int) -> TruncSeries:
-    # a three-point sum from Fractions: its y^D value stands at lam^(-2D-1)
-    return TruncSeries(
-        "y", y_order, {d: RatFun({(-2 * d - 1, 0): c}) for d, c in values.items()}
-    )
-
-
-def comb_three_point(
-    alpha1: CohClass, alpha2: CohClass, alpha3: CohClass, y_order: int
-) -> TruncSeries:
-    """Sum over fixed graphs whose three marked tails meet one contracted
-    component at the zero fixed point, dressed by any number of unmarked
-    tails."""
-    _check_orders(y_order, 0)
-    fac = None
-    for alpha in (alpha1, alpha2, alpha3):
-        series = tree_series_S(alpha, y_order, y_order).series
-        h = _hat({d: c.z_parts() for d, c in series.coeffs.items()})
-        fac = h if fac is None else _hat_mul(fac, h, y_order)
-    eps_hat = {
-        k: {d: RatFun({(1 - 2 * d - k, 0): c}) for d, c in row.items()}
-        for k, row in _unmarked_hat(y_order).items()
-    }
-    coeffs = _comb_collect(fac, eps_hat, y_order)
-    return TruncSeries("y", y_order, {d: v / LAM for d, v in coeffs.items()})
-
-
-def _dressing(y_order: int) -> TruncSeries:
-    """The unmarked-tail dressing alone, with no marked tails attached."""
-    return _comb_series(_comb_collect({0: {0: Frac(1)}}, _unmarked_hat(y_order), y_order), y_order)
+    tau = {}
+    for _ in range(y_order):
+        tau = _at_root(eps, powers(tau), y_order)
+    return powers(tau)
 
 
 def _grown(build):
@@ -546,48 +531,40 @@ def _grown(build):
 
 @_grown
 def _rewrite_basis(y_order: int) -> tuple:
-    """Rewritten values of the zero and the infinity idempotent, then the
-    dressing and the square of the cube-root base that divide a three-point
-    sum with two unit insertions into a rewritten value."""
-    hats = [_hat(_tail_table(mark, y_order, y_order)) for mark in _IDEMPOTENTS]
-    # the unit is the sum of the idempotents, and the transform is linear
-    unit = {}
-    for h in hats:
-        for k, row in h.items():
-            slot = unit.setdefault(k, {})
-            for d, v in row.items():
-                _bump(slot, d, v)
-    pair = _hat_mul(unit, unit, y_order)
-    eps_hat = _unmarked_hat(y_order)
-    zero, inf = (
-        _comb_series(_comb_collect(_hat_mul(h, pair, y_order), eps_hat, y_order), y_order)
-        for h in hats
+    """Rewritten values of the zero and the infinity idempotent: their
+    marked transforms at the root, the value at y^D standing at
+    lam^(-2D)."""
+    powers = _root_powers(y_order)
+    return tuple(
+        TruncSeries("y", y_order, {
+            d: RatFun({(-2 * d, 0): c})
+            for d, c in _at_root(_hat(_tail_table(mark, y_order, y_order)), powers, y_order).items()
+        })
+        for mark in _IDEMPOTENTS
     )
-    dressing = _dressing(y_order)
-    # the three-point sum is linear in its first insertion
-    base = series_root_pow((zero + inf) / dressing, Frac(1, 3))
-    norm = base * base
-    return zero / dressing / norm, inf / dressing / norm, dressing, norm
 
 
 def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     """Marked-tail value rewritten against pulled-back cotangent classes and
-    evaluated at cotangent zero.
-
-    Extracted from three-point sums: the unit value is the cube root of the
-    normalized triple-unit sum, and general insertions divide off two unit
-    factors.  Linear in the insertion, so it is read off the values of the
-    two idempotents.
+    evaluated at cotangent zero: the insertion's marked transform at the
+    Lagrange root of the unmarked one.  Linear in the insertion over
+    coefficients free of z, so then it is read off the values of the two
+    idempotents.
     """
     _check_orders(y_order, 0)
     _check_insertion(alpha)
-    zero, inf, dressing, norm = _rewrite_basis(y_order)
     at_zero, at_inf = alpha.restrict_zero(), alpha.restrict_infinity()
     if not at_zero.z_parts().keys() <= {0} or not at_inf.z_parts().keys() <= {0}:
-        # a z in the insertion moves the cotangent transform, so the
-        # value is linear only over coefficients free of z
-        one = unit_class()
-        return comb_three_point(alpha, one, one, y_order) / dressing / norm
+        # a z in the insertion moves the cotangent transform, so its own
+        # transform is evaluated, on RatFuns
+        series = tree_series_S(alpha, y_order, y_order).series
+        hat = _hat({d: c.z_parts() for d, c in series.coeffs.items()})
+        powers = [
+            {d: RatFun({(k - 2 * d, 0): c}) for d, c in row.items()}
+            for k, row in enumerate(_root_powers(y_order))
+        ]
+        return TruncSeries("y", y_order, _at_root(hat, powers, y_order))
+    zero, inf = _rewrite_basis(y_order)
     return zero * at_zero + inf * at_inf
 
 
@@ -599,7 +576,7 @@ def irr_ratio_check(y_order: int) -> dict:
     forced lam powers; raises IdentityFailed on the first mismatch.
     """
     _check_orders(y_order, 0)
-    zero, inf, _, _ = _rewrite_basis(y_order)
+    zero, inf = _rewrite_basis(y_order)
     ratio = inf / zero
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM ** 2})
     root = series_root_pow(disc, Frac(1, 2))

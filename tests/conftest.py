@@ -6,7 +6,8 @@ from glsmx import jfun, p1series
 
 # the process-wide series caches: the jfun coefficient ladders, the p1
 # unmarked trees and placement tables of the graph sums, and the p1 tail
-# coefficients, series and rewritten values shared across orders and calls
+# coefficients, series, Lagrange root and rewritten values shared across
+# orders and calls
 _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
@@ -18,7 +19,7 @@ _CACHES = (
     p1series._smoothed,
     p1series._marked_basis,
     p1series._unmarked_series,
-    p1series._unmarked_hat,
+    p1series._root_powers,
     p1series._rewrite_basis,
 )
 

@@ -1,17 +1,19 @@
 """Brute-force oracles for localization on maps to the projective line.
 
-Everything here is independent of glsmx.p1series: sums run over labeled
+The brute-force sums are independent of glsmx.p1series: they run over labeled
 trees (decoded from full Pruefer sequences) and divide by the factorial of
 the vertex count instead of canonicalizing up to isomorphism, the engine is
 sympy instead of the package's rational-function kernel, and the cotangent
 integrals on a component come from the string-equation recursion rather
-than a closed form.  The per-tree walk at the end shares more with the
+than a closed form.  The per-tree walk after them shares more with the
 package: it sums over the census of glsmx.graphs with aut_degree's
 automorphism counts, on the package's kernel, but walks every tree afresh
 for each request instead of reading the weight table of glsmx.p1series.
-The tail recursion at the very end is also on the package's kernel: it
-keeps every lam power and is keyed by degree budgets, where glsmx.p1series
-drops the lam powers and keys its tails by exact degree.
+The tail recursion after it is also on the package's kernel: it keeps
+every lam power and is keyed by degree budgets, where glsmx.p1series drops
+the lam powers and keys its tails by exact degree.  The rewritten values at
+the end are the three-point sums by diagonal extraction: they read the
+package's tail series, but none of its Lagrange root.
 """
 
 import functools
@@ -21,9 +23,10 @@ from math import factorial, prod
 
 import sympy
 
-from glsmx.algebra import LAM as RF_LAM, RF_ONE, RF_ZERO, RatFun
+from glsmx.algebra import LAM as RF_LAM, RF_ONE, RF_ZERO, RatFun, TruncSeries, series_root_pow
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _enumerate_loc_graphs, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
+from glsmx.p1series import tree_series_S, tree_series_eps, unit_class
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
@@ -337,3 +340,63 @@ def _degree_multisets(lo, left, chosen, out):
         chosen.append(b)
         _degree_multisets(b, left - b, chosen, out)
         chosen.pop()
+
+
+# ---------------------------------------------------------------------------
+# rewritten values from three-point sums, by diagonal extraction
+
+
+def _transform(series):
+    """Factorial transform over the cotangent variable of a tail series:
+    {t power: {degree: RatFun}}, z^k mapping to t^k/k!."""
+    out = {}
+    for d, c in series.coeffs.items():
+        for k, part in c.z_parts().items():
+            out.setdefault(k, {})[d] = part * Frac(1, factorial(k))
+    return out
+
+
+def _transform_mul(a, b, cap):
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            if ta + tb > cap:
+                continue
+            slot = out.setdefault(ta + tb, {})
+            for ya, u in ca.items():
+                for yb, v in cb.items():
+                    if ya + yb <= cap:
+                        _bump(slot, ya + yb, u * v)
+    return out
+
+
+def three_point_sum(alphas, y_order):
+    """Sum over fixed graphs whose marked tails, one per insertion in
+    alphas, meet one contracted component at the zero fixed point, dressed
+    by any number l of unmarked tails: the t^l slot of the product of the
+    marked transforms times the l-th power of the unmarked one, over lam.
+    With no insertions it is the dressing alone."""
+    factors = {0: {0: RF_ONE}}
+    for alpha in alphas:
+        factors = _transform_mul(
+            factors, _transform(tree_series_S(alpha, y_order, y_order).series), y_order
+        )
+    eps = _transform(tree_series_eps(y_order, y_order).series)
+    coeffs = {}
+    for l in range(y_order + 1):
+        for d, v in factors.get(l, {}).items():
+            _bump(coeffs, d, v)
+        if l < y_order:
+            factors = _transform_mul(factors, eps, y_order)
+    return TruncSeries("y", y_order, {d: v / RF_LAM for d, v in coeffs.items()})
+
+
+def rewritten_values(alphas, y_order):
+    """For each insertion, the three-point sum of it and two units, divided
+    by the dressing and by the square of the unit's value, the cube root of
+    the normalized triple-unit sum."""
+    one = unit_class()
+    dressing = three_point_sum((), y_order)
+    base = series_root_pow(three_point_sum((one, one, one), y_order) / dressing, Frac(1, 3))
+    norm = base * base
+    return tuple(three_point_sum((alpha, one, one), y_order) / dressing / norm for alpha in alphas)

@@ -1,12 +1,14 @@
 """Tests for genus-zero localization on maps to the projective line:
 cotangent integrals, the fixed-graph sum against a labeled-tree oracle, the
-tail series, the rewrite at a three-pointed component, and the square-root
-ratio identity."""
+tail series, the rewrite at a three-pointed component against the
+three-point-sum oracle, and the square-root ratio identity."""
 
+import ast
+import inspect
 import random
 from fractions import Fraction as Frac
 from itertools import combinations_with_replacement, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 import sympy
@@ -19,6 +21,8 @@ from helpers_p1 import (
     budget_tail,
     psi_int_recursive,
     ratfun_to_sympy,
+    rewritten_values,
+    three_point_sum,
     vertex_weight,
     walk_graph_sum,
     weak_compositions,
@@ -37,13 +41,13 @@ from glsmx.algebra import (
 from glsmx import jfun, p1series
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
+    Y_ORDER_CAP,
     Z_ORDER_CAP,
-    _dressing,
     _far_weight,
     _rewrite_basis,
+    _root_powers,
     _tail,
     _vertex_factor,
-    comb_three_point,
     hyperplane_class,
     idempotent_infinity,
     idempotent_zero,
@@ -483,16 +487,89 @@ def test_tail_series_caps():
 # rewrite at a three-pointed component
 
 
+def _root_series(y_order, k=1):
+    # tau^k from the cached powers, its y^D row put back at lam^(k - 2D)
+    return TruncSeries(
+        "y", y_order, {d: RatFun({(k - 2 * d, 0): c}) for d, c in _root_powers(y_order)[k].items()}
+    )
+
+
+def _unmarked_parts(y_order):
+    # the unmarked transform E on RatFuns with every lam power kept, one
+    # series E_k per t^k: the z^k part of the unmarked series over k!
+    eps = tree_series_eps(y_order, y_order).series
+    return [
+        TruncSeries("y", y_order, {
+            d: c.z_parts().get(k, RF_ZERO) * Frac(1, factorial(k)) for d, c in eps.coeffs.items()
+        })
+        for k in range(y_order + 1)
+    ]
+
+
+def test_lagrange_root_is_the_signed_catalan_series(cold_caches):
+    # at lam = 1 the root of tau = E(tau) is sum_D (-1)^(D-1) C_(D-1)/D y^D,
+    # with C the Catalan numbers
+    y = Y_ORDER_CAP
+    want = {d: Frac((-1) ** (d - 1) * comb(2 * d - 2, d - 1), d * d) for d in range(1, y + 1)}
+    assert [want[d] for d in range(1, 8)] == [
+        1, Frac(-1, 2), Frac(2, 3), Frac(-5, 4), Frac(14, 5), -7, Frac(132, 7)
+    ]
+    assert _root_powers(0) == ({0: 1},)
+    for order in range(1, y + 1):
+        powers = _root_powers(order)
+        assert len(powers) == order + 1
+        assert powers[1] == {d: want[d] for d in range(1, order + 1)}
+    # with tau at lam^(1 - 2D), tau^k stands at lam^(k - 2D) and starts at
+    # y^k, and tau solves the fixed-point equation with every lam power of
+    # the unmarked series kept
+    tau = _root_series(y)
+    power = TruncSeries("y", y, {0: RF_ONE})
+    at_root = TruncSeries("y", y)
+    for k, part in enumerate(_unmarked_parts(y)):
+        assert _root_series(y, k) == power, k
+        assert min(power.coeffs) == k
+        at_root = at_root + part * power
+        power = power * tau
+    assert at_root == tau
+
+
 def test_three_point_sum_first_order():
-    got = comb_three_point(ONE, ONE, ONE, 2)
+    # the oracle's triple-unit sum, pinned by hand at first order; over the
+    # dressing it is the cube of the unit's value, u(tau)^3
+    got = three_point_sum((ONE, ONE, ONE), 2)
     assert got.coeff(1, RF_ZERO) == RatFun(-2) / LAM ** 3
     assert got.coeff(0, RF_ZERO) == RF_ONE / LAM
+    for y in range(7):
+        unit = stilde_at_zero(ONE, y)
+        assert three_point_sum((ONE, ONE, ONE), y) / three_point_sum((), y) == unit * unit * unit
 
 
 def test_dressing_first_order():
-    got = _dressing(2)
+    # the oracle's dressing, pinned by hand at first order, is
+    # 1/(1 - E'(tau)) over lam, for the unmarked transform E at the root
+    got = three_point_sum((), 2)
     assert got.coeff(1, RF_ZERO) == RF_ONE / LAM ** 3
     assert got.coeff(0, RF_ZERO) == RF_ONE / LAM
+    for y in range(7):
+        one = TruncSeries("y", y, {0: RF_ONE})
+        slope = TruncSeries("y", y)
+        for k, part in enumerate(_unmarked_parts(y)):
+            if k:
+                slope = slope + part * _root_series(y, k - 1) * RatFun(k)
+        assert three_point_sum((), y) == one / (one - slope) * (RF_ONE / LAM)
+
+
+def test_rewritten_values_match_the_three_point_oracle(cold_caches):
+    # the idempotents, the unit and the hyperplane at every order through
+    # the cap, each order built cold on the way up; the oracle's
+    # coefficients do not depend on its order, so one run at the cap,
+    # truncated, serves every order
+    classes = (idempotent_zero(), idempotent_infinity(), ONE, HYP)
+    want = rewritten_values(classes, Y_ORDER_CAP)
+    cold_caches()
+    for y in range(Y_ORDER_CAP + 1):
+        for alpha, series in zip(classes, want):
+            assert stilde_at_zero(alpha, y) == TruncSeries("y", y, series.coeffs), (alpha, y)
 
 
 def _disc(y_order):
@@ -580,12 +657,16 @@ def test_rewritten_value_matches_closed_form(c0, c1, y_order):
 def test_rewritten_value_of_a_z_dependent_insertion():
     # z in a restriction shifts the cotangent transform, so such a value is
     # not the combination of the idempotent values; it is the three-point
-    # sum with two units, normalised as the definition says
-    alpha = ONE * (Z + RatFun(2)) + HYP * (RatFun(Frac(1, 3)) / LAM + Z * Z)
-    dressing = _dressing(3)
-    base = series_root_pow(comb_three_point(ONE, ONE, ONE, 3) / dressing, Frac(1, 3))
-    want = comb_three_point(alpha, ONE, ONE, 3) / dressing / (base * base)
-    assert stilde_at_zero(alpha, 3) == want
+    # sum with two units, normalised as the definition says.  Powers of z up
+    # to 3 give the transform t-powers past the lower orders
+    alphas = (
+        ONE * (Z + RatFun(2)) + HYP * (RatFun(Frac(1, 3)) / LAM + Z * Z),
+        ONE * Z ** 3 + HYP * Z,
+        HYP * (Z * Z - LAM * Z) + ONE * (Z ** 3 - RF_ONE / LAM),
+        PINF * (Z * Z) + P0 * (RatFun(2) * Z),
+    )
+    for y in range(2, 7):
+        assert tuple(stilde_at_zero(alpha, y) for alpha in alphas) == rewritten_values(alphas, y), y
 
 
 def _direct_tail_series(alpha, y_order, z_order):
@@ -666,16 +747,19 @@ def _assert_homogeneous(series, lead):
 
 def test_every_emitted_coefficient_is_homogeneous(cold_caches):
     # the lam-free kernel puts back lam^(1 - marks - 2D - k) at z^k y^D, so
-    # every coefficient it emits is homogeneous in (lam, z) through y = 12
+    # every coefficient it emits is homogeneous in (lam, z) through y = 12;
+    # a z-dependent insertion reads the root powers on RatFuns, tau^k at y^D
+    # at lam^(k - 2D)
     y = p1series.Y_ORDER_CAP
     for alpha in (idempotent_zero(), idempotent_infinity(), ONE):
         _assert_homogeneous(tree_series_S(alpha, y, Z_ORDER_CAP).series, 0)
     _assert_homogeneous(tree_series_eps(y, Z_ORDER_CAP).series, 1)
-    zero, inf, dressing, norm = _rewrite_basis(y)
-    for series in (zero, inf, norm, stilde_at_zero(ONE, y)):
+    zero, inf = _rewrite_basis(y)
+    for series in (zero, inf, stilde_at_zero(ONE, y)):
         _assert_homogeneous(series, 0)
-    _assert_homogeneous(dressing, -1)
     _assert_homogeneous(stilde_at_zero(HYP, y), 1)
+    _assert_homogeneous(stilde_at_zero(ONE * Z + HYP, y), 1)
+    _assert_homogeneous(stilde_at_zero(ONE * (Z ** 3) + HYP * (Z * Z), y), 3)
 
 
 def test_lower_orders_add_no_tail_coefficients(cold_caches):
@@ -718,3 +802,31 @@ def test_every_series_cache_is_cleared_by_the_fixture():
         if hasattr(value, "cache_clear") and value.__module__ == module.__name__
     }
     assert found == set(_CACHES)
+
+
+def _decorated_caches(module):
+    # the module-level names that functools.lru_cache or _grown wraps, as
+    # decorators or as calls, read from the source rather than from the
+    # objects' attributes
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return ast.unparse(node) in {"functools.lru_cache", "functools.cache", "_grown"}
+
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.FunctionDef) and any(map(is_cache, node.decorator_list)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if is_cache(node.value.func):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_every_decorated_cache_is_in_the_fixture_list():
+    # a cache missing from conftest._CACHES would carry a value built under
+    # a patched factor from one cold_caches test into the next
+    found = {name: module for module in (jfun, p1series) for name in _decorated_caches(module)}
+    assert {"_ladder", "_placements", "_root_powers", "_rewrite_basis"} <= found.keys()
+    missing = sorted(name for name, module in found.items() if getattr(module, name) not in _CACHES)
+    assert not missing
