@@ -24,10 +24,6 @@ class NotInfinityStable(GlsmxError):
     """Contraction input must come from the infinity-stable chamber."""
 
 
-class WrongMultiplicity(GlsmxError):
-    """A leg multiplicity disagrees with the value forced by its order."""
-
-
 class BoundsExceeded(GlsmxError):
     """Requested enumeration is above the documented desk scale."""
 

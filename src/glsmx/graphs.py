@@ -528,10 +528,6 @@ def _contract_to_fixpoint(model, graph, records, epsilon):
 def contract_c(model, graph, epsilon):
     """Iteratively contract unstable rational tails into basepoints on their
     attachment vertices, until every component is stable for the chamber."""
-    if isinstance(graph, ContractionRecord):
-        if any(bp.order > 0 for bp in graph.basepoints):
-            raise NotInfinityStable("input already carries basepoints")
-        graph = graph.graph
     if not infinity_stable_graph(model, graph):
         raise NotInfinityStable("input graph is not stable in the infinity chamber")
     out_graph, records = _contract_to_fixpoint(model, graph, (), epsilon)
@@ -601,16 +597,33 @@ def _connected_structures(nv, ne):
             yield combo
 
 
-def _bipartite_structures(nv, ne):
-    """The connected structures with a bipartition, in the order
-    _connected_structures yields them, and the sides of each."""
-    structures, sides = [], []
+def _levelled_structures(nv, ne):
+    """The connected bipartite structures with their level assignments, one
+    per isomorphism class of bare levelled structure: for each structure in
+    _connected_structures order, vertex 0 at level zero first, the first met
+    of each _least_form key.  Each comes with the _Relabels of the
+    non-identity vertex permutations that keep its edge multiset and its
+    levels."""
+    seen = set()
+    perms = list(itertools.permutations(range(nv)))[1:]
     for structure in _connected_structures(nv, ne):
-        side = _bipartition(nv, structure)
-        if side is not None:
-            structures.append(structure)
-            sides.append(side)
-    return structures, sides
+        sides = _bipartition(nv, structure)
+        if sides is None:
+            continue
+        bare = [(a, b, 0, 0, 0) for a, b in structure]
+        for flip in (0, 1):
+            levels = tuple(LEVEL_ZERO if s == flip else LEVEL_INF for s in sides)
+            key = _least_form(levels, bare)[0]
+            if key in seen:
+                continue
+            seen.add(key)
+            fixers = [
+                _relabel(p, structure)
+                for p in perms
+                if tuple(levels[new] for new in p) == levels
+                and sorted(_moved_pairs(p, structure)) == list(structure)
+            ]
+            yield structure, levels, fixers
 
 
 def enumerate_loc_graphs(model, g, n, beta, delta):
@@ -660,70 +673,50 @@ def _census(model, g, n, beta, delta):
             genus_budget = g - h1
             if genus_budget < 0:
                 continue
-            structures, sides = _bipartite_structures(nv, ne)
-            index = {s: i for i, s in enumerate(structures)}
-            perms = list(itertools.permutations(range(nv)))[1:]
             delta_opts = list(_compositions(delta, ne, 1))
-            for si, structure in enumerate(structures):
-                relabels = [_relabel(p, structure, si, index, sides) for p in perms]
-                # vertex 0 at level zero first, then at level infinity
-                for flip in (0, 1):
-                    kept = _fixers(relabels, (si, flip), _moved_structure)
-                    if kept is None:
-                        continue
-                    levels = tuple(
-                        LEVEL_ZERO if s == flip else LEVEL_INF for s in sides[si]
+            for structure, levels, kept in _levelled_structures(nv, ne):
+                for deltas, genera, degrees, leg_dist in _least_prefixes(
+                    kept, delta_opts, genus_budget, beta, nv, n
+                ):
+                    _emit_candidates(
+                        model,
+                        structure,
+                        levels,
+                        deltas,
+                        genera,
+                        degrees,
+                        leg_dist,
+                        found,
+                        profiles,
+                        fracs,
                     )
-                    for deltas, genera, degrees, leg_dist in _least_prefixes(
-                        kept, delta_opts, genus_budget, beta, nv, n
-                    ):
-                        _emit_candidates(
-                            model,
-                            structure,
-                            levels,
-                            deltas,
-                            genera,
-                            degrees,
-                            leg_dist,
-                            found,
-                            profiles,
-                            fracs,
-                        )
     return [found[k] for k in sorted(found)]
 
 
 class _Relabel(NamedTuple):
-    """A permutation perm of a structure's vertices, old to new: the index
-    of the image structure, the side of vertex 0's image there, and the
-    inverse.  For a permutation that keeps the structure, runs lists the
-    old edges it maps onto each run of parallel edges; otherwise None."""
+    """A permutation perm of a structure's vertices, old to new, that keeps
+    the structure: its inverse, and the old edges it maps onto each run of
+    parallel edges."""
 
-    target: int
-    side0: int
     perm: tuple
     inverse: tuple
-    runs: tuple | None
+    runs: tuple
 
 
-def _relabel(perm, structure, si, index, sides):
-    moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
-    target = index[tuple(sorted(moved))]
+def _moved_pairs(perm, structure):
+    return [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
+
+
+def _relabel(perm, structure):
+    moved = _moved_pairs(perm, structure)
     inverse = [0] * len(perm)
     for old, new in enumerate(perm):
         inverse[new] = old
-    runs = None
-    if target == si:
-        runs = tuple(
-            tuple(i for i, pair in enumerate(moved) if pair == run)
-            for run in sorted(set(structure))
-        )
-    return _Relabel(target, sides[target][perm[0]], perm, tuple(inverse), runs)
-
-
-def _moved_structure(relabel, here):
-    # the image of (structure, flip): vertex 0 of the image sits on the
-    # image's side 0, so the flip changes when vertex 0 changes sides
-    return relabel.target, relabel.side0 ^ here[1]
+    runs = tuple(
+        tuple(i for i, pair in enumerate(moved) if pair == run)
+        for run in sorted(set(structure))
+    )
+    return _Relabel(perm, tuple(inverse), runs)
 
 
 def _moved_deltas(relabel, deltas):

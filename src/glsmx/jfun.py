@@ -4,10 +4,10 @@ Four pieces, all in exact arithmetic: torus weight tables for the section
 and obstruction spaces of a line bundle on a football curve, the unstable
 coefficients of the small I-function together with the state-space sector
 each one lands in, the mirror-map tables whose entries measure the gap
-between stability chambers, and the localization factors carried by edges
-and nodes of a decorated graph.  Coefficients live in rational functions of
-the framing weight and the series variable over a nilpotent hyperplane
-class whose order is the rank of the relevant state space.
+between stability chambers, and the localization factor carried by each
+edge of a decorated graph.  Coefficients live in rational functions of the
+framing weight and the series variable over a nilpotent hyperplane class
+whose order is the rank of the relevant state space.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     DegreeViolation,
     InconsistentOrbData,
     OutOfUnstableRange,
-    WrongMultiplicity,
     check_record,
 )
 from .graphs import LEVEL_INF, LEVEL_ZERO
@@ -52,11 +51,6 @@ Q_CAP = 8
 # (model, beta, twisted) keys held by each coefficient cache; the four
 # acceptance models at beta <= Q_CAP, both twists, need 72
 _LADDER_CACHE_SIZE = 256
-
-# placeholder for a smoothing term that stays a cotangent class until the
-# vertex moduli are integrated out
-PSI = "psi"
-
 
 # ---------------------------------------------------------------------------
 # weight tables for line bundles on the parameterized component
@@ -313,7 +307,7 @@ def mu_table(model, epsilon, twisted=False):
 
 
 # ---------------------------------------------------------------------------
-# edge and node factors for decorated graphs
+# edge factors for decorated graphs
 
 
 def edge_contribution(
@@ -365,58 +359,6 @@ def edge_contribution(
                 out[j + i][key] = out[j + i].get(key, 0) + term
                 term = -term * (m - i) / (i + 1)
     return CohClass([RatFun(terms) for terms in out], NILPOTENT, r)
-
-
-@dataclass(frozen=True, repr=False)
-class NodeSmoothing:
-    """Reciprocal smoothing factor of a node: the stabilizer order over the
-    sum of the two tangent weights at the node, with the vertex side left
-    symbolic until an explicit class is supplied."""
-
-    d_m: int
-    edge_term: CohClass
-    vertex_term: object
-
-    def explicit(self):
-        if self.vertex_term is None:
-            raise ConfigError("vertex side of the smoothing is symbolic")
-        return self.d_m * (self.edge_term + self.vertex_term).inverse()
-
-    def __repr__(self):
-        if self.vertex_term is None:
-            return f"NodeSmoothing({self.d_m} / ({self.edge_term!r} - psi))"
-        return (
-            f"NodeSmoothing({self.d_m} / "
-            f"({self.edge_term!r} + {self.vertex_term!r}))"
-        )
-
-
-def node_contribution(model, m_h, j_v, delta_e, vertex_side_psi=PSI):
-    """Factors attached to a node joining an edge to a vertex at a level.
-
-    Returns the Euler class of the vertex normal direction, which multiplies
-    the graph contribution, and the smoothing factor as structured data: the
-    edge-side tangent weight is the level weight over the cover degree, the
-    vertex side stays a cotangent class unless an explicit value is passed.
-    """
-    if delta_e < 1:
-        raise ConfigError(f"cover degree {delta_e} must be at least 1")
-    mult = Frac(m_h)
-    if not 0 <= mult < 1 or (mult * model.d).denominator != 1:
-        raise WrongMultiplicity(f"{m_h} is not a multiplicity mod {model.d}")
-    if isinstance(vertex_side_psi, str):
-        if vertex_side_psi != PSI:
-            raise ConfigError(f"unknown symbolic vertex term {vertex_side_psi!r}")
-        vertex_term = None
-    else:
-        vertex_term = vertex_side_psi
-    normal = lambda_level(model, j_v)
-    smoothing = NodeSmoothing(
-        isotropy_order(model.d, mult),
-        normal * Frac(1, delta_e),
-        vertex_term,
-    )
-    return normal, smoothing
 
 
 # ---------------------------------------------------------------------------

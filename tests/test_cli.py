@@ -683,15 +683,6 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
-# Public names that nothing in the package or the benchmark uses yet, each
-# kept for the ROADMAP item that will; a kept class keeps its methods.
-_KEPT_UNUSED = {
-    "node_contribution": "ROADMAP 6: localization route for chamber invariants",
-    "NodeSmoothing": "ROADMAP 6: localization route for chamber invariants",
-    "PSI": "ROADMAP 6: localization route for chamber invariants",
-}
-
-
 def _public_definitions(tree):
     """(name, node, class name or None) of a module's public top-level
     functions and classes and of the public methods of its classes."""
@@ -747,7 +738,7 @@ def test_no_public_surface_only_tests_use():
     # a method through an attribute read, a function or class through a
     # bare name, an import or a read on a module.  A use inside an unused
     # definition does not count, so the scan repeats until no further name
-    # drops out; the allow-list counts as used.
+    # drops out.
     root = pathlib.Path(cli.__file__).parents[2]
     package = sorted((root / "src" / "glsmx").glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package}
@@ -767,7 +758,6 @@ def test_no_public_surface_only_tests_use():
             key
             for key in owners.values()
             if key not in unused
-            and not {key[1], key[2]} & set(_KEPT_UNUSED)
             and not any(
                 key not in chain and not unused.intersection(chain)
                 for chain in chains["attr" if key[1] else "name", key[2]]
@@ -777,13 +767,6 @@ def test_no_public_surface_only_tests_use():
             break
         unused |= dropped
     assert unused == set()
-    # an entry outlives its name only by mistake
-    defined = {key[2] for key in owners.values()}
-    for path in package:
-        for node in trees[path].body:
-            if isinstance(node, ast.Assign):
-                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
-    assert set(_KEPT_UNUSED) <= defined
 
 
 @pytest.mark.parametrize("bad", ["config_type", "config_path", "flag_path"])

@@ -521,20 +521,6 @@ def test_contract_rejects_unstable_input():
         G.contract_c(QUINTIC, bad, Frac(1, 4))
 
 
-def test_contract_rejects_record_with_basepoints():
-    rec = G.contract_c(QUINTIC, _tail_on_anchor(), Frac(1, 4))
-    with pytest.raises(NotInfinityStable):
-        G.contract_c(QUINTIC, rec, Frac(1, 4))
-
-
-def test_contract_accepts_clean_record():
-    g = _tail_on_anchor()
-    rec = G.contract_c(QUINTIC, g, 2)
-    assert rec.basepoints == ()
-    again = G.contract_c(QUINTIC, rec, Frac(1, 4))
-    assert again.basepoints == (G.Basepoint(0, 1, Frac(0)),)
-
-
 @given(
     degrees=st.lists(st.integers(1, 3), min_size=1, max_size=3),
     eps=st.sampled_from([None, Frac(1, 4), Frac(2, 5), Frac(2, 3), Frac(3, 2)]),
@@ -683,40 +669,54 @@ def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):
     ids=["edge", "double-edge", "3-path", "4-path", "star", "4-cycle", "pinned-4-path"],
 )
 def test_sides_swap_table(edges, swaps):
-    # among the relabellings that keep a structure, one maps its second
-    # level assignment onto the first exactly when it exchanges the sides
+    # a structure has one levelled class when some relabelling keeping it
+    # exchanges its sides, and two otherwise
     nv = 1 + max(max(e) for e in edges)
-    edges = tuple(sorted(edges))
-    structures, sides = G._bipartite_structures(nv, len(edges))
-    index = {s: i for i, s in enumerate(structures)}
-    si = index[edges]
-    keeping = [
-        relabel
-        for relabel in (
-            G._relabel(p, edges, si, index, sides)
-            for p in itertools.permutations(range(nv))
-        )
-        if relabel.target == si
+
+    def bare_key(structure):
+        return G._least_form((0,) * nv, [(a, b, 0, 0, 0) for a, b in structure])[0]
+
+    classes = [
+        levels
+        for structure, levels, _ in G._levelled_structures(nv, len(edges))
+        if bare_key(structure) == bare_key(edges)
     ]
-    assert G._fixers(keeping, (si, 0), G._moved_structure) is not None
-    assert (G._fixers(keeping, (si, 1), G._moved_structure) is None) is swaps
+    assert len(classes) == (1 if swaps else 2)
 
 
 def test_a_lone_vertex_keeps_both_levels(monkeypatch):
     # a single vertex has no relabelling, so its level-infinity assignment
-    # is no repeat; skipping every second level assignment loses classes
+    # is no repeat; dropping every level-infinity assignment loses classes
     key = (1, 1, 0, 0)
     oracle = brute_loc_graphs(QUINTIC_25.d, True, QUINTIC_25.epsilon, *key)
     assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) == len(oracle)
-    fixers = G._fixers
+    levelled = G._levelled_structures
 
-    def skip_second_level(relabels, value, moved):
-        if moved is G._moved_structure and value[1] == 1:
-            return None
-        return fixers(relabels, value, moved)
+    def zero_level_only(nv, ne):
+        for structure, levels, fixers in levelled(nv, ne):
+            if levels[0] == G.LEVEL_ZERO:
+                yield structure, levels, fixers
 
-    monkeypatch.setattr(G, "_fixers", skip_second_level)
+    monkeypatch.setattr(G, "_levelled_structures", zero_level_only)
     assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) < len(oracle)
+
+
+def test_unmarked_census_builds_relabellings_only_for_fixers(monkeypatch):
+    # each levelled class builds a relabelling only for the permutations
+    # that keep it, not all nv! - 1 for every labelled structure
+    from glsmx.p1series import _POINT_MODEL
+
+    calls = 0
+    relabel = G._relabel
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return relabel(*args)
+
+    monkeypatch.setattr(G, "_relabel", counted)
+    assert len(G._census(_POINT_MODEL, 0, 0, 0, 5)) == 37
+    assert calls <= 1000
 
 
 def _labelled_loop(model, g, n, beta, delta):
@@ -788,11 +788,11 @@ def test_enumerate_equals_the_labelled_loop(model):
 def test_point_model_census_equals_the_labelled_loop():
     from glsmx.p1series import _POINT_MODEL
 
-    for n in range(5):
-        for delta in range(4):
-            key = (0, n, 0, delta)
-            got = G._enumerate_loc_graphs(_POINT_MODEL, *key)
-            assert got == _labelled_loop(_POINT_MODEL, *key), key
+    keys = [(0, n, 0, delta) for n in range(5) for delta in range(4)]
+    keys += [(0, 0, 0, 4), (0, 0, 0, 5), (0, 1, 0, 4), (0, 2, 0, 4)]
+    for key in keys:
+        got = G._enumerate_loc_graphs(_POINT_MODEL, *key)
+        assert got == _labelled_loop(_POINT_MODEL, *key), key
 
 
 @pytest.mark.parametrize(

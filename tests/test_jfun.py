@@ -39,7 +39,6 @@ from glsmx.errors import (
 )
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO
 from glsmx.jfun import (
-    PSI,
     bundle_weights,
     edge_contribution,
     i_function,
@@ -47,7 +46,6 @@ from glsmx.jfun import (
     jwc_check,
     lambda_level,
     mu_table,
-    node_contribution,
     positive_z_part,
     state_hyperplane,
     state_rank,
@@ -516,38 +514,6 @@ def test_edge_degree_checks():
         edge_contribution(QUINTIC_LG, 0, 0, EPS_WIDE, False)
     with pytest.raises(OutOfUnstableRange):
         edge_contribution(QUINTIC_LG, 5, 4, Frac(2, 5), False)
-
-
-# --- node contributions -----------------------------------------------------
-
-
-def test_node_factor_lg_zero_side():
-    normal, smoothing = node_contribution(QUINTIC_LG, Frac(1, 5), LEVEL_ZERO, 2)
-    assert normal == lambda_level(QUINTIC_LG, LEVEL_ZERO)
-    assert smoothing.d_m == 5
-    assert smoothing.edge_term == normal * Frac(1, 2)
-    assert smoothing.vertex_term is None
-    assert "psi" in repr(smoothing)
-    with pytest.raises(ConfigError):
-        smoothing.explicit()
-
-
-def test_node_factor_infinity_side():
-    normal, smoothing = node_contribution(MIXED_LG, Frac(0), LEVEL_INF, 1)
-    assert normal == CohClass([-LAM, RF_ONE], NILPOTENT, 2)
-    assert smoothing.d_m == 1
-    assert smoothing.edge_term == normal
-
-
-def test_node_factor_edge_to_edge():
-    other = lambda_level(QUINTIC_LG, LEVEL_ZERO) * Frac(1, 3)
-    normal, smoothing = node_contribution(
-        QUINTIC_LG, Frac(2, 5), LEVEL_ZERO, 2, vertex_side_psi=other
-    )
-    assert smoothing.vertex_term == other
-    total = smoothing.edge_term + other  # (lam)/2 + (lam)/3 at H = 0
-    assert smoothing.explicit() == 5 * total.inverse()
-    assert smoothing.explicit() == CohClass([RF_ONE / LAM * 6], NILPOTENT, 1)
 
 
 # --- wall-crossing bookkeeping ----------------------------------------------

@@ -198,6 +198,8 @@ POINT_CLASS_COUNTS = {
     (4, 1): 16,
     (4, 2): 98,
     (4, 3): 536,
+    (0, 4): 16,
+    (0, 5): 37,
 }
 
 
@@ -216,7 +218,7 @@ CAPPED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
+@pytest.mark.parametrize("n,delta", CAPPED_SHAPES + [(0, 4), (0, 5)])
 def test_census_ties_are_the_automorphism_order(n, delta):
     # the weight table divides by the census tie count, which is |Aut| only
     # because the point model's trees have no parallel edges
