@@ -16,7 +16,16 @@ from math import comb, factorial
 from . import graphs as gr
 from . import jfun
 from . import p1series as p1
-from .algebra import LAM, RF_ONE, RF_ZERO, RatFun, TruncSeries, Z, series_root_pow
+from .algebra import (
+    LAM,
+    RF_ONE,
+    RF_ZERO,
+    CohClass,
+    RatFun,
+    TruncSeries,
+    Z,
+    series_root_pow,
+)
 from .errors import IdentityFailed, check_record
 from .model import (
     GEOMETRIC,
@@ -146,6 +155,16 @@ def _dual_route_body():
 _NORMALIZATION_EPS = (Frac(2, 3), Frac(2, 5), Frac(2, 7))
 
 
+def _z_nonnegative_part(value):
+    """value less its negative z powers, summed back from the z-graded
+    parts of each coefficient; shares no code with jfun.positive_z_part."""
+    coeffs = [
+        sum((part * Z**k for k, part in f.z_parts().items() if k >= 0), RF_ZERO)
+        for f in value.coeffs
+    ]
+    return CohClass(coeffs, value.relation, value.r)
+
+
 def _leading_terms_body():
     for model in _NORMALIZATION_MODELS:
         expected = jfun.state_unit(model) * Z
@@ -158,6 +177,15 @@ def _leading_terms_body():
                 _expect((lead - expected).is_zero(), f"leading term is not z at {where}")
                 table = jfun.mu_table(model, epsilon, twisted)
                 _expect(table[0].is_zero(), f"mu_0 is nonzero at {where}")
+                # every higher entry is the z-non-negative part of the
+                # closed product form
+                for beta in range(1, len(table)):
+                    closed = _z_nonnegative_part(_closed_route_value(model, beta, twisted))
+                    _expect(
+                        table[beta] == closed,
+                        f"mu_{beta} is not the closed z-non-negative part at {where} "
+                        f"twisted {twisted}",
+                    )
 
 
 def _pairing_relations_body():

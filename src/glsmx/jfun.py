@@ -8,6 +8,13 @@ between stability chambers, and the localization factor carried by each
 edge of a decorated graph.  Coefficients live in rational functions of the
 framing weight and the series variable over a nilpotent hyperplane class
 whose order is the rank of the relevant state space.
+
+The I-coefficients run on ints.  Each moving weight a*z + c*H contributes
+a factor (1 + x*u)^+-1 with x = c/a and u = H/z, and the u^j coefficient of
+the product is homogeneous of degree j in the x's.  Degrees, ages and the
+c's lie on the 1/d grid, so scaling every a and c by d and putting every x
+over L, the lcm of the scaled a's, turns the u^j coefficient into an int
+over L^j; one int denominator then serves every hyperplane power.
 """
 
 from __future__ import annotations
@@ -80,7 +87,8 @@ def bundle_weights(rational_degree, age0, age_inf, tangent_weight, fiber_weight_
     exponent-k section monomial at the zero point carries weight
     fiber_weight_0 - k * tangent_weight for k = 0..D, and the obstruction
     weights continue the same ladder through the window between D and zero.
-    Weights may be Frac, RatFun or CohClass valued.
+    Weights may be int, Frac, RatFun or CohClass valued; an int tangent and
+    an int fiber weight give a table of ints.
     """
     age0 = _checked_age(age0)
     age_inf = _checked_age(age_inf)
@@ -177,54 +185,67 @@ def _ladder(model, beta, twisted):
     # weights divide.  Each weight is a*z + c*H with c fixed per field, and
     # it moves exactly when a != 0.  Writing it as a*z*(1 + (c/a)*u) with
     # u = H/z, the value is scale * z^e * p(u), where the a's and the weight
-    # count give scale and e, and p is the product of the (1 + (c/a)*u)
+    # count give scale and e, and p is the product of the (1 + (c/a)*u)^+-1
     # truncated at u^r, so H^j carries scale * p_j * z^(e - j).
+    #
+    # Everything runs on ints.  Degrees, ages and the c's lie on the 1/d
+    # grid, so with tangent d and fiber d*degree each table entry is
+    # A = d*a, and x = c/a = C/A with C = d*c.  The u^j coefficient p_j is
+    # homogeneous of degree j in the x's, so with L = lcm of the A's and
+    # X = C*(L/A), p_j = Q_j/L^j where Q runs the same recurrences on the
+    # X's.  The scale is sn/sd, so every row sits over the one denominator
+    # sd*L^(r-1).  Below, a, c and x name the scaled A, C and X.
     r = state_rank(model)
     if model.phase == LG and not make_sector(model, j_sector(model, beta)).narrow:
         # broad sectors carry no state, so their coefficients vanish
         return state_unit(model) * RF_ZERO
+    d = model.d
     marked_mult = graph_multiplicities(model, beta)[0]
     deg_l = line_bundle_degree(model, 0, 1, beta)
     deg_p = p_bundle_degree(model, 0, 1, beta)
-    # (rational degree, age at infinity, H-coefficient c, multiplicity) of
-    # each field bundle; the auxiliary one counts N times
+    # (rational degree, age at infinity, C, multiplicity) of each field
+    # bundle; the auxiliary one counts N times
     if model.phase == LG:
-        fields = [
-            (w * deg_l, frac_bracket(w * marked_mult), Frac(-w, model.d), 1)
-            for w in model.weights
-        ]
-        fields.append((deg_p, frac_bracket(-model.d * marked_mult), Frac(1), model.N))
+        fields = [(w * deg_l, frac_bracket(w * marked_mult), -w, 1) for w in model.weights]
+        fields.append((deg_p, frac_bracket(-d * marked_mult), d, model.N))
     else:
-        fields = [(w * deg_l, Frac(0), Frac(w), 1) for w in model.weights]
-        fields.append((deg_p, Frac(0), Frac(-model.d), model.N))
-    scale = Frac(1)
-    e = 1
-    p = [Frac(1)] + [Frac(0)] * (r - 1)
+        fields = [(w * deg_l, 0, d * w, 1) for w in model.weights]
+        fields.append((deg_p, 0, -d * d, model.N))
+    # (A, C, multiplicity, +1 for an obstruction, -1 for a section) of each
+    # moving weight, in the order the factors are applied
+    moving = []
     for degree, age_inf, c, mult in fields:
-        # with tangent 1 and fiber equal to the degree, each table entry is
-        # the z-coefficient a of its weight
-        table = bundle_weights(degree, Frac(0), age_inf, 1, Frac(degree))
-        for a in table.h1_weights:
-            if a:
-                x = c / a
-                for _ in range(mult):
-                    scale *= a
-                    e += 1
-                    for j in range(r - 1, 0, -1):
-                        p[j] += x * p[j - 1]
-        for a in table.h0_weights:
-            if a:
-                x = c / a
-                for _ in range(mult):
-                    scale /= a
-                    e -= 1
-                    for j in range(1, r):
-                        p[j] -= x * p[j - 1]
+        table = bundle_weights(degree, 0, age_inf, d, int(d * degree))
+        moving += [(a, c, mult, 1) for a in table.h1_weights if a]
+        moving += [(a, c, mult, -1) for a in table.h0_weights if a]
+    lcm_a = 1
+    for a, _, _, _ in moving:
+        lcm_a = math.lcm(lcm_a, a)
+    # each obstruction multiplies the scale by A/d, each section divides it
+    sn = sd = 1
+    e = 1
+    q = [1] + [0] * (r - 1)
+    for a, c, mult, side in moving:
+        x = c * (lcm_a // a)
+        e += side * mult
+        if side > 0:
+            sn *= a**mult
+            sd *= d**mult
+            for _ in range(mult):
+                for j in range(r - 1, 0, -1):
+                    q[j] += x * q[j - 1]
+        else:
+            sn *= d**mult
+            sd *= a**mult
+            for _ in range(mult):
+                for j in range(1, r):
+                    q[j] -= x * q[j - 1]
     if model.phase == LG:
         # gerbe normalization: stabilizer order of the marked point over the
         # full orbifold structure group
-        scale *= Frac(isotropy_order(model.d, marked_mult), model.d)
-    rows = [{(0, e - j): scale * p[j]} for j in range(r)]
+        sn *= isotropy_order(d, marked_mult)
+        sd *= d
+    rows = [{(0, e - j): sn * q[j] * lcm_a ** (r - 1 - j)} for j in range(r)]
     for b in range(beta if twisted else 0):
         # the framing twist, the Euler class of the twisted obstruction of the
         # distinguished line: c*lam^l*z^n*H^j times (lam - b*z - H), cut at H^r
@@ -236,7 +257,8 @@ def _ladder(model, beta, twisted):
                 if j + 1 < r:
                     out[j + 1][l, n] = out[j + 1].get((l, n), 0) - c
         rows = out
-    return CohClass([RatFun(row) for row in rows], NILPOTENT, r)
+    den = sd * lcm_a ** (r - 1)
+    return CohClass([RatFun(row, den) for row in rows], NILPOTENT, r)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +267,10 @@ def _ladder(model, beta, twisted):
 
 def positive_z_part(value: CohClass) -> CohClass:
     """Drop every negative z power from each hyperplane coefficient."""
-    kept = []
-    for f in value.coeffs:
-        kept.append(RatFun({k: v for k, v in f.laurent_terms().items() if k[1] >= 0}))
+    kept = [
+        RatFun({k: v for k, v in f.num.items() if k[1] >= 0}, f.den[(0, 0)])
+        for f in value.coeffs
+    ]
     return CohClass(kept, value.relation, value.r)
 
 

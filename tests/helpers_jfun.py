@@ -1,10 +1,12 @@
 """Independent oracles for the unstable J-coefficient machinery.
 
-Everything here is computed in sympy, separately from the package's exact
-kernel: the closed hypergeometric product form of the I-coefficients, a
-two-chart Cech enumeration of line-bundle cohomology weights on a football
-P^1, and Laurent bookkeeping in z.  The hyperplane class is an honest sympy
-symbol truncated nilpotently by hand.
+Everything but the last oracle is computed in sympy, separately from the
+package's exact kernel: the closed hypergeometric product form of the
+I-coefficients, a two-chart Cech enumeration of line-bundle cohomology
+weights on a football P^1, and Laurent bookkeeping in z.  The hyperplane
+class is an honest sympy symbol truncated nilpotently by hand.  The last,
+fraction_ladder, is the coefficient ladder run step by step on Frac, the
+reference the int ladder must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ import sympy
 from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
+
+from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun
+from glsmx.jfun import bundle_weights, j_sector, state_rank, state_unit
+from glsmx.model import (
+    LG,
+    frac_bracket,
+    graph_multiplicities,
+    isotropy_order,
+    line_bundle_degree,
+    make_sector,
+    p_bundle_degree,
+)
 
 SH = sympy.Symbol("H")
 
@@ -153,3 +167,74 @@ def same_weight_multiset(got, expected):
     got = sorted((sympy.expand(g) for g in got), key=key)
     expected = sorted((sympy.expand(e) for e in expected), key=key)
     return all(sympy.expand(a - b) == 0 for a, b in zip(got, expected))
+
+
+def fraction_ladder(model, beta, twisted):
+    """The coefficient ladder as the package computed it on Frac before it
+    moved to ints: the same weight tables and recurrences, every step a
+    Frac.  Kept verbatim as the oracle for the int ladder."""
+    # The value is assembled from the moving weights of the field bundles on
+    # the parameterized component: obstruction weights multiply, section
+    # weights divide.  Each weight is a*z + c*H with c fixed per field, and
+    # it moves exactly when a != 0.  Writing it as a*z*(1 + (c/a)*u) with
+    # u = H/z, the value is scale * z^e * p(u), where the a's and the weight
+    # count give scale and e, and p is the product of the (1 + (c/a)*u)
+    # truncated at u^r, so H^j carries scale * p_j * z^(e - j).
+    r = state_rank(model)
+    if model.phase == LG and not make_sector(model, j_sector(model, beta)).narrow:
+        # broad sectors carry no state, so their coefficients vanish
+        return state_unit(model) * RF_ZERO
+    marked_mult = graph_multiplicities(model, beta)[0]
+    deg_l = line_bundle_degree(model, 0, 1, beta)
+    deg_p = p_bundle_degree(model, 0, 1, beta)
+    # (rational degree, age at infinity, H-coefficient c, multiplicity) of
+    # each field bundle; the auxiliary one counts N times
+    if model.phase == LG:
+        fields = [
+            (w * deg_l, frac_bracket(w * marked_mult), Frac(-w, model.d), 1)
+            for w in model.weights
+        ]
+        fields.append((deg_p, frac_bracket(-model.d * marked_mult), Frac(1), model.N))
+    else:
+        fields = [(w * deg_l, Frac(0), Frac(w), 1) for w in model.weights]
+        fields.append((deg_p, Frac(0), Frac(-model.d), model.N))
+    scale = Frac(1)
+    e = 1
+    p = [Frac(1)] + [Frac(0)] * (r - 1)
+    for degree, age_inf, c, mult in fields:
+        # with tangent 1 and fiber equal to the degree, each table entry is
+        # the z-coefficient a of its weight
+        table = bundle_weights(degree, Frac(0), age_inf, 1, Frac(degree))
+        for a in table.h1_weights:
+            if a:
+                x = c / a
+                for _ in range(mult):
+                    scale *= a
+                    e += 1
+                    for j in range(r - 1, 0, -1):
+                        p[j] += x * p[j - 1]
+        for a in table.h0_weights:
+            if a:
+                x = c / a
+                for _ in range(mult):
+                    scale /= a
+                    e -= 1
+                    for j in range(1, r):
+                        p[j] -= x * p[j - 1]
+    if model.phase == LG:
+        # gerbe normalization: stabilizer order of the marked point over the
+        # full orbifold structure group
+        scale *= Frac(isotropy_order(model.d, marked_mult), model.d)
+    rows = [{(0, e - j): scale * p[j]} for j in range(r)]
+    for b in range(beta if twisted else 0):
+        # the framing twist, the Euler class of the twisted obstruction of the
+        # distinguished line: c*lam^l*z^n*H^j times (lam - b*z - H), cut at H^r
+        out = [{} for _ in range(r)]
+        for j, row in enumerate(rows):
+            for (l, n), c in row.items():
+                out[j][l + 1, n] = out[j].get((l + 1, n), 0) + c
+                out[j][l, n + 1] = out[j].get((l, n + 1), 0) - b * c
+                if j + 1 < r:
+                    out[j + 1][l, n] = out[j + 1].get((l, n), 0) - c
+        rows = out
+    return CohClass([RatFun(row) for row in rows], NILPOTENT, r)

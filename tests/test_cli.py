@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glsmx import cli, criteria, jfun, p1series
-from glsmx.algebra import Z
+from glsmx.algebra import CohClass, RatFun, Z
 from glsmx.cli import main, report_passed, run
 from glsmx.graphs import _ENUM_BOUNDS
 from glsmx.model import LG, GlsmModel
@@ -522,6 +522,28 @@ def test_leading_terms_criterion_fails_on_a_nonzero_mu_0(monkeypatch):
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: mu_0 is nonzero at lg weights (1, 1, 1, 1, 1) eps 2/3"
+    )
+
+
+def test_leading_terms_criterion_fails_on_a_positive_filter_that_drops_z0(
+    monkeypatch, cold_caches
+):
+    # a filter keeping only z^k with k > 0 leaves every leading term z and
+    # mu_0 zero, but drops the z^0 terms of the mirror-map entries above
+    # degree 0, which the criterion reads against the closed product form
+    def strictly_positive(value):
+        kept = [
+            RatFun({k: v for k, v in f.num.items() if k[1] > 0}, f.den[(0, 0)])
+            for f in value.coeffs
+        ]
+        return CohClass(kept, value.relation, value.r)
+
+    monkeypatch.setattr(jfun, "positive_z_part", strictly_positive)
+    result = _run_criterion("leading term normalization")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: mu_1 is not the closed z-non-negative part at lg weights "
+        "(1, 1, 1, 1, 1) eps 2/3 twisted False"
     )
 
 

@@ -4,6 +4,7 @@ worked out by hand on the quintic models."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction as Frac
 
@@ -18,6 +19,7 @@ from helpers_jfun import (
     closed_edge_factor,
     closed_j_coefficient,
     coh_to_sympy,
+    fraction_ladder,
     lam_coefficient,
     same_weight_multiset,
     z_plus_part,
@@ -206,6 +208,58 @@ def test_broad_sectors_vanish():
     assert unstable_J_coefficient(QUINTIC_LG, 4, EPS_WIDE, True).is_zero()
     for beta in (1, 3):
         assert unstable_J_coefficient(MIXED_LG, beta, EPS_WIDE, False).is_zero()
+
+
+def _random_models(rounds, seed):
+    """Seeded models with weights dividing d and N <= 3: each round has one
+    for every d <= 12, the phases alternating from round to round.  An LG
+    weight below d, when d > 1, keeps some sectors narrow: a weight equal to
+    d fixes its coordinate in every sector, so every coefficient vanishes."""
+    rng = random.Random(seed)
+    models = []
+    for i in range(rounds):
+        phase = (LG, GEOMETRIC)[i % 2]
+        for d in range(1, 13):
+            top = d if phase == LG and d > 1 else d + 1
+            divisors = [w for w in range(1, top) if d % w == 0]
+            weights = tuple(sorted(rng.choice(divisors) for _ in range(rng.randint(1, 5))))
+            models.append(GlsmModel(weights, rng.randint(1, 3), d, phase))
+    return models
+
+
+# the quintic, P(1,1,1,1,2)[6], P(1,1,1,1,4)[8], P(1,1,1,2,5)[10], P^5[3,3]
+# and P^7[2,2,2,2]: the models whose genus-zero invariants are published
+_NAMED_CY_DATA = (
+    ((1,) * 5, 1, 5),
+    ((1, 1, 1, 1, 2), 1, 6),
+    ((1, 1, 1, 1, 4), 1, 8),
+    ((1, 1, 1, 2, 5), 1, 10),
+    ((1,) * 6, 2, 3),
+    ((1,) * 8, 4, 2),
+)
+
+LADDER_ORACLE_SETS = {
+    "acceptance": (ALL_MODELS, jfun.Q_CAP),
+    "named_cy": (
+        [GlsmModel(w, n, d, phase) for w, n, d in _NAMED_CY_DATA for phase in (LG, GEOMETRIC)],
+        12,
+    ),
+    "random": (_random_models(3, 0), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_ORACLE_SETS))
+def test_int_ladder_matches_the_fraction_ladder(name):
+    # the int ladder reproduces the step-by-step Frac ladder exactly, past
+    # Q_CAP on the named models since the uncached body has no degree gate
+    models, q_max = LADDER_ORACLE_SETS[name]
+    for model in models:
+        for beta in range(q_max + 1):
+            for twisted in (False, True):
+                got = jfun._ladder.__wrapped__(model, beta, twisted)
+                want = fraction_ladder(model, beta, twisted)
+                assert got == want, (model, beta, twisted)
+                assert repr(got) == repr(want), (model, beta, twisted)
 
 
 DUAL_PATH_CASES = [
