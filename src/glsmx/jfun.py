@@ -320,11 +320,12 @@ def _chamber_bound(epsilon):
 def mu_table(model, epsilon, twisted=False):
     """Mirror-map table of the chamber containing epsilon, as {beta:
     CohClass} for beta = 0..floor(1/epsilon): the degree-by-degree
-    non-negative parts of -z + J, one entry per unstable degree."""
-    table = {
-        beta: _plus_part(model, beta, epsilon, twisted)
-        for beta in range(_chamber_bound(epsilon) + 1)
-    }
+    non-negative parts of -z + J, one entry per unstable degree.  The bound
+    checks epsilon once and keeps every degree in range, so the entries are
+    read from the cache with no further gate."""
+    bound = _chamber_bound(epsilon)
+    model = _without_epsilon(model)
+    table = {beta: _ladder_plus(model, beta, twisted) for beta in range(bound + 1)}
     table[0] = table[0] - state_unit(model) * Z
     return table
 

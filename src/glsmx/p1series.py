@@ -123,31 +123,36 @@ def _edge_coefficient(d: int) -> Frac:
     return Frac((-1) ** d * d ** (2 * d), factorial(d) ** 2)
 
 
-def _vertex_factor(sign: int, degs: tuple, ks: tuple) -> tuple:
-    """Weight of one vertex of a fixed graph, less the insertions, as
-    (rational, lam exponent): tangent weight t = sign*lam, one flag of
-    weight omega = t/d for each degree d in degs, and one marking for each
-    cotangent exponent in ks.  Every factor is a rational multiple of a lam
-    power."""
-    f = len(degs)
+# (sign, flag count, degree sum, cotangent exponents) keys held by the
+# vertex weight cache; the exponents have no cap, so the cache needs a bound
+_VERTEX_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_VERTEX_CACHE_SIZE)
+def _vertex_weight(sign: int, f: int, total: int, ks: tuple) -> Frac:
+    """Weight of one vertex of a fixed graph, of tangent weight t = sign*lam,
+    less the insertions, less its lam power and less prod(d_j) over its f
+    flags, whose edges carry them: total is sum(d_j), each flag has omega =
+    t/d_j, and ks holds one cotangent exponent per marking.  A marking with
+    k = 0 weighs as one more flag would, so the tails pass their markings as
+    flags.  The lam power is 2 - f - len(ks) + sum(ks), so a tree's powers
+    add up to the dimension count and no caller tracks them."""
     if f + len(ks) >= 3:
         # contracted component: the psi integrals over prod omega^(b+1),
         # summed over the compositions b of the budget, are by the
         # multinomial theorem one integral times prod(t d_j) (t sum d_j)^budget
-        # over lam^(budget+f); times t^(f-1) for its nodes.  Nothing is left
-        # when the exponents overfill the dimension
+        # over lam^(budget+f); times t^(f-1) for its nodes, which less
+        # prod(d_j) and the lam power leaves sign^(budget+1) (sum d_j)^budget.
+        # Nothing is left when the exponents overfill the dimension
         budget = f + len(ks) - 3 - sum(ks)
         if budget < 0:
-            return 0, -budget - 1
+            return Frac(0)
         exps = ks + (budget,) + (0,) * (f - 1) if f else ks
-        value = psi_integral_genus0(exps) * prod(sign * d for d in degs)
-        # sign^(f+1) is sign^(f-1), and stays an int when f = 0
-        return value * (sign * sum(degs)) ** budget * sign ** (f + 1), -budget - 1
-    if f == 2:  # t/(omega1 + omega2)
-        return Frac(degs[0] * degs[1], degs[0] + degs[1]), 0
+        return psi_integral_genus0(exps) * sign ** (budget + 1) * Frac(total) ** budget
     if ks:  # (-omega)^k at a marked leaf
-        return Frac(-sign, degs[0]) ** ks[0], ks[0]
-    return Frac(sign, degs[0]), 1  # t/d at a bare leaf
+        return Frac((-sign) ** ks[0], total ** (ks[0] + 1))
+    # t/d at a bare leaf, t/(omega1 + omega2) at a two-edge point
+    return Frac(sign**f, total ** (3 - f))
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,28 +160,24 @@ def _unmarked_trees(delta: int) -> tuple:
     """The fixed-locus trees of degree-delta maps with no markings, up to
     isomorphism: the census of the point model at genus zero and degree
     zero, and at delta = 0 the one-vertex trees at the two fixed points.
-    Each is (coefficient, lam exponent, vertices): the weight that no
-    request changes, its edges over their degrees times 1/|Aut|, and one
-    (sign, sorted flag degrees) per vertex of tangent weight sign*lam.  The
-    census is bipartite, and at genus zero its graphs are trees, so they
-    have no loops or parallel edges and its tie count is |Aut|.  DELTA_CAP
-    bounds the cache."""
+    Each is (coefficient, vertices): the weight that no request changes,
+    its edges times the degrees of their two flags over |Aut|, and one
+    (sign, flag count, degree sum) per vertex of tangent weight sign*lam.
+    The census is bipartite, and at genus zero its graphs are trees, so
+    they have no loops or parallel edges and its tie count is |Aut|.
+    DELTA_CAP bounds the cache."""
     if not delta:
-        return (Frac(1), 0, ((1, ()),)), (Frac(1), 0, ((-1, ()),))
+        return (Frac(1), ((1, 0, 0),)), (Frac(1), ((-1, 0, 0),))
     trees = []
     for graph, aut in _census(_POINT_MODEL, 0, 0, 0, delta):
-        coeff, lam_exp = Frac(1, aut), 0
+        coeff = Frac(1, aut)
         for e in graph.edges:
-            coeff *= _edge_coefficient(e.delta) / e.delta
-            lam_exp -= 2 * e.delta
-        vertices = tuple(
-            (
-                1 if v.level == LEVEL_ZERO else -1,
-                tuple(sorted(e.delta for e in graph.edges if vi in e.ends)),
-            )
-            for vi, v in enumerate(graph.vertices)
-        )
-        trees.append((coeff, lam_exp, vertices))
+            coeff *= _edge_coefficient(e.delta) * e.delta
+        vertices = []
+        for vi, v in enumerate(graph.vertices):
+            degs = [e.delta for e in graph.edges if vi in e.ends]
+            vertices.append((1 if v.level == LEVEL_ZERO else -1, len(degs), sum(degs)))
+        trees.append((coeff, tuple(vertices)))
     return tuple(trees)
 
 
@@ -195,32 +196,26 @@ def _placements(n: int, delta: int, exps: tuple) -> tuple:
     unmarked tree T is a fixed locus, and Aut T permutes these maps with the
     marked trees as orbits, each stabilised by its own automorphisms.  So
     the sum over marked trees with 1/|Aut| is the sum over unmarked trees
-    and all their marking maps with 1/|Aut T|.  A vertex factor depends only
-    on the vertex and the exponents placed on it, and is evaluated once per
-    table."""
-    factors = {}
-    polys = {}
-    for coeff, lam_exp, vertices in _unmarked_trees(delta):
-        levels = [LEVEL_ZERO if sign == 1 else LEVEL_INF for sign, _ in vertices]
+    and all their marking maps with 1/|Aut T|.  Every term stands at the
+    lam power the dimension fixes, 2 - n + sum(exps) - 2*delta, so the sums
+    run on Fractions and each RatFun is built once."""
+    sums = {}
+    for coeff, vertices in _unmarked_trees(delta):
+        levels = [LEVEL_ZERO if sign == 1 else LEVEL_INF for sign, _, _ in vertices]
         for where in itertools.product(range(len(vertices)), repeat=n):
             placed = [() for _ in vertices]
             for vi, k in zip(where, exps):
                 placed[vi] += (k,)
-            c, lam = coeff, lam_exp
-            for (sign, degs), ks in zip(vertices, placed):
-                key = sign, degs, ks
-                if key not in factors:
-                    factors[key] = _vertex_factor(sign, degs, ks)
-                value, k = factors[key]
-                if not value:
+            c = coeff
+            for (sign, f, total), ks in zip(vertices, placed):
+                c *= _vertex_weight(sign, f, total, ks)
+                if not c:
                     break
-                c *= value
-                lam += k
             else:
-                poly = polys.setdefault(tuple(levels[vi] for vi in where), {})
-                poly[lam, 0] = poly.get((lam, 0), 0) + c
-    values = ((placement, RatFun(poly)) for placement, poly in polys.items())
-    return tuple((placement, value) for placement, value in values if not value.is_zero())
+                placement = tuple(levels[vi] for vi in where)
+                sums[placement] = sums.get(placement, 0) + c
+    lam = 2 - n + sum(exps) - 2 * delta
+    return tuple((placement, RatFun({(lam, 0): c})) for placement, c in sums.items() if c)
 
 
 def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
@@ -262,19 +257,7 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
 # tail that carries the marking and 0 otherwise.  So the tails, their
 # cotangent transforms and the Lagrange root all run on Fractions, and the
-# lam powers come back once, where a cached series is first built.
-
-
-def _far_weight(sign: int, a: int, rest: int, f: int) -> Frac:
-    """Weight over lam^(2-f) of the far vertex of a tail's first edge, of
-    tangent weight t = sign*lam, less the first-edge degrees d_i of the
-    branches there, which the branches carry.  The first edge has degree a,
-    the d_i (the branch that carries the marking among them) sum to rest,
-    and the vertex holds f special points: its edges, plus one when the
-    marking sits on it.  The cotangent integrals sum to
-    a*prod(d_i)*(a+rest)^(f-3)*t^(2-f), which is also t/a at a bare leaf,
-    ab/(a+b) at a two-edge point and 1 at a marked leaf."""
-    return sign**f * a * Frac(a + rest) ** (f - 3)
+# lam powers come back once, where a series is built.
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,7 +288,9 @@ def _tail(level: str, a: int, degree: int, mark=None) -> Frac:
                 down = _tail(far, b, e, mark)
                 if down:
                     total += b * down * _far_vertex(far, a, b, 1, room - e)
-    return total * _edge_coefficient(a) / a
+    # the edge over its degree, times the degree a of its flag at the far
+    # vertex; the caller carries the near flag's
+    return total * _edge_coefficient(a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,14 +299,16 @@ def _far_vertex(level: str, a: int, rest: int, points: int, degree: int) -> Frac
     the sets of unmarked side branches there of total degree `degree`.  It
     holds `points` more special points, the marking or the first edge of
     the branch that carries it, and rest is that edge's degree (0 when the
-    marking sits on the vertex or is absent)."""
+    marking sits on the vertex or is absent).  The marking has no cotangent
+    power, so it weighs as one more flag; the flags' degrees are carried by
+    their edges."""
     sign = 1 if level == LEVEL_ZERO else -1
     total = Frac(0)
     for s in range(degree + 1):
         for m in range(min(s, 1), s + 1):
             side = _branches(level, m, s, degree)
             if side:
-                total += _far_weight(sign, a, rest + s, m + 1 + points) * side
+                total += _vertex_weight(sign, m + 1 + points, a + rest + s, ()) * side
     return total
 
 
@@ -392,7 +379,7 @@ def _tail_table(mark, y_order: int, z_order: int) -> dict:
 
 
 def _table_series(table: dict, marks: int, y_order: int) -> TruncSeries:
-    # the lam powers come back here, once per cached series
+    # the lam powers come back here, once per series
     return TruncSeries("y", y_order, {
         degree: RatFun({(1 - marks - 2 * degree - k, k): c for k, c in row.items()})
         for degree, row in table.items()
@@ -422,15 +409,10 @@ def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
     return TreeSeries(series, z_order)
 
 
-@functools.lru_cache(maxsize=None)
-def _unmarked_series(y_order: int, z_order: int) -> TreeSeries:
-    return TreeSeries(_table_series(_tail_table(None, y_order, z_order), 0, y_order), z_order)
-
-
 def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
     """Unmarked tail series at the zero fixed point; starts at first order."""
     _check_orders(y_order, z_order)
-    return _unmarked_series(y_order, z_order)
+    return TreeSeries(_table_series(_tail_table(None, y_order, z_order), 0, y_order), z_order)
 
 
 # ---------------------------------------------------------------------------

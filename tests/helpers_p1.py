@@ -13,13 +13,15 @@ The tail recursion after it is also on the package's kernel: it keeps
 every lam power and is keyed by degree budgets, where glsmx.p1series drops
 the lam powers and keys its tails by exact degree.  The rewritten values at
 the end are the three-point sums by diagonal extraction: they read the
-package's tail series, but none of its Lagrange root.
+package's tail series, but none of its Lagrange root.  The stationary
+invariants last use no localization and nothing from glsmx: they come from
+the GW/Hurwitz correspondence, over partitions of the degree.
 """
 
 import functools
 from fractions import Fraction as Frac
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import sympy
 
@@ -400,3 +402,102 @@ def rewritten_values(alphas, y_order):
     base = series_root_pow(three_point_sum((one, one, one), y_order) / dressing, Frac(1, 3))
     norm = base * base
     return tuple(three_point_sum((alpha, one, one), y_order) / dressing / norm for alpha in alphas)
+
+
+# ---------------------------------------------------------------------------
+# stationary invariants by the GW/Hurwitz correspondence
+
+
+def _bernoulli(m):
+    """B_m, with B_1 = -1/2."""
+    b = [Frac(1)]
+    for j in range(1, m + 1):
+        b.append(-sum(comb(j + 1, i) * b[i] for i in range(j)) / (j + 1))
+    return b[m]
+
+
+def _completed_cycle(k, lam):
+    """p_k(lam) = sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k] + (1 - 2^-k) zeta(-k),
+    with zeta(-k) = (-1)^k B_(k+1)/(k+1)."""
+    half = Frac(1, 2)
+    value = sum((part - i + half) ** k - (half - i) ** k for i, part in enumerate(lam, 1))
+    zeta = (-1) ** k * _bernoulli(k + 1) / (k + 1)
+    return value + (1 - Frac(1, 2**k)) * zeta
+
+
+def _partitions(d, top=None):
+    if d == 0:
+        yield ()
+        return
+    for head in range(min(d, top or d), 0, -1):
+        for tail in _partitions(d - head, head):
+            yield (head,) + tail
+
+
+def _dimension(lam):
+    # the hook length formula
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            below = sum(1 for later in lam[i + 1 :] if later > j)
+            hooks *= part - j + below
+    return factorial(sum(lam)) // hooks
+
+
+def _disconnected(ks, d):
+    """Okounkov-Pandharipande: the stationary invariant of the line with
+    insertions tau_k(point), k in ks, in degree d, of possibly disconnected
+    domains of every genus, sum over |lam| = d of (dim lam/d!)^2
+    prod p_(k+1)(lam)/(k+1)!."""
+    total = Frac(0)
+    for lam in _partitions(d):
+        term = Frac(_dimension(lam), factorial(d)) ** 2
+        for k in ks:
+            term *= _completed_cycle(k + 1, lam) / factorial(k + 1)
+        total += term
+    return total
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [(head,)] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [(head,) + blocks[i]] + blocks[i + 1 :]
+
+
+@functools.lru_cache(maxsize=None)
+def _connected(ks, d):
+    """The connected invariant of the sorted exponents ks in degree d, at
+    the genus the dimension fixes, by inclusion-exclusion over the ways a
+    disconnected domain splits: each set partition of the markings, each
+    degree per block, and m free components, which can only be unmarked
+    degree-one maps of genus zero, weighing 1/m!."""
+    twice_genus = sum(ks) - 2 * d + 2
+    if twice_genus < 0 or twice_genus % 2 or (d == 0 and len(ks) > 1):
+        return Frac(0)
+    value = _disconnected(ks, d)
+    for blocks in _set_partitions(tuple(range(len(ks)))):
+        for m in range(d + 1):
+            for degs in weak_compositions(d - m, len(blocks)):
+                if m == 0 and len(blocks) == 1:
+                    continue  # the connected value itself
+                term = Frac(1, factorial(m))
+                for block, e in zip(blocks, degs):
+                    term *= _connected(tuple(sorted(ks[i] for i in block)), e)
+                value -= term
+    return value
+
+
+def stationary_invariant(ks, d):
+    """Connected genus-zero invariant of the line in degree d with
+    insertions tau_k(point), k in ks, where sum(ks) = 2d - 2, from the
+    Hurwitz side alone: partitions, hook lengths and Bernoulli numbers, with
+    nothing from glsmx."""
+    ks = tuple(sorted(ks))
+    if not ks or sum(ks) != 2 * d - 2:
+        raise ValueError("stationary genus-zero invariants need sum(ks) = 2d - 2")
+    return _connected(ks, d)

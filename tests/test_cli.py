@@ -475,13 +475,14 @@ def test_square_root_ratio_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
 
 
 def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, cold_caches):
-    # doubling the far vertex of every tail whose first edge has degree one
+    # doubling the weight of a bare leaf at the end of a degree-one edge
     # doubles the lone one-edge tail at y^1; the y^0 part stays zero
-    far_weight = p1series._far_weight
+    vertex_weight = p1series._vertex_weight
     monkeypatch.setattr(
         p1series,
-        "_far_weight",
-        lambda sign, a, rest, f: far_weight(sign, a, rest, f) * (2 if a == 1 else 1),
+        "_vertex_weight",
+        lambda sign, f, total, ks: vertex_weight(sign, f, total, ks)
+        * (2 if (f, total) == (1, 1) else 1),
     )
     assert p1series.tree_series_eps(6, 12).coeff(0).is_zero()
     result = _run_criterion("unmarked series positivity")

@@ -22,6 +22,7 @@ from helpers_p1 import (
     psi_int_recursive,
     ratfun_to_sympy,
     rewritten_values,
+    stationary_invariant,
     three_point_sum,
     vertex_weight,
     walk_graph_sum,
@@ -43,11 +44,10 @@ from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
     Y_ORDER_CAP,
     Z_ORDER_CAP,
-    _far_weight,
     _rewrite_basis,
     _root_powers,
     _tail,
-    _vertex_factor,
+    _vertex_weight,
     hyperplane_class,
     idempotent_infinity,
     idempotent_zero,
@@ -244,9 +244,10 @@ def test_marked_trees_are_the_marking_maps_of_unmarked_trees(n, delta):
 
 
 def test_vertex_factor_is_the_composition_sum():
-    # the closed factor of a contracted component against its cotangent
-    # integrals summed over the compositions of the budget, one term per
-    # composition, with the recursive integrals of the oracle
+    # the closed weight of a contracted component, times the flag degrees
+    # its edges carry, against its cotangent integrals summed over the
+    # compositions of the budget, one term per composition, with the
+    # recursive integrals of the oracle
     for sign, f, nk in product((1, -1), range(4), range(5)):
         if f + nk < 3:
             continue
@@ -260,7 +261,8 @@ def test_vertex_factor_is_the_composition_sum():
                 for d, b in zip(degs, bs):
                     term *= (sign * d) ** (b + 1)
                 want += term
-            assert _vertex_factor(sign, degs, ks) == (want * sign ** (f + 1), -budget - 1)
+            got = _vertex_weight(sign, f, sum(degs), ks) * prod(degs)
+            assert got == want * sign ** (f + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +311,50 @@ def test_graph_sum_matches_the_per_tree_walk(n, delta):
     for _ in range(4):
         ins = [(CLS[rng.choice(sorted(CLS))], rng.randint(0, 2)) for _ in range(n)]
         assert p1_graph_sum(n, delta, ins) == walk_graph_sum(n, delta, ins)
+
+
+# every stationary genus-zero shape within the caps: point insertions whose
+# cotangent exponents fill the dimension, sum(ks) = 2*delta - 2
+STATIONARY_SHAPES = [
+    (ks, delta)
+    for delta in range(1, p1series.DELTA_CAP + 1)
+    for n in range(1, p1series.N_CAP + 1)
+    for ks in combinations_with_replacement(range(2 * delta - 1), n)
+    if sum(ks) == 2 * delta - 2
+]
+
+
+def test_stationary_oracle_pins():
+    # the Hurwitz-side oracle against published values: the one-point
+    # invariants 1/(d!)^2 of the J-function of the line, and multi-point
+    # ones from the GW/Hurwitz correspondence, some beyond the caps
+    for d in range(1, 6):
+        assert stationary_invariant((2 * d - 2,), d) == Frac(1, factorial(d) ** 2)
+    pins = {
+        ((0, 0, 0), 1): 1,
+        ((0, 2), 2): Frac(1, 2),
+        ((1, 1), 2): Frac(1, 2),
+        ((2, 2), 3): Frac(1, 3),
+        ((0, 1, 3), 3): Frac(1, 2),
+        ((3, 5), 5): Frac(1, 120),
+        ((0, 0, 0, 0, 8), 5): Frac(25, 576),
+    }
+    for (ks, d), value in pins.items():
+        assert stationary_invariant(ks, d) == value, (ks, d)
+
+
+def test_graph_sums_match_the_stationary_invariants():
+    # localization against the GW/Hurwitz correspondence, which shares no
+    # code with glsmx: at every stationary shape the sum stands at lam^0 and
+    # does not depend on the equivariant lift of the point class, so the
+    # zero point at every marking and a lift mixing both fixed points give
+    # the same number
+    assert len(STATIONARY_SHAPES) == 32
+    for ks, delta in STATIONARY_SHAPES:
+        want = RatFun(stationary_invariant(ks, delta))
+        mixed = [(P0 if i % 2 else PINF, k) for i, k in enumerate(ks)]
+        assert p1_graph_sum(len(ks), delta, [(P0, k) for k in ks]) == want, (ks, delta)
+        assert p1_graph_sum(len(ks), delta, mixed) == want, (ks, delta)
 
 
 def test_graph_sums_share_the_table_of_their_sorted_exponents(cold_caches):
@@ -402,9 +448,9 @@ def test_divisor_equation(n, delta, ins):
 @pytest.mark.parametrize("marked", [False, True])
 def test_far_weight_matches_vertex_oracle(sign, marked):
     # the incoming edge of degree a and side branches of degrees <= 3, with
-    # the marking (restriction r, no cotangent power) on the vertex or not;
-    # the branches carry their own first-edge degrees, and the weight
-    # stands at lam^(2-f)
+    # the marking (restriction r, no cotangent power) on the vertex or not,
+    # where it weighs as one more flag; the edges carry the flag degrees,
+    # and the weight stands at lam^(2-f)
     r = sympy.Symbol("r")
     t = sign * SLAM
     marks = [(r, 0)] if marked else []
@@ -412,7 +458,7 @@ def test_far_weight_matches_vertex_oracle(sign, marked):
     for f in range(1 + marked, 7):
         for a in (1, 2, 3):
             for degs in combinations_with_replacement((1, 2, 3), f - 1 - marked):
-                c = _far_weight(sign, a, sum(degs), f) * prod(degs)
+                c = a * _vertex_weight(sign, f, a + sum(degs), ()) * prod(degs)
                 got = sympy.Rational(c.numerator, c.denominator) * SLAM ** (2 - f)
                 want = vertex_weight(t, [t / d for d in (a,) + degs], marks)
                 assert sympy.cancel(got * (r if marked else 1) - want) == 0, (f, a, degs)
