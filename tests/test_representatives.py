@@ -151,6 +151,42 @@ def test_descending_chain_bytes_on_two_genus_one_vertices():
     )
 
 
+def test_descending_chain_bytes_on_a_degree_two_centre():
+    # the benchmark's second chain top at edge multiplicity 0 and leg 4/5:
+    # a genus-0 degree-2 centre splits into halves of equal genus and
+    # degree, so a split and its complement (halves exchanged) both occur
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
+    top = gr.DualGraph(
+        (
+            gr.Vertex(0, 2, ((1, Frac(4, 5)), (2, Frac(0)))),
+            gr.Vertex(1, 1, ((3, Frac(1, 5)),)),
+        ),
+        (gr.Edge((0, 1), (Frac(0), Frac(0))),),
+        0,
+    )
+    chains = gr.descending_chains(model, top, 16)
+    assert len(chains) == 148
+    assert _sha(repr(chains)) == (
+        "6880c05662b05bd70467184f3f04d26f7a1c224c280635449a07fc0b20b9558a"
+    )
+
+
+# edge degree 4 and 3 at epsilon 2/7: (0, 1, 3, 4) is 578 trees with four
+# edges, (1, 1, 2, 3) is 399 graphs, 120 of them with a cycle; repr covers
+# each representative with its tie count
+@pytest.mark.parametrize(
+    "key, count, digest",
+    [
+        ((0, 1, 3, 4), 578, "070a1791e8b390a27ef40d8af7dbfa4cd155d92fb56530197a24570e77e13050"),
+        ((1, 1, 2, 3), 399, "c15e9b4549e771f674e685bf61d74393beba527c2e0cd88e13c9798e3f3a841a"),
+    ],
+)
+def test_deep_census_bytes(key, count, digest):
+    census = gr._census(GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 7)), *key)
+    assert len(census) == count
+    assert _sha(repr(census)) == digest
+
+
 # the point model's census at genus 0 and degree 0 is the p1 fixed-locus
 # trees; one digest covers n <= 5 markings at one covering degree
 @pytest.mark.parametrize(
