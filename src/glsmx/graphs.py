@@ -665,7 +665,10 @@ def _census(model, g, n, beta, delta):
     found = {}
     # (genus, degree, level, half-edges, legs) -> (role, residue target)
     profiles = {}
-    fracs = [Frac(k, model.d) for k in range(model.d)]
+    # int vertex and int edge tuples -> the Vertex and Edge built for them,
+    # shared by every graph that has the part (a vertex tuple holds its level
+    # string where an edge tuple holds an int, so the two never collide)
+    parts = {}
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -688,7 +691,7 @@ def _census(model, g, n, beta, delta):
                         leg_dist,
                         found,
                         profiles,
-                        fracs,
+                        parts,
                     )
     return [found[k] for k in sorted(found)]
 
@@ -771,18 +774,19 @@ def _least_prefixes(kept, delta_opts, genus_budget, beta, nv, n):
 
 
 def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles, fracs
+    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles, parts
 ):
     """Add every valid graph on one decorated structure to found, by its
     least int form at scale d, paired with the number of vertex orders
     that reach that form.  Multiplicities stay residues k of k/d; a residue
     tuple compatible at every vertex is keyed as ints, and the graph is
-    built only for a key not seen before.  Every rule of validate
+    built only for a key not seen before, from the Vertex and Edge parts
+    that parts shares across the census.  Every rule of validate
     holds by construction but two, which depend on the structure alone and
     are decided before the residues: each vertex has a role, and each edge
     covers more than the basepoint order at its level-zero end.  A vertex's
     role and residue target depend on its counts alone, so profiles keeps
-    them for the whole enumeration.  fracs holds the multiplicities k/d."""
+    them for the whole enumeration."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -816,11 +820,8 @@ def _emit_candidates(
     ):
         return
     bases = [(genera[vi], degrees[vi], 0, levels[vi]) for vi in range(nv)]
-    for edge_ks in itertools.product(range(d), repeat=len(oriented)):
-        free = list(targets)
-        for (zero, inf), k in zip(oriented, edge_ks):
-            free[zero] -= k
-            free[inf] += k
+    legless = [not labels for labels in legs_at]
+    for edge_ks, free in _edge_residues(d, oriented, legless, targets):
         per_vertex = []
         for vi in range(nv):
             labels = legs_at[vi]
@@ -853,15 +854,61 @@ def _emit_candidates(
                 if key in found:
                     continue
                 found[key] = LocGraph(
-                    tuple(
-                        Vertex(g, b, tuple((l, fracs[k]) for l, k in legs), 0, lev)
-                        for g, b, _, lev, legs in verts
-                    ),
-                    tuple(
-                        Edge((zero, inf), (fracs[kz], fracs[ki]), dd)
-                        for zero, inf, kz, ki, dd in int_edges
-                    ),
+                    tuple(_loc_vertex(parts, v, d) for v in verts),
+                    tuple(_loc_edge(parts, e, d) for e in int_edges),
                 ), ties
+
+
+def _edge_residues(d, oriented, legless, targets):
+    """The edge-residue tuples of one decorated structure, each with what
+    it leaves at every vertex for the legs there to carry: the vertex's
+    target, less k at the level-zero end of each edge and plus k at the
+    other end.  The last edge at a legless vertex takes the one residue
+    that leaves a multiple of d there, given the edges before it (an edge
+    last at two legless vertices solves the first of them); every other
+    edge takes every residue in range(d).  A solved residue depends only on
+    earlier ones, so the tuples come in the lexicographic order of the full
+    product and drop only tuples that leave some legless vertex off the
+    grid; the caller still tests every vertex."""
+    closing = [None] * len(oriented)
+    for vi, bare in enumerate(legless):
+        if bare:
+            last = max((ei for ei, ends in enumerate(oriented) if vi in ends), default=None)
+            if last is not None and closing[last] is None:
+                closing[last] = vi
+    for chosen in itertools.product(range(d), repeat=closing.count(None)):
+        chosen = iter(chosen)
+        free = list(targets)
+        edge_ks = []
+        for (zero, inf), vi in zip(oriented, closing):
+            if vi is None:
+                k = next(chosen)
+            elif vi == zero:
+                k = free[zero] % d
+            else:
+                k = -free[inf] % d
+            free[zero] -= k
+            free[inf] += k
+            edge_ks.append(k)
+        yield edge_ks, free
+
+
+def _loc_vertex(parts, v, d):
+    """The Vertex of an int vertex tuple at scale d, built once per census."""
+    got = parts.get(v)
+    if got is None:
+        genus, degree, _, level, legs = v
+        got = parts[v] = Vertex(genus, degree, tuple((l, Frac(k, d)) for l, k in legs), 0, level)
+    return got
+
+
+def _loc_edge(parts, e, d):
+    """The Edge of an int edge tuple at scale d, built once per census."""
+    got = parts.get(e)
+    if got is None:
+        zero, inf, kz, ki, dd = e
+        got = parts[e] = Edge((zero, inf), (Frac(kz, d), Frac(ki, d)), dd)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +984,23 @@ def minimal_expansions(model, graph):
     vb = graph.v_bullet
     center = graph.vertices[vb]
     nv = len(graph.vertices)
+    slots = [
+        (ei, side)
+        for ei, e in enumerate(graph.edges)
+        for side in (0, 1)
+        if e.ends[side] == vb
+    ]
+    # a genus-0 centre has no genus to trade for a loop, so it is a dead
+    # end unless some division of its degree and special points leaves both
+    # halves of a split stable
+    points = len(center.legs) + len(slots)
+    if not center.genus and not any(
+        epsilon_stable(0, b1, n1 + 1, None)
+        and epsilon_stable(0, center.degree - b1, points - n1 + 1, None)
+        for b1 in range(center.degree + 1)
+        for n1 in range(points + 1)
+    ):
+        return {}
     # candidates are keyed in the int form, at one scale that holds the 1/d
     # grid and every input multiplicity; a DualGraph is built only for a key
     # not seen before.  The touched vertices drop their extra legs.
@@ -967,12 +1031,6 @@ def minimal_expansions(model, graph):
             return {}
     level = verts[vb][3]
     leg_ks = [_scaled(m, scale) for _, m in center.legs]
-    slots = [
-        (ei, side)
-        for ei, e in enumerate(graph.edges)
-        for side in (0, 1)
-        if e.ends[side] == vb
-    ]
     out = {}
 
     # trade one unit of genus for a loop
@@ -990,9 +1048,13 @@ def minimal_expansions(model, graph):
             vertices[vb] = Vertex(g0, center.degree, center.legs, 0, center.level)
             loop = Edge((vb, vb), (m, frac_bracket(-m)), None)
             out[key] = DualGraph(tuple(vertices), graph.edges + (loop,), vb)
-    # split the distinguished vertex in two
+    # split the distinguished vertex in two.  The complement split (the
+    # other genus, degree, legs and slots) gives the same triples with the
+    # halves exchanged, so each split is met once, at whichever of the pair
+    # comes first in loop order; that one keys both bullets first.
     new_index = nv
     n_legs = len(center.legs)
+    all_legs, all_slots = (1 << n_legs) - 1, (1 << len(slots)) - 1
     for g1 in range(center.genus + 1):
         for b1 in range(center.degree + 1):
             g2, b2 = center.genus - g1, center.degree - b1
@@ -1000,6 +1062,9 @@ def minimal_expansions(model, graph):
                 ones = [i for i in range(n_legs) if leg_mask >> i & 1]
                 twos = [i for i in range(n_legs) if not leg_mask >> i & 1]
                 for slot_mask in range(1 << len(slots)):
+                    split = (g1, b1, leg_mask, slot_mask)
+                    if (g2, b2, all_legs ^ leg_mask, all_slots ^ slot_mask) < split:
+                        continue  # met as its complement
                     moved = [s for si, s in enumerate(slots) if slot_mask >> si & 1]
                     # special points of the two halves, new edge included
                     n1 = len(ones) + len(slots) - len(moved) + 1
@@ -1130,10 +1195,29 @@ def _read_int(value, what, nullable=False):
     raise ValueError(f"{what} {value!r} is not an integer" + (" or null" if nullable else ""))
 
 
+def _read_record(value, where):
+    """A JSON object as given; a list or anything else is refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} {value!r} is not an object")
+    return value
+
+
+def _read_field(record, name, where):
+    if name not in record:
+        raise ValueError(f"{where} has no {name!r} field")
+    return record[name]
+
+
+def _read_list(value, what, length=None, shape="are not a list"):
+    """A list (or tuple) as given, of the given length when one is set."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise ValueError(f"{what} {value!r} {shape}")
+    return value
+
+
 def _read_ends(value, where):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"{where} ends {value!r} are not a pair of vertex indices")
-    return tuple(_read_int(x, f"{where} end") for x in value)
+    ends = _read_list(value, f"{where} ends", 2, "are not a pair of vertex indices")
+    return tuple(_read_int(x, f"{where} end") for x in ends)
 
 
 def _read_level(value, where):
@@ -1144,30 +1228,46 @@ def _read_level(value, where):
     )
 
 
+def _read_leg(value, where):
+    label, m = _read_list(value, f"{where} leg", 2, "is not a [label, multiplicity] pair")
+    return _read_int(label, f"{where} leg label"), _read_mult(m, f"{where} leg {label}")
+
+
+def _read_vertex(value, where):
+    v = _read_record(value, where)
+    return Vertex(
+        _read_int(_read_field(v, "genus", where), f"{where} genus"),
+        _read_int(_read_field(v, "degree", where), f"{where} degree"),
+        tuple(_read_leg(leg, where) for leg in _read_list(v.get("legs", []), f"{where} legs")),
+        _read_int(v.get("extra_legs", 0), f"{where} extra_legs"),
+        _read_level(v.get("level"), where),
+    )
+
+
+def _read_edge(value, where):
+    e = _read_record(value, where)
+    ends = _read_ends(_read_field(e, "ends", where), where)
+    mults = _read_list(
+        _read_field(e, "mults", where), f"{where} mults", 2, "are not a pair of multiplicities"
+    )
+    return Edge(
+        ends,
+        tuple(_read_mult(m, f"{where} side {s}") for s, m in enumerate(mults)),
+        _read_int(e.get("delta"), f"{where} covering degree", nullable=True),
+    )
+
+
 def graph_from_obj(obj):
+    """A graph from its JSON object.  Malformed input raises ValueError
+    naming the vertex or edge and the field it could not read."""
+    obj = _read_record(obj, "graph")
     vertices = tuple(
-        Vertex(
-            _read_int(v["genus"], f"vertex {vi} genus"),
-            _read_int(v["degree"], f"vertex {vi} degree"),
-            tuple(
-                (
-                    _read_int(l, f"vertex {vi} leg label"),
-                    _read_mult(m, f"vertex {vi} leg {l}"),
-                )
-                for l, m in v.get("legs", [])
-            ),
-            _read_int(v.get("extra_legs", 0), f"vertex {vi} extra_legs"),
-            _read_level(v.get("level"), f"vertex {vi}"),
-        )
-        for vi, v in enumerate(obj["vertices"])
+        _read_vertex(v, f"vertex {vi}")
+        for vi, v in enumerate(_read_list(_read_field(obj, "vertices", "graph"), "vertices"))
     )
     edges = tuple(
-        Edge(
-            _read_ends(e["ends"], f"edge {ei}"),
-            tuple(_read_mult(e["mults"][s], f"edge {ei} side {s}") for s in (0, 1)),
-            _read_int(e.get("delta"), f"edge {ei} covering degree", nullable=True),
-        )
-        for ei, e in enumerate(obj["edges"])
+        _read_edge(e, f"edge {ei}")
+        for ei, e in enumerate(_read_list(_read_field(obj, "edges", "graph"), "edges"))
     )
     nv = len(vertices)
     for ei, e in enumerate(edges):

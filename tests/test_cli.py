@@ -951,6 +951,19 @@ _INT_LEVEL = _with(
     ],
 )
 _THREE_ENDS = _with(FIG_TOP, edges=[{"ends": [0, 1, 1], "mults": ["4/5", "1/5"]}])
+# malformed records: a field missing, an edge or a leg not in its shape
+_LIST_EDGE = _with(FIG_TOP, edges=[[0, 1]])
+_NO_MULTS = _with(FIG_TOP, edges=[{"ends": [0, 1]}])
+_ONE_MULT = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["4/5"]}])
+_NO_GENUS = _with(
+    FIG_TOP,
+    vertices=[{"genus": 1, "degree": 0, "legs": [[1, "3/5"]]}, {"degree": 2, "legs": []}],
+)
+_SHORT_LEG = _with(
+    FIG_TOP,
+    vertices=[{"genus": 1, "degree": 0, "legs": [[1]]}, {"genus": 2, "degree": 2, "legs": []}],
+)
+_NO_EDGES = {k: v for k, v in FIG_TOP.items() if k != "edges"}
 _FAILURE_TEXT = [
     (_ZERO_DEN_LEG, "vertex 0 leg 1 multiplicity '1/0' has a zero denominator"),
     (_ZERO_DEN_MULT, "edge 0 side 1 multiplicity '1/0' has a zero denominator"),
@@ -960,6 +973,12 @@ _FAILURE_TEXT = [
     (_LIST_DELTA, "edge 0 covering degree [2] is not an integer or null"),
     (_INT_LEVEL, "vertex 0 level 0 is not null, '0' or 'inf'"),
     (_THREE_ENDS, "edge 0 ends [0, 1, 1] are not a pair of vertex indices"),
+    (_LIST_EDGE, "edge 0 [0, 1] is not an object"),
+    (_NO_MULTS, "edge 0 has no 'mults' field"),
+    (_ONE_MULT, "edge 0 mults ['4/5'] are not a pair of multiplicities"),
+    (_NO_GENUS, "vertex 1 has no 'genus' field"),
+    (_SHORT_LEG, "vertex 0 leg [1] is not a [label, multiplicity] pair"),
+    (_NO_EDGES, "graph has no 'edges' field"),
 ]
 
 
@@ -980,6 +999,13 @@ _FAILURE_TEXT = [
         ("aut", {"graph": _INT_LEVEL}),
         ("contract", {"graph": _LOC_TAIL, "epsilon": "2/5"}),
         ("aut", {"graph": _THREE_ENDS}),
+        ("aut", {"graph": _LIST_EDGE}),
+        ("order", {"a": FIG_TOP, "b": _NO_MULTS}),
+        ("contract", {"graph": _NO_GENUS, "epsilon": "2/5"}),
+        ("aut", {"graph": _ONE_MULT}),
+        ("contract", {"graph": _ONE_MULT, "epsilon": "2/5"}),
+        ("order", {"a": _SHORT_LEG, "b": FIG_TOP}),
+        ("aut", {"graph": _NO_EDGES}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):

@@ -722,8 +722,7 @@ def test_unmarked_census_builds_relabellings_only_for_fixers(monkeypatch):
 def _labelled_loop(model, g, n, beta, delta):
     """The census with no pruning: every labelled structure, both level
     assignments and every prefix, in the enumerator's loop order."""
-    found, profiles = {}, {}
-    fracs = [Frac(k, model.d) for k in range(model.d)]
+    found, profiles, parts = {}, {}, {}
     for ne in range(1, delta + 1) if delta else (0,):
         for nv in range(max(1, ne + 1 - g), ne + 2):
             genus_budget = g - (ne - nv + 1)
@@ -753,7 +752,7 @@ def _labelled_loop(model, g, n, beta, delta):
                             leg_dist,
                             found,
                             profiles,
-                            fracs,
+                            parts,
                         )
     return [found[k][0] for k in sorted(found)]
 
@@ -793,6 +792,59 @@ def test_point_model_census_equals_the_labelled_loop():
     for key in keys:
         got = G._enumerate_loc_graphs(_POINT_MODEL, *key)
         assert got == _labelled_loop(_POINT_MODEL, *key), key
+
+
+# levelled structures the residue solve must cover: trees (a path, a star,
+# a longer path), a double edge and a 4-cycle, where a solved edge closes a
+# cycle and an edge can be last at both its ends
+_RESIDUE_STRUCTURES = [
+    ((0, 1),),
+    ((0, 1), (1, 2)),
+    ((0, 1), (0, 2), (0, 3)),
+    ((0, 1), (1, 2), (2, 3)),
+    ((0, 1), (0, 1)),
+    ((0, 1), (0, 1), (1, 2)),
+    ((0, 1), (1, 2), (2, 3), (0, 3)),
+]
+
+
+@st.composite
+def _residue_scan(draw):
+    structure = draw(st.sampled_from(_RESIDUE_STRUCTURES))
+    nv = 1 + max(max(e) for e in structure)
+    sides = G._bipartition(nv, structure)
+    flip = draw(st.integers(0, 1))
+    oriented = [(a, b) if sides[a] == flip else (b, a) for a, b in structure]
+    d = draw(st.integers(1, 5))
+    legless = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
+    targets = draw(st.lists(st.integers(-2 * d, 2 * d), min_size=nv, max_size=nv))
+    return d, oriented, legless, targets
+
+
+@given(_residue_scan())
+@settings(deadline=None, max_examples=200)
+def test_edge_residues_solve_the_closing_edges(drawn):
+    # the solved scan passes the congruence test on exactly the tuples of
+    # the full product that pass it, in the same order, and scans d to the
+    # number of edges that close no legless vertex
+    d, oriented, legless, targets = drawn
+
+    def congruent(ks):
+        free = list(targets)
+        for (zero, inf), k in zip(oriented, ks):
+            free[zero] -= k
+            free[inf] += k
+        return all(free[vi] % d == 0 for vi, bare in enumerate(legless) if bare)
+
+    solved = [tuple(ks) for ks, _ in G._edge_residues(d, oriented, legless, targets)]
+    full = itertools.product(range(d), repeat=len(oriented))
+    assert [ks for ks in solved if congruent(ks)] == [ks for ks in full if congruent(ks)]
+    closing = {
+        max(ei for ei, ends in enumerate(oriented) if vi in ends)
+        for vi, bare in enumerate(legless)
+        if bare
+    }
+    assert len(solved) == d ** (len(oriented) - len(closing))
 
 
 @pytest.mark.parametrize(
@@ -1349,6 +1401,52 @@ def test_descending_chains_expand_through_the_module_function(monkeypatch):
     chains = G.descending_chains(QUINTIC, _small_top(), 12)
     assert len(chains) > 1
     assert len(seen) == len({G.canonical_key(g) for chain in chains for g in chain})
+
+
+def _two_genus_one_top():
+    # two genus-1 degree-1 vertices, the centre with two legs: 2214 chains
+    return G.DualGraph(
+        (
+            G.Vertex(1, 1, ((1, Frac(1, 5)), (2, Frac(4, 5)))),
+            G.Vertex(1, 1, ((3, Frac(3, 5)),)),
+        ),
+        (G.Edge((0, 1), (Frac(2, 5), Frac(3, 5))),),
+        0,
+    )
+
+
+def _counted(monkeypatch, name):
+    """Wrap the module function name so that each call adds one to the
+    returned list's only entry."""
+    real = getattr(G, name)
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(G, name, counting)
+    return calls
+
+
+def test_chain_search_keys_each_split_once(monkeypatch):
+    # a split and its complement give the same triples with the halves
+    # exchanged, so only the first of the pair is keyed: one least form for
+    # the top, the rest from minimal_expansions (2108 when both were keyed)
+    keyed = _counted(monkeypatch, "_least_form")
+    assert len(G.descending_chains(QUINTIC, _two_genus_one_top(), 16)) == 2214
+    assert keyed[0] == 1 + 1074
+
+
+def test_chain_search_stops_early_at_dead_ends(monkeypatch):
+    # of the 830 graphs expanded, 415 have a genus-0 centre that no split
+    # leaves stable; they return before the int form, which the rest build
+    # once each (the top's key takes one more)
+    expanded = _counted(monkeypatch, "minimal_expansions")
+    built = _counted(monkeypatch, "_int_form")
+    assert len(G.descending_chains(QUINTIC, _two_genus_one_top(), 16)) == 2214
+    assert expanded[0] == 830
+    assert built[0] == 1 + 415
 
 
 def test_descending_chains_respect_bound():
