@@ -993,12 +993,12 @@ def minimal_expansions(model, graph):
     # a genus-0 centre has no genus to trade for a loop, so it is a dead
     # end unless some division of its degree and special points leaves both
     # halves of a split stable
-    points = len(center.legs) + len(slots)
+    special = len(center.legs) + len(slots)
     if not center.genus and not any(
         epsilon_stable(0, b1, n1 + 1, None)
-        and epsilon_stable(0, center.degree - b1, points - n1 + 1, None)
+        and epsilon_stable(0, center.degree - b1, special - n1 + 1, None)
         for b1 in range(center.degree + 1)
-        for n1 in range(points + 1)
+        for n1 in range(special + 1)
     ):
         return {}
     # candidates are keyed in the int form, at one scale that holds the 1/d
