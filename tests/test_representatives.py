@@ -171,6 +171,92 @@ def test_descending_chain_bytes_on_a_degree_two_centre():
     )
 
 
+def _tail_chain_degrees():
+    # the tail degrees of the contraction-corpus criterion, drawn as it
+    # draws them (its epsilon draw is skipped here)
+    rng = random.Random(48117)
+    out = []
+    for _ in range(50):
+        out.append([rng.randint(1, 3) for _ in range(rng.randint(1, 3))])
+        rng.randrange(5)
+    return out
+
+
+# the contraction-corpus epsilons, with 2/7 for 1/4: 1/4 is a wall, where
+# the contract report only reads OnWall
+@pytest.mark.parametrize(
+    "epsilon, basepoints, digest",
+    [
+        (None, 0, "bd378f13dfa6ac32bf756981688febde7f1922043645a75a5d9cf97a04880c8c"),
+        ("2/7", 50, "bb63f9a7187bf11da4391e41ebbd8dfad72a0e3085ad2c964b19145004c313d0"),
+        ("2/5", 35, "4e457a01d57730d7e0b515728cafa49fdbabccaa7f5a8b0f9baf771fb1c3ec2d"),
+        ("2/3", 18, "08ba69a9af6ff81f1a29cae8c48b527f055147f5ec001a98ea6f41d8ff80d321"),
+        ("3/2", 0, "46f16707a597ac91ab76119f69747849498abd3a674d17a2d9064005abe12240"),
+    ],
+)
+def test_contract_report_bytes_on_the_tail_chains(epsilon, basepoints, digest):
+    from glsmx.criteria import _chain_graph
+
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
+    reports = []
+    for degrees in _tail_chain_degrees():
+        block = {"graph": gr.graph_to_obj(_chain_graph(model, degrees))}
+        if epsilon is not None:
+            block["epsilon"] = epsilon
+        reports.append(run("contract", {"model": QUINTIC_LG, "contract": block}))
+    assert sum(len(r["results"]["basepoints"]) for r in reports) == basepoints
+    assert _sha(json.dumps(reports, indent=2)) == digest
+
+
+def _mixed_scale_pair():
+    # a has a 1/10 loop at its distinguished vertex, so scale 10; merging
+    # both vertices over both edges gives b, whose one leg has scale 5
+    a = gr.DualGraph(
+        (gr.Vertex(0, 1), gr.Vertex(1, 1, ((1, Frac(1, 5)),))),
+        (
+            gr.Edge((0, 1), (Frac(0), Frac(0))),
+            gr.Edge((0, 0), (Frac(1, 10), Frac(9, 10))),
+        ),
+        0,
+    )
+    b = gr.DualGraph((gr.Vertex(2, 2, ((1, Frac(1, 5)),)),), (), 0)
+    return a, b
+
+
+def test_graph_leq_table_bytes():
+    # every pair of a chain of the genus-one figure top up to three steps
+    # apart (so |V(a)| - |V(b)| runs over 0..3), both ways; the chain ends
+    # of neighbouring chains, both ways; and the mixed-scale pair
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG)
+    top = gr.DualGraph(
+        (
+            gr.Vertex(0, 2, ((1, Frac(0)), (2, Frac(3, 5)))),
+            gr.Vertex(1, 1, ((3, Frac(2, 5)),)),
+        ),
+        (gr.Edge((0, 1), (Frac(1, 5), Frac(4, 5))),),
+        1,
+    )
+    chains = gr.descending_chains(model, top, 16)
+    seen = set()
+    steps = []
+    for chain in chains:
+        for i, above in enumerate(chain):
+            for below in chain[i + 1 : i + 4]:
+                if (above, below) in seen:
+                    continue
+                seen.add((above, below))
+                steps.append([gr.graph_leq(model, below, above), gr.graph_leq(model, above, below)])
+    ends = [chain[-1] for chain in chains]
+    across = [[gr.graph_leq(model, p, q), gr.graph_leq(model, q, p)] for p, q in zip(ends, ends[1:])]
+    a, b = _mixed_scale_pair()
+    mixed = [gr.graph_leq(model, a, b), gr.graph_leq(model, b, a)]
+    assert (len(steps), sum(s[0] for s in steps), sum(s[1] for s in steps)) == (358, 358, 0)
+    assert (len(across), sum(s[0] for s in across), sum(s[1] for s in across)) == (189, 1, 95)
+    assert mixed == [True, False]
+    text = json.dumps({"steps": steps, "across": across, "mixed": mixed})
+    assert _sha(text) == "76c2b85b6a9bde7cd4ca2539bab7a39236ad93ba6ef32a997a18817c2523b874"
+
+
 # edge degree 4 and 3 at epsilon 2/7: (0, 1, 3, 4) is 578 trees with four
 # edges, (1, 1, 2, 3) is 399 graphs, 120 of them with a cycle; repr covers
 # each representative with its tie count
