@@ -86,19 +86,6 @@ class LocGraph:
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
-@dataclass(frozen=True)
-class Basepoint:
-    host: int
-    order: int
-    mult: Frac
-
-
-@dataclass(frozen=True)
-class ContractionRecord:
-    graph: DualGraph
-    basepoints: tuple
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -518,30 +505,33 @@ def contraction_pass(model, graph, records, epsilon):
     return graph, records, False
 
 
-def _contract_to_fixpoint(model, graph, records, epsilon):
-    changed = True
-    while changed:
-        graph, records, changed = contraction_pass(model, graph, records, epsilon)
-    return graph, records
-
-
 def contract_c(model, graph, epsilon):
     """Iteratively contract unstable rational tails into basepoints on their
-    attachment vertices, until every component is stable for the chamber."""
+    attachment vertices, until no pass contracts further.  Returns the
+    contracted graph and its basepoints as sorted (host, order, mult)
+    triples."""
     if not infinity_stable_graph(model, graph):
         raise NotInfinityStable("input graph is not stable in the infinity chamber")
-    out_graph, records = _contract_to_fixpoint(model, graph, (), epsilon)
-    basepoints = tuple(
-        Basepoint(h, o, m) for h, o, m in sorted(records, key=lambda r: (r[0], r[1]))
-    )
-    return ContractionRecord(out_graph, basepoints)
+    basepoints, changed = (), True
+    while changed:
+        graph, basepoints, changed = contraction_pass(model, graph, basepoints, epsilon)
+    return graph, tuple(sorted(basepoints))
 
 
-def is_contraction_fixpoint(model, record, epsilon):
-    """Whether re-running contraction on the record changes nothing."""
-    records = tuple((b.host, b.order, b.mult) for b in record.basepoints)
-    _, _, changed = contraction_pass(model, record.graph, records, epsilon)
-    return not changed
+def first_unstable_vertex(graph, basepoints, epsilon):
+    """The first vertex that is not stable for the chamber, or None: the
+    state contraction promises.  A vertex counts the orders of the
+    basepoints it hosts in its degree, and its extra legs among its special
+    points, as infinity_stable_graph does."""
+    hosted = {}
+    for host, order, _ in basepoints:
+        hosted[host] = hosted.get(host, ()) + (order,)
+    for vi, v in enumerate(graph.vertices):
+        orders = hosted.get(vi, ())
+        special = vertex_valence(graph, vi) + v.extra_legs
+        if not epsilon_stable(v.genus, v.degree + sum(orders), special, epsilon, orders):
+            return vi
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -638,20 +628,14 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
         raise BoundsExceeded("enumeration caps: g<=2, n<=4, beta<=6, delta<=4")
     if min(g, n, beta, delta) < 0:
         raise ConfigError("negative input")
-    return _enumerate_loc_graphs(model, g, n, beta, delta)
-
-
-def _enumerate_loc_graphs(model, g, n, beta, delta):
-    """enumerate_loc_graphs without its caps, for a caller that checks its
-    own."""
     return [graph for graph, _ in _census(model, g, n, beta, delta)]
 
 
 def _census(model, g, n, beta, delta):
-    """The graphs of _enumerate_loc_graphs, each paired with the number of
-    vertex orders that reach its least form: the vertex part of its
-    automorphism count, and all of it when the graph has no parallel edges
-    (a bipartite census has no loops).
+    """The graphs of enumerate_loc_graphs, without its caps, each paired
+    with the number of vertex orders that reach its least form: the vertex
+    part of its automorphism count, and all of it when the graph has no
+    parallel edges (a bipartite census has no loops).
 
     The loops run lexicographically over the prefix (structure, flip,
     deltas, genera, degrees, leg_dist) and then over the residues, and the
@@ -915,59 +899,55 @@ def _loc_edge(parts, e, d):
 # partial order on decorated triples
 
 
-def _contract_chosen(graph, subset, chosen, bullet_extra_legs=0):
-    """Replace the subgraph (subset, chosen edges) by a single distinguished
-    vertex; unchosen edges inside the subset become loops on it.  Extra legs
-    on the replacement vertex are a free decoration, so the caller supplies
-    the count to compare against."""
-    subset = frozenset(subset)
-    if _component_count(subset, (graph.edges[ei].ends for ei in chosen)) != 1:
+def _contract_chosen(verts, edges, subset, chosen, bullet_extra_legs):
+    """The least form, with its distinguished vertex, of the int-form graph
+    with the subgraph (subset, chosen edges) replaced by a single
+    distinguished vertex; unchosen edges inside the subset become loops on
+    it.  None when the chosen edges leave the subset disconnected.  Extra
+    legs on the replacement vertex are a free decoration, so the caller
+    supplies the count to compare against."""
+    if _component_count(subset, (edges[ei][:2] for ei in chosen)) != 1:
         return None
-    h1 = len(chosen) - len(subset) + 1
-    genus = h1 + sum(graph.vertices[v].genus for v in subset)
-    degree = sum(graph.vertices[v].degree for v in subset)
-    legs = tuple(sorted((l, m) for v in subset for l, m in graph.vertices[v].legs))
-    merged = Vertex(genus, degree, legs, bullet_extra_legs, None)
-    keep = [vi for vi in range(len(graph.vertices)) if vi not in subset]
+    genus = len(chosen) - len(subset) + 1 + sum(verts[v][0] for v in subset)
+    degree = sum(verts[v][1] for v in subset)
+    legs = tuple(sorted(leg for v in subset for leg in verts[v][4]))
+    keep = [vi for vi in range(len(verts)) if vi not in subset]
     remap = {vi: i for i, vi in enumerate(keep)}
-    new_index = len(keep)
-    vertices = tuple(graph.vertices[vi] for vi in keep) + (merged,)
-    edges = []
-    for ei, e in enumerate(graph.edges):
-        if ei in chosen:
-            continue
-        ends = tuple(remap.get(x, new_index) for x in e.ends)
-        edges.append(Edge(ends, e.mults, e.delta))
-    return DualGraph(vertices, tuple(edges), new_index)
+    merged = len(keep)
+    new_verts = [verts[vi] for vi in keep] + [(genus, degree, bullet_extra_legs, "", legs)]
+    new_edges = [
+        (remap.get(x, merged), remap.get(y, merged), kx, ky, dd)
+        for ei, (x, y, kx, ky, dd) in enumerate(edges)
+        if ei not in chosen
+    ]
+    return _least_form(new_verts, new_edges, merged)[0]
 
 
 def graph_leq(model, a, b):
     """Whether b is obtained from a by replacing a connected subgraph
-    containing a's distinguished vertex with b's distinguished vertex."""
+    containing a's distinguished vertex with b's distinguished vertex.
+    Such a subgraph has exactly |V(a)| - |V(b)| other vertices.  Both
+    graphs are keyed in the int form at one scale that holds the
+    multiplicities of each."""
     if a.v_bullet is None or b.v_bullet is None:
         raise ConfigError("partial order needs distinguished vertices")
     if total_genus(a) != total_genus(b) or total_degree(a) != total_degree(b):
         return False
-    target = canonical_key(b)
-    n = len(a.vertices)
-    others = [vi for vi in range(n) if vi != a.v_bullet]
-    for r in range(len(others) + 1):
-        if n - r < len(b.vertices):
-            continue
-        for extra in itertools.combinations(others, r):
-            subset = frozenset(extra) | {a.v_bullet}
-            inside = [ei for ei, e in enumerate(a.edges) if set(e.ends) <= subset]
-            for pick in range(1 << len(inside)):
-                chosen = {inside[i] for i in range(len(inside)) if pick >> i & 1}
-                contracted = _contract_chosen(
-                    a, subset, chosen, b.vertices[b.v_bullet].extra_legs
-                )
-                if contracted is None:
-                    continue
-                if len(contracted.vertices) != len(b.vertices):
-                    continue
-                if canonical_key(contracted) == target:
-                    return True
+    r = len(a.vertices) - len(b.vertices)
+    if r < 0:
+        return False
+    scale = math.lcm(_scale(a), _scale(b))
+    target = _least_form(*_int_form(b, scale), b.v_bullet)[0]
+    verts, edges = _int_form(a, scale)
+    extra_legs = b.vertices[b.v_bullet].extra_legs
+    others = [vi for vi in range(len(verts)) if vi != a.v_bullet]
+    for extra in itertools.combinations(others, r):
+        subset = {a.v_bullet, *extra}
+        inside = [ei for ei, e in enumerate(edges) if e[0] in subset and e[1] in subset]
+        for pick in range(1 << len(inside)):
+            chosen = {inside[i] for i in range(len(inside)) if pick >> i & 1}
+            if _contract_chosen(verts, edges, subset, chosen, extra_legs) == target:
+                return True
     return False
 
 

@@ -26,7 +26,7 @@ from math import comb, factorial, prod
 import sympy
 
 from glsmx.algebra import LAM as RF_LAM, RF_ONE, RF_ZERO, RatFun, TruncSeries, series_root_pow
-from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _enumerate_loc_graphs, aut_degree
+from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
 from glsmx.p1series import tree_series_S, tree_series_eps, unit_class
 
@@ -249,7 +249,7 @@ def walk_graph_sum(n, delta, insertions):
     insertions are (class on the line, cotangent exponent) pairs."""
     exps = [k for _, k in insertions]
     total = RF_ZERO
-    for graph in _enumerate_loc_graphs(POINT_MODEL, 0, n, 0, delta):
+    for graph, _ in _census(POINT_MODEL, 0, n, 0, delta):
         coeff, lam_exp, levels = walk_weight(graph, aut_degree(POINT_MODEL, graph)[0], exps)
         value = RatFun({(lam_exp, 0): coeff})
         for (alpha, _), level in zip(insertions, levels):

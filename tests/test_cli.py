@@ -252,6 +252,61 @@ def test_contract_degree_conserved(tmp_path):
     assert report["results"]["degree_after_with_basepoints"] == before
 
 
+def _contract_config(graph, epsilon, model=QUINTIC_LG):
+    return {"model": model, "contract": {"graph": graph, "epsilon": epsilon}}
+
+
+_TAIL_ON_ANCHOR = {
+    "kind": "dual",
+    "vertices": [
+        {"genus": 0, "degree": 1, "legs": []},
+        {"genus": 1, "degree": 1, "legs": [[1, "4/5"]]},
+    ],
+    "edges": [{"ends": [0, 1], "mults": ["3/5", "2/5"]}],
+}
+
+
+def _fixpoint_check(report):
+    return next(c for c in report["checks"] if c["name"] == "fixpoint")
+
+
+def test_contract_fixpoint_check_fails_when_no_pass_contracts(monkeypatch):
+    # the degree-1 tail is not 2/7-stable; a pass that never contracts
+    # leaves it in place, which the fixpoint check and criterion 8 both see
+    def never(model, graph, records, epsilon):
+        return graph, records, False
+
+    monkeypatch.setattr(criteria.gr, "contraction_pass", never)
+    report = run("contract", _contract_config(_TAIL_ON_ANCHOR, "2/7"))
+    assert report["results"]["basepoints"] == []
+    assert _fixpoint_check(report) == {
+        "name": "fixpoint",
+        "status": "fail",
+        "first_failure": "vertex 0 is not stable after contraction",
+    }
+    result = _run_criterion("contraction corpus")
+    assert result["first_failure"] == (
+        "IdentityFailed: vertex 3 unstable after contraction at degrees [3, 2, 1] eps 2/5"
+    )
+
+
+def test_contract_fixpoint_check_sees_a_lone_unstable_vertex():
+    # two degree-1 tails on a degree-0 centre with an extra leg contract
+    # into a lone vertex that no pass touches but that is not 2/7-stable
+    centre = {"genus": 0, "degree": 0, "legs": [], "extra_legs": 1}
+    tail = {"genus": 0, "degree": 1, "legs": []}
+    graph = {
+        "kind": "dual",
+        "vertices": [centre, tail, tail],
+        "edges": [{"ends": [0, 1], "mults": ["0", "0"]}, {"ends": [0, 2], "mults": ["0", "0"]}],
+    }
+    report = run("contract", _contract_config(graph, "2/7", QUINTIC_GEOM))
+    assert report["results"]["graph"]["vertices"] == [dict(centre, level=None)]
+    assert [b["order"] for b in report["results"]["basepoints"]] == [1, 1]
+    assert report["checks"][0]["status"] == "pass"
+    assert _fixpoint_check(report)["first_failure"] == "vertex 0 is not stable after contraction"
+
+
 def test_handler_error_becomes_failing_check():
     report = run("mu", {"model": dict(QUINTIC_LG, epsilon="1/2")})
     assert report["checks"][0]["name"] == "OnWall"

@@ -477,11 +477,11 @@ def _tail_on_anchor():
 def test_contract_single_pass():
     g = _tail_on_anchor()
     assert G.validate(QUINTIC, g) == []
-    rec = G.contract_c(QUINTIC, g, Frac(1, 4))
-    assert len(rec.graph.vertices) == 1
-    assert rec.graph.vertices[0] == G.Vertex(2, 1)
-    assert rec.basepoints == (G.Basepoint(0, 1, Frac(0)),)
-    assert G.is_contraction_fixpoint(QUINTIC, rec, Frac(1, 4))
+    out, basepoints = G.contract_c(QUINTIC, g, Frac(1, 4))
+    assert len(out.vertices) == 1
+    assert out.vertices[0] == G.Vertex(2, 1)
+    assert basepoints == ((0, 1, Frac(0)),)
+    assert G.first_unstable_vertex(out, basepoints, Frac(1, 4)) is None
 
 
 def _two_tail_chain():
@@ -496,20 +496,18 @@ def _two_tail_chain():
 def test_contract_cascades_two_passes():
     g = _two_tail_chain()
     assert G.validate(QUINTIC, g) == []
-    rec = G.contract_c(QUINTIC, g, Frac(1, 4))
-    assert len(rec.graph.vertices) == 1
-    assert rec.basepoints == (G.Basepoint(0, 2, Frac(0)),)
+    out, basepoints = G.contract_c(QUINTIC, g, Frac(1, 4))
+    assert len(out.vertices) == 1
+    assert basepoints == ((0, 2, Frac(0)),)
     # conservation: surviving degree plus orders equals the input degree
-    total = G.total_degree(rec.graph) + sum(b.order for b in rec.basepoints)
+    total = G.total_degree(out) + sum(order for _, order, _ in basepoints)
     assert total == G.total_degree(g)
 
 
 def test_contract_identity_for_large_epsilon():
     g = _tail_on_anchor()
     for eps in (2, None):
-        rec = G.contract_c(QUINTIC, g, eps)
-        assert rec.graph == g
-        assert rec.basepoints == ()
+        assert G.contract_c(QUINTIC, g, eps) == (g, ())
 
 
 def test_contract_rejects_unstable_input():
@@ -548,24 +546,24 @@ def test_contract_chain_properties(degrees, eps):
     ]
     graph = G.DualGraph(tuple(vertices), tuple(edges))
     assert G.validate(model, graph) == []
-    rec = G.contract_c(model, graph, eps)
-    conserved = G.total_degree(rec.graph) + sum(b.order for b in rec.basepoints)
+    out, basepoints = G.contract_c(model, graph, eps)
+    conserved = G.total_degree(out) + sum(order for _, order, _ in basepoints)
     assert conserved == G.total_degree(graph)
-    assert G.is_contraction_fixpoint(model, rec, eps)
+    assert G.first_unstable_vertex(out, basepoints, eps) is None
     hosted = {}
-    for b in rec.basepoints:
-        hosted.setdefault(b.host, []).append(b.order)
-    for vi, v in enumerate(rec.graph.vertices):
+    for host, order, _ in basepoints:
+        hosted.setdefault(host, []).append(order)
+    for vi, v in enumerate(out.vertices):
         # component degree includes the basepoints sitting on it
         assert G.epsilon_stable(
             v.genus,
             v.degree + sum(hosted.get(vi, ())),
-            G.vertex_valence(rec.graph, vi),
+            G.vertex_valence(out, vi),
             eps,
             hosted.get(vi, ()),
         )
     if eps is None:
-        assert rec.graph == graph and rec.basepoints == ()
+        assert (out, basepoints) == (graph, ())
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +779,7 @@ def test_enumerate_equals_the_labelled_loop(model):
     # skipping relabelled prefixes keeps every class and its first
     # representative, labels and order included
     for key in _SMALL_KEYS:
-        assert G._enumerate_loc_graphs(model, *key) == _labelled_loop(model, *key), key
+        assert [g for g, _ in G._census(model, *key)] == _labelled_loop(model, *key), key
 
 
 def test_point_model_census_equals_the_labelled_loop():
@@ -790,7 +788,7 @@ def test_point_model_census_equals_the_labelled_loop():
     keys = [(0, n, 0, delta) for n in range(5) for delta in range(4)]
     keys += [(0, 0, 0, 4), (0, 0, 0, 5), (0, 1, 0, 4), (0, 2, 0, 4)]
     for key in keys:
-        got = G._enumerate_loc_graphs(_POINT_MODEL, *key)
+        got = [g for g, _ in G._census(_POINT_MODEL, *key)]
         assert got == _labelled_loop(_POINT_MODEL, *key), key
 
 
@@ -1257,6 +1255,80 @@ def test_partial_order_unrelated():
         1,
     )
     assert not G.graph_leq(QUINTIC, other, _fig_top())
+
+
+def test_graph_leq_on_a_mixed_scale_pair():
+    # the loop at a's distinguished vertex carries a's only tenths, so a
+    # has scale 10 and b, its two vertices merged over both edges, scale 5
+    a = G.DualGraph(
+        (G.Vertex(0, 1), G.Vertex(1, 1, ((1, Frac(1, 5)),))),
+        (
+            G.Edge((0, 1), (Frac(0), Frac(0))),
+            G.Edge((0, 0), (Frac(1, 10), Frac(9, 10))),
+        ),
+        0,
+    )
+    b = G.DualGraph((G.Vertex(2, 2, ((1, Frac(1, 5)),)),), (), 0)
+    assert G.validate(QUINTIC, a) == [] and G.validate(QUINTIC, b) == []
+    assert (G._scale(a), G._scale(b)) == (10, 5)
+    assert G.graph_leq(QUINTIC, a, b)
+    assert not G.graph_leq(QUINTIC, b, a)
+
+
+def _connected_merges(graph, r):
+    """The (subset, chosen edges) pairs of graph that join its distinguished
+    vertex and r others, counted by flood fill over the chosen edges."""
+    count = 0
+    others = [vi for vi in range(len(graph.vertices)) if vi != graph.v_bullet]
+    for extra in itertools.combinations(others, r):
+        subset = {graph.v_bullet, *extra}
+        inside = [e.ends for e in graph.edges if set(e.ends) <= subset]
+        for k in range(len(inside) + 1):
+            for chosen in itertools.combinations(inside, k):
+                reached = {graph.v_bullet}
+                grew = True
+                while grew:
+                    grew = False
+                    for x, y in chosen:
+                        if (x in reached) != (y in reached):
+                            reached |= {x, y}
+                            grew = True
+                count += reached == subset
+    return count
+
+
+def test_graph_leq_keys_only_subsets_of_the_vertex_difference(monkeypatch):
+    # a four-vertex triple below the figure top against an unrelated
+    # two-vertex one of the same genus and degree: every merge of the
+    # distinguished vertex with two others is keyed, and nothing else
+    top = _fig_top()
+    a = next(
+        chain[-1]
+        for chain in G.descending_chains(QUINTIC, top, 16)
+        if len(chain[-1].vertices) == 4
+    )
+    b = G.DualGraph(
+        (G.Vertex(0, 0, ((1, Frac(3, 5)),)), G.Vertex(3, 2)),
+        (G.Edge((0, 1), (Frac(4, 5), Frac(1, 5))),),
+        1,
+    )
+    keyed = []
+    least_form = G._least_form
+
+    def counted(verts, edges, bullet=None):
+        keyed.append(len(verts))
+        return least_form(verts, edges, bullet)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("graph_leq built a graph object")
+
+    monkeypatch.setattr(G, "_least_form", counted)
+    for name in ("Vertex", "Edge", "DualGraph"):
+        monkeypatch.setattr(G, name, unbuilt)
+    assert not G.graph_leq(QUINTIC, a, b)
+    # the target, then one key per connected merge
+    assert keyed == [2] * (1 + _connected_merges(a, 2))
+    assert len(keyed) > 2
 
 
 def _small_top():

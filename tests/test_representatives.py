@@ -286,7 +286,7 @@ def test_deep_census_bytes(key, count, digest):
 )
 def test_point_model_census_bytes(delta, digest):
     text = "\n".join(
-        repr(gr._enumerate_loc_graphs(p1._POINT_MODEL, 0, n, 0, delta)) for n in range(6)
+        repr([g for g, _ in gr._census(p1._POINT_MODEL, 0, n, 0, delta)]) for n in range(6)
     )
     assert _sha(text) == digest
 
