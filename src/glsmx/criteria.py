@@ -48,10 +48,10 @@ def _expect(condition, message):
         raise IdentityFailed(message)
 
 
-def run_criterion(name, body, **kwargs):
-    """Run body(**kwargs) and return its check record under name."""
+def run_criterion(name, body):
+    """Run body() and return its check record under name."""
     try:
-        body(**kwargs)
+        body()
     except Exception as err:  # anything that breaks is a finding, not a crash
         return check_record(name, False, f"{type(err).__name__}: {err}")
     return check_record(name, True)
@@ -286,17 +286,12 @@ _CENSUS = {
 }
 
 
-def _graph_census_body(brute=None):
-    """Pass a callable (model, g, n, beta, delta) -> count to compare against
-    a live enumeration oracle on top of the frozen counts."""
+def _graph_census_body():
     model = GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Frac(2, 5))
     for (genus, markings, beta, delta), expected in sorted(_CENSUS.items()):
         where = f"(g={genus}, n={markings}, beta={beta}, delta={delta})"
         out = gr.enumerate_loc_graphs(model, genus, markings, beta, delta)
         _expect(len(out) == expected, f"count at {where}: {len(out)} vs {expected}")
-        if brute is not None:
-            live = brute(model, genus, markings, beta, delta)
-            _expect(live == expected, f"oracle count at {where}: {live} vs {expected}")
         for lam in out:
             _expect(not gr.validate(model, lam), f"invalid graph emitted at {where}")
 

@@ -297,10 +297,7 @@ def validate(model, graph):
 
 def infinity_stable_graph(model, graph):
     """Vertex-wise stability in the infinity chamber, extra legs counted."""
-    return all(
-        epsilon_stable(v.genus, v.degree, vertex_valence(graph, vi) + v.extra_legs, None)
-        for vi, v in enumerate(graph.vertices)
-    )
+    return first_unstable_vertex(graph, (), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +452,21 @@ def aut_degree(model, graph):
 # contraction of unstable rational tails
 
 
+def _hosted_orders(basepoints):
+    """The orders of the (host, order, mult) basepoints, by host vertex."""
+    hosted = {}
+    for host, order, _ in basepoints:
+        hosted[host] = hosted.get(host, ()) + (order,)
+    return hosted
+
+
 def contraction_pass(model, graph, records, epsilon):
     """One tail contraction if available.  records is a tuple of
     (host, order, mult) basepoint triples indexed in graph.  Returns
     (graph, records, changed)."""
     if len(graph.vertices) <= 1:
         return graph, records, False
-    hosted = {}
-    for host, order, _ in records:
-        hosted[host] = hosted.get(host, ()) + (order,)
+    hosted = _hosted_orders(records)
     for vi, v in enumerate(graph.vertices):
         he = half_edges_at(graph, vi)
         if v.genus or v.legs or v.extra_legs or len(he) != 1:
@@ -522,10 +525,8 @@ def first_unstable_vertex(graph, basepoints, epsilon):
     """The first vertex that is not stable for the chamber, or None: the
     state contraction promises.  A vertex counts the orders of the
     basepoints it hosts in its degree, and its extra legs among its special
-    points, as infinity_stable_graph does."""
-    hosted = {}
-    for host, order, _ in basepoints:
-        hosted[host] = hosted.get(host, ()) + (order,)
+    points."""
+    hosted = _hosted_orders(basepoints)
     for vi, v in enumerate(graph.vertices):
         orders = hosted.get(vi, ())
         special = vertex_valence(graph, vi) + v.extra_legs

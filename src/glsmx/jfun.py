@@ -279,13 +279,6 @@ def _ladder_plus(model, beta, twisted):
     return positive_z_part(_ladder(model, beta, twisted))
 
 
-def _plus_part(model, beta, epsilon, twisted):
-    """positive_z_part of unstable_J_coefficient, computed once per
-    (model, beta, twisted); the public entry still runs every check."""
-    unstable_J_coefficient(model, beta, epsilon, twisted)
-    return _ladder_plus(_without_epsilon(model), beta, twisted)
-
-
 def _check_q_max(q_max):
     if q_max < 0:
         raise ConfigError(f"series order {q_max} must be non-negative")
@@ -389,20 +382,33 @@ def edge_contribution(
 # chamber comparison
 
 
+def _is_plus_part(entry, coefficient, beta):
+    """Whether a mirror-map entry of degree beta holds exactly the z >= 0
+    terms of the coefficient, with the -z of degree 0 added back.  Runs term
+    by term on the int numerators, cross-multiplied by the two
+    denominators, so it shares no step with positive_z_part."""
+    for j, (f, g) in enumerate(zip(entry.coeffs, coefficient.coeffs)):
+        a, b = f.den[(0, 0)], g.den[(0, 0)]
+        have = {k: v * b for k, v in f.num.items()}
+        if beta == 0 and j == 0:
+            have[0, 1] = have.get((0, 1), 0) + a * b
+        want = {k: v * a for k, v in g.num.items() if k[1] >= 0}
+        if {k: v for k, v in have.items() if v} != want:
+            return False
+    return True
+
+
 def jwc_check(model, epsilon_1, epsilon_2, q_max):
     """Compare two stability chambers degree by degree.
 
-    Two families of checks, each run untwisted and twisted: the non-negative
-    part of every chamber coefficient must match the corresponding
-    I-coefficient truncation, and the mirror-map tables of the two chambers
-    must agree where both are defined and reduce to plain I-coefficient
-    parts where only one is.  Each check's first mismatch is recorded in
-    the report, whose "passed" is false if any check failed.
-
-    Both sides of the first family read the same cached coefficient, since
-    epsilon only gates its range, so that family checks the range gates and
-    not the values; the second family reads mu_table through the module, so
-    a corrupted table still fails.
+    Two families of checks, each run untwisted and twisted.
+    plus_part_vs_i compares every entry of each chamber's mirror-map
+    table, up to q_max, with the z-non-negative part of the small-chamber
+    I-coefficient of its degree, taken term by term here rather than
+    through positive_z_part.  mu_wall_crossing compares the two tables at
+    every degree both chambers hold.  Both read mu_table through the
+    module, so a corrupted table fails them.  Each check's first mismatch
+    is recorded in the report, whose "passed" is false if any check failed.
     """
     _check_q_max(q_max)
     bound_1 = _chamber_bound(epsilon_1)
@@ -410,35 +416,26 @@ def jwc_check(model, epsilon_1, epsilon_2, q_max):
     checks = []
     for twisted in (False, True):
         flavor = "twisted" if twisted else "untwisted"
+        table_1 = mu_table(model, epsilon_1, twisted)
+        table_2 = mu_table(model, epsilon_2, twisted)
 
         failure = None
-        for eps, bound in ((epsilon_1, bound_1), (epsilon_2, bound_2)):
+        chambers = ((epsilon_1, bound_1, table_1), (epsilon_2, bound_2, table_2))
+        for eps, bound, table in chambers:
             for beta in range(min(bound, q_max) + 1):
-                chamber = _plus_part(model, beta, eps, twisted)
-                target = _plus_part(model, beta, None, twisted)
-                if chamber != target:
+                coefficient = unstable_J_coefficient(model, beta, None, twisted)
+                if not _is_plus_part(table[beta], coefficient, beta):
                     failure = f"epsilon={eps} beta={beta}"
                     break
             if failure is not None:
                 break
         checks.append(check_record(f"plus_part_vs_i_{flavor}", failure is None, failure))
 
-        table_1 = mu_table(model, epsilon_1, twisted)
-        table_2 = mu_table(model, epsilon_2, twisted)
         failure = None
-        for beta in range(q_max + 1):
-            in_1 = beta <= bound_1
-            in_2 = beta <= bound_2
-            if in_1 and in_2:
-                if table_1[beta] != table_2[beta]:
-                    failure = f"beta={beta} differs between chambers"
-                    break
-            elif in_1 or in_2:
-                one_sided = table_1 if in_1 else table_2
-                target = _plus_part(model, beta, None, twisted)
-                if one_sided[beta] != target:
-                    failure = f"beta={beta} one-sided entry is not the plus part"
-                    break
+        for beta in range(min(bound_1, bound_2, q_max) + 1):
+            if table_1[beta] != table_2[beta]:
+                failure = f"beta={beta} differs between chambers"
+                break
         checks.append(check_record(f"mu_wall_crossing_{flavor}", failure is None, failure))
 
     low, high = sorted((bound_1, bound_2))

@@ -107,8 +107,8 @@ def list_sectors(model: GlsmModel) -> list:
 def solve_last_multiplicity(model: GlsmModel, genus: int, beta, mults) -> Frac:
     """The unique multiplicity in [0,1) whose appending makes the tuple
     compatible (the marking count includes the appended one)."""
-    defect = _compat_defect(model, genus, beta, tuple(mults) + (Frac(0),))
-    return frac_bracket(defect)
+    residue = Frac(compat_residue(model, genus, len(mults) + 1, beta), model.d)
+    return frac_bracket(residue - sum(mults, Frac(0)))
 
 
 def compat_residue(model: GlsmModel, genus: int, n: int, beta: int) -> int:
@@ -116,13 +116,6 @@ def compat_residue(model: GlsmModel, genus: int, n: int, beta: int) -> int:
     at n markings are compatible iff the k_i sum to it mod d."""
     # d * (2g - 2 + n - beta) / d in the LG phase, d * beta otherwise
     return (2 * genus - 2 + n - beta) % model.d if model.phase == LG else 0
-
-
-def _compat_defect(model, genus, beta, mults):
-    """Gauge-bundle degree minus the multiplicities (the marking count is
-    len(mults)).  Callers only test it for integrality or reduce it mod 1,
-    so a multiplicity may be off by an integer."""
-    return line_bundle_degree(model, genus, len(mults), beta) - sum(mults, Frac(0))
 
 
 def graph_multiplicities(model: GlsmModel, beta: int):

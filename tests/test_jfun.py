@@ -610,6 +610,53 @@ def test_jwc_detects_corruption(monkeypatch):
     assert any(c["status"] == "fail" and c["first_failure"] for c in report["checks"])
 
 
+def _z_filter(keep):
+    """positive_z_part with the z powers it keeps chosen by keep."""
+
+    def filtered(value):
+        kept = [
+            RatFun({k: v for k, v in f.num.items() if keep(k[1])}, f.den[(0, 0)])
+            for f in value.coeffs
+        ]
+        return CohClass(kept, value.relation, value.r)
+
+    return filtered
+
+
+@pytest.mark.parametrize(
+    "keep, where",
+    [(lambda n: True, "epsilon=2/7 beta=2"), (lambda n: n > 0, "epsilon=2/3 beta=1")],
+    ids=["every_z_power", "z_positive_only"],
+)
+def test_jwc_sees_a_broken_z_filter(monkeypatch, cold_caches, keep, where):
+    # the chamber tables are built through positive_z_part, and the check
+    # filters the I-coefficients itself, so a broken filter moves a table
+    # away from its own degree's coefficient
+    monkeypatch.setattr(jfun, "positive_z_part", _z_filter(keep))
+    report = jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 7), 4)
+    check = report["checks"][0]
+    assert check["name"] == "plus_part_vs_i_untwisted"
+    assert check["status"] == "fail"
+    assert check["first_failure"] == where
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@pytest.mark.parametrize(
+    "epsilons", [(Frac(2, 3), Frac(2, 3)), (Frac(2, 3), Frac(2, 7)), (Frac(2, 9), Frac(2, 5))]
+)
+def test_jwc_report_holds_the_four_checks(model, epsilons):
+    # perfbench fails every jwc report whose checks are not exactly these
+    report = jwc_check(model, *epsilons, 4)
+    assert [c["name"] for c in report["checks"]] == [
+        "plus_part_vs_i_untwisted",
+        "mu_wall_crossing_untwisted",
+        "plus_part_vs_i_twisted",
+        "mu_wall_crossing_twisted",
+    ]
+    assert report["passed"] is True
+
+
 def test_jwc_caps():
     with pytest.raises(BoundsExceeded):
         jwc_check(QUINTIC_LG, Frac(2, 3), Frac(2, 5), jfun.Q_CAP + 1)
