@@ -178,11 +178,6 @@ class RatFun:
     def is_zero(self):
         return not self.num
 
-    def laurent_terms(self):
-        """{(lam_exp, z_exp): Frac} of the Laurent polynomial this is."""
-        c = self.den[(0, 0)]
-        return {k: Frac(v, c) for k, v in self.num.items()}
-
     def as_frac(self):
         """Constant value, or None if lam/z actually occur."""
         if not self.num.keys() <= {(0, 0)}:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction as Frac
 
@@ -162,14 +163,17 @@ def _load_json(path):
 # report serialization
 
 
-def _lam_term(coeff, exponent):
+def _lam_term(num, den, exponent):
+    """The term num/den*lam^exponent, reduced by one gcd, with the
+    coefficient written as str(Fraction) writes it."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    coeff = str(num) if den == 1 else f"{num}/{den}"
     if exponent == 0:
-        return str(coeff)
+        return coeff
     power = "lam" if exponent == 1 else f"lam^{exponent}"
-    if coeff == 1:
-        return power
-    if coeff == -1:
-        return f"-{power}"
+    if den == 1 and num in (1, -1):
+        return power if num == 1 else f"-{power}"
     return f"{coeff}*{power}"
 
 
@@ -177,10 +181,10 @@ def _lam_string(f):
     """Exact rendering of a RatFun in lam alone as a Laurent sum."""
     if f.is_zero():
         return "0"
-    terms = f.laurent_terms()
-    if all(j == 0 for (_, j) in terms):
-        return join_terms([_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
-    return f"({render_ratfun(f)})"
+    if any(j for (_, j) in f.num):
+        return f"({render_ratfun(f)})"
+    den = f.den[(0, 0)]
+    return join_terms([_lam_term(v, den, i) for (i, _), v in sorted(f.num.items(), reverse=True)])
 
 
 def _coefficient_table(values):
@@ -190,8 +194,9 @@ def _coefficient_table(values):
     for beta in sorted(values):
         cells = {}
         for h, part in enumerate(values[beta].coeffs):
-            for (i, j), v in sorted(part.laurent_terms().items(), reverse=True):
-                cells.setdefault((j, h), []).append(_lam_term(v, i))
+            den = part.den[(0, 0)]
+            for (i, j), v in sorted(part.num.items(), reverse=True):
+                cells.setdefault((j, h), []).append(_lam_term(v, den, i))
         for (j, h), terms in sorted(cells.items()):
             table[f"{beta},{j},{h}"] = join_terms(terms)
     return table

@@ -295,7 +295,7 @@ def validate(model, graph):
     return out
 
 
-def infinity_stable_graph(model, graph):
+def infinity_stable_graph(graph):
     """Vertex-wise stability in the infinity chamber, extra legs counted."""
     return first_unstable_vertex(graph, (), None) is None
 
@@ -513,7 +513,7 @@ def contract_c(model, graph, epsilon):
     attachment vertices, until no pass contracts further.  Returns the
     contracted graph and its basepoints as sorted (host, order, mult)
     triples."""
-    if not infinity_stable_graph(model, graph):
+    if not infinity_stable_graph(graph):
         raise NotInfinityStable("input graph is not stable in the infinity chamber")
     basepoints, changed = (), True
     while changed:

@@ -1,27 +1,29 @@
 """Unstable quasimap contributions on the parameterized line.
 
-Four pieces, all in exact arithmetic: torus weight tables for the section
-and obstruction spaces of a line bundle on a football curve, the unstable
-coefficients of the small I-function together with the state-space sector
-each one lands in, the mirror-map tables whose entries measure the gap
-between stability chambers, and the localization factor carried by each
-edge of a decorated graph.  Coefficients live in rational functions of the
-framing weight and the series variable over a nilpotent hyperplane class
-whose order is the rank of the relevant state space.
+Three pieces, all in exact arithmetic: the unstable coefficients of the
+small I-function together with the state-space sector each one lands in,
+the mirror-map tables whose entries measure the gap between stability
+chambers, and the localization factor carried by each edge of a decorated
+graph.  Coefficients live in rational functions of the framing weight and
+the series variable over a nilpotent hyperplane class whose order is the
+rank of the relevant state space.
 
-The I-coefficients run on ints.  Each moving weight a*z + c*H contributes
-a factor (1 + x*u)^+-1 with x = c/a and u = H/z, and the u^j coefficient of
+The I-coefficients run on ints.  The moving weights come straight from the
+section and obstruction windows of each field bundle on the football, every
+degree and age scaled by d.  Each moving weight a*z + c*H contributes a
+factor (1 + x*u)^+-1 with x = c/a and u = H/z, and the u^j coefficient of
 the product is homogeneous of degree j in the x's.  Degrees, ages and the
 c's lie on the 1/d grid, so scaling every a and c by d and putting every x
 over L, the lcm of the scaled a's, turns the u^j coefficient into an int
-over L^j; one int denominator then serves every hyperplane power.
+over L^j; one int denominator then serves every hyperplane power.  The edge
+factors expand those rows on ints too, over one denominator per factor.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction as Frac
 
 from .algebra import (
@@ -45,12 +47,9 @@ from .model import (
     LG,
     GlsmModel,
     check_off_wall,
-    frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    line_bundle_degree,
     make_sector,
-    p_bundle_degree,
 )
 
 Q_CAP = 8
@@ -58,51 +57,6 @@ Q_CAP = 8
 # (model, beta, twisted) keys held by each coefficient cache; the four
 # acceptance models at beta <= Q_CAP, both twists, need 72
 _LADDER_CACHE_SIZE = 256
-
-# ---------------------------------------------------------------------------
-# weight tables for line bundles on the parameterized component
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Torus weights on the sections and obstructions of a line bundle."""
-
-    h0_weights: tuple
-    h1_weights: tuple
-
-
-def _checked_age(age):
-    age = Frac(age)
-    if not 0 <= age < 1:
-        raise InconsistentOrbData(f"age {age} outside [0, 1)")
-    return age
-
-
-def bundle_weights(rational_degree, age0, age_inf, tangent_weight, fiber_weight_0):
-    """Weight table of a line bundle on a football with orbifold points at
-    zero and infinity.
-
-    Sections push down to the coarse line with degree
-    D = rational_degree - age0 - age_inf, which must be an integer.  The
-    exponent-k section monomial at the zero point carries weight
-    fiber_weight_0 - k * tangent_weight for k = 0..D, and the obstruction
-    weights continue the same ladder through the window between D and zero.
-    Weights may be int, Frac, RatFun or CohClass valued; an int tangent and
-    an int fiber weight give a table of ints.
-    """
-    age0 = _checked_age(age0)
-    age_inf = _checked_age(age_inf)
-    coarse = Frac(rational_degree) - age0 - age_inf
-    if coarse.denominator != 1:
-        raise InconsistentOrbData(
-            f"degree {rational_degree} with ages {age0}, {age_inf} "
-            "has no integral pushforward"
-        )
-    degree = int(coarse)
-    h0 = tuple(fiber_weight_0 - k * tangent_weight for k in range(degree + 1))
-    h1 = tuple(fiber_weight_0 + (k + 1) * tangent_weight for k in range(-degree - 1))
-    return WeightTable(h0, h1)
-
 
 # ---------------------------------------------------------------------------
 # state-space conventions shared by every series in this module
@@ -189,35 +143,41 @@ def _ladder(model, beta, twisted):
     # truncated at u^r, so H^j carries scale * p_j * z^(e - j).
     #
     # Everything runs on ints.  Degrees, ages and the c's lie on the 1/d
-    # grid, so with tangent d and fiber d*degree each table entry is
-    # A = d*a, and x = c/a = C/A with C = d*c.  The u^j coefficient p_j is
-    # homogeneous of degree j in the x's, so with L = lcm of the A's and
-    # X = C*(L/A), p_j = Q_j/L^j where Q runs the same recurrences on the
-    # X's.  The scale is sn/sd, so every row sits over the one denominator
-    # sd*L^(r-1).  Below, a, c and x name the scaled A, C and X.
+    # grid, so every quantity is scaled by d: a weight's z-coefficient a
+    # becomes A = d*a, and x = c/a = C/A with C = d*c.  The u^j coefficient
+    # p_j is homogeneous of degree j in the x's, so with L = lcm of the A's
+    # and X = C*(L/A), p_j = Q_j/L^j where Q runs the same recurrences on
+    # the X's.  The scale is sn/sd, so every row sits over the one
+    # denominator sd*L^(r-1).  Below, a, c and x name the scaled A, C and X.
     r = state_rank(model)
     if model.phase == LG and not make_sector(model, j_sector(model, beta)).narrow:
         # broad sectors carry no state, so their coefficients vanish
         return state_unit(model) * RF_ZERO
     d = model.d
-    marked_mult = graph_multiplicities(model, beta)[0]
-    deg_l = line_bundle_degree(model, 0, 1, beta)
-    deg_p = p_bundle_degree(model, 0, 1, beta)
-    # (rational degree, age at infinity, C, multiplicity) of each field
-    # bundle; the auxiliary one counts N times
+    # (degree, age at infinity, C, multiplicity) of each field bundle on the
+    # parameterized component, degree and age times d; the auxiliary one
+    # counts N times
     if model.phase == LG:
-        fields = [(w * deg_l, frac_bracket(w * marked_mult), -w, 1) for w in model.weights]
-        fields.append((deg_p, frac_bracket(-d * marked_mult), d, model.N))
+        fields = [(-w * (beta + 1), -w * (beta + 1) % d, -w, 1) for w in model.weights]
+        fields.append((d * beta, 0, d, model.N))
     else:
-        fields = [(w * deg_l, 0, d * w, 1) for w in model.weights]
-        fields.append((deg_p, 0, -d * d, model.N))
+        fields = [(d * w * beta, 0, d * w, 1) for w in model.weights]
+        fields.append((-d * (d * beta + 1), 0, -d * d, model.N))
     # (A, C, multiplicity, +1 for an obstruction, -1 for a section) of each
-    # moving weight, in the order the factors are applied
+    # moving weight, in the order the factors are applied.  With tangent
+    # weight d and fiber weight D at zero, the pushforward has degree
+    # coarse = (D - age)/d; the sections sit at D - k*d for k = 0..coarse,
+    # the obstructions at D + k*d through the window below zero.
     moving = []
-    for degree, age_inf, c, mult in fields:
-        table = bundle_weights(degree, 0, age_inf, d, int(d * degree))
-        moving += [(a, c, mult, 1) for a in table.h1_weights if a]
-        moving += [(a, c, mult, -1) for a in table.h0_weights if a]
+    for degree, age, c, mult in fields:
+        coarse, rest = divmod(degree - age, d)
+        if rest:
+            raise InconsistentOrbData(
+                f"degree {Frac(degree, d)} with age {Frac(age, d)} at infinity "
+                "has no integral pushforward"
+            )
+        moving += [(degree + k * d, c, mult, 1) for k in range(1, -coarse) if degree + k * d]
+        moving += [(degree - k * d, c, mult, -1) for k in range(coarse + 1) if degree - k * d]
     lcm_a = 1
     for a, _, _, _ in moving:
         lcm_a = math.lcm(lcm_a, a)
@@ -243,7 +203,7 @@ def _ladder(model, beta, twisted):
     if model.phase == LG:
         # gerbe normalization: stabilizer order of the marked point over the
         # full orbifold structure group
-        sn *= isotropy_order(d, marked_mult)
+        sn *= isotropy_order(d, graph_multiplicities(model, beta)[0])
         sd *= d
     rows = [{(0, e - j): sn * q[j] * lcm_a ** (r - 1 - j)} for j in range(r)]
     for b in range(beta if twisted else 0):
@@ -352,30 +312,37 @@ def edge_contribution(
     # t = (lam - H)/delta_e: the coefficient over z at z = t, the twist
     # (delta_e - b)*t for b < beta_e, the moving cover sections
     # -b^2 t^2 for b <= delta_e, and the normal weight +-t of the vertex.
-    factor = Frac(1, isotropy_order(model.d, j_sector(model, beta_e)))
+    # The rational is fn/fd, on ints.
+    fn = (-1) ** delta_e
+    fd = isotropy_order(model.d, j_sector(model, beta_e)) * math.factorial(delta_e) ** 2
     shift = -1 - 2 * delta_e
-    for b in range(1, delta_e + 1):
-        factor /= -b * b
     if twisted:
         for b in range(beta_e):
-            factor *= delta_e - b
+            fn *= delta_e - b
         shift += beta_e
     if unstable_vertex is not None:
-        factor *= _level_sign(unstable_vertex)
+        fn *= _level_sign(unstable_vertex)
         shift += 1
     # a term c*lam^l*z^n*H^j becomes c*lam^l*t^m*H^j with m = n + shift, and
-    # t^m = delta_e^-m lam^m sum_i C(m, i) (-H/lam)^i, cut at H^r
+    # t^m = delta_e^-m lam^m sum_i C(m, i) (-H/lam)^i, cut at H^r.  Each row
+    # sits over fd * delta_e^top * lcm(row denominators), with top the
+    # largest m or 0, so every term is an int and C(m, i) runs exactly.
     r = state_rank(model)
+    coeffs = coefficient.coeffs
+    top = max([0] + [n + shift for f in coeffs for _, n in f.num])
+    lcm_den = math.lcm(*(f.den[(0, 0)] for f in coeffs))
     out = [{} for _ in range(r)]
-    for j, f in enumerate(coefficient.coeffs):
-        for (l, n), c in f.laurent_terms().items():
+    for j, f in enumerate(coeffs):
+        scale = fn * (lcm_den // f.den[(0, 0)])
+        for (l, n), c in f.num.items():
             m = n + shift
-            term = c * factor / Frac(delta_e) ** m
+            term = c * scale * delta_e ** (top - m)
             for i in range(r - j):
                 key = (l + m - i, 0)
                 out[j + i][key] = out[j + i].get(key, 0) + term
-                term = -term * (m - i) / (i + 1)
-    return CohClass([RatFun(terms) for terms in out], NILPOTENT, r)
+                term = -term * (m - i) // (i + 1)
+    den = fd * delta_e**top * lcm_den
+    return CohClass([RatFun(row, den) for row in out], NILPOTENT, r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """GLSM input datum and the sector / multiplicity arithmetic attached to it:
 sector classification, compatibility of marked-point multiplicities, the
-degrees of the gauge and auxiliary bundles, and the stability-gap margin
-used by the light-marking device."""
+degree of the gauge bundle, and the stability-gap margin used by the
+light-marking device."""
 
 from __future__ import annotations
 
@@ -128,9 +128,8 @@ def graph_multiplicities(model: GlsmModel, beta: int):
         raise ConfigError("degree must be non-negative")
     if model.phase == GEOMETRIC:
         return Frac(0), Frac(0)
-    marked = frac_bracket(Frac(-beta - 1, model.d))
-    basepoint = frac_bracket(Frac(beta + 1, model.d))
-    return marked, basepoint
+    d = model.d
+    return Frac(-(beta + 1) % d, d), Frac((beta + 1) % d, d)
 
 
 def line_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
@@ -138,14 +137,6 @@ def line_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
     if model.phase == LG:
         return Frac(2 * genus - 2 + n - beta, model.d)
     return Frac(beta)
-
-
-def p_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
-    """Rational degree of one auxiliary-field bundle (the dual d-th power
-    twisted by the log canonical)."""
-    if model.phase == LG:
-        return Frac(beta)
-    return -model.d * Frac(beta) + 2 * genus - 2 + n
 
 
 def choose_delta(epsilon) -> Frac:

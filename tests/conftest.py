@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+from fractions import Fraction as Frac
+
 import pytest
 
 from glsmx import jfun, p1series
@@ -44,3 +46,9 @@ def homogeneous_degree(f):
     one, else None."""
     degrees = {i + j for (i, j) in f.num}
     return degrees.pop() if len(degrees) == 1 else None
+
+
+def laurent_terms(f):
+    """{(lam_exp, z_exp): Frac} of the Laurent polynomial a RatFun is."""
+    c = f.den[(0, 0)]
+    return {k: Frac(v, c) for k, v in f.num.items()}

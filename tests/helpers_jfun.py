@@ -1,27 +1,32 @@
 """Independent oracles for the unstable J-coefficient machinery.
 
-Everything but the last oracle is computed in sympy, separately from the
-package's exact kernel: the closed hypergeometric product form of the
-I-coefficients, a two-chart Cech enumeration of line-bundle cohomology
-weights on a football P^1, and Laurent bookkeeping in z.  The hyperplane
-class is an honest sympy symbol truncated nilpotently by hand.  The last,
-fraction_ladder, is the coefficient ladder run step by step on Frac, the
-reference the int ladder must reproduce exactly.
+The sympy oracles are computed separately from the package's exact
+kernel: the closed hypergeometric product form of the I-coefficients, a
+two-chart Cech enumeration of line-bundle cohomology weights on a football
+P^1, and Laurent bookkeeping in z.  The hyperplane class is an honest sympy
+symbol truncated nilpotently by hand.  The Frac oracles keep the package's
+earlier routes: fraction_ladder is the coefficient ladder run step by step
+on Frac over the weight tables of bundle_weights, the reference the int
+ladder must reproduce exactly, and fraction_coefficient_table renders
+report tables through Frac terms, the reference for the int renderer.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction as Frac
 
 import sympy
 
+from conftest import laurent_terms
 from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
-from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun
-from glsmx.jfun import bundle_weights, j_sector, state_rank, state_unit
+from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun, join_terms, render_ratfun
+from glsmx.errors import InconsistentOrbData
+from glsmx.jfun import j_sector, state_rank, state_unit
 from glsmx.model import (
     LG,
     frac_bracket,
@@ -29,7 +34,6 @@ from glsmx.model import (
     isotropy_order,
     line_bundle_degree,
     make_sector,
-    p_bundle_degree,
 )
 
 SH = sympy.Symbol("H")
@@ -169,6 +173,55 @@ def same_weight_multiset(got, expected):
     return all(sympy.expand(a - b) == 0 for a, b in zip(got, expected))
 
 
+@dataclass(frozen=True)
+class WeightTable:
+    """Torus weights on the sections and obstructions of a line bundle."""
+
+    h0_weights: tuple
+    h1_weights: tuple
+
+
+def _checked_age(age):
+    age = Frac(age)
+    if not 0 <= age < 1:
+        raise InconsistentOrbData(f"age {age} outside [0, 1)")
+    return age
+
+
+def bundle_weights(rational_degree, age0, age_inf, tangent_weight, fiber_weight_0):
+    """Weight table of a line bundle on a football with orbifold points at
+    zero and infinity.
+
+    Sections push down to the coarse line with degree
+    D = rational_degree - age0 - age_inf, which must be an integer.  The
+    exponent-k section monomial at the zero point carries weight
+    fiber_weight_0 - k * tangent_weight for k = 0..D, and the obstruction
+    weights continue the same ladder through the window between D and zero.
+    Weights may be int, Frac, RatFun or CohClass valued; an int tangent and
+    an int fiber weight give a table of ints.
+    """
+    age0 = _checked_age(age0)
+    age_inf = _checked_age(age_inf)
+    coarse = Frac(rational_degree) - age0 - age_inf
+    if coarse.denominator != 1:
+        raise InconsistentOrbData(
+            f"degree {rational_degree} with ages {age0}, {age_inf} "
+            "has no integral pushforward"
+        )
+    degree = int(coarse)
+    h0 = tuple(fiber_weight_0 - k * tangent_weight for k in range(degree + 1))
+    h1 = tuple(fiber_weight_0 + (k + 1) * tangent_weight for k in range(-degree - 1))
+    return WeightTable(h0, h1)
+
+
+def p_bundle_degree(model, genus, n, beta):
+    """Rational degree of one auxiliary-field bundle (the dual d-th power
+    twisted by the log canonical)."""
+    if model.phase == LG:
+        return Frac(beta)
+    return -model.d * Frac(beta) + 2 * genus - 2 + n
+
+
 def fraction_ladder(model, beta, twisted):
     """The coefficient ladder as the package computed it on Frac before it
     moved to ints: the same weight tables and recurrences, every step a
@@ -238,3 +291,40 @@ def fraction_ladder(model, beta, twisted):
                     out[j + 1][l, n] = out[j + 1].get((l, n), 0) - c
         rows = out
     return CohClass([RatFun(row) for row in rows], NILPOTENT, r)
+
+
+def _fraction_lam_term(coeff, exponent):
+    if exponent == 0:
+        return str(coeff)
+    power = "lam" if exponent == 1 else f"lam^{exponent}"
+    if coeff == 1:
+        return power
+    if coeff == -1:
+        return f"-{power}"
+    return f"{coeff}*{power}"
+
+
+def fraction_lam_string(f):
+    """The report rendering of a RatFun in lam alone as the package wrote it
+    before it moved to ints: one Frac per Laurent term."""
+    if f.is_zero():
+        return "0"
+    terms = laurent_terms(f)
+    if all(j == 0 for (_, j) in terms):
+        return join_terms([_fraction_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
+    return f"({render_ratfun(f)})"
+
+
+def fraction_coefficient_table(values):
+    """The report's coefficient table rendered through Frac terms, as the
+    package wrote it before it moved to ints: {beta: CohClass} -> flat
+    {"beta,zpower,Hpower": lam string}, ordered by beta, z power, H power."""
+    table = {}
+    for beta in sorted(values):
+        cells = {}
+        for h, part in enumerate(values[beta].coeffs):
+            for (i, j), v in sorted(laurent_terms(part).items(), reverse=True):
+                cells.setdefault((j, h), []).append(_fraction_lam_term(v, i))
+        for (j, h), terms in sorted(cells.items()):
+            table[f"{beta},{j},{h}"] = join_terms(terms)
+    return table

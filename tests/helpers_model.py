@@ -1,7 +1,7 @@
 """Fraction reference arithmetic for line bundles on orbifold curves.
 
 The package tests multiplicities on integer residues (`compat_residue`) and
-reads section weights off ladders (`jfun.bundle_weights`); these oracles
+reads section weights off the int ladder of `jfun._ladder`; these oracles
 redo the same bookkeeping on `Fraction`s from the defining formulas, so the
 tests can compare the two.
 """

@@ -11,6 +11,7 @@ import os
 import pathlib
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,53 @@ def test_ifun_coefficient_table():
     assert not any(key.startswith("4,") for key in table)
     assert report["inputs"]["q_max"] == 6
     assert report_passed(report)
+
+
+CHAMBER_MODELS = (
+    QUINTIC_LG,
+    QUINTIC_GEOM,
+    {"weights": [1, 1, 2, 2], "N": 2, "d": 4, "phase": "lg"},
+    {"weights": [1, 1], "N": 2, "d": 2, "phase": "geometric"},
+)
+
+
+def test_chamber_reports_read_no_fraction_terms(monkeypatch):
+    # the ifun, mu and edge reports render their tables from the int
+    # numerators, so the table renderer builds no Fraction at all; counts
+    # only, nothing is timed
+    built = []
+    rendering = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if rendering:
+            built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def table(values):
+        rendering.append(True)
+        try:
+            return render(values)
+        finally:
+            rendering.pop()
+
+    render = cli._coefficient_table
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    monkeypatch.setattr(cli, "_coefficient_table", table)
+    reports = []
+    for model in CHAMBER_MODELS:
+        for twisted in (False, True):
+            reports.append(run("ifun", {"model": model, "ifun": {"q_max": 8, "twisted": twisted}}))
+            reports.append(run("mu", {"model": model, "mu": {"epsilon": "2/17", "twisted": twisted}}))
+            for delta, beta in ((1, 0), (3, 2), (4, 1)):
+                edge = {"delta": delta, "beta": beta, "twisted": twisted, "unstable_vertex": "inf"}
+                reports.append(run("edge", {"model": model, "edge": edge}))
+    assert len(reports) == 40
+    assert all(report_passed(r) for r in reports)
+    # only the (1,1,2,2) model renders empty tables: its untwisted
+    # mirror-map table has no z >= 0 term, and beta = 1 is a broad sector
+    assert sum(not r["results"]["coefficients"] for r in reports) == 3
+    assert built == []
 
 
 def test_mu_table_lambda_strings():

@@ -1238,7 +1238,7 @@ def test_figure_predecessors_are_below_top():
     ]
     for p in preds:
         assert G.validate(QUINTIC, p) == []
-        assert G.infinity_stable_graph(QUINTIC, p)
+        assert G.infinity_stable_graph(p)
         assert G.graph_leq(QUINTIC, p, top)
         assert not G.graph_leq(QUINTIC, top, p)
 
@@ -1350,7 +1350,7 @@ def test_minimal_expansions_are_strictly_below():
     assert preds
     for p in preds:
         assert G.validate(QUINTIC, p) == []
-        assert G.infinity_stable_graph(QUINTIC, p)
+        assert G.infinity_stable_graph(p)
         assert G.graph_leq(QUINTIC, p, top)
         assert not G.isomorphic(p, top)
         assert not G.graph_leq(QUINTIC, top, p)
@@ -1560,7 +1560,7 @@ def test_chain_length_tracks_deepest_graph():
         0,
     )
     assert not G.validate(QUINTIC, top)
-    assert G.infinity_stable_graph(QUINTIC, top)
+    assert G.infinity_stable_graph(top)
     chains = G.descending_chains(QUINTIC, top, 12)
     assert max(len(c) for c in chains) == 5  # exhaustive search, cap not hit
     for c in chains:

@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 
 from conftest import homogeneous_degree
 from helpers_jfun import (
+    bundle_weights,
     cech_table,
     closed_edge_factor,
     closed_j_coefficient,
     coh_to_sympy,
+    fraction_coefficient_table,
     fraction_ladder,
+    fraction_lam_string,
     lam_coefficient,
+    p_bundle_degree,
     same_weight_multiset,
     z_plus_part,
 )
@@ -29,7 +33,7 @@ from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
-from glsmx import jfun
+from glsmx import cli, jfun
 from glsmx.algebra import LAM, NILPOTENT, RF_ONE, Z, CohClass, RatFun
 from glsmx.errors import (
     BoundsExceeded,
@@ -41,7 +45,6 @@ from glsmx.errors import (
 )
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO
 from glsmx.jfun import (
-    bundle_weights,
     edge_contribution,
     i_function,
     j_sector,
@@ -62,7 +65,6 @@ from glsmx.model import (
     graph_multiplicities,
     isotropy_order,
     line_bundle_degree,
-    p_bundle_degree,
 )
 from glsmx.p1series import _edge_coefficient
 
@@ -260,6 +262,41 @@ def test_int_ladder_matches_the_fraction_ladder(name):
                 want = fraction_ladder(model, beta, twisted)
                 assert got == want, (model, beta, twisted)
                 assert repr(got) == repr(want), (model, beta, twisted)
+
+
+def _rendered_values():
+    """The {beta: CohClass} tables the reports render: I-functions of the
+    acceptance and named models through Q_CAP, one mirror-map table per
+    chamber bound, and edge factors up to delta 4, each both twists."""
+    named = LADDER_ORACLE_SETS["named_cy"][0]
+    for model in ALL_MODELS + named:
+        for twisted in (False, True):
+            yield i_function(model, jfun.Q_CAP, twisted)
+    for model in ALL_MODELS:
+        for twisted in (False, True):
+            for bound in range(1, jfun.Q_CAP + 1):
+                yield mu_table(model, Frac(2, 2 * bound + 1), twisted)
+            for delta in range(1, 5):
+                for beta in range(delta):
+                    for vertex in (None, LEVEL_ZERO, LEVEL_INF):
+                        value = edge_contribution(model, delta, beta, None, twisted, vertex)
+                        yield {beta: value}
+
+
+def test_int_renderer_matches_the_fraction_renderer():
+    # the report tables render on the int numerators over one denominator;
+    # the Frac-per-term renderer they replaced must give the same strings
+    # in the same order
+    tables = 0
+    for values in _rendered_values():
+        got = cli._coefficient_table(values)
+        assert list(got.items()) == list(fraction_coefficient_table(values).items())
+        for value in values.values():
+            for f in value.coeffs:
+                for part in f.z_parts().values():
+                    assert cli._lam_string(part) == fraction_lam_string(part)
+        tables += 1
+    assert tables == 32 + 64 + 240
 
 
 DUAL_PATH_CASES = [

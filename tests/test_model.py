@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_jfun import p_bundle_degree
 from helpers_model import OrbiBundleData, check_compatibility, euler_char
 
 from glsmx.errors import ConfigError, OnWall
@@ -20,7 +21,6 @@ from glsmx.model import (
     isotropy_order,
     line_bundle_degree,
     list_sectors,
-    p_bundle_degree,
     solve_last_multiplicity,
 )
 
@@ -207,6 +207,26 @@ def test_graph_multiplicities_balanced(beta):
     m = quintic_lg()
     a, b = graph_multiplicities(m, beta)
     assert (a + b).denominator == 1
+
+
+def _bracketed_multiplicities(model, beta):
+    # graph_multiplicities as it read before it moved to int residues
+    if model.phase == GEOMETRIC:
+        return Frac(0), Frac(0)
+    marked = frac_bracket(Frac(-beta - 1, model.d))
+    basepoint = frac_bracket(Frac(beta + 1, model.d))
+    return marked, basepoint
+
+
+@pytest.mark.parametrize("phase", [LG, GEOMETRIC])
+def test_graph_multiplicities_match_the_bracket_form(phase):
+    for d in range(1, 13):
+        model = GlsmModel((1,), 1, d, phase)
+        for beta in range(3 * d + 1):
+            got = graph_multiplicities(model, beta)
+            assert got == _bracketed_multiplicities(model, beta), (d, beta)
+            assert all(type(m) is Frac for m in got)
+            assert (got[0] + got[1]).denominator == 1
 
 
 # -- euler characteristic (the test oracle in helpers_model) ------------------
