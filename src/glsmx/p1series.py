@@ -2,17 +2,18 @@
 line.
 
 Four layers, all over exact rationals: descendant integrals on the moduli of
-pointed rational curves, fixed-graph sums for maps to the line, the marked
-and unmarked tail series rooted at the zero fixed point, and the rewrite of
-the marked tail against pulled-back cotangent classes, read as its cotangent
-transform at the Lagrange root of the unmarked one.  The square-root ratio
-identity between the two normalized fixed-point values lives there.
+pointed rational curves; one rooted recursion over the fixed-locus trees of
+maps to the line, the trees of covers between the two fixed points; the
+fixed-graph sums and the marked and unmarked tail series at the zero fixed
+point, both read from that recursion; and the rewrite of the marked tail
+against pulled-back cotangent classes, read as its cotangent transform at
+the Lagrange root of the unmarked one.  The square-root ratio identity
+between the two normalized fixed-point values lives there.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from math import factorial, prod
@@ -28,18 +29,12 @@ from .algebra import (
     series_root_pow,
 )
 from .errors import BoundsExceeded, ConfigError, IdentityFailed
-from .graphs import LEVEL_INF, LEVEL_ZERO, _census
-from .model import GEOMETRIC, GlsmModel
+from .graphs import LEVEL_INF, LEVEL_ZERO
 
 N_CAP = 5
 DELTA_CAP = 3
 Y_ORDER_CAP = 12
 Z_ORDER_CAP = 16
-
-# the census model whose genus-zero, degree-zero fixed loci are the fixed
-# loci of maps to the line: one field of weight one and d = 1, so every
-# multiplicity is 0 and every isotropy order is 1
-_POINT_MODEL = GlsmModel((1,), 1, 1, GEOMETRIC)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +129,9 @@ def _vertex_weight(sign: int, f: int, total: int, ks: tuple) -> Frac:
     less the insertions, less its lam power and less prod(d_j) over its f
     flags, whose edges carry them: total is sum(d_j), each flag has omega =
     t/d_j, and ks holds one cotangent exponent per marking.  A marking with
-    k = 0 weighs as one more flag would, so the tails pass their markings as
-    flags.  The lam power is 2 - f - len(ks) + sum(ks), so a tree's powers
-    add up to the dimension count and no caller tracks them."""
+    k = 0 weighs as one more flag would.  The lam power is 2 - f - len(ks)
+    + sum(ks), so a tree's powers add up to the dimension count and no
+    caller tracks them."""
     if f + len(ks) >= 3:
         # contracted component: the psi integrals over prod omega^(b+1),
         # summed over the compositions b of the budget, are by the
@@ -155,30 +150,91 @@ def _vertex_weight(sign: int, f: int, total: int, ks: tuple) -> Frac:
     return Frac(sign**f, total ** (3 - f))
 
 
-@functools.lru_cache(maxsize=None)
-def _unmarked_trees(delta: int) -> tuple:
-    """The fixed-locus trees of degree-delta maps with no markings, up to
-    isomorphism: the census of the point model at genus zero and degree
-    zero, and at delta = 0 the one-vertex trees at the two fixed points.
-    Each is (coefficient, vertices): the weight that no request changes,
-    its edges times the degrees of their two flags over |Aut|, and one
-    (sign, flag count, degree sum) per vertex of tangent weight sign*lam.
-    The census is bipartite, and at genus zero its graphs are trees, so
-    they have no loops or parallel edges and its tie count is |Aut|.
-    DELTA_CAP bounds the cache."""
-    if not delta:
-        return (Frac(1), ((1, 0, 0),)), (Frac(1), ((-1, 0, 0),))
-    trees = []
-    for graph, aut in _census(_POINT_MODEL, 0, 0, 0, delta):
-        coeff = Frac(1, aut)
-        for e in graph.edges:
-            coeff *= _edge_coefficient(e.delta) * e.delta
-        vertices = []
-        for vi, v in enumerate(graph.vertices):
-            degs = [e.delta for e in graph.edges if vi in e.ends]
-            vertices.append((1 if v.level == LEVEL_ZERO else -1, len(degs), sum(degs)))
-        trees.append((coeff, tuple(vertices)))
-    return tuple(trees)
+# Every fixed locus is a tree of covers between the two fixed points, and
+# one rooted recursion builds them all: a vertex, the set of branches that
+# hang from it, and a branch, its first edge and the vertex beyond.  Each
+# function returns {zero mask: Fraction}, where bit i is set when marking i,
+# of cotangent exponent exps[i], sits at the zero fixed point; every term
+# stands at the lam power its degree and markings fix, so the recursion runs
+# on Fractions.  A call that carries no marking passes exps = (), so the
+# tails and every graph sum share the unmarked tables.
+
+# (exponents, level, degrees, marking masks) keys held by the rooted-tree
+# caches; the exponents have no cap, so the caches need a bound
+_TREE_CACHE_SIZE = 4096
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def _vertex(exps: tuple, level: str, a: int, rest: int, free: int, fixed: int) -> dict:
+    """A vertex at `level`, entered by an edge of degree a (0 at the root),
+    with branches of total degree `rest` below it.  It holds the markings
+    in `fixed` and any subset of `free`, and its branches carry the rest of
+    `free`."""
+    sign = 1 if level == LEVEL_ZERO else -1
+    out = {}
+    for on in _submasks(free):
+        here = fixed | on
+        ks = tuple(k for i, k in enumerate(exps) if here >> i & 1)
+        own = here if sign == 1 else 0
+        down = free & ~on
+        for (f, s), table in _hanging(exps if down else (), level, down, rest).items():
+            w = _vertex_weight(sign, f + (a > 0), a + s, ks)
+            if w:
+                for mask, c in table.items():
+                    out[mask | own] = out.get(mask | own, 0) + w * c
+    return {mask: c for mask, c in out.items() if c}
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def _hanging(exps: tuple, level: str, marks: int, rest: int) -> dict:
+    """The sets of branches leaving a vertex at `level`, of total degree
+    `rest`, that carry the markings in `marks` between them, as {(branch
+    count, first-edge degree sum): table}.  A marked set splits off the
+    branch that holds its lowest marking, so each set is met once; an
+    unmarked set splits off any branch and is divided by its branch count,
+    which sums ordered tuples over m! as a sum over sets must."""
+    if not rest:
+        return {} if marks else {(0, 0): {0: Frac(1)}}
+    low = marks & -marks
+    out = {}
+    for e in range(1, rest + 1):
+        for extra in _submasks(marks & ~low):
+            mine = low | extra
+            others = marks & ~mine
+            sets = _hanging(exps if others else (), level, others, rest - e)
+            for a in range(1, e + 1):
+                branch = _branch(exps if mine else (), level, a, e, mine)
+                if not branch:
+                    continue
+                for (m, s), table in sets.items():
+                    entry = out.setdefault((m + 1, s + a), {})
+                    for bm, bc in branch.items():
+                        for tm, tc in table.items():
+                            entry[bm | tm] = entry.get(bm | tm, 0) + bc * tc
+    if not marks:
+        for (m, _), entry in out.items():
+            entry[0] /= m
+    return out
+
+
+@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
+def _branch(exps: tuple, level: str, a: int, degree: int, marks: int) -> dict:
+    """A branch of total degree `degree` whose first edge leaves `level`
+    with degree a, carrying the markings in `marks`: the edge's factor
+    _edge_coefficient(a)/a, times the degree a of each of its two flags,
+    which the vertex weights leave out, then the vertex beyond."""
+    scale = _edge_coefficient(a) * a
+    beyond = _vertex(exps, _flip(level), a, degree - a, marks, 0)
+    return {mask: scale * c for mask, c in beyond.items()}
 
 
 # (n, delta, sorted cotangent exponents) keys held by the placement cache;
@@ -192,30 +248,31 @@ def _placements(n: int, delta: int, exps: tuple) -> tuple:
     (sorted), less the insertions: one (fixed point of each marking, RatFun)
     pair per placement of the markings on the two fixed points.
 
-    The markings are labelled, so every map from them to the vertices of an
-    unmarked tree T is a fixed locus, and Aut T permutes these maps with the
-    marked trees as orbits, each stabilised by its own automorphisms.  So
-    the sum over marked trees with 1/|Aut| is the sum over unmarked trees
-    and all their marking maps with 1/|Aut T|.  Every term stands at the
-    lam power the dimension fixes, 2 - n + sum(exps) - 2*delta, so the sums
-    run on Fractions and each RatFun is built once."""
+    Each tree is rooted at the vertex of marking 0, which every automorphism
+    fixes, so the rooted sums divide by |Aut| as the fixed-graph sum does.
+    With no markings the vertex-rooted sum counts each tree |V| times, so
+    the edge-rooted sum, which counts it |E| = |V| - 1 times, comes off;
+    the levels make every edge one-sided.  Every term stands at the lam
+    power the dimension fixes, 2 - n + sum(exps) - 2*delta, so the sums run
+    on Fractions and each RatFun is built once."""
+    full = (1 << n) - 1
     sums = {}
-    for coeff, vertices in _unmarked_trees(delta):
-        levels = [LEVEL_ZERO if sign == 1 else LEVEL_INF for sign, _, _ in vertices]
-        for where in itertools.product(range(len(vertices)), repeat=n):
-            placed = [() for _ in vertices]
-            for vi, k in zip(where, exps):
-                placed[vi] += (k,)
-            c = coeff
-            for (sign, f, total), ks in zip(vertices, placed):
-                c *= _vertex_weight(sign, f, total, ks)
-                if not c:
-                    break
-            else:
-                placement = tuple(levels[vi] for vi in where)
-                sums[placement] = sums.get(placement, 0) + c
+    for level in (LEVEL_ZERO, LEVEL_INF):
+        for mask, c in _vertex(exps, level, 0, delta, full & ~1, full & 1).items():
+            sums[mask] = sums.get(mask, 0) + c
+    if not n:
+        sums[0] = sums.get(0, 0) - sum(
+            _branch((), LEVEL_INF, a, a + r, 0).get(0, 0)
+            * _vertex((), LEVEL_INF, a, delta - a - r, 0, 0).get(0, 0)
+            for a in range(1, delta + 1)
+            for r in range(delta - a + 1)
+        )
     lam = 2 - n + sum(exps) - 2 * delta
-    return tuple((placement, RatFun({(lam, 0): c})) for placement, c in sums.items() if c)
+    return tuple(
+        (tuple(LEVEL_ZERO if mask >> i & 1 else LEVEL_INF for i in range(n)), RatFun({(lam, 0): c}))
+        for mask, c in sums.items()
+        if c
+    )
 
 
 def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
@@ -252,82 +309,12 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # ---------------------------------------------------------------------------
 # tail series at the zero fixed point
 
-# A tail hangs off a fixed point by its first edge.  Every factor of its
+# A tail is a branch that leaves the zero fixed point.  Every factor of its
 # weight is a rational multiple of a power of lam, and the power is fixed by
 # the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
 # tail that carries the marking and 0 otherwise.  So the tails, their
 # cotangent transforms and the Lagrange root all run on Fractions, and the
 # lam powers come back once, where a series is built.
-
-
-@functools.lru_cache(maxsize=None)
-def _tail(level: str, a: int, degree: int, mark=None) -> Frac:
-    """Coefficient at lam^(1 - marks - 2*degree) of the tails of total
-    degree `degree` whose first edge leaves `level` with degree a.  `mark`
-    is None for an unmarked tail and otherwise the insertion's restrictions
-    at (zero, infinity) as Fractions, which enter each term exactly once;
-    `src` passes only the idempotents' (1, 0) and (0, 1).  Degrees shrink
-    strictly along the recursion, which grounds it, and the caps bound the
-    cache."""
-    room = degree - a
-    if room < 0:
-        return Frac(0)
-    far = _flip(level)
-    sign = 1 if far == LEVEL_ZERO else -1
-    points = 0 if mark is None else 1
-    # the marking, if any, on the far vertex, among unmarked side branches
-    on_far = 1 if mark is None else mark[0] if far == LEVEL_ZERO else mark[1]
-    total = Frac(0)
-    if on_far:
-        total += on_far * _far_vertex(far, a, 0, points, room)
-    if mark is not None:
-        # the marking beyond the far vertex, down a distinguished branch of
-        # first-edge degree b and total degree e
-        for e in range(1, room + 1):
-            for b in range(1, e + 1):
-                down = _tail(far, b, e, mark)
-                if down:
-                    total += b * down * _far_vertex(far, a, b, 1, room - e)
-    # the edge over its degree, times the degree a of its flag at the far
-    # vertex; the caller carries the near flag's
-    return total * _edge_coefficient(a)
-
-
-@functools.lru_cache(maxsize=None)
-def _far_vertex(level: str, a: int, rest: int, points: int, degree: int) -> Frac:
-    """The far vertex at `level` of a first edge of degree a, summed over
-    the sets of unmarked side branches there of total degree `degree`.  It
-    holds `points` more special points, the marking or the first edge of
-    the branch that carries it, and rest is that edge's degree (0 when the
-    marking sits on the vertex or is absent).  The marking has no cotangent
-    power, so it weighs as one more flag; the flags' degrees are carried by
-    their edges."""
-    sign = 1 if level == LEVEL_ZERO else -1
-    total = Frac(0)
-    for s in range(degree + 1):
-        for m in range(min(s, 1), s + 1):
-            side = _branches(level, m, s, degree)
-            if side:
-                total += _vertex_weight(sign, m + 1 + points, a + rest + s, ()) * side
-    return total
-
-
-@functools.lru_cache(maxsize=None)
-def _branches(level: str, m: int, s: int, degree: int) -> Frac:
-    """Sets of m unmarked side branches leaving `level` whose first-edge
-    degrees sum to s and whose total degrees sum to `degree`, summed: each
-    weighs the product over its branches of the first-edge degree times the
-    tail coefficient, at lam^(m - 2*degree) in all.  Summing ordered tuples
-    and dividing by m! implements the sum over unordered sets."""
-    if m == 0:
-        return Frac(s == 0 and degree == 0)
-    total = Frac(0)
-    for d in range(1, s - m + 2):
-        for e in range(d, degree - (s - d) + 1):
-            rest = _branches(level, m - 1, s - d, degree - e)
-            if rest:
-                total += d * _tail(level, d, e) * rest
-    return total / m
 
 
 @dataclass(frozen=True)
@@ -364,8 +351,18 @@ def _smoothed(mark, degree: int, k: int) -> Frac:
     """Coefficient at y^degree z^k of a tail series, at lam^(1 - marks -
     2*degree - k): every tail of that degree enters through the smoothing
     of its first node against the cotangent variable, whose z expansion
-    times lam is sum_k a^(k+1) z^k / lam^k."""
-    return sum(a ** (k + 1) * _tail(LEVEL_ZERO, a, degree, mark) for a in range(1, degree + 1))
+    times lam is sum_k a^(k+1) z^k / lam^k, one a of it the flag degree
+    the branch carries.  The marking has cotangent exponent 0; `mark` is
+    None for the unmarked tail and otherwise the insertion's restrictions
+    at (zero, infinity), weighing the marking at zero and at infinity."""
+    total = Frac(0)
+    for a in range(1, degree + 1):
+        if mark is None:
+            total += a**k * _branch((), LEVEL_ZERO, a, degree, 0).get(0, 0)
+        else:
+            table = _branch((0,), LEVEL_ZERO, a, degree, 1)
+            total += a**k * (mark[0] * table.get(1, 0) + mark[1] * table.get(0, 0))
+    return total
 
 
 def _tail_table(mark, y_order: int, z_order: int) -> dict:

@@ -7,18 +7,18 @@ import pytest
 from glsmx import jfun, p1series
 
 # the process-wide series caches: the jfun coefficient ladders, the p1
-# vertex weights, unmarked trees and placement tables of the graph sums, and
-# the p1 tail coefficients, marked series, Lagrange root and rewritten values
-# shared across orders and calls
+# vertex weights, the rooted-tree tables that the graph sums and the tails
+# share, the placement tables of the graph sums, and the p1 tail
+# coefficients, marked series, Lagrange root and rewritten values shared
+# across orders and calls
 _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
     p1series._vertex_weight,
-    p1series._unmarked_trees,
+    p1series._vertex,
+    p1series._hanging,
+    p1series._branch,
     p1series._placements,
-    p1series._tail,
-    p1series._far_vertex,
-    p1series._branches,
     p1series._smoothed,
     p1series._marked_basis,
     p1series._root_powers,

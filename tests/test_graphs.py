@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers_graphs import brute_aut_count, brute_loc_graphs
+from helpers_p1 import POINT_MODEL
 from glsmx import graphs as G
 from glsmx.errors import (
     BoundsExceeded,
@@ -702,8 +703,6 @@ def test_a_lone_vertex_keeps_both_levels(monkeypatch):
 def test_unmarked_census_builds_relabellings_only_for_fixers(monkeypatch):
     # each levelled class builds a relabelling only for the permutations
     # that keep it, not all nv! - 1 for every labelled structure
-    from glsmx.p1series import _POINT_MODEL
-
     calls = 0
     relabel = G._relabel
 
@@ -713,7 +712,7 @@ def test_unmarked_census_builds_relabellings_only_for_fixers(monkeypatch):
         return relabel(*args)
 
     monkeypatch.setattr(G, "_relabel", counted)
-    assert len(G._census(_POINT_MODEL, 0, 0, 0, 5)) == 37
+    assert len(G._census(POINT_MODEL, 0, 0, 0, 5)) == 37
     assert calls <= 1000
 
 
@@ -783,13 +782,11 @@ def test_enumerate_equals_the_labelled_loop(model):
 
 
 def test_point_model_census_equals_the_labelled_loop():
-    from glsmx.p1series import _POINT_MODEL
-
     keys = [(0, n, 0, delta) for n in range(5) for delta in range(4)]
     keys += [(0, 0, 0, 4), (0, 0, 0, 5), (0, 1, 0, 4), (0, 2, 0, 4)]
     for key in keys:
-        got = [g for g, _ in G._census(_POINT_MODEL, *key)]
-        assert got == _labelled_loop(_POINT_MODEL, *key), key
+        got = [g for g, _ in G._census(POINT_MODEL, *key)]
+        assert got == _labelled_loop(POINT_MODEL, *key), key
 
 
 # levelled structures the residue solve must cover: trees (a path, a star,

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import _CACHES, homogeneous_degree
 from helpers_p1 import (
     LAM as SLAM,
+    POINT_MODEL,
     brute_p1,
     budget_tail,
     psi_int_recursive,
@@ -45,8 +46,9 @@ from glsmx.p1series import (
     Y_ORDER_CAP,
     Z_ORDER_CAP,
     _rewrite_basis,
+    _branch,
+    _placements,
     _root_powers,
-    _tail,
     _vertex_weight,
     hyperplane_class,
     idempotent_infinity,
@@ -205,7 +207,7 @@ POINT_CLASS_COUNTS = {
 
 @pytest.mark.parametrize("n,delta", sorted(POINT_CLASS_COUNTS))
 def test_fixed_locus_class_counts(n, delta):
-    graphs = [graph for graph, _ in _census(p1series._POINT_MODEL, 0, n, 0, delta)]
+    graphs = [graph for graph, _ in _census(POINT_MODEL, 0, n, 0, delta)]
     assert len(graphs) == POINT_CLASS_COUNTS[(n, delta)]
     assert len({canonical_key(g) for g in graphs}) == len(graphs)
 
@@ -220,23 +222,23 @@ CAPPED_SHAPES = [
 
 @pytest.mark.parametrize("n,delta", CAPPED_SHAPES + [(0, 4), (0, 5)])
 def test_census_ties_are_the_automorphism_order(n, delta):
-    # the weight table divides by the census tie count, which is |Aut| only
-    # because the point model's trees have no parallel edges
-    census = _census(p1series._POINT_MODEL, 0, n, 0, delta)
+    # the census on its own: its tie count is |Aut| on the point model,
+    # whose trees have no parallel edges
+    census = _census(POINT_MODEL, 0, n, 0, delta)
     assert census
     for graph, ties in census:
-        assert ties == aut_degree(p1series._POINT_MODEL, graph)[0]
+        assert ties == aut_degree(POINT_MODEL, graph)[0]
 
 
 @pytest.mark.parametrize("n,delta", CAPPED_SHAPES)
 def test_marked_trees_are_the_marking_maps_of_unmarked_trees(n, delta):
-    # orbit counting, which the graph sums rest on: Aut T permutes the maps
-    # from the labelled markings to the vertices of an unmarked tree T, with
-    # the marked trees as orbits, so sum 1/|Aut| over the marked trees is
-    # sum |V(T)|^n/|Aut T| over the unmarked ones; at degree zero those are
-    # the one-vertex trees at the two fixed points
-    marked = sum(Frac(1, ties) for _, ties in _census(p1series._POINT_MODEL, 0, n, 0, delta))
-    unmarked = _census(p1series._POINT_MODEL, 0, 0, 0, delta)
+    # orbit counting on the census on its own: Aut T permutes the maps from
+    # the labelled markings to the vertices of an unmarked tree T, with the
+    # marked trees as orbits, so sum 1/|Aut| over the marked trees is sum
+    # |V(T)|^n/|Aut T| over the unmarked ones; at degree zero those are the
+    # one-vertex trees at the two fixed points
+    marked = sum(Frac(1, ties) for _, ties in _census(POINT_MODEL, 0, n, 0, delta))
+    unmarked = _census(POINT_MODEL, 0, 0, 0, delta)
     maps = sum(Frac(len(graph.vertices) ** n, ties) for graph, ties in unmarked) if delta else 2
     assert marked == maps
     if (n, delta) == (5, 3):
@@ -357,6 +359,38 @@ def test_graph_sums_match_the_stationary_invariants():
         assert p1_graph_sum(len(ks), delta, mixed) == want, (ks, delta)
 
 
+# the stationary shapes one degree past DELTA_CAP, sum(ks) = 6 at delta = 4
+STATIONARY_SHAPES_PAST_THE_CAP = [
+    ks
+    for n in range(1, p1series.N_CAP + 1)
+    for ks in combinations_with_replacement(range(7), n)
+    if sum(ks) == 6
+]
+
+
+def _placement_sum(delta, insertions):
+    # the graph sum read from its placement table, which p1_graph_sum's
+    # DELTA_CAP does not bound
+    pairs = sorted(insertions, key=lambda pair: pair[1])
+    total = RF_ZERO
+    for levels, value in _placements(len(pairs), delta, tuple(k for _, k in pairs)):
+        for (alpha, _), level in zip(pairs, levels):
+            value = value * restrict_at(alpha, level)
+        total = total + value
+    return total
+
+
+def test_placements_past_the_cap_match_the_stationary_invariants():
+    # the rooted recursion at delta = 4 against the GW/Hurwitz
+    # correspondence, with both lifts of the point class
+    assert len(STATIONARY_SHAPES_PAST_THE_CAP) == 31
+    for ks in STATIONARY_SHAPES_PAST_THE_CAP:
+        want = RatFun(stationary_invariant(ks, 4))
+        mixed = [(P0 if i % 2 else PINF, k) for i, k in enumerate(ks)]
+        assert _placement_sum(4, [(P0, k) for k in ks]) == want, ks
+        assert _placement_sum(4, mixed) == want, ks
+
+
 def test_graph_sums_share_the_table_of_their_sorted_exponents(cold_caches):
     # the sum is symmetric in the markings, so every order of the same
     # cotangent exponents reads one placement table
@@ -467,14 +501,21 @@ def test_far_weight_matches_vertex_oracle(sign, marked):
 @pytest.mark.parametrize("level", [LEVEL_ZERO, LEVEL_INF])
 @pytest.mark.parametrize("mark", [None, (1, 0), (0, 1)])
 def test_tail_coefficients_match_the_budget_recursion(level, mark, cold_caches):
-    # each degree-keyed coefficient, back at its lam power, against the
-    # budget-keyed tables on the kernel, at every degree up to 8
+    # each degree-keyed coefficient, a branch over the degree of its near
+    # flag and back at its lam power, against the budget-keyed tables on the
+    # kernel, at every degree up to 8; the marking has cotangent exponent 0
+    # and weighs its restriction at its fixed point
     at = None if mark is None else (RatFun(mark[0]), RatFun(mark[1]))
     marks = 0 if mark is None else 1
     for a in range(1, 9):
         table = budget_tail(level, a, 8, at)
         for degree in range(1, 9):
-            got = RatFun({(1 - marks - 2 * degree, 0): _tail(level, a, degree, mark)})
+            if mark is None:
+                c = _branch((), level, a, degree, 0).get(0, 0)
+            else:
+                branch = _branch((0,), level, a, degree, 1)
+                c = mark[0] * branch.get(1, 0) + mark[1] * branch.get(0, 0)
+            got = RatFun({(1 - marks - 2 * degree, 0): Frac(c, a)})
             assert got == table.get(degree, RF_ZERO), (a, degree)
 
 
@@ -814,7 +855,7 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
     # every tail coefficient is keyed by its exact degree, so once order 6
     # is built the lower orders read it: no cache misses, counted
     def misses():
-        caches = (p1series._tail, p1series._far_vertex, p1series._branches, p1series._smoothed)
+        caches = (p1series._vertex, p1series._hanging, p1series._branch, p1series._smoothed)
         return [f.cache_info().misses for f in caches]
 
     def serve(y):
@@ -837,6 +878,42 @@ def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
     _rewrite_basis(6)
     for y in range(2, 6):
         assert _rewrite_basis(y) == rising[y]
+
+
+# ---------------------------------------------------------------------------
+# the layers p1series reads
+
+
+def _package_imports(module):
+    """(module, name) for every name a module's source imports from glsmx,
+    name None where it imports a whole module."""
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            found.update(
+                (alias.name, None) for alias in node.names if alias.name.startswith("glsmx")
+            )
+        elif isinstance(node, ast.ImportFrom):
+            source = ".".join(filter(None, ("glsmx" if node.level else None, node.module)))
+            if source.split(".")[0] != "glsmx":
+                continue
+            for alias in node.names:
+                if source == "glsmx":
+                    found.add((f"glsmx.{alias.name}", None))
+                else:
+                    found.add((source, alias.name))
+    return found
+
+
+def test_p1series_reads_only_the_fixed_points_from_the_graph_layer():
+    # the graph sums and the tails build their trees by their own rooted
+    # recursion, so the census and its model stay an independent oracle
+    imports = _package_imports(p1series)
+    assert {name for source, name in imports if source == "glsmx.graphs"} == {
+        "LEVEL_ZERO",
+        "LEVEL_INF",
+    }
+    assert not {name for source, name in imports if source == "glsmx.model"}
 
 
 # ---------------------------------------------------------------------------

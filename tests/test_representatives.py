@@ -23,6 +23,7 @@ from fractions import Fraction as Frac
 
 import pytest
 
+from helpers_p1 import POINT_MODEL
 from glsmx import graphs as gr
 from glsmx import jfun
 from glsmx import p1series as p1
@@ -286,7 +287,7 @@ def test_deep_census_bytes(key, count, digest):
 )
 def test_point_model_census_bytes(delta, digest):
     text = "\n".join(
-        repr([g for g, _ in gr._census(p1._POINT_MODEL, 0, n, 0, delta)]) for n in range(6)
+        repr([g for g, _ in gr._census(POINT_MODEL, 0, n, 0, delta)]) for n in range(6)
     )
     assert _sha(text) == digest
 
