@@ -436,6 +436,16 @@ def _partial_order_body():
             _expect(not gr.validate(model, below), "chain entry fails validation")
             _expect(gr.graph_leq(model, below, above), "chain step not certified by graph_leq")
             _expect(not gr.graph_leq(model, above, below), "chain step reversed")
+            # the search expands each triple from the int form its parent's
+            # step carried; the public step rebuilds that form and checks it
+            key = gr.canonical_key(below)
+            _expect(
+                any(
+                    gr.canonical_key(p) == key
+                    for p in gr.minimal_expansions(model, above).values()
+                ),
+                "chain step is not a minimal expansion",
+            )
 
 
 def _stability_margin_body():

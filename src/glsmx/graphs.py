@@ -317,7 +317,9 @@ def _least_form(verts, edges, bullet=None):
     that keep isomorphism-invariant classes together, and the number of
     orders that reach it.  An isomorphism permutes vertices only within a
     class, so the least form is a total invariant, and the orders reaching
-    it are a coset of the automorphism group."""
+    it are a coset of the automorphism group.  Each block of alike vertices
+    is searched through _block_orders, which skips the orders that only
+    exchange twins."""
     incidences = [[] for _ in verts]
     for a, b, ka, kb, dd in edges:
         incidences[a].append((dd, ka, kb, verts[b]))
@@ -326,10 +328,19 @@ def _least_form(verts, edges, bullet=None):
     for vi, (v, inc) in enumerate(zip(verts, incidences)):
         inc.sort()
         groups.setdefault((v, tuple(inc)), []).append(vi)
-    blocks = [groups[k] for k in sorted(groups)]
+    block_orders = []
+    ways = 1
+    for k in sorted(groups):
+        block = groups[k]
+        if len(block) == 1:
+            block_orders.append((block,))
+        else:
+            orders, twin_ways = _block_orders(block, edges, bullet)
+            block_orders.append(orders)
+            ways *= twin_ways
     pos = [0] * len(verts)
     best, ties = None, 0
-    for choice in itertools.product(*(itertools.permutations(b) for b in blocks)):
+    for choice in itertools.product(*block_orders):
         order = tuple(itertools.chain.from_iterable(choice))
         for new, old in enumerate(order):
             pos[old] = new
@@ -349,7 +360,57 @@ def _least_form(verts, edges, bullet=None):
             best, ties = form, 1
         elif form == best:
             ties += 1
-    return best, ties
+    return best, ties * ways
+
+
+def _block_orders(block, edges, bullet):
+    """The orders of a block of alike vertices that the least form search
+    tries, and the number of orders each one stands for.
+
+    Twins are vertices of the block, the bullet aside, with the same
+    decorated edges to the same other vertices (so none between them).
+    Their loops then agree too, since the block fixes every vertex's
+    decorated incidences.  Exchanging two twins is an automorphism that
+    leaves every serialization as it was.  So each twin class keeps its
+    members in one order, only the distinct arrangements of the classes are
+    tried, and each stands for the product of the class sizes'
+    factorials."""
+    links = {vi: [] for vi in block if vi != bullet}
+    for a, b, ka, kb, dd in edges:
+        if a == b:
+            continue
+        if a in links:
+            links[a].append((b, dd, ka, kb))
+        if b in links:
+            links[b].append((a, dd, kb, ka))
+    classes = {}
+    for vi in block:
+        twin_key = None if vi == bullet else tuple(sorted(links[vi]))
+        classes.setdefault(twin_key, []).append(vi)
+    if len(classes) == len(block):
+        return itertools.permutations(block), 1
+    classes = list(classes.values())
+    return _arrangements(classes), math.prod(math.factorial(len(c)) for c in classes)
+
+
+def _arrangements(classes):
+    """The orders of the members of the classes that keep each class in its
+    given order: one per distinct sequence of class labels, in lexicographic
+    order by the next-permutation step on a multiset."""
+    labels = [ci for ci, c in enumerate(classes) for _ in c]
+    while True:
+        members = [iter(c) for c in classes]
+        yield tuple(next(members[ci]) for ci in labels)
+        i = len(labels) - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(labels) - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1:] = labels[:i:-1]
 
 
 def _scaled(m, scale):
@@ -650,9 +711,8 @@ def _census(model, g, n, beta, delta):
     found = {}
     # (genus, degree, level, half-edges, legs) -> (role, residue target)
     profiles = {}
-    # int vertex and int edge tuples -> the Vertex and Edge built for them,
-    # shared by every graph that has the part (a vertex tuple holds its level
-    # string where an edge tuple holds an int, so the two never collide)
+    # the Vertex and Edge objects of _shared_vertex and _shared_edge,
+    # shared by every graph that has the part
     parts = {}
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
@@ -839,8 +899,11 @@ def _emit_candidates(
                 if key in found:
                     continue
                 found[key] = LocGraph(
-                    tuple(_loc_vertex(parts, v, d) for v in verts),
-                    tuple(_loc_edge(parts, e, d) for e in int_edges),
+                    tuple(
+                        _shared_vertex(parts, genus, degree, level, legs, d)
+                        for genus, degree, _, level, legs in verts
+                    ),
+                    tuple(_shared_edge(parts, e, e[4], d) for e in int_edges),
                 ), ties
 
 
@@ -878,21 +941,26 @@ def _edge_residues(d, oriented, legless, targets):
         yield edge_ks, free
 
 
-def _loc_vertex(parts, v, d):
-    """The Vertex of an int vertex tuple at scale d, built once per census."""
-    got = parts.get(v)
+def _shared_vertex(parts, genus, degree, level, legs, scale):
+    """The Vertex with no extra legs and the int (label, k) legs at scale,
+    in their order, built once per parts.  Its key has four entries, an
+    edge key two, so the two never collide."""
+    key = (genus, degree, level, legs)
+    got = parts.get(key)
     if got is None:
-        genus, degree, _, level, legs = v
-        got = parts[v] = Vertex(genus, degree, tuple((l, Frac(k, d)) for l, k in legs), 0, level)
+        legs = tuple((label, Frac(k, scale)) for label, k in legs)
+        got = parts[key] = Vertex(genus, degree, legs, 0, level)
     return got
 
 
-def _loc_edge(parts, e, d):
-    """The Edge of an int edge tuple at scale d, built once per census."""
-    got = parts.get(e)
+def _shared_edge(parts, e, delta, scale):
+    """The Edge of an int edge tuple at scale with covering degree delta,
+    built once per parts."""
+    key = (e, delta)
+    got = parts.get(key)
     if got is None:
-        zero, inf, kz, ki, dd = e
-        got = parts[e] = Edge((zero, inf), (Frac(kz, d), Frac(ki, d)), dd)
+        a, b, ka, kb, _ = e
+        got = parts[key] = Edge((a, b), (Frac(ka, scale), Frac(kb, scale)), delta)
     return got
 
 
@@ -960,43 +1028,31 @@ def minimal_expansions(model, graph):
     Returned as {least int form at scale lcm(d, _scale(graph)): triple}; a
     step keeps every multiplicity and adds only ones on the 1/d grid, so
     that scale holds for every triple below."""
-    if graph.v_bullet is None:
-        raise ConfigError("partial order needs a distinguished vertex")
-    vb = graph.v_bullet
-    center = graph.vertices[vb]
-    nv = len(graph.vertices)
-    slots = [
-        (ei, side)
-        for ei, e in enumerate(graph.edges)
-        for side in (0, 1)
-        if e.ends[side] == vb
-    ]
-    # a genus-0 centre has no genus to trade for a loop, so it is a dead
-    # end unless some division of its degree and special points leaves both
-    # halves of a split stable
-    special = len(center.legs) + len(slots)
-    if not center.genus and not any(
-        epsilon_stable(0, b1, n1 + 1, None)
-        and epsilon_stable(0, center.degree - b1, special - n1 + 1, None)
-        for b1 in range(center.degree + 1)
-        for n1 in range(special + 1)
-    ):
+    scale = math.lcm(model.d, _scale(graph))
+    form = _int_form(graph, scale)
+    if not _expandable(model, form, scale, graph.v_bullet):
         return {}
-    # candidates are keyed in the int form, at one scale that holds the 1/d
-    # grid and every input multiplicity; a DualGraph is built only for a key
-    # not seen before.  The touched vertices drop their extra legs.
-    d = model.d
-    scale = math.lcm(d, _scale(graph))
-    step = scale // d
-    verts, edges = _int_form(graph, scale)
-    # no step changes whether a defect is integral: the two sides of a new
-    # edge or loop sum to an integer, and the halves of vb split its genus,
-    # degree and markings, so their defects add up to vb's mod 1.  So every
-    # defect is tested once here, and the stability of every vertex a step
-    # leaves alone; per candidate only the touched vertices' stability.
-    # Both run on the int form: a defect is integral iff the scaled
-    # multiplicities sum to step times the residue mod scale, and each
-    # extra leg carries the phase unit.
+    below = _descend(model, graph, form, scale, {}, _StableTable())
+    return {key: triple for key, (triple, _) in below.items()}
+
+
+def _expandable(model, form, scale, vb):
+    """Whether a triple in the int form at scale passes the checks made
+    before its expansion: every vertex defect is integral, and every vertex
+    but the distinguished one vb is stable.
+
+    No step changes either result.  The two sides of a new edge or loop
+    sum to an integer, and the halves of vb split its genus, degree and
+    markings, so their defects add up to vb's mod 1; the extra legs a step
+    drops from vb each add one point and the phase unit, which leaves its
+    defect alone.  A step keeps every other vertex, and keeps only halves
+    that are stable.  So a chain search checks its top alone.  A defect is
+    integral iff the scaled multiplicities sum to scale // d times the
+    residue mod scale, and each extra leg carries the phase unit."""
+    if vb is None:
+        raise ConfigError("partial order needs a distinguished vertex")
+    verts, edges = form
+    step = scale // model.d
     unit = _scaled(model.unit_sector_mult, scale)
     points = [len(v[4]) + v[2] for v in verts]
     ks = [sum(k for _, k in v[4]) + v[2] * unit for v in verts]
@@ -1007,41 +1063,87 @@ def minimal_expansions(model, graph):
         ks[b] += kb
     for vi, (genus, degree, *_) in enumerate(verts):
         if (ks[vi] - step * compat_residue(model, genus, points[vi], degree)) % scale:
-            return {}
+            return False
         if vi != vb and degree <= 0 and 2 * genus - 2 + points[vi] <= 0:
-            return {}
-    level = verts[vb][3]
-    leg_ks = [_scaled(m, scale) for _, m in center.legs]
+            return False
+    return True
+
+
+class _StableTable(dict):
+    """Infinity-chamber stability by (genus, degree, special points),
+    each tested once."""
+
+    def __missing__(self, key):
+        got = self[key] = epsilon_stable(*key, None)
+        return got
+
+
+def _descend(model, graph, form, scale, parts, stable):
+    """The triples one step below graph, in minimal_expansions order, as
+    {key: (triple, its int form at scale)}, for a graph that _expandable
+    passed and its int form at scale.  A step touches only the
+    distinguished vertex and the new edge, so each form below is built
+    from this one, and a triple below passes _expandable again.  New
+    Vertex and Edge objects come from parts, and stability tests from
+    stable; a chain search shares both."""
+    verts, edges = form
+    vb = graph.v_bullet
+    center = graph.vertices[vb]
+    genus, degree, _, level, legs = verts[vb]
+    slots = [(ei, side) for ei, e in enumerate(edges) for side in (0, 1) if e[side] == vb]
+    # a genus-0 centre has no genus to trade for a loop, so it is a dead
+    # end unless some division of its degree and special points leaves both
+    # halves of a split stable
+    special = len(legs) + len(slots)
+    if not genus and not any(
+        stable[0, b1, n1 + 1] and stable[0, degree - b1, special - n1 + 1]
+        for b1 in range(degree + 1)
+        for n1 in range(special + 1)
+    ):
+        return {}
+    # candidates are keyed in the int form, and a triple is built only for
+    # a key not seen before.  The touched vertices drop their extra legs.
+    d = model.d
+    step = scale // d
+    # the centre's legs as ints, in its order; the form holds them sorted
+    center_legs = [(label, _scaled(m, scale)) for label, m in center.legs]
     out = {}
 
     # trade one unit of genus for a loop
-    g0, n0 = center.genus - 1, len(center.legs) + len(slots) + 2
-    if g0 >= 0 and epsilon_stable(g0, center.degree, n0, None):
+    if genus > 0 and stable[genus - 1, degree, special + 2]:
         loop_verts = list(verts)
-        loop_verts[vb] = (g0, center.degree, 0, level, verts[vb][4])
+        loop_verts[vb] = (genus - 1, degree, 0, level, legs)
+        vertices = None
         for km in range(d):
             k = km * step
-            key = _least_form(loop_verts, edges + [(vb, vb, k, -k % scale, 0)], vb)[0]
+            loop = (vb, vb, k, -k % scale, 0)
+            loop_edges = edges + [loop]
+            key = _least_form(loop_verts, loop_edges, vb)[0]
             if key in out:
                 continue
-            m = Frac(km, d)
-            vertices = list(graph.vertices)
-            vertices[vb] = Vertex(g0, center.degree, center.legs, 0, center.level)
-            loop = Edge((vb, vb), (m, frac_bracket(-m)), None)
-            out[key] = DualGraph(tuple(vertices), graph.edges + (loop,), vb)
+            if vertices is None:
+                vertices = list(graph.vertices)
+                vertices[vb] = _shared_vertex(
+                    parts, genus - 1, degree, center.level, tuple(center_legs), scale
+                )
+                vertices = tuple(vertices)
+            loop_edge = _shared_edge(parts, loop, None, scale)
+            out[key] = DualGraph(vertices, graph.edges + (loop_edge,), vb), (loop_verts, loop_edges)
     # split the distinguished vertex in two.  The complement split (the
     # other genus, degree, legs and slots) gives the same triples with the
     # halves exchanged, so each split is met once, at whichever of the pair
     # comes first in loop order; that one keys both bullets first.
-    new_index = nv
-    n_legs = len(center.legs)
+    new_index = len(verts)
+    n_legs = len(center_legs)
     all_legs, all_slots = (1 << n_legs) - 1, (1 << len(slots)) - 1
-    for g1 in range(center.genus + 1):
-        for b1 in range(center.degree + 1):
-            g2, b2 = center.genus - g1, center.degree - b1
+    for g1 in range(genus + 1):
+        for b1 in range(degree + 1):
+            g2, b2 = genus - g1, degree - b1
             for leg_mask in range(1 << n_legs):
-                ones = [i for i in range(n_legs) if leg_mask >> i & 1]
-                twos = [i for i in range(n_legs) if not leg_mask >> i & 1]
+                ones = tuple(leg for i, leg in enumerate(center_legs) if leg_mask >> i & 1)
+                twos = tuple(leg for i, leg in enumerate(center_legs) if not leg_mask >> i & 1)
+                legs1, legs2 = tuple(sorted(ones)), tuple(sorted(twos))
+                ones_k = sum(k for _, k in ones)
                 for slot_mask in range(1 << len(slots)):
                     split = (g1, b1, leg_mask, slot_mask)
                     if (g2, b2, all_legs ^ leg_mask, all_slots ^ slot_mask) < split:
@@ -1050,16 +1152,12 @@ def minimal_expansions(model, graph):
                     # special points of the two halves, new edge included
                     n1 = len(ones) + len(slots) - len(moved) + 1
                     n2 = len(twos) + len(moved) + 1
-                    if not (
-                        epsilon_stable(g1, b1, n1, None)
-                        and epsilon_stable(g2, b2, n2, None)
-                    ):
+                    if not (stable[g1, b1, n1] and stable[g2, b2, n2]):
                         continue
                     # the one new-edge residue at vb that makes vb integral;
                     # the split-off vertex then is too.  Input multiplicities
                     # off the 1/d grid admit no residue.
-                    k = step * compat_residue(model, g1, n1, b1)
-                    k -= sum(leg_ks[i] for i in ones)
+                    k = step * compat_residue(model, g1, n1, b1) - ones_k
                     k -= sum(
                         edges[ei][2 + s] for ei, s in slots if (ei, s) not in moved
                     )
@@ -1067,8 +1165,8 @@ def minimal_expansions(model, graph):
                     if k % step:
                         continue
                     split_verts = list(verts)
-                    split_verts[vb] = (g1, b1, 0, level, _picked(center, leg_ks, ones))
-                    split_verts.append((g2, b2, 0, level, _picked(center, leg_ks, twos)))
+                    split_verts[vb] = (g1, b1, 0, level, legs1)
+                    split_verts.append((g2, b2, 0, level, legs2))
                     split_edges = list(edges)
                     for ei, side in moved:
                         e = list(split_edges[ei])
@@ -1082,40 +1180,46 @@ def minimal_expansions(model, graph):
                         if key in out:
                             continue
                         vertices = list(graph.vertices)
-                        legs1 = tuple(center.legs[i] for i in ones)
-                        legs2 = tuple(center.legs[i] for i in twos)
-                        vertices[vb] = Vertex(g1, b1, legs1, 0, center.level)
-                        vertices.append(Vertex(g2, b2, legs2, 0, center.level))
-                        m = Frac(k, scale)
-                        new_edges = tuple(
-                            e if se[:2] == e.ends else Edge(se[:2], e.mults, e.delta)
-                            for e, se in zip(graph.edges, split_edges)
-                        ) + (Edge((vb, new_index), (m, frac_bracket(-m)), None),)
-                        out[key] = DualGraph(tuple(vertices), new_edges, bullet)
+                        vertices[vb] = _shared_vertex(parts, g1, b1, center.level, ones, scale)
+                        vertices.append(_shared_vertex(parts, g2, b2, center.level, twos, scale))
+                        new_edges = list(graph.edges)
+                        for ei, _ in moved:
+                            new_edges[ei] = _shared_edge(
+                                parts, split_edges[ei], graph.edges[ei].delta, scale
+                            )
+                        new_edges.append(_shared_edge(parts, split_edges[-1], None, scale))
+                        out[key] = (
+                            DualGraph(tuple(vertices), tuple(new_edges), bullet),
+                            (split_verts, split_edges),
+                        )
     return out
-
-
-def _picked(center, leg_ks, picked):
-    """The int legs of the picked legs of a vertex, sorted."""
-    return tuple(sorted((center.legs[i][0], leg_ks[i]) for i in picked))
 
 
 def descending_chains(model, graph, max_len):
     """All strictly decreasing chains from the given triple through minimal
-    expansions, as lists of graphs, capped at max_len entries."""
+    expansions, as lists of graphs, capped at max_len entries.  The top is
+    scaled, put in the int form and checked once (a top that fails the
+    checks has no chain below it); every triple below is expanded from the
+    int form its parent's step built, at the top's scale."""
     scale = math.lcm(model.d, _scale(graph))
-    key = _least_form(*_int_form(graph, scale), graph.v_bullet)[0]
-    return [c for c in _chains_from(model, graph, key, {}) if len(c) <= max_len]
+    form = _int_form(graph, scale)
+    if _expandable(model, form, scale, graph.v_bullet):
+        key = _least_form(*form, graph.v_bullet)[0]
+        chains = _chains_from(model, graph, form, key, {}, (scale, {}, _StableTable()))
+    else:
+        chains = [[graph]]
+    return [c for c in chains if len(c) <= max_len]
 
 
-def _chains_from(model, g, key, memo):
-    """The chains from g, memoised on the keys of minimal_expansions."""
+def _chains_from(model, g, form, key, memo, shared):
+    """The chains from g, memoised on the keys of _descend; shared is the
+    (scale, parts, stable) of the search."""
     if key in memo:
         return memo[key]
     memo[key] = [[g]]  # guards against accidental cycles
     all_chains = [[g]]
-    for p_key, p in minimal_expansions(model, g).items():
-        for sub in _chains_from(model, p, p_key, memo):
+    for p_key, (p, p_form) in _descend(model, g, form, *shared).items():
+        for sub in _chains_from(model, p, p_form, p_key, memo, shared):
             all_chains.append([g] + sub)
     memo[key] = all_chains
     return all_chains

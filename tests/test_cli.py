@@ -733,6 +733,18 @@ def test_partial_order_criterion_names_the_top_of_a_bad_chain(monkeypatch):
     )
 
 
+def test_partial_order_criterion_checks_each_step_by_the_public_route(monkeypatch):
+    # the chain search never calls minimal_expansions; the criterion does,
+    # on every step of each longest chain, so a public step that finds
+    # nothing fails it
+    monkeypatch.setattr(criteria.gr, "minimal_expansions", lambda model, graph: {})
+    result = _run_criterion("partial order chains")
+    assert result["status"] == "fail"
+    assert result["first_failure"] == (
+        "IdentityFailed: chain step is not a minimal expansion"
+    )
+
+
 def test_contraction_corpus_criterion_fails_when_a_basepoint_loses_its_order(monkeypatch):
     # each contracted tail must reappear as a basepoint of its degree; a
     # pass that records order 0 instead breaks degree conservation

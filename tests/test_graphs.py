@@ -958,6 +958,65 @@ def test_aut_bounds():
         G.aut_degree(QUINTIC, G.DualGraph(vs, es))
 
 
+def _leaves_on_a_centre(n):
+    # a distinguished degree-1 centre with one leg and n alike genus-1
+    # degree-0 leaves, each joined to it by the same edge
+    return G.DualGraph(
+        (G.Vertex(1, 1, ((1, Frac(1, 5)),)),) + (G.Vertex(1, 0),) * n,
+        tuple(G.Edge((0, i), (Frac(2, 5), Frac(3, 5))) for i in range(1, n + 1)),
+        0,
+    )
+
+
+@pytest.mark.parametrize("n", [2, 6, 11])
+def test_twin_leaves_are_searched_in_one_order(monkeypatch, n):
+    # the leaves are twins, so the least form search tries one order of
+    # them, not n!, and counts the n! orders that order stands for
+    tried = []
+    block_orders = G._block_orders
+
+    def counted(block, edges, bullet):
+        orders, ways = block_orders(block, edges, bullet)
+        orders = list(orders)
+        tried.append((len(block), len(orders), ways))
+        return orders, ways
+
+    monkeypatch.setattr(G, "_block_orders", counted)
+    graph = _leaves_on_a_centre(n)
+    assert G.aut_degree(QUINTIC, graph)[0] == math.factorial(n)
+    assert tried == [(n, 1, math.factorial(n))]
+    assert G.graph_leq(QUINTIC, graph, graph)
+    if n <= 6:
+        assert _brute_aut(graph) == math.factorial(n)
+
+
+def test_twin_classes_leave_the_bullet_and_linked_vertices_apart():
+    # the distinguished leaf is no twin of the other two; a vertex linked
+    # to an alike one sees it as a neighbour, so the two are no twins
+    leaves = _leaves_on_a_centre(3)
+    graph = G.DualGraph(leaves.vertices, leaves.edges, 1)
+    edges = G._int_form(graph, 5)[1]
+    orders, ways = G._block_orders([1, 2, 3], edges, 1)
+    assert sorted(orders) == [(1, 2, 3), (2, 1, 3), (2, 3, 1)] and ways == 2
+    path = [(0, 1, 0, 0, 0), (1, 2, 0, 0, 0)]
+    orders, ways = G._block_orders([0, 2], path, None)
+    assert list(orders) == [(0, 2)] and ways == 2
+    orders, ways = G._block_orders([0, 1], [(0, 1, 0, 0, 0)], None)
+    assert sorted(orders) == [(0, 1), (1, 0)] and ways == 1
+
+
+def test_arrangements_are_the_distinct_orders_of_the_classes():
+    classes = [[0, 3], [1], [2, 4, 5]]
+    got = list(G._arrangements(classes))
+    keep = [
+        order
+        for order in itertools.permutations(range(6))
+        if all(sorted(c, key=order.index) == c for c in classes)
+    ]
+    assert sorted(got) == sorted(keep) and len(set(got)) == len(got)
+    assert len(got) == math.factorial(6) // (2 * 6)
+
+
 def test_isomorphic_under_relabeling():
     a = G.DualGraph(
         (G.Vertex(1, 0, ((1, Frac(3, 5)),)), G.Vertex(2, 2)),
@@ -1424,19 +1483,25 @@ def _expansion_input(draw):
     return model, G.DualGraph(tuple(vertices), edges, vb)
 
 
-@given(_expansion_input())
-@settings(deadline=None, max_examples=300)
-def test_minimal_expansions_exit_early_exactly_on_the_fraction_rules(drawn):
-    model, graph = drawn
-    vb = graph.v_bullet
-    blocked = any(
+def _blocked_reference(model, graph):
+    """The checks made before an expansion, on Fractions: some vertex
+    defect is not integral, or some vertex but the distinguished one is
+    unstable."""
+    return any(
         _defect_reference(model, graph, vi).denominator != 1
         for vi in range(len(graph.vertices))
     ) or any(
         v.degree <= 0 and 2 * v.genus - 2 + _points_reference(graph, vi) <= 0
         for vi, v in enumerate(graph.vertices)
-        if vi != vb
+        if vi != graph.v_bullet
     )
+
+
+@given(_expansion_input())
+@settings(deadline=None, max_examples=300)
+def test_minimal_expansions_exit_early_exactly_on_the_fraction_rules(drawn):
+    model, graph = drawn
+    blocked = _blocked_reference(model, graph)
     assert (G.minimal_expansions(model, graph) == {}) is blocked
 
 
@@ -1455,21 +1520,79 @@ def test_minimal_expansions_key_each_triple_by_its_least_form(drawn):
     assert len({G.canonical_key(p) for p in below.values()}) == len(below)
 
 
-def test_descending_chains_expand_through_the_module_function(monkeypatch):
-    # the chain search looks minimal_expansions up on the module, once per
-    # graph it memoises, so a wrapper there (as a tracer installs) sees
-    # every expansion
-    real = G.minimal_expansions
-    seen = []
+@given(_expansion_input())
+@settings(deadline=None, max_examples=60)
+def test_descend_from_the_carried_form_matches_minimal_expansions(drawn):
+    # on a valid triple and on every triple one and two steps below it,
+    # _descend from the int form the parent's step carried gives the keys,
+    # the order and the graphs of the public function, which rebuilds the
+    # form and runs its checks; those checks never fire below a valid triple
+    # (each class once, as the chain search meets it).  Every field of a
+    # graph is an int, None, a string or a Fraction in lowest terms, so
+    # equal graphs have equal repr.  The work grows with the distinguished
+    # vertex's genus, degree and special points: past a sum of 6, a drawn
+    # triple can have ten thousand triples within two steps
+    model, graph = drawn
+    vb = graph.v_bullet
+    center = graph.vertices[vb]
+    special = len(center.legs) + sum(e.ends.count(vb) for e in graph.edges)
+    if center.genus + center.degree + special > 6 or _blocked_reference(model, graph):
+        return
+    scale = math.lcm(model.d, G._scale(graph))
+    parts, stable = {}, G._StableTable()
+    level, seen = [(graph, G._int_form(graph, scale))], set()
+    for _ in range(3):
+        below = []
+        for triple, form in level:
+            assert form == G._int_form(triple, scale)
+            assert G._expandable(model, form, scale, triple.v_bullet)
+            assert not _blocked_reference(model, triple)
+            carried = G._descend(model, triple, form, scale, parts, stable)
+            public = G.minimal_expansions(model, triple)
+            assert list(carried) == list(public)
+            for key, (p, p_form) in carried.items():
+                assert p == public[key]
+                if key not in seen:
+                    seen.add(key)
+                    below.append((p, p_form))
+        level = below
 
-    def counting(model, graph):
-        seen.append(graph)
-        return real(model, graph)
 
-    monkeypatch.setattr(G, "minimal_expansions", counting)
-    chains = G.descending_chains(QUINTIC, _small_top(), 12)
-    assert len(chains) > 1
-    assert len(seen) == len({G.canonical_key(g) for chain in chains for g in chain})
+def _defect_off_the_grid_top():
+    # the second vertex's leg moves from 3/5 to 7/10, so its defect is 9/10
+    top = _two_genus_one_top()
+    v = top.vertices[1]
+    vertices = (top.vertices[0], G.Vertex(v.genus, v.degree, ((3, Frac(7, 10)),)))
+    return G.DualGraph(vertices, top.edges, top.v_bullet)
+
+
+def _unstable_leaf_top():
+    # a genus-0 degree-0 leaf with one leg is not stable, nor distinguished
+    return G.DualGraph(
+        (G.Vertex(1, 1, ((1, Frac(1, 5)),)), G.Vertex(0, 0, ((2, Frac(0)),))),
+        (G.Edge((0, 1), (Frac(0), Frac(0))),),
+        0,
+    )
+
+
+@pytest.mark.parametrize("make_top", [_defect_off_the_grid_top, _unstable_leaf_top])
+def test_descending_chains_return_an_invalid_top_alone(make_top):
+    # the checks run once, on the top; the centre alone would expand
+    top = make_top()
+    assert _blocked_reference(QUINTIC, top)
+    assert G.minimal_expansions(QUINTIC, top) == {}
+    scale = math.lcm(QUINTIC.d, G._scale(top))
+    form = G._int_form(top, scale)
+    assert not G._expandable(QUINTIC, form, scale, top.v_bullet)
+    assert G._descend(QUINTIC, top, form, scale, {}, G._StableTable())
+    chains = G.descending_chains(QUINTIC, top, 16)
+    assert chains == [[top]] and chains[0][0] is top
+
+
+def test_descending_chains_check_the_top_for_a_distinguished_vertex():
+    top = _two_genus_one_top()
+    with pytest.raises(ConfigError):
+        G.descending_chains(QUINTIC, G.DualGraph(top.vertices, top.edges), 16)
 
 
 def _two_genus_one_top():
@@ -1486,22 +1609,34 @@ def _two_genus_one_top():
 
 def _counted(monkeypatch, name):
     """Wrap the module function name so that each call adds one to the
-    returned list's only entry."""
+    returned list's first entry, and each empty result one to its second."""
     real = getattr(G, name)
-    calls = [0]
+    calls = [0, 0]
 
     def counting(*args):
         calls[0] += 1
-        return real(*args)
+        out = real(*args)
+        calls[1] += not out
+        return out
 
     monkeypatch.setattr(G, name, counting)
     return calls
 
 
+def test_descending_chains_expand_through_the_module_function(monkeypatch):
+    # the chain search looks _descend up on the module, once per graph it
+    # memoises, so a wrapper there sees every expansion
+    expanded = _counted(monkeypatch, "_descend")
+    chains = G.descending_chains(QUINTIC, _two_genus_one_top(), 16)
+    assert len(chains) == 2214
+    assert expanded[0] == 830
+    assert expanded[0] == len({G.canonical_key(g) for chain in chains for g in chain})
+
+
 def test_chain_search_keys_each_split_once(monkeypatch):
     # a split and its complement give the same triples with the halves
     # exchanged, so only the first of the pair is keyed: one least form for
-    # the top, the rest from minimal_expansions (2108 when both were keyed)
+    # the top, the rest from _descend (2108 when both were keyed)
     keyed = _counted(monkeypatch, "_least_form")
     assert len(G.descending_chains(QUINTIC, _two_genus_one_top(), 16)) == 2214
     assert keyed[0] == 1 + 1074
@@ -1509,13 +1644,13 @@ def test_chain_search_keys_each_split_once(monkeypatch):
 
 def test_chain_search_stops_early_at_dead_ends(monkeypatch):
     # of the 830 graphs expanded, 415 have a genus-0 centre that no split
-    # leaves stable; they return before the int form, which the rest build
-    # once each (the top's key takes one more)
-    expanded = _counted(monkeypatch, "minimal_expansions")
+    # leaves stable and return nothing; only the top is put in the int
+    # form, every triple below carries the form its parent's step built
+    expanded = _counted(monkeypatch, "_descend")
     built = _counted(monkeypatch, "_int_form")
     assert len(G.descending_chains(QUINTIC, _two_genus_one_top(), 16)) == 2214
-    assert expanded[0] == 830
-    assert built[0] == 1 + 415
+    assert expanded == [830, 415]
+    assert built[0] == 1
 
 
 def test_descending_chains_respect_bound():
