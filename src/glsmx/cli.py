@@ -23,7 +23,7 @@ from fractions import Fraction as Frac
 from . import graphs as gr
 from . import jfun
 from . import p1series as p1
-from .algebra import join_terms, render_ratfun
+from .algebra import join_terms
 from .errors import ConfigError, GlsmxError, IdentityFailed, check_record
 from .graphs import _frac_str
 from .model import GEOMETRIC, LG, GlsmModel, check_off_wall, list_sectors
@@ -181,8 +181,6 @@ def _lam_string(f):
     """Exact rendering of a RatFun in lam alone as a Laurent sum."""
     if f.is_zero():
         return "0"
-    if any(j for (_, j) in f.num):
-        return f"({render_ratfun(f)})"
     den = f.den[(0, 0)]
     return join_terms([_lam_term(v, den, i) for (i, _), v in sorted(f.num.items(), reverse=True)])
 

@@ -9,7 +9,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import NamedTuple
 
 from .errors import (
     BoundsExceeded,
@@ -653,9 +652,10 @@ def _levelled_structures(nv, ne):
     """The connected bipartite structures with their level assignments, one
     per isomorphism class of bare levelled structure: for each structure in
     _connected_structures order, vertex 0 at level zero first, the first met
-    of each _least_form key.  Each comes with the _Relabels of the
-    non-identity vertex permutations that keep its edge multiset and its
-    levels."""
+    of each _least_form key.  Each comes with its fixers: the non-identity
+    vertex permutations perm, old to new, that keep its edge multiset and
+    its levels, as (perm, inverse, moved) with moved the image pair of each
+    edge."""
     seen = set()
     perms = list(itertools.permutations(range(nv)))[1:]
     for structure in _connected_structures(nv, ne):
@@ -669,12 +669,14 @@ def _levelled_structures(nv, ne):
             if key in seen:
                 continue
             seen.add(key)
-            fixers = [
-                _relabel(p, structure)
-                for p in perms
-                if tuple(levels[new] for new in p) == levels
-                and sorted(_moved_pairs(p, structure)) == list(structure)
-            ]
+            fixers = []
+            for perm in perms:
+                if tuple(levels[new] for new in perm) != levels:
+                    continue
+                moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
+                if sorted(moved) == list(structure):
+                    inverse = tuple(sorted(range(nv), key=perm.__getitem__))
+                    fixers.append((perm, inverse, moved))
             yield structure, levels, fixers
 
 
@@ -701,13 +703,11 @@ def _census(model, g, n, beta, delta):
 
     The loops run lexicographically over the prefix (structure, flip,
     deltas, genera, degrees, leg_dist) and then over the residues, and the
-    first graph met of each class is kept.  A vertex permutation maps the
-    candidates of a labelled prefix one to one onto those of its image,
-    with the same validity and keys, so a prefix that some permutation maps
-    to an earlier one only repeats classes already met, and is skipped.
-    The first candidate met of a class is never skipped: its image would
-    have come earlier still.  So the keys, and the first representative of
-    each, are those of the full labelled loop."""
+    first graph met of each class is kept.  A fixer maps the candidates of
+    a prefix one to one onto those of its image, with the same validity and
+    keys, so a prefix that a fixer maps to an earlier one only repeats
+    classes already met, and is skipped.  The first candidate met of a
+    class is never skipped, since its image would come earlier still."""
     found = {}
     # (genus, degree, level, half-edges, legs) -> (role, residue target)
     profiles = {}
@@ -721,101 +721,35 @@ def _census(model, g, n, beta, delta):
             genus_budget = g - h1
             if genus_budget < 0:
                 continue
-            delta_opts = list(_compositions(delta, ne, 1))
-            for structure, levels, kept in _levelled_structures(nv, ne):
-                for deltas, genera, degrees, leg_dist in _least_prefixes(
-                    kept, delta_opts, genus_budget, beta, nv, n
-                ):
-                    _emit_candidates(
-                        model,
-                        structure,
-                        levels,
-                        deltas,
-                        genera,
-                        degrees,
-                        leg_dist,
-                        found,
-                        profiles,
-                        parts,
-                    )
+            prefix_parts = (
+                list(_compositions(delta, ne, 1)),
+                list(_compositions(genus_budget, nv)),
+                list(_compositions(beta, nv)),
+                list(itertools.product(range(nv), repeat=n)),
+            )
+            for structure, levels, fixers in _levelled_structures(nv, ne):
+                for prefix in itertools.product(*prefix_parts):
+                    if _is_least_prefix(prefix, fixers):
+                        _emit_candidates(model, structure, levels, *prefix, found, profiles, parts)
     return [found[k] for k in sorted(found)]
 
 
-class _Relabel(NamedTuple):
-    """A permutation perm of a structure's vertices, old to new, that keeps
-    the structure: its inverse, and the old edges it maps onto each run of
-    parallel edges."""
-
-    perm: tuple
-    inverse: tuple
-    runs: tuple
-
-
-def _moved_pairs(perm, structure):
-    return [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
-
-
-def _relabel(perm, structure):
-    moved = _moved_pairs(perm, structure)
-    inverse = [0] * len(perm)
-    for old, new in enumerate(perm):
-        inverse[new] = old
-    runs = tuple(
-        tuple(i for i, pair in enumerate(moved) if pair == run)
-        for run in sorted(set(structure))
-    )
-    return _Relabel(perm, tuple(inverse), runs)
-
-
-def _moved_deltas(relabel, deltas):
-    # parallel edges are interchangeable, so their deltas are sorted
-    out = []
-    for run in relabel.runs:
-        out += sorted(deltas[i] for i in run)
-    return tuple(out)
-
-
-def _moved_vertexwise(relabel, values):
-    return tuple(values[old] for old in relabel.inverse)
-
-
-def _moved_legs(relabel, leg_dist):
-    return tuple(relabel.perm[vi] for vi in leg_dist)
-
-
-def _fixers(relabels, value, moved):
-    """The relabellings that map value to itself, or None when one maps it
-    to an earlier value."""
-    kept = []
-    for relabel in relabels:
-        image = moved(relabel, value)
-        if image < value:
-            return None
-        if image == value:
-            kept.append(relabel)
-    return kept
-
-
-def _least_prefixes(kept, delta_opts, genus_budget, beta, nv, n):
-    """The (deltas, genera, degrees, leg_dist) prefixes of one (structure,
-    flip), in loop order, that no relabelling keeping the (structure,
-    flip) maps to an earlier prefix.  Prefixes compare lexicographically,
-    so each level keeps only the relabellings that fix the levels above."""
-    for deltas in delta_opts:
-        by_deltas = _fixers(kept, deltas, _moved_deltas)
-        if by_deltas is None:
-            continue
-        for genera in _compositions(genus_budget, nv):
-            by_genera = _fixers(by_deltas, genera, _moved_vertexwise)
-            if by_genera is None:
-                continue
-            for degrees in _compositions(beta, nv):
-                by_degrees = _fixers(by_genera, degrees, _moved_vertexwise)
-                if by_degrees is None:
-                    continue
-                for leg_dist in itertools.product(range(nv), repeat=n):
-                    if _fixers(by_degrees, leg_dist, _moved_legs) is not None:
-                        yield deltas, genera, degrees, leg_dist
+def _is_least_prefix(prefix, fixers):
+    """Whether no fixer of a levelled structure maps the labelled prefix
+    (deltas, genera, degrees, leg_dist) to a lexicographically smaller one.
+    Parallel edges are interchangeable, so the image of the deltas sorts
+    those of each run of parallel edges."""
+    deltas, genera, degrees, leg_dist = prefix
+    for perm, inverse, moved in fixers:
+        image = (
+            tuple(dd for _, dd in sorted(zip(moved, deltas))),
+            tuple(genera[old] for old in inverse),
+            tuple(degrees[old] for old in inverse),
+            tuple(perm[vi] for vi in leg_dist),
+        )
+        if image < prefix:
+            return False
+    return True
 
 
 def _emit_candidates(
@@ -1032,7 +966,7 @@ def minimal_expansions(model, graph):
     form = _int_form(graph, scale)
     if not _expandable(model, form, scale, graph.v_bullet):
         return {}
-    below = _descend(model, graph, form, scale, {}, _StableTable())
+    below = _descend(model, graph, form, scale, {})
     return {key: triple for key, (triple, _) in below.items()}
 
 
@@ -1064,28 +998,24 @@ def _expandable(model, form, scale, vb):
     for vi, (genus, degree, *_) in enumerate(verts):
         if (ks[vi] - step * compat_residue(model, genus, points[vi], degree)) % scale:
             return False
-        if vi != vb and degree <= 0 and 2 * genus - 2 + points[vi] <= 0:
+        if vi != vb and not _stable_at_infinity(genus, degree, points[vi]):
             return False
     return True
 
 
-class _StableTable(dict):
-    """Infinity-chamber stability by (genus, degree, special points),
-    each tested once."""
-
-    def __missing__(self, key):
-        got = self[key] = epsilon_stable(*key, None)
-        return got
+def _stable_at_infinity(genus, degree, points):
+    """epsilon_stable in the infinity chamber, for a vertex with no
+    basepoints."""
+    return degree > 0 or 2 * genus - 2 + points > 0
 
 
-def _descend(model, graph, form, scale, parts, stable):
+def _descend(model, graph, form, scale, parts):
     """The triples one step below graph, in minimal_expansions order, as
     {key: (triple, its int form at scale)}, for a graph that _expandable
     passed and its int form at scale.  A step touches only the
     distinguished vertex and the new edge, so each form below is built
     from this one, and a triple below passes _expandable again.  New
-    Vertex and Edge objects come from parts, and stability tests from
-    stable; a chain search shares both."""
+    Vertex and Edge objects come from parts, which a chain search shares."""
     verts, edges = form
     vb = graph.v_bullet
     center = graph.vertices[vb]
@@ -1096,7 +1026,8 @@ def _descend(model, graph, form, scale, parts, stable):
     # halves of a split stable
     special = len(legs) + len(slots)
     if not genus and not any(
-        stable[0, b1, n1 + 1] and stable[0, degree - b1, special - n1 + 1]
+        _stable_at_infinity(0, b1, n1 + 1)
+        and _stable_at_infinity(0, degree - b1, special - n1 + 1)
         for b1 in range(degree + 1)
         for n1 in range(special + 1)
     ):
@@ -1110,7 +1041,7 @@ def _descend(model, graph, form, scale, parts, stable):
     out = {}
 
     # trade one unit of genus for a loop
-    if genus > 0 and stable[genus - 1, degree, special + 2]:
+    if genus > 0 and _stable_at_infinity(genus - 1, degree, special + 2):
         loop_verts = list(verts)
         loop_verts[vb] = (genus - 1, degree, 0, level, legs)
         vertices = None
@@ -1152,7 +1083,7 @@ def _descend(model, graph, form, scale, parts, stable):
                     # special points of the two halves, new edge included
                     n1 = len(ones) + len(slots) - len(moved) + 1
                     n2 = len(twos) + len(moved) + 1
-                    if not (stable[g1, b1, n1] and stable[g2, b2, n2]):
+                    if not (_stable_at_infinity(g1, b1, n1) and _stable_at_infinity(g2, b2, n2)):
                         continue
                     # the one new-edge residue at vb that makes vb integral;
                     # the split-off vertex then is too.  Input multiplicities
@@ -1205,7 +1136,7 @@ def descending_chains(model, graph, max_len):
     form = _int_form(graph, scale)
     if _expandable(model, form, scale, graph.v_bullet):
         key = _least_form(*form, graph.v_bullet)[0]
-        chains = _chains_from(model, graph, form, key, {}, (scale, {}, _StableTable()))
+        chains = _chains_from(model, graph, form, key, {}, (scale, {}))
     else:
         chains = [[graph]]
     return [c for c in chains if len(c) <= max_len]
@@ -1213,7 +1144,7 @@ def descending_chains(model, graph, max_len):
 
 def _chains_from(model, g, form, key, memo, shared):
     """The chains from g, memoised on the keys of _descend; shared is the
-    (scale, parts, stable) of the search."""
+    (scale, parts) of the search."""
     if key in memo:
         return memo[key]
     memo[key] = [[g]]  # guards against accidental cycles

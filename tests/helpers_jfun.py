@@ -24,7 +24,7 @@ from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
-from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun, join_terms, render_ratfun
+from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun, join_terms
 from glsmx.errors import InconsistentOrbData
 from glsmx.jfun import j_sector, state_rank, state_unit
 from glsmx.model import (
@@ -310,9 +310,7 @@ def fraction_lam_string(f):
     if f.is_zero():
         return "0"
     terms = laurent_terms(f)
-    if all(j == 0 for (_, j) in terms):
-        return join_terms([_fraction_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
-    return f"({render_ratfun(f)})"
+    return join_terms([_fraction_lam_term(v, i) for (i, _), v in sorted(terms.items(), reverse=True)])
 
 
 def fraction_coefficient_table(values):

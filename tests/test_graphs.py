@@ -703,17 +703,78 @@ def test_a_lone_vertex_keeps_both_levels(monkeypatch):
 def test_unmarked_census_builds_relabellings_only_for_fixers(monkeypatch):
     # each levelled class builds a relabelling only for the permutations
     # that keep it, not all nv! - 1 for every labelled structure
-    calls = 0
-    relabel = G._relabel
+    fixers = 0
+    levelled = G._levelled_structures
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return relabel(*args)
+    def counted(nv, ne):
+        nonlocal fixers
+        for structure, levels, kept in levelled(nv, ne):
+            fixers += len(kept)
+            yield structure, levels, kept
 
-    monkeypatch.setattr(G, "_relabel", counted)
+    monkeypatch.setattr(G, "_levelled_structures", counted)
     assert len(G._census(POINT_MODEL, 0, 0, 0, 5)) == 37
-    assert calls <= 1000
+    assert fixers == 317
+
+
+def _relabellings(structure, levels):
+    """(perm, places) for every vertex permutation perm, old to new, that
+    keeps the edge multiset and the levels, and every way places of laying
+    its image edges on the structure's positions: edge i goes to position
+    places[i], which holds the same pair."""
+    nv, ne = len(levels), len(structure)
+    out = []
+    for perm in itertools.permutations(range(nv)):
+        if any(levels[perm[v]] != levels[v] for v in range(nv)):
+            continue
+        moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
+        for places in itertools.permutations(range(ne)):
+            if all(structure[j] == pair for j, pair in zip(places, moved)):
+                out.append((perm, places))
+    return out
+
+
+def _orbit(relabellings, prefix):
+    """Every labelled prefix of the same decorated levelled structure."""
+    deltas, genera, degrees, leg_dist = prefix
+    return {
+        (
+            tuple(dd for _, dd in sorted(zip(places, deltas))),
+            tuple(genus for _, genus in sorted(zip(perm, genera))),
+            tuple(degree for _, degree in sorted(zip(perm, degrees))),
+            tuple(perm[vi] for vi in leg_dist),
+        )
+        for perm, places in relabellings
+    }
+
+
+def test_kept_prefixes_are_exactly_the_orbit_minima():
+    # the census keeps a prefix iff it is the least labelled form of its
+    # decorated levelled structure, so it meets every class and repeats
+    # none that a relabelling shows.  Parallel edges are interchangeable,
+    # so the prefixes whose deltas are in order within each run of parallel
+    # edges are the ones to decide; out of order, a prefix repeats its
+    # sorted one, which comes first.  Four edges reach the structures where
+    # a relabelling moves or keeps a run of parallel edges
+    checked = {True: 0, False: 0}
+    for nv in range(1, 5):
+        for ne in range(0 if nv == 1 else 1, 5):
+            for structure, levels, fixers in G._levelled_structures(nv, ne):
+                relabellings = _relabellings(structure, levels)
+                for prefix in itertools.product(
+                    [
+                        deltas
+                        for deltas in itertools.product((1, 2), repeat=ne)
+                        if deltas == tuple(dd for _, dd in sorted(zip(structure, deltas)))
+                    ],
+                    itertools.product((0, 1), repeat=nv),
+                    [tuple(int(v == w) for v in range(nv)) for w in range(nv)],
+                    itertools.product(range(nv), repeat=1 if nv > 3 else 2),
+                ):
+                    least = prefix == min(_orbit(relabellings, prefix))
+                    assert G._is_least_prefix(prefix, fixers) == least, (structure, levels, prefix)
+                    checked[least] += 1
+    assert checked == {True: 25760, False: 11956}
 
 
 def _labelled_loop(model, g, n, beta, delta):
@@ -1539,7 +1600,7 @@ def test_descend_from_the_carried_form_matches_minimal_expansions(drawn):
     if center.genus + center.degree + special > 6 or _blocked_reference(model, graph):
         return
     scale = math.lcm(model.d, G._scale(graph))
-    parts, stable = {}, G._StableTable()
+    parts = {}
     level, seen = [(graph, G._int_form(graph, scale))], set()
     for _ in range(3):
         below = []
@@ -1547,7 +1608,7 @@ def test_descend_from_the_carried_form_matches_minimal_expansions(drawn):
             assert form == G._int_form(triple, scale)
             assert G._expandable(model, form, scale, triple.v_bullet)
             assert not _blocked_reference(model, triple)
-            carried = G._descend(model, triple, form, scale, parts, stable)
+            carried = G._descend(model, triple, form, scale, parts)
             public = G.minimal_expansions(model, triple)
             assert list(carried) == list(public)
             for key, (p, p_form) in carried.items():
@@ -1584,7 +1645,7 @@ def test_descending_chains_return_an_invalid_top_alone(make_top):
     scale = math.lcm(QUINTIC.d, G._scale(top))
     form = G._int_form(top, scale)
     assert not G._expandable(QUINTIC, form, scale, top.v_bullet)
-    assert G._descend(QUINTIC, top, form, scale, {}, G._StableTable())
+    assert G._descend(QUINTIC, top, form, scale, {})
     chains = G.descending_chains(QUINTIC, top, 16)
     assert chains == [[top]] and chains[0][0] is top
 
