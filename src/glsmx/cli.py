@@ -15,17 +15,17 @@ process exits 0 exactly when every check in the report passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from fractions import Fraction as Frac
 
 from . import graphs as gr
 from . import jfun
 from . import p1series as p1
 from .algebra import join_terms
 from .errors import ConfigError, GlsmxError, IdentityFailed, check_record
-from .graphs import _frac_str
+from .graphs import _frac_str, _read_frac
 from .model import GEOMETRIC, LG, GlsmModel, check_off_wall, list_sectors
 
 DEFAULT_Q_MAX = 8
@@ -41,7 +41,7 @@ def _parse_frac(value, what):
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ConfigError(f"{what} must be an integer or a 'p/q' string")
     try:
-        return Frac(value)
+        return _read_frac(value)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{what}: cannot read {value!r} as a rational") from None
 
@@ -82,6 +82,11 @@ def _params(config, command):
     return block
 
 
+# GlsmModel is frozen, so every request with the same model block shares
+# one instance; a config that fails validation raises on every call
+_glsm_model = functools.lru_cache(maxsize=64)(GlsmModel)
+
+
 def _model_from_config(config):
     block = config.get("model")
     if not isinstance(block, dict):
@@ -95,8 +100,11 @@ def _model_from_config(config):
     phase = block.get("phase")
     if phase not in (LG, GEOMETRIC):
         raise ConfigError(f"model.phase must be {LG!r} or {GEOMETRIC!r}")
-    epsilon = _parse_optional_frac(block.get("epsilon"), "model.epsilon")
-    return GlsmModel(weights, n_aux, d, phase, epsilon)
+    epsilon = block.get("epsilon")
+    _parse_optional_frac(epsilon, "model.epsilon")
+    # keyed on the epsilon as given, since hashing a Fraction costs more
+    # than the rest of the lookup; the model reads it as a Fraction
+    return _glsm_model(weights, n_aux, d, phase, epsilon)
 
 
 def _model_echo(model):

@@ -5,6 +5,7 @@ organizes the induction over decorated graphs."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -502,10 +503,8 @@ def aut_degree(model, graph):
     edge_ways = math.prod(math.factorial(c) for c in alike.values())
     sym_loops = sum(1 for a, b, ka, kb, _ in edges if a == b and ka == kb)
     aut = vertex_perms * edge_ways * 2**sym_loops
-    factor = Frac(aut)
-    for ei, side in _degree_half_edges(graph):
-        factor /= isotropy_order(model.d, graph.edges[ei].mults[side])
-    return aut, factor
+    mults = (graph.edges[ei].mults[side] for ei, side in _degree_half_edges(graph))
+    return aut, Frac(aut, math.prod(isotropy_order(model.d, m) for m in mults))
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +651,18 @@ def _levelled_structures(nv, ne):
     """The connected bipartite structures with their level assignments, one
     per isomorphism class of bare levelled structure: for each structure in
     _connected_structures order, vertex 0 at level zero first, the first met
-    of each _least_form key.  Each comes with its fixers: the non-identity
-    vertex permutations perm, old to new, that keep its edge multiset and
-    its levels, as (perm, inverse, moved) with moved the image pair of each
-    edge."""
+    of each _least_form key.  Each comes with its fixers: the vertex
+    permutations perm, old to new, that keep its edge multiset and its
+    levels, as (perm, inverse, moved) with moved the image pair of each
+    edge.  The identity is one only on a structure with parallel edges,
+    where its image sorts their deltas."""
     seen = set()
-    perms = list(itertools.permutations(range(nv)))[1:]
+    perms = list(itertools.permutations(range(nv)))
     for structure in _connected_structures(nv, ne):
         sides = _bipartition(nv, structure)
         if sides is None:
             continue
+        parallel = len(set(structure)) < ne
         bare = [(a, b, 0, 0, 0) for a, b in structure]
         for flip in (0, 1):
             levels = tuple(LEVEL_ZERO if s == flip else LEVEL_INF for s in sides)
@@ -670,7 +671,8 @@ def _levelled_structures(nv, ne):
                 continue
             seen.add(key)
             fixers = []
-            for perm in perms:
+            # permutations() yields the identity first
+            for perm in perms[0 if parallel else 1:]:
                 if tuple(levels[new] for new in perm) != levels:
                     continue
                 moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
@@ -1193,15 +1195,35 @@ def graph_to_obj(graph):
     return obj
 
 
+# Fraction of an int or a 'p/q' string, whose parser is Fraction's slow
+# path; report inputs repeat the same few.  Errors are not cached
+_read_frac = functools.lru_cache(maxsize=1024)(Frac)
+
+
 def _read_mult(value, where):
-    """A multiplicity as an int or a 'p/q' string; bool, float and the rest
-    are refused, not cast."""
+    """A multiplicity as given, once it reads as an int or a 'p/q' string;
+    bool, float and the rest are refused, not cast."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{where} multiplicity {value!r} is not an integer or a 'p/q' string")
     try:
-        return Frac(value)
+        _read_frac(value)
     except ZeroDivisionError:
         raise ValueError(f"{where} multiplicity {value!r} has a zero denominator") from None
+    return value
+
+
+# Vertex and Edge are frozen, so graphs read from equal fields share them.
+# The keys hold multiplicities as given: hashing a Fraction costs more than
+# building it from a cached parse
+@functools.lru_cache(maxsize=1024)
+def _vertex(genus, degree, legs, extra_legs, level):
+    legs = tuple((label, _read_frac(m)) for label, m in legs)
+    return Vertex(genus, degree, legs, extra_legs, level)
+
+
+@functools.lru_cache(maxsize=1024)
+def _edge(ends, mults, delta):
+    return Edge(ends, tuple(map(_read_frac, mults)), delta)
 
 
 def _read_int(value, what, nullable=False):
@@ -1231,11 +1253,6 @@ def _read_list(value, what, length=None, shape="are not a list"):
     return value
 
 
-def _read_ends(value, where):
-    ends = _read_list(value, f"{where} ends", 2, "are not a pair of vertex indices")
-    return tuple(_read_int(x, f"{where} end") for x in ends)
-
-
 def _read_level(value, where):
     if value in (None, LEVEL_ZERO, LEVEL_INF):
         return value
@@ -1244,33 +1261,31 @@ def _read_level(value, where):
     )
 
 
-def _read_leg(value, where):
-    label, m = _read_list(value, f"{where} leg", 2, "is not a [label, multiplicity] pair")
-    return _read_int(label, f"{where} leg label"), _read_mult(m, f"{where} leg {label}")
-
-
 def _read_vertex(value, where):
     v = _read_record(value, where)
-    return Vertex(
-        _read_int(_read_field(v, "genus", where), f"{where} genus"),
-        _read_int(_read_field(v, "degree", where), f"{where} degree"),
-        tuple(_read_leg(leg, where) for leg in _read_list(v.get("legs", []), f"{where} legs")),
-        _read_int(v.get("extra_legs", 0), f"{where} extra_legs"),
-        _read_level(v.get("level"), where),
-    )
+    genus = _read_int(_read_field(v, "genus", where), f"{where} genus")
+    degree = _read_int(_read_field(v, "degree", where), f"{where} degree")
+    legs = []
+    for leg in _read_list(v.get("legs", []), f"{where} legs"):
+        label, m = _read_list(leg, f"{where} leg", 2, "is not a [label, multiplicity] pair")
+        label = _read_int(label, f"{where} leg label")
+        legs.append((label, _read_mult(m, f"{where} leg {label}")))
+    extra_legs = _read_int(v.get("extra_legs", 0), f"{where} extra_legs")
+    return _vertex(genus, degree, tuple(legs), extra_legs, _read_level(v.get("level"), where))
 
 
 def _read_edge(value, where):
     e = _read_record(value, where)
-    ends = _read_ends(_read_field(e, "ends", where), where)
-    mults = _read_list(
+    a, b = _read_list(
+        _read_field(e, "ends", where), f"{where} ends", 2, "are not a pair of vertex indices"
+    )
+    ends = (_read_int(a, f"{where} end"), _read_int(b, f"{where} end"))
+    m0, m1 = _read_list(
         _read_field(e, "mults", where), f"{where} mults", 2, "are not a pair of multiplicities"
     )
-    return Edge(
-        ends,
-        tuple(_read_mult(m, f"{where} side {s}") for s, m in enumerate(mults)),
-        _read_int(e.get("delta"), f"{where} covering degree", nullable=True),
-    )
+    mults = (_read_mult(m0, f"{where} side 0"), _read_mult(m1, f"{where} side 1"))
+    delta = _read_int(e.get("delta"), f"{where} covering degree", nullable=True)
+    return _edge(ends, mults, delta)
 
 
 def graph_from_obj(obj):

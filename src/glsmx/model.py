@@ -26,10 +26,10 @@ def frac_bracket(a) -> Frac:
 def isotropy_order(d: int, mult) -> int:
     """Order of the cyclic isotropy acting with multiplicity mult on the
     fiber of a d-th root bundle: d / gcd(d*mult, d)."""
-    k = Frac(mult) * d
-    if k.denominator != 1:
+    m = mult if type(mult) is Frac else Frac(mult)
+    if d % m.denominator:
         raise ConfigError(f"multiplicity {mult} has denominator not dividing {d}")
-    return d // math.gcd(int(k) % d, d)
+    return d // math.gcd(m.numerator * (d // m.denominator) % d, d)
 
 
 def check_off_wall(epsilon) -> Frac:

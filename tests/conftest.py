@@ -4,14 +4,19 @@ from fractions import Fraction as Frac
 
 import pytest
 
-from glsmx import jfun, p1series
+from glsmx import cli, graphs, jfun, p1series
 
-# the process-wide series caches: the jfun coefficient ladders, the p1
-# vertex weights, the rooted-tree tables that the graph sums and the tails
-# share, the placement tables of the graph sums, and the p1 tail
-# coefficients, marked series, Lagrange root and rewritten values shared
-# across orders and calls
+# the process-wide caches: the jfun coefficient ladders, the p1 vertex
+# weights, the rooted-tree tables that the graph sums and the tails share,
+# the placement tables of the graph sums, the p1 tail coefficients, marked
+# series, Lagrange root and rewritten values shared across orders and
+# calls, and the parsed models, rationals, vertices and edges of the
+# report inputs
 _CACHES = (
+    cli._glsm_model,
+    graphs._read_frac,
+    graphs._vertex,
+    graphs._edge,
     jfun._ladder,
     jfun._ladder_plus,
     p1series._vertex_weight,
@@ -33,7 +38,7 @@ def _clear_caches():
 
 @pytest.fixture
 def cold_caches():
-    """Empty the series caches before the test and again after it, so a
+    """Empty the caches before the test and again after it, so a
     test that patches a factor hands none of its values to the next one.
     Yields the clearing function, for a second cold start inside a test."""
     _clear_caches()

@@ -9,11 +9,14 @@ Representatives are bucketed by an isomorphism invariant (sorted node
 attributes plus sorted edge attributes with their end-node attributes), so
 networkx only compares candidates inside one bucket.  The invariant never
 separates isomorphic graphs, so the counts are those of a full scan.
+fraction_degree_factor recomputes the covering-degree factor on Fractions,
+by the per-half-edge division that the production code replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as Frac
 
 import networkx as nx
@@ -269,3 +272,18 @@ def _edge_bijections(perm, edges, i, used):
         if ways:
             count += ways * _edge_bijections(perm, edges, i + 1, used | {j})
     return count
+
+
+def fraction_degree_factor(d, aut, mults):
+    """The covering-degree factor by Fraction division: |Aut| divided, one
+    half-edge at a time, by the isotropy order of each multiplicity in
+    mults, each order read off Fraction arithmetic as d / gcd(d*m mod d, d).
+    The production route multiplies the orders as ints and builds one
+    Fraction; this is the route it replaced."""
+    factor = Frac(aut)
+    for m in mults:
+        k = Frac(m) * d
+        if k.denominator != 1:
+            raise ValueError(f"multiplicity {m} has denominator not dividing {d}")
+        factor /= d // math.gcd(int(k) % d, d)
+    return factor

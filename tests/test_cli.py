@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from glsmx import cli, criteria, jfun, p1series
 from glsmx.algebra import CohClass, RatFun, Z
 from glsmx.cli import main, report_passed, run
+from glsmx.errors import ConfigError
 from glsmx.graphs import _ENUM_BOUNDS
 from glsmx.model import LG, GlsmModel
 
@@ -360,6 +361,50 @@ def test_handler_error_becomes_failing_check():
     assert report["checks"][0]["name"] == "OnWall"
     assert report["checks"][0]["status"] == "fail"
     assert not report_passed(report)
+
+
+def test_a_bad_model_fails_on_every_call_and_equal_models_are_shared():
+    # the parsed model is cached, but a cache keeps no exception, so a bad
+    # config raises on every call; equal configs share one frozen model
+    bad = {"model": dict(QUINTIC_LG, weights=[3, 1, 1, 1, 1])}
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="weight 3 does not divide d=5"):
+            cli._model_from_config(bad)
+    first = cli._model_from_config({"model": dict(QUINTIC_LG, epsilon="2/5")})
+    assert cli._model_from_config({"model": dict(QUINTIC_LG, epsilon="2/5")}) is first
+    assert first == GlsmModel((1, 1, 1, 1, 1), 1, 5, LG, Fraction(2, 5))
+
+
+@pytest.mark.parametrize(
+    "weights, epsilon, name, message",
+    [
+        # the epsilon is read before the model is validated, and the
+        # weights are validated before the wall test
+        ([3, 1, 1, 1, 1], "1/0", "ConfigError", "model.epsilon: cannot read '1/0' as a rational"),
+        ([3, 1, 1, 1, 1], "1/2", "ConfigError", "weight 3 does not divide d=5"),
+        ([1, 1, 1, 1, 1], "1/2", "OnWall", "epsilon = 1/2 sits on a wall"),
+    ],
+)
+def test_model_errors_keep_their_order_on_repeated_calls(weights, epsilon, name, message):
+    model = dict(QUINTIC_LG, weights=weights, epsilon=epsilon)
+    config = {"model": model, "aut": {"graph": FIG_TOP}}
+    for _ in range(2):
+        assert run("aut", config)["checks"] == [
+            {"name": name, "status": "fail", "first_failure": message}
+        ]
+
+
+def test_aut_refuses_a_multiplicity_off_the_model_grid():
+    # the isotropy order of 1/3 under d = 5 is undefined
+    graph = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["1/3", "2/3"]}])
+    for _ in range(2):
+        assert run("aut", {"model": QUINTIC_LG, "aut": {"graph": graph}})["checks"] == [
+            {
+                "name": "ConfigError",
+                "status": "fail",
+                "first_failure": "multiplicity 1/3 has denominator not dividing 5",
+            }
+        ]
 
 
 def test_main_writes_identical_reports(tmp_path, capsys):

@@ -12,8 +12,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers_graphs import brute_aut_count, brute_loc_graphs
+from helpers_graphs import brute_aut_count, brute_loc_graphs, fraction_degree_factor
 from helpers_p1 import POINT_MODEL
+from glsmx import criteria
 from glsmx import graphs as G
 from glsmx.errors import (
     BoundsExceeded,
@@ -752,21 +753,17 @@ def test_kept_prefixes_are_exactly_the_orbit_minima():
     # the census keeps a prefix iff it is the least labelled form of its
     # decorated levelled structure, so it meets every class and repeats
     # none that a relabelling shows.  Parallel edges are interchangeable,
-    # so the prefixes whose deltas are in order within each run of parallel
-    # edges are the ones to decide; out of order, a prefix repeats its
-    # sorted one, which comes first.  Four edges reach the structures where
-    # a relabelling moves or keeps a run of parallel edges
+    # so a prefix whose deltas are out of order within a run of parallel
+    # edges repeats its sorted one, even where no vertex permutation moves
+    # the run.  Four edges reach the structures where a relabelling moves
+    # or keeps a run of parallel edges
     checked = {True: 0, False: 0}
     for nv in range(1, 5):
         for ne in range(0 if nv == 1 else 1, 5):
             for structure, levels, fixers in G._levelled_structures(nv, ne):
                 relabellings = _relabellings(structure, levels)
                 for prefix in itertools.product(
-                    [
-                        deltas
-                        for deltas in itertools.product((1, 2), repeat=ne)
-                        if deltas == tuple(dd for _, dd in sorted(zip(structure, deltas)))
-                    ],
+                    itertools.product((1, 2), repeat=ne),
                     itertools.product((0, 1), repeat=nv),
                     [tuple(int(v == w) for v in range(nv)) for w in range(nv)],
                     itertools.product(range(nv), repeat=1 if nv > 3 else 2),
@@ -774,7 +771,7 @@ def test_kept_prefixes_are_exactly_the_orbit_minima():
                     least = prefix == min(_orbit(relabellings, prefix))
                     assert G._is_least_prefix(prefix, fixers) == least, (structure, levels, prefix)
                     checked[least] += 1
-    assert checked == {True: 25760, False: 11956}
+    assert checked == {True: 25760, False: 24932}
 
 
 def _labelled_loop(model, g, n, beta, delta):
@@ -1010,6 +1007,39 @@ def test_aut_degree_pointlike_vertex_counts_once():
     assert aut == 1
     # stable ends contribute 5 and 5, the node in the middle once more
     assert factor == Frac(1, 125)
+
+
+def test_aut_degree_matches_the_fraction_route():
+    # aut_degree multiplies the isotropy orders as ints into one Fraction;
+    # the oracle divides a Fraction once per picked half-edge, reading each
+    # order off Fraction arithmetic.  Every census graph of the acceptance
+    # criterion, and the dual graphs of the partial-order tests: the figure
+    # top and its predecessors, and every graph on the descending chains of
+    # the small and the 2214-chain tops
+    census = [
+        graph
+        for key in sorted(criteria._CENSUS)
+        for graph in G.enumerate_loc_graphs(QUINTIC_25, *key)
+    ]
+    duals = {
+        id(graph): graph
+        for top in (_small_top(), _two_genus_one_top())
+        for chain in G.descending_chains(QUINTIC, top, 16)
+        for graph in chain
+    }
+    duals = list(duals.values()) + [
+        _fig_top(),
+        _fig_pred_chain_bullet_mid(),
+        _fig_pred_chain_bullet_far(),
+        _fig_pred_loop(),
+        _fig_pred_loop_and_split(),
+    ]
+    assert len(census) == sum(criteria._CENSUS.values())
+    for graph in census + duals:
+        aut, factor = G.aut_degree(QUINTIC, graph)
+        mults = [graph.edges[ei].mults[side] for ei, side in G._degree_half_edges(graph)]
+        assert factor == fraction_degree_factor(QUINTIC.d, aut, mults), graph
+    assert len(duals) == 857
 
 
 def test_aut_bounds():

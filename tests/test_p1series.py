@@ -4,7 +4,9 @@ tail series, the rewrite at a three-pointed component against the
 three-point-sum oracle, and the square-root ratio identity."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import random
 from fractions import Fraction as Frac
 from itertools import combinations_with_replacement, product
@@ -40,6 +42,7 @@ from glsmx.algebra import (
     TruncSeries,
     series_root_pow,
 )
+import glsmx
 from glsmx import jfun, p1series
 from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
@@ -917,14 +920,22 @@ def test_p1series_reads_only_the_fixed_points_from_the_graph_layer():
 
 
 # ---------------------------------------------------------------------------
-# the series caches
+# the process-wide caches
 
-def test_every_series_cache_is_cleared_by_the_fixture():
+def _package_modules():
+    names = [m.name for m in pkgutil.iter_modules(glsmx.__path__)]
+    return [importlib.import_module(f"glsmx.{name}") for name in names]
+
+
+def test_every_cache_is_cleared_by_the_fixture():
+    # every module-level callable of the package with a cache_clear, the
+    # caches of the report inputs included, whose wrappers carry the
+    # __module__ of the function they wrap (Fraction's, GlsmModel's)
     found = {
         value
-        for module in (jfun, p1series)
+        for module in _package_modules()
         for value in vars(module).values()
-        if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+        if hasattr(value, "cache_clear")
     }
     assert found == set(_CACHES)
 
@@ -951,7 +962,8 @@ def _decorated_caches(module):
 def test_every_decorated_cache_is_in_the_fixture_list():
     # a cache missing from conftest._CACHES would carry a value built under
     # a patched factor from one cold_caches test into the next
-    found = {name: module for module in (jfun, p1series) for name in _decorated_caches(module)}
+    found = {name: module for module in _package_modules() for name in _decorated_caches(module)}
     assert {"_ladder", "_placements", "_root_powers", "_rewrite_basis"} <= found.keys()
+    assert {"_glsm_model", "_read_frac", "_vertex", "_edge"} <= found.keys()
     missing = sorted(name for name, module in found.items() if getattr(module, name) not in _CACHES)
     assert not missing
