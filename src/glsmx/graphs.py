@@ -17,11 +17,11 @@ from .errors import (
     NotInfinityStable,
 )
 from .model import (
+    bundle_degree_numerator,
     compat_residue,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    line_bundle_degree,
 )
 
 LEVEL_ZERO = "0"
@@ -213,34 +213,46 @@ def validate(model, graph):
 
     Multiplicities are summed as ints at one scale that holds the 1/d grid
     and every multiplicity of the graph.  A vertex is compatible iff its sum
-    meets the scaled gauge-bundle degree mod the scale: the defining rule,
-    not the census's residue rule, so this check stays independent of it."""
+    meets the scaled gauge-bundle degree (model.bundle_degree_numerator over
+    d) mod the scale: the defining rule, not the census's residue rule, so
+    this check stays independent of it."""
     out = []
     is_loc = isinstance(graph, LocGraph)
     vertices = graph.vertices
     nv = len(vertices)
     scale = math.lcm(model.d, _scale(graph))
-    unit = _scaled(model.unit_sector_mult, scale)
     # per vertex: the scaled multiplicities and the special points of its
     # legs, its extra legs (the phase unit each) and its sides of the edges
     # with both ends in range (both sides of a loop); he counts the
     # half-edges of every edge, as the vertex roles see them
-    ks = [sum(_scaled(m, scale) for _, m in v.legs) + unit * v.extra_legs for v in vertices]
-    points = [len(v.legs) + v.extra_legs for v in vertices]
+    ks = []
+    points = []
+    for v in vertices:
+        k = 0
+        for _, m in v.legs:
+            k += _scaled(m, scale)
+        if v.extra_legs:
+            k += _scaled(model.unit_sector_mult, scale) * v.extra_legs
+        ks.append(k)
+        points.append(len(v.legs) + v.extra_legs)
     he = [0] * nv
     edge_ks = []  # per edge its scaled sides, None with an end out of range
     for e in graph.edges:
-        sides = (_scaled(e.mults[0], scale), _scaled(e.mults[1], scale))
-        for end in e.ends:
-            if 0 <= end < nv:
-                he[end] += 1
-            else:
-                sides = None
-        if sides is not None:
-            for end, k in zip(e.ends, sides):
-                ks[end] += k
-                points[end] += 1
-        edge_ks.append(sides)
+        a, b = e.ends
+        if 0 <= a < nv and 0 <= b < nv:
+            ka, kb = _scaled(e.mults[0], scale), _scaled(e.mults[1], scale)
+            he[a] += 1
+            he[b] += 1
+            ks[a] += ka
+            ks[b] += kb
+            points[a] += 1
+            points[b] += 1
+            edge_ks.append((ka, kb))
+        else:
+            for end in e.ends:
+                if 0 <= end < nv:
+                    he[end] += 1
+            edge_ks.append(None)
     roles = [
         _vertex_role(v.genus, v.degree, v.level, n, len(v.legs), v.extra_legs, model.epsilon)
         for v, n in zip(vertices, he)
@@ -274,8 +286,8 @@ def validate(model, graph):
         if v.genus < 0 or v.degree < 0 or v.extra_legs < 0:
             out.append(f"vertex {vi}: negative decoration")
             continue
-        degree = line_bundle_degree(model, v.genus, points[vi], v.degree)
-        gap = _scaled(degree, scale) - ks[vi]
+        gap = bundle_degree_numerator(model, v.genus, points[vi], v.degree) * (scale // model.d)
+        gap -= ks[vi]
         if gap % scale:
             out.append(f"vertex {vi}: multiplicity defect {Frac(gap, scale)} not integral")
     if not is_loc and graph.v_bullet is not None:
@@ -319,7 +331,8 @@ def _least_form(verts, edges, bullet=None):
     class, so the least form is a total invariant, and the orders reaching
     it are a coset of the automorphism group.  Each block of alike vertices
     is searched through _block_orders, which skips the orders that only
-    exchange twins."""
+    exchange twins.  When every class holds one vertex, as it nearly always
+    does, that one order is the only one tried."""
     incidences = [[] for _ in verts]
     for a, b, ka, kb, dd in edges:
         incidences[a].append((dd, ka, kb, verts[b]))
@@ -328,6 +341,11 @@ def _least_form(verts, edges, bullet=None):
     for vi, (v, inc) in enumerate(zip(verts, incidences)):
         inc.sort()
         groups.setdefault((v, tuple(inc)), []).append(vi)
+    pos = [0] * len(verts)
+    if len(groups) == len(verts):
+        # every class holds one vertex, so one order reaches the least form
+        order = [block[0] for _, block in sorted(groups.items())]
+        return _serialize(verts, edges, bullet, order, pos), 1
     block_orders = []
     ways = 1
     for k in sorted(groups):
@@ -338,29 +356,36 @@ def _least_form(verts, edges, bullet=None):
             orders, twin_ways = _block_orders(block, edges, bullet)
             block_orders.append(orders)
             ways *= twin_ways
-    pos = [0] * len(verts)
     best, ties = None, 0
     for choice in itertools.product(*block_orders):
-        order = tuple(itertools.chain.from_iterable(choice))
-        for new, old in enumerate(order):
-            pos[old] = new
-        serial = []
-        for a, b, ka, kb, dd in edges:
-            sa, sb = (pos[a], ka), (pos[b], kb)
-            if sb < sa:
-                sa, sb = sb, sa
-            serial.append((sa[0], sb[0], dd, sa[1], sb[1]))
-        serial.sort()
-        form = (
-            tuple(verts[o] for o in order),
-            tuple(serial),
-            -1 if bullet is None else pos[bullet],
-        )
+        order = [vi for block in choice for vi in block]
+        form = _serialize(verts, edges, bullet, order, pos)
         if best is None or form < best:
             best, ties = form, 1
         elif form == best:
             ties += 1
     return best, ties * ways
+
+
+def _serialize(verts, edges, bullet, order, pos):
+    """The serialization of an int-tuple graph under a vertex order (old
+    vertex ids, new order); pos is a list of its length that the call
+    overwrites with each vertex's new position."""
+    for new, old in enumerate(order):
+        pos[old] = new
+    serial = []
+    for a, b, ka, kb, dd in edges:
+        pa, pb = pos[a], pos[b]
+        if pb < pa or (pb == pa and kb < ka):
+            serial.append((pb, pa, dd, kb, ka))
+        else:
+            serial.append((pa, pb, dd, ka, kb))
+    serial.sort()
+    return (
+        tuple([verts[o] for o in order]),
+        tuple(serial),
+        -1 if bullet is None else pos[bullet],
+    )
 
 
 def _block_orders(block, edges, bullet):
@@ -647,39 +672,52 @@ def _connected_structures(nv, ne):
             yield combo
 
 
+# every (nv, ne) shape a census within _ENUM_BOUNDS reaches: ne <= delta
+# edges on at most ne + 1 vertices
+@functools.lru_cache(maxsize=(_ENUM_BOUNDS["delta"] + 1) * (_ENUM_BOUNDS["delta"] + 2) // 2)
 def _levelled_structures(nv, ne):
     """The connected bipartite structures with their level assignments, one
     per isomorphism class of bare levelled structure: for each structure in
-    _connected_structures order, vertex 0 at level zero first, the first met
-    of each _least_form key.  Each comes with its fixers: the vertex
-    permutations perm, old to new, that keep its edge multiset and its
-    levels, as (perm, inverse, moved) with moved the image pair of each
+    _connected_structures order, vertex 0 at level zero first, the first
+    met of each class, which is the one that no vertex permutation maps to
+    an earlier (structure, flip).  A structure that some permutation maps
+    to a smaller edge multiset is skipped with both flips; of the rest, the
+    flip-1 assignment is skipped when an automorphism of the structure puts
+    vertex 0 at level zero.  Each kept one comes with its fixers: the
+    vertex permutations perm, old to new, that keep its edge multiset and
+    its levels, as (perm, inverse, moved) with moved the image pair of each
     edge.  The identity is one only on a structure with parallel edges,
-    where its image sorts their deltas."""
-    seen = set()
+    where its image sorts their deltas.  Depends on the shape alone, so it
+    is walked once per process and kept as a tuple."""
+    out = []
     perms = list(itertools.permutations(range(nv)))
+    identity = perms[0]  # permutations() yields the identity first
     for structure in _connected_structures(nv, ne):
         sides = _bipartition(nv, structure)
         if sides is None:
             continue
-        parallel = len(set(structure)) < ne
-        bare = [(a, b, 0, 0, 0) for a, b in structure]
-        for flip in (0, 1):
-            levels = tuple(LEVEL_ZERO if s == flip else LEVEL_INF for s in sides)
-            key = _least_form(levels, bare)[0]
-            if key in seen:
-                continue
-            seen.add(key)
-            fixers = []
-            # permutations() yields the identity first
-            for perm in perms[0 if parallel else 1:]:
-                if tuple(levels[new] for new in perm) != levels:
+        autos = []  # the permutations that keep the edge multiset
+        for perm in perms:
+            moved = tuple(tuple(sorted((perm[a], perm[b]))) for a, b in structure)
+            image = tuple(sorted(moved))
+            if image < structure:
+                break
+            if image == structure:
+                autos.append((perm, moved))
+        else:
+            parallel = len(set(structure)) < ne
+            for flip in (0, 1):
+                levels = tuple(LEVEL_ZERO if s == flip else LEVEL_INF for s in sides)
+                if flip and any(levels[perm.index(0)] == LEVEL_ZERO for perm, _ in autos):
                     continue
-                moved = [tuple(sorted((perm[a], perm[b]))) for a, b in structure]
-                if sorted(moved) == list(structure):
-                    inverse = tuple(sorted(range(nv), key=perm.__getitem__))
-                    fixers.append((perm, inverse, moved))
-            yield structure, levels, fixers
+                fixers = tuple(
+                    (perm, tuple(sorted(range(nv), key=perm.__getitem__)), moved)
+                    for perm, moved in autos
+                    if (parallel or perm != identity)
+                    and all(levels[perm[vi]] == levels[vi] for vi in range(nv))
+                )
+                out.append((structure, levels, fixers))
+    return tuple(out)
 
 
 def enumerate_loc_graphs(model, g, n, beta, delta):
@@ -697,6 +735,17 @@ def enumerate_loc_graphs(model, g, n, beta, delta):
     return [graph for graph, _ in _census(model, g, n, beta, delta)]
 
 
+@functools.lru_cache(maxsize=64)
+def _vertex_profiles(model):
+    """The census's table of a model's vertex profiles, (genus, degree,
+    level, half-edges, legs) -> (role, residue target), which _census hands
+    to _emit_candidates and _emit_candidates fills as it meets them.  Each
+    entry depends on the model and the counts alone, so the table lives as
+    long as the model's cache entry, and the model is hashed once per
+    census."""
+    return {}
+
+
 def _census(model, g, n, beta, delta):
     """The graphs of enumerate_loc_graphs, without its caps, each paired
     with the number of vertex orders that reach its least form: the vertex
@@ -711,11 +760,7 @@ def _census(model, g, n, beta, delta):
     classes already met, and is skipped.  The first candidate met of a
     class is never skipped, since its image would come earlier still."""
     found = {}
-    # (genus, degree, level, half-edges, legs) -> (role, residue target)
-    profiles = {}
-    # the Vertex and Edge objects of _shared_vertex and _shared_edge,
-    # shared by every graph that has the part
-    parts = {}
+    profiles = _vertex_profiles(model)
     ne_options = range(1, delta + 1) if delta else (0,)
     for ne in ne_options:
         for nv in range(max(1, ne + 1 - g), ne + 2):
@@ -732,7 +777,7 @@ def _census(model, g, n, beta, delta):
             for structure, levels, fixers in _levelled_structures(nv, ne):
                 for prefix in itertools.product(*prefix_parts):
                     if _is_least_prefix(prefix, fixers):
-                        _emit_candidates(model, structure, levels, *prefix, found, profiles, parts)
+                        _emit_candidates(model, structure, levels, *prefix, found, profiles)
     return [found[k] for k in sorted(found)]
 
 
@@ -754,20 +799,18 @@ def _is_least_prefix(prefix, fixers):
     return True
 
 
-def _emit_candidates(
-    model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles, parts
-):
+def _emit_candidates(model, structure, levels, deltas, genera, degrees, leg_dist, found, profiles):
     """Add every valid graph on one decorated structure to found, by its
     least int form at scale d, paired with the number of vertex orders
     that reach that form.  Multiplicities stay residues k of k/d; a residue
     tuple compatible at every vertex is keyed as ints, and the graph is
-    built only for a key not seen before, from the Vertex and Edge parts
-    that parts shares across the census.  Every rule of validate
-    holds by construction but two, which depend on the structure alone and
-    are decided before the residues: each vertex has a role, and each edge
+    built only for a key not seen before, from the Vertex and Edge parts of
+    _shared_vertex and _shared_edge.  Every rule of validate holds by
+    construction but two, which depend on the structure alone and are
+    decided before the residues: each vertex has a role, and each edge
     covers more than the basepoint order at its level-zero end.  A vertex's
-    role and residue target depend on its counts alone, so profiles keeps
-    them for the whole enumeration."""
+    role and residue target depend on its counts alone, so profiles, the
+    model's table of _vertex_profiles, keeps them."""
     d = model.d
     nv = len(levels)
     legs_at = [[] for _ in range(nv)]
@@ -836,10 +879,10 @@ def _emit_candidates(
                     continue
                 found[key] = LocGraph(
                     tuple(
-                        _shared_vertex(parts, genus, degree, level, legs, d)
+                        _shared_vertex(genus, degree, level, legs, d)
                         for genus, degree, _, level, legs in verts
                     ),
-                    tuple(_shared_edge(parts, e, e[4], d) for e in int_edges),
+                    tuple(_shared_edge(e, e[4], d) for e in int_edges),
                 ), ties
 
 
@@ -877,27 +920,21 @@ def _edge_residues(d, oriented, legless, targets):
         yield edge_ks, free
 
 
-def _shared_vertex(parts, genus, degree, level, legs, scale):
+# Vertex and Edge are frozen, so every census and chain-search graph with
+# the same part shares one object.  The keys are ints at a scale
+@functools.lru_cache(maxsize=1024)
+def _shared_vertex(genus, degree, level, legs, scale):
     """The Vertex with no extra legs and the int (label, k) legs at scale,
-    in their order, built once per parts.  Its key has four entries, an
-    edge key two, so the two never collide."""
-    key = (genus, degree, level, legs)
-    got = parts.get(key)
-    if got is None:
-        legs = tuple((label, Frac(k, scale)) for label, k in legs)
-        got = parts[key] = Vertex(genus, degree, legs, 0, level)
-    return got
+    in their order."""
+    legs = tuple((label, Frac(k, scale)) for label, k in legs)
+    return Vertex(genus, degree, legs, 0, level)
 
 
-def _shared_edge(parts, e, delta, scale):
-    """The Edge of an int edge tuple at scale with covering degree delta,
-    built once per parts."""
-    key = (e, delta)
-    got = parts.get(key)
-    if got is None:
-        a, b, ka, kb, _ = e
-        got = parts[key] = Edge((a, b), (Frac(ka, scale), Frac(kb, scale)), delta)
-    return got
+@functools.lru_cache(maxsize=1024)
+def _shared_edge(e, delta, scale):
+    """The Edge of an int edge tuple at scale with covering degree delta."""
+    a, b, ka, kb, _ = e
+    return Edge((a, b), (Frac(ka, scale), Frac(kb, scale)), delta)
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +1005,7 @@ def minimal_expansions(model, graph):
     form = _int_form(graph, scale)
     if not _expandable(model, form, scale, graph.v_bullet):
         return {}
-    below = _descend(model, graph, form, scale, {})
+    below = _descend(model, graph, form, scale)
     return {key: triple for key, (triple, _) in below.items()}
 
 
@@ -1011,13 +1048,13 @@ def _stable_at_infinity(genus, degree, points):
     return degree > 0 or 2 * genus - 2 + points > 0
 
 
-def _descend(model, graph, form, scale, parts):
+def _descend(model, graph, form, scale):
     """The triples one step below graph, in minimal_expansions order, as
     {key: (triple, its int form at scale)}, for a graph that _expandable
     passed and its int form at scale.  A step touches only the
     distinguished vertex and the new edge, so each form below is built
     from this one, and a triple below passes _expandable again.  New
-    Vertex and Edge objects come from parts, which a chain search shares."""
+    Vertex and Edge objects come from _shared_vertex and _shared_edge."""
     verts, edges = form
     vb = graph.v_bullet
     center = graph.vertices[vb]
@@ -1057,10 +1094,10 @@ def _descend(model, graph, form, scale, parts):
             if vertices is None:
                 vertices = list(graph.vertices)
                 vertices[vb] = _shared_vertex(
-                    parts, genus - 1, degree, center.level, tuple(center_legs), scale
+                    genus - 1, degree, center.level, tuple(center_legs), scale
                 )
                 vertices = tuple(vertices)
-            loop_edge = _shared_edge(parts, loop, None, scale)
+            loop_edge = _shared_edge(loop, None, scale)
             out[key] = DualGraph(vertices, graph.edges + (loop_edge,), vb), (loop_verts, loop_edges)
     # split the distinguished vertex in two.  The complement split (the
     # other genus, degree, legs and slots) gives the same triples with the
@@ -1113,14 +1150,14 @@ def _descend(model, graph, form, scale, parts):
                         if key in out:
                             continue
                         vertices = list(graph.vertices)
-                        vertices[vb] = _shared_vertex(parts, g1, b1, center.level, ones, scale)
-                        vertices.append(_shared_vertex(parts, g2, b2, center.level, twos, scale))
+                        vertices[vb] = _shared_vertex(g1, b1, center.level, ones, scale)
+                        vertices.append(_shared_vertex(g2, b2, center.level, twos, scale))
                         new_edges = list(graph.edges)
                         for ei, _ in moved:
                             new_edges[ei] = _shared_edge(
-                                parts, split_edges[ei], graph.edges[ei].delta, scale
+                                split_edges[ei], graph.edges[ei].delta, scale
                             )
-                        new_edges.append(_shared_edge(parts, split_edges[-1], None, scale))
+                        new_edges.append(_shared_edge(split_edges[-1], None, scale))
                         out[key] = (
                             DualGraph(tuple(vertices), tuple(new_edges), bullet),
                             (split_verts, split_edges),
@@ -1138,21 +1175,21 @@ def descending_chains(model, graph, max_len):
     form = _int_form(graph, scale)
     if _expandable(model, form, scale, graph.v_bullet):
         key = _least_form(*form, graph.v_bullet)[0]
-        chains = _chains_from(model, graph, form, key, {}, (scale, {}))
+        chains = _chains_from(model, graph, form, key, {}, scale)
     else:
         chains = [[graph]]
     return [c for c in chains if len(c) <= max_len]
 
 
-def _chains_from(model, g, form, key, memo, shared):
-    """The chains from g, memoised on the keys of _descend; shared is the
-    (scale, parts) of the search."""
+def _chains_from(model, g, form, key, memo, scale):
+    """The chains from g, memoised on the keys of _descend, at the search's
+    scale."""
     if key in memo:
         return memo[key]
     memo[key] = [[g]]  # guards against accidental cycles
     all_chains = [[g]]
-    for p_key, (p, p_form) in _descend(model, g, form, *shared).items():
-        for sub in _chains_from(model, p, p_form, p_key, memo, shared):
+    for p_key, (p, p_form) in _descend(model, g, form, scale).items():
+        for sub in _chains_from(model, p, p_form, p_key, memo, scale):
             all_chains.append([g] + sub)
     memo[key] = all_chains
     return all_chains
@@ -1202,14 +1239,17 @@ _read_frac = functools.lru_cache(maxsize=1024)(Frac)
 
 def _read_mult(value, where):
     """A multiplicity as given, once it reads as an int or a 'p/q' string;
-    bool, float and the rest are refused, not cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{where} multiplicity {value!r} is not an integer or a 'p/q' string")
-    try:
-        _read_frac(value)
-    except ZeroDivisionError:
-        raise ValueError(f"{where} multiplicity {value!r} has a zero denominator") from None
-    return value
+    bool, float, a string that is no rational and the rest are refused, not
+    cast."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            _read_frac(value)
+            return value
+        except ZeroDivisionError:
+            raise ValueError(f"{where} multiplicity {value!r} has a zero denominator") from None
+        except ValueError:
+            pass
+    raise ValueError(f"{where} multiplicity {value!r} is not an integer or a 'p/q' string")
 
 
 # Vertex and Edge are frozen, so graphs read from equal fields share them.

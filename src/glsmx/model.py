@@ -132,11 +132,10 @@ def graph_multiplicities(model: GlsmModel, beta: int):
     return Frac(-(beta + 1) % d, d), Frac((beta + 1) % d, d)
 
 
-def line_bundle_degree(model: GlsmModel, genus: int, n: int, beta) -> Frac:
-    """Rational degree of the gauge bundle for the given discrete data."""
-    if model.phase == LG:
-        return Frac(2 * genus - 2 + n - beta, model.d)
-    return Frac(beta)
+def bundle_degree_numerator(model: GlsmModel, genus: int, n: int, beta: int) -> int:
+    """d times the rational degree of the gauge bundle for the given
+    discrete data: 2g - 2 + n - beta in the LG phase, d * beta otherwise."""
+    return 2 * genus - 2 + n - beta if model.phase == LG else model.d * beta
 
 
 def choose_delta(epsilon) -> Frac:

@@ -10,13 +10,18 @@ from glsmx import cli, graphs, jfun, p1series
 # weights, the rooted-tree tables that the graph sums and the tails share,
 # the placement tables of the graph sums, the p1 tail coefficients, marked
 # series, Lagrange root and rewritten values shared across orders and
-# calls, and the parsed models, rationals, vertices and edges of the
-# report inputs
+# calls, the parsed models, rationals, vertices and edges of the report
+# inputs, and the census's levelled structures, vertex profiles and the
+# graph parts that the census and the chain search share
 _CACHES = (
     cli._glsm_model,
     graphs._read_frac,
     graphs._vertex,
     graphs._edge,
+    graphs._levelled_structures,
+    graphs._vertex_profiles,
+    graphs._shared_vertex,
+    graphs._shared_edge,
     jfun._ladder,
     jfun._ladder_plus,
     p1series._vertex_weight,

@@ -32,7 +32,6 @@ from glsmx.model import (
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    line_bundle_degree,
     make_sector,
 )
 
@@ -212,6 +211,14 @@ def bundle_weights(rational_degree, age0, age_inf, tangent_weight, fiber_weight_
     h0 = tuple(fiber_weight_0 - k * tangent_weight for k in range(degree + 1))
     h1 = tuple(fiber_weight_0 + (k + 1) * tangent_weight for k in range(-degree - 1))
     return WeightTable(h0, h1)
+
+
+def line_bundle_degree(model, genus, n, beta):
+    """Rational degree of the gauge bundle, on Frac: the oracle for
+    model.bundle_degree_numerator."""
+    if model.phase == LG:
+        return Frac(2 * genus - 2 + n - beta, model.d)
+    return Frac(beta)
 
 
 def p_bundle_degree(model, genus, n, beta):

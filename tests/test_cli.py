@@ -230,10 +230,12 @@ def _run_criterion(name):
     return criteria.run_criterion(name, dict(criteria.CRITERIA)[name])
 
 
-def test_census_checks_do_not_share_the_census_residue_rule(monkeypatch):
+def test_census_checks_do_not_share_the_census_residue_rule(monkeypatch, cold_caches):
     # validate tests each vertex against the gauge-bundle degree itself, so
     # a census built on a residue rule shifted by one fails the graphs
-    # report, every graph it emits fails validate, and criterion 7 fails
+    # report, every graph it emits fails validate, and criterion 7 fails.
+    # The census keeps each model's residue targets, so the shifted rule
+    # must start and leave the caches cold
     import re
 
     import glsmx.graphs as gr
@@ -1126,6 +1128,15 @@ _SHORT_LEG = _with(
     vertices=[{"genus": 1, "degree": 0, "legs": [[1]]}, {"genus": 2, "degree": 2, "legs": []}],
 )
 _NO_EDGES = {k: v for k, v in FIG_TOP.items() if k != "edges"}
+# multiplicity strings that do not read as a rational
+_WORD_MULT = _with(FIG_TOP, edges=[{"ends": [0, 1], "mults": ["x", "1/5"]}])
+_SPACED_LEG = _with(
+    FIG_TOP,
+    vertices=[
+        {"genus": 1, "degree": 0, "legs": [[1, "3/5 1"]]},
+        {"genus": 2, "degree": 2, "legs": []},
+    ],
+)
 _FAILURE_TEXT = [
     (_ZERO_DEN_LEG, "vertex 0 leg 1 multiplicity '1/0' has a zero denominator"),
     (_ZERO_DEN_MULT, "edge 0 side 1 multiplicity '1/0' has a zero denominator"),
@@ -1141,6 +1152,8 @@ _FAILURE_TEXT = [
     (_NO_GENUS, "vertex 1 has no 'genus' field"),
     (_SHORT_LEG, "vertex 0 leg [1] is not a [label, multiplicity] pair"),
     (_NO_EDGES, "graph has no 'edges' field"),
+    (_WORD_MULT, "edge 0 side 0 multiplicity 'x' is not an integer or a 'p/q' string"),
+    (_SPACED_LEG, "vertex 0 leg 1 multiplicity '3/5 1' is not an integer or a 'p/q' string"),
 ]
 
 
@@ -1168,6 +1181,12 @@ _FAILURE_TEXT = [
         ("contract", {"graph": _ONE_MULT, "epsilon": "2/5"}),
         ("order", {"a": _SHORT_LEG, "b": FIG_TOP}),
         ("aut", {"graph": _NO_EDGES}),
+        ("aut", {"graph": _WORD_MULT}),
+        ("order", {"a": FIG_TOP, "b": _WORD_MULT}),
+        ("contract", {"graph": _WORD_MULT, "epsilon": "2/5"}),
+        ("aut", {"graph": _SPACED_LEG}),
+        ("order", {"a": _SPACED_LEG, "b": FIG_TOP}),
+        ("contract", {"graph": _SPACED_LEG, "epsilon": "2/5"}),
     ],
 )
 def test_out_of_range_graph_fails_cleanly(command, block, tmp_path, capsys):
@@ -1409,7 +1428,84 @@ def test_verify_with_malformed_truncations_keeps_the_contract():
     _assert_contract("verify", config)
 
 
+# values that spoil one field of a graph object, and the deletion of a
+# record's field
+_JUNK = [None, True, -1, 0, 3, 1.5, "1", "x", "3/5 1", "1/0", "loc", "inf", [], [0, 1], {}]
+_DELETE = object()
+
+
+def _graph_sites(graph):
+    """(path, names) for every field of a graph object: the keys down to the
+    field, and the words a message about it names, its vertex or edge and
+    the field itself."""
+    words = {"vertices": "vert", "edges": "edge", "v_bullet": "v_bullet", "kind": "fixed-locus"}
+    sites = [((key,), (words[key],)) for key in graph]
+    for vi, v in enumerate(graph["vertices"]):
+        where = f"vertex {vi}"
+        sites.append((("vertices", vi), (where,)))
+        for field in ("genus", "degree", "legs", "extra_legs", "level"):
+            sites.append((("vertices", vi, field), (where, "leg" if field == "legs" else field)))
+        for li in range(len(v["legs"])):
+            leg = ("vertices", vi, "legs", li)
+            sites += [(leg, (where, "leg")), (leg + (0,), (where, "leg label"))]
+            sites.append((leg + (1,), (where, "multiplicity")))
+    for ei in range(len(graph["edges"])):
+        where = f"edge {ei}"
+        edge = ("edges", ei)
+        sites.append((edge, (where,)))
+        for field, word in (("ends", "end"), ("mults", "mult"), ("delta", "covering degree")):
+            sites.append((edge + (field,), (where, word)))
+        for side in (0, 1):
+            sites.append((edge + ("ends", side), (where, "end")))
+            sites.append((edge + ("mults", side), (where, f"side {side} multiplicity")))
+    return sites
+
+
+def _mutated(graph, path, value):
+    out = json.loads(json.dumps(graph))
+    *head, last = path
+    node = out
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        node.pop(last, None)
+    else:
+        node[last] = value
+    return out
+
+
+@pytest.mark.parametrize("command", ["aut", "order", "contract"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_graph_commands_keep_the_contract(command, data):
+    # one field of a valid graph object spoiled or dropped: the command
+    # exits 0 or 1 with no traceback, and a graph it cannot read fails with
+    # a message that names the operand, the vertex or edge and the field.
+    # The warm rerun of _assert_contract also checks that the caches these
+    # commands read through carry nothing from one request into the next
+    keys = ["a", "b"] if command == "order" else ["graph"]
+    key = data.draw(st.sampled_from(keys))
+    # a fixed-locus graph is no operand of order or contract at all
+    base = data.draw(st.sampled_from([FIG_TOP, FIG_SPLIT] + [_LOC] * (command == "aut")))
+    path, names = data.draw(st.sampled_from(_graph_sites(base)))
+    value = data.draw(st.sampled_from(_JUNK + [_DELETE] * isinstance(path[-1], str)))
+    block = dict.fromkeys(keys, FIG_TOP)
+    block[key] = _mutated(base, path, value)
+    if command == "contract":
+        block["epsilon"] = data.draw(st.sampled_from([None, "2/5", "2/7"]))
+    model = data.draw(st.sampled_from([QUINTIC_LG, dict(QUINTIC_LG, epsilon="2/5")]))
+    report = _assert_contract(command, {"model": model, command: block})
+    first = report["checks"][0] if report and report["checks"] else {}
+    failure = first.get("first_failure") or ""
+    if failure.startswith("cannot read "):
+        assert failure.startswith(f"cannot read {key!r}: ")
+        assert all(name in failure for name in names), (path, value, failure)
+
+
 def _assert_contract(command, config):
+    """Run the command on the config through main, twice in the same
+    process, and check the exit code, stderr and bytes; the report, or
+    None when main printed an error instead."""
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         out_path = os.path.join(tmp, "report.json")
@@ -1429,3 +1525,4 @@ def _assert_contract(command, config):
         if out:
             with open(out_path, encoding="utf-8") as handle:
                 assert handle.read() == out
+    return json.loads(out) if out else None

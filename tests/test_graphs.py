@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers_graphs import brute_aut_count, brute_loc_graphs, fraction_degree_factor
 from helpers_p1 import POINT_MODEL
-from glsmx import criteria
+from glsmx import cli, criteria
 from glsmx import graphs as G
 from glsmx.errors import (
     BoundsExceeded,
@@ -777,7 +777,7 @@ def test_kept_prefixes_are_exactly_the_orbit_minima():
 def _labelled_loop(model, g, n, beta, delta):
     """The census with no pruning: every labelled structure, both level
     assignments and every prefix, in the enumerator's loop order."""
-    found, profiles, parts = {}, {}, {}
+    found, profiles = {}, {}
     for ne in range(1, delta + 1) if delta else (0,):
         for nv in range(max(1, ne + 1 - g), ne + 2):
             genus_budget = g - (ne - nv + 1)
@@ -807,7 +807,6 @@ def _labelled_loop(model, g, n, beta, delta):
                             leg_dist,
                             found,
                             profiles,
-                            parts,
                         )
     return [found[k][0] for k in sorted(found)]
 
@@ -913,6 +912,45 @@ def test_enumerate_never_runs_validate(monkeypatch, key):
 
     monkeypatch.setattr(G, "validate", refuse)
     assert len(G.enumerate_loc_graphs(QUINTIC_25, *key)) == _CENSUS[key]
+
+
+def test_warm_census_equals_the_cold_one(monkeypatch, cold_caches):
+    # the census keeps its levelled structures, vertex profiles and graph
+    # parts for the life of the process.  Every frozen key run from empty
+    # caches, then in one warm pass in the reverse order, each key just
+    # after the same key on another model (whose residue targets differ),
+    # gives the same graphs, ties and graphs report bytes; and each kept
+    # structure table is the one a fresh walk of its shape gives
+    shapes = set()
+    levelled = G._levelled_structures
+
+    def recorded(nv, ne):
+        shapes.add((nv, ne))
+        return levelled(nv, ne)
+
+    monkeypatch.setattr(G, "_levelled_structures", recorded)
+    model = {"weights": [1] * 5, "N": 1, "d": 5, "phase": LG, "epsilon": "2/5"}
+
+    def census_and_report(key):
+        sizes = dict(zip(("genus", "markings", "degree", "edge_degree"), key))
+        report = cli.run("graphs", {"model": model, "graphs": sizes})
+        return G._census(QUINTIC_25, *key), json.dumps(report, indent=2)
+
+    keys = sorted(criteria._CENSUS)
+    cold = {}
+    for key in keys:
+        cold_caches()
+        cold[key] = census_and_report(key)
+    cold_caches()
+    warm = {}
+    for key in reversed(keys):
+        G._census(QUINTIC_GEO_25, *key)
+        warm[key] = census_and_report(key)
+    assert warm == cold
+    assert [len(census) for census, _ in cold.values()] == [criteria._CENSUS[k] for k in keys]
+    assert shapes == {(1, 1), (2, 1), (2, 2), (3, 2)}
+    for nv, ne in shapes:
+        assert levelled(nv, ne) == levelled.__wrapped__(nv, ne)
 
 
 def test_enumerate_bounds_and_errors():
@@ -1243,6 +1281,48 @@ def test_key_and_aut_invariant_under_relabelling(data, loc):
 def test_aut_count_matches_brute_force(data, loc):
     graph = data.draw(_random_graph(loc))
     assert G.aut_degree(_D10, graph)[0] == _brute_aut(graph)
+
+
+def _brute_least_form(verts, edges, bullet):
+    """The least serialization over every vertex order that lists the
+    vertices by their invariant class (the vertex and its sorted decorated
+    incidences), and the number of orders that reach it, by trying all
+    orders."""
+    classes = []
+    for vi, v in enumerate(verts):
+        inc = [(dd, ka, kb, verts[b]) for a, b, ka, kb, dd in edges if a == vi]
+        inc += [(dd, kb, ka, verts[a]) for a, b, ka, kb, dd in edges if b == vi]
+        classes.append((v, tuple(sorted(inc))))
+    best, ties = None, 0
+    for order in itertools.permutations(range(len(verts))):
+        if sorted(classes[o] for o in order) != [classes[o] for o in order]:
+            continue
+        pos = {old: new for new, old in enumerate(order)}
+        serial = []
+        for a, b, ka, kb, dd in edges:
+            (pa, sa), (pb, sb) = sorted([(pos[a], ka), (pos[b], kb)])
+            serial.append((pa, pb, dd, sa, sb))
+        form = (
+            tuple(verts[o] for o in order),
+            tuple(sorted(serial)),
+            -1 if bullet is None else pos[bullet],
+        )
+        if best is None or form < best:
+            best, ties = form, 0
+        ties += form == best
+    return best, ties
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_least_form_matches_the_search_over_all_orders(data, loc):
+    # the one-order path (every class a single vertex) and the block search
+    # both give the least form and its order count of a search over every
+    # order that keeps the classes sorted
+    graph = data.draw(_random_graph(loc))
+    verts, edges = G._int_form(graph, G._scale(graph))
+    bullet = getattr(graph, "v_bullet", None)
+    assert G._least_form(verts, edges, bullet) == _brute_least_form(verts, edges, bullet)
 
 
 @given(data=st.data(), loc=st.booleans())
@@ -1630,7 +1710,6 @@ def test_descend_from_the_carried_form_matches_minimal_expansions(drawn):
     if center.genus + center.degree + special > 6 or _blocked_reference(model, graph):
         return
     scale = math.lcm(model.d, G._scale(graph))
-    parts = {}
     level, seen = [(graph, G._int_form(graph, scale))], set()
     for _ in range(3):
         below = []
@@ -1638,7 +1717,7 @@ def test_descend_from_the_carried_form_matches_minimal_expansions(drawn):
             assert form == G._int_form(triple, scale)
             assert G._expandable(model, form, scale, triple.v_bullet)
             assert not _blocked_reference(model, triple)
-            carried = G._descend(model, triple, form, scale, parts)
+            carried = G._descend(model, triple, form, scale)
             public = G.minimal_expansions(model, triple)
             assert list(carried) == list(public)
             for key, (p, p_form) in carried.items():
@@ -1675,7 +1754,7 @@ def test_descending_chains_return_an_invalid_top_alone(make_top):
     scale = math.lcm(QUINTIC.d, G._scale(top))
     form = G._int_form(top, scale)
     assert not G._expandable(QUINTIC, form, scale, top.v_bullet)
-    assert G._descend(QUINTIC, top, form, scale, {})
+    assert G._descend(QUINTIC, top, form, scale)
     chains = G.descending_chains(QUINTIC, top, 16)
     assert chains == [[top]] and chains[0][0] is top
 

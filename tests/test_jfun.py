@@ -24,6 +24,7 @@ from helpers_jfun import (
     fraction_ladder,
     fraction_lam_string,
     lam_coefficient,
+    line_bundle_degree,
     p_bundle_degree,
     same_weight_multiset,
     z_plus_part,
@@ -64,7 +65,6 @@ from glsmx.model import (
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    line_bundle_degree,
 )
 from glsmx.p1series import _edge_coefficient
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers_jfun import p_bundle_degree
+from helpers_jfun import line_bundle_degree, p_bundle_degree
 from helpers_model import OrbiBundleData, check_compatibility, euler_char
 
 from glsmx.errors import ConfigError, OnWall
@@ -14,12 +14,12 @@ from glsmx.model import (
     GEOMETRIC,
     LG,
     GlsmModel,
+    bundle_degree_numerator,
     choose_delta,
     compat_residue,
     frac_bracket,
     graph_multiplicities,
     isotropy_order,
-    line_bundle_degree,
     list_sectors,
     solve_last_multiplicity,
 )
@@ -274,6 +274,13 @@ def test_line_bundle_degree_phases():
     assert line_bundle_degree(quintic_lg(), 1, 1, 0) == Frac(1, 5)
     assert line_bundle_degree(quintic_geom(), 0, 0, 3) == 3
     assert p_bundle_degree(quintic_geom(), 0, 1, 1) == -6
+    # the int numerator that validate reads is d times the Frac degree
+    for model in (quintic_lg(), quintic_geom()):
+        for genus in range(3):
+            for n in range(5):
+                for beta in range(7):
+                    numerator = bundle_degree_numerator(model, genus, n, beta)
+                    assert Frac(numerator, model.d) == line_bundle_degree(model, genus, n, beta)
 
 
 # -- choose_delta -------------------------------------------------------------

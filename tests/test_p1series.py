@@ -965,5 +965,6 @@ def test_every_decorated_cache_is_in_the_fixture_list():
     found = {name: module for module in _package_modules() for name in _decorated_caches(module)}
     assert {"_ladder", "_placements", "_root_powers", "_rewrite_basis"} <= found.keys()
     assert {"_glsm_model", "_read_frac", "_vertex", "_edge"} <= found.keys()
+    assert {"_levelled_structures", "_vertex_profiles", "_shared_vertex", "_shared_edge"} <= found.keys()
     missing = sorted(name for name, module in found.items() if getattr(module, name) not in _CACHES)
     assert not missing
