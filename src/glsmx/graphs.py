@@ -1233,8 +1233,14 @@ def graph_to_obj(graph):
 
 
 # Fraction of an int or a 'p/q' string, whose parser is Fraction's slow
-# path; report inputs repeat the same few.  Errors are not cached
-_read_frac = functools.lru_cache(maxsize=1024)(Frac)
+# path; report inputs repeat the same few.  Errors are not cached.  A decimal
+# exponent is refused before Fraction reads it: "1e1000000" would build a
+# 3.3-million-bit integer, and the str() of a value past 4,300 digits raises
+@functools.lru_cache(maxsize=1024)
+def _read_frac(value):
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent in {value!r}")
+    return Frac(value)
 
 
 def _read_mult(value, where):

@@ -14,9 +14,10 @@ between the two normalized fixed-point values lives there.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .algebra import (
     LAM,
@@ -153,15 +154,44 @@ def _vertex_weight(sign: int, f: int, total: int, ks: tuple) -> Frac:
 # Every fixed locus is a tree of covers between the two fixed points, and
 # one rooted recursion builds them all: a vertex, the set of branches that
 # hang from it, and a branch, its first edge and the vertex beyond.  Each
-# function returns {zero mask: Fraction}, where bit i is set when marking i,
-# of cotangent exponent exps[i], sits at the zero fixed point; every term
+# table is (den, {zero mask: int}), the ints over one positive den in the
+# normal form of RatFun._reduced, where bit i of a mask is set when marking
+# i, of cotangent exponent exps[i], sits at the zero fixed point; every term
 # stands at the lam power its degree and markings fix, so the recursion runs
-# on Fractions.  A call that carries no marking passes exps = (), so the
-# tails and every graph sum share the unmarked tables.
+# on ints.  A call that carries no marking passes exps = (), so the tails and
+# every graph sum share the unmarked tables.
 
 # (exponents, level, degrees, marking masks) keys held by the rooted-tree
 # caches; the exponents have no cap, so the caches need a bound
 _TREE_CACHE_SIZE = 4096
+
+
+class _Sum:
+    """A running sum of int tables over one denominator, raised to an lcm
+    only when a term's denominator does not divide it."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self):
+        self.den, self.nums = 1, {}
+
+    def add(self, den: int, table: dict, num: int = 1, own: int = 0) -> None:
+        """Add num/den times table, each key or-ed with own."""
+        nums = self.nums
+        if self.den % den:
+            up = den // gcd(self.den, den)
+            for key in nums:
+                nums[key] *= up
+            self.den *= up
+        num *= self.den // den
+        for key, c in table.items():
+            nums[key | own] = nums.get(key | own, 0) + num * c
+
+    def normal(self) -> tuple:
+        """(den, nums) less the zero entries, over their joint content."""
+        nums = {key: c for key, c in self.nums.items() if c}
+        g = gcd(self.den, *nums.values())
+        return self.den // g, {key: c // g for key, c in nums.items()}
 
 
 def _submasks(mask: int):
@@ -174,24 +204,23 @@ def _submasks(mask: int):
 
 
 @functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
-def _vertex(exps: tuple, level: str, a: int, rest: int, free: int, fixed: int) -> dict:
+def _vertex(exps: tuple, level: str, a: int, rest: int, free: int, fixed: int) -> tuple:
     """A vertex at `level`, entered by an edge of degree a (0 at the root),
     with branches of total degree `rest` below it.  It holds the markings
     in `fixed` and any subset of `free`, and its branches carry the rest of
     `free`."""
     sign = 1 if level == LEVEL_ZERO else -1
-    out = {}
+    out = _Sum()
     for on in _submasks(free):
         here = fixed | on
         ks = tuple(k for i, k in enumerate(exps) if here >> i & 1)
         own = here if sign == 1 else 0
         down = free & ~on
-        for (f, s), table in _hanging(exps if down else (), level, down, rest).items():
+        for (f, s), (den, table) in _hanging(exps if down else (), level, down, rest).items():
             w = _vertex_weight(sign, f + (a > 0), a + s, ks)
             if w:
-                for mask, c in table.items():
-                    out[mask | own] = out.get(mask | own, 0) + w * c
-    return {mask: c for mask, c in out.items() if c}
+                out.add(w.denominator * den, table, w.numerator, own)
+    return out.normal()
 
 
 @functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
@@ -203,38 +232,37 @@ def _hanging(exps: tuple, level: str, marks: int, rest: int) -> dict:
     unmarked set splits off any branch and is divided by its branch count,
     which sums ordered tuples over m! as a sum over sets must."""
     if not rest:
-        return {} if marks else {(0, 0): {0: Frac(1)}}
+        return {} if marks else {(0, 0): (1, {0: 1})}
     low = marks & -marks
-    out = {}
+    out = defaultdict(_Sum)
     for e in range(1, rest + 1):
         for extra in _submasks(marks & ~low):
             mine = low | extra
             others = marks & ~mine
             sets = _hanging(exps if others else (), level, others, rest - e)
             for a in range(1, e + 1):
-                branch = _branch(exps if mine else (), level, a, e, mine)
-                if not branch:
-                    continue
-                for (m, s), table in sets.items():
-                    entry = out.setdefault((m + 1, s + a), {})
+                bden, branch = _branch(exps if mine else (), level, a, e, mine)
+                for (m, s), (tden, table) in sets.items():
                     for bm, bc in branch.items():
-                        for tm, tc in table.items():
-                            entry[bm | tm] = entry.get(bm | tm, 0) + bc * tc
+                        out[m + 1, s + a].add(bden * tden, table, bc, bm)
     if not marks:
         for (m, _), entry in out.items():
-            entry[0] /= m
-    return out
+            entry.den *= m
+    tables = {key: entry.normal() for key, entry in out.items()}
+    return {key: table for key, table in tables.items() if table[1]}
 
 
 @functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
-def _branch(exps: tuple, level: str, a: int, degree: int, marks: int) -> dict:
+def _branch(exps: tuple, level: str, a: int, degree: int, marks: int) -> tuple:
     """A branch of total degree `degree` whose first edge leaves `level`
     with degree a, carrying the markings in `marks`: the edge's factor
     _edge_coefficient(a)/a, times the degree a of each of its two flags,
     which the vertex weights leave out, then the vertex beyond."""
     scale = _edge_coefficient(a) * a
-    beyond = _vertex(exps, _flip(level), a, degree - a, marks, 0)
-    return {mask: scale * c for mask, c in beyond.items()}
+    out = _Sum()
+    out.add(*_vertex(exps, _flip(level), a, degree - a, marks, 0), scale.numerator)
+    out.den *= scale.denominator
+    return out.normal()
 
 
 # (n, delta, sorted cotangent exponents) keys held by the placement cache;
@@ -254,24 +282,23 @@ def _placements(n: int, delta: int, exps: tuple) -> tuple:
     the edge-rooted sum, which counts it |E| = |V| - 1 times, comes off;
     the levels make every edge one-sided.  Every term stands at the lam
     power the dimension fixes, 2 - n + sum(exps) - 2*delta, so the sums run
-    on Fractions and each RatFun is built once."""
+    on the int tables and each RatFun is built once."""
     full = (1 << n) - 1
-    sums = {}
+    sums = _Sum()
     for level in (LEVEL_ZERO, LEVEL_INF):
-        for mask, c in _vertex(exps, level, 0, delta, full & ~1, full & 1).items():
-            sums[mask] = sums.get(mask, 0) + c
+        sums.add(*_vertex(exps, level, 0, delta, full & ~1, full & 1))
     if not n:
-        sums[0] = sums.get(0, 0) - sum(
-            _branch((), LEVEL_INF, a, a + r, 0).get(0, 0)
-            * _vertex((), LEVEL_INF, a, delta - a - r, 0, 0).get(0, 0)
-            for a in range(1, delta + 1)
-            for r in range(delta - a + 1)
-        )
+        for a in range(1, delta + 1):
+            for r in range(delta - a + 1):
+                bden, branch = _branch((), LEVEL_INF, a, a + r, 0)
+                vden, vertex = _vertex((), LEVEL_INF, a, delta - a - r, 0, 0)
+                sums.add(bden * vden, {0: -branch.get(0, 0) * vertex.get(0, 0)})
     lam = 2 - n + sum(exps) - 2 * delta
+    den, nums = sums.normal()
     return tuple(
-        (tuple(LEVEL_ZERO if mask >> i & 1 else LEVEL_INF for i in range(n)), RatFun({(lam, 0): c}))
-        for mask, c in sums.items()
-        if c
+        (tuple(LEVEL_ZERO if mask >> i & 1 else LEVEL_INF for i in range(n)),
+         RatFun({(lam, 0): c}, den))
+        for mask, c in nums.items()
     )
 
 
@@ -312,9 +339,10 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # A tail is a branch that leaves the zero fixed point.  Every factor of its
 # weight is a rational multiple of a power of lam, and the power is fixed by
 # the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
-# tail that carries the marking and 0 otherwise.  So the tails, their
-# cotangent transforms and the Lagrange root all run on Fractions, and the
-# lam powers come back once, where a series is built.
+# tail that carries the marking and 0 otherwise.  So the tails run on int
+# numerators over one denominator, their cotangent transforms and the
+# Lagrange root on Fractions, and the lam powers come back once, where a
+# series is built.
 
 
 @dataclass(frozen=True)
@@ -347,22 +375,24 @@ _IDEMPOTENTS = tuple(
 
 
 @functools.lru_cache(maxsize=None)
-def _smoothed(mark, degree: int, k: int) -> Frac:
-    """Coefficient at y^degree z^k of a tail series, at lam^(1 - marks -
-    2*degree - k): every tail of that degree enters through the smoothing
+def _tail_terms(mark, degree: int) -> tuple:
+    """The tails of degree `degree` as (den, ((a, numerator), ...)): the
+    tail series at y^degree z^k, at lam^(1 - marks - 2*degree - k), is
+    sum(a^k * numerator)/den, since every tail enters through the smoothing
     of its first node against the cotangent variable, whose z expansion
-    times lam is sum_k a^(k+1) z^k / lam^k, one a of it the flag degree
-    the branch carries.  The marking has cotangent exponent 0; `mark` is
-    None for the unmarked tail and otherwise the insertion's restrictions
-    at (zero, infinity), weighing the marking at zero and at infinity."""
-    total = Frac(0)
+    times lam is sum_k a^(k+1) z^k / lam^k, one a of it the flag degree the
+    branch carries.  The marking has cotangent exponent 0; `mark` is None
+    for the unmarked tail and otherwise the insertion's restrictions at
+    (zero, infinity), weighing the marking at zero and at infinity."""
+    marks = int(mark is not None)
+    weight = (mark[1], mark[0]) if marks else (1,)
+    out = _Sum()
     for a in range(1, degree + 1):
-        if mark is None:
-            total += a**k * _branch((), LEVEL_ZERO, a, degree, 0).get(0, 0)
-        else:
-            table = _branch((0,), LEVEL_ZERO, a, degree, 1)
-            total += a**k * (mark[0] * table.get(1, 0) + mark[1] * table.get(0, 0))
-    return total
+        den, table = _branch((0,) * marks, LEVEL_ZERO, a, degree, marks)
+        value = Frac(sum(weight[mask] * c for mask, c in table.items()), den)
+        out.add(value.denominator, {a: value.numerator})
+    den, nums = out.normal()
+    return den, tuple(nums.items())
 
 
 def _tail_table(mark, y_order: int, z_order: int) -> dict:
@@ -370,8 +400,9 @@ def _tail_table(mark, y_order: int, z_order: int) -> dict:
     empty tail contributes the restriction at zero."""
     table = {0: {0: Frac(mark[0])}} if mark and mark[0] else {}
     for degree in range(1, y_order + 1):
-        row = {k: _smoothed(mark, degree, k) for k in range(z_order + 1)}
-        table[degree] = {k: c for k, c in row.items() if c}
+        den, terms = _tail_terms(mark, degree)
+        row = {k: sum(a**k * c for a, c in terms) for k in range(z_order + 1)}
+        table[degree] = {k: Frac(c, den) for k, c in row.items() if c}
     return table
 
 

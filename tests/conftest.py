@@ -29,7 +29,7 @@ _CACHES = (
     p1series._hanging,
     p1series._branch,
     p1series._placements,
-    p1series._smoothed,
+    p1series._tail_terms,
     p1series._marked_basis,
     p1series._root_powers,
     p1series._rewrite_basis,

@@ -11,6 +11,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -1155,6 +1156,43 @@ _FAILURE_TEXT = [
     (_WORD_MULT, "edge 0 side 0 multiplicity 'x' is not an integer or a 'p/q' string"),
     (_SPACED_LEG, "vertex 0 leg 1 multiplicity '3/5 1' is not an integer or a 'p/q' string"),
 ]
+
+
+# a decimal exponent: Fraction would build 10^3000000 (seconds) before any
+# check, and str() of an epsilon past 4,300 digits raises
+_EXPONENT_LEG = _with(
+    FIG_TOP,
+    vertices=[
+        {"genus": 1, "degree": 0, "legs": [[1, "1e3000000"]]},
+        {"genus": 2, "degree": 2, "legs": []},
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, expected",
+    [
+        ("mu", {"model": QUINTIC_LG, "mu": {"epsilon": "1e5000"}},
+         "mu.epsilon: cannot read '1e5000' as a rational"),
+        ("mu", {"model": dict(QUINTIC_LG, epsilon="1e3000000")},
+         "model.epsilon: cannot read '1e3000000' as a rational"),
+        ("sectors", {"model": dict(QUINTIC_LG, epsilon="2E-1")},
+         "model.epsilon: cannot read '2E-1' as a rational"),
+        ("aut", {"model": QUINTIC_LG, "aut": {"graph": _EXPONENT_LEG}},
+         "vertex 0 leg 1 multiplicity '1e3000000' is not an integer or a 'p/q' string"),
+    ],
+)
+def test_a_decimal_exponent_fails_promptly(command, config, expected, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    code, out, err = _main_bytes([command, "--config", str(config_path)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert (check["name"], check["status"]) == ("ConfigError", "fail")
+    assert expected in check["first_failure"]
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ tail series, the rewrite at a three-pointed component against the
 three-point-sum oracle, and the square-root ratio identity."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import pkgutil
 import random
 from fractions import Fraction as Frac
 from itertools import combinations_with_replacement, product
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 import sympy
@@ -513,12 +514,12 @@ def test_tail_coefficients_match_the_budget_recursion(level, mark, cold_caches):
     for a in range(1, 9):
         table = budget_tail(level, a, 8, at)
         for degree in range(1, 9):
+            den, branch = _branch((0,) * marks, level, a, degree, marks)
             if mark is None:
-                c = _branch((), level, a, degree, 0).get(0, 0)
+                c = branch.get(0, 0)
             else:
-                branch = _branch((0,), level, a, degree, 1)
                 c = mark[0] * branch.get(1, 0) + mark[1] * branch.get(0, 0)
-            got = RatFun({(1 - marks - 2 * degree, 0): Frac(c, a)})
+            got = RatFun({(1 - marks - 2 * degree, 0): Frac(c, a * den)})
             assert got == table.get(degree, RF_ZERO), (a, degree)
 
 
@@ -858,7 +859,7 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
     # every tail coefficient is keyed by its exact degree, so once order 6
     # is built the lower orders read it: no cache misses, counted
     def misses():
-        caches = (p1series._vertex, p1series._hanging, p1series._branch, p1series._smoothed)
+        caches = (p1series._vertex, p1series._hanging, p1series._branch, p1series._tail_terms)
         return [f.cache_info().misses for f in caches]
 
     def serve(y):
@@ -872,6 +873,74 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
     for y in range(2, 6):
         serve(y)
     assert misses() == built
+
+
+def test_int_tables_are_in_normal_form(cold_caches, monkeypatch):
+    # every table the rooted-tree and tail caches hand out, over a spread of
+    # graph sums, tails and rewrites: ints over a positive denominator that
+    # is coprime to their content, with no zero entry; a wrapper sees each
+    # cached value, since the recursion looks the caches up by name
+    seen = []
+
+    def recording(name):
+        cache = getattr(p1series, name)
+
+        def wrapper(*args):
+            out = cache(*args)
+            tables = out.values() if name == "_hanging" else [out]
+            seen.extend((name, args, den, dict(nums)) for den, nums in tables)
+            return out
+
+        monkeypatch.setattr(p1series, name, wrapper)
+
+    for name in ("_vertex", "_hanging", "_branch", "_tail_terms"):
+        recording(name)
+    classes = (ONE, HYP, P0, PINF, MIX)
+    for n in range(1, p1series.N_CAP + 1):
+        for delta in range(p1series.DELTA_CAP + 1):
+            if delta or n >= 3:
+                for ks in combinations_with_replacement(range(3), n):
+                    p1_graph_sum(n, delta, [(classes[i % 5], k) for i, k in enumerate(ks)])
+    for delta in range(1, p1series.DELTA_CAP + 1):
+        p1_graph_sum(0, delta, [])
+    for y in range(9):
+        tree_series_S(MIX, y, y)
+        tree_series_eps(y, y + 1)
+        stilde_at_zero(HYP, y)
+        stilde_at_zero(ONE * Z + HYP, y)
+        irr_ratio_check(y)
+    assert {name for name, *_ in seen} == {"_vertex", "_hanging", "_branch", "_tail_terms"}
+    for name, args, den, nums in seen:
+        assert type(den) is int and den > 0, (name, args)
+        assert all(type(c) is int and c for c in nums.values()), (name, args)
+        assert gcd(den, *nums.values()) == 1, (name, args)
+
+
+# the shapes within the caps, with cotangent exponents up to 3; the
+# placement tables of the Fraction recursion hash, in its order, as below.
+# On three shapes the order differs: there the Fraction tables kept an entry
+# that cancelled to zero, which placed its mask early, and the int tables
+# drop it.  Sorted, those three hash the same too
+_PLACEMENT_SHAPES = [
+    (n, delta, exps)
+    for n in range(p1series.N_CAP + 1)
+    for delta in range(p1series.DELTA_CAP + 1)
+    if delta or n >= 3
+    for exps in combinations_with_replacement(range(4), n)
+] + [(5, 5, (0,) * 5)]
+_REORDERED = {(5, 2, (0, 0, 0, 1, 1)), (5, 3, (0, 0, 0, 1, 3)), (5, 3, (0, 0, 1, 1, 3))}
+_PLACEMENTS_SHA256 = "4e21c932cb6dcd2d40a469c280d9d6c2c17175755a59aed4819345b6238edd3d"
+_SORTED_PLACEMENTS_SHA256 = "d7bd2ce23c4b15725828338cc3ea7722e183eb8bcd623d9971e9773ba5894406"
+
+
+def test_placement_tables_keep_the_fraction_recursion_values(cold_caches):
+    exact, flat = hashlib.sha256(), hashlib.sha256()
+    for shape in _PLACEMENT_SHAPES:
+        table = _placements(*shape)
+        if shape not in _REORDERED:
+            exact.update(repr((shape, table)).encode())
+        flat.update(repr((shape, sorted(table, key=lambda pair: pair[0]))).encode())
+    assert (exact.hexdigest(), flat.hexdigest()) == (_PLACEMENTS_SHA256, _SORTED_PLACEMENTS_SHA256)
 
 
 def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
