@@ -10,9 +10,11 @@ it raises becomes a failing check whose first failure names the exception.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as Frac
 from math import comb, factorial
 
+from . import cli
 from . import graphs as gr
 from . import jfun
 from . import p1series as p1
@@ -61,6 +63,39 @@ def run_criterion(name, body):
 _TAIL_ORDER = 12
 
 
+def _read_rendered(text, want, where):
+    """Read a rendered Laurent sum in lam back term by term and compare it
+    with want, {lam exponent: Fraction}.  Each coefficient must be written
+    as str(Fraction) writes it, so an unreduced one fails; the reading
+    shares no step with the renderer."""
+    got = {}
+    pieces = re.split(r" ([+-]) ", text) if text != "0" else []
+    for sign, term in zip(["+"] + pieces[1::2], pieces[0::2]):
+        term = "-" + term if sign == "-" else term
+        if "lam" not in term:
+            coeff, power = term, None
+        elif "*" in term:
+            coeff, _, power = term.partition("*")
+        else:  # a bare power, of coefficient 1 or -1
+            coeff, power = ("-1", term[1:]) if term.startswith("-") else ("1", term)
+        match = re.fullmatch(r"lam(?:\^(-?\d+))?", power or "lam")
+        _expect(
+            match and re.fullmatch(r"-?\d+(/\d+)?", coeff), f"{where}: cannot read {term!r}"
+        )
+        exponent = 0 if power is None else int(match[1] or 1)
+        value = Frac(coeff)
+        _expect(str(value) == coeff, f"{where}: coefficient {coeff!r} is not in lowest terms")
+        _expect(exponent not in got, f"{where}: lam^{exponent} is written twice")
+        got[exponent] = value
+    _expect(got == want, f"{where} renders as {text!r}, which reads back as another value")
+
+
+def _exact_terms(f):
+    """{(lam exponent, z exponent): Fraction} of a RatFun, from its int
+    numerators over its denominator."""
+    return {key: Frac(v, f.den[(0, 0)]) for key, v in f.num.items()}
+
+
 def _tail_closed_forms_body():
     y_order = _TAIL_ORDER
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM**2})
@@ -77,6 +112,11 @@ def _tail_closed_forms_body():
         hyper_tail == want,
         "hyperplane tail is not (lam/2) times the -1/4 plus +1/4 powers",
     )
+    # the p1 report renders both tails; each coefficient must read back
+    for name, tail in (("unit", unit_tail), ("hyperplane", hyper_tail)):
+        for k, f in tail.coeffs.items():
+            want = {i: v for (i, _), v in _exact_terms(f).items()}
+            _read_rendered(cli._lam_string(f), want, f"{name} tail at y^{k}")
 
 
 def _root_ratio_body():
@@ -141,6 +181,7 @@ def _closed_route_value(model, beta, twisted):
 def _dual_route_body():
     # every key the chamber commands serve on these models
     for model in _NORMALIZATION_MODELS:
+        served = {False: {}, True: {}}
         for beta in range(jfun.Q_CAP + 1):
             for twisted in (False, True):
                 ladder = jfun.unstable_J_coefficient(model, beta, None, twisted)
@@ -150,6 +191,20 @@ def _dual_route_body():
                     f"routes disagree at phase {model.phase} weights "
                     f"{model.weights} beta {beta} twisted {twisted}",
                 )
+                served[twisted][beta] = ladder
+        # the chamber reports render these tables; each cell, keyed
+        # "beta,z power,H power", must read back as the compared value
+        for twisted, values in served.items():
+            where = f"phase {model.phase} weights {model.weights} twisted {twisted}"
+            want = {}
+            for beta, value in values.items():
+                for h, part in enumerate(value.coeffs):
+                    for (i, j), v in _exact_terms(part).items():
+                        want.setdefault(f"{beta},{j},{h}", {})[i] = v
+            table = cli._coefficient_table(values)
+            _expect(table.keys() == want.keys(), f"{where}: the table has other cells")
+            for key, text in table.items():
+                _read_rendered(text, want[key], f"{where} cell {key}")
 
 
 _NORMALIZATION_EPS = (Frac(2, 3), Frac(2, 5), Frac(2, 7))

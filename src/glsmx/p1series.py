@@ -340,9 +340,8 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 # weight is a rational multiple of a power of lam, and the power is fixed by
 # the tail's total degree D: lam^(1 - marks - 2D), where marks is 1 for the
 # tail that carries the marking and 0 otherwise.  So the tails run on int
-# numerators over one denominator, their cotangent transforms and the
-# Lagrange root on Fractions, and the lam powers come back once, where a
-# series is built.
+# numerators over one denominator, and the lam powers come back once, where
+# a series is built.
 
 
 @dataclass(frozen=True)
@@ -455,100 +454,59 @@ def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
 # Lagrange-Good formula sums that to F(tau)/(1 - E'(tau)) at the root
 # tau = E(tau).  So the dressing is 1/(1 - E'(tau)), the unit factors are
 # u(tau)^2, and the rewritten value is the marked transform at tau.  The
-# tables below hold Fractions on the lam-free path and RatFuns in lam on the
-# path of a z-dependent insertion; the same code serves both.
+# root and the rewritten values are kept per degree, like the tails: E has
+# no y^0 part, so tau at y^D reads only lower degrees, and tau^k starts at
+# y^k.  Both run on Fractions at lam = 1, read off the tail rows.
 
 
-def _bump(table: dict, key, value) -> None:
-    table[key] = table[key] + value if key in table else value
-
-
-def _hat(table: dict) -> dict:
-    """Factorial transform over the cotangent variable of a series given as
-    {degree: {z power: weight}}: z^k maps to t^k/k!, giving {t power:
-    {degree: weight}}."""
-    out = {}
-    for ydeg, row in table.items():
-        for k, part in row.items():
-            out.setdefault(k, {})[ydeg] = part * Frac(1, factorial(k))
-    return out
-
-
-def _times(a: dict, b: dict, y_order: int) -> dict:
-    # product of two {degree: weight} series, truncated above y_order
-    out = {}
-    for d, u in a.items():
-        for e, v in b.items():
-            if d + e <= y_order:
-                _bump(out, d + e, u * v)
-    return out
-
-
-def _at_root(hat: dict, powers, y_order: int) -> dict:
-    """A transform {t power: {degree: weight}} evaluated at the root, from
-    the root's powers, as {degree: weight}.  tau^k starts at y^k, so a t
-    power above y_order adds nothing and is skipped."""
-    out = {}
-    for k, row in hat.items():
-        if k <= y_order:
-            for d, v in _times(row, powers[k], y_order).items():
-                _bump(out, d, v)
-    return out
+def _weight(mark, degree: int, k: int) -> Frac:
+    """A tail's factorial transform at t^k y^degree, its z^k coefficient
+    over k!, at lam = 1; the empty tail is the restriction at zero."""
+    if not degree:
+        return Frac(mark[0] if mark and not k else 0)
+    den, terms = _tail_terms(mark, degree)
+    return Frac(sum(a**k * c for a, c in terms), den * factorial(k))
 
 
 @functools.lru_cache(maxsize=None)
-def _root_powers(y_order: int) -> tuple:
-    """The powers tau^0, ..., tau^y_order of the root tau = E(tau) of the
-    unmarked transform E, each {degree: Fraction}; E's weight at t^k y^D
-    stands at lam^(1 - 2D - k), so tau^k at y^D stands at lam^(k - 2D).  E
-    has no y^0 part, so each round of the fixed-point iteration fixes one
-    more order, and y_order rounds fix them all."""
-    eps = _hat(_tail_table(None, y_order, y_order))
-
-    def powers(tau: dict) -> tuple:
-        out = [{0: Frac(1)}]
-        for _ in range(y_order):
-            out.append(_times(out[-1], tau, y_order))
-        return tuple(out)
-
-    tau = {}
-    for _ in range(y_order):
-        tau = _at_root(eps, powers(tau), y_order)
-    return powers(tau)
-
-
-def _grown(build):
-    """Memoise build(y_order), a tuple of series whose coefficients do not
-    depend on the order they were built at: below an order already built,
-    the value is that one's series truncated, so rising orders build and
-    falling orders only truncate."""
-    built = {}
-
-    @functools.wraps(build)
-    def cached(y_order: int) -> tuple:
-        if y_order not in built:
-            top = max(built, default=-1)
-            built[y_order] = (
-                tuple(TruncSeries("y", y_order, s.coeffs) for s in built[top])
-                if top > y_order
-                else build(y_order)
-            )
-        return built[y_order]
-
-    cached.cache_clear = built.clear
-    return cached
+def _root_row(degree: int) -> dict:
+    """{k: tau^k at y^degree} for the root tau = E(tau) of the unmarked
+    transform E; E's weight at t^k y^D stands at lam^(1 - 2D - k), so tau^k
+    at y^D stands at lam^(k - 2D).  tau reads E at y^e, e >= 1, against the
+    powers at y^(degree - e), and tau^k for k >= 2 is tau times tau^(k-1),
+    both at lower degrees."""
+    if not degree:
+        return {0: Frac(1)}
+    row = {1: sum(
+        _weight(None, e, k) * p
+        for e in range(1, degree + 1)
+        for k, p in _root_row(degree - e).items()
+    )}
+    for k in range(2, degree + 1):
+        row[k] = sum(
+            _root_row(e)[1] * _root_row(degree - e)[k - 1] for e in range(1, degree - k + 2)
+        )
+    return row
 
 
-@_grown
+@functools.lru_cache(maxsize=None)
+def _rewritten(mark, degree: int) -> Frac:
+    """The rewritten value of an idempotent at y^degree, at lam^(-2*degree):
+    its marked transform at the root."""
+    return sum(
+        _weight(mark, e, k) * p
+        for e in range(degree + 1)
+        for k, p in _root_row(degree - e).items()
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _rewrite_basis(y_order: int) -> tuple:
-    """Rewritten values of the zero and the infinity idempotent: their
-    marked transforms at the root, the value at y^D standing at
-    lam^(-2D)."""
-    powers = _root_powers(y_order)
+    """Rewritten values of the zero and the infinity idempotent, the value
+    at y^D put back at lam^(-2D)."""
     return tuple(
         TruncSeries("y", y_order, {
-            d: RatFun({(-2 * d, 0): c})
-            for d, c in _at_root(_hat(_tail_table(mark, y_order, y_order)), powers, y_order).items()
+            d: RatFun({(-2 * d, 0): _rewritten(mark, d)}) for d in range(y_order + 1)
         })
         for mark in _IDEMPOTENTS
     )
@@ -566,14 +524,17 @@ def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     at_zero, at_inf = alpha.restrict_zero(), alpha.restrict_infinity()
     if not at_zero.z_parts().keys() <= {0} or not at_inf.z_parts().keys() <= {0}:
         # a z in the insertion moves the cotangent transform, so its own
-        # transform is evaluated, on RatFuns
-        series = tree_series_S(alpha, y_order, y_order).series
-        hat = _hat({d: c.z_parts() for d, c in series.coeffs.items()})
-        powers = [
-            {d: RatFun({(k - 2 * d, 0): c}) for d, c in row.items()}
-            for k, row in enumerate(_root_powers(y_order))
-        ]
-        return TruncSeries("y", y_order, _at_root(hat, powers, y_order))
+        # transform is evaluated at the root, on RatFuns
+        out = {}
+        for e, c in tree_series_S(alpha, y_order, y_order).series.coeffs.items():
+            for k, part in c.z_parts().items():
+                part = part * Frac(1, factorial(k))
+                for d in range(e, y_order + 1):
+                    row = _root_row(d - e)
+                    if k in row:
+                        term = part * RatFun({(k - 2 * (d - e), 0): row[k]})
+                        out[d] = out[d] + term if d in out else term
+        return TruncSeries("y", y_order, out)
     zero, inf = _rewrite_basis(y_order)
     return zero * at_zero + inf * at_inf
 

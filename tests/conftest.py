@@ -9,10 +9,11 @@ from glsmx import cli, graphs, jfun, p1series
 # the process-wide caches: the jfun coefficient ladders, the p1 vertex
 # weights, the rooted-tree tables that the graph sums and the tails share,
 # the placement tables of the graph sums, the p1 tail coefficients, marked
-# series, Lagrange root and rewritten values shared across orders and
-# calls, the parsed models, rationals, vertices and edges of the report
-# inputs, and the census's levelled structures, vertex profiles and the
-# graph parts that the census and the chain search share
+# series, the Lagrange root rows and rewritten values per degree and the
+# rewritten bases, shared across orders and calls, the parsed models,
+# rationals, vertices and edges of the report inputs, and the census's
+# levelled structures, vertex profiles and the graph parts that the census
+# and the chain search share
 _CACHES = (
     cli._glsm_model,
     graphs._read_frac,
@@ -31,7 +32,8 @@ _CACHES = (
     p1series._placements,
     p1series._tail_terms,
     p1series._marked_basis,
-    p1series._root_powers,
+    p1series._root_row,
+    p1series._rewritten,
     p1series._rewrite_basis,
 )
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from glsmx import cli, criteria, jfun, p1series
 from glsmx.algebra import CohClass, RatFun, Z
 from glsmx.cli import main, report_passed, run
-from glsmx.errors import ConfigError
+from glsmx.errors import ConfigError, IdentityFailed
 from glsmx.graphs import _ENUM_BOUNDS
 from glsmx.model import LG, GlsmModel
 
@@ -760,6 +760,71 @@ def test_dual_route_criterion_fails_on_a_doubled_coefficient(monkeypatch):
         "IdentityFailed: routes disagree at phase lg weights (1, 1, 2, 2) beta 6 "
         "twisted False"
     )
+
+
+def _unreduced_lam_term(num, den, exponent):
+    # cli._lam_term less its gcd, so 3/6 stays 3/6
+    coeff = str(num) if den == 1 else f"{num}/{den}"
+    if exponent == 0:
+        return coeff
+    power = "lam" if exponent == 1 else f"lam^{exponent}"
+    if den == 1 and num in (1, -1):
+        return power if num == 1 else f"-{power}"
+    return f"{coeff}*{power}"
+
+
+def _verify_failures():
+    report = run("verify", {})
+    return {c["name"]: c["first_failure"] for c in report["checks"] if c["status"] == "fail"}
+
+
+def test_verify_reads_back_the_coefficient_tables(monkeypatch):
+    # the values stay right and only their text goes wrong, so only the
+    # read-back of the rendered tables can see it
+    monkeypatch.setattr(cli, "_lam_term", _unreduced_lam_term)
+    assert _verify_failures() == {
+        "dual route coefficients": "IdentityFailed: phase lg weights (1, 1, 1, 1, 1) twisted "
+        "True cell 3,-1,0: coefficient '-3/6' is not in lowest terms"
+    }
+
+
+def test_verify_reads_back_the_tail_strings(monkeypatch):
+    # -lam^i written as lam^i: the unit tail's y^1 part, -1/lam^2, reads
+    # back with the wrong sign
+    lam_term = cli._lam_term
+
+    def unsigned(num, den, exponent):
+        out = lam_term(num, den, exponent)
+        return out[1:] if out.startswith("-lam") else out
+
+    monkeypatch.setattr(cli, "_lam_term", unsigned)
+    assert _verify_failures() == {
+        "tail closed forms": "IdentityFailed: unit tail at y^1 renders as 'lam^-2', which "
+        "reads back as another value"
+    }
+
+
+@pytest.mark.parametrize(
+    "text, want, ok",
+    [
+        ("0", {}, True),
+        ("lam - 1/2*lam^-3 + 7", {1: 1, -3: Fraction(-1, 2), 0: 7}, True),
+        ("-lam^2 - 3", {2: -1, 0: -3}, True),
+        ("2/4*lam", {1: Fraction(1, 2)}, False),
+        ("lam^2", {2: -1}, False),
+        ("lam + lam", {1: 2}, False),
+        ("1*lam^+2", {2: 1}, False),
+        ("lam2", {2: 1}, False),
+    ],
+)
+def test_rendered_reader(text, want, ok):
+    # the reader requires str(Fraction) coefficients, one term per power and
+    # the renderer's own spelling of the powers
+    if ok:
+        criteria._read_rendered(text, want, "here")
+    else:
+        with pytest.raises(IdentityFailed):
+            criteria._read_rendered(text, want, "here")
 
 
 def test_partial_order_criterion_names_the_top_of_a_bad_chain(monkeypatch):

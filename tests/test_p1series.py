@@ -52,7 +52,7 @@ from glsmx.p1series import (
     _rewrite_basis,
     _branch,
     _placements,
-    _root_powers,
+    _root_row,
     _vertex_weight,
     hyperplane_class,
     idempotent_infinity,
@@ -581,10 +581,12 @@ def test_tail_series_caps():
 
 
 def _root_series(y_order, k=1):
-    # tau^k from the cached powers, its y^D row put back at lam^(k - 2D)
-    return TruncSeries(
-        "y", y_order, {d: RatFun({(k - 2 * d, 0): c}) for d, c in _root_powers(y_order)[k].items()}
-    )
+    # tau^k from the cached rows, its y^D value put back at lam^(k - 2D)
+    return TruncSeries("y", y_order, {
+        d: RatFun({(k - 2 * d, 0): _root_row(d)[k]})
+        for d in range(y_order + 1)
+        if k in _root_row(d)
+    })
 
 
 def _unmarked_parts(y_order):
@@ -607,11 +609,11 @@ def test_lagrange_root_is_the_signed_catalan_series(cold_caches):
     assert [want[d] for d in range(1, 8)] == [
         1, Frac(-1, 2), Frac(2, 3), Frac(-5, 4), Frac(14, 5), -7, Frac(132, 7)
     ]
-    assert _root_powers(0) == ({0: 1},)
-    for order in range(1, y + 1):
-        powers = _root_powers(order)
-        assert len(powers) == order + 1
-        assert powers[1] == {d: want[d] for d in range(1, order + 1)}
+    # the row at y^D holds tau^k for k = 1, ..., D; the row at y^0 holds 1
+    assert _root_row(0) == {0: 1}
+    for d in range(1, y + 1):
+        assert sorted(_root_row(d)) == list(range(1, d + 1))
+        assert _root_row(d)[1] == want[d]
     # with tau at lam^(1 - 2D), tau^k stands at lam^(k - 2D) and starts at
     # y^k, and tau solves the fixed-point equation with every lam power of
     # the unmarked series kept
@@ -856,10 +858,21 @@ def test_every_emitted_coefficient_is_homogeneous(cold_caches):
 
 
 def test_lower_orders_add_no_tail_coefficients(cold_caches):
-    # every tail coefficient is keyed by its exact degree, so once order 6
-    # is built the lower orders read it: no cache misses, counted
+    # every tail coefficient, root row and rewritten value is keyed by its
+    # exact degree, so once order 6 is built the lower orders read it: no
+    # cache misses, counted; rising to order 8 then builds degrees 7 and 8
+    # alone: the three tails, the root row and the two rewritten values of
+    # each
+    caches = (
+        p1series._vertex,
+        p1series._hanging,
+        p1series._branch,
+        p1series._tail_terms,
+        p1series._root_row,
+        p1series._rewritten,
+    )
+
     def misses():
-        caches = (p1series._vertex, p1series._hanging, p1series._branch, p1series._tail_terms)
         return [f.cache_info().misses for f in caches]
 
     def serve(y):
@@ -873,6 +886,8 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
     for y in range(2, 6):
         serve(y)
     assert misses() == built
+    serve(8)
+    assert [after - before for after, before in zip(misses(), built)][3:] == [6, 2, 4]
 
 
 def test_int_tables_are_in_normal_form(cold_caches, monkeypatch):
@@ -944,7 +959,8 @@ def test_placement_tables_keep_the_fraction_recursion_values(cold_caches):
 
 
 def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
-    # rising orders each build; a falling order truncates the highest built
+    # rising orders each build their new degrees; a falling order reads the
+    # degrees built, so it is the truncated higher one
     rising = {y: _rewrite_basis(y) for y in range(2, 7)}
     cold_caches()
     _rewrite_basis(6)
@@ -1010,13 +1026,13 @@ def test_every_cache_is_cleared_by_the_fixture():
 
 
 def _decorated_caches(module):
-    # the module-level names that functools.lru_cache or _grown wraps, as
+    # the module-level names that functools.lru_cache wraps, as
     # decorators or as calls, read from the source rather than from the
     # objects' attributes
     def is_cache(node):
         if isinstance(node, ast.Call):
             node = node.func
-        return ast.unparse(node) in {"functools.lru_cache", "functools.cache", "_grown"}
+        return ast.unparse(node) in {"functools.lru_cache", "functools.cache"}
 
     names = set()
     for node in ast.parse(inspect.getsource(module)).body:
@@ -1032,7 +1048,7 @@ def test_every_decorated_cache_is_in_the_fixture_list():
     # a cache missing from conftest._CACHES would carry a value built under
     # a patched factor from one cold_caches test into the next
     found = {name: module for module in _package_modules() for name in _decorated_caches(module)}
-    assert {"_ladder", "_placements", "_root_powers", "_rewrite_basis"} <= found.keys()
+    assert {"_ladder", "_placements", "_root_row", "_rewritten", "_rewrite_basis"} <= found.keys()
     assert {"_glsm_model", "_read_frac", "_vertex", "_edge"} <= found.keys()
     assert {"_levelled_structures", "_vertex_profiles", "_shared_vertex", "_shared_edge"} <= found.keys()
     missing = sorted(name for name, module in found.items() if getattr(module, name) not in _CACHES)
