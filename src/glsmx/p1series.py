@@ -60,16 +60,6 @@ def point_class_infinity() -> CohClass:
     return CohClass([-LAM, RF_ONE], PROJLINE)
 
 
-def idempotent_zero() -> CohClass:
-    """Normalized class of the zero fixed point; squares to itself."""
-    return CohClass([RF_ZERO, RF_ONE / LAM], PROJLINE)
-
-
-def idempotent_infinity() -> CohClass:
-    """Normalized class of the infinity fixed point; squares to itself."""
-    return CohClass([RF_ONE, -(RF_ONE / LAM)], PROJLINE)
-
-
 def restrict_at(alpha: CohClass, level: str) -> RatFun:
     if level == LEVEL_ZERO:
         return alpha.restrict_zero()
@@ -81,6 +71,22 @@ def restrict_at(alpha: CohClass, level: str) -> RatFun:
 def _check_insertion(alpha) -> None:
     if not isinstance(alpha, CohClass) or alpha.relation != PROJLINE:
         raise ConfigError("insertions must be classes on the projective line")
+
+
+def _restrictions(alpha) -> tuple:
+    """The insertion's restrictions (at zero, at infinity) and the highest
+    power of z in them.  A tail series is read only up to a z order, which a
+    negative power would cut off short, so such an insertion is refused."""
+    _check_insertion(alpha)
+    at = (alpha.restrict_zero(), alpha.restrict_infinity())
+    top = 0
+    for f in at:
+        for _, j in f.num:
+            if j < 0:
+                raise ConfigError("insertions must not hold negative powers of z")
+            if j > top:
+                top = j
+    return at, top
 
 
 def _flip(level: str) -> str:
@@ -365,14 +371,6 @@ def _check_orders(y_order: int, z_order: int) -> None:
         )
 
 
-# the restrictions (at zero, at infinity) of the zero and the infinity
-# idempotent, (1, 0) and (0, 1): the only markings the tail caches see
-_IDEMPOTENTS = tuple(
-    (idem.restrict_zero().as_frac(), idem.restrict_infinity().as_frac())
-    for idem in (idempotent_zero(), idempotent_infinity())
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _tail_terms(mark, degree: int) -> tuple:
     """The tails of degree `degree` as (den, ((a, numerator), ...)): the
@@ -380,45 +378,40 @@ def _tail_terms(mark, degree: int) -> tuple:
     sum(a^k * numerator)/den, since every tail enters through the smoothing
     of its first node against the cotangent variable, whose z expansion
     times lam is sum_k a^(k+1) z^k / lam^k, one a of it the flag degree the
-    branch carries.  The marking has cotangent exponent 0; `mark` is None
-    for the unmarked tail and otherwise the insertion's restrictions at
-    (zero, infinity), weighing the marking at zero and at infinity."""
+    branch carries.  The marking has cotangent exponent 0; `mark` is the
+    fixed point that carries it, LEVEL_ZERO or LEVEL_INF, whose tails are
+    the mask-1 or the mask-0 entries of the branch tables, or None for the
+    unmarked tail."""
     marks = int(mark is not None)
-    weight = (mark[1], mark[0]) if marks else (1,)
+    mask = int(mark == LEVEL_ZERO)
     out = _Sum()
     for a in range(1, degree + 1):
         den, table = _branch((0,) * marks, LEVEL_ZERO, a, degree, marks)
-        value = Frac(sum(weight[mask] * c for mask, c in table.items()), den)
-        out.add(value.denominator, {a: value.numerator})
+        out.add(den, {a: table.get(mask, 0)})
     den, nums = out.normal()
     return den, tuple(nums.items())
 
 
-def _tail_table(mark, y_order: int, z_order: int) -> dict:
-    """A tail series on Fractions, {degree: {z power: coefficient}}; the
-    empty tail contributes the restriction at zero."""
-    table = {0: {0: Frac(mark[0])}} if mark and mark[0] else {}
+def _tail_series(mark, y_order: int, z_order: int) -> TruncSeries:
+    """The tail series of `mark`, as in _tail_terms: each row is one RatFun
+    of the int sums over den, the lam powers put back here, once per
+    series.  The empty tail contributes 1 when the marking sits at zero."""
+    marks = int(mark is not None)
+    coeffs = {0: RF_ONE} if mark == LEVEL_ZERO else {}
     for degree in range(1, y_order + 1):
         den, terms = _tail_terms(mark, degree)
-        row = {k: sum(a**k * c for a, c in terms) for k in range(z_order + 1)}
-        table[degree] = {k: Frac(c, den) for k, c in row.items() if c}
-    return table
-
-
-def _table_series(table: dict, marks: int, y_order: int) -> TruncSeries:
-    # the lam powers come back here, once per series
-    return TruncSeries("y", y_order, {
-        degree: RatFun({(1 - marks - 2 * degree - k, k): c for k, c in row.items()})
-        for degree, row in table.items()
-    })
+        coeffs[degree] = RatFun({
+            (1 - marks - 2 * degree - k, k): sum(a**k * c for a, c in terms)
+            for k in range(z_order + 1)
+        }, den)
+    return TruncSeries("y", y_order, coeffs)
 
 
 @functools.lru_cache(maxsize=None)
 def _marked_basis(y_order: int, z_order: int) -> tuple:
-    """Marked tail series of the zero and the infinity idempotent."""
-    return tuple(
-        _table_series(_tail_table(mark, y_order, z_order), 1, y_order) for mark in _IDEMPOTENTS
-    )
+    """Marked tail series of the zero and the infinity idempotent: the
+    marking at zero and at infinity."""
+    return tuple(_tail_series(mark, y_order, z_order) for mark in (LEVEL_ZERO, LEVEL_INF))
 
 
 def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
@@ -427,19 +420,25 @@ def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
     The empty tail contributes the bare restriction of the insertion; every
     other tail enters through the smoothing of its first node against the
     cotangent variable.  The series is linear in the insertion, so it is
-    read off the series of the two idempotents.
+    read off the series of the two idempotents.  A z in the insertion
+    raises their z powers, and those past z_order are dropped.
     """
     _check_orders(y_order, z_order)
-    _check_insertion(alpha)
+    (at_zero, at_inf), top = _restrictions(alpha)
     zero, inf = _marked_basis(y_order, z_order)
-    series = zero * alpha.restrict_zero() + inf * alpha.restrict_infinity()
+    series = zero * at_zero + inf * at_inf
+    if top:
+        series = TruncSeries("y", y_order, {
+            d: RatFun({key: c for key, c in f.num.items() if key[1] <= z_order}, f.den[(0, 0)])
+            for d, f in series.coeffs.items()
+        })
     return TreeSeries(series, z_order)
 
 
 def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
     """Unmarked tail series at the zero fixed point; starts at first order."""
     _check_orders(y_order, z_order)
-    return TreeSeries(_table_series(_tail_table(None, y_order, z_order), 0, y_order), z_order)
+    return TreeSeries(_tail_series(None, y_order, z_order), z_order)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +455,20 @@ def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
 # u(tau)^2, and the rewritten value is the marked transform at tau.  The
 # root and the rewritten values are kept per degree, like the tails: E has
 # no y^0 part, so tau at y^D reads only lower degrees, and tau^k starts at
-# y^k.  Both run on Fractions at lam = 1, read off the tail rows.
+# y^k.  Both run on Fractions at lam = 1, read off the tail rows.  A z^m in
+# a restriction shifts the marked transform by m powers of t, so every
+# insertion is a combination of the two idempotents' values at each shift.
 
 
-def _weight(mark, degree: int, k: int) -> Frac:
-    """A tail's factorial transform at t^k y^degree, its z^k coefficient
-    over k!, at lam = 1; the empty tail is the restriction at zero."""
+def _weight(mark, degree: int, k: int, shift: int) -> Frac:
+    """The factorial transform at t^k y^degree, at lam = 1, of a tail whose
+    marking carries z^shift: the tail's z^(k - shift) coefficient over k!.
+    The empty tail is 1 when the marking sits at zero."""
+    j = k - shift
     if not degree:
-        return Frac(mark[0] if mark and not k else 0)
+        return Frac(int(mark == LEVEL_ZERO and not j), factorial(k))
     den, terms = _tail_terms(mark, degree)
-    return Frac(sum(a**k * c for a, c in terms), den * factorial(k))
+    return Frac(sum(a**j * c for a, c in terms), den * factorial(k))
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,7 +481,7 @@ def _root_row(degree: int) -> dict:
     if not degree:
         return {0: Frac(1)}
     row = {1: sum(
-        _weight(None, e, k) * p
+        _weight(None, e, k, 0) * p
         for e in range(1, degree + 1)
         for k, p in _root_row(degree - e).items()
     )}
@@ -490,53 +493,48 @@ def _root_row(degree: int) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _rewritten(mark, degree: int) -> Frac:
-    """The rewritten value of an idempotent at y^degree, at lam^(-2*degree):
-    its marked transform at the root."""
+def _rewritten(mark, degree: int, shift: int) -> Frac:
+    """The rewritten value at y^degree, at lam^(shift - 2*degree), of the
+    idempotent `mark` times z^shift: its marked transform, which starts at
+    t^shift, at the root."""
     return sum(
-        _weight(mark, e, k) * p
+        _weight(mark, e, k, shift) * p
         for e in range(degree + 1)
         for k, p in _root_row(degree - e).items()
+        if k >= shift
     )
 
 
 @functools.lru_cache(maxsize=None)
-def _rewrite_basis(y_order: int) -> tuple:
-    """Rewritten values of the zero and the infinity idempotent, the value
-    at y^D put back at lam^(-2D)."""
+def _rewrite_basis(y_order: int, shift: int) -> tuple:
+    """Rewritten values of the zero and the infinity idempotent times
+    z^shift, the value at y^D put back at lam^(shift - 2D); tau^k starts at
+    y^k, so they start at y^shift."""
     return tuple(
         TruncSeries("y", y_order, {
-            d: RatFun({(-2 * d, 0): _rewritten(mark, d)}) for d in range(y_order + 1)
+            d: RatFun({(shift - 2 * d, 0): _rewritten(mark, d, shift)})
+            for d in range(shift, y_order + 1)
         })
-        for mark in _IDEMPOTENTS
+        for mark in (LEVEL_ZERO, LEVEL_INF)
     )
 
 
 def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     """Marked-tail value rewritten against pulled-back cotangent classes and
     evaluated at cotangent zero: the insertion's marked transform at the
-    Lagrange root of the unmarked one.  Linear in the insertion over
-    coefficients free of z, so then it is read off the values of the two
-    idempotents.
+    Lagrange root of the unmarked one.  It sums, over the z parts of the
+    two restrictions, each lam-only part times the value of that fixed
+    point's idempotent at the part's shift; a shift past y_order adds
+    nothing, and a zero insertion gives the zero series.
     """
     _check_orders(y_order, 0)
-    _check_insertion(alpha)
-    at_zero, at_inf = alpha.restrict_zero(), alpha.restrict_infinity()
-    if not at_zero.z_parts().keys() <= {0} or not at_inf.z_parts().keys() <= {0}:
-        # a z in the insertion moves the cotangent transform, so its own
-        # transform is evaluated at the root, on RatFuns
-        out = {}
-        for e, c in tree_series_S(alpha, y_order, y_order).series.coeffs.items():
-            for k, part in c.z_parts().items():
-                part = part * Frac(1, factorial(k))
-                for d in range(e, y_order + 1):
-                    row = _root_row(d - e)
-                    if k in row:
-                        term = part * RatFun({(k - 2 * (d - e), 0): row[k]})
-                        out[d] = out[d] + term if d in out else term
-        return TruncSeries("y", y_order, out)
-    zero, inf = _rewrite_basis(y_order)
-    return zero * at_zero + inf * at_inf
+    terms = [
+        _rewrite_basis(y_order, shift)[i] * part
+        for i, at in enumerate(_restrictions(alpha)[0])
+        for shift, part in at.z_parts().items()
+        if shift <= y_order
+    ]
+    return sum(terms[1:], terms[0]) if terms else TruncSeries("y", y_order)
 
 
 def irr_ratio_check(y_order: int) -> dict:
@@ -547,7 +545,7 @@ def irr_ratio_check(y_order: int) -> dict:
     forced lam powers; raises IdentityFailed on the first mismatch.
     """
     _check_orders(y_order, 0)
-    zero, inf = _rewrite_basis(y_order)
+    zero, inf = _rewrite_basis(y_order, 0)
     ratio = inf / zero
     disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM ** 2})
     root = series_root_pow(disc, Frac(1, 2))

@@ -13,7 +13,9 @@ The tail recursion after it is also on the package's kernel: it keeps
 every lam power and is keyed by degree budgets, where glsmx.p1series drops
 the lam powers and keys its tails by exact degree.  The rewritten values at
 the end are the three-point sums by diagonal extraction: they read the
-package's tail series, but none of its Lagrange root.  The stationary
+package's tail series, but none of its Lagrange root; the two idempotent
+classes of the fixed points, whose rewritten values the package keeps as
+its basis, are built here.  The stationary
 invariants last use no localization and nothing from glsmx: they come from
 the GW/Hurwitz correspondence, over partitions of the degree.
 """
@@ -25,13 +27,34 @@ from math import comb, factorial, prod
 
 import sympy
 
-from glsmx.algebra import LAM as RF_LAM, RF_ONE, RF_ZERO, RatFun, TruncSeries, series_root_pow
+from glsmx.algebra import (
+    LAM as RF_LAM,
+    PROJLINE,
+    RF_ONE,
+    RF_ZERO,
+    CohClass,
+    RatFun,
+    TruncSeries,
+    series_root_pow,
+)
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
 from glsmx.p1series import tree_series_S, tree_series_eps, unit_class
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
+
+
+def idempotent_zero():
+    """Normalized class of the zero fixed point, restricting to (1, 0);
+    squares to itself."""
+    return CohClass([RF_ZERO, RF_ONE / RF_LAM], PROJLINE)
+
+
+def idempotent_infinity():
+    """Normalized class of the infinity fixed point, restricting to (0, 1);
+    squares to itself."""
+    return CohClass([RF_ONE, -(RF_ONE / RF_LAM)], PROJLINE)
 
 
 def psi_int_recursive(exps):

@@ -23,6 +23,8 @@ from helpers_p1 import (
     POINT_MODEL,
     brute_p1,
     budget_tail,
+    idempotent_infinity,
+    idempotent_zero,
     psi_int_recursive,
     ratfun_to_sympy,
     rewritten_values,
@@ -55,8 +57,6 @@ from glsmx.p1series import (
     _root_row,
     _vertex_weight,
     hyperplane_class,
-    idempotent_infinity,
-    idempotent_zero,
     irr_ratio_check,
     p1_graph_sum,
     point_class_infinity,
@@ -751,17 +751,61 @@ def test_rewritten_value_matches_closed_form(c0, c1, y_order):
 
 def test_rewritten_value_of_a_z_dependent_insertion():
     # z in a restriction shifts the cotangent transform, so such a value is
-    # not the combination of the idempotent values; it is the three-point
-    # sum with two units, normalised as the definition says.  Powers of z up
-    # to 3 give the transform t-powers past the lower orders
+    # not the combination of the idempotent values at shift 0; the oracle is
+    # the three-point sum with two units, normalised as the definition says.
+    # Powers of z up to 3 give the transform t-powers past the lower orders;
+    # the last insertion's powers pass every order here, so its transform
+    # starts past the root's reach and its value is 0
     alphas = (
         ONE * (Z + RatFun(2)) + HYP * (RatFun(Frac(1, 3)) / LAM + Z * Z),
         ONE * Z ** 3 + HYP * Z,
         HYP * (Z * Z - LAM * Z) + ONE * (Z ** 3 - RF_ONE / LAM),
         PINF * (Z * Z) + P0 * (RatFun(2) * Z),
+        ONE * Z ** 7 + HYP * (LAM * Z ** 9),
     )
     for y in range(2, 7):
-        assert tuple(stilde_at_zero(alpha, y) for alpha in alphas) == rewritten_values(alphas, y), y
+        got = tuple(stilde_at_zero(alpha, y) for alpha in alphas)
+        assert got == rewritten_values(alphas, y), y
+        assert got[-1] == TruncSeries("y", y), y
+
+
+# insertions whose restrictions hold positive powers of z
+_Z_INSERTIONS = (
+    ONE * (RF_ONE + Z),
+    HYP * Z ** 3 + PINF * Z,
+    MIX * Z + P0 * (Z * Z - LAM),
+)
+
+
+def test_z_dependent_tail_series_is_cut_at_its_z_order():
+    # a z in the insertion raises the idempotents' z powers, and those past
+    # z_order are dropped: the series at z_order is the one at z_order + 2
+    # less its higher powers.  For the unit times 1 + z at y = 2, z order 1,
+    # the y^1 coefficient has no z^2 term, whose full value is
+    # -1/lam^3 - 1/lam^4
+    for alpha in _Z_INSERTIONS:
+        for y in range(4):
+            for z in range(5):
+                got = tree_series_S(alpha, y, z)
+                higher = tree_series_S(alpha, y, z + 2).series
+                want = TruncSeries("y", y, {
+                    d: sum((part * Z**k for k, part in c.z_parts().items() if k <= z), RF_ZERO)
+                    for d, c in higher.coeffs.items()
+                })
+                assert (got.z_order, got.series) == (z, want), (alpha, y, z)
+    assert sorted(tree_series_S(_Z_INSERTIONS[0], 2, 1).coeff(1).z_parts()) == [0, 1]
+    high = tree_series_S(_Z_INSERTIONS[0], 2, 3).coeff(1).z_parts()[2]
+    assert high == -(RF_ONE / LAM ** 3) - RF_ONE / LAM ** 4
+
+
+def test_negative_z_powers_are_refused():
+    # a tail series is read up to a z order, which a negative power would
+    # cut short: the unit over z at y^1 has a z^1 term only past z order 1
+    for alpha in (ONE * (RF_ONE / Z), HYP * (Z + RF_ONE / Z), ONE + PINF * (LAM / Z ** 2)):
+        with pytest.raises(ConfigError, match="negative powers of z"):
+            tree_series_S(alpha, 2, 1)
+        with pytest.raises(ConfigError, match="negative powers of z"):
+            stilde_at_zero(alpha, 2)
 
 
 def _direct_tail_series(alpha, y_order, z_order):
@@ -843,13 +887,13 @@ def _assert_homogeneous(series, lead):
 def test_every_emitted_coefficient_is_homogeneous(cold_caches):
     # the lam-free kernel puts back lam^(1 - marks - 2D - k) at z^k y^D, so
     # every coefficient it emits is homogeneous in (lam, z) through y = 12;
-    # a z-dependent insertion reads the root powers on RatFuns, tau^k at y^D
-    # at lam^(k - 2D)
+    # an idempotent's value at shift m stands at lam^(m - 2D) at y^D, so a
+    # z^m in an insertion keeps the degree
     y = p1series.Y_ORDER_CAP
     for alpha in (idempotent_zero(), idempotent_infinity(), ONE):
         _assert_homogeneous(tree_series_S(alpha, y, Z_ORDER_CAP).series, 0)
     _assert_homogeneous(tree_series_eps(y, Z_ORDER_CAP).series, 1)
-    zero, inf = _rewrite_basis(y)
+    zero, inf = _rewrite_basis(y, 0)
     for series in (zero, inf, stilde_at_zero(ONE, y)):
         _assert_homogeneous(series, 0)
     _assert_homogeneous(stilde_at_zero(HYP, y), 1)
@@ -857,12 +901,13 @@ def test_every_emitted_coefficient_is_homogeneous(cold_caches):
     _assert_homogeneous(stilde_at_zero(ONE * (Z ** 3) + HYP * (Z * Z), y), 3)
 
 
-def test_lower_orders_add_no_tail_coefficients(cold_caches):
+def test_lower_orders_add_no_tail_coefficients(cold_caches, monkeypatch):
     # every tail coefficient, root row and rewritten value is keyed by its
     # exact degree, so once order 6 is built the lower orders read it: no
     # cache misses, counted; rising to order 8 then builds degrees 7 and 8
     # alone: the three tails, the root row and the two rewritten values of
-    # each
+    # each.  The insertions hold no z, so every rewritten value built is at
+    # shift 0
     caches = (
         p1series._vertex,
         p1series._hanging,
@@ -874,6 +919,18 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
 
     def misses():
         return [f.cache_info().misses for f in caches]
+
+    rewritten = p1series._rewritten
+    shifts = []
+
+    def recording(mark, degree, shift):
+        before = rewritten.cache_info().misses
+        out = rewritten(mark, degree, shift)
+        if rewritten.cache_info().misses > before:
+            shifts.append(shift)
+        return out
+
+    monkeypatch.setattr(p1series, "_rewritten", recording)
 
     def serve(y):
         irr_ratio_check(y)
@@ -888,6 +945,7 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches):
     assert misses() == built
     serve(8)
     assert [after - before for after, before in zip(misses(), built)][3:] == [6, 2, 4]
+    assert len(shifts) == 2 * 9 and set(shifts) == {0}
 
 
 def test_int_tables_are_in_normal_form(cold_caches, monkeypatch):
@@ -961,11 +1019,11 @@ def test_placement_tables_keep_the_fraction_recursion_values(cold_caches):
 def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
     # rising orders each build their new degrees; a falling order reads the
     # degrees built, so it is the truncated higher one
-    rising = {y: _rewrite_basis(y) for y in range(2, 7)}
+    rising = {y: _rewrite_basis(y, 0) for y in range(2, 7)}
     cold_caches()
-    _rewrite_basis(6)
+    _rewrite_basis(6, 0)
     for y in range(2, 6):
-        assert _rewrite_basis(y) == rising[y]
+        assert _rewrite_basis(y, 0) == rising[y]
 
 
 # ---------------------------------------------------------------------------
