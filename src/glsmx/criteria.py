@@ -135,6 +135,28 @@ def _unmarked_positivity_body():
     # the lone degree-one edge (-1/lam^2) to a bare leaf (-lam), times lam/(lam - z)
     one_edge = sum((Z**k / LAM ** (k + 1) for k in range(13)), RF_ZERO)
     _expect(series.coeff(1) == one_edge, "unmarked y^1 part is not the one-edge tail")
+    # the marked series of a class with several lam powers at both fixed
+    # points: the empty tail is its restriction at zero, and y^1 is the lone
+    # degree-one edge (-1/lam^2) to the marked leaf, which weighs the
+    # restriction at infinity, times lam/(lam - z)
+    alpha = p1.unit_class() * (RatFun(2) - LAM * 3) + p1.hyperplane_class() * (
+        RatFun(Frac(1, 2)) + RatFun(5) / LAM
+    )
+    marked = p1.tree_series_S(alpha, 6, 12)
+    _expect(
+        marked.coeff(0) == alpha.restrict_zero(), "marked y^0 part is not the restriction at zero"
+    )
+    edge = -alpha.restrict_infinity() * sum((Z**k / LAM ** (k + 2) for k in range(13)), RF_ZERO)
+    _expect(marked.coeff(1) == edge, "marked y^1 part is not the one-edge tail")
+    # a z^m in the insertion raises every z power by m, and the series keeps
+    # only those up to its z order
+    for m in range(1, 4):
+        shifted = p1.tree_series_S(alpha * Z**m, 6, 12).series
+        _expect(
+            shifted == p1.tree_series_S(alpha, 6, 12 - m).series * Z**m,
+            f"marked series of z^{m} times the class is not z^{m} times its series "
+            f"at z order {12 - m}",
+        )
 
 
 # the four chamber models; criteria 4 and 5 run on each
@@ -146,36 +168,63 @@ _NORMALIZATION_MODELS = (
 )
 
 
-def _closed_route_value(model, beta, twisted):
+def _closed_route_value(model, beta, twisted, z=None):
     """Closed product form of the degree-beta coefficient, written straight
-    from the section monomial count; deliberately separate from the
+    from the section monomial count, with the class z in place of the
+    variable z when one is given; deliberately separate from the
     weight-table route so the two can disagree."""
     unit = jfun.state_unit(model)
     hyper = jfun.state_hyperplane(model)
+    z = unit * Z if z is None else z
     if model.phase == LG:
         if not make_sector(model, jfun.j_sector(model, beta)).narrow:
             return unit * RF_ZERO
         m1 = graph_multiplicities(model, beta)[0]
-        value = unit * (Z * Frac(isotropy_order(model.d, m1), model.d))
+        value = z * Frac(isotropy_order(model.d, m1), model.d)
         for w in model.weights:
             a = Frac(w * (beta + 1), model.d)
             top = -((-(w * (beta + 1) + 1)) // model.d) - 1
             for k in range(1, top + 1):
-                value = value * (unit * (Z * (k - a)) - hyper * Frac(w, model.d))
+                value = value * (z * (k - a) - hyper * Frac(w, model.d))
         for b in range(1, beta + 1):
-            value = value / ((hyper + unit * (Z * b)) ** model.N)
+            value = value / ((hyper + z * b) ** model.N)
     else:
-        value = unit * Z
+        value = z
         for m in range(1, model.d * beta + 1):
-            value = value * ((hyper * (-model.d) - unit * (Z * m)) ** model.N)
+            value = value * ((hyper * (-model.d) - z * m) ** model.N)
         for w in model.weights:
             for b in range(1, w * beta + 1):
-                value = value / (hyper * w + unit * (Z * b))
+                value = value / (hyper * w + z * b)
     if twisted:
         level = jfun.lambda_level(model, gr.LEVEL_ZERO)
         for b in range(beta):
-            value = value * (level - unit * (Z * b))
+            value = value * (level - z * b)
     return value
+
+
+def _closed_edge_values(model, delta, beta):
+    """Closed product form of the edge factors of cover degree delta and
+    basepoint degree beta, as {(twisted, vertex level): value}: the closed
+    degree-beta coefficient over z at the cover's tangent weight
+    t = (lam - H)/delta, divided by the moving cover sections -b^2 t^2 for
+    b <= delta and by the isotropy order of the coefficient's sector; times
+    the framing twist (delta - b)*t for b < beta when twisted, and +-t for a
+    vertex at either level."""
+    unit = jfun.state_unit(model)
+    t = (unit * LAM - jfun.state_hyperplane(model)) * Frac(1, delta)
+    sections = t * isotropy_order(model.d, graph_multiplicities(model, beta)[1])
+    for b in range(1, delta + 1):
+        sections = sections * (t * t * (-b * b))
+    twist = unit
+    for b in range(beta):
+        twist = twist * (t * (delta - b))
+    plain = _closed_route_value(model, beta, False, t) / sections
+    out = {}
+    for twisted, value in ((False, plain), (True, plain * twist)):
+        out[twisted, None] = value
+        out[twisted, gr.LEVEL_ZERO] = value * t
+        out[twisted, gr.LEVEL_INF] = value * -t
+    return out
 
 
 def _dual_route_body():
@@ -205,6 +254,17 @@ def _dual_route_body():
             _expect(table.keys() == want.keys(), f"{where}: the table has other cells")
             for key, text in table.items():
                 _read_rendered(text, want[key], f"{where} cell {key}")
+    # the edge factors the edge command serves, at every cover degree up to 4
+    for model in _NORMALIZATION_MODELS:
+        for delta in range(1, 5):
+            for beta in range(delta):
+                for (twisted, level), closed in _closed_edge_values(model, delta, beta).items():
+                    edge = jfun.edge_contribution(model, delta, beta, None, twisted, level)
+                    _expect(
+                        (edge - closed).is_zero(),
+                        f"edge routes disagree at phase {model.phase} weights {model.weights} "
+                        f"delta {delta} beta {beta} twisted {twisted} vertex {level}",
+                    )
 
 
 _NORMALIZATION_EPS = (Frac(2, 3), Frac(2, 5), Frac(2, 7))

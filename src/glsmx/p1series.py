@@ -17,7 +17,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from .algebra import (
     LAM,
@@ -74,19 +74,13 @@ def _check_insertion(alpha) -> None:
 
 
 def _restrictions(alpha) -> tuple:
-    """The insertion's restrictions (at zero, at infinity) and the highest
-    power of z in them.  A tail series is read only up to a z order, which a
-    negative power would cut off short, so such an insertion is refused."""
+    """The insertion's restrictions (at zero, at infinity); a negative power
+    of z, which a series read up to a z order would cut short, is refused."""
     _check_insertion(alpha)
     at = (alpha.restrict_zero(), alpha.restrict_infinity())
-    top = 0
-    for f in at:
-        for _, j in f.num:
-            if j < 0:
-                raise ConfigError("insertions must not hold negative powers of z")
-            if j > top:
-                top = j
-    return at, top
+    if any(j < 0 for f in at for _, j in f.num):
+        raise ConfigError("insertions must not hold negative powers of z")
+    return at
 
 
 def _flip(level: str) -> str:
@@ -352,8 +346,8 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
 
 @dataclass(frozen=True)
 class TreeSeries:
-    """Series in the covering-degree variable; each coefficient is a rational
-    function of lam and a polynomial in z up to z_order."""
+    """Series in the covering-degree variable y; each coefficient is a
+    Laurent polynomial in lam and z with no z power above z_order."""
 
     series: TruncSeries
     z_order: int
@@ -366,9 +360,7 @@ def _check_orders(y_order: int, z_order: int) -> None:
     if y_order < 0 or z_order < 0:
         raise ConfigError("truncation orders must be non-negative")
     if y_order > Y_ORDER_CAP or z_order > Z_ORDER_CAP:
-        raise BoundsExceeded(
-            f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}"
-        )
+        raise BoundsExceeded(f"truncation caps are y <= {Y_ORDER_CAP}, z <= {Z_ORDER_CAP}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -392,53 +384,61 @@ def _tail_terms(mark, degree: int) -> tuple:
     return den, tuple(nums.items())
 
 
-def _tail_series(mark, y_order: int, z_order: int) -> TruncSeries:
-    """The tail series of `mark`, as in _tail_terms: each row is one RatFun
-    of the int sums over den, the lam powers put back here, once per
-    series.  The empty tail contributes 1 when the marking sits at zero."""
-    marks = int(mark is not None)
-    coeffs = {0: RF_ONE} if mark == LEVEL_ZERO else {}
-    for degree in range(1, y_order + 1):
-        den, terms = _tail_terms(mark, degree)
-        coeffs[degree] = RatFun({
-            (1 - marks - 2 * degree - k, k): sum(a**k * c for a, c in terms)
-            for k in range(z_order + 1)
-        }, den)
-    return TruncSeries("y", y_order, coeffs)
-
-
 @functools.lru_cache(maxsize=None)
-def _marked_basis(y_order: int, z_order: int) -> tuple:
-    """Marked tail series of the zero and the infinity idempotent: the
-    marking at zero and at infinity."""
-    return tuple(_tail_series(mark, y_order, z_order) for mark in (LEVEL_ZERO, LEVEL_INF))
+def _marked_rows(degree: int) -> tuple:
+    """The marked tails at y^degree as (den, ((zero, inf), ...)): the two
+    idempotents' numerators over den at z^k, lam^(-2*degree - k), for k up
+    to Z_ORDER_CAP; the empty tail is 1 when the marking sits at zero."""
+    if not degree:
+        return 1, ((1, 0),)
+    (zden, zero), (iden, inf) = (_tail_terms(mark, degree) for mark in (LEVEL_ZERO, LEVEL_INF))
+    den = lcm(zden, iden)
+    return den, tuple(
+        (den // zden * sum(a**k * c for a, c in zero), den // iden * sum(a**k * c for a, c in inf))
+        for k in range(Z_ORDER_CAP + 1)
+    )
 
 
 def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
-    """One-marking tail series at the zero fixed point.
-
-    The empty tail contributes the bare restriction of the insertion; every
-    other tail enters through the smoothing of its first node against the
-    cotangent variable.  The series is linear in the insertion, so it is
-    read off the series of the two idempotents.  A z in the insertion
-    raises their z powers, and those past z_order are dropped.
-    """
+    """One-marking tail series at the zero fixed point: the restriction at
+    zero, then every tail through the smoothing of its first node.  Each
+    degree's row is c0*zero + c1*inf over the idempotents' rows, c0 and c1
+    the restrictions' terms over one den: c*lam^i*z^m meets the row at z^k
+    at lam^(i - 2D - k) z^(m + k), read only while m + k <= z_order."""
     _check_orders(y_order, z_order)
-    (at_zero, at_inf), top = _restrictions(alpha)
-    zero, inf = _marked_basis(y_order, z_order)
-    series = zero * at_zero + inf * at_inf
-    if top:
-        series = TruncSeries("y", y_order, {
-            d: RatFun({key: c for key, c in f.num.items() if key[1] <= z_order}, f.den[(0, 0)])
-            for d, f in series.coeffs.items()
-        })
-    return TreeSeries(series, z_order)
+    at = _restrictions(alpha)
+    den = lcm(*(f.den[(0, 0)] for f in at))
+    # {(lam power, z power): [numerator at zero, at infinity]} over den
+    parts = defaultdict(lambda: [0, 0])
+    for slot, f in enumerate(at):
+        scale = den // f.den[(0, 0)]
+        for key, c in f.num.items():
+            if key[1] <= z_order:
+                parts[key][slot] = c * scale
+    coeffs = {}
+    for degree in range(y_order + 1):
+        rden, rows = _marked_rows(degree)
+        num = {}
+        for (i, m), (c0, c1) in parts.items():
+            i -= 2 * degree
+            for k, (a, b) in enumerate(rows[: z_order - m + 1]):
+                key = (i - k, m + k)
+                num[key] = num.get(key, 0) + c0 * a + c1 * b
+        coeffs[degree] = RatFun._reduced({key: c for key, c in num.items() if c}, den * rden)
+    return TreeSeries(TruncSeries("y", y_order, coeffs), z_order)
 
 
 def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
-    """Unmarked tail series at the zero fixed point; starts at first order."""
+    """Unmarked tail series at the zero fixed point; starts at first order.
+    Each row is one RatFun of the _tail_terms sums over den."""
     _check_orders(y_order, z_order)
-    return TreeSeries(_tail_series(None, y_order, z_order), z_order)
+    coeffs = {}
+    for degree in range(1, y_order + 1):
+        den, terms = _tail_terms(None, degree)
+        coeffs[degree] = RatFun({
+            (1 - 2 * degree - k, k): sum(a**k * c for a, c in terms) for k in range(z_order + 1)
+        }, den)
+    return TreeSeries(TruncSeries("y", y_order, coeffs), z_order)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     _check_orders(y_order, 0)
     terms = [
         _rewrite_basis(y_order, shift)[i] * part
-        for i, at in enumerate(_restrictions(alpha)[0])
+        for i, at in enumerate(_restrictions(alpha))
         for shift, part in at.z_parts().items()
         if shift <= y_order
     ]

@@ -31,7 +31,7 @@ _CACHES = (
     p1series._branch,
     p1series._placements,
     p1series._tail_terms,
-    p1series._marked_basis,
+    p1series._marked_rows,
     p1series._root_row,
     p1series._rewritten,
     p1series._rewrite_basis,

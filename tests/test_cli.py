@@ -4,6 +4,7 @@ import ast
 import collections
 import contextlib
 import gc
+import inspect
 import io
 import itertools
 import json
@@ -11,6 +12,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import textwrap
 import time
 from fractions import Fraction
 
@@ -641,6 +643,66 @@ def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, co
     assert result["first_failure"] == (
         "IdentityFailed: unmarked y^1 part is not the one-edge tail"
     )
+
+
+def _mutant(monkeypatch, module, name, old, new):
+    """Put in place of module.name its own source with the one occurrence of
+    old replaced by new, compiled over a copy of the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    space = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), space)
+    monkeypatch.setattr(module, name, space[name])
+
+
+def test_verify_sees_swapped_marked_tail_rows(monkeypatch):
+    # the zero idempotent's rows read as the infinity one's: the marked
+    # series' y^0 part turns into the restriction at infinity, and no other
+    # criterion reads the marked rows
+    rows = p1series._marked_rows
+
+    def swapped(degree):
+        den, pairs = rows(degree)
+        return den, tuple((inf, zero) for zero, inf in pairs)
+
+    monkeypatch.setattr(p1series, "_marked_rows", swapped)
+    assert _verify_failures() == {
+        "unmarked series positivity": "IdentityFailed: marked y^0 part is not the "
+        "restriction at zero"
+    }
+
+
+def test_verify_sees_a_marked_series_without_its_z_order_cut(monkeypatch):
+    # every z power of the insertion meets the rows up to z^z_order, so a z^m
+    # in it reaches z^(m + z_order); only the z-shift identity can see it
+    _mutant(
+        monkeypatch, p1series, "tree_series_S", "rows[: z_order - m + 1]", "rows[: z_order + 1]"
+    )
+    assert _verify_failures() == {
+        "unmarked series positivity": "IdentityFailed: marked series of z^1 times the class "
+        "is not z^1 times its series at z order 11"
+    }
+
+
+@pytest.mark.parametrize(
+    "old, new, where",
+    [
+        # the framing twist (delta_e + b)*t first differs at b = 1, so at
+        # basepoint degree 2 and cover degree 3
+        ("fn *= delta_e - b", "fn *= delta_e + b", "delta 3 beta 2 twisted True"),
+        # the quintic's degree-0 sector has isotropy order 5
+        ("fd = isotropy_order(model.d, j_sector(model, beta_e)) * ", "fd = ",
+         "delta 1 beta 0 twisted False"),
+    ],
+)
+def test_verify_sees_a_corrupted_edge_factor(monkeypatch, old, new, where):
+    # the ladder route reads no edge factor, so only the closed edge route
+    # of the dual-route criterion can see these
+    _mutant(monkeypatch, jfun, "edge_contribution", old, new)
+    assert _verify_failures() == {
+        "dual route coefficients": "IdentityFailed: edge routes disagree at phase lg "
+        f"weights (1, 1, 1, 1, 1) {where} vertex None"
+    }
 
 
 def test_leading_terms_criterion_fails_on_a_doubled_leading_term(monkeypatch):

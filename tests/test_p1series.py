@@ -15,9 +15,9 @@ from math import comb, factorial, gcd, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import _CACHES, homogeneous_degree
+from conftest import _CACHES, homogeneous_degree, laurent_terms
 from helpers_p1 import (
     LAM as SLAM,
     POINT_MODEL,
@@ -810,7 +810,8 @@ def test_negative_z_powers_are_refused():
 
 def _direct_tail_series(alpha, y_order, z_order):
     # the budget-keyed tail sums run on the insertion itself, not on the
-    # idempotents
+    # idempotents; a z in the insertion raises the z powers of the
+    # smoothing, and those past z_order are cut off here
     at = (alpha.restrict_zero(), alpha.restrict_infinity())
     coeffs = {0: alpha.restrict_zero()}
     for a in range(1, y_order + 1):
@@ -819,16 +820,37 @@ def _direct_tail_series(alpha, y_order, z_order):
             smoothing = smoothing + RatFun(Frac(a) ** (k + 1)) * Z**k / LAM ** (k + 1)
         for deg, val in budget_tail(LEVEL_ZERO, a, y_order, at).items():
             coeffs[deg] = coeffs.get(deg, RF_ZERO) + LAM * smoothing * val
-    return TruncSeries("y", y_order, coeffs)
+    return TruncSeries("y", y_order, {
+        deg: RatFun({key: v for key, v in laurent_terms(c).items() if key[1] <= z_order})
+        for deg, c in coeffs.items()
+    })
+
+
+# Laurent polynomials in lam with small rational coefficients, times z^0
+# to z^3
+_LAM_Z_COEFF = st.lists(
+    st.tuples(
+        st.integers(min_value=-2, max_value=2),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    ),
+    max_size=3,
+).map(lambda terms: RatFun({(e, j): Frac(n, d) for e, j, n, d in terms}))
 
 
 @settings(max_examples=10, deadline=None)
 @given(
-    _LAM_COEFF,
-    _LAM_COEFF,
+    _LAM_Z_COEFF,
+    _LAM_Z_COEFF,
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=5),
 )
+# lam-dependent coefficients over denominators 3, 4 and 6
+@example(RatFun({(1, 0): Frac(2, 3), (-1, 0): Frac(-5, 4)}), RatFun({(2, 0): Frac(1, 6)}), 4, 3)
+# z-dependent coefficients, one of them past the z order
+@example(RatFun({(0, 2): Frac(3, 2), (1, 0): 1}), RatFun({(-1, 1): Frac(-1, 3)}), 3, 1)
+@example(RatFun({(1, 3): Frac(1, 4)}), RatFun({(-2, 1): 5, (0, 0): Frac(2, 5)}), 4, 5)
 def test_tail_series_matches_direct_tail_sums(c0, c1, y_order, z_order):
     alpha = ONE * c0 + HYP * c1
     got = tree_series_S(alpha, y_order, z_order)
@@ -902,17 +924,18 @@ def test_every_emitted_coefficient_is_homogeneous(cold_caches):
 
 
 def test_lower_orders_add_no_tail_coefficients(cold_caches, monkeypatch):
-    # every tail coefficient, root row and rewritten value is keyed by its
-    # exact degree, so once order 6 is built the lower orders read it: no
-    # cache misses, counted; rising to order 8 then builds degrees 7 and 8
-    # alone: the three tails, the root row and the two rewritten values of
-    # each.  The insertions hold no z, so every rewritten value built is at
+    # every tail coefficient, marked row, root row and rewritten value is
+    # keyed by its exact degree, so once order 6 is built the lower orders
+    # read it: no cache misses, counted; rising to order 8 then builds
+    # degrees 7 and 8 alone: the three tails, the marked rows, the root row
+    # and the two rewritten values of each.  The insertions hold no z, so every rewritten value built is at
     # shift 0
     caches = (
         p1series._vertex,
         p1series._hanging,
         p1series._branch,
         p1series._tail_terms,
+        p1series._marked_rows,
         p1series._root_row,
         p1series._rewritten,
     )
@@ -944,7 +967,7 @@ def test_lower_orders_add_no_tail_coefficients(cold_caches, monkeypatch):
         serve(y)
     assert misses() == built
     serve(8)
-    assert [after - before for after, before in zip(misses(), built)][3:] == [6, 2, 4]
+    assert [after - before for after, before in zip(misses(), built)][3:] == [6, 2, 2, 4]
     assert len(shifts) == 2 * 9 and set(shifts) == {0}
 
 

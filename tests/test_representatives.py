@@ -27,8 +27,9 @@ from helpers_p1 import POINT_MODEL
 from glsmx import graphs as gr
 from glsmx import jfun
 from glsmx import p1series as p1
-from glsmx.algebra import LAM, RatFun
+from glsmx.algebra import LAM, RatFun, Z
 from glsmx.cli import run
+from glsmx.errors import ConfigError
 from glsmx.model import GEOMETRIC, LG, GlsmModel
 
 CENSUS_MODEL = {"weights": [1, 1, 1, 1, 1], "N": 1, "d": 5, "phase": "lg", "epsilon": "2/5"}
@@ -450,6 +451,44 @@ def test_ratio_check_coefficient_bytes(cold_caches):
     coefficients = p1.irr_ratio_check(8)["coefficients"]
     assert _sha(repr(coefficients)) == (
         "0f9429a707ae091d440bb49912f04a2589e9be5ea02871902fe3c27d4d9e165f"
+    )
+
+
+def _seeded_tail_class(rng, kind):
+    # "lam": lam powers -2..2 over small denominators; "rational": no lam;
+    # "z": lam powers times z^0 to z^3; "zero": the zero class
+    def coeff():
+        terms = {}
+        for _ in range(0 if kind == "zero" else rng.randint(1, 3)):
+            lam = 0 if kind == "rational" else rng.randint(-2, 2)
+            terms[lam, rng.randint(0, 3) if kind == "z" else 0] = Frac(
+                rng.randint(-6, 6), rng.randint(1, 5)
+            )
+        return RatFun(terms)
+
+    return p1.unit_class() * coeff() + p1.hyperplane_class() * coeff()
+
+
+def _tail_corpus_text():
+    rng = random.Random(40)
+    kinds = ("lam", "rational", "z", "zero")
+    classes = [_seeded_tail_class(rng, kind) for kind in kinds for _ in range(16)]
+    text = [
+        repr(p1.tree_series_S(alpha, y, z)) for alpha in classes for y in range(9) for z in range(7)
+    ]
+    for alpha in (p1.unit_class() * (RatFun(1) / Z), p1.hyperplane_class() * (Z + RatFun(1) / Z)):
+        with pytest.raises(ConfigError) as err:
+            p1.tree_series_S(alpha, 2, 1)
+        text.append(f"ConfigError: {err.value}")
+    return "\n".join(text)
+
+
+def test_marked_tail_series_bytes_on_a_seeded_corpus(cold_caches):
+    # 64 seeded classes, 16 of each kind, at every y order up to 8 and z
+    # order up to 6, a z in the class cut at the z order, and the refusal
+    # of negative z powers
+    assert _sha(_tail_corpus_text()) == (
+        "c3446b4c3451057cb3af349626233e9001be5e0455faa0e3316aa0b64b1bf8a7"
     )
 
 
