@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as Frac
 from math import gcd, lcm
 
-from .errors import BadConstantTerm, DivisionByNonUnit
+from .errors import DivisionByNonUnit
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials in (lam, z) over int, keyed by (lam_exp, z_exp)
@@ -177,12 +177,6 @@ class RatFun:
 
     def is_zero(self):
         return not self.num
-
-    def as_frac(self):
-        """Constant value, or None if lam/z actually occur."""
-        if not self.num.keys() <= {(0, 0)}:
-            return None
-        return Frac(self.num.get((0, 0), 0), self.den[(0, 0)])
 
     def z_parts(self):
         """Split into {z_exponent: RatFun in lam only}."""
@@ -457,12 +451,6 @@ class TruncSeries:
         self._check(other)
         return TruncSeries(self.variable, self._order_with(other), _merge(self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return TruncSeries(self.variable, self.order, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return TruncSeries(
@@ -479,22 +467,6 @@ class TruncSeries:
         return TruncSeries(self.variable, order, out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        self._check(other)
-        c0 = other.coeff(0)
-        if c0.is_zero():
-            raise DivisionByNonUnit("series with zero constant term")
-        inv0 = RF_ONE / c0
-        order = self._order_with(other)
-        # u = 1 - other/c0 is nilpotent to the truncation order
-        u = TruncSeries(self.variable, order, {0: RF_ONE}) - other * inv0
-        out = self
-        acc = self
-        for _ in range(order):
-            acc = acc * u
-            out = out + acc
-        return out * inv0
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -521,22 +493,3 @@ def _merge(a, b):
         out[k] = out[k] + v if k in out else v
     return out
 
-
-def series_root_pow(s, exponent):
-    """s**exponent for rational exponent, by exact binomial expansion.
-    Requires constant term exactly 1."""
-    exponent = Frac(exponent)
-    if s.coeff(0) != RF_ONE:
-        raise BadConstantTerm("series_root_pow needs constant term 1")
-    one = TruncSeries(s.variable, s.order, {0: RF_ONE})
-    u = s - one
-    out = one
-    power = one
-    binom = Frac(1)
-    for k in range(1, s.order + 1):
-        binom *= Frac(exponent - (k - 1), k)
-        power = power * u
-        if not power.coeffs:
-            break
-        out = out + power * binom
-    return out

@@ -26,7 +26,6 @@ from .algebra import (
     RatFun,
     TruncSeries,
     Z,
-    series_root_pow,
 )
 from .errors import IdentityFailed, check_record
 from .model import (
@@ -59,7 +58,7 @@ def run_criterion(name, body):
     return check_record(name, True)
 
 
-# the order criteria 1 and 2 reach, so both share one rewritten basis
+# the order criteria 1 and 2 reach, so both read the same cached rewritten values
 _TAIL_ORDER = 12
 
 
@@ -96,18 +95,83 @@ def _exact_terms(f):
     return {key: Frac(v, f.den[(0, 0)]) for key, v in f.num.items()}
 
 
+def _binomial(p, k):
+    """binom(p, k) for a rational p."""
+    out = Frac(1)
+    for i in range(k):
+        out = out * (p - i) / (i + 1)
+    return out
+
+
+def _transform(series):
+    """Factorial transform over the cotangent variable of a tail series:
+    {t power: {degree: RatFun}}, z^k mapping to t^k/k!."""
+    out = {}
+    for d, c in series.coeffs.items():
+        for k, part in c.z_parts().items():
+            out.setdefault(k, {})[d] = part * Frac(1, factorial(k))
+    return out
+
+
+def _transform_mul(a, b, cap):
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            if ta + tb > cap:
+                continue
+            slot = out.setdefault(ta + tb, {})
+            for ya, u in ca.items():
+                for yb, v in cb.items():
+                    if ya + yb <= cap:
+                        slot[ya + yb] = slot.get(ya + yb, RF_ZERO) + u * v
+    return out
+
+
+def _three_point_sum(alphas, y_order):
+    """Sum over fixed graphs whose marked tails, one per insertion in
+    alphas, meet one contracted component at the zero fixed point, dressed
+    by any number l of unmarked tails: the t^l slot of the product of the
+    marked transforms times the l-th power of the unmarked one, over lam.
+    It reads the tail series straight, and none of the Lagrange root that
+    stilde_at_zero reads; with no insertions it is the dressing alone."""
+    factors = {0: {0: RF_ONE}}
+    for alpha in alphas:
+        factors = _transform_mul(
+            factors, _transform(p1.tree_series_S(alpha, y_order, y_order).series), y_order
+        )
+    eps = _transform(p1.tree_series_eps(y_order, y_order).series)
+    coeffs = {}
+    for l in range(y_order + 1):
+        for d, v in factors.get(l, {}).items():
+            coeffs[d] = coeffs.get(d, RF_ZERO) + v
+        if l < y_order:
+            factors = _transform_mul(factors, eps, y_order)
+    return TruncSeries("y", y_order, {d: v / LAM for d, v in coeffs.items()})
+
+
+# the order of the z-shifted three-point sums in criterion 1
+_Z_TAIL_ORDER = 6
+
+
+def _mixed_class():
+    """A class with several lam powers in both of its restrictions."""
+    return p1.unit_class() * (RatFun(2) - LAM * 3) + p1.hyperplane_class() * (
+        RatFun(Frac(1, 2)) + RatFun(5) / LAM
+    )
+
+
 def _tail_closed_forms_body():
     y_order = _TAIL_ORDER
-    disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM**2})
+    # disc = 1 + 4y/lam^2, so disc^p is the sum of binom(p, k) 4^k lam^(-2k) y^k
+    minus = [_binomial(Frac(-1, 4), k) * 4**k for k in range(y_order + 1)]
+    plus = [_binomial(Frac(1, 4), k) * 4**k for k in range(y_order + 1)]
     unit_tail = p1.stilde_at_zero(p1.unit_class(), y_order)
-    _expect(
-        unit_tail == series_root_pow(disc, Frac(-1, 4)),
-        "unit tail is not the -1/4 power of the discriminant series",
-    )
+    want = TruncSeries("y", y_order, {k: RatFun({(-2 * k, 0): c}) for k, c in enumerate(minus)})
+    _expect(unit_tail == want, "unit tail is not the -1/4 power of the discriminant series")
     hyper_tail = p1.stilde_at_zero(p1.hyperplane_class(), y_order)
-    want = (
-        series_root_pow(disc, Frac(-1, 4)) + series_root_pow(disc, Frac(1, 4))
-    ) * (LAM * Frac(1, 2))
+    want = TruncSeries("y", y_order, {
+        k: RatFun({(1 - 2 * k, 0): (a + b) / 2}) for k, (a, b) in enumerate(zip(minus, plus))
+    })
     _expect(
         hyper_tail == want,
         "hyperplane tail is not (lam/2) times the -1/4 plus +1/4 powers",
@@ -117,6 +181,21 @@ def _tail_closed_forms_body():
         for k, f in tail.coeffs.items():
             want = {i: v for (i, _), v in _exact_terms(f).items()}
             _read_rendered(cli._lam_string(f), want, f"{name} tail at y^{k}")
+    # a z^m in an insertion shifts its marked transform by m powers of t;
+    # the rewritten value times the unit's value squared times the dressing
+    # is the three-point sum of the insertion and two units
+    y_order = _Z_TAIL_ORDER
+    one = p1.unit_class()
+    unit = p1.stilde_at_zero(one, y_order)
+    dressing = _three_point_sum((), y_order)
+    for m in range(1, 4):
+        alpha = _mixed_class() * Z**m
+        got = p1.stilde_at_zero(alpha, y_order) * unit * unit * dressing
+        _expect(
+            got == _three_point_sum((alpha, one, one), y_order),
+            f"rewritten value of z^{m} times the class is not its three-point sum over "
+            "the dressing and the unit's value squared",
+        )
 
 
 def _root_ratio_body():
@@ -129,7 +208,7 @@ def _root_ratio_body():
         _expect(got == catalan, f"order {k} multiple is {got}, not {catalan}")
 
 
-def _unmarked_positivity_body():
+def _tail_first_terms_body():
     series = p1.tree_series_eps(6, 12)
     _expect(series.coeff(0).is_zero(), "unmarked series has a y^0 part")
     # the lone degree-one edge (-1/lam^2) to a bare leaf (-lam), times lam/(lam - z)
@@ -139,9 +218,7 @@ def _unmarked_positivity_body():
     # points: the empty tail is its restriction at zero, and y^1 is the lone
     # degree-one edge (-1/lam^2) to the marked leaf, which weighs the
     # restriction at infinity, times lam/(lam - z)
-    alpha = p1.unit_class() * (RatFun(2) - LAM * 3) + p1.hyperplane_class() * (
-        RatFun(Frac(1, 2)) + RatFun(5) / LAM
-    )
+    alpha = _mixed_class()
     marked = p1.tree_series_S(alpha, 6, 12)
     _expect(
         marked.coeff(0) == alpha.restrict_zero(), "marked y^0 part is not the restriction at zero"
@@ -586,7 +663,7 @@ def _stability_margin_body():
 CRITERIA = (
     ("tail closed forms", _tail_closed_forms_body),
     ("square root ratio", _root_ratio_body),
-    ("unmarked series positivity", _unmarked_positivity_body),
+    ("tail series first terms", _tail_first_terms_body),
     ("dual route coefficients", _dual_route_body),
     ("leading term normalization", _leading_terms_body),
     ("pairings and relations", _pairing_relations_body),

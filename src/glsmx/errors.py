@@ -12,10 +12,6 @@ class DivisionByNonUnit(GlsmxError):
     """Division requested by an element that is not invertible in its ring."""
 
 
-class BadConstantTerm(GlsmxError):
-    """Series operation requiring constant term 1 got something else."""
-
-
 class OnWall(GlsmxError):
     """Stability parameter sits on a wall (some k*epsilon = 1)."""
 

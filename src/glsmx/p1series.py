@@ -17,7 +17,7 @@ import functools
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .algebra import (
     LAM,
@@ -27,7 +27,6 @@ from .algebra import (
     CohClass,
     RatFun,
     TruncSeries,
-    series_root_pow,
 )
 from .errors import BoundsExceeded, ConfigError, IdentityFailed
 from .graphs import LEVEL_INF, LEVEL_ZERO
@@ -458,6 +457,9 @@ def tree_series_eps(y_order: int, z_order: int) -> TreeSeries:
 # y^k.  Both run on Fractions at lam = 1, read off the tail rows.  A z^m in
 # a restriction shifts the marked transform by m powers of t, so every
 # insertion is a combination of the two idempotents' values at each shift.
+# Their readers, stilde_at_zero and irr_ratio_check, take those values as
+# plain rationals and put the lam powers back once, where each coefficient's
+# RatFun is built.
 
 
 def _weight(mark, degree: int, k: int, shift: int) -> Frac:
@@ -505,68 +507,66 @@ def _rewritten(mark, degree: int, shift: int) -> Frac:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _rewrite_basis(y_order: int, shift: int) -> tuple:
-    """Rewritten values of the zero and the infinity idempotent times
-    z^shift, the value at y^D put back at lam^(shift - 2D); tau^k starts at
-    y^k, so they start at y^shift."""
-    return tuple(
-        TruncSeries("y", y_order, {
-            d: RatFun({(shift - 2 * d, 0): _rewritten(mark, d, shift)})
-            for d in range(shift, y_order + 1)
-        })
-        for mark in (LEVEL_ZERO, LEVEL_INF)
-    )
-
-
 def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     """Marked-tail value rewritten against pulled-back cotangent classes and
     evaluated at cotangent zero: the insertion's marked transform at the
-    Lagrange root of the unmarked one.  It sums, over the z parts of the
-    two restrictions, each lam-only part times the value of that fixed
-    point's idempotent at the part's shift; a shift past y_order adds
-    nothing, and a zero insertion gives the zero series.
+    Lagrange root of the unmarked one.  One int pass: a term c*lam^i*z^m of
+    either restriction adds c times that fixed point's idempotent value at
+    shift m, at lam^(i + m - 2D) of y^D, over one den per degree; a shift
+    past the degree adds nothing, and a zero insertion gives the zero series.
     """
     _check_orders(y_order, 0)
+    at = _restrictions(alpha)
+    den = lcm(*(f.den[(0, 0)] for f in at))
+    # (lam power, shift, fixed point, numerator over den) per term
     terms = [
-        _rewrite_basis(y_order, shift)[i] * part
-        for i, at in enumerate(_restrictions(alpha))
-        for shift, part in at.z_parts().items()
-        if shift <= y_order
+        (i, m, mark, c * (den // f.den[(0, 0)]))
+        for mark, f in zip((LEVEL_ZERO, LEVEL_INF), at)
+        for (i, m), c in f.num.items()
     ]
-    return sum(terms[1:], terms[0]) if terms else TruncSeries("y", y_order)
+    coeffs = {}
+    for degree in range(y_order + 1):
+        values = [
+            (i + m - 2 * degree, c, _rewritten(mark, degree, m))
+            for i, m, mark, c in terms
+            if m <= degree
+        ]
+        vden = lcm(*(v.denominator for _, _, v in values))
+        num = {}
+        for key, c, v in values:
+            num[key] = num.get(key, 0) + c * v.numerator * (vden // v.denominator)
+        coeffs[degree] = RatFun._reduced({(key, 0): c for key, c in num.items() if c}, den * vden)
+    return TruncSeries("y", y_order, coeffs)
 
 
 def irr_ratio_check(y_order: int) -> dict:
     """Compare the ratio of the normalized fixed-point tail values with the
-    closed square-root expression, order by order.
+    closed square-root expression, order by order.  The ratio of the
+    infinity idempotent's rewritten values to the zero one's, both at
+    lam^(-2k) at y^k, is read off their rows at lam = 1 by the division
+    recurrence; with x = y/lam^2 the closed expression
+    (1 - sqrt(1 + 4x))/(1 + sqrt(1 + 4x)) is the signed Catalan series
+    sum_k (-1)^k C_k x^k, k >= 1, C_k = binom(2k, k)/(k + 1).
 
     Returns the per-order coefficients and their rational multiples of the
     forced lam powers; raises IdentityFailed on the first mismatch.
     """
     _check_orders(y_order, 0)
-    zero, inf = _rewrite_basis(y_order, 0)
-    ratio = inf / zero
-    disc = TruncSeries("y", y_order, {0: RF_ONE, 1: RatFun(4) / LAM ** 2})
-    root = series_root_pow(disc, Frac(1, 2))
-    one = TruncSeries("y", y_order, {0: RF_ONE})
-    target = (one - root) / (one + root)
+    zero = [_rewritten(LEVEL_ZERO, k, 0) for k in range(y_order + 1)]
     coefficients = {}
     multiples = {}
     for k in range(y_order + 1):
-        got = ratio.coeff(k)
-        want = target.coeff(k)
+        # the order-0 ratio is checked to be 0, so the lower orders that
+        # enter order k are the multiples
+        lower = sum(r * zero[k - j] for j, r in multiples.items())
+        got = (_rewritten(LEVEL_INF, k, 0) - lower) / zero[0]
+        want = (-1) ** k * comb(2 * k, k) // (k + 1) if k else 0
+        coefficients[k] = RatFun({(-2 * k, 0): got})
         if got != want:
-            raise IdentityFailed(f"ratio mismatch at order {k}: {got!r} vs {want!r}")
-        coefficients[k] = got
-        if k == 0:
-            continue
-        scaled = (got * LAM ** (2 * k)).as_frac()
-        if scaled is None or scaled == 0:
-            raise IdentityFailed(
-                f"order-{k} coefficient is not a rational multiple of lam^(-{2 * k})"
-            )
-        multiples[k] = scaled
+            want = RatFun({(-2 * k, 0): want})
+            raise IdentityFailed(f"ratio mismatch at order {k}: {coefficients[k]!r} vs {want!r}")
+        if k:
+            multiples[k] = got
     return {
         "y_order": y_order,
         "coefficients": coefficients,

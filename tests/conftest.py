@@ -9,11 +9,10 @@ from glsmx import cli, graphs, jfun, p1series
 # the process-wide caches: the jfun coefficient ladders, the p1 vertex
 # weights, the rooted-tree tables that the graph sums and the tails share,
 # the placement tables of the graph sums, the p1 tail coefficients, marked
-# series, the Lagrange root rows and rewritten values per degree and the
-# rewritten bases, shared across orders and calls, the parsed models,
-# rationals, vertices and edges of the report inputs, and the census's
-# levelled structures, vertex profiles and the graph parts that the census
-# and the chain search share
+# series, the Lagrange root rows and rewritten values per degree, shared
+# across orders and calls, the parsed models, rationals, vertices and edges
+# of the report inputs, and the census's levelled structures, vertex
+# profiles and the graph parts that the census and the chain search share
 _CACHES = (
     cli._glsm_model,
     graphs._read_frac,
@@ -34,7 +33,6 @@ _CACHES = (
     p1series._marked_rows,
     p1series._root_row,
     p1series._rewritten,
-    p1series._rewrite_basis,
 )
 
 
@@ -64,3 +62,10 @@ def laurent_terms(f):
     """{(lam_exp, z_exp): Frac} of the Laurent polynomial a RatFun is."""
     c = f.den[(0, 0)]
     return {k: Frac(v, c) for k, v in f.num.items()}
+
+
+def as_frac(f):
+    """Constant value of a RatFun, or None if lam or z occurs."""
+    if not f.num.keys() <= {(0, 0)}:
+        return None
+    return Frac(f.num.get((0, 0), 0), f.den[(0, 0)])

@@ -12,12 +12,15 @@ for each request instead of reading the weight table of glsmx.p1series.
 The tail recursion after it is also on the package's kernel: it keeps
 every lam power and is keyed by degree budgets, where glsmx.p1series drops
 the lam powers and keys its tails by exact degree.  The rewritten values at
-the end are the three-point sums by diagonal extraction: they read the
-package's tail series, but none of its Lagrange root; the two idempotent
-classes of the fixed points, whose rewritten values the package keeps as
-its basis, are built here.  The stationary
-invariants last use no localization and nothing from glsmx: they come from
-the GW/Hurwitz correspondence, over partitions of the degree.
+the end are the three-point sums by diagonal extraction, which `verify`
+also runs (glsmx.criteria._three_point_sum): they read the package's tail
+series, but none of its Lagrange root.  The two idempotent classes of the
+fixed points, whose rewritten values the package keeps per degree, are
+built here, and so are the generic series division and rational power that
+these values and the closed square-root forms need, where the package
+reads plain rationals.  The stationary invariants last use no localization
+and nothing from glsmx: they come from the GW/Hurwitz correspondence, over
+partitions of the degree.
 """
 
 import functools
@@ -35,11 +38,12 @@ from glsmx.algebra import (
     CohClass,
     RatFun,
     TruncSeries,
-    series_root_pow,
 )
+from glsmx.criteria import _three_point_sum as three_point_sum
+from glsmx.errors import DivisionByNonUnit
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
-from glsmx.p1series import tree_series_S, tree_series_eps, unit_class
+from glsmx.p1series import unit_class
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
@@ -368,52 +372,53 @@ def _degree_multisets(lo, left, chosen, out):
 
 
 # ---------------------------------------------------------------------------
+# series division and rational powers, generic over the package's series
+
+
+def series_sub(a, b):
+    """a - b."""
+    return a + b * RatFun(-1)
+
+
+def series_div(a, b):
+    """a/b by the Neumann series of 1 - b/b0, cut at the lower order; b's
+    constant term b0 must be nonzero."""
+    if a.variable != b.variable:
+        raise ValueError("series variable mismatch")
+    c0 = b.coeff(0)
+    if c0.is_zero():
+        raise DivisionByNonUnit("series with zero constant term")
+    inv0 = RF_ONE / c0
+    order = min(a.order, b.order)
+    u = series_sub(TruncSeries(a.variable, order, {0: RF_ONE}), b * inv0)
+    out = acc = TruncSeries(a.variable, order, a.coeffs)
+    for _ in range(order):
+        acc = acc * u
+        out = out + acc
+    return out * inv0
+
+
+def series_root_pow(s, exponent):
+    """s**exponent for a rational exponent, by the binomial series of
+    (1 + u)^exponent; s must have constant term exactly 1."""
+    exponent = Frac(exponent)
+    if s.coeff(0) != RF_ONE:
+        raise ValueError("series_root_pow needs constant term 1")
+    one = TruncSeries(s.variable, s.order, {0: RF_ONE})
+    u = series_sub(s, one)
+    out = power = one
+    binom = Frac(1)
+    for k in range(1, s.order + 1):
+        binom *= Frac(exponent - (k - 1), k)
+        power = power * u
+        if not power.coeffs:
+            break
+        out = out + power * binom
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rewritten values from three-point sums, by diagonal extraction
-
-
-def _transform(series):
-    """Factorial transform over the cotangent variable of a tail series:
-    {t power: {degree: RatFun}}, z^k mapping to t^k/k!."""
-    out = {}
-    for d, c in series.coeffs.items():
-        for k, part in c.z_parts().items():
-            out.setdefault(k, {})[d] = part * Frac(1, factorial(k))
-    return out
-
-
-def _transform_mul(a, b, cap):
-    out = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            if ta + tb > cap:
-                continue
-            slot = out.setdefault(ta + tb, {})
-            for ya, u in ca.items():
-                for yb, v in cb.items():
-                    if ya + yb <= cap:
-                        _bump(slot, ya + yb, u * v)
-    return out
-
-
-def three_point_sum(alphas, y_order):
-    """Sum over fixed graphs whose marked tails, one per insertion in
-    alphas, meet one contracted component at the zero fixed point, dressed
-    by any number l of unmarked tails: the t^l slot of the product of the
-    marked transforms times the l-th power of the unmarked one, over lam.
-    With no insertions it is the dressing alone."""
-    factors = {0: {0: RF_ONE}}
-    for alpha in alphas:
-        factors = _transform_mul(
-            factors, _transform(tree_series_S(alpha, y_order, y_order).series), y_order
-        )
-    eps = _transform(tree_series_eps(y_order, y_order).series)
-    coeffs = {}
-    for l in range(y_order + 1):
-        for d, v in factors.get(l, {}).items():
-            _bump(coeffs, d, v)
-        if l < y_order:
-            factors = _transform_mul(factors, eps, y_order)
-    return TruncSeries("y", y_order, {d: v / RF_LAM for d, v in coeffs.items()})
 
 
 def rewritten_values(alphas, y_order):
@@ -422,9 +427,10 @@ def rewritten_values(alphas, y_order):
     the normalized triple-unit sum."""
     one = unit_class()
     dressing = three_point_sum((), y_order)
-    base = series_root_pow(three_point_sum((one, one, one), y_order) / dressing, Frac(1, 3))
-    norm = base * base
-    return tuple(three_point_sum((alpha, one, one), y_order) / dressing / norm for alpha in alphas)
+    triple = series_div(three_point_sum((one, one, one), y_order), dressing)
+    base = series_root_pow(triple, Frac(1, 3))
+    norm = dressing * base * base
+    return tuple(series_div(three_point_sum((alpha, one, one), y_order), norm) for alpha in alphas)
 
 
 # ---------------------------------------------------------------------------

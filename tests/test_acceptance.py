@@ -39,7 +39,7 @@ def test_criterion_02_square_root_ratio(capsys):
 
 
 def test_criterion_03_unmarked_positivity(capsys):
-    _run(capsys, 3, "unmarked series positivity")
+    _run(capsys, 3, "tail series first terms")
 
 
 def test_criterion_04_dual_route(capsys):

@@ -638,7 +638,7 @@ def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, co
         * (2 if (f, total) == (1, 1) else 1),
     )
     assert p1series.tree_series_eps(6, 12).coeff(0).is_zero()
-    result = _run_criterion("unmarked series positivity")
+    result = _run_criterion("tail series first terms")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
         "IdentityFailed: unmarked y^1 part is not the one-edge tail"
@@ -655,10 +655,17 @@ def _mutant(monkeypatch, module, name, old, new):
     monkeypatch.setattr(module, name, space[name])
 
 
+_Z_SHIFT_FAILURE = (
+    "IdentityFailed: rewritten value of z^1 times the class is not its three-point sum "
+    "over the dressing and the unit's value squared"
+)
+
+
 def test_verify_sees_swapped_marked_tail_rows(monkeypatch):
     # the zero idempotent's rows read as the infinity one's: the marked
-    # series' y^0 part turns into the restriction at infinity, and no other
-    # criterion reads the marked rows
+    # series' y^0 part turns into the restriction at infinity, and the
+    # three-point sums of criterion 1, which read the marked series, part
+    # from the rewritten values, which read the tails alone
     rows = p1series._marked_rows
 
     def swapped(degree):
@@ -667,8 +674,9 @@ def test_verify_sees_swapped_marked_tail_rows(monkeypatch):
 
     monkeypatch.setattr(p1series, "_marked_rows", swapped)
     assert _verify_failures() == {
-        "unmarked series positivity": "IdentityFailed: marked y^0 part is not the "
-        "restriction at zero"
+        "tail closed forms": _Z_SHIFT_FAILURE,
+        "tail series first terms": "IdentityFailed: marked y^0 part is not the "
+        "restriction at zero",
     }
 
 
@@ -679,9 +687,29 @@ def test_verify_sees_a_marked_series_without_its_z_order_cut(monkeypatch):
         monkeypatch, p1series, "tree_series_S", "rows[: z_order - m + 1]", "rows[: z_order + 1]"
     )
     assert _verify_failures() == {
-        "unmarked series positivity": "IdentityFailed: marked series of z^1 times the class "
+        "tail series first terms": "IdentityFailed: marked series of z^1 times the class "
         "is not z^1 times its series at z order 11"
     }
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        # the transform of a marking that carries z^m reads the tail's
+        # z^(k - m) coefficient at t^k, not its z^k one
+        ("_weight", "a**j", "a**k"),
+        # the empty tail of such a marking stands at t^m, not at t^0
+        ("_weight", "not j", "not k"),
+        # an idempotent's value at shift m stands at lam^(m - 2D)
+        ("stilde_at_zero", "i + m - 2 * degree", "i - 2 * degree"),
+    ],
+)
+def test_verify_sees_a_corrupted_z_shift(monkeypatch, cold_caches, name, old, new):
+    # no insertion free of z reads a shift, so only the three-point sums of
+    # z-dependent insertions in criterion 1 can see these; the rewritten
+    # values are cached, so the caches start cold
+    _mutant(monkeypatch, p1series, name, old, new)
+    assert _verify_failures() == {"tail closed forms": _Z_SHIFT_FAILURE}
 
 
 @pytest.mark.parametrize(
@@ -1111,7 +1139,7 @@ def test_criteria_registry_shape():
     assert [name for name, _ in criteria.CRITERIA] == [
         "tail closed forms",
         "square root ratio",
-        "unmarked series positivity",
+        "tail series first terms",
         "dual route coefficients",
         "leading term normalization",
         "pairings and relations",

@@ -17,7 +17,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import _CACHES, homogeneous_degree, laurent_terms
+from conftest import _CACHES, as_frac, homogeneous_degree, laurent_terms
 from helpers_p1 import (
     LAM as SLAM,
     POINT_MODEL,
@@ -28,6 +28,9 @@ from helpers_p1 import (
     psi_int_recursive,
     ratfun_to_sympy,
     rewritten_values,
+    series_div,
+    series_root_pow,
+    series_sub,
     stationary_invariant,
     three_point_sum,
     vertex_weight,
@@ -43,7 +46,6 @@ from glsmx.algebra import (
     CohClass,
     RatFun,
     TruncSeries,
-    series_root_pow,
 )
 import glsmx
 from glsmx import jfun, p1series
@@ -51,7 +53,6 @@ from glsmx.errors import BoundsExceeded, ConfigError
 from glsmx.p1series import (
     Y_ORDER_CAP,
     Z_ORDER_CAP,
-    _rewrite_basis,
     _branch,
     _placements,
     _root_row,
@@ -167,7 +168,7 @@ def test_point_classes_pair_to_one():
 def test_hyperplane_pair_is_one():
     got = p1_graph_sum(2, 1, [(HYP, 0), (HYP, 0)])
     assert got == RF_ONE
-    assert got.as_frac() == Frac(1)
+    assert as_frac(got) == Frac(1)
 
 
 def test_unmarked_degree_one_cover():
@@ -182,7 +183,7 @@ def test_two_units_vanish(delta):
 def test_dimension_matched_descendants_are_constant():
     # unit insertions with exponents filling the dimension leave no lam
     got = p1_graph_sum(2, 1, [(ONE, 1), (ONE, 1)])
-    assert got.as_frac() is not None
+    assert as_frac(got) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +637,8 @@ def test_three_point_sum_first_order():
     assert got.coeff(0, RF_ZERO) == RF_ONE / LAM
     for y in range(7):
         unit = stilde_at_zero(ONE, y)
-        assert three_point_sum((ONE, ONE, ONE), y) / three_point_sum((), y) == unit * unit * unit
+        triple = series_div(three_point_sum((ONE, ONE, ONE), y), three_point_sum((), y))
+        assert triple == unit * unit * unit
 
 
 def test_dressing_first_order():
@@ -651,7 +653,7 @@ def test_dressing_first_order():
         for k, part in enumerate(_unmarked_parts(y)):
             if k:
                 slope = slope + part * _root_series(y, k - 1) * RatFun(k)
-        assert three_point_sum((), y) == one / (one - slope) * (RF_ONE / LAM)
+        assert three_point_sum((), y) == series_div(one, series_sub(one, slope)) * (RF_ONE / LAM)
 
 
 def test_rewritten_values_match_the_three_point_oracle(cold_caches):
@@ -884,6 +886,17 @@ def test_ratio_multiples_are_signed_catalan_numbers():
     assert (multiples[11], multiples[12]) == (-58786, 208012)
 
 
+def test_ratio_coefficients_match_the_square_root_series():
+    # (1 - sqrt(disc))/(1 + sqrt(disc)) by the generic series root and
+    # division of the test helpers, which the Catalan recurrence does not use
+    for y in range(Y_ORDER_CAP + 1):
+        one = TruncSeries("y", y, {0: RF_ONE})
+        root = series_root_pow(_disc(y), Frac(1, 2))
+        want = series_div(series_sub(one, root), one + root)
+        got = irr_ratio_check(y)["coefficients"]
+        assert [got[k] for k in range(y + 1)] == [want.coeff(k) for k in range(y + 1)], y
+
+
 def test_ratio_multiples_against_sympy_expansion():
     u = sympy.Symbol("u")
     expr = (1 - sympy.sqrt(1 + 4 * u)) / (1 + sympy.sqrt(1 + 4 * u))
@@ -914,10 +927,8 @@ def test_every_emitted_coefficient_is_homogeneous(cold_caches):
     y = p1series.Y_ORDER_CAP
     for alpha in (idempotent_zero(), idempotent_infinity(), ONE):
         _assert_homogeneous(tree_series_S(alpha, y, Z_ORDER_CAP).series, 0)
+        _assert_homogeneous(stilde_at_zero(alpha, y), 0)
     _assert_homogeneous(tree_series_eps(y, Z_ORDER_CAP).series, 1)
-    zero, inf = _rewrite_basis(y, 0)
-    for series in (zero, inf, stilde_at_zero(ONE, y)):
-        _assert_homogeneous(series, 0)
     _assert_homogeneous(stilde_at_zero(HYP, y), 1)
     _assert_homogeneous(stilde_at_zero(ONE * Z + HYP, y), 1)
     _assert_homogeneous(stilde_at_zero(ONE * (Z ** 3) + HYP * (Z * Z), y), 3)
@@ -1041,12 +1052,14 @@ def test_placement_tables_keep_the_fraction_recursion_values(cold_caches):
 
 def test_lower_order_rewrite_is_the_truncated_higher_one(cold_caches):
     # rising orders each build their new degrees; a falling order reads the
-    # degrees built, so it is the truncated higher one
-    rising = {y: _rewrite_basis(y, 0) for y in range(2, 7)}
+    # degrees built, so it is the truncated higher one, at every shift
+    classes = (idempotent_zero(), idempotent_infinity(), ONE * (Z ** 3) + HYP * (Z * Z))
+    rising = {y: [stilde_at_zero(alpha, y) for alpha in classes] for y in range(2, 7)}
     cold_caches()
-    _rewrite_basis(6, 0)
+    for alpha in classes:
+        stilde_at_zero(alpha, 6)
     for y in range(2, 6):
-        assert _rewrite_basis(y, 0) == rising[y]
+        assert [stilde_at_zero(alpha, y) for alpha in classes] == rising[y]
 
 
 # ---------------------------------------------------------------------------
@@ -1129,7 +1142,7 @@ def test_every_decorated_cache_is_in_the_fixture_list():
     # a cache missing from conftest._CACHES would carry a value built under
     # a patched factor from one cold_caches test into the next
     found = {name: module for module in _package_modules() for name in _decorated_caches(module)}
-    assert {"_ladder", "_placements", "_root_row", "_rewritten", "_rewrite_basis"} <= found.keys()
+    assert {"_ladder", "_placements", "_root_row", "_rewritten", "_marked_rows"} <= found.keys()
     assert {"_glsm_model", "_read_frac", "_vertex", "_edge"} <= found.keys()
     assert {"_levelled_structures", "_vertex_profiles", "_shared_vertex", "_shared_edge"} <= found.keys()
     missing = sorted(name for name, module in found.items() if getattr(module, name) not in _CACHES)
