@@ -251,7 +251,8 @@ PROJLINE = "projline"  # H^2 = lam*H
 
 class CohClass:
     """Polynomial in the hyperplane symbol H with RatFun coefficients,
-    reduced modulo H^r = 0 (nilpotent) or H^2 = lam*H (projline)."""
+    reduced modulo H^r = 0 (nilpotent) or H^2 = lam*H (projline).  A ring:
+    it adds, subtracts and multiplies, and has no division or power."""
 
     __slots__ = ("coeffs", "relation", "r")
 
@@ -337,42 +338,6 @@ class CohClass:
         if f is NotImplemented:
             return NotImplemented
         return CohClass([f], self.relation, self.r)
-
-    def inverse(self):
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise DivisionByNonUnit("CohClass with zero constant term")
-        if self.relation == PROJLINE:
-            a, b = self.coeffs
-            at_zero = a + b * LAM  # restriction where H = lam
-            if at_zero.is_zero():
-                raise DivisionByNonUnit("CohClass vanishes at the zero fixed point")
-            return CohClass([RF_ONE / a, -b / (a * at_zero)], PROJLINE)
-        inv0 = RF_ONE / c0
-        nil = CohClass([RF_ZERO] + [-c * inv0 for c in self.coeffs[1:]], NILPOTENT, self.r)
-        out = CohClass.unit(NILPOTENT, self.r)
-        power = CohClass.unit(NILPOTENT, self.r)
-        for _ in range(1, self.r):
-            power = power * nil
-            out = out + power
-        return out * inv0
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CohClass.unit(self.relation, self.r)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -20,6 +20,7 @@ from . import jfun
 from . import p1series as p1
 from .algebra import (
     LAM,
+    NILPOTENT,
     RF_ONE,
     RF_ZERO,
     CohClass,
@@ -127,25 +128,34 @@ def _transform_mul(a, b, cap):
     return out
 
 
-def _three_point_sum(alphas, y_order):
-    """Sum over fixed graphs whose marked tails, one per insertion in
-    alphas, meet one contracted component at the zero fixed point, dressed
-    by any number l of unmarked tails: the t^l slot of the product of the
-    marked transforms times the l-th power of the unmarked one, over lam.
-    It reads the tail series straight, and none of the Lagrange root that
-    stilde_at_zero reads; with no insertions it is the dressing alone."""
-    factors = {0: {0: RF_ONE}}
-    for alpha in alphas:
-        factors = _transform_mul(
-            factors, _transform(p1.tree_series_S(alpha, y_order, y_order).series), y_order
-        )
+def _dressing_slots(y_order):
+    """{s: {degree: RatFun}}: the sum over l of the t^(l - s) slot of the
+    l-th power of the unmarked transform, the dressing of a t^s slot of
+    marked tails."""
     eps = _transform(p1.tree_series_eps(y_order, y_order).series)
-    coeffs = {}
+    power, slots = {0: {0: RF_ONE}}, {}
     for l in range(y_order + 1):
-        for d, v in factors.get(l, {}).items():
-            coeffs[d] = coeffs.get(d, RF_ZERO) + v
-        if l < y_order:
-            factors = _transform_mul(factors, eps, y_order)
+        for k, part in power.items():
+            slot = slots.setdefault(l - k, {})
+            for d, v in part.items():
+                slot[d] = slot.get(d, RF_ZERO) + v
+        power = _transform_mul(power, eps, y_order)
+    return slots
+
+
+def _three_point_sum(factors, slots, y_order):
+    """Sum over fixed graphs whose marked tails, with factors the product
+    of their transforms, meet one contracted component at the zero fixed
+    point, dressed by any number l of unmarked tails: the t^l slot of
+    factors times the l-th power of the unmarked transform, over lam.  It
+    reads the tail series straight, and none of the Lagrange root that
+    stilde_at_zero reads; with factors 1 it is the dressing alone."""
+    coeffs = {}
+    for s, part in factors.items():
+        for d, u in part.items():
+            for e, v in slots.get(s, {}).items():
+                if d + e <= y_order:
+                    coeffs[d + e] = coeffs.get(d + e, RF_ZERO) + u * v
     return TruncSeries("y", y_order, {d: v / LAM for d, v in coeffs.items()})
 
 
@@ -187,12 +197,16 @@ def _tail_closed_forms_body():
     y_order = _Z_TAIL_ORDER
     one = p1.unit_class()
     unit = p1.stilde_at_zero(one, y_order)
-    dressing = _three_point_sum((), y_order)
+    slots = _dressing_slots(y_order)
+    dressing = _three_point_sum({0: {0: RF_ONE}}, slots, y_order)
+    marked_one = _transform(p1.tree_series_S(one, y_order, y_order).series)
+    marked_ones = _transform_mul(marked_one, marked_one, y_order)
     for m in range(1, 4):
         alpha = _mixed_class() * Z**m
         got = p1.stilde_at_zero(alpha, y_order) * unit * unit * dressing
+        marked = _transform(p1.tree_series_S(alpha, y_order, y_order).series)
         _expect(
-            got == _three_point_sum((alpha, one, one), y_order),
+            got == _three_point_sum(_transform_mul(marked, marked_ones, y_order), slots, y_order),
             f"rewritten value of z^{m} times the class is not its three-point sum over "
             "the dressing and the unit's value squared",
         )
@@ -245,6 +259,24 @@ _NORMALIZATION_MODELS = (
 )
 
 
+def _over(value, factor):
+    """value/factor, for a nilpotent class value and a factor c0 + c1*H with
+    c0 a nonzero monomial: value times the geometric series
+    (1/c0)*sum_j (-c1*H/c0)^j cut at H^r, summed up the H powers as
+    out_k = value_k/c0 - (c1/c0)*out_(k-1)."""
+    c0, c1, *higher = factor.coeffs + (RF_ZERO,)  # order 1 has no H slot
+    _expect(
+        value.relation == factor.relation == NILPOTENT and value.r == factor.r
+        and len(c0.num) == 1 and all(c.is_zero() for c in higher),
+        f"cannot divide by {factor!r} through its geometric series",
+    )
+    inv0 = RF_ONE / c0
+    x, out = -c1 * inv0, []
+    for v in value.coeffs:
+        out.append(v * inv0 + x * out[-1] if out else v * inv0)
+    return CohClass(out, NILPOTENT, value.r)
+
+
 def _closed_route_value(model, beta, twisted, z=None):
     """Closed product form of the degree-beta coefficient, written straight
     from the section monomial count, with the class z in place of the
@@ -264,14 +296,16 @@ def _closed_route_value(model, beta, twisted, z=None):
             for k in range(1, top + 1):
                 value = value * (z * (k - a) - hyper * Frac(w, model.d))
         for b in range(1, beta + 1):
-            value = value / ((hyper + z * b) ** model.N)
+            for _ in range(model.N):
+                value = _over(value, hyper + z * b)
     else:
         value = z
         for m in range(1, model.d * beta + 1):
-            value = value * ((hyper * (-model.d) - z * m) ** model.N)
+            for _ in range(model.N):
+                value = value * (hyper * (-model.d) - z * m)
         for w in model.weights:
             for b in range(1, w * beta + 1):
-                value = value / (hyper * w + z * b)
+                value = _over(value, hyper * w + z * b)
     if twisted:
         level = jfun.lambda_level(model, gr.LEVEL_ZERO)
         for b in range(beta):
@@ -289,13 +323,13 @@ def _closed_edge_values(model, delta, beta):
     vertex at either level."""
     unit = jfun.state_unit(model)
     t = (unit * LAM - jfun.state_hyperplane(model)) * Frac(1, delta)
-    sections = t * isotropy_order(model.d, graph_multiplicities(model, beta)[1])
+    plain = _closed_route_value(model, beta, False, t)
+    plain = _over(plain, t * isotropy_order(model.d, graph_multiplicities(model, beta)[1]))
     for b in range(1, delta + 1):
-        sections = sections * (t * t * (-b * b))
+        plain = _over(_over(plain, t * (-b * b)), t)
     twist = unit
     for b in range(beta):
         twist = twist * (t * (delta - b))
-    plain = _closed_route_value(model, beta, False, t) / sections
     out = {}
     for twisted, value in ((False, plain), (True, plain * twist)):
         out[twisted, None] = value

@@ -9,6 +9,8 @@ earlier routes: fraction_ladder is the coefficient ladder run step by step
 on Frac over the weight tables of bundle_weights, the reference the int
 ladder must reproduce exactly, and fraction_coefficient_table renders
 report tables through Frac terms, the reference for the int renderer.
+The class inverse at the end is the generic Neumann-series inverse, the
+oracle for the geometric-series division in `verify`'s closed routes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,17 @@ from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
-from glsmx.algebra import NILPOTENT, RF_ZERO, CohClass, RatFun, join_terms
-from glsmx.errors import InconsistentOrbData
+from glsmx.algebra import (
+    LAM,
+    NILPOTENT,
+    PROJLINE,
+    RF_ONE,
+    RF_ZERO,
+    CohClass,
+    RatFun,
+    join_terms,
+)
+from glsmx.errors import DivisionByNonUnit, InconsistentOrbData
 from glsmx.jfun import j_sector, state_rank, state_unit
 from glsmx.model import (
     LG,
@@ -333,3 +344,28 @@ def fraction_coefficient_table(values):
         for (j, h), terms in sorted(cells.items()):
             table[f"{beta},{j},{h}"] = join_terms(terms)
     return table
+
+
+def class_inverse(x):
+    """Inverse of a CohClass.  A nilpotent class c0 + n inverts as
+    (1/c0)*sum_k (-n/c0)^k, cut at H^r; a projline class a + b*H as
+    1/a - b*H/(a*(a + b*lam)), through its restrictions a at infinity and
+    a + b*lam at zero.  A zero constant term, or a zero restriction at the
+    zero fixed point, raises DivisionByNonUnit, and so does a coefficient
+    that is not a monomial where the RatFun division needs one."""
+    c0 = x.coeffs[0]
+    if c0.is_zero():
+        raise DivisionByNonUnit("CohClass with zero constant term")
+    if x.relation == PROJLINE:
+        a, b = x.coeffs
+        at_zero = a + b * LAM
+        if at_zero.is_zero():
+            raise DivisionByNonUnit("CohClass vanishes at the zero fixed point")
+        return CohClass([RF_ONE / a, -b / (a * at_zero)], PROJLINE)
+    inv0 = RF_ONE / c0
+    nil = CohClass([RF_ZERO] + [-c * inv0 for c in x.coeffs[1:]], NILPOTENT, x.r)
+    out = power = CohClass.unit(NILPOTENT, x.r)
+    for _ in range(1, x.r):
+        power = power * nil
+        out = out + power
+    return out * inv0

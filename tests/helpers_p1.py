@@ -39,11 +39,11 @@ from glsmx.algebra import (
     RatFun,
     TruncSeries,
 )
-from glsmx.criteria import _three_point_sum as three_point_sum
+from glsmx.criteria import _dressing_slots, _three_point_sum, _transform, _transform_mul
 from glsmx.errors import DivisionByNonUnit
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
-from glsmx.p1series import unit_class
+from glsmx.p1series import tree_series_S, unit_class
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
@@ -419,6 +419,16 @@ def series_root_pow(s, exponent):
 
 # ---------------------------------------------------------------------------
 # rewritten values from three-point sums, by diagonal extraction
+
+
+def three_point_sum(alphas, y_order):
+    """The three-point sum of the insertions alphas at y_order, through the
+    marked transforms and the dressing's slots that `verify` builds."""
+    factors = {0: {0: RF_ONE}}
+    for alpha in alphas:
+        marked = _transform(tree_series_S(alpha, y_order, y_order).series)
+        factors = _transform_mul(factors, marked, y_order)
+    return _three_point_sum(factors, _dressing_slots(y_order), y_order)
 
 
 def rewritten_values(alphas, y_order):

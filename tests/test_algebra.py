@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import as_frac, laurent_terms
+from helpers_jfun import class_inverse
 from helpers_p1 import series_div, series_root_pow, series_sub
 
 from glsmx.algebra import (
@@ -81,7 +82,7 @@ def test_ratfun_nonmonomial_cancel():
     with pytest.raises(DivisionByNonUnit):
         (LAM + Z) ** -1
     with pytest.raises(DivisionByNonUnit):
-        CohClass([LAM + 1, RF_ONE], PROJLINE).inverse()
+        class_inverse(CohClass([LAM + 1, RF_ONE], PROJLINE))
 
 
 def test_ratfun_div_zero():
@@ -122,7 +123,7 @@ def test_cohclass_inverse_nilpotent():
     # frozen: 1/(lam - H) at r=2 equals (lam + H)/lam^2
     lam_c = CohClass([LAM], NILPOTENT, r=2)
     h = CohClass.hyperplane(NILPOTENT, r=2)
-    inv = (lam_c - h).inverse()
+    inv = class_inverse(lam_c - h)
     expected = CohClass([RF_ONE / LAM, RF_ONE / LAM**2], NILPOTENT, r=2)
     assert inv == expected
     assert inv * (lam_c - h) == CohClass.unit(NILPOTENT, r=2)
@@ -132,13 +133,24 @@ def test_cohclass_inverse_nilpotent_r4():
     lam_c = CohClass([LAM], NILPOTENT, r=4)
     h = CohClass.hyperplane(NILPOTENT, r=4)
     x = lam_c + 2 * h
-    assert x * x.inverse() == CohClass.unit(NILPOTENT, r=4)
+    assert x * class_inverse(x) == CohClass.unit(NILPOTENT, r=4)
 
 
 def test_cohclass_noninvertible():
     h = CohClass.hyperplane(NILPOTENT, r=3)
     with pytest.raises(DivisionByNonUnit):
-        h.inverse()
+        class_inverse(h)
+
+
+def test_cohclass_is_a_ring_without_division():
+    # the class has no division or power: verify's closed routes divide by
+    # each linear weight through its geometric series instead
+    unit = CohClass.unit(NILPOTENT, r=3)
+    hyper = CohClass.hyperplane(NILPOTENT, r=3)
+    with pytest.raises(TypeError):
+        unit / hyper
+    with pytest.raises(TypeError):
+        hyper**2
 
 
 def test_projline_relation():
@@ -174,11 +186,11 @@ def test_projline_inverse():
     lam_c = CohClass([LAM], PROJLINE)
     h = CohClass.hyperplane(PROJLINE)
     x = 2 * lam_c + h  # invertible: 2lam at infinity, 3lam at zero
-    assert x * x.inverse() == CohClass.unit(PROJLINE)
+    assert x * class_inverse(x) == CohClass.unit(PROJLINE)
     with pytest.raises(DivisionByNonUnit):
-        (h - lam_c).inverse()  # vanishes at zero fixed point
+        class_inverse(h - lam_c)  # vanishes at zero fixed point
     with pytest.raises(DivisionByNonUnit):
-        h.inverse()  # vanishes at infinity
+        class_inverse(h)  # vanishes at infinity
 
 
 # -- TruncSeries ------------------------------------------------------------

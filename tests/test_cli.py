@@ -733,6 +733,32 @@ def test_verify_sees_a_corrupted_edge_factor(monkeypatch, old, new, where):
     }
 
 
+@pytest.mark.parametrize(
+    "old, new, twisted",
+    [
+        # each section divides as if its weight's H part had the other sign
+        ("q[j] -= x * q[j - 1]", "q[j] += x * q[j - 1]", False),
+        # every weight's H part flips sign
+        ("x = c * (lcm_a // a)", "x = -c * (lcm_a // a)", False),
+        # the framing twist lam - b*z - H gains +H
+        ("out[j + 1].get((l, n), 0) - c", "out[j + 1].get((l, n), 0) + c", True),
+    ],
+)
+def test_verify_sees_a_corrupted_ladder(monkeypatch, cold_caches, old, new, twisted):
+    # each mutant moves only the H parts of the ladder, which the quintic's
+    # LG phase has none of, so the closed routes first part from it at the
+    # geometric quintic; the mirror-map entries are cached, so the caches
+    # start cold
+    _mutant(monkeypatch, jfun, "_ladder", old, new)
+    where = "geometric weights (1, 1, 1, 1, 1)"
+    assert _verify_failures() == {
+        "dual route coefficients": f"IdentityFailed: routes disagree at phase {where} "
+        f"beta 1 twisted {twisted}",
+        "leading term normalization": "IdentityFailed: mu_1 is not the closed "
+        f"z-non-negative part at {where} eps 2/3 twisted {twisted}",
+    }
+
+
 def test_leading_terms_criterion_fails_on_a_doubled_leading_term(monkeypatch):
     # a degree-0 coefficient whose positive-z part is 2z, not z
     coefficient = jfun.unstable_J_coefficient

@@ -17,6 +17,7 @@ from conftest import homogeneous_degree
 from helpers_jfun import (
     bundle_weights,
     cech_table,
+    class_inverse,
     closed_edge_factor,
     closed_j_coefficient,
     coh_to_sympy,
@@ -34,12 +35,13 @@ from helpers_p1 import LAM as SLAM
 from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
-from glsmx import cli, jfun
-from glsmx.algebra import LAM, NILPOTENT, RF_ONE, Z, CohClass, RatFun
+from glsmx import cli, criteria, jfun
+from glsmx.algebra import LAM, NILPOTENT, RF_ONE, RF_ZERO, Z, CohClass, RatFun
 from glsmx.errors import (
     BoundsExceeded,
     ConfigError,
     DegreeViolation,
+    IdentityFailed,
     InconsistentOrbData,
     OnWall,
     OutOfUnstableRange,
@@ -586,6 +588,40 @@ def test_edge_against_closed_form(model, delta):
                     delta, beta, twisted, vertex,
                 )
                 assert_same(value, expected)
+
+
+_LAURENT_EXPONENTS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+_NONZERO_FRACS = st.builds(Frac, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _linear_divisions(draw):
+    """A nilpotent class of order 1 to 4 and a factor c0 + c1*H with c0 a
+    nonzero monomial, over Laurent polynomials in lam and z."""
+    r = draw(st.integers(1, 4))
+    laurent = st.builds(RatFun, st.dictionaries(_LAURENT_EXPONENTS, _NONZERO_FRACS, max_size=3))
+    value = CohClass([draw(laurent) for _ in range(r)], NILPOTENT, r)
+    c0 = RatFun({draw(_LAURENT_EXPONENTS): draw(_NONZERO_FRACS)})
+    return value, CohClass([c0, draw(laurent)][:r], NILPOTENT, r)
+
+
+@given(_linear_divisions())
+@settings(max_examples=60, deadline=None)
+def test_closed_route_division_is_the_class_inverse(case):
+    # verify's closed routes divide through the geometric series of each
+    # linear factor; the quotient is the product with the Neumann-series
+    # inverse, and a factor of any other shape is refused
+    value, factor = case
+    got = criteria._over(value, factor)
+    assert got * factor == value
+    assert got == value * class_inverse(factor)
+    two_term = CohClass((factor.coeffs[0] * (LAM + 1),) + factor.coeffs[1:], NILPOTENT, value.r)
+    with pytest.raises(IdentityFailed):
+        criteria._over(value, two_term)
+    if value.r >= 3:
+        squared = CohClass([RF_ZERO, RF_ZERO, RF_ONE], NILPOTENT, value.r)
+        with pytest.raises(IdentityFailed):
+            criteria._over(value, factor + squared)
 
 
 def test_edge_unstable_vertex_factor():
