@@ -8,7 +8,9 @@ fixed-graph sums and the marked and unmarked tail series at the zero fixed
 point, both read from that recursion; and the rewrite of the marked tail
 against pulled-back cotangent classes, read as its cotangent transform at
 the Lagrange root of the unmarked one.  The square-root ratio identity
-between the two normalized fixed-point values lives there.
+between the two normalized fixed-point values lives there.  Every reader
+of an insertion takes its two restrictions as int rows over one
+denominator, so none of them does RatFun arithmetic.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .algebra import (
     LAM,
     PROJLINE,
     RF_ONE,
-    RF_ZERO,
     CohClass,
     RatFun,
     TruncSeries,
+    _poly_mul,
 )
 from .errors import BoundsExceeded, ConfigError, IdentityFailed
 from .graphs import LEVEL_INF, LEVEL_ZERO
@@ -59,27 +61,37 @@ def point_class_infinity() -> CohClass:
     return CohClass([-LAM, RF_ONE], PROJLINE)
 
 
-def restrict_at(alpha: CohClass, level: str) -> RatFun:
-    if level == LEVEL_ZERO:
-        return alpha.restrict_zero()
-    if level == LEVEL_INF:
-        return alpha.restrict_infinity()
-    raise ConfigError(f"unknown fixed point {level!r}")
-
-
 def _check_insertion(alpha) -> None:
     if not isinstance(alpha, CohClass) or alpha.relation != PROJLINE:
         raise ConfigError("insertions must be classes on the projective line")
 
 
-def _restrictions(alpha) -> tuple:
-    """The insertion's restrictions (at zero, at infinity); a negative power
-    of z, which a series read up to a z order would cut short, is refused."""
+def _restriction_rows(alpha) -> tuple:
+    """The insertion's restrictions as (den, zero, inf): {(lam power, z
+    power): int} over one positive den, read off its two coefficients; H
+    restricts to lam at zero and to 0 at infinity, and keys that cancel are
+    dropped."""
     _check_insertion(alpha)
-    at = (alpha.restrict_zero(), alpha.restrict_infinity())
-    if any(j < 0 for f in at for _, j in f.num):
+    c0, c1 = alpha.coeffs
+    d0, d1 = c0.den[(0, 0)], c1.den[(0, 0)]
+    den = lcm(d0, d1)
+    inf = {key: c * (den // d0) for key, c in c0.num.items()}
+    zero = dict(inf)
+    for (i, m), c in c1.num.items():
+        c = zero.pop((i + 1, m), 0) + c * (den // d1)
+        if c:
+            zero[i + 1, m] = c
+    return den, zero, inf
+
+
+def _tail_rows(alpha) -> tuple:
+    """The restriction rows of an insertion into a tail series; a negative
+    power of z, which a series read up to a z order would cut short, is
+    refused."""
+    rows = _restriction_rows(alpha)
+    if any(m < 0 for row in rows[1:] for _, m in row):
         raise ConfigError("insertions must not hold negative powers of z")
-    return at
+    return rows
 
 
 def _flip(level: str) -> str:
@@ -306,8 +318,10 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     of degree delta to the line, summed over fixed-locus trees with
     automorphism division.  The sum is symmetric in the markings, so the
     insertions are put in order of their cotangent exponents, and the
-    placement table of those exponents is read from the cache; the
-    insertions' restrictions enter once per placement.
+    placement table of those exponents is read from the cache.  Each
+    placement's monomial is multiplied by the insertions' restriction rows
+    at its fixed points as int polynomials, and the products are summed
+    over one denominator, so the RatFun is built once.
 
     insertions: one (class, cotangent exponent) pair per marking.
     """
@@ -325,11 +339,18 @@ def p1_graph_sum(n: int, delta: int, insertions) -> RatFun:
     if delta == 0 and n < 3:
         raise ConfigError("degree zero needs at least three markings")
     pairs.sort(key=lambda pair: int(pair[1]))
-    at = [{lv: restrict_at(alpha, lv) for lv in (LEVEL_ZERO, LEVEL_INF)} for alpha, _ in pairs]
-    total = RF_ZERO
-    for levels, value in _placements(n, delta, tuple(int(k) for _, k in pairs)):
-        total = total + prod((table[lv] for table, lv in zip(at, levels)), start=value)
-    return total
+    rows = [_restriction_rows(alpha) for alpha, _ in pairs]
+    placed = _placements(n, delta, tuple(int(k) for _, k in pairs))
+    den = lcm(*(value.den[(0, 0)] for _, value in placed))
+    num = {}
+    for levels, value in placed:
+        poly = {key: c * (den // value.den[(0, 0)]) for key, c in value.num.items()}
+        for (_, zero, inf), level in zip(rows, levels):
+            poly = _poly_mul(poly, zero if level == LEVEL_ZERO else inf)
+        for key, c in poly.items():
+            num[key] = num.get(key, 0) + c
+    den *= prod(rden for rden, _, _ in rows)
+    return RatFun._reduced({key: c for key, c in num.items() if c}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,28 +423,28 @@ def tree_series_S(alpha: CohClass, y_order: int, z_order: int) -> TreeSeries:
     """One-marking tail series at the zero fixed point: the restriction at
     zero, then every tail through the smoothing of its first node.  Each
     degree's row is c0*zero + c1*inf over the idempotents' rows, c0 and c1
-    the restrictions' terms over one den: c*lam^i*z^m meets the row at z^k
-    at lam^(i - 2D - k) z^(m + k), read only while m + k <= z_order."""
+    the restriction rows' entries at one key: c*lam^i*z^m meets the row at
+    z^k at lam^(i - 2D - k) z^(m + k), read only while m + k <= z_order."""
     _check_orders(y_order, z_order)
-    at = _restrictions(alpha)
-    den = lcm(*(f.den[(0, 0)] for f in at))
-    # {(lam power, z power): [numerator at zero, at infinity]} over den
-    parts = defaultdict(lambda: [0, 0])
-    for slot, f in enumerate(at):
-        scale = den // f.den[(0, 0)]
-        for key, c in f.num.items():
-            if key[1] <= z_order:
-                parts[key][slot] = c * scale
+    den, zero, inf = _tail_rows(alpha)
+    # (lam power, z power, numerator at zero, at infinity) over den
+    terms = [
+        (i, m, zero.get((i, m), 0), inf.get((i, m), 0))
+        for i, m in zero.keys() | inf.keys()
+        if m <= z_order
+    ]
     coeffs = {}
     for degree in range(y_order + 1):
         rden, rows = _marked_rows(degree)
         num = {}
-        for (i, m), (c0, c1) in parts.items():
+        for i, m, c0, c1 in terms:
             i -= 2 * degree
             for k, (a, b) in enumerate(rows[: z_order - m + 1]):
                 key = (i - k, m + k)
-                num[key] = num.get(key, 0) + c0 * a + c1 * b
-        coeffs[degree] = RatFun._reduced({key: c for key, c in num.items() if c}, den * rden)
+                v = c0 * a + c1 * b + num.pop(key, 0)
+                if v:
+                    num[key] = v
+        coeffs[degree] = RatFun._reduced(num, den * rden)
     return TreeSeries(TruncSeries("y", y_order, coeffs), z_order)
 
 
@@ -516,13 +537,12 @@ def stilde_at_zero(alpha: CohClass, y_order: int) -> TruncSeries:
     past the degree adds nothing, and a zero insertion gives the zero series.
     """
     _check_orders(y_order, 0)
-    at = _restrictions(alpha)
-    den = lcm(*(f.den[(0, 0)] for f in at))
+    den, zero, inf = _tail_rows(alpha)
     # (lam power, shift, fixed point, numerator over den) per term
     terms = [
-        (i, m, mark, c * (den // f.den[(0, 0)]))
-        for mark, f in zip((LEVEL_ZERO, LEVEL_INF), at)
-        for (i, m), c in f.num.items()
+        (i, m, mark, c)
+        for mark, row in ((LEVEL_ZERO, zero), (LEVEL_INF, inf))
+        for (i, m), c in row.items()
     ]
     coeffs = {}
     for degree in range(y_order + 1):

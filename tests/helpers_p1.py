@@ -18,9 +18,10 @@ series, but none of its Lagrange root.  The two idempotent classes of the
 fixed points, whose rewritten values the package keeps per degree, are
 built here, and so are the generic series division and rational power that
 these values and the closed square-root forms need, where the package
-reads plain rationals.  The stationary invariants last use no localization
-and nothing from glsmx: they come from the GW/Hurwitz correspondence, over
-partitions of the degree.
+reads plain rationals; so is the restriction of a class to a fixed point
+as a RatFun, where the package reads int rows.  The stationary invariants
+last use no localization and nothing from glsmx: they come from the
+GW/Hurwitz correspondence, over partitions of the degree.
 """
 
 import functools
@@ -40,13 +41,25 @@ from glsmx.algebra import (
     TruncSeries,
 )
 from glsmx.criteria import _dressing_slots, _three_point_sum, _transform, _transform_mul
-from glsmx.errors import DivisionByNonUnit
+from glsmx.errors import ConfigError, DivisionByNonUnit
 from glsmx.graphs import LEVEL_INF, LEVEL_ZERO, _census, aut_degree
 from glsmx.model import GEOMETRIC, GlsmModel
 from glsmx.p1series import tree_series_S, unit_class
 
 LAM = sympy.Symbol("lam")
 ZSYM = sympy.Symbol("z")
+
+
+def restrict_at(alpha, level):
+    """The restriction of a class on the line to a fixed point, on the
+    package's kernel: H goes to lam at zero and to 0 at infinity.  The
+    package reads restrictions as int rows; this is the RatFun route the
+    graph sums are checked against."""
+    if level == LEVEL_ZERO:
+        return alpha.restrict_zero()
+    if level == LEVEL_INF:
+        return alpha.restrict_infinity()
+    raise ConfigError(f"unknown fixed point {level!r}")
 
 
 def idempotent_zero():

@@ -692,6 +692,23 @@ def test_verify_sees_a_marked_series_without_its_z_order_cut(monkeypatch):
     }
 
 
+def test_verify_sees_swapped_restriction_rows_in_the_graph_sums(monkeypatch):
+    # each placement reads an insertion at the other fixed point, which
+    # turns each point class into minus the other one and leaves the unit
+    # as it is: the pairings and the string relation still hold, and the
+    # divisor relation is the first check that fails
+    _mutant(
+        monkeypatch,
+        p1series,
+        "p1_graph_sum",
+        "zero if level == LEVEL_ZERO else inf",
+        "inf if level == LEVEL_ZERO else zero",
+    )
+    assert _verify_failures() == {
+        "pairings and relations": "IdentityFailed: divisor relation fails at n=2 delta=1"
+    }
+
+
 @pytest.mark.parametrize(
     "name, old, new",
     [

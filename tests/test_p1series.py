@@ -27,6 +27,7 @@ from helpers_p1 import (
     idempotent_zero,
     psi_int_recursive,
     ratfun_to_sympy,
+    restrict_at,
     rewritten_values,
     series_div,
     series_root_pow,
@@ -63,7 +64,6 @@ from glsmx.p1series import (
     point_class_infinity,
     point_class_zero,
     psi_integral_genus0,
-    restrict_at,
     stilde_at_zero,
     tree_series_S,
     tree_series_eps,
@@ -435,6 +435,75 @@ def test_graph_sum_rejects_negative_exponent():
 def test_graph_sum_rejects_wrong_state_space():
     with pytest.raises(ConfigError):
         p1_graph_sum(1, 1, [(CohClass.unit(NILPOTENT, 2), 0)])
+
+
+# ---------------------------------------------------------------------------
+# the insertions' restriction rows
+
+
+def _laurent(z_low):
+    """Laurent polynomials in lam, times z^z_low to z^3, with small rational
+    coefficients."""
+    return st.lists(
+        st.tuples(
+            st.integers(min_value=-2, max_value=2),
+            st.integers(min_value=z_low, max_value=3),
+            st.integers(min_value=-5, max_value=5),
+            st.integers(min_value=1, max_value=4),
+        ),
+        max_size=3,
+    ).map(lambda terms: RatFun({(e, j): Frac(n, d) for e, j, n, d in terms}))
+
+
+@st.composite
+def _line_classes(draw, z_low=0):
+    """A class c0 + c1*H on the line with mixed lam and z terms; when drawn,
+    c1 also holds -c0/lam, so that c0's terms cancel at zero."""
+    c0, c1 = draw(_laurent(z_low)), draw(_laurent(z_low))
+    if draw(st.booleans()):
+        c1 = c1 - c0 / LAM
+    return ONE * c0 + HYP * c1
+
+
+def _line_class(c0, c1):
+    return ONE * RatFun(c0) + HYP * RatFun(c1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_line_classes(z_low=-2))
+# every term cancels at zero
+@example(_line_class({(1, 0): 2, (0, 1): Frac(1, 3)}, {(0, 0): -2, (-1, 1): Frac(-1, 3)}))
+# a negative z power that cancels at zero but not at infinity
+@example(_line_class({(2, -1): 1}, {(1, -1): -1}))
+# a negative z power at zero alone
+@example(_line_class({(0, 0): 1}, {(0, -2): Frac(1, 2)}))
+def test_restriction_rows_are_the_kernel_restrictions(alpha):
+    # the int rows against restrict_zero and restrict_infinity: ints over a
+    # positive den, no entry that cancelled; a negative z power at either
+    # fixed point is refused, with one message, by the two tail readers,
+    # which cut at a z order, and summed by the graph sums, which do not
+    at = (alpha.restrict_zero(), alpha.restrict_infinity())
+    den, zero, inf = p1series._restriction_rows(alpha)
+    assert type(den) is int and den > 0
+    for row, want in zip((zero, inf), at):
+        assert all(type(c) is int and c for c in row.values())
+        assert RatFun(row, den) == want
+    if any(j < 0 for f in at for _, j in f.num):
+        for read in (lambda a: tree_series_S(a, 2, 3), lambda a: stilde_at_zero(a, 2)):
+            with pytest.raises(ConfigError, match="^insertions must not hold negative powers of z$"):
+                read(alpha)
+    assert p1_graph_sum(1, 1, [(alpha, 0)]) == _placement_sum(1, [(alpha, 0)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_graph_sum_is_the_sum_of_placement_products(data):
+    # the int-row products against the RatFun products of the same
+    # placement table, at any shape the caps admit, negative z powers too
+    n = data.draw(st.integers(min_value=0, max_value=p1series.N_CAP))
+    delta = data.draw(st.integers(min_value=0 if n >= 3 else 1, max_value=p1series.DELTA_CAP))
+    ins = [(data.draw(_line_classes(z_low=-2)), data.draw(st.integers(0, 3))) for _ in range(n)]
+    assert p1_graph_sum(n, delta, ins) == _placement_sum(delta, ins)
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +922,9 @@ _LAM_Z_COEFF = st.lists(
 # z-dependent coefficients, one of them past the z order
 @example(RatFun({(0, 2): Frac(3, 2), (1, 0): 1}), RatFun({(-1, 1): Frac(-1, 3)}), 3, 1)
 @example(RatFun({(1, 3): Frac(1, 4)}), RatFun({(-2, 1): 5, (0, 0): Frac(2, 5)}), 4, 5)
+# terms that meet the same rows: lam + z at both fixed points, and
+# -lam*z/2 + 3z^2 more at zero, two pairs of keys with one i + m each
+@example(RatFun({(1, 0): 1, (0, 1): 1}), RatFun({(0, 1): Frac(-1, 2), (-1, 2): 3}), 3, 4)
 def test_tail_series_matches_direct_tail_sums(c0, c1, y_order, z_order):
     alpha = ONE * c0 + HYP * c1
     got = tree_series_S(alpha, y_order, z_order)
@@ -932,6 +1004,32 @@ def test_every_emitted_coefficient_is_homogeneous(cold_caches):
     _assert_homogeneous(stilde_at_zero(HYP, y), 1)
     _assert_homogeneous(stilde_at_zero(ONE * Z + HYP, y), 1)
     _assert_homogeneous(stilde_at_zero(ONE * (Z ** 3) + HYP * (Z * Z), y), 3)
+
+
+def test_p1_readers_do_no_ratfun_arithmetic(monkeypatch):
+    # the insertions are read as int rows, so warm tail series, rewritten
+    # values and graph sums add, subtract and multiply no RatFun: each
+    # builds its RatFuns once, from ints
+    classes = (MIX, ONE * (LAM + Z) + HYP * (Z * Z), PINF * Z + HYP)
+    ins = [(MIX, 1), (PINF, 0), (ONE * (LAM + Z), 0)]
+
+    def serve():
+        return (
+            [tree_series_S(alpha, 5, 6) for alpha in classes],
+            [stilde_at_zero(alpha, 5) for alpha in classes],
+            [p1_graph_sum(3, 2, ins), p1_graph_sum(0, 3, [])],
+        )
+
+    warm = serve()
+
+    def refuse(*args):
+        raise AssertionError("RatFun arithmetic on a p1 read path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(RatFun, name, refuse)
+    got = serve()
+    monkeypatch.undo()
+    assert got == warm
 
 
 def test_lower_orders_add_no_tail_coefficients(cold_caches, monkeypatch):
