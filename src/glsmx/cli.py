@@ -139,7 +139,7 @@ def _graph_from_params(params, key):
         raise ConfigError(f"command needs a {key!r} object or '{key}_file' path")
     try:
         return gr.graph_from_obj(inline)
-    except (KeyError, TypeError, ValueError, IndexError) as err:
+    except ValueError as err:
         raise ConfigError(f"cannot read {key!r}: {err}") from None
 
 

@@ -193,7 +193,10 @@ def _tail_closed_forms_body():
             _read_rendered(cli._lam_string(f), want, f"{name} tail at y^{k}")
     # a z^m in an insertion shifts its marked transform by m powers of t;
     # the rewritten value times the unit's value squared times the dressing
-    # is the three-point sum of the insertion and two units
+    # is the three-point sum of the insertion and two units.  The unit times
+    # z adds keys whose lam and z powers sum as the class's do, so the
+    # marked series must add up the values that two keys write to one
+    # coefficient
     y_order = _Z_TAIL_ORDER
     one = p1.unit_class()
     unit = p1.stilde_at_zero(one, y_order)
@@ -202,7 +205,7 @@ def _tail_closed_forms_body():
     marked_one = _transform(p1.tree_series_S(one, y_order, y_order).series)
     marked_ones = _transform_mul(marked_one, marked_one, y_order)
     for m in range(1, 4):
-        alpha = _mixed_class() * Z**m
+        alpha = (_mixed_class() + p1.unit_class() * Z) * Z**m
         got = p1.stilde_at_zero(alpha, y_order) * unit * unit * dressing
         marked = _transform(p1.tree_series_S(alpha, y_order, y_order).series)
         _expect(

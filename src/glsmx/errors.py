@@ -32,10 +32,6 @@ class OutOfUnstableRange(GlsmxError):
     """Coefficient requested outside 0 <= beta <= 1/epsilon."""
 
 
-class InconsistentOrbData(GlsmxError):
-    """Weight enumeration got degree/age data that cannot coexist."""
-
-
 class IdentityFailed(GlsmxError):
     """An exact identity check found a mismatching coefficient."""
 

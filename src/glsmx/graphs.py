@@ -163,7 +163,7 @@ def epsilon_stable(
     if epsilon is None:
         if any(o > 0 for o in basepoint_orders):
             return False
-        return degree > 0 or 2 * genus - 2 + weight > 0
+        return _stable_at_infinity(genus, degree, weight)
     if type(epsilon) is not Frac:
         epsilon = Frac(epsilon)
     # cross-multiplied by epsilon = p/q, so the weight stays an int unless
@@ -412,8 +412,6 @@ def _block_orders(block, edges, bullet):
     for vi in block:
         twin_key = None if vi == bullet else tuple(sorted(links[vi]))
         classes.setdefault(twin_key, []).append(vi)
-    if len(classes) == len(block):
-        return itertools.permutations(block), 1
     classes = list(classes.values())
     return _arrangements(classes), math.prod(math.factorial(len(c)) for c in classes)
 
@@ -548,8 +546,6 @@ def contraction_pass(model, graph, records, epsilon):
     """One tail contraction if available.  records is a tuple of
     (host, order, mult) basepoint triples indexed in graph.  Returns
     (graph, records, changed)."""
-    if len(graph.vertices) <= 1:
-        return graph, records, False
     hosted = _hosted_orders(records)
     for vi, v in enumerate(graph.vertices):
         he = half_edges_at(graph, vi)
@@ -639,9 +635,9 @@ def _compositions(total, parts, least=0):
 
 
 def _bipartition(nv, edges):
-    """Sides 0/1 of the vertices of a connected graph with vertex 0 on side
-    0 and every edge joining the two sides; None when an odd cycle makes
-    that impossible."""
+    """Sides 0/1 of the vertices of a graph with vertex 0 on side 0 and
+    every edge joining the two sides; None when the graph is disconnected
+    or an odd cycle makes that impossible."""
     adj = {i: [] for i in range(nv)}
     for a, b in edges:
         adj[a].append(b)
@@ -657,19 +653,7 @@ def _bipartition(nv, edges):
                 stack.append(w)
             elif side[w] == side[v]:
                 return None
-    return side
-
-
-def _connected_structures(nv, ne):
-    """Multisets of ne undirected loop-free edges on nv vertices forming a
-    connected graph (single vertex with ne == 0 included)."""
-    if nv == 1 and ne == 0:
-        yield ()
-        return
-    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-    for combo in itertools.combinations_with_replacement(pairs, ne):
-        if _component_count(range(nv), combo) == 1:
-            yield combo
+    return None if None in side else side
 
 
 # every (nv, ne) shape a census within _ENUM_BOUNDS reaches: ne <= delta
@@ -677,10 +661,11 @@ def _connected_structures(nv, ne):
 @functools.lru_cache(maxsize=(_ENUM_BOUNDS["delta"] + 1) * (_ENUM_BOUNDS["delta"] + 2) // 2)
 def _levelled_structures(nv, ne):
     """The connected bipartite structures with their level assignments, one
-    per isomorphism class of bare levelled structure: for each structure in
-    _connected_structures order, vertex 0 at level zero first, the first
-    met of each class, which is the one that no vertex permutation maps to
-    an earlier (structure, flip).  A structure that some permutation maps
+    per isomorphism class of bare levelled structure: for each multiset of
+    ne loop-free edges on nv vertices that _bipartition splits into two
+    sides, in combinations_with_replacement order, vertex 0 at level zero
+    first, the first met of each class, which is the one that no vertex
+    permutation maps to an earlier (structure, flip).  A structure that some permutation maps
     to a smaller edge multiset is skipped with both flips; of the rest, the
     flip-1 assignment is skipped when an automorphism of the structure puts
     vertex 0 at level zero.  Each kept one comes with its fixers: the
@@ -692,7 +677,8 @@ def _levelled_structures(nv, ne):
     out = []
     perms = list(itertools.permutations(range(nv)))
     identity = perms[0]  # permutations() yields the identity first
-    for structure in _connected_structures(nv, ne):
+    pairs = list(itertools.combinations(range(nv), 2))
+    for structure in itertools.combinations_with_replacement(pairs, ne):
         sides = _bipartition(nv, structure)
         if sides is None:
             continue

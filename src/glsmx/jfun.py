@@ -10,10 +10,10 @@ rank of the relevant state space.
 
 The I-coefficients run on ints.  The moving weights come straight from the
 section and obstruction windows of each field bundle on the football, every
-degree and age scaled by d.  Each moving weight a*z + c*H contributes a
-factor (1 + x*u)^+-1 with x = c/a and u = H/z, and the u^j coefficient of
-the product is homogeneous of degree j in the x's.  Degrees, ages and the
-c's lie on the 1/d grid, so scaling every a and c by d and putting every x
+degree scaled by d.  Each moving weight a*z + c*H contributes a factor
+(1 + x*u)^+-1 with x = c/a and u = H/z, and the u^j coefficient of the
+product is homogeneous of degree j in the x's.  Degrees and the c's lie on
+the 1/d grid, so scaling every a and c by d and putting every x
 over L, the lcm of the scaled a's, turns the u^j coefficient into an int
 over L^j; one int denominator then serves every hyperplane power.  The edge
 factors expand those rows on ints too, over one denominator per factor.
@@ -38,7 +38,6 @@ from .errors import (
     BoundsExceeded,
     ConfigError,
     DegreeViolation,
-    InconsistentOrbData,
     OutOfUnstableRange,
     check_record,
 )
@@ -142,7 +141,7 @@ def _ladder(model, beta, twisted):
     # count give scale and e, and p is the product of the (1 + (c/a)*u)^+-1
     # truncated at u^r, so H^j carries scale * p_j * z^(e - j).
     #
-    # Everything runs on ints.  Degrees, ages and the c's lie on the 1/d
+    # Everything runs on ints.  Degrees and the c's lie on the 1/d
     # grid, so every quantity is scaled by d: a weight's z-coefficient a
     # becomes A = d*a, and x = c/a = C/A with C = d*c.  The u^j coefficient
     # p_j is homogeneous of degree j in the x's, so with L = lcm of the A's
@@ -154,30 +153,25 @@ def _ladder(model, beta, twisted):
         # broad sectors carry no state, so their coefficients vanish
         return state_unit(model) * RF_ZERO
     d = model.d
-    # (degree, age at infinity, C, multiplicity) of each field bundle on the
-    # parameterized component, degree and age times d; the auxiliary one
-    # counts N times
+    # (degree, C, multiplicity) of each field bundle on the parameterized
+    # component, degree times d; the auxiliary one counts N times
     if model.phase == LG:
-        fields = [(-w * (beta + 1), -w * (beta + 1) % d, -w, 1) for w in model.weights]
-        fields.append((d * beta, 0, d, model.N))
+        fields = [(-w * (beta + 1), -w, 1) for w in model.weights]
+        fields.append((d * beta, d, model.N))
     else:
-        fields = [(d * w * beta, 0, d * w, 1) for w in model.weights]
-        fields.append((-d * (d * beta + 1), 0, -d * d, model.N))
+        fields = [(d * w * beta, d * w, 1) for w in model.weights]
+        fields.append((-d * (d * beta + 1), -d * d, model.N))
     # (A, C, multiplicity, +1 for an obstruction, -1 for a section) of each
     # moving weight, in the order the factors are applied.  With tangent
-    # weight d and fiber weight D at zero, the pushforward has degree
-    # coarse = (D - age)/d; the sections sit at D - k*d for k = 0..coarse,
-    # the obstructions at D + k*d through the window below zero.
+    # weight d and fiber weight D at zero, the sections sit at D, D - d, ...
+    # while positive and the obstructions at D + d, D + 2d, ... while
+    # negative: the age at infinity is D mod d, so the pushforward always
+    # has an integral degree, and the one weight of the ladder that can
+    # vanish does not move.
     moving = []
-    for degree, age, c, mult in fields:
-        coarse, rest = divmod(degree - age, d)
-        if rest:
-            raise InconsistentOrbData(
-                f"degree {Frac(degree, d)} with age {Frac(age, d)} at infinity "
-                "has no integral pushforward"
-            )
-        moving += [(degree + k * d, c, mult, 1) for k in range(1, -coarse) if degree + k * d]
-        moving += [(degree - k * d, c, mult, -1) for k in range(coarse + 1) if degree - k * d]
+    for degree, c, mult in fields:
+        moving += [(a, c, mult, 1) for a in range(degree + d, 0, d)]
+        moving += [(a, c, mult, -1) for a in range(degree, 0, -d)]
     lcm_a = 1
     for a, _, _, _ in moving:
         lcm_a = math.lcm(lcm_a, a)

@@ -173,7 +173,9 @@ def _vertex_weight(sign: int, f: int, total: int, ks: tuple) -> Frac:
 # every graph sum share the unmarked tables.
 
 # (exponents, level, degrees, marking masks) keys held by the rooted-tree
-# caches; the exponents have no cap, so the caches need a bound
+# caches; the exponents have no cap, so the caches need a bound.  _vertex
+# keeps no cache: its keys map one to one onto those of its cached callers,
+# _branch and _placements.
 _TREE_CACHE_SIZE = 4096
 
 
@@ -214,7 +216,6 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-@functools.lru_cache(maxsize=_TREE_CACHE_SIZE)
 def _vertex(exps: tuple, level: str, a: int, rest: int, free: int, fixed: int) -> tuple:
     """A vertex at `level`, entered by an edge of degree a (0 at the root),
     with branches of total degree `rest` below it.  It holds the markings

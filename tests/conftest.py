@@ -25,7 +25,6 @@ _CACHES = (
     jfun._ladder,
     jfun._ladder_plus,
     p1series._vertex_weight,
-    p1series._vertex,
     p1series._hanging,
     p1series._branch,
     p1series._placements,

@@ -36,7 +36,7 @@ from glsmx.algebra import (
     RatFun,
     join_terms,
 )
-from glsmx.errors import DivisionByNonUnit, InconsistentOrbData
+from glsmx.errors import DivisionByNonUnit
 from glsmx.jfun import j_sector, state_rank, state_unit
 from glsmx.model import (
     LG,
@@ -189,6 +189,11 @@ class WeightTable:
 
     h0_weights: tuple
     h1_weights: tuple
+
+
+class InconsistentOrbData(ValueError):
+    """Degree and age data with no integral pushforward, or an age outside
+    [0, 1)."""
 
 
 def _checked_age(age):

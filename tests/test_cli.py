@@ -719,6 +719,10 @@ def test_verify_sees_swapped_restriction_rows_in_the_graph_sums(monkeypatch):
         ("_weight", "not j", "not k"),
         # an idempotent's value at shift m stands at lam^(m - 2D)
         ("stilde_at_zero", "i + m - 2 * degree", "i - 2 * degree"),
+        # a later key's values overwrite what an earlier key wrote to the
+        # same coefficient of the marked series; only criterion 1's
+        # z-dependent insertion has keys whose lam and z powers sum alike
+        ("tree_series_S", "c0 * a + c1 * b + num.pop(key, 0)", "c0 * a + c1 * b"),
     ],
 )
 def test_verify_sees_a_corrupted_z_shift(monkeypatch, cold_caches, name, old, new):
@@ -773,6 +777,33 @@ def test_verify_sees_a_corrupted_ladder(monkeypatch, cold_caches, old, new, twis
         f"beta 1 twisted {twisted}",
         "leading term normalization": "IdentityFailed: mu_1 is not the closed "
         f"z-non-negative part at {where} eps 2/3 twisted {twisted}",
+    }
+
+
+@pytest.mark.parametrize(
+    "old, new, where, beta",
+    [
+        # the last section, at the age or at d, goes missing
+        ("range(degree, 0, -d)", "range(degree, d, -d)", "lg", 1),
+        # the first section, at the degree itself, goes missing
+        ("range(degree, 0, -d)", "range(degree - d, 0, -d)", "lg", 1),
+        # the last obstruction, within d below zero, goes missing
+        ("range(degree + d, 0, d)", "range(degree + d, -d, d)", "geometric", 5),
+        # the first obstruction, one step above the degree, goes missing
+        ("range(degree + d, 0, d)", "range(degree + 2 * d, 0, d)", "geometric", 5),
+    ],
+)
+def test_verify_sees_a_moved_window_end(monkeypatch, cold_caches, old, new, where, beta):
+    # each end of the section and obstruction windows moves by one step;
+    # the ladder and the closed routes part at the quintic, and the cached
+    # mirror-map entries make the caches start cold
+    _mutant(monkeypatch, jfun, "_ladder", old, new)
+    quintic = "weights (1, 1, 1, 1, 1)"
+    assert _verify_failures() == {
+        "dual route coefficients": f"IdentityFailed: routes disagree at phase lg {quintic} "
+        f"beta {beta} twisted False",
+        "leading term normalization": "IdentityFailed: mu_1 is not the closed "
+        f"z-non-negative part at {where} {quintic} eps 2/3 twisted False",
     }
 
 

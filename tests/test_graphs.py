@@ -12,7 +12,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers_graphs import brute_aut_count, brute_loc_graphs, fraction_degree_factor
+from helpers_graphs import _connected, brute_aut_count, brute_loc_graphs, fraction_degree_factor
 from helpers_p1 import POINT_MODEL
 from glsmx import cli, criteria
 from glsmx import graphs as G
@@ -774,6 +774,55 @@ def test_kept_prefixes_are_exactly_the_orbit_minima():
     assert checked == {True: 25760, False: 24932}
 
 
+def test_bipartition_refuses_a_disconnected_or_odd_structure():
+    assert G._bipartition(4, ((0, 1), (1, 2), (2, 3))) == [0, 1, 0, 1]
+    assert G._bipartition(1, ()) == [0]
+    # two components, and a vertex no edge reaches
+    assert G._bipartition(4, ((0, 1), (2, 3))) is None
+    assert G._bipartition(3, ((0, 1), (0, 1))) is None
+    # an odd cycle
+    assert G._bipartition(3, ((0, 1), (0, 2), (1, 2))) is None
+
+
+def test_levelled_structures_walk_the_connected_bipartite_multisets(monkeypatch):
+    # one graph search per edge multiset decides connectivity and the sides,
+    # so the multisets that reach the automorphism scan are exactly the
+    # connected bipartite ones, in combinations_with_replacement order, and
+    # the kept structures come in that order too; brute force: a union-find
+    # and every 2-colouring with vertex 0 on side 0
+    bipartition = G._bipartition
+    walked = []
+
+    def recorded(nv, edges):
+        sides = bipartition(nv, edges)
+        if sides is not None:
+            walked.append(edges)
+        return sides
+
+    monkeypatch.setattr(G, "_bipartition", recorded)
+    counts = []
+    for nv in range(1, 8):
+        pairs = list(itertools.combinations(range(nv), 2))
+        cuts = [
+            {(a, b) for a, b in pairs if (bits >> a ^ bits >> b) & 1}
+            for bits in range(0, 1 << nv, 2)
+        ]
+        for ne in range(7):
+            walked.clear()
+            kept = G._levelled_structures.__wrapped__(nv, ne)
+            want = [
+                combo
+                for combo in itertools.combinations_with_replacement(pairs, ne)
+                if _connected(nv, combo) and any(set(combo) <= cut for cut in cuts)
+            ]
+            assert walked == want, (nv, ne)
+            rank = {combo: i for i, combo in enumerate(want)}
+            ranks = [rank[structure] for structure, _, _ in kept]
+            assert ranks == sorted(ranks), (nv, ne)
+            counts.append(len(want))
+    assert sum(counts) == 28385
+
+
 def _labelled_loop(model, g, n, beta, delta):
     """The census with no pruning: every labelled structure, both level
     assignments and every prefix, in the enumerator's loop order."""
@@ -783,7 +832,8 @@ def _labelled_loop(model, g, n, beta, delta):
             genus_budget = g - (ne - nv + 1)
             if genus_budget < 0:
                 continue
-            for structure in G._connected_structures(nv, ne):
+            pairs = list(itertools.combinations(range(nv), 2))
+            for structure in itertools.combinations_with_replacement(pairs, ne):
                 side = G._bipartition(nv, structure)
                 if side is None:
                     continue
@@ -1906,3 +1956,79 @@ def test_json_round_trip_loc():
         assert back == lam
         assert isinstance(back, G.LocGraph)
         assert json.dumps(G.graph_to_obj(back), sort_keys=True) == blob
+
+
+# JSON values near the fields the reader looks for, and the graph objects
+# that the mutations start from: a dual graph with legs, a loop and a
+# distinguished vertex, and a fixed-locus graph with levels and degrees
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/2", "2/5", "-3/5", "1/0", "1e5", "x/2", G.LEVEL_ZERO, G.LEVEL_INF]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["genus", "degree", "legs", "ends", "mults", "delta", "kind", "level"])
+        | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+_READER_SEEDS = (
+    {
+        "kind": "dual",
+        "vertices": [
+            {"genus": 0, "degree": 1, "legs": [[1, "2/5"]], "extra_legs": 1, "level": None},
+            {"genus": 1, "degree": 0, "legs": [], "extra_legs": 0, "level": None},
+        ],
+        "edges": [
+            {"ends": [0, 1], "mults": ["1/5", "4/5"], "delta": None},
+            {"ends": [1, 1], "mults": [0, 0], "delta": None},
+        ],
+        "v_bullet": 0,
+    },
+    {
+        "kind": "loc",
+        "vertices": [
+            {"genus": 0, "degree": 0, "legs": [[1, "0"]], "level": G.LEVEL_ZERO},
+            {"genus": 0, "degree": 1, "level": G.LEVEL_INF},
+        ],
+        "edges": [{"ends": [0, 1], "mults": ["0", "0"], "delta": 2}],
+    },
+)
+
+
+@st.composite
+def _mutated_graph_obj(draw):
+    """A reader seed with one to three values replaced by random JSON or
+    deleted, each at a random depth."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(_READER_SEEDS))))
+    for _ in range(draw(st.integers(1, 3))):
+        node = obj
+        while isinstance(node, (dict, list)) and node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                continue
+            if draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(_JSON_VALUES)
+            break
+    return obj
+
+
+@given(st.one_of(_mutated_graph_obj(), _JSON_VALUES))
+@settings(deadline=None, max_examples=200)
+def test_graph_from_obj_returns_or_raises_value_error(obj):
+    # the reader's contract, which cli._graph_from_params relies on: any
+    # JSON value gives a graph or a ValueError, never another exception
+    try:
+        graph = G.graph_from_obj(obj)
+    except ValueError:
+        return
+    assert isinstance(graph, (G.DualGraph, G.LocGraph))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import homogeneous_degree
 from helpers_jfun import (
+    InconsistentOrbData,
     bundle_weights,
     cech_table,
     class_inverse,
@@ -42,7 +43,6 @@ from glsmx.errors import (
     ConfigError,
     DegreeViolation,
     IdentityFailed,
-    InconsistentOrbData,
     OnWall,
     OutOfUnstableRange,
 )
