@@ -1,14 +1,18 @@
 """Brute-force reference enumeration of fixed-locus graphs.
 
-Everything here is deliberately independent of glsmx.graphs: decorations are
-assigned exhaustively, the defining rules are re-checked with plain integer
-arithmetic, and isomorphism is delegated to networkx.  Only counts are
-compared against the production enumerator.
+Everything here is deliberately independent of glsmx.graphs and imports
+only the standard library.  Every labelled structure is decorated
+exhaustively, the defining rules are re-checked with plain integer
+arithmetic (epsilon read as p/q), and isomorphic copies are merged by a
+least form: the vertex decorations sorted, and the least sorted edge list
+over every vertex order that sorts them, alike vertices in every order.
+Only counts are compared against the production enumerator.
 
-Representatives are bucketed by an isomorphism invariant (sorted node
-attributes plus sorted edge attributes with their end-node attributes), so
-networkx only compares candidates inside one bucket.  The invariant never
-separates isomorphic graphs, so the counts are those of a full scan.
+The vertex roles are decided once per decoration, before any residue.  The
+leg residues of a leg placement are grouped by what they add at each vertex
+mod d, so each balanced edge-residue tuple looks up the leg residues that
+meet every vertex's congruence instead of scanning them all.
+brute_aut_count walks the same decoration-preserving vertex orders.
 fraction_degree_factor recomputes the covering-degree factor on Fractions,
 by the per-half-edge division that the production code replaced.
 """
@@ -19,32 +23,17 @@ import itertools
 import math
 from fractions import Fraction as Frac
 
-import networkx as nx
-from networkx.algorithms import isomorphism as nxiso
 
-NODE_MATCH = nxiso.categorical_node_match(
-    ["lev", "g", "b", "legs"], [None, None, None, None]
-)
-EDGE_MATCH = nxiso.categorical_multiedge_match(
-    ["dd", "m0", "mi"], [None, None, None]
-)
-
-
-def _tuples_sum(total, parts, minimum=0):
+def compositions(total, parts, least=0):
+    """Ordered tuples of parts integers, each at least least, summing to
+    total, in lexicographic order."""
     if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def rec(prefix, rem, left):
-        if left == 1:
-            if rem >= minimum:
-                out.append(prefix + (rem,))
-            return
-        for x in range(minimum, rem - minimum * (left - 1) + 1):
-            rec(prefix + (x,), rem - x, left - 1)
-
-    rec((), total, parts)
-    return out
+        if total == 0:
+            yield ()
+        return
+    for head in range(least, total - least * (parts - 1) + 1):
+        for tail in compositions(total - head, parts - 1, least):
+            yield (head,) + tail
 
 
 def _connected(nv, pairs):
@@ -63,176 +52,140 @@ def _connected(nv, pairs):
     return len({find(i) for i in range(nv)}) == 1
 
 
-def _vertex_role_ok(lg, eps, level, gv, bv, nhe, nlegs):
-    """(acceptable, is_basepoint_end) for one vertex, rules spelled out."""
+def _alike_orders(keys, vertices):
+    """Every vertex order that lists alike vertices (equal keys) as one
+    block, the blocks in the order vertices first meets their keys, and
+    each block in every order."""
+    blocks = {}
+    for v in vertices:
+        blocks.setdefault(keys[v], []).append(v)
+    for parts in itertools.product(*map(itertools.permutations, blocks.values())):
+        yield [v for part in parts for v in part]
+
+
+def _edge_floor(eps, level, gv, bv, nhe, nlegs):
+    """The covering degree that every edge at a vertex must exceed, or None
+    when the vertex is not allowed; rules spelled out, eps read as p/q.
+    Level 0 is zero and level 1 is infinity."""
     special = nhe + nlegs
-    if level == "0" and eps is not None:
-        stable = Frac(eps) * bv + 2 * gv - 2 + special > 0
+    if level == 0 and eps is not None:
+        stable = eps.numerator * bv + eps.denominator * (2 * gv - 2 + special) > 0
     else:
         stable = bv > 0 or 2 * gv - 2 + special > 0
     if stable:
-        return True, False
+        return 0
     if gv > 0:
-        return False, False
+        return None
     if nhe == 1 and nlegs == 0 and bv == 0:
-        return True, False
+        return 0
     if (
         nhe == 1
         and nlegs == 0
         and bv > 0
-        and level == "0"
+        and level == 0
         and eps is not None
-        and Frac(eps) * bv <= 1
+        and eps.numerator * bv <= eps.denominator
     ):
-        return True, True
+        # a basepoint end: its edge must cover more than the order it carries
+        return bv
     if nhe == 2 and nlegs == 0 and bv == 0:
-        return True, False
+        return 0
     if nhe == 1 and nlegs == 1 and bv == 0:
-        return True, False
-    return False, False
+        return 0
+    return None
 
 
 def brute_loc_graphs(d, lg, eps, g, n, beta, delta):
-    """All valid fixed-locus graphs up to isomorphism, as networkx graphs.
+    """All valid fixed-locus graphs up to isomorphism, as a set of least
+    forms.
 
     lg selects the phase rule for the vertex condition; multiplicities are
     handled as integer numerators k of k/d throughout.
     """
-    buckets = {}
-    ne_range = range(1, delta + 1) if delta else (0,)
-    for ne in ne_range:
+    eps = None if eps is None else Frac(eps)
+    forms = set()
+    for ne in range(1, delta + 1) if delta else (0,):
         for nv in range(1, ne + 2):
             h1 = ne - nv + 1
-            if h1 < 0 or h1 > g:
+            if h1 > g:
                 continue
-            pairs_all = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
-            for shape in itertools.combinations_with_replacement(pairs_all, ne):
+            pairs = list(itertools.combinations(range(nv), 2))
+            for shape in itertools.combinations_with_replacement(pairs, ne):
                 if not _connected(nv, shape):
                     continue
-                for levels in itertools.product(("0", "inf"), repeat=nv):
-                    if any(levels[a] == levels[b] for a, b in shape):
-                        continue
-                    for ems in itertools.product(
-                        itertools.product(range(d), repeat=2), repeat=ne
-                    ):
-                        # node balance: the two half-edge numerators sum to
-                        # zero mod d
-                        if any((ka + kb) % d for ka, kb in ems):
-                            continue
-                        _brute_decorations(
-                            d, lg, eps, g - h1, n, beta, delta, nv, shape,
-                            levels, ems, buckets,
-                        )
-    return [rep for bucket in buckets.values() for rep in bucket]
+                for levels in itertools.product((0, 1), repeat=nv):
+                    if all(levels[a] != levels[b] for a, b in shape):
+                        # each edge oriented from its zero end to infinity
+                        edges = [(a, b) if levels[a] == 0 else (b, a) for a, b in shape]
+                        _decorate(d, lg, eps, g - h1, n, beta, delta, levels, edges, forms)
+    return forms
 
 
-def _invariant(G):
-    def attrs(v):
-        a = G.nodes[v]
-        return (a["lev"], a["g"], a["b"], a["legs"])
-
-    nodes = tuple(sorted(attrs(v) for v in G.nodes))
-    edges = tuple(
-        sorted(
-            (e["dd"], e["m0"], e["mi"], tuple(sorted((attrs(u), attrs(v)))))
-            for u, v, e in G.edges(data=True)
-        )
-    )
-    return nodes, edges
-
-
-def _brute_decorations(
-    d, lg, eps, gbudget, n, beta, delta, nv, shape, levels, ems, buckets
-):
-    ne = len(shape)
-    he_count = [0] * nv
-    for a, b in shape:
-        he_count[a] += 1
-        he_count[b] += 1
-    # numerator sum of half-edge multiplicities per vertex
-    he_sum = [0] * nv
-    for (a, b), (ka, kb) in zip(shape, ems):
-        he_sum[a] += ka
-        he_sum[b] += kb
-    for ds in _tuples_sum(delta, ne, minimum=1):
-        for gs in _tuples_sum(gbudget, nv):
-            for bs in _tuples_sum(beta, nv):
-                for legv in itertools.product(range(nv), repeat=n):
-                    nlegs = [0] * nv
-                    for vi in legv:
-                        nlegs[vi] += 1
-                    ok = True
-                    bp_end = [False] * nv
-                    for vi in range(nv):
-                        good, isbp = _vertex_role_ok(
-                            lg, eps, levels[vi], gs[vi], bs[vi],
-                            he_count[vi], nlegs[vi],
-                        )
-                        if not good:
-                            ok = False
-                            break
-                        bp_end[vi] = isbp
-                    if not ok:
-                        continue
-                    # covering degree must exceed the basepoint order it
-                    # carries
+def _decorate(d, lg, eps, gbudget, n, beta, delta, levels, edges, forms):
+    nv, ne = len(levels), len(edges)
+    valence = [0] * nv
+    for a, b in edges:
+        valence[a] += 1
+        valence[b] += 1
+    for legv in itertools.product(range(nv), repeat=n):
+        nlegs = [legv.count(v) for v in range(nv)]
+        # the leg residues, keyed by what they add at each vertex mod d
+        legs_by_sum = {}
+        for legms in itertools.product(range(d), repeat=n):
+            sums = [0] * nv
+            for v, k in zip(legv, legms):
+                sums[v] += k
+            legs_by_sum.setdefault(tuple(s % d for s in sums), []).append(legms)
+        for gs in compositions(gbudget, nv):
+            for bs in compositions(beta, nv):
+                floors = [
+                    _edge_floor(eps, levels[v], gs[v], bs[v], valence[v], nlegs[v])
+                    for v in range(nv)
+                ]
+                if None in floors:
+                    continue
+                # what each vertex's residues must add up to, mod d
+                need = [
+                    2 * gs[v] - 2 - bs[v] + valence[v] + nlegs[v] if lg else 0
+                    for v in range(nv)
+                ]
+                for ds in compositions(delta, ne, 1):
                     if any(
-                        (bp_end[a] and dd <= bs[a]) or (bp_end[b] and dd <= bs[b])
-                        for (a, b), dd in zip(shape, ds)
+                        dd <= floors[v] for (a, b), dd in zip(edges, ds) for v in (a, b)
                     ):
                         continue
-                    for legms in itertools.product(range(d), repeat=n):
-                        leg_sum = [0] * nv
-                        for vi, k in zip(legv, legms):
-                            leg_sum[vi] += k
-                        ok = True
-                        for vi in range(nv):
-                            total_k = he_sum[vi] + leg_sum[vi]
-                            if lg:
-                                lhs = -bs[vi] + 2 * gs[vi] - 2 + he_count[vi] + nlegs[vi]
-                                if (lhs - total_k) % d:
-                                    ok = False
-                                    break
-                            else:
-                                if total_k % d:
-                                    ok = False
-                                    break
-                        if not ok:
-                            continue
-                        cand = _as_nx(
-                            nv, shape, levels, ems, ds, gs, bs, legv, legms
-                        )
-                        bucket = buckets.setdefault(_invariant(cand), [])
-                        if not any(
-                            nx.is_isomorphic(
-                                cand, r,
-                                node_match=NODE_MATCH, edge_match=EDGE_MATCH,
+                    # balanced residues: k at the zero end, -k at infinity
+                    for ks in itertools.product(range(d), repeat=ne):
+                        target = list(need)
+                        for (a, b), k in zip(edges, ks):
+                            target[a] -= k
+                            target[b] += k
+                        for legms in legs_by_sum.get(tuple(t % d for t in target), ()):
+                            forms.add(
+                                _least_form(levels, gs, bs, legv, legms, edges, ds, ks)
                             )
-                            for r in bucket
-                        ):
-                            bucket.append(cand)
 
 
-def _as_nx(nv, shape, levels, ems, ds, gs, bs, legv, legms):
-    G = nx.MultiGraph()
-    legs_at = {vi: [] for vi in range(nv)}
-    for label, (vi, k) in enumerate(zip(legv, legms), start=1):
-        legs_at[vi].append((label, k))
-    for vi in range(nv):
-        G.add_node(
-            vi,
-            lev=levels[vi],
-            g=gs[vi],
-            b=bs[vi],
-            legs=tuple(sorted(legs_at[vi])),
+def _least_form(levels, gs, bs, legv, legms, edges, ds, ks):
+    nv = len(levels)
+    decos = [
+        (
+            levels[v],
+            gs[v],
+            bs[v],
+            tuple((label, k) for label, (w, k) in enumerate(zip(legv, legms), 1) if w == v),
         )
-    for (a, b), (ka, kb), dd in zip(shape, ems, ds):
-        if levels[a] == "0":
-            m0, mi = ka, kb
-        else:
-            m0, mi = kb, ka
-        G.add_edge(a, b, dd=dd, m0=m0, mi=mi)
-    return G
+        for v in range(nv)
+    ]
+    least = None
+    for order in _alike_orders(decos, sorted(range(nv), key=decos.__getitem__)):
+        label = [None] * nv
+        for i, v in enumerate(order):
+            label[v] = i
+        form = sorted((label[a], label[b], dd, k) for (a, b), dd, k in zip(edges, ds, ks))
+        if least is None or form < least:
+            least = form
+    return tuple(sorted(decos)), tuple(least)
 
 
 def brute_aut_count(verts, edges, bullet=None):
@@ -243,17 +196,18 @@ def brute_aut_count(verts, edges, bullet=None):
     automorphism is a vertex permutation that keeps every decoration and the
     distinguished vertex, together with a bijection of half-edges that keeps
     edges, their multiplicities and degrees; a loop with equal sides can be
-    turned over.  Every vertex permutation is tried, and every edge bijection
-    is counted by backtracking, so nothing here shares code with the
-    production canonical form.
+    turned over.  Every vertex permutation within the blocks of alike
+    vertices is tried, and every edge bijection is counted by backtracking,
+    so nothing here shares code with the production canonical form.
     """
     nv = len(verts)
+    keys = [(deco, v == bullet) for v, deco in enumerate(verts)]
+    orders = list(_alike_orders(keys, range(nv)))
     total = 0
-    for perm in itertools.permutations(range(nv)):
-        if any(verts[perm[v]] != verts[v] for v in range(nv)):
-            continue
-        if bullet is not None and perm[bullet] != bullet:
-            continue
+    for order in orders:
+        perm = [None] * nv
+        for v, w in zip(orders[0], order):
+            perm[v] = w
         total += _edge_bijections(perm, edges, 0, frozenset())
     return total
 

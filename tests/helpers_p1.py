@@ -31,6 +31,7 @@ from math import comb, factorial, prod
 
 import sympy
 
+from helpers_graphs import compositions as _compositions
 from glsmx.algebra import (
     LAM as RF_LAM,
     PROJLINE,
@@ -135,23 +136,11 @@ def two_coloring(nv, edges):
 
 
 def compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(1, total - parts + 2):
-        for tail in compositions(total - head, parts - 1):
-            yield (head,) + tail
+    return _compositions(total, parts, 1)
 
 
 def weak_compositions(total, parts):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for tail in weak_compositions(total - head, parts - 1):
-            yield (head,) + tail
+    return _compositions(total, parts)
 
 
 def vertex_weight(tangent, omegas, marks):

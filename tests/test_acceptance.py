@@ -38,7 +38,7 @@ def test_criterion_02_square_root_ratio(capsys):
     _run(capsys, 2, "square root ratio", budget=10)
 
 
-def test_criterion_03_unmarked_positivity(capsys):
+def test_criterion_03_tail_series_first_terms(capsys):
     _run(capsys, 3, "tail series first terms")
 
 

@@ -627,7 +627,7 @@ def test_square_root_ratio_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
     )
 
 
-def test_unmarked_positivity_criterion_fails_on_a_corrupted_leaf(monkeypatch, cold_caches):
+def test_tail_series_first_terms_criterion_fails_on_a_corrupted_leaf(monkeypatch, cold_caches):
     # doubling the weight of a bare leaf at the end of a degree-one edge
     # doubles the lone one-edge tail at y^1; the y^0 part stays zero
     vertex_weight = p1series._vertex_weight

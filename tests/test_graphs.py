@@ -645,6 +645,13 @@ def test_enumerate_remark_basepoint_bound():
         (GEO_11, False, 0, 2, 1, 1),
         (GEO_11, False, 0, 0, 2, 2),
         (GEO_11, False, 0, 1, 1, 2),
+        # delta >= 3: alike vertices carry different edges here, so an
+        # oracle that never permutes them overcounts
+        (QUINTIC_25, True, 0, 1, 0, 3),
+        (QUINTIC_25, True, 1, 0, 0, 3),
+        (QUINTIC_25, True, 0, 2, 0, 3),
+        (MIXED, True, 0, 0, 2, 3),
+        (GEO_11, False, 0, 0, 0, 4),
     ],
 )
 def test_enumerate_matches_brute_force(model, lg, g, n, beta, delta):
