@@ -254,7 +254,9 @@ class CohClass:
     reduced modulo H^r = 0 (nilpotent) or H^2 = lam*H (projline).  A ring:
     it adds, subtracts and multiplies, and has no division or power."""
 
-    __slots__ = ("coeffs", "relation", "r")
+    # _hash is filled on the first hash (the class is immutable), so a cache
+    # keyed by the value rebuilds no coefficient frozensets on a lookup
+    __slots__ = ("coeffs", "relation", "r", "_hash")
 
     def __init__(self, coeffs, relation, r=None):
         if relation == PROJLINE:
@@ -350,7 +352,11 @@ class CohClass:
         )
 
     def __hash__(self):
-        return hash((self.relation, self.r, self.coeffs))
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.relation, self.r, self.coeffs)))
+            return self._hash
 
     def __repr__(self):
         bits = []

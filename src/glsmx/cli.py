@@ -32,6 +32,10 @@ DEFAULT_Q_MAX = 8
 DEFAULT_Y_MAX = 6
 DEFAULT_Z_CAP = 12
 
+# rendered table entries and sector strings held per process; the chamber
+# commands over the four acceptance models at beta <= 8 render a few hundred
+_CELL_CACHE_SIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # configuration parsing
@@ -193,19 +197,33 @@ def _lam_string(f):
     return join_terms([_lam_term(v, den, i) for (i, _), v in sorted(f.num.items(), reverse=True)])
 
 
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _cells(beta, value):
+    """The cells of one table entry, as (("beta,zpower,Hpower", lam
+    string), ...) ordered by z power, then H power.  Cached per process and
+    keyed by the CohClass value, never by its identity, so equal values
+    built apart share their text and no value can read another's."""
+    cells = {}
+    for h, part in enumerate(value.coeffs):
+        den = part.den[(0, 0)]
+        for (i, j), v in sorted(part.num.items(), reverse=True):
+            cells.setdefault((j, h), []).append(_lam_term(v, den, i))
+    return tuple((f"{beta},{j},{h}", join_terms(terms)) for (j, h), terms in sorted(cells.items()))
+
+
 def _coefficient_table(values):
     """{beta: CohClass} -> flat {"beta,zpower,Hpower": lam string}, ordered
     by beta, then z power, then H power."""
     table = {}
     for beta in sorted(values):
-        cells = {}
-        for h, part in enumerate(values[beta].coeffs):
-            den = part.den[(0, 0)]
-            for (i, j), v in sorted(part.num.items(), reverse=True):
-                cells.setdefault((j, h), []).append(_lam_term(v, den, i))
-        for (j, h), terms in sorted(cells.items()):
-            table[f"{beta},{j},{h}"] = join_terms(terms)
+        table.update(_cells(beta, values[beta]))
     return table
+
+
+@functools.lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _sector_cell(model, beta):
+    """The sector of the degree-beta coefficient as a report string."""
+    return _frac_str(jfun.j_sector(model, beta))
 
 
 def report_passed(report):
@@ -408,7 +426,7 @@ def _cmd_ifun(config, trunc):
     values = jfun.i_function(model, q_max, twisted)
     inputs = {"model": _model_echo(model), "q_max": q_max, "twisted": twisted}
     results = {
-        "sectors": {str(b): _frac_str(jfun.j_sector(model, b)) for b in range(q_max + 1)},
+        "sectors": {str(b): _sector_cell(model, b) for b in range(q_max + 1)},
         "coefficients": _coefficient_table(values),
     }
     return inputs, results, []
@@ -427,7 +445,7 @@ def _cmd_mu(config, trunc):
     inputs = {"model": _model_echo(model), "epsilon": str(epsilon), "twisted": twisted}
     results = {
         "beta_max": max(table),
-        "sectors": {str(b): _frac_str(jfun.j_sector(model, b)) for b in table},
+        "sectors": {str(b): _sector_cell(model, b) for b in table},
         "coefficients": _coefficient_table(table),
     }
     checks = [check_record("mu_zero_vanishes", table[0].is_zero(), "mu_0 is nonzero")]

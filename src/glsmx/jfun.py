@@ -95,6 +95,12 @@ def j_sector(model: GlsmModel, beta: int) -> Frac:
     return graph_multiplicities(model, beta)[1]
 
 
+def _int_row(row, den):
+    """The RatFun row/den, for row a dict of ints and den a positive int,
+    with the zero terms dropped."""
+    return RatFun._reduced({k: v for k, v in row.items() if v}, den)
+
+
 # ---------------------------------------------------------------------------
 # unstable J-coefficients
 
@@ -212,7 +218,7 @@ def _ladder(model, beta, twisted):
                     out[j + 1][l, n] = out[j + 1].get((l, n), 0) - c
         rows = out
     den = sd * lcm_a ** (r - 1)
-    return CohClass([RatFun(row, den) for row in rows], NILPOTENT, r)
+    return CohClass([_int_row(row, den) for row in rows], NILPOTENT, r)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,7 @@ def _ladder(model, beta, twisted):
 def positive_z_part(value: CohClass) -> CohClass:
     """Drop every negative z power from each hyperplane coefficient."""
     kept = [
-        RatFun({k: v for k, v in f.num.items() if k[1] >= 0}, f.den[(0, 0)])
+        RatFun._reduced({k: v for k, v in f.num.items() if k[1] >= 0}, f.den[(0, 0)])
         for f in value.coeffs
     ]
     return CohClass(kept, value.relation, value.r)
@@ -230,7 +236,11 @@ def positive_z_part(value: CohClass) -> CohClass:
 
 @functools.lru_cache(maxsize=_LADDER_CACHE_SIZE)
 def _ladder_plus(model, beta, twisted):
-    return positive_z_part(_ladder(model, beta, twisted))
+    """The mirror-map entry of degree beta: the z >= 0 part of the
+    coefficient, less z times the unit at degree 0, so the degree-0 entry
+    is zero.  Every chamber holding beta shares this one value."""
+    plus = positive_z_part(_ladder(model, beta, twisted))
+    return plus - state_unit(model) * Z if beta == 0 else plus
 
 
 def _check_q_max(q_max):
@@ -268,13 +278,12 @@ def mu_table(model, epsilon, twisted=False):
     """Mirror-map table of the chamber containing epsilon, as {beta:
     CohClass} for beta = 0..floor(1/epsilon): the degree-by-degree
     non-negative parts of -z + J, one entry per unstable degree.  The bound
-    checks epsilon once and keeps every degree in range, so the entries are
-    read from the cache with no further gate."""
+    checks epsilon once and keeps every degree in range, so the entries,
+    the -z of degree 0 included, are read from the cache with no further
+    gate.  The dict is new on each call; its values are shared."""
     bound = _chamber_bound(epsilon)
     model = _without_epsilon(model)
-    table = {beta: _ladder_plus(model, beta, twisted) for beta in range(bound + 1)}
-    table[0] = table[0] - state_unit(model) * Z
-    return table
+    return {beta: _ladder_plus(model, beta, twisted) for beta in range(bound + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +345,7 @@ def edge_contribution(
                 out[j + i][key] = out[j + i].get(key, 0) + term
                 term = -term * (m - i) // (i + 1)
     den = fd * delta_e**top * lcm_den
-    return CohClass([RatFun(row, den) for row in out], NILPOTENT, r)
+    return CohClass([_int_row(row, den) for row in out], NILPOTENT, r)
 
 
 # ---------------------------------------------------------------------------

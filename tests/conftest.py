@@ -6,7 +6,8 @@ import pytest
 
 from glsmx import cli, graphs, jfun, p1series
 
-# the process-wide caches: the jfun coefficient ladders, the p1 vertex
+# the process-wide caches: the rendered table cells and sector strings of
+# the chamber reports, the jfun coefficient ladders, the p1 vertex
 # weights, the rooted-tree tables that the graph sums and the tails share,
 # the placement tables of the graph sums, the p1 tail coefficients, marked
 # series, the Lagrange root rows and rewritten values per degree, shared
@@ -15,6 +16,8 @@ from glsmx import cli, graphs, jfun, p1series
 # profiles and the graph parts that the census and the chain search share
 _CACHES = (
     cli._glsm_model,
+    cli._cells,
+    cli._sector_cell,
     graphs._read_frac,
     graphs._vertex,
     graphs._edge,

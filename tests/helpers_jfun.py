@@ -9,8 +9,11 @@ earlier routes: fraction_ladder is the coefficient ladder run step by step
 on Frac over the weight tables of bundle_weights, the reference the int
 ladder must reproduce exactly, and fraction_coefficient_table renders
 report tables through Frac terms, the reference for the int renderer.
-The class inverse at the end is the generic Neumann-series inverse, the
-oracle for the geometric-series division in `verify`'s closed routes.
+The class inverse is the generic Neumann-series inverse, the oracle for
+the geometric-series division in `verify`'s closed routes.  The Frac
+q-series helpers at the end (product, inverse, exp, substitution,
+reversion) and geometric_periods read the genus-zero invariants off the
+I-function through its mirror map.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from glsmx.algebra import (
     join_terms,
 )
 from glsmx.errors import DivisionByNonUnit
-from glsmx.jfun import j_sector, state_rank, state_unit
+from glsmx.jfun import j_sector, state_rank, state_unit, unstable_J_coefficient
 from glsmx.model import (
     LG,
     frac_bracket,
@@ -374,3 +377,71 @@ def class_inverse(x):
         power = power * nil
         out = out + power
     return out * inv0
+
+
+# ---------------------------------------------------------------------------
+# power series in one variable q over Frac, as lists [c_0, ..., c_n]
+# truncated at q^n: the mirror-map oracles of the genus-zero invariants
+
+
+def series_mul(a, b):
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def series_inverse(a):
+    """1/a, for a with a nonzero constant term."""
+    if not a[0]:
+        raise ZeroDivisionError("series with zero constant term")
+    out = [Frac(1) / a[0]]
+    for k in range(1, len(a)):
+        out.append(-sum(a[i] * out[k - i] for i in range(1, k + 1)) / a[0])
+    return out
+
+
+def series_exp(a):
+    """exp(a), for a with zero constant term: e' = a' e term by term."""
+    if a[0]:
+        raise ValueError("exp of a series with a constant term")
+    out = [Frac(1)]
+    for k in range(1, len(a)):
+        out.append(sum(j * a[j] * out[k - j] for j in range(1, k + 1)) / Frac(k))
+    return out
+
+
+def series_substitute(a, b):
+    """a(b(q)), for b with zero constant term, cut at the shorter length."""
+    if b[0]:
+        raise ValueError("substituting a series with a constant term")
+    n = min(len(a), len(b))
+    out = [Frac(0)] * n
+    power = [Frac(1)] + [Frac(0)] * (n - 1)
+    for k in range(n):
+        out = [x + a[k] * y for x, y in zip(out, power)]
+        power = series_mul(power, b[:n])
+    return out
+
+
+def series_reversion(f):
+    """The series g with f(g(q)) = q, for f = c*q + ... with c nonzero, found
+    one coefficient at a time."""
+    if f[0] or not f[1]:
+        raise ValueError("only q times a unit has a reversion")
+    n = len(f)
+    g = [Frac(0), Frac(1) / f[1]] + [Frac(0)] * (n - 2)
+    for k in range(2, n):
+        g[k] = -series_substitute(f, g)[k] / f[1]
+    return g
+
+
+def geometric_periods(model, top):
+    """(I_0, I~_1, I~_2) through q^top of the geometric-phase model, read as
+    the lam^0 terms of the untwisted coefficients at H^0 z^1, H^1 z^0 and
+    H^2 z^-1."""
+    rows = ([], [], [])
+    for beta in range(top + 1):
+        coeffs = unstable_J_coefficient(model, beta).coeffs
+        for j, row in enumerate(rows):
+            f = coeffs[j]
+            row.append(Frac(f.num.get((0, 1 - j), 0), f.den[(0, 0)]))
+    return rows

@@ -157,6 +157,73 @@ def test_edge_factor_string():
     assert report["results"]["coefficients"]["0,0,0"] == "-1/5*lam^-2"
 
 
+# --- the rendered-cell and sector caches ------------------------------------
+
+
+def test_equal_classes_built_apart_share_hash_and_cells(cold_caches):
+    # the cell cache is keyed by value: an equal class built separately
+    # finds the first one's cells, an unequal one renders its own
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, "geometric")
+    first = jfun.unstable_J_coefficient(model, 2, None, True)
+    cold_caches()
+    second = jfun.unstable_J_coefficient(model, 2, None, True)
+    rebuilt = CohClass(list(first.coeffs), first.relation, first.r)
+    assert second is not first and rebuilt is not first
+    assert second == first == rebuilt
+    assert hash(second) == hash(rebuilt) == hash(first)
+    cells = cli._cells(2, first)
+    hits = cli._cells.cache_info().hits
+    assert cli._cells(2, second) is cells
+    assert cli._cells(2, rebuilt) is cells
+    assert cli._cells.cache_info().hits == hits + 2
+    assert cells[0][0].startswith("2,")
+    doubled = cli._cells(2, first * 2)
+    assert [k for k, _ in doubled] == [k for k, _ in cells]
+    assert [t for _, t in doubled] != [t for _, t in cells]
+    assert cli._cells(3, first) != cells
+
+
+def _chamber_configs():
+    """The ifun reports of the four chamber models at q_max 2..8 and the mu
+    reports at every chamber bound 1..8, both twists."""
+    for model in CHAMBER_MODELS:
+        for twisted in (False, True):
+            for q_max in range(2, jfun.Q_CAP + 1):
+                yield "ifun", {"model": model, "ifun": {"q_max": q_max, "twisted": twisted}}
+            for bound in range(1, jfun.Q_CAP + 1):
+                epsilon = f"2/{2 * bound + 1}"
+                yield "mu", {"model": model, "mu": {"epsilon": epsilon, "twisted": twisted}}
+
+
+def test_warm_chamber_reports_equal_cold_ones(cold_caches):
+    cold = []
+    for command, config in _chamber_configs():
+        cold_caches()
+        cold.append(json.dumps(run(command, config), indent=2))
+    warm = [json.dumps(run(command, config), indent=2) for command, config in _chamber_configs()]
+    assert cli._cells.cache_info().hits > 0
+    assert cli._sector_cell.cache_info().hits > 0
+    assert len(warm) == 4 * 2 * (7 + 8)
+    assert warm == cold
+
+
+def test_doubled_ladder_changes_a_warm_ifun_report(monkeypatch, cold_caches):
+    # the cells stay cached; a doubled value must still render as itself
+    from helpers_jfun import fraction_coefficient_table
+
+    config = {"model": QUINTIC_GEOM, "ifun": {"q_max": 4, "twisted": True}}
+    warm = run("ifun", config)
+    assert run("ifun", config) == warm
+    ladder = jfun._ladder
+    monkeypatch.setattr(jfun, "_ladder", lambda *key: ladder(*key) * 2)
+    doubled = run("ifun", config)
+    assert doubled["results"]["coefficients"] != warm["results"]["coefficients"]
+    model = GlsmModel((1, 1, 1, 1, 1), 1, 5, "geometric")
+    values = {b: ladder(model, b, True) * 2 for b in range(5)}
+    assert doubled["results"]["coefficients"] == fraction_coefficient_table(values)
+    assert doubled["results"]["sectors"] == warm["results"]["sectors"]
+
+
 def test_jwc_gained_range():
     config = {
         "model": QUINTIC_LG,
@@ -942,7 +1009,7 @@ def _verify_failures():
     return {c["name"]: c["first_failure"] for c in report["checks"] if c["status"] == "fail"}
 
 
-def test_verify_reads_back_the_coefficient_tables(monkeypatch):
+def test_verify_reads_back_the_coefficient_tables(monkeypatch, cold_caches):
     # the values stay right and only their text goes wrong, so only the
     # read-back of the rendered tables can see it
     monkeypatch.setattr(cli, "_lam_term", _unreduced_lam_term)

@@ -4,6 +4,7 @@ worked out by hand on the quintic models."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as Frac
@@ -25,10 +26,16 @@ from helpers_jfun import (
     fraction_coefficient_table,
     fraction_ladder,
     fraction_lam_string,
+    geometric_periods,
     lam_coefficient,
     line_bundle_degree,
     p_bundle_degree,
     same_weight_multiset,
+    series_exp,
+    series_inverse,
+    series_mul,
+    series_reversion,
+    series_substitute,
     z_plus_part,
 )
 from helpers_model import OrbiBundleData, euler_char
@@ -774,3 +781,85 @@ def test_lambda_level_shapes():
     assert lambda_level(QUINTIC_LG, LEVEL_ZERO) == CohClass([LAM], NILPOTENT, 1)
     with pytest.raises(ConfigError):
         lambda_level(MIXED_LG, "somewhere")
+
+
+# --- genus-zero invariants --------------------------------------------------
+
+# One-parameter Calabi-Yau threefolds as (weights, N, d): N equations, all of
+# degree d, and their genus-zero instanton numbers n_1, n_2, ... through
+# jfun.Q_CAP or as far as published: the quintic from Candelas-de la Ossa-
+# Green-Parkes (1991), P(1,1,1,2,5)[10] from Klemm-Theisen (1993) and
+# Hosono-Klemm-Theisen-Yau (1995), P^5[3,3] and P^7[2,2,2,2] from Libgober-
+# Teitelbaum (1993).
+PUBLISHED_INSTANTONS = {
+    ((1, 1, 1, 1, 1), 1, 5): [
+        2875, 609250, 317206375, 242467530000, 229305888887625,
+        248249742118022000, 295091050570845659250, 375632160937476603550000,
+    ],
+    ((1, 1, 1, 1, 1, 1), 2, 3): [1053, 52812, 6424326],
+    ((1,) * 8, 4, 2): [512, 9728],
+    ((1, 1, 1, 2, 5), 1, 10): [231200, 12215785600, 1700894366474400],
+}
+
+
+def instanton_numbers(model, top=jfun.Q_CAP):
+    """n_1..n_top of a one-parameter Calabi-Yau threefold, from the mirror
+    map read off its I-function.  With q replaced by s*q, s the sign of
+    I_0's degree-1 term, g = I~_1/I_0 and Q = q*e^g, the series
+    P2 = I~_2/I_0 - g^2/2 read in Q is (1/kappa) sum_b b*N_b Q^b with
+    kappa = d^N/prod(w), and N_b = sum_{k|b} n_{b/k}/k^3."""
+    periods = geometric_periods(model, top)
+    sign = 1 if periods[0][1] > 0 else -1
+    i0, i1, i2 = ([c * sign**b for b, c in enumerate(row)] for row in periods)
+    assert i0[0] == 1 and i1[0] == i2[0] == 0
+    over_i0 = series_inverse(i0)
+    g = series_mul(i1, over_i0)
+    big_q = series_mul([0, 1] + [0] * (top - 1), series_exp(g))
+    p2 = [a - b / 2 for a, b in zip(series_mul(i2, over_i0), series_mul(g, g))]
+    p2 = series_substitute(p2, series_reversion(big_q))
+    kappa = Frac(model.d**model.N, math.prod(model.weights))
+    counts = {}
+    for b in range(1, top + 1):
+        n_b = kappa * p2[b] / b
+        n_b -= sum(counts[b // k] / Frac(k**3) for k in range(2, b + 1) if b % k == 0)
+        counts[b] = n_b
+    return [counts[b] for b in range(1, top + 1)]
+
+
+def test_series_helpers_invert_each_other():
+    a = [Frac(0), Frac(2), Frac(-1, 3), Frac(5), Frac(7, 2)]
+    assert series_mul(a[1:], series_inverse(a[1:])) == [1, 0, 0, 0]
+    assert series_substitute(a, series_reversion(a)) == [0, 1, 0, 0, 0]
+    assert series_substitute(series_reversion(a), a) == [0, 1, 0, 0, 0]
+    # exp(2q) = sum (2q)^k/k!
+    assert series_exp([0, 2, 0, 0, 0]) == [1, 2, 2, Frac(4, 3), Frac(2, 3)]
+    # exp of a sum is the product of the exps
+    b = [Frac(0), Frac(1, 2), Frac(3), Frac(-2), Frac(1)]
+    assert series_exp([x + y for x, y in zip(a, b)]) == series_mul(series_exp(a), series_exp(b))
+
+
+@pytest.mark.parametrize(
+    "key", list(PUBLISHED_INSTANTONS), ids=lambda key: f"w{key[0]}-N{key[1]}-d{key[2]}"
+)
+def test_i_function_gives_the_published_instanton_numbers(key):
+    weights, n_aux, d = key
+    model = GlsmModel(weights, n_aux, d, GEOMETRIC)
+    counts = instanton_numbers(model)
+    assert all(n.denominator == 1 for n in counts)
+    published = PUBLISHED_INSTANTONS[key]
+    assert counts[: len(published)] == published
+
+
+def test_instanton_numbers_see_a_doubled_h2_row(monkeypatch, cold_caches):
+    # the H^2 row alone carries I~_2, so doubling it moves n_1 off 2875
+    ladder = jfun._ladder
+
+    def doubled_h2(model, beta, twisted):
+        value = ladder(model, beta, twisted)
+        coeffs = list(value.coeffs)
+        coeffs[2] = coeffs[2] * 2
+        return CohClass(coeffs, value.relation, value.r)
+
+    monkeypatch.setattr(jfun, "_ladder", doubled_h2)
+    counts = instanton_numbers(QUINTIC_GEOM, 2)
+    assert counts[0] != 2875
