@@ -19,13 +19,14 @@ import functools
 import json
 import math
 import sys
+from fractions import Fraction
 
 from . import graphs as gr
 from . import jfun
 from . import p1series as p1
 from .algebra import join_terms
 from .errors import ConfigError, GlsmxError, IdentityFailed, check_record
-from .graphs import _frac_str, _read_frac
+from .graphs import _read_frac
 from .model import GEOMETRIC, LG, GlsmModel, check_off_wall, list_sectors
 
 DEFAULT_Q_MAX = 8
@@ -175,6 +176,10 @@ def _load_json(path):
 # report serialization
 
 
+def _frac_str(m):
+    return str(m if isinstance(m, Fraction) else Fraction(m))
+
+
 def _lam_term(num, den, exponent):
     """The term num/den*lam^exponent, reduced by one gcd, with the
     coefficient written as str(Fraction) writes it."""
@@ -292,6 +297,18 @@ def _cmd_contract(config, trunc):
     problems = gr.validate(model, graph)
     if problems:
         raise ConfigError(f"input graph is invalid: {problems[0]}")
+    if epsilon is not None:
+        # 2g - 2 + n + epsilon*degree sums the components' positive ampleness
+        # degrees over any epsilon-stable object, and contraction keeps g, n
+        # and the degree, so when it is not positive no fixpoint exists
+        genus, degree = gr.total_genus(graph), gr.total_degree(graph)
+        markings = sum(len(v.legs) + v.extra_legs for v in graph.vertices)
+        weight = 2 * genus - 2 + markings + epsilon * degree
+        if weight <= 0:
+            raise ConfigError(
+                f"no {epsilon}-stable object has genus {genus}, {markings} markings and "
+                f"degree {degree}: 2g - 2 + n + epsilon*degree = {weight} is not positive"
+            )
     contracted, basepoints = gr.contract_c(model, graph, epsilon)
     before = gr.total_degree(graph)
     after = gr.total_degree(contracted) + sum(order for _, order, _ in basepoints)

@@ -107,20 +107,16 @@ def vertex_valence(graph, vi):
 
 def _component_count(nodes, links):
     """Number of connected components of the nodes under the (a, b) links,
-    by union-find; nodes must be iterable twice."""
+    by union-find: the count of nodes left as their own roots."""
     parent = {v: v for v in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in nodes})
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+    return sum(1 for v, root in parent.items() if v == root)
 
 
 def _components(graph):
@@ -253,10 +249,16 @@ def validate(model, graph):
                 if 0 <= end < nv:
                     he[end] += 1
             edge_ks.append(None)
-    roles = [
-        _vertex_role(v.genus, v.degree, v.level, n, len(v.legs), v.extra_legs, model.epsilon)
+    # the basepoint order of each vertex, 0 for none; a basepoint has no legs,
+    # extra legs or positive genus, valence one, level zero, positive degree
+    bp_order = [
+        v.degree
+        if is_loc and n == 1 and v.degree > 0 and v.level == LEVEL_ZERO
+        and not (v.genus > 0 or v.legs or v.extra_legs)
+        and _vertex_role(v.genus, v.degree, v.level, n, 0, 0, model.epsilon) == "basepoint"
+        else 0
         for v, n in zip(vertices, he)
-    ] if is_loc else None
+    ]
     for ei, (e, sides) in enumerate(zip(graph.edges, edge_ks)):
         if sides is None:
             out.append(f"edge {ei}: endpoint out of range")
@@ -272,9 +274,7 @@ def validate(model, graph):
             if vertices[a].level == vertices[b].level:
                 out.append(f"edge {ei}: both ends at level {vertices[a].level}")
             elif e.delta is not None:
-                # the basepoint order an edge carries: the degree of an
-                # unstable valence-one level-zero end
-                bp = next((vertices[vi].degree for vi in e.ends if roles[vi] == "basepoint"), 0)
+                bp = bp_order[a] or bp_order[b]
                 if bp and e.delta <= bp:
                     out.append(
                         f"edge {ei}: covering degree {e.delta} not above "
@@ -332,7 +332,12 @@ def _least_form(verts, edges, bullet=None):
     it are a coset of the automorphism group.  Each block of alike vertices
     is searched through _block_orders, which skips the orders that only
     exchange twins.  When every class holds one vertex, as it nearly always
-    does, that one order is the only one tried."""
+    does, that one order is the only one tried, and when the vertex tuples
+    alone are pairwise distinct, it is the order that sorts them."""
+    pos = [0] * len(verts)
+    if len(set(verts)) == len(verts):
+        order = sorted(range(len(verts)), key=verts.__getitem__)
+        return _serialize(verts, edges, bullet, order, pos), 1
     incidences = [[] for _ in verts]
     for a, b, ka, kb, dd in edges:
         incidences[a].append((dd, ka, kb, verts[b]))
@@ -341,7 +346,6 @@ def _least_form(verts, edges, bullet=None):
     for vi, (v, inc) in enumerate(zip(verts, incidences)):
         inc.sort()
         groups.setdefault((v, tuple(inc)), []).append(vi)
-    pos = [0] * len(verts)
     if len(groups) == len(verts):
         # every class holds one vertex, so one order reaches the least form
         order = [block[0] for _, block in sorted(groups.items())]
@@ -443,8 +447,8 @@ def _scaled(m, scale):
 def _scale(graph):
     """The lcm of the denominators of a graph's multiplicities."""
     return math.lcm(
-        *(m.denominator for v in graph.vertices for _, m in v.legs),
-        *(m.denominator for e in graph.edges for m in e.mults),
+        *[m.denominator for v in graph.vertices for _, m in v.legs],
+        *[m.denominator for e in graph.edges for m in e.mults],
     )
 
 
@@ -790,8 +794,10 @@ def _emit_candidates(model, structure, levels, deltas, genera, degrees, leg_dist
     least int form at scale d, paired with the number of vertex orders
     that reach that form.  Multiplicities stay residues k of k/d; a residue
     tuple compatible at every vertex is keyed as ints, and the graph is
-    built only for a key not seen before, from the Vertex and Edge parts of
-    _shared_vertex and _shared_edge.  Every rule of validate holds by
+    built only for a key not seen before.  Each edge-residue tuple builds
+    its Edge parts and each vertex's (int tuple, Vertex) options once, from
+    _shared_edge and _shared_vertex, so the loop over the legs' residues
+    only keys and stores.  Every rule of validate holds by
     construction but two, which depend on the structure alone and are
     decided before the residues: each vertex has a role, and each edge
     covers more than the basepoint order at its level-zero end.  A vertex's
@@ -829,47 +835,37 @@ def _emit_candidates(model, structure, levels, deltas, genera, degrees, leg_dist
         for (zero, _), dd in zip(oriented, deltas)
     ):
         return
-    bases = [(genera[vi], degrees[vi], 0, levels[vi]) for vi in range(nv)]
+    # each vertex's options as (int tuple, Vertex): one for a legless
+    # vertex, one per leg residue tuple otherwise
+    def option(vi, legs):
+        g, b, level = genera[vi], degrees[vi], levels[vi]
+        return (g, b, 0, level, legs), _shared_vertex(g, b, level, legs, d)
+
     legless = [not labels for labels in legs_at]
+    bare = [[option(vi, ())] if legless[vi] else None for vi in range(nv)]
     for edge_ks, free in _edge_residues(d, oriented, legless, targets):
-        per_vertex = []
-        for vi in range(nv):
-            labels = legs_at[vi]
-            if not labels:
-                if free[vi] % d:
-                    break
-                per_vertex.append([()])
-                continue
-            # the legs both shift the point count and add their own
-            # residues, so the last one takes what the others leave
-            per_vertex.append(
-                [
-                    head + ((free[vi] - sum(head)) % d,)
-                    for head in itertools.product(range(d), repeat=len(labels) - 1)
-                ]
-            )
-        else:  # every legless vertex met its congruence
-            # key in ints at scale d: k -> k/d keeps order, so the keys
-            # sort as the Fraction multiplicities would
-            int_edges = [
-                (zero, inf, k, -k % d, dd)
-                for (zero, inf), dd, k in zip(oriented, deltas, edge_ks)
+        if any(free[vi] % d for vi in range(nv) if legless[vi]):
+            continue
+        # the legs both shift the point count and add their own residues,
+        # so the last one takes what the others leave
+        per_vertex = [
+            bare[vi] or [
+                option(vi, tuple(zip(legs_at[vi], head + ((free[vi] - sum(head)) % d,))))
+                for head in itertools.product(range(d), repeat=len(legs_at[vi]) - 1)
             ]
-            for leg_ks in itertools.product(*per_vertex):
-                verts = [
-                    base + (tuple(zip(labels, ks)),)
-                    for base, labels, ks in zip(bases, legs_at, leg_ks)
-                ]
-                key, ties = _least_form(verts, int_edges)
-                if key in found:
-                    continue
-                found[key] = LocGraph(
-                    tuple(
-                        _shared_vertex(genus, degree, level, legs, d)
-                        for genus, degree, _, level, legs in verts
-                    ),
-                    tuple(_shared_edge(e, e[4], d) for e in int_edges),
-                ), ties
+            for vi in range(nv)
+        ]
+        # key in ints at scale d: k -> k/d keeps order, so the keys sort as
+        # the Fraction multiplicities would
+        int_edges = [
+            (zero, inf, k, -k % d, dd) for (zero, inf), dd, k in zip(oriented, deltas, edge_ks)
+        ]
+        edges = tuple(_shared_edge(e, e[4], d) for e in int_edges)
+        for choice in itertools.product(*per_vertex):
+            verts, vertices = zip(*choice)
+            key, ties = _least_form(verts, int_edges)
+            if key not in found:
+                found[key] = LocGraph(vertices, edges), ties
 
 
 def _edge_residues(d, oriented, legless, targets):
@@ -1090,45 +1086,52 @@ def _descend(model, graph, form, scale):
     # halves exchanged, so each split is met once, at whichever of the pair
     # comes first in loop order; that one keys both bullets first.
     new_index = len(verts)
-    n_legs = len(center_legs)
-    all_legs, all_slots = (1 << n_legs) - 1, (1 << len(slots)) - 1
+    all_legs, all_slots = (1 << len(center_legs)) - 1, (1 << len(slots)) - 1
+    # per leg mask: the legs of each half, sorted as in the form too, and
+    # the residue the moved ones carry
+    leg_parts = []
+    for leg_mask in range(all_legs + 1):
+        ones = tuple(leg for i, leg in enumerate(center_legs) if leg_mask >> i & 1)
+        twos = tuple(leg for i, leg in enumerate(center_legs) if not leg_mask >> i & 1)
+        leg_parts.append((ones, twos, tuple(sorted(ones)), tuple(sorted(twos)),
+                          sum(k for _, k in ones)))
+    # per slot mask: the slots that move to the new vertex, the residue of
+    # those that stay, and the int and Edge lists with the moved ends rewired
+    slot_parts = []
+    for slot_mask in range(all_slots + 1):
+        moved = [s for si, s in enumerate(slots) if slot_mask >> si & 1]
+        moved_edges, moved_objs = list(edges), list(graph.edges)
+        for ei, side in moved:
+            e = list(moved_edges[ei])
+            e[side] = new_index
+            moved_edges[ei] = tuple(e)
+        for ei, _ in moved:
+            moved_objs[ei] = _shared_edge(moved_edges[ei], graph.edges[ei].delta, scale)
+        kept_k = sum(edges[ei][2 + s] for ei, s in slots if (ei, s) not in moved)
+        slot_parts.append((len(moved), kept_k, moved_edges, moved_objs))
     for g1 in range(genus + 1):
         for b1 in range(degree + 1):
             g2, b2 = genus - g1, degree - b1
-            for leg_mask in range(1 << n_legs):
-                ones = tuple(leg for i, leg in enumerate(center_legs) if leg_mask >> i & 1)
-                twos = tuple(leg for i, leg in enumerate(center_legs) if not leg_mask >> i & 1)
-                legs1, legs2 = tuple(sorted(ones)), tuple(sorted(twos))
-                ones_k = sum(k for _, k in ones)
-                for slot_mask in range(1 << len(slots)):
+            for leg_mask, (ones, twos, legs1, legs2, ones_k) in enumerate(leg_parts):
+                for slot_mask, (n_moved, kept_k, moved_edges, moved_objs) in enumerate(slot_parts):
                     split = (g1, b1, leg_mask, slot_mask)
                     if (g2, b2, all_legs ^ leg_mask, all_slots ^ slot_mask) < split:
                         continue  # met as its complement
-                    moved = [s for si, s in enumerate(slots) if slot_mask >> si & 1]
                     # special points of the two halves, new edge included
-                    n1 = len(ones) + len(slots) - len(moved) + 1
-                    n2 = len(twos) + len(moved) + 1
+                    n1 = len(ones) + len(slots) - n_moved + 1
+                    n2 = len(twos) + n_moved + 1
                     if not (_stable_at_infinity(g1, b1, n1) and _stable_at_infinity(g2, b2, n2)):
                         continue
                     # the one new-edge residue at vb that makes vb integral;
                     # the split-off vertex then is too.  Input multiplicities
                     # off the 1/d grid admit no residue.
-                    k = step * compat_residue(model, g1, n1, b1) - ones_k
-                    k -= sum(
-                        edges[ei][2 + s] for ei, s in slots if (ei, s) not in moved
-                    )
-                    k %= scale
+                    k = (step * compat_residue(model, g1, n1, b1) - ones_k - kept_k) % scale
                     if k % step:
                         continue
                     split_verts = list(verts)
                     split_verts[vb] = (g1, b1, 0, level, legs1)
                     split_verts.append((g2, b2, 0, level, legs2))
-                    split_edges = list(edges)
-                    for ei, side in moved:
-                        e = list(split_edges[ei])
-                        e[side] = new_index
-                        split_edges[ei] = tuple(e)
-                    split_edges.append((vb, new_index, k, -k % scale, 0))
+                    split_edges = moved_edges + [(vb, new_index, k, -k % scale, 0)]
                     for bullet, bullet_degree in ((vb, b1), (new_index, b2)):
                         if bullet_degree <= 0:
                             continue
@@ -1138,12 +1141,7 @@ def _descend(model, graph, form, scale):
                         vertices = list(graph.vertices)
                         vertices[vb] = _shared_vertex(g1, b1, center.level, ones, scale)
                         vertices.append(_shared_vertex(g2, b2, center.level, twos, scale))
-                        new_edges = list(graph.edges)
-                        for ei, _ in moved:
-                            new_edges[ei] = _shared_edge(
-                                split_edges[ei], graph.edges[ei].delta, scale
-                            )
-                        new_edges.append(_shared_edge(split_edges[-1], None, scale))
+                        new_edges = moved_objs + [_shared_edge(split_edges[-1], None, scale)]
                         out[key] = (
                             DualGraph(tuple(vertices), tuple(new_edges), bullet),
                             (split_verts, split_edges),
@@ -1185,15 +1183,11 @@ def _chains_from(model, g, form, key, memo, scale):
 # serialization
 
 
-def _frac_str(m):
-    return str(m if isinstance(m, Frac) else Frac(m))
-
-
 def vertex_to_obj(v):
     return {
         "genus": v.genus,
         "degree": v.degree,
-        "legs": [[label, _frac_str(m)] for label, m in v.legs],
+        "legs": [[label, str(m)] for label, m in v.legs],
         "extra_legs": v.extra_legs,
         "level": v.level,
     }
@@ -1202,7 +1196,7 @@ def vertex_to_obj(v):
 def edge_to_obj(e):
     return {
         "ends": list(e.ends),
-        "mults": [_frac_str(e.mults[0]), _frac_str(e.mults[1])],
+        "mults": [str(e.mults[0]), str(e.mults[1])],
         "delta": e.delta,
     }
 

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import inspect
+import textwrap
 from fractions import Fraction as Frac
 
 import pytest
@@ -71,3 +73,13 @@ def as_frac(f):
     if not f.num.keys() <= {(0, 0)}:
         return None
     return Frac(f.num.get((0, 0), 0), f.den[(0, 0)])
+
+
+def mutant(monkeypatch, module, name, old, new):
+    """Put in place of module.name its own source with the one occurrence of
+    old replaced by new, compiled over a copy of the module's globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old)
+    space = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), space)
+    monkeypatch.setattr(module, name, space[name])

@@ -437,11 +437,36 @@ def series_reversion(f):
 def geometric_periods(model, top):
     """(I_0, I~_1, I~_2) through q^top of the geometric-phase model, read as
     the lam^0 terms of the untwisted coefficients at H^0 z^1, H^1 z^0 and
-    H^2 z^-1."""
+    H^2 z^-1, with q replaced by s*q for s the sign of I_0's degree-1 term
+    (the quintic's reads -120 before the flip)."""
     rows = ([], [], [])
     for beta in range(top + 1):
         coeffs = unstable_J_coefficient(model, beta).coeffs
         for j, row in enumerate(rows):
             f = coeffs[j]
             row.append(Frac(f.num.get((0, 1 - j), 0), f.den[(0, 0)]))
-    return rows
+    sign = 1 if rows[0][1] > 0 else -1
+    return tuple([c * sign**b for b, c in enumerate(row)] for row in rows)
+
+
+def mirror_coordinate(i0, i1):
+    """g = I~_1/I_0 and the mirror coordinate Q = q*e^g, as q-series."""
+    g = series_mul(i1, series_inverse(i0))
+    return g, series_mul([Frac(0), Frac(1)] + [Frac(0)] * (len(g) - 2), series_exp(g))
+
+
+def yukawa_coupling(model, top):
+    """The Yukawa coupling kappa/((1 - kappa'*q)*I_0^2*D^3) of a
+    one-parameter Calabi-Yau threefold through Q^top, read in the mirror
+    coordinate Q, with D = 1 + q*dg/dq, kappa = d^N/prod(w) and
+    kappa' = d^(d*N)/prod(w^w).  It reads only the H^0 and H^1 rows."""
+    i0, i1, _ = geometric_periods(model, top)
+    g, big_q = mirror_coordinate(i0, i1)
+    d_log = [Frac(1)] + [b * g[b] for b in range(1, top + 1)]
+    kappa = Frac(model.d**model.N, math.prod(model.weights))
+    kappa_p = Frac(model.d ** (model.d * model.N), math.prod(w**w for w in model.weights))
+    den = series_mul([Frac(1), -kappa_p] + [Frac(0)] * (top - 1), series_mul(i0, i0))
+    for _ in range(3):
+        den = series_mul(den, d_log)
+    y = [kappa * c for c in series_inverse(den)]
+    return series_substitute(y, series_reversion(big_q))

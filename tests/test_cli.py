@@ -4,7 +4,6 @@ import ast
 import collections
 import contextlib
 import gc
-import inspect
 import io
 import itertools
 import json
@@ -12,13 +11,14 @@ import os
 import pathlib
 import sys
 import tempfile
-import textwrap
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import mutant
 
 from glsmx import cli, criteria, jfun, p1series
 from glsmx.algebra import CohClass, RatFun, Z
@@ -411,21 +411,43 @@ def test_contract_fixpoint_check_fails_when_no_pass_contracts(monkeypatch):
     )
 
 
-def test_contract_fixpoint_check_sees_a_lone_unstable_vertex():
-    # two degree-1 tails on a degree-0 centre with an extra leg contract
-    # into a lone vertex that no pass touches but that is not 2/7-stable
-    centre = {"genus": 0, "degree": 0, "legs": [], "extra_legs": 1}
+def _centre_with_tails(genus, extra_legs, tails):
+    centre = {"genus": genus, "degree": 0, "legs": [], "extra_legs": extra_legs}
     tail = {"genus": 0, "degree": 1, "legs": []}
-    graph = {
+    return {
         "kind": "dual",
-        "vertices": [centre, tail, tail],
-        "edges": [{"ends": [0, 1], "mults": ["0", "0"]}, {"ends": [0, 2], "mults": ["0", "0"]}],
+        "vertices": [centre] + [tail] * tails,
+        "edges": [{"ends": [0, i], "mults": ["0", "0"]} for i in range(1, tails + 1)],
     }
+
+
+def test_contract_refuses_input_with_no_stable_object():
+    # two degree-1 tails on a degree-0 centre with an extra leg would
+    # contract into a lone vertex that is not 2/7-stable: genus 0, one
+    # marking and degree 2 give -1 + 2*(2/7) < 0, so no 2/7-stable object
+    # has them, and the input is refused before any contraction
+    graph = _centre_with_tails(0, 1, 2)
     report = run("contract", _contract_config(graph, "2/7", QUINTIC_GEOM))
-    assert report["results"]["graph"]["vertices"] == [dict(centre, level=None)]
-    assert [b["order"] for b in report["results"]["basepoints"]] == [1, 1]
-    assert report["checks"][0]["status"] == "pass"
-    assert _fixpoint_check(report)["first_failure"] == "vertex 0 is not stable after contraction"
+    assert report["results"] == {}
+    assert report["checks"] == [{
+        "name": "ConfigError",
+        "status": "fail",
+        "first_failure": "no 2/7-stable object has genus 0, 1 markings and degree 2: "
+        "2g - 2 + n + epsilon*degree = -3/7 is not positive",
+    }]
+    # on the boundary, three tails on a bare centre at 2/3 give -2 + 3*(2/3)
+    # = 0, and the input is refused too
+    boundary = run("contract", _contract_config(_centre_with_tails(0, 0, 3), "2/3", QUINTIC_GEOM))
+    assert boundary["checks"][0]["first_failure"] == (
+        "no 2/3-stable object has genus 0, 0 markings and degree 3: "
+        "2g - 2 + n + epsilon*degree = 0 is not positive"
+    )
+    # with two more tails, or in the wider 2/3 chamber, the lone vertex left
+    # is stable and the fixpoint check passes
+    for graph, epsilon in ((_centre_with_tails(0, 1, 4), "2/7"), (graph, "2/3")):
+        report = run("contract", _contract_config(graph, epsilon, QUINTIC_GEOM))
+        assert len(report["results"]["graph"]["vertices"]) == 1
+        assert report_passed(report), report["checks"]
 
 
 def test_handler_error_becomes_failing_check():
@@ -712,16 +734,6 @@ def test_tail_series_first_terms_criterion_fails_on_a_corrupted_leaf(monkeypatch
     )
 
 
-def _mutant(monkeypatch, module, name, old, new):
-    """Put in place of module.name its own source with the one occurrence of
-    old replaced by new, compiled over a copy of the module's globals."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert source.count(old) == 1, (name, old)
-    space = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), space)
-    monkeypatch.setattr(module, name, space[name])
-
-
 _Z_SHIFT_FAILURE = (
     "IdentityFailed: rewritten value of z^1 times the class is not its three-point sum "
     "over the dressing and the unit's value squared"
@@ -750,7 +762,7 @@ def test_verify_sees_swapped_marked_tail_rows(monkeypatch):
 def test_verify_sees_a_marked_series_without_its_z_order_cut(monkeypatch):
     # every z power of the insertion meets the rows up to z^z_order, so a z^m
     # in it reaches z^(m + z_order); only the z-shift identity can see it
-    _mutant(
+    mutant(
         monkeypatch, p1series, "tree_series_S", "rows[: z_order - m + 1]", "rows[: z_order + 1]"
     )
     assert _verify_failures() == {
@@ -764,7 +776,7 @@ def test_verify_sees_swapped_restriction_rows_in_the_graph_sums(monkeypatch):
     # turns each point class into minus the other one and leaves the unit
     # as it is: the pairings and the string relation still hold, and the
     # divisor relation is the first check that fails
-    _mutant(
+    mutant(
         monkeypatch,
         p1series,
         "p1_graph_sum",
@@ -796,7 +808,7 @@ def test_verify_sees_a_corrupted_z_shift(monkeypatch, cold_caches, name, old, ne
     # no insertion free of z reads a shift, so only the three-point sums of
     # z-dependent insertions in criterion 1 can see these; the rewritten
     # values are cached, so the caches start cold
-    _mutant(monkeypatch, p1series, name, old, new)
+    mutant(monkeypatch, p1series, name, old, new)
     assert _verify_failures() == {"tail closed forms": _Z_SHIFT_FAILURE}
 
 
@@ -814,7 +826,7 @@ def test_verify_sees_a_corrupted_z_shift(monkeypatch, cold_caches, name, old, ne
 def test_verify_sees_a_corrupted_edge_factor(monkeypatch, old, new, where):
     # the ladder route reads no edge factor, so only the closed edge route
     # of the dual-route criterion can see these
-    _mutant(monkeypatch, jfun, "edge_contribution", old, new)
+    mutant(monkeypatch, jfun, "edge_contribution", old, new)
     assert _verify_failures() == {
         "dual route coefficients": "IdentityFailed: edge routes disagree at phase lg "
         f"weights (1, 1, 1, 1, 1) {where} vertex None"
@@ -837,7 +849,7 @@ def test_verify_sees_a_corrupted_ladder(monkeypatch, cold_caches, old, new, twis
     # LG phase has none of, so the closed routes first part from it at the
     # geometric quintic; the mirror-map entries are cached, so the caches
     # start cold
-    _mutant(monkeypatch, jfun, "_ladder", old, new)
+    mutant(monkeypatch, jfun, "_ladder", old, new)
     where = "geometric weights (1, 1, 1, 1, 1)"
     assert _verify_failures() == {
         "dual route coefficients": f"IdentityFailed: routes disagree at phase {where} "
@@ -864,7 +876,7 @@ def test_verify_sees_a_moved_window_end(monkeypatch, cold_caches, old, new, wher
     # each end of the section and obstruction windows moves by one step;
     # the ladder and the closed routes part at the quintic, and the cached
     # mirror-map entries make the caches start cold
-    _mutant(monkeypatch, jfun, "_ladder", old, new)
+    mutant(monkeypatch, jfun, "_ladder", old, new)
     quintic = "weights (1, 1, 1, 1, 1)"
     assert _verify_failures() == {
         "dual route coefficients": f"IdentityFailed: routes disagree at phase lg {quintic} "

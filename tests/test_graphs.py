@@ -377,6 +377,51 @@ def test_validate_counts_the_half_edges_of_an_edge_out_of_range():
     assert out == _validate_reference(model, graph)
 
 
+def _basepoint_edge(near_miss, first):
+    """A level-zero degree-1 vertex on an edge of covering degree 1 to a
+    genus-1 vertex at infinity, with the one change near_miss names, and
+    the edge written with that vertex first or second.  Unchanged, the
+    vertex is a 2/5-basepoint whose order the edge does not exceed."""
+    genus, degree, legs, extra, level, other = 0, 1, (), 0, G.LEVEL_ZERO, G.LEVEL_INF
+    if near_miss == "leg":
+        legs = ((1, Frac(0)),)
+    elif near_miss == "extra leg":
+        extra = 1
+    elif near_miss == "genus 1":
+        genus = 1
+    elif near_miss == "level infinity":
+        level, other = G.LEVEL_INF, G.LEVEL_ZERO
+    elif near_miss == "degree 0":
+        degree = 0
+    vertices = [G.Vertex(genus, degree, legs, extra, level), G.Vertex(1, 0, (), 0, other)]
+    edges = [G.Edge((0, 1), (Frac(3, 5), Frac(2, 5)), 1)]
+    if near_miss == "valence two":
+        vertices.append(G.Vertex(1, 0, (), 0, G.LEVEL_INF))
+        edges.append(G.Edge((0, 2), (Frac(0), Frac(0)), 2))
+    if not first:
+        edges[0] = G.Edge((1, 0), (Frac(2, 5), Frac(3, 5)), 1)
+    return G.LocGraph(tuple(vertices), tuple(edges))
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize(
+    "near_miss",
+    [None, "leg", "extra leg", "genus 1", "level infinity", "degree 0", "valence two"],
+)
+def test_validate_reads_a_basepoint_only_where_the_roles_do(near_miss, first):
+    # validate asks for a role only at a vertex that could be a basepoint;
+    # each near miss differs from a true basepoint in one of the traits it
+    # filters on, at an edge whose covering degree does not exceed the
+    # vertex degree (the degree-0 one aside), and the true one sits on
+    # either side of the edge
+    model = QUINTIC_25
+    graph = _basepoint_edge(near_miss, first)
+    out = G.validate(model, graph)
+    assert out == _validate_reference(model, graph)
+    short = "edge 0: covering degree 1 not above basepoint order 1"
+    assert (short in out) == (near_miss is None)
+
+
 @given(st.one_of(_validate_input(), _mutated_census_graph()))
 @settings(deadline=None, max_examples=400)
 def test_validate_matches_the_fraction_reference(drawn):
@@ -1380,6 +1425,64 @@ def test_least_form_matches_the_search_over_all_orders(data, loc):
     verts, edges = G._int_form(graph, G._scale(graph))
     bullet = getattr(graph, "v_bullet", None)
     assert G._least_form(verts, edges, bullet) == _brute_least_form(verts, edges, bullet)
+
+
+def _vertex_class(v):
+    # the int form of a vertex at any one scale, up to that scale
+    return v.genus, v.degree, v.extra_legs, v.level, tuple(sorted(v.legs))
+
+
+@st.composite
+def _distinct_vertex_graph(draw, loc):
+    """A graph whose vertices have pairwise distinct int forms, drawn from
+    small pools so that they often differ in a single decoration: a leg's
+    multiplicity, an extra leg, a level or the genus alone.  Dual graphs
+    may carry loops and a distinguished vertex or none."""
+    pool = [Frac(0), Frac(1, 5), Frac(2, 5), Frac(1, 2)]
+    leg = st.tuples(st.integers(1, 3), st.sampled_from(pool))
+    vertex = st.builds(
+        G.Vertex,
+        st.integers(0, 1),
+        st.integers(0, 2),
+        st.lists(leg, max_size=2).map(tuple),
+        st.integers(0, 0 if loc else 1),
+        st.sampled_from([G.LEVEL_ZERO, G.LEVEL_INF] if loc else [None]),
+    )
+    vertices = tuple(draw(st.lists(vertex, min_size=1, max_size=5, unique_by=_vertex_class)))
+    nv = len(vertices)
+    pairs = [
+        (a, b)
+        for a in range(nv)
+        for b in range(a if not loc else a + 1, nv)
+        if not loc or vertices[a].level != vertices[b].level
+    ]
+    edges = ()
+    if pairs:
+        edge = st.builds(
+            G.Edge,
+            st.sampled_from(pairs),
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+            st.integers(1, 2) if loc else st.none(),
+        )
+        edges = tuple(draw(st.lists(edge, max_size=5)))
+    if loc:
+        return G.LocGraph(vertices, edges)
+    return G.DualGraph(vertices, edges, draw(st.one_of(st.none(), st.integers(0, nv - 1))))
+
+
+@given(data=st.data(), loc=st.booleans())
+@settings(deadline=None, max_examples=200)
+def test_least_form_of_distinct_vertex_tuples_is_the_sorted_order(data, loc):
+    # every class is a single vertex, so the order that sorts the vertex
+    # tuples is the only one that reaches the least form
+    graph = data.draw(_distinct_vertex_graph(loc))
+    verts, edges = G._int_form(graph, G._scale(graph))
+    assert len(set(verts)) == len(verts)
+    bullet = getattr(graph, "v_bullet", None)
+    form, ties = G._least_form(verts, edges, bullet)
+    assert ties == 1
+    assert form[0] == tuple(sorted(verts))
+    assert (form, ties) == _brute_least_form(verts, edges, bullet)
 
 
 @given(data=st.data(), loc=st.booleans())

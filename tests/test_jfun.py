@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import homogeneous_degree
+from conftest import homogeneous_degree, mutant
 from helpers_jfun import (
     InconsistentOrbData,
     bundle_weights,
@@ -29,6 +29,7 @@ from helpers_jfun import (
     geometric_periods,
     lam_coefficient,
     line_bundle_degree,
+    mirror_coordinate,
     p_bundle_degree,
     same_weight_multiset,
     series_exp,
@@ -36,6 +37,7 @@ from helpers_jfun import (
     series_mul,
     series_reversion,
     series_substitute,
+    yukawa_coupling,
     z_plus_part,
 )
 from helpers_model import OrbiBundleData, euler_char
@@ -808,14 +810,10 @@ def instanton_numbers(model, top=jfun.Q_CAP):
     I_0's degree-1 term, g = I~_1/I_0 and Q = q*e^g, the series
     P2 = I~_2/I_0 - g^2/2 read in Q is (1/kappa) sum_b b*N_b Q^b with
     kappa = d^N/prod(w), and N_b = sum_{k|b} n_{b/k}/k^3."""
-    periods = geometric_periods(model, top)
-    sign = 1 if periods[0][1] > 0 else -1
-    i0, i1, i2 = ([c * sign**b for b, c in enumerate(row)] for row in periods)
+    i0, i1, i2 = geometric_periods(model, top)
     assert i0[0] == 1 and i1[0] == i2[0] == 0
-    over_i0 = series_inverse(i0)
-    g = series_mul(i1, over_i0)
-    big_q = series_mul([0, 1] + [0] * (top - 1), series_exp(g))
-    p2 = [a - b / 2 for a, b in zip(series_mul(i2, over_i0), series_mul(g, g))]
+    g, big_q = mirror_coordinate(i0, i1)
+    p2 = [a - b / 2 for a, b in zip(series_mul(i2, series_inverse(i0)), series_mul(g, g))]
     p2 = series_substitute(p2, series_reversion(big_q))
     kappa = Frac(model.d**model.N, math.prod(model.weights))
     counts = {}
@@ -863,3 +861,81 @@ def test_instanton_numbers_see_a_doubled_h2_row(monkeypatch, cold_caches):
     monkeypatch.setattr(jfun, "_ladder", doubled_h2)
     counts = instanton_numbers(QUINTIC_GEOM, 2)
     assert counts[0] != 2875
+
+
+def _one_parameter_threefold(weights, n_aux, d):
+    """Whether N equations of degree d in P(weights) cut out a Calabi-Yau
+    threefold with h^{1,1} = 1: the weights sum to N*d, the dimension is
+    three, and a generic complete intersection misses the singular locus of
+    the weighted space, so no exceptional divisor adds a second class.  The
+    points with stabiliser Z/k, where every coordinate whose weight k does
+    not divide vanishes, are missed when k divides d and at most N weights
+    are multiples of k."""
+    if sum(weights) != n_aux * d or len(weights) - 1 - n_aux != 3:
+        return False
+    return all(
+        d % k == 0 and sum(w % k == 0 for w in weights) <= n_aux
+        for k in range(2, max(weights) + 1)
+        if any(w % k == 0 for w in weights)
+    )
+
+
+# one-parameter Calabi-Yau threefolds as (weights, N, d): the quintic,
+# P(1,1,1,1,2)[6], P(1,1,1,1,4)[8], P(1,1,1,2,5)[10], P^5[3,3], P^7[2,2,2,2],
+# P(1,1,1,1,2,2)[4,4] and P(1,1,2,2,3,3)[6,6]
+ONE_PARAMETER_THREEFOLDS = (
+    ((1,) * 5, 1, 5),
+    ((1, 1, 1, 1, 2), 1, 6),
+    ((1, 1, 1, 1, 4), 1, 8),
+    ((1, 1, 1, 2, 5), 1, 10),
+    ((1,) * 6, 2, 3),
+    ((1,) * 8, 4, 2),
+    ((1, 1, 1, 1, 2, 2), 2, 4),
+    ((1, 1, 2, 2, 3, 3), 2, 6),
+)
+
+
+def test_the_yukawa_models_are_the_one_parameter_threefolds():
+    assert all(_one_parameter_threefold(*key) for key in ONE_PARAMETER_THREEFOLDS)
+    # h^{1,1} = 2: a curve of Z/2 points meets the hypersurface, and neither
+    # identity holds on the one-parameter read
+    assert not _one_parameter_threefold((1, 1, 2, 2, 6), 1, 12)
+    assert not _one_parameter_threefold((1, 1, 2, 2, 2), 1, 8)
+
+
+def yukawa_mismatch(model, top=jfun.Q_CAP):
+    """The first degree at which the Yukawa coupling read in Q, from the H^0
+    and H^1 rows, differs from kappa + sum_b n_b b^3 Q^b/(1 - Q^b) with the
+    n_b that instanton_numbers reads from the H^2 row; None if none does."""
+    y = yukawa_coupling(model, top)
+    counts = instanton_numbers(model, top)
+    expected = [Frac(model.d**model.N, math.prod(model.weights))] + [
+        sum(counts[b - 1] * b**3 for b in range(1, m + 1) if m % b == 0)
+        for m in range(1, top + 1)
+    ]
+    return next((m for m in range(top + 1) if y[m] != expected[m]), None)
+
+
+@pytest.mark.parametrize(
+    "key", ONE_PARAMETER_THREEFOLDS, ids=lambda key: f"w{key[0]}-N{key[1]}-d{key[2]}"
+)
+def test_yukawa_coupling_matches_the_instanton_numbers(key):
+    # the ladder's H^2 row, through the instanton numbers, against its H^0
+    # and H^1 rows, through the Yukawa coupling, at every degree to Q_CAP
+    weights, n_aux, d = key
+    assert yukawa_mismatch(GlsmModel(weights, n_aux, d, GEOMETRIC)) is None
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # every weight's H part flips sign
+        ("x = c * (lcm_a // a)", "x = -c * (lcm_a // a)"),
+        # each section divides as if its weight's H part had the other sign
+        ("q[j] -= x * q[j - 1]", "q[j] += x * q[j - 1]"),
+    ],
+)
+def test_yukawa_coupling_sees_a_corrupted_ladder(monkeypatch, cold_caches, old, new):
+    mutant(monkeypatch, jfun, "_ladder", old, new)
+    for key in (((1,) * 5, 1, 5), ((1, 1, 1, 2, 5), 1, 10), ((1,) * 6, 2, 3)):
+        assert yukawa_mismatch(GlsmModel(*key, GEOMETRIC), 3) is not None, key

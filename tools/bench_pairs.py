@@ -20,7 +20,9 @@ The host's speed drifts within minutes, so a set taken in one order can
 favour the side that ran in a fast phase; alternating the order within
 each pair spreads the drift over both sides.  Give the two checkouts paths
 of the same length (say `parent` and `change` in one directory).  Standard
-library only; nothing here is imported by the tests or the package.
+library only.  `tools/verify_pairs.py` reuses `quartiles` and `summarize`,
+and `tests/test_tools.py` checks the claim rule on synthetic runs; the
+package imports nothing from here.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(bound, parent, change):
+def summarize(parent, change):
     """The comparison of one lower-is-better metric over paired runs."""
     p, c = quartiles(parent), quartiles(change)
     iqr = p["q3"] - p["q1"]
@@ -73,7 +75,6 @@ def summarize(bound, parent, change):
         "change_lower": lower,
         "pairs": len(parent),
         "relative_change": c["median"] / p["median"] - 1,
-        "within_bound": c["median"] <= (1 + bound) * p["median"],
         "claim_rule_met": lower >= CLAIM_SHARE * len(parent) and p["median"] - c["median"] > iqr,
         "runs": {"parent": parent, "change": change},
     }
@@ -107,9 +108,11 @@ def main(argv=None):
             }
             for metric in metrics:
                 name = metric["name"]
-                entry[name] = summarize(
-                    metric["bound"],
-                    *([r["metrics"][name]["value"] for r in runs[side]] for side in sides),
+                entry[name] = summary = summarize(
+                    *([r["metrics"][name]["value"] for r in runs[side]] for side in sides)
+                )
+                summary["within_bound"] = (
+                    summary["change"]["median"] <= (1 + metric["bound"]) * summary["parent"]["median"]
                 )
             report["workloads"][f"seed_{seed}/{workload}"] = entry
     print(json.dumps(report, indent=1))

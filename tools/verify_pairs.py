@@ -18,8 +18,9 @@ claimed gain would meet the rule of `tools/bench_pairs.py`.  Every run is
 listed.
 
 The host's speed drifts within minutes; alternating the order within each
-pair spreads the drift over both sides.  Standard library only; nothing
-here is imported by the tests or the package.
+pair spreads the drift over both sides.  Standard library only; the
+comparison is `summarize` of `tools/bench_pairs.py`, and the package
+imports nothing from here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import subprocess
 import sys
 
-from bench_pairs import CLAIM_SHARE, PAIRS, RUN_TIMEOUT_S, quartiles
+from bench_pairs import PAIRS, RUN_TIMEOUT_S, summarize
 
 # One cold run in a fresh interpreter: criteria.run_criterion is wrapped
 # with a timer, so `glsmx verify` itself runs the criteria in its own order
@@ -71,24 +72,6 @@ def run_once(checkout):
     out = subprocess.run([sys.executable, "-c", CHILD], cwd=checkout, capture_output=True,
                          text=True, timeout=RUN_TIMEOUT_S, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def summarize(parent, change):
-    """The comparison of one lower-is-better time over paired runs."""
-    p, c = quartiles(parent), quartiles(change)
-    iqr = p["q3"] - p["q1"]
-    lower = sum(b < a for a, b in zip(parent, change))
-    return {
-        "parent": p,
-        "change": c,
-        "parent_iqr": iqr,
-        "parent_iqr_share": iqr / p["median"],
-        "change_lower": lower,
-        "pairs": len(parent),
-        "relative_change": c["median"] / p["median"] - 1,
-        "claim_rule_met": lower >= CLAIM_SHARE * len(parent) and p["median"] - c["median"] > iqr,
-        "runs": {"parent": parent, "change": change},
-    }
 
 
 def main(argv=None):
