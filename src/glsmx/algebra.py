@@ -209,36 +209,34 @@ def join_terms(terms):
     return out
 
 
+def render_term(num, den, i, j=0):
+    """The term num/den*lam^i*z^j, reduced by one gcd, with the coefficient
+    written as str(Fraction) writes it.  The one term writer: every
+    rendering of a RatFun, in reports and in repr, goes through it."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    coeff = str(num) if den == 1 else f"{num}/{den}"
+    if i:
+        power = "lam" if i == 1 else f"lam^{i}"
+        if j:
+            power += "*z" if j == 1 else f"*z^{j}"
+    elif j:
+        power = "z" if j == 1 else f"z^{j}"
+    else:
+        return coeff
+    if den == 1 and num in (1, -1):
+        return power if num == 1 else f"-{power}"
+    return f"{coeff}*{power}"
+
+
 def render_ratfun(f):
-    """Deterministic human/JSON rendering, graded lex descending: negative
-    exponents are shifted into one monomial denominator, so (lam + z)/lam*z
-    rather than lam^-1 + z^-1."""
-
-    def side(poly):
-        if not poly:
-            return "0"
-        bits = []
-        for (i, j) in sorted(poly, key=lambda k: (-(k[0] + k[1]), -k[0])):
-            v = poly[(i, j)]
-            mono = "*".join(
-                ([f"lam^{i}" if i > 1 else "lam"] if i else [])
-                + ([f"z^{j}" if j > 1 else "z"] if j else [])
-            )
-            if mono:
-                lead = "" if v == 1 else ("-" if v == -1 else f"{v}*")
-                bits.append(f"{lead}{mono}")
-            else:
-                bits.append(str(v))
-        return join_terms(bits)
-
-    c = f.den[(0, 0)]
-    sl = max([0] + [-i for i, _ in f.num])
-    sz = max([0] + [-j for _, j in f.num])
-    n = side({(i + sl, j + sz): v for (i, j), v in f.num.items()})
-    if (sl, sz, c) == (0, 0, 1):
-        return n
-    n = f"({n})" if len(f.num) > 1 else n
-    return f"{n}/{side({(sl, sz): c})}"
+    """Exact rendering of a RatFun as a Laurent sum, its terms in descending
+    (lam exponent, z exponent) order, so 1/(2z) is 1/2*z^-1."""
+    if not f.num:
+        return "0"
+    den = f.den[(0, 0)]
+    terms = sorted(f.num.items(), reverse=True)
+    return join_terms([render_term(v, den, i, j) for (i, j), v in terms])
 
 
 # ---------------------------------------------------------------------------

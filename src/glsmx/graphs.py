@@ -180,7 +180,7 @@ def _vertex_role(genus, degree, level, he, legs, extra_legs, epsilon):
     chamber = epsilon if level == LEVEL_ZERO else None
     if epsilon_stable(genus, degree, he + legs, chamber):
         return "stable"
-    if genus > 0 or extra_legs:
+    if genus != 0 or extra_legs:
         return None
     if he == 1 and not legs and degree == 0:
         return "ram"
@@ -249,12 +249,12 @@ def validate(model, graph):
                 if 0 <= end < nv:
                     he[end] += 1
             edge_ks.append(None)
-    # the basepoint order of each vertex, 0 for none; a basepoint has no legs,
-    # extra legs or positive genus, valence one, level zero, positive degree
+    # the basepoint order of each vertex, 0 for none; a basepoint has no legs
+    # or extra legs, genus 0, valence one, level zero and positive degree
     bp_order = [
         v.degree
         if is_loc and n == 1 and v.degree > 0 and v.level == LEVEL_ZERO
-        and not (v.genus > 0 or v.legs or v.extra_legs)
+        and v.genus == 0 and not (v.legs or v.extra_legs)
         and _vertex_role(v.genus, v.degree, v.level, n, 0, 0, model.epsilon) == "basepoint"
         else 0
         for v, n in zip(vertices, he)

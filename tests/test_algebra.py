@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Frac
 from math import gcd
 
@@ -99,10 +100,20 @@ def test_ratfun_z_parts():
 
 
 def test_render_deterministic():
+    # a Laurent sum in descending (lam, z) order, each exponent written on
+    # its own variable, never moved into a denominator
     f = (LAM + Z) / (LAM * Z)
-    assert render_ratfun(f) == "(lam + z)/lam*z"
+    assert render_ratfun(f) == "z^-1 + lam^-1"
     assert render_ratfun(RF_ZERO) == "0"
     assert render_ratfun(-LAM) == "-lam"
+    assert render_ratfun(RatFun(Frac(-101, 4)) / LAM**6) == "-101/4*lam^-6"
+    assert render_ratfun(1 / (2 * Z)) == "1/2*z^-1"
+    assert render_ratfun(Z**2 / (3 * LAM) - 6 * LAM * Z + 1) == "-6*lam*z + 1 + 1/3*lam^-1*z^2"
+    # repr is the same rendering
+    assert repr(RatFun(Frac(-101, 4)) / LAM**6) == "RatFun(-101/4*lam^-6)"
+    assert repr(1 / (2 * Z)) == "RatFun(1/2*z^-1)"
+    c = CohClass([LAM / 3 + Z, -(Z**2) / LAM**2], PROJLINE)
+    assert repr(c) == "CohClass(1/3*lam + z + (-lam^-2*z^2)*H)"
 
 
 # -- CohClass ---------------------------------------------------------------
@@ -397,3 +408,38 @@ def test_laurent_product_property(a, b, m):
     (((ml, mz), mv),) = laurent_terms(m).items()
     shifted = {(i - ml, j - mz): v / mv for (i, j), v in ta.items()}
     assert laurent_terms(a / m) == shifted
+
+
+def _read_laurent(text):
+    """{(lam_exp, z_exp): Frac} read back from a rendered Laurent sum, factor
+    by factor; a coefficient must be in lowest terms and each variable and
+    each key may occur once."""
+    out = {}
+    pieces = re.split(r" ([+-]) ", text) if text != "0" else []
+    for sign, term in zip(["+"] + pieces[1::2], pieces[0::2]):
+        coeff, exps = Frac(-1 if sign == "-" else 1), {}
+        if term.startswith("-"):
+            coeff, term = -coeff, term[1:]
+        for factor in term.split("*"):
+            base, hat, power = factor.partition("^")
+            if base in ("lam", "z"):
+                assert base not in exps and (not hat or power not in ("0", "1"))
+                exps[base] = int(power) if hat else 1
+            else:
+                # in lowest terms, and 1 only as the constant term
+                assert str(Frac(factor)) == factor
+                assert factor != "1" or term == "1"
+                coeff *= Frac(factor)
+        key = (exps.get("lam", 0), exps.get("z", 0))
+        assert key not in out
+        out[key] = coeff
+    return out
+
+
+@given(_ratfuns(), _ratfuns())
+@settings(max_examples=100, deadline=None)
+def test_render_reads_back_as_the_laurent_terms(a, b):
+    for f in (a, a + b, a * b):
+        read = _read_laurent(render_ratfun(f))
+        assert read == laurent_terms(f)
+        assert list(read) == sorted(read, reverse=True)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import mutant
 
-from glsmx import cli, criteria, jfun, p1series
+from glsmx import algebra, cli, criteria, jfun, p1series
 from glsmx.algebra import CohClass, RatFun, Z
 from glsmx.cli import main, report_passed, run
 from glsmx.errors import ConfigError, IdentityFailed
@@ -181,6 +181,13 @@ def test_equal_classes_built_apart_share_hash_and_cells(cold_caches):
     assert [k for k, _ in doubled] == [k for k, _ in cells]
     assert [t for _, t in doubled] != [t for _, t in cells]
     assert cli._cells(3, first) != cells
+    # an edge report renders its one fresh value past the cache, to the cells
+    # the cache would give
+    info = cli._cells.cache_info()
+    report = run("edge", {"model": QUINTIC_GEOM, "edge": {"delta": 3, "beta": 2}})
+    assert cli._cells.cache_info() == info
+    value = jfun.edge_contribution(model, 3, 2, None, False, None)
+    assert report["results"]["coefficients"] == dict(cli._cells(2, value))
 
 
 def _chamber_configs():
@@ -712,7 +719,7 @@ def test_square_root_ratio_criterion_fails_on_a_corrupted_tail(monkeypatch, cold
     result = _run_with_doubled_edge(monkeypatch, 2, "square root ratio")
     assert result["status"] == "fail"
     assert result["first_failure"] == (
-        "IdentityFailed: ratio mismatch at order 2: RatFun(6/lam^4) vs RatFun(2/lam^4)"
+        "IdentityFailed: ratio mismatch at order 2: RatFun(6*lam^-4) vs RatFun(2*lam^-4)"
     )
 
 
@@ -1005,26 +1012,16 @@ def test_dual_route_criterion_fails_on_a_doubled_coefficient(monkeypatch):
     )
 
 
-def _unreduced_lam_term(num, den, exponent):
-    # cli._lam_term less its gcd, so 3/6 stays 3/6
-    coeff = str(num) if den == 1 else f"{num}/{den}"
-    if exponent == 0:
-        return coeff
-    power = "lam" if exponent == 1 else f"lam^{exponent}"
-    if den == 1 and num in (1, -1):
-        return power if num == 1 else f"-{power}"
-    return f"{coeff}*{power}"
-
-
 def _verify_failures():
     report = run("verify", {})
     return {c["name"]: c["first_failure"] for c in report["checks"] if c["status"] == "fail"}
 
 
 def test_verify_reads_back_the_coefficient_tables(monkeypatch, cold_caches):
-    # the values stay right and only their text goes wrong, so only the
-    # read-back of the rendered tables can see it
-    monkeypatch.setattr(cli, "_lam_term", _unreduced_lam_term)
+    # the term writer less its gcd, so 3/6 stays 3/6: the values stay right
+    # and only their text goes wrong, so only the read-back of the rendered
+    # tables can see it
+    mutant(monkeypatch, algebra, "render_term", "g = gcd(num, den)", "g = 1")
     assert _verify_failures() == {
         "dual route coefficients": "IdentityFailed: phase lg weights (1, 1, 1, 1, 1) twisted "
         "True cell 3,-1,0: coefficient '-3/6' is not in lowest terms"
@@ -1034,13 +1031,13 @@ def test_verify_reads_back_the_coefficient_tables(monkeypatch, cold_caches):
 def test_verify_reads_back_the_tail_strings(monkeypatch):
     # -lam^i written as lam^i: the unit tail's y^1 part, -1/lam^2, reads
     # back with the wrong sign
-    lam_term = cli._lam_term
+    term = algebra.render_term
 
-    def unsigned(num, den, exponent):
-        out = lam_term(num, den, exponent)
+    def unsigned(num, den, i, j=0):
+        out = term(num, den, i, j)
         return out[1:] if out.startswith("-lam") else out
 
-    monkeypatch.setattr(cli, "_lam_term", unsigned)
+    monkeypatch.setattr(algebra, "render_term", unsigned)
     assert _verify_failures() == {
         "tail closed forms": "IdentityFailed: unit tail at y^1 renders as 'lam^-2', which "
         "reads back as another value"

@@ -422,6 +422,28 @@ def test_validate_reads_a_basepoint_only_where_the_roles_do(near_miss, first):
     assert (short in out) == (near_miss is None)
 
 
+def test_a_vertex_of_negative_genus_is_no_basepoint():
+    # but for its genus -1, vertex 0 is a 2/5-basepoint of order 1 on an
+    # edge of covering degree 1; only the genus is reported, by validate,
+    # by its reference and by contract on the same graph with a distinguished
+    # vertex
+    vertices = (G.Vertex(-1, 1, (), 0, G.LEVEL_ZERO), G.Vertex(1, 0, (), 0, G.LEVEL_INF))
+    edges = (G.Edge((0, 1), (Frac(4, 5), Frac(1, 5)), 1),)
+    assert G._vertex_role(-1, 1, G.LEVEL_ZERO, 1, 0, 0, Frac(2, 5)) is None
+    graph = G.LocGraph(vertices, edges)
+    want = ["vertex 0: negative decoration"]
+    assert G.validate(QUINTIC_25, graph) == _validate_reference(QUINTIC_25, graph) == want
+    config = {
+        "model": {"weights": [1] * 5, "N": 1, "d": 5, "phase": "lg", "epsilon": "2/5"},
+        "contract": {"graph": G.graph_to_obj(G.DualGraph(vertices, edges, 0))},
+    }
+    assert cli.run("contract", config)["checks"] == [{
+        "name": "ConfigError",
+        "status": "fail",
+        "first_failure": "input graph is invalid: vertex 0: negative decoration",
+    }]
+
+
 @given(st.one_of(_validate_input(), _mutated_census_graph()))
 @settings(deadline=None, max_examples=400)
 def test_validate_matches_the_fraction_reference(drawn):

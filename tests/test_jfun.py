@@ -46,7 +46,7 @@ from helpers_p1 import ZSYM as SZ
 from helpers_p1 import ratfun_to_sympy
 
 from glsmx import cli, criteria, jfun
-from glsmx.algebra import LAM, NILPOTENT, RF_ONE, RF_ZERO, Z, CohClass, RatFun
+from glsmx.algebra import LAM, NILPOTENT, RF_ONE, RF_ZERO, Z, CohClass, RatFun, render_ratfun
 from glsmx.errors import (
     BoundsExceeded,
     ConfigError,
@@ -305,7 +305,7 @@ def test_int_renderer_matches_the_fraction_renderer():
         for value in values.values():
             for f in value.coeffs:
                 for part in f.z_parts().values():
-                    assert cli._lam_string(part) == fraction_lam_string(part)
+                    assert render_ratfun(part) == fraction_lam_string(part)
         tables += 1
     assert tables == 32 + 64 + 240
 

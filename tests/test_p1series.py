@@ -1133,8 +1133,8 @@ _PLACEMENT_SHAPES = [
     for exps in combinations_with_replacement(range(4), n)
 ] + [(5, 5, (0,) * 5)]
 _REORDERED = {(5, 2, (0, 0, 0, 1, 1)), (5, 3, (0, 0, 0, 1, 3)), (5, 3, (0, 0, 1, 1, 3))}
-_PLACEMENTS_SHA256 = "4e21c932cb6dcd2d40a469c280d9d6c2c17175755a59aed4819345b6238edd3d"
-_SORTED_PLACEMENTS_SHA256 = "d7bd2ce23c4b15725828338cc3ea7722e183eb8bcd623d9971e9773ba5894406"
+_PLACEMENTS_SHA256 = "9359e53b58ae0ec0d0425ae9f79ef21a0a6a3a37e11cd8caad20d884884a99d1"
+_SORTED_PLACEMENTS_SHA256 = "fcbbbeaed199f2f068bf556d16425126e06aa6b340fe6e996cfe99e18582ece5"
 
 
 def test_placement_tables_keep_the_fraction_recursion_values(cold_caches):

@@ -11,7 +11,10 @@ factors themselves are pinned by repr over every degree and option the
 chamber commands reach, so a change of how they are evaluated must keep
 them byte for byte.  The tail series and the ratio-check coefficients are
 pinned by repr from cold caches, so a rewrite of the tail recursion must
-reproduce them exactly.
+reproduce them exactly.  repr is the report renderer: it writes each RatFun
+as the Laurent sum that the reports print (`algebra.render_ratfun`, every
+exponent on its own variable), so a digest here pins the same text as a
+report cell would.
 """
 
 from __future__ import annotations
@@ -328,25 +331,25 @@ def test_chamber_report_bytes(command, model, block, digest):
     "weights, n_aux, d, phase, digest",
     [
         ((1, 1, 1, 1, 1), 1, 5, LG,
-         "db3b10b1f20d4b37b6f42214bd85b6aedeb30f6d301472b69269c2ede2d424fa"),
+         "a1d6c4d55ac52b475c73266dc30a510abb2cd2fbb68cf6396f0f601bb8cfb12c"),
         ((1, 1, 1, 1, 1), 1, 5, GEOMETRIC,
-         "6537d41217861a823ac5b0372a464cff78dc4d54ec08d988145ad772a0640a72"),
+         "1c4494dc39286ac9199a788ecdd9fc15daec871eae418e94999c0dd6f20c831e"),
         ((1, 1, 2, 2), 2, 4, LG,
-         "bb940ab49718b2a0743aa9cf1f9c9f236ddf210dd1ed467f023d49d2e439897b"),
+         "6023cf4f7cff394d66a792bf5d01b5bb64d9838129fc514d5ec7fc9a4d48e65d"),
         ((1, 1, 2, 2), 2, 4, GEOMETRIC,
-         "de7a8b4357cb926633a94ec5a87ba70b0b527a85c8b90b433f8e81b7afb34237"),
+         "435ec1273674d5341a503f38399dcfa6fe344c2f6ae82cff2e80e82eb6e64ff2"),
         ((1, 1), 2, 2, LG,
-         "8e70c74bf733d32fd8c046ff3244f4b9e24098ba89b3966501f7b513c4b71f54"),
+         "ff5b2906a9c635aebe63ee12a4d912e267eed0e9fcd55b35519356422ed241ab"),
         ((1, 1), 2, 2, GEOMETRIC,
          "6ceafd870a509b557f78cd1c9a9b0a30ad61968886f5715382bdafccbe9e1c6f"),
         ((1, 1, 1, 1, 2), 1, 6, LG,
-         "87d76e0e1f544aa3c6a5a175e9e6ee2af96038e8889e7a4cbf691c298d3766fa"),
+         "32fe90472e12cfb06e002465a30f5b58b15ee9388de10fa259b4c681f93dc568"),
         ((1, 1, 1, 1, 2), 1, 6, GEOMETRIC,
-         "356418c0e2c6285a8a84f8ef63eb4c44606abcbbba484902b9e69fa230ca9c76"),
+         "b8d94c0beb782c5bd2007f263fc158a3801bd2faadafc136bbe617fc4031f425"),
         ((1, 1, 1, 1, 1, 1), 2, 3, LG,
-         "b406d1f44929298ebf4cff9581d3dd211f128a9f45d3a5ae36b7416e35a70947"),
+         "d6e5aa2bfe5badbc2645fb1b1c9ed8dfcac9de8bed6b3ec0da163aa95c91c9d7"),
         ((1, 1, 1, 1, 1, 1), 2, 3, GEOMETRIC,
-         "4878b2fa94eab8d111bb321ded3a4fdcb4c82581fd998d1cb51e5c34efea40f9"),
+         "a776e740dff7b5a525dbf4c8520c2c4d9a6ff2804a4e1f8d9434cf3ace9518c9"),
     ],
 )
 def test_unstable_coefficient_bytes(weights, n_aux, d, phase, digest):
@@ -364,10 +367,10 @@ def test_unstable_coefficient_bytes(weights, n_aux, d, phase, digest):
 @pytest.mark.parametrize(
     "model, digest",
     [
-        (QUINTIC_LG, "ebdba49708a9de8bac25d9d5cc5fd5af2c2e3ba1c38870636d6beeb69a307339"),
-        (QUINTIC_GEOM, "ccf76cd62317ab555980e45deb33941f22faccb991e53d5f3f52df63c843905d"),
-        (MIXED_LG, "2bd88672f10c584a409b883995be16101960d8140fa1d36e8d1d9a3fbdf5dc39"),
-        (GEOM_11, "b7e46b5a9cf9db39e2258e0b8e0821a79a07d4aa4007ec56fc7a067c51155dca"),
+        (QUINTIC_LG, "b7e05c647c19eee162b5aa3726979e0b4bf773e09d3bc6f548e1b1c3c7ed057a"),
+        (QUINTIC_GEOM, "195261738c8f7f6e80abcc5c0fe1183560c09c2e516e97ed2a0016525448356d"),
+        (MIXED_LG, "138613e06f1be0140ddbea07cb2d8424c06c0a368654d9d7fd4a12468cd4c96e"),
+        (GEOM_11, "f411ac2fbc2a2a6300ef315e82d60b6cce07ebaaca808606679511292b37beeb"),
     ],
 )
 def test_edge_factor_bytes(model, digest):
@@ -385,10 +388,10 @@ def test_edge_factor_bytes(model, digest):
 @pytest.mark.parametrize(
     "y_order, delta, digest",
     [
-        (3, 1, "e0ee94a690336a806f9cb6ee05f8d28d7cfbc8aad6d3909ca605fe7a2e380503"),
-        (3, 2, "6d07f07af008e4e4af2d351aadea9e51ff06432861690272a57a329115c1ce42"),
-        (5, 1, "235f9aab7303db74774c5678305fa1dcdb51c580232994860d42d9eb22ea70ff"),
-        (5, 2, "0f4b491cae55c5ad43f6a0a7e2af3e5506f9a81b4d804dd2e85b742a6f3792c2"),
+        (3, 1, "aa5b461b40988d95992bba3e5f4afb6d9d69c9adbc4cfc5b78c2105ee092fc15"),
+        (3, 2, "2013becaf0399366547a66ef9336800a6f846299daa0963cdb79940f5fb72edc"),
+        (5, 1, "1fa063bae2b7cd615484a4934c30583de26579bd46c5d3d8e5eae10d2c694c12"),
+        (5, 2, "b8469fa1df0b663d2fdbcf9f5d52cde6d22d824211a2cb11c920b627b7e1311f"),
     ],
 )
 def test_p1_report_bytes(y_order, delta, digest):
@@ -406,10 +409,10 @@ def _lam_dependent_class():
 def test_tail_series_bytes_on_a_lam_dependent_class():
     alpha = _lam_dependent_class()
     assert _sha(repr(p1.tree_series_S(alpha, 4, 5))) == (
-        "3c5546689b2c00ce9fb2ee8a49f08d5781f687039bcdf515bc5a8559f2f918ef"
+        "ad32c4727e213ff51d8540f2318af610765ccde81e4cb908083088f6105b764f"
     )
     assert _sha(repr(p1.stilde_at_zero(alpha, 4))) == (
-        "6984d614dc6579fbb861d5673825cb60533d0e0d1129e28e80f4201d0bfa8dd9"
+        "9ef377c496c3c46dcc2a182db646faa13b94411f34dd76a40c353c34e9bd6347"
     )
 
 
@@ -429,16 +432,16 @@ def _tail_orders():
 
 def test_unmarked_tail_series_bytes(cold_caches):
     text = "\n".join(repr(p1.tree_series_eps(y, z)) for y, z in _tail_orders())
-    assert _sha(text) == "f27bef92ddefc9901924d2481e8495975f450e92f7a3212dc70a029180e39181"
+    assert _sha(text) == "2a9167cf61da883d313a372e60843a211c38f0dfdf32f4f36a80f1c92baa29b4"
 
 
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("unit", "37fdf9b1e2f9787c25634a647316fb71f55bf1b6b17cf9892b4669e535db4c35"),
-        ("hyperplane", "7be4ae0eb60a24d5c2b284476efa38f830f3a35f876160917edab8ae8691d665"),
-        ("point_at_infinity", "d5cea49fcfe318a6af1a15f8ffa0ed13ce83e19407757a4fcfc1cb15f26e0bfc"),
-        ("mix", "a135c960c33d49155b35be6aa2d50c6fa64175ae814c6a6aec7982783f07219a"),
+        ("unit", "ca232e8051a472b2eb3ff6064ad0953487460bdf8ef51d1eb1fec0291c77d066"),
+        ("hyperplane", "5b0aec8a93ff96942ed943bdb0772b9a74ee16d380dfe1c5b0ffb3a413f6df11"),
+        ("point_at_infinity", "e577f418855caee27fdc40d1434578046c5bc45b65e97143e5b50a125a3e2c1e"),
+        ("mix", "37e7c42a41ad3194c3d9c7e1b5e856380bfbd79fe2dd619982ddd019752038b1"),
     ],
 )
 def test_marked_tail_series_bytes(name, digest, cold_caches):
@@ -450,7 +453,7 @@ def test_marked_tail_series_bytes(name, digest, cold_caches):
 def test_ratio_check_coefficient_bytes(cold_caches):
     coefficients = p1.irr_ratio_check(8)["coefficients"]
     assert _sha(repr(coefficients)) == (
-        "0f9429a707ae091d440bb49912f04a2589e9be5ea02871902fe3c27d4d9e165f"
+        "c9927e11e5e397a299d3f5222d35d2960e15af4a490d7c532630ec4d7ca1ba49"
     )
 
 
@@ -488,7 +491,7 @@ def test_marked_tail_series_bytes_on_a_seeded_corpus(cold_caches):
     # order up to 6, a z in the class cut at the z order, and the refusal
     # of negative z powers
     assert _sha(_tail_corpus_text()) == (
-        "c3446b4c3451057cb3af349626233e9001be5e0455faa0e3316aa0b64b1bf8a7"
+        "eaa0b0d0082a899ccf467362352bf1d4c09cb371a80ecc2e9836d59470dbf067"
     )
 
 
@@ -525,20 +528,20 @@ _ZERO_SUM = "c1e515f7b8fdff549e0940c65a15ff9b6e6deb1bb02736c2c6542f6b37505470"
         (0, 1, "a82f00d5c15d880b65080a4e238ed924d89da2a9c42a5e48962d39686c576fd5"),
         (0, 2, _ZERO_SUM),
         (0, 3, _ZERO_SUM),
-        (1, 1, "7be50e4814819fedb4bdf7073c54c70b96fe8382d899a719fc9ce6cd820e00d2"),
-        (1, 2, "328cc427bdf626a283be45f68661f34b90a566349034377492086899d6f8f352"),
-        (1, 3, "ddf5472dc33ba417889197c1e20fb72a6a63d1d6844fa134d2d4db3c54fe8065"),
-        (2, 1, "ac335a2303293b5638924f8b9b51d29d3809a075243387dd42955430192cf7a8"),
-        (2, 2, "6603c289cbb16ce2126e47017a490d86881e4e0752e9f67893fef1901e732854"),
-        (2, 3, "bcfa8a27b36e6431534e3f529e947cf412fb979f07d5500533e1f94a4f3e93ec"),
-        (3, 1, "a6770cec7c7ea45bd8d2e9351aacc566efe4829c9760699601c2e3fbf19c9cdc"),
-        (3, 2, "7b37f3162ef8ed6f6365cf2b05dbe239773afe29bbd17456d950bec76b8fc8dd"),
-        (3, 3, "3ebd5b1be387758d9588b626a821a81289a3c748b296e0b0621869b40d080ce2"),
-        (4, 1, "2601a01a71da81625aa89d52bb727a2f1c6e9f33d20421e2da0d349c669caf09"),
-        (4, 2, "99130bfde7ad45678e63cf9a74fa2416a80ee0969b86f03921598c422e00978d"),
-        (4, 3, "75f03ba19602c24531abeff972082c3a33948fdd0b3e1cc1fbfd9eefab98b506"),
-        (5, 1, "157eae2e19f2608d1795e5101289beffbea2bcc25f4d2e3556864ef23e9f7803"),
-        (5, 2, "e081b8c382057997b4d0bf6987f9e921242994c3465a309300f6a36bca208959"),
+        (1, 1, "e33cadd4277b1c389e24030d4a4a2437c5a5fb0efb6b022b5eb6037741354913"),
+        (1, 2, "bccc753439d64235fe64169ec032cdb40ba58491938fde4a604dd00c4006ff54"),
+        (1, 3, "39fee46bae1d6076e88728aa91f12dfb170f0974918f57f50f6522a14d6e3bbe"),
+        (2, 1, "00f9f8bf66d008da3bdd36306586f102b66ce286bf67fea7832c9593986c9203"),
+        (2, 2, "050fd48d03c8b9a89215d520560c9ac38af2c2964af840976498e7c4aa5d2772"),
+        (2, 3, "cdfe583215db6ea7ab0f343e536f867ba5d1ea41580c82fb75c836e4ffcf5793"),
+        (3, 1, "6a66df83a544a4936776b422a2dd8932f89c86ee43390669a42241b1017ec63f"),
+        (3, 2, "b6246ecdb7830b3293d887e645cc95a397fdbb1b6edf7980dba8d9d223e985cd"),
+        (3, 3, "b3648994b27ac9addbc2bcd8028f4b9817df058fab8cb213a2f0f4eb4e199bdf"),
+        (4, 1, "5a02df61057150aa544d862402bd145b07fb5ad285eea2d52e54c03f8b3fe95b"),
+        (4, 2, "8d8b1e8e15597374cd1d7e3c48abe03b51c44e23e22155c5ad8f814a7fb86483"),
+        (4, 3, "82b4c02c07c882b97945ef66c40f552c2c99e6ae7767c17f53b39b5e365b6097"),
+        (5, 1, "5e2bfbe5614ff8100172ab6e664bdfa0bd1ae7bbc1ecb2fefdf94bd6f54a8fe2"),
+        (5, 2, "941ac252d9dc67b802a232fd95ed096d3e5688b8b45ac8cdcd45d30f1fdf8221"),
     ],
 )
 def test_graph_sum_bytes_on_lam_dependent_insertions(n, delta, digest):
